@@ -176,14 +176,7 @@ def _cmd_construct(args, cfg: ExperimentConfig) -> int:
             probe_time=cfg.reference.refine_probe_time,
         )
         beta_star = refine.beta
-        refine_info = {
-            "beta": refine.beta,
-            "picard_beta": refine.picard_beta,
-            "evaluations": refine.evaluations,
-            "bracket": refine.bracket,
-            "probe_time": refine.probe_time,
-            "dt": refine.dt,
-        }
+        refine_info = refine.payload()
         initial_values = corrected_initial_state(
             runtime.workspace, point, refine.beta
         ).values

@@ -706,14 +706,7 @@ def run_full_pipeline(cfg: ExperimentConfig, eta_preset: str = "stable-bump",
         dt=cfg.reference.fixed_dt,
         probe_time=cfg.reference.refine_probe_time,
     )
-    refine_info = {
-        "beta": refine.beta,
-        "picard_beta": refine.picard_beta,
-        "evaluations": refine.evaluations,
-        "bracket": refine.bracket,
-        "probe_time": refine.probe_time,
-        "dt": refine.dt,
-    }
+    refine_info = refine.payload()
     initial_state = corrected_initial_state(workspace, point, refine.beta)
     write_json(
         os.path.join(out_dir, "point.json"),

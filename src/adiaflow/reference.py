@@ -15,7 +15,10 @@ On top of the solver:
   chart point;
 * ``refine_correction`` shoots for the initial unstable coefficient whose
   discrete trajectory neither blows up nor collapses — the solver-level
-  counterpart of the fixed-point correction;
+  counterpart of the fixed-point correction.  A cheap solve to a quarter of
+  the probe time predicts the root, a false-position polish at the full
+  probe stops at the round-off floor of the root, and every solve is cached
+  so none is repeated;
 * ``compare_effective`` measures how far the reduced dynamics (fixed-point
   path and chart velocity field) sit from the extracted full solution;
 * ``instability_witness`` perturbs the corrected initial state along the
@@ -24,7 +27,7 @@ On top of the solver:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -262,7 +265,16 @@ def extract_modulated(model: PulseModel, traj: FullTrajectory,
 
 @dataclass
 class RefineResult:
-    """Shooting-refined initial unstable coefficient."""
+    """Shooting-refined initial unstable coefficient.
+
+    ``beta`` is the refined coefficient, the full-probe solve whose probe
+    coefficient is closest to zero, and ``picard_beta`` the fixed-point
+    value the search started from.  ``evaluations`` counts the full solves
+    made, at every probe time.  ``bracket`` is the width of the bracket the
+    final polish started from: both of its ends survive to ``probe_time`` and
+    give the extracted coefficient opposite signs, so ``beta`` lies inside
+    it.  ``dt`` is the fixed step of the probe solves.
+    """
 
     beta: float
     picard_beta: float
@@ -270,6 +282,21 @@ class RefineResult:
     bracket: float
     probe_time: float
     dt: float
+
+    def payload(self) -> dict:
+        """The fields as a plain dict, in declaration order, for artifacts."""
+        return asdict(self)
+
+
+#: The short probe sits at the mesh time at or below this fraction of the
+#: full probe time.  Its solves cost that fraction of a full one, and a
+#: bracket wide enough to hold the fixed-point error survives to it.
+_SHORT_PROBE_FRACTION = 0.25
+
+#: Overshoot of the first step towards the root at the full probe, so that
+#: the step crosses the root even when the predicted slope is off by up to
+#: this factor.
+_MARCH_OVERSHOOT = 2.0
 
 
 def _collapse_floor(model: PulseModel) -> float:
@@ -283,6 +310,20 @@ def _mesh_samples_upto(times: np.ndarray, t_end: float) -> np.ndarray:
     return out
 
 
+def _roundoff_floor(u0: np.ndarray, growth: float, dt: float) -> float:
+    """Width to which round-off lets the probe define the shooting root.
+
+    Each step rounds the state at about ``eps * max|u|``, and the unstable
+    mode amplifies what is rounded at time s by exp(growth (T - s)) before
+    the probe at T.  Added as a random walk over steps of size dt, that is
+    exp(growth T) * eps * max|u| / sqrt(2 growth dt) at the probe; divided
+    by the slope of the probe coefficient in beta, exp(growth T) per unit,
+    it leaves a root uncertainty that no longer depends on T.
+    """
+    eps = np.finfo(float).eps
+    return float(eps * np.max(np.abs(u0)) / np.sqrt(2.0 * growth * dt))
+
+
 def refine_correction(workspace: SolutionMapWorkspace, point: ManifoldPoint,
                       *, dt: float = 1e-3, probe_time: float | None = None,
                       bracket_factor: float = 4.0, bracket_min: float = 2e-5,
@@ -293,92 +334,185 @@ def refine_correction(workspace: SolutionMapWorkspace, point: ManifoldPoint,
     solver has its own slightly shifted invariant structures; both are
     amplified exponentially over long comparisons.  This routine shoots for
     the coefficient whose fixed-step trajectory keeps the extracted unstable
-    coefficient at zero at a probe time: sign bisection while the endpoints
-    escape (blow up or collapse), then a root solve on the smooth extracted
-    coefficient once both endpoints survive.  The probe trajectory uses the
-    same step size and the same sample clamping as later comparison runs, so
-    the refined value belongs to the exact discrete flow being compared.
-    """
-    from scipy.optimize import brentq
+    coefficient at zero at the probe time, in two stages:
 
+    1. *Predictor.*  At a short probe (the mesh time at or below a quarter
+       of the probe time) a bracket around the fixed-point value survives,
+       so false position finds that probe's root in a few cheap solves.
+    2. *Polish.*  At the full probe, the search steps from the predictor
+       against the sign of its coefficient, by the Newton step of the
+       short-probe slope scaled by the unstable growth between the probes,
+       overshot so that the step crosses the root.  False position then
+       polishes the surviving bracket.
+
+    Both polishes stop once the next iterate moves less than the round-off
+    floor of the root (see ``_roundoff_floor``).  Inside that floor the
+    probe coefficient is noise, so the result is the solved coefficient
+    whose probe coefficient is closest to zero.  Wherever a bracket end
+    escapes (blows up or collapses), sign bisection narrows the bracket
+    until both ends survive.  Every solve is cached by probe and
+    coefficient, so no solve is repeated, and every stage draws on the one
+    budget of ``max_evaluations`` solves.  The probe trajectories use the
+    same step size and the same sample clamping as later comparison runs,
+    so the refined value belongs to the exact discrete flow being compared.
+    """
     model = workspace.model
     grid = workspace.grid
     mesh = workspace.times
     if probe_time is None:
         probe_time = float(mesh[np.searchsorted(mesh, 16.0, side="right") - 1])
-    samples = _mesh_samples_upto(mesh, probe_time)
+    full_samples = _mesh_samples_upto(mesh, probe_time)
     # Snap onto the mesh so the recorded probe time is the one actually used.
-    probe_time = float(samples[-1])
+    probe_time = float(full_samples[-1])
+    short_samples = _mesh_samples_upto(
+        mesh, _SHORT_PROBE_FRACTION * probe_time
+    )
     floor = _collapse_floor(model)
     base = point.initial_state.values
     mode = workspace.unstable_mode
-    evaluations = [0]
+    growth = -workspace.unstable_eigenvalue
+    xtol = _roundoff_floor(base, growth, dt)
+    solved: dict[tuple[int, float], tuple[float, float | None]] = {}
 
-    def coefficient_at_probe(beta: float):
-        """(sign, value-or-None) of the unstable coefficient at the probe."""
-        evaluations[0] += 1
+    def coefficient_at_probe(samples: np.ndarray, beta: float, stage: str):
+        """(sign, value-or-None) of the unstable coefficient at the probe.
+
+        An escaped run gives its escape direction and no value; a zero value
+        counts as negative, so every sign is +1 or -1.
+        """
+        key = (len(samples), beta)
+        if key in solved:
+            return solved[key]
+        if len(solved) >= max_evaluations:
+            raise ConvergenceError(
+                f"shooting refinement exhausted its budget of "
+                f"{max_evaluations} solves during the {stage}"
+            )
         u0 = GridField(base + (beta - point.correction) * mode, grid)
         traj = evolve_full(
-            model, u0, probe_time, fixed_dt=dt, sample_times=samples,
+            model, u0, float(samples[-1]), fixed_dt=dt, sample_times=samples,
             collapse_floor=floor,
         )
         if traj.escaped:
-            return float(traj.stats["escape_sign"]), None
-        state = GridField(traj.u_samples[-1].copy(), grid)
-        pt, w = decompose_state(model, state, model.symmetry_point(point.sigma0))
-        frame_mode = grid.shift_values(mode, pt.scalar - workspace.sigma0)
-        value = float(grid.inner_values(w.values, frame_mode))
-        return np.sign(value), value
+            result = float(traj.stats["escape_sign"]), None
+        else:
+            state = GridField(traj.u_samples[-1].copy(), grid)
+            pt, w = decompose_state(
+                model, state, model.symmetry_point(point.sigma0)
+            )
+            frame_mode = grid.shift_values(mode, pt.scalar - workspace.sigma0)
+            value = float(grid.inner_values(w.values, frame_mode))
+            result = (1.0 if value > 0.0 else -1.0), value
+        solved[key] = result
+        return result
 
+    def settle(samples, lo, end_lo, hi, end_hi, stage):
+        """Sign bisection until both ends of [lo, hi] survive the probe."""
+        while end_lo[1] is None or end_hi[1] is None:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                raise ConvergenceError(
+                    f"no surviving coefficient between {lo!r} and {hi!r} "
+                    f"at t = {samples[-1]:.6g}: the {stage} reached "
+                    f"adjacent floats"
+                )
+            end_mid = coefficient_at_probe(samples, mid, stage)
+            if end_mid[0] < 0:
+                lo, end_lo = mid, end_mid
+            else:
+                hi, end_hi = mid, end_mid
+        return lo, end_lo[1], hi, end_hi[1]
+
+    def polish(samples, lo, v_lo, hi, v_hi, stage):
+        """False position on a surviving bracket, v_lo < 0 < v_hi.
+
+        The Anderson-Bjorck rule keeps both ends closing in.  Returns the
+        root estimate and the chord slope of the bracket it started from.
+        """
+        slope = (v_hi - v_lo) / (hi - lo)
+        beta = lo - v_lo / slope
+        moved = 0.0
+        while lo < beta < hi:
+            sign, value = coefficient_at_probe(samples, beta, stage)
+            if value is None:
+                raise ConvergenceError(
+                    f"the {stage} iterate {beta!r} escaped before "
+                    f"t = {samples[-1]:.6g} inside a surviving bracket"
+                )
+            # When the same end moves twice in a row, scale down the value
+            # of the end left behind.
+            if sign < 0:
+                scale = 1.0 - value / v_lo
+                lo, v_lo = beta, value
+                if moved < 0:
+                    v_hi *= scale if scale > 0.0 else 0.5
+            else:
+                scale = 1.0 - value / v_hi
+                hi, v_hi = beta, value
+                if moved > 0:
+                    v_lo *= scale if scale > 0.0 else 0.5
+            moved = sign
+            step = lo - v_lo * (hi - lo) / (v_hi - v_lo) - beta
+            beta += step
+            if abs(step) <= xtol:
+                break
+        return beta, slope
+
+    # Predictor: bracket the short-probe root around the fixed-point value.
+    stage = "short-probe bracketing"
     radius = max(bracket_factor * abs(point.correction), bracket_min)
-    lo, hi = point.correction - radius, point.correction + radius
-    sign_lo, val_lo = coefficient_at_probe(lo)
-    sign_hi, val_hi = coefficient_at_probe(hi)
-    for _ in range(4):
-        if sign_lo < 0 < sign_hi:
+    for _ in range(5):
+        lo, hi = point.correction - radius, point.correction + radius
+        end_lo = coefficient_at_probe(short_samples, lo, stage)
+        end_hi = coefficient_at_probe(short_samples, hi, stage)
+        if end_lo[0] < 0 < end_hi[0]:
             break
         radius *= 4.0
-        lo, hi = point.correction - radius, point.correction + radius
-        sign_lo, val_lo = coefficient_at_probe(lo)
-        sign_hi, val_hi = coefficient_at_probe(hi)
-    if not sign_lo < 0 < sign_hi:
+    else:
         raise ConvergenceError(
             "could not bracket the refined correction: the unstable "
             "coefficient does not change sign around the fixed-point value"
         )
+    bracket = settle(short_samples, lo, end_lo, hi, end_hi,
+                     "short-probe escape bisection")
+    predictor, slope = polish(short_samples, *bracket, "short-probe polish")
 
-    # Bisect until both endpoints survive to the probe, then polish the root
-    # of the smooth coefficient.
-    while (val_lo is None or val_hi is None):
-        if evaluations[0] >= max_evaluations:
-            raise ConvergenceError(
-                "shooting refinement exceeded its evaluation budget"
-            )
-        mid = 0.5 * (lo + hi)
-        sign_mid, val_mid = coefficient_at_probe(mid)
-        if sign_mid < 0:
-            lo, val_lo = mid, val_mid
-        else:
-            hi, val_hi = mid, val_mid
-        if hi - lo < 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi), 1e-300):
+    # Polish: step from the predictor across the full-probe root, then
+    # narrow the bracket it makes.  An escaped run's coefficient grew to
+    # order one; steps that do not cross grow until the budget runs out.
+    stage = "full-probe bracketing"
+    slope *= np.exp(growth * (probe_time - float(short_samples[-1])))
+    near = predictor
+    end_near = coefficient_at_probe(full_samples, near, stage)
+    size = 1.0 if end_near[1] is None else abs(end_near[1])
+    step = _MARCH_OVERSHOOT * size / slope
+    while True:
+        far = near - end_near[0] * step
+        end_far = coefficient_at_probe(full_samples, far, stage)
+        if end_far[0] != end_near[0]:
             break
-
-    if val_lo is not None and val_hi is not None and lo < hi:
-        def smooth(beta: float) -> float:
-            return coefficient_at_probe(beta)[1]
-
-        beta_star = float(brentq(
-            smooth, lo, hi, xtol=1e-18, rtol=8.9e-16, maxiter=80,
-        ))
+        near, end_near = far, end_far
+        step *= 4.0
+    if end_near[0] < 0:
+        ends = (near, end_near, far, end_far)
     else:
-        beta_star = 0.5 * (lo + hi)
+        ends = (far, end_far, near, end_near)
+    lo, v_lo, hi, v_hi = settle(full_samples, *ends,
+                                "full-probe escape bisection")
+    polish(full_samples, lo, v_lo, hi, v_hi, "full-probe polish")
+    # Inside the round-off floor the next estimate is as good as noise, so
+    # the result is the solved coefficient closest to zero at the probe.
+    _, beta_star = min(
+        (abs(value), beta) for (n, beta), (_, value) in solved.items()
+        if n == len(full_samples) and value is not None
+    )
 
     return RefineResult(
-        beta=beta_star,
+        beta=float(beta_star),
         picard_beta=point.correction,
-        evaluations=evaluations[0],
+        evaluations=len(solved),
         bracket=float(hi - lo),
-        probe_time=float(probe_time),
+        probe_time=probe_time,
         dt=float(dt),
     )
 

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from adiaflow import reference
+from adiaflow.errors import ConvergenceError
 from adiaflow.grid import GridField
 from adiaflow.manifold import construct_manifold_point
 from adiaflow.modulation import decompose_state
@@ -42,11 +44,26 @@ def uncorrected_run(model, grid, stable_direction):
 
 
 @pytest.fixture(scope="module")
-def corrected_run(workspace, model, grid, stable_direction):
+def refine_solves():
+    """(initial state bytes, final time) of each full solve that the
+    ``corrected_run`` refinement makes."""
+    return []
+
+
+@pytest.fixture(scope="module")
+def corrected_run(workspace, model, grid, stable_direction, refine_solves):
     eta = GridField(0.01 * stable_direction.copy(), grid)
     point = construct_manifold_point(workspace, eta, delta=0.05, alpha=1.0,
                                      fixed_point_tol=1e-10, max_iter=30)
-    refined = refine_correction(workspace, point, dt=1e-3, probe_time=12.0)
+
+    def recording(model, u0, t_final, **kwargs):
+        refine_solves.append((u0.values.tobytes(), float(t_final)))
+        return evolve_full(model, u0, t_final, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reference, "evolve_full", recording)
+        refined = refine_correction(workspace, point, dt=1e-3,
+                                    probe_time=12.0)
     u0 = corrected_initial_state(workspace, point, refined.beta)
     samples = workspace.times[workspace.times <= 10.0 + 1e-12]
     traj = evolve_full(model, u0, float(samples[-1]), fixed_dt=1e-3,
@@ -102,6 +119,64 @@ def test_refinement_contract(corrected_run, workspace):
     assert refined.bracket > 0.0
     assert refined.beta == pytest.approx(-4.831976073093844e-06, rel=1e-6)
     assert abs(refined.beta - refined.picard_beta) <= 5e-7
+
+
+def test_refinement_solves_no_coefficient_twice(corrected_run, refine_solves):
+    _, refined, _ = corrected_run
+    assert len(refine_solves) == refined.evaluations
+    initial_states = [u0 for u0, _ in refine_solves]
+    assert len(set(initial_states)) == len(initial_states)
+    assert refined.evaluations <= 16
+    # Short-probe solves come first and end well before the probe.
+    finals = [t_final for _, t_final in refine_solves]
+    assert finals == sorted(finals)
+    assert finals[0] <= 0.25 * refined.probe_time < finals[-1]
+    assert finals[-1] == refined.probe_time
+
+
+@pytest.mark.parametrize("stage", [
+    "short-probe bracketing", "short-probe polish", "full-probe bracketing",
+])
+def test_refinement_budget_binds_in_every_stage(
+        corrected_run, refine_solves, workspace, monkeypatch, stage):
+    point, refined, _ = corrected_run
+    short_solves = sum(t_final < refined.probe_time
+                       for _, t_final in refine_solves)
+    budget = {
+        "short-probe bracketing": 1,
+        "short-probe polish": short_solves - 1,
+        "full-probe bracketing": short_solves + 1,
+    }[stage]
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return evolve_full(*args, **kwargs)
+
+    monkeypatch.setattr(reference, "evolve_full", counting)
+    with pytest.raises(ConvergenceError, match=stage):
+        refine_correction(workspace, point, dt=1e-3, probe_time=12.0,
+                          max_evaluations=budget)
+    assert len(calls) == budget
+
+
+def test_escaping_polish_iterate_is_a_convergence_error(
+        corrected_run, workspace, monkeypatch):
+    point, _, _ = corrected_run
+    calls = []
+
+    def escaping_after_bracket(*args, **kwargs):
+        traj = evolve_full(*args, **kwargs)
+        calls.append(args[2])
+        if len(calls) > 2:  # the two bracket ends survive, polish escapes
+            traj.stats["escape_sign"] = 1
+            traj.stats["escape_time"] = float(traj.times[-1])
+        return traj
+
+    monkeypatch.setattr(reference, "evolve_full", escaping_after_bracket)
+    with pytest.raises(ConvergenceError, match="short-probe polish"):
+        refine_correction(workspace, point, dt=1e-3, probe_time=12.0)
+    assert len(calls) == 3
 
 
 def test_corrected_seed_meets_the_decay_bound(corrected_run, model, grid):
