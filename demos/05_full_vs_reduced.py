@@ -15,6 +15,7 @@ import numpy as np
 from adiaflow.grid import PeriodicGrid
 from adiaflow.manifold import SolutionMapWorkspace, construct_manifold_point
 from adiaflow.model import PulseModel
+from adiaflow.paths import mesh_prefix
 from adiaflow.presets import preset_field
 from adiaflow.reference import (
     compare_effective,
@@ -45,7 +46,7 @@ def main() -> None:
           f"  ({refined.evaluations} solver runs, probe t = {refined.probe_time:.2f})")
     print()
 
-    samples = workspace.times[workspace.times <= HORIZON + 1e-12]
+    samples = mesh_prefix(workspace.times, HORIZON)
     traj = evolve_full(model, corrected_initial_state(workspace, point,
                                                       refined.beta),
                        float(samples[-1]), fixed_dt=1e-3,

@@ -37,7 +37,7 @@ from .harness import (
 from .manifold import SolutionMapWorkspace, construct_manifold_point, correction_scan
 from .model import PulseModel
 from .modulation import decompose_state, solve_modulation
-from .paths import time_mesh
+from .paths import mesh_prefix, time_mesh
 from .presets import PRESET_NAMES, preset_field
 from .reference import (
     compare_effective,
@@ -276,7 +276,7 @@ def _cmd_simulate(args, cfg: ExperimentConfig) -> int:
             f"requested horizon T = {args.T:g} exceeds the mesh horizon "
             f"{mesh[-1]:g}"
         )
-    samples = mesh[mesh <= args.T + 1e-12]
+    samples = mesh_prefix(mesh, args.T)
     traj = evolve_full(
         model, GridField(initial_values.copy(), grid), float(samples[-1]),
         fixed_dt=cfg.reference.fixed_dt, sample_times=samples,

@@ -108,6 +108,21 @@ class PeriodicGrid:
             self.spacing * (np.sum(values**2, axis=-1) + np.sum(dv**2, axis=-1))
         )
 
+    def parseval_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """Weights (weak, strong) with norm^2 = sum(weights * |rfft(v)|^2).
+
+        By Parseval, h * sum(v^2) = (h / n) * sum_k m_k |vhat_k|^2, where
+        rfft stores each conjugate pair once (m_k = 2) and the mean and
+        Nyquist modes alone (m_k = 1).  The strong weights add k^2 on every
+        mode but the Nyquist one, which ``first_derivative_values`` zeroes.
+        """
+        weak = np.full(self.n // 2 + 1, 2.0 * self.spacing / self.n)
+        weak[0] *= 0.5
+        weak[-1] *= 0.5
+        k2 = self.wavenumbers**2
+        k2[-1] = 0.0
+        return weak, weak * (1.0 + k2)
+
     # -- dense operators ------------------------------------------------------
     def dense_second_derivative(self) -> np.ndarray:
         """Dense spectral second-derivative matrix, symmetric entrywise.

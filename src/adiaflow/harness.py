@@ -34,7 +34,7 @@ from .manifold import (
     measure_contraction,
 )
 from .model import PulseModel
-from .paths import time_mesh
+from .paths import mesh_prefix, time_mesh
 from .presets import preset_field
 from .reference import (
     FullTrajectory,
@@ -605,10 +605,6 @@ class PipelineReport:
         }
 
 
-def _samples_upto(times: np.ndarray, horizon: float) -> np.ndarray:
-    return times[times <= horizon + 1e-12]
-
-
 def run_full_pipeline(cfg: ExperimentConfig, eta_preset: str = "stable-bump",
                       out_dir: str = "runs/stable-bump") -> PipelineReport:
     """Ledger, construct, refine, solve, compare, witness; write artifacts.
@@ -719,7 +715,7 @@ def run_full_pipeline(cfg: ExperimentConfig, eta_preset: str = "stable-bump",
     metrics["refine_evaluations"] = refine.evaluations
 
     # Full solve on the mesh prefix, and the trajectory artifact.
-    samples = _samples_upto(workspace.times, cfg.reference.compare_horizon)
+    samples = mesh_prefix(workspace.times, cfg.reference.compare_horizon)
     traj = evolve_full(
         model, initial_state, float(samples[-1]),
         fixed_dt=cfg.reference.fixed_dt, sample_times=samples,

@@ -45,6 +45,14 @@ def time_mesh(dt_fine: float = 0.02, t_uniform: float = 4.0,
     return np.array(times)
 
 
+def mesh_prefix(times: np.ndarray, t_end: float) -> np.ndarray:
+    """The mesh times up to t_end (with 1e-12 slack); the mesh starts at 0."""
+    out = times[times <= t_end + 1e-12]
+    if len(out) == 0 or out[0] != 0.0:
+        raise ValueError("sample mesh must start at 0")
+    return out
+
+
 def time_weight(t: np.ndarray, alpha: float) -> np.ndarray:
     """<t>^alpha = (1 + t^2)^(alpha/2)."""
     return (1.0 + np.asarray(t, dtype=float) ** 2) ** (alpha / 2.0)

@@ -4,9 +4,12 @@ The solver is the brute-force oracle the reduced objects are judged against:
 it integrates the flow with a stiff-aware splitting — the constant-coefficient
 linear part (second derivative minus identity) advanced exactly in Fourier
 space, the pointwise quadratic part advanced exactly by its closed-form
-solution — composed symmetrically for second-order accuracy.  Step sizes
-adapt by halving against a Richardson error estimate; a fixed-step mode keeps
-the discrete flow bitwise reproducible for shooting.
+solution — composed symmetrically for second-order accuracy.  The state
+lives in Fourier space between steps, so a step costs two FFTs, and the
+error estimate and escape checks read its norms by Parseval; it returns to
+physical space only where a sample is recorded.  Step sizes adapt by
+halving against a Richardson error estimate; a fixed-step mode keeps the
+discrete flow bitwise reproducible for shooting.
 
 On top of the solver:
 
@@ -15,10 +18,10 @@ On top of the solver:
   chart point;
 * ``refine_correction`` shoots for the initial unstable coefficient whose
   discrete trajectory neither blows up nor collapses — the solver-level
-  counterpart of the fixed-point correction.  A cheap solve to a quarter of
-  the probe time predicts the root, a false-position polish at the full
-  probe stops at the round-off floor of the root, and every solve is cached
-  so none is repeated;
+  counterpart of the fixed-point correction.  Cheap solves to a quarter of
+  the probe time predict the root as closely as the full probe needs, a
+  false-position polish at the full probe stops at the round-off floor of
+  the root, and every solve is cached so none is repeated;
 * ``compare_effective`` measures how far the reduced dynamics (fixed-point
   path and chart velocity field) sit from the extracted full solution;
 * ``instability_witness`` perturbs the corrected initial state along the
@@ -27,6 +30,7 @@ On top of the solver:
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -36,7 +40,7 @@ from .grid import GridField, PeriodicGrid
 from .manifold import ManifoldPoint, SolutionMapWorkspace
 from .model import PulseModel
 from .modulation import decompose_state, solve_modulation
-from .paths import TrajectoryPath, time_weight
+from .paths import TrajectoryPath, mesh_prefix, time_weight
 
 #: Smallest acceptable nonlinear-substep denominator; below this the step is
 #: considered to have crossed a blow-up.
@@ -77,29 +81,54 @@ class FullTrajectory:
 
 
 class _SplitStepper:
-    """One symmetric splitting step; half-step multipliers cached per dt."""
+    """Symmetric splitting steps on the rfft of the state.
+
+    The state lives in Fourier space between steps, so a step costs one
+    inverse and one forward FFT: the first linear half step is a product
+    with the half-step multiplier, the quadratic substep runs on the
+    physical values, and the second linear half step is a product again.
+    Norms of a state come from its |rfft|^2 by Parseval, with no FFT.
+    Half-step multipliers are cached per dt.
+    """
 
     def __init__(self, grid: PeriodicGrid):
-        self.grid = grid
+        self.n = grid.n
+        self._rate = grid.wavenumbers**2 + 1.0
+        # Weights on the interleaved real and imaginary parts of a state.
+        weak, strong = grid.parseval_weights()
+        self._weak = np.repeat(weak, 2)
+        self._strong = np.repeat(strong, 2)
         self._cache: dict[float, np.ndarray] = {}
 
     def _half(self, dt: float) -> np.ndarray:
         mult = self._cache.get(dt)
         if mult is None:
-            mult = np.exp(-0.5 * dt * (self.grid.wavenumbers**2 + 1.0))
+            mult = np.exp(-0.5 * dt * self._rate)
             self._cache[dt] = mult
         return mult
 
-    def step(self, u: np.ndarray, dt: float) -> np.ndarray | None:
-        """Advance by dt, or None when the quadratic subflow blows up."""
-        n = self.grid.n
+    def step(self, uh: np.ndarray, dt: float) -> np.ndarray | None:
+        """Advance the rfft state by dt, or None when the quadratic subflow
+        blows up."""
         mult = self._half(dt)
-        v = np.fft.irfft(np.fft.rfft(u) * mult, n)
+        v = np.fft.irfft(uh * mult, self.n)
         denom = 1.0 - dt * v
-        if np.min(denom) <= _DENOM_FLOOR:
+        if denom.min() <= _DENOM_FLOOR:
             return None
-        v = v / denom
-        return np.fft.irfft(np.fft.rfft(v) * mult, n)
+        v /= denom
+        uh_new = np.fft.rfft(v)
+        uh_new *= mult
+        return uh_new
+
+    def weak_norm(self, uh: np.ndarray) -> float:
+        """``grid.weak_norm_values`` of the state whose rfft is uh."""
+        parts = uh.view(np.float64)
+        return math.sqrt(parts.dot(parts * self._weak))
+
+    def strong_norm(self, uh: np.ndarray) -> float:
+        """``grid.strong_norm_values`` of the state whose rfft is uh."""
+        parts = uh.view(np.float64)
+        return math.sqrt(parts.dot(parts * self._strong))
 
 
 def evolve_full(model: PulseModel, u0: GridField, t_final: float,
@@ -117,6 +146,10 @@ def evolve_full(model: PulseModel, u0: GridField, t_final: float,
     comfortable ones double it.  Passing ``fixed_dt`` disables the estimate
     and steps deterministically, which shooting and comparison runs need so
     that re-runs traverse the identical discrete flow.
+
+    Between steps the state is kept as its rfft (see ``_SplitStepper``):
+    the error estimate and the escape checks read its norms by Parseval,
+    and it returns to physical space only at the recorded samples.
 
     Samples are recorded exactly at ``sample_times`` (default: 401 uniform
     times) by clamping the step onto each sample.  A strong norm at or above
@@ -137,7 +170,7 @@ def evolve_full(model: PulseModel, u0: GridField, t_final: float,
         raise ValueError("sample times must not exceed the final time")
 
     stepper = _SplitStepper(grid)
-    u = u0.values.copy()
+    uh = np.fft.rfft(u0.values)
     t = 0.0
     dt = float(fixed_dt) if fixed_dt is not None else float(dt_init)
 
@@ -146,7 +179,7 @@ def evolve_full(model: PulseModel, u0: GridField, t_final: float,
     next_sample = 0
     if sample_times[0] == 0.0:
         recorded_t.append(0.0)
-        recorded_u.append(u.copy())
+        recorded_u.append(u0.values.copy())
         next_sample = 1
 
     stats = {
@@ -167,18 +200,19 @@ def evolve_full(model: PulseModel, u0: GridField, t_final: float,
         dt_step = target - t if clamped else dt
 
         if fixed_dt is not None:
-            u_new = stepper.step(u, dt_step)
-            if u_new is None:
+            uh_new = stepper.step(uh, dt_step)
+            if uh_new is None:
                 escape(+1, t)
                 break
         else:
-            u_big = stepper.step(u, dt_step)
-            u_half = stepper.step(u, 0.5 * dt_step)
-            u_new = None if u_half is None else stepper.step(u_half, 0.5 * dt_step)
-            if u_big is None or u_new is None:
+            uh_big = stepper.step(uh, dt_step)
+            uh_half = stepper.step(uh, 0.5 * dt_step)
+            uh_new = (None if uh_half is None
+                      else stepper.step(uh_half, 0.5 * dt_step))
+            if uh_big is None or uh_new is None:
                 estimate = np.inf
             else:
-                estimate = grid.weak_norm_values(u_big - u_new) / 3.0
+                estimate = stepper.weak_norm(uh_big - uh_new) / 3.0
             if not estimate <= tol:
                 stats["rejected"] += 1
                 dt = 0.5 * dt_step
@@ -193,20 +227,19 @@ def evolve_full(model: PulseModel, u0: GridField, t_final: float,
                 dt = min(2.0 * dt, dt_max)
 
         stats["steps"] += 1
-        u = u_new
+        uh = uh_new
         t = target if clamped else t + dt_step
         if clamped:
             recorded_t.append(t)
-            recorded_u.append(u.copy())
+            recorded_u.append(np.fft.irfft(uh, grid.n))
             next_sample += 1
 
-        weak = grid.weak_norm_values(u)
-        if not np.isfinite(weak):
+        weak = stepper.weak_norm(uh)
+        if not math.isfinite(weak):
             escape(+1, t)
             break
         if weak >= ceiling or (
-            weak >= 0.4 * ceiling
-            and grid.strong_norm_values(u) >= ceiling
+            weak >= 0.4 * ceiling and stepper.strong_norm(uh) >= ceiling
         ):
             escape(+1, t)
             break
@@ -293,6 +326,13 @@ class RefineResult:
 #: bracket wide enough to hold the fixed-point error survives to it.
 _SHORT_PROBE_FRACTION = 0.25
 
+#: The short-probe polish stops once its next step would move the
+#: full-probe coefficient by less than this.  The predictor only has to
+#: start the full-probe march well inside the window of order-one
+#: coefficients in which full-probe solves survive; the gap between the
+#: short- and the full-probe root is itself worth about 0.05 there.
+_PREDICTOR_COEFFICIENT_TOL = 1e-3
+
 #: Overshoot of the first step towards the root at the full probe, so that
 #: the step crosses the root even when the predicted slope is off by up to
 #: this factor.
@@ -301,13 +341,6 @@ _MARCH_OVERSHOOT = 2.0
 
 def _collapse_floor(model: PulseModel) -> float:
     return 0.5 * model.profile.weak_norm()
-
-
-def _mesh_samples_upto(times: np.ndarray, t_end: float) -> np.ndarray:
-    out = times[times <= t_end + 1e-12]
-    if len(out) == 0 or out[0] != 0.0:
-        raise ValueError("sample mesh must start at 0")
-    return out
 
 
 def _roundoff_floor(u0: np.ndarray, growth: float, dt: float) -> float:
@@ -339,18 +372,21 @@ def refine_correction(workspace: SolutionMapWorkspace, point: ManifoldPoint,
     1. *Predictor.*  At a short probe (the mesh time at or below a quarter
        of the probe time) a bracket around the fixed-point value survives,
        so false position finds that probe's root in a few cheap solves.
+       It stops once its next step would move the full-probe coefficient
+       (the short-probe chord slope scaled by the unstable growth between
+       the probes) by less than ``_PREDICTOR_COEFFICIENT_TOL``.
     2. *Polish.*  At the full probe, the search steps from the predictor
        against the sign of its coefficient, by the Newton step of the
        short-probe slope scaled by the unstable growth between the probes,
        overshot so that the step crosses the root.  False position then
        polishes the surviving bracket.
 
-    Both polishes stop once the next iterate moves less than the round-off
-    floor of the root (see ``_roundoff_floor``).  Inside that floor the
-    probe coefficient is noise, so the result is the solved coefficient
-    whose probe coefficient is closest to zero.  Wherever a bracket end
-    escapes (blows up or collapses), sign bisection narrows the bracket
-    until both ends survive.  Every solve is cached by probe and
+    The full-probe polish stops once the next iterate moves less than the
+    round-off floor of the root (see ``_roundoff_floor``).  Inside that
+    floor the probe coefficient is noise, so the result is the solved
+    coefficient whose probe coefficient is closest to zero.  Wherever a
+    bracket end escapes (blows up or collapses), sign bisection narrows the
+    bracket until both ends survive.  Every solve is cached by probe and
     coefficient, so no solve is repeated, and every stage draws on the one
     budget of ``max_evaluations`` solves.  The probe trajectories use the
     same step size and the same sample clamping as later comparison runs,
@@ -361,10 +397,10 @@ def refine_correction(workspace: SolutionMapWorkspace, point: ManifoldPoint,
     mesh = workspace.times
     if probe_time is None:
         probe_time = float(mesh[np.searchsorted(mesh, 16.0, side="right") - 1])
-    full_samples = _mesh_samples_upto(mesh, probe_time)
+    full_samples = mesh_prefix(mesh, probe_time)
     # Snap onto the mesh so the recorded probe time is the one actually used.
     probe_time = float(full_samples[-1])
-    short_samples = _mesh_samples_upto(
+    short_samples = mesh_prefix(
         mesh, _SHORT_PROBE_FRACTION * probe_time
     )
     floor = _collapse_floor(model)
@@ -423,14 +459,13 @@ def refine_correction(workspace: SolutionMapWorkspace, point: ManifoldPoint,
                 hi, end_hi = mid, end_mid
         return lo, end_lo[1], hi, end_hi[1]
 
-    def polish(samples, lo, v_lo, hi, v_hi, stage):
+    def polish(samples, lo, v_lo, hi, v_hi, stage, tol):
         """False position on a surviving bracket, v_lo < 0 < v_hi.
 
         The Anderson-Bjorck rule keeps both ends closing in.  Returns the
-        root estimate and the chord slope of the bracket it started from.
+        root estimate once the next iterate would move less than tol.
         """
-        slope = (v_hi - v_lo) / (hi - lo)
-        beta = lo - v_lo / slope
+        beta = lo - v_lo / ((v_hi - v_lo) / (hi - lo))
         moved = 0.0
         while lo < beta < hi:
             sign, value = coefficient_at_probe(samples, beta, stage)
@@ -454,9 +489,9 @@ def refine_correction(workspace: SolutionMapWorkspace, point: ManifoldPoint,
             moved = sign
             step = lo - v_lo * (hi - lo) / (v_hi - v_lo) - beta
             beta += step
-            if abs(step) <= xtol:
+            if abs(step) <= tol:
                 break
-        return beta, slope
+        return beta
 
     # Predictor: bracket the short-probe root around the fixed-point value.
     stage = "short-probe bracketing"
@@ -473,15 +508,21 @@ def refine_correction(workspace: SolutionMapWorkspace, point: ManifoldPoint,
             "could not bracket the refined correction: the unstable "
             "coefficient does not change sign around the fixed-point value"
         )
-    bracket = settle(short_samples, lo, end_lo, hi, end_hi,
-                     "short-probe escape bisection")
-    predictor, slope = polish(short_samples, *bracket, "short-probe polish")
+    lo, v_lo, hi, v_hi = settle(short_samples, lo, end_lo, hi, end_hi,
+                                "short-probe escape bisection")
+    # The full-probe coefficient per unit beta: the short-probe chord slope
+    # grown by the unstable mode between the probes.
+    slope = (v_hi - v_lo) / (hi - lo) * np.exp(
+        growth * (probe_time - float(short_samples[-1]))
+    )
+    predictor = polish(short_samples, lo, v_lo, hi, v_hi,
+                       "short-probe polish",
+                       max(xtol, _PREDICTOR_COEFFICIENT_TOL / slope))
 
     # Polish: step from the predictor across the full-probe root, then
     # narrow the bracket it makes.  An escaped run's coefficient grew to
     # order one; steps that do not cross grow until the budget runs out.
     stage = "full-probe bracketing"
-    slope *= np.exp(growth * (probe_time - float(short_samples[-1])))
     near = predictor
     end_near = coefficient_at_probe(full_samples, near, stage)
     size = 1.0 if end_near[1] is None else abs(end_near[1])
@@ -499,7 +540,7 @@ def refine_correction(workspace: SolutionMapWorkspace, point: ManifoldPoint,
         ends = (far, end_far, near, end_near)
     lo, v_lo, hi, v_hi = settle(full_samples, *ends,
                                 "full-probe escape bisection")
-    polish(full_samples, lo, v_lo, hi, v_hi, "full-probe polish")
+    polish(full_samples, lo, v_lo, hi, v_hi, "full-probe polish", xtol)
     # Inside the round-off floor the next estimate is as good as noise, so
     # the result is the solved coefficient closest to zero at the probe.
     _, beta_star = min(
@@ -630,7 +671,7 @@ def instability_witness(workspace: SolutionMapWorkspace, point: ManifoldPoint,
     model = workspace.model
     grid = workspace.grid
     u0 = corrected_initial_state(workspace, point, beta, offset)
-    samples = _mesh_samples_upto(workspace.times, t_max)
+    samples = mesh_prefix(workspace.times, t_max)
     traj = evolve_full(
         model, u0, float(samples[-1]), fixed_dt=dt, sample_times=samples,
         collapse_floor=_collapse_floor(model),

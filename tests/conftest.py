@@ -64,10 +64,11 @@ def refined_bump(workspace, point_bump):
 
 @pytest.fixture(scope="session")
 def traj_bump(workspace, model, point_bump, refined_bump):
+    from adiaflow.paths import mesh_prefix
     from adiaflow.reference import corrected_initial_state, evolve_full
 
     u0 = corrected_initial_state(workspace, point_bump, refined_bump.beta)
-    samples = workspace.times[workspace.times <= 20.0 + 1e-12]
+    samples = mesh_prefix(workspace.times, 20.0)
     return evolve_full(model, u0, float(samples[-1]), fixed_dt=1e-3,
                        sample_times=samples)
 

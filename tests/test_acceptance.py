@@ -23,7 +23,7 @@ from adiaflow.manifold import (
 )
 from adiaflow.model import PulseModel
 from adiaflow.modulation import solve_modulation
-from adiaflow.paths import time_mesh
+from adiaflow.paths import mesh_prefix, time_mesh
 from adiaflow.reference import (
     compare_effective,
     corrected_initial_state,
@@ -185,7 +185,7 @@ def test_criterion_07_reduced_matches_full(workspace, model, point_bump,
 
     refined_half = refine_correction(workspace, point_bump, dt=5e-4,
                                      probe_time=16.0)
-    samples = workspace.times[workspace.times <= 20.0 + 1e-12]
+    samples = mesh_prefix(workspace.times, 20.0)
     traj_half = evolve_full(
         model, corrected_initial_state(workspace, point_bump,
                                        refined_half.beta),

@@ -6,6 +6,7 @@ import pytest
 from adiaflow.errors import AdmissibilityError
 from adiaflow.paths import (
     TrajectoryPath,
+    mesh_prefix,
     path_distance,
     path_norm,
     time_mesh,
@@ -42,6 +43,21 @@ def test_time_mesh_rejects_bad_parameters():
         time_mesh(t_uniform=4.0, horizon=3.0)
     with pytest.raises(ValueError):
         time_mesh(dt_fine=-0.01)
+
+
+def test_mesh_prefix_keeps_the_times_up_to_the_end(mesh):
+    prefix = mesh_prefix(mesh, 4.0)
+    assert np.array_equal(prefix, mesh[:201])
+    # A time within the 1e-12 slack of a mesh time includes it.
+    assert np.array_equal(mesh_prefix(mesh, mesh[250] - 5e-13), mesh[:251])
+    assert np.array_equal(mesh_prefix(mesh, 1e9), mesh)
+
+
+def test_mesh_prefix_requires_a_mesh_from_zero(mesh):
+    with pytest.raises(ValueError, match="start at 0"):
+        mesh_prefix(mesh[1:], 4.0)
+    with pytest.raises(ValueError, match="start at 0"):
+        mesh_prefix(mesh, -1.0)
 
 
 def test_time_weight_closed_form():

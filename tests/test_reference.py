@@ -8,6 +8,7 @@ from adiaflow.errors import ConvergenceError
 from adiaflow.grid import GridField
 from adiaflow.manifold import construct_manifold_point
 from adiaflow.modulation import decompose_state
+from adiaflow.paths import mesh_prefix
 from adiaflow.reference import (
     FullTrajectory,
     compare_effective,
@@ -65,7 +66,7 @@ def corrected_run(workspace, model, grid, stable_direction, refine_solves):
         refined = refine_correction(workspace, point, dt=1e-3,
                                     probe_time=12.0)
     u0 = corrected_initial_state(workspace, point, refined.beta)
-    samples = workspace.times[workspace.times <= 10.0 + 1e-12]
+    samples = mesh_prefix(workspace.times, 10.0)
     traj = evolve_full(model, u0, float(samples[-1]), fixed_dt=1e-3,
                        sample_times=samples)
     return point, refined, traj
@@ -222,6 +223,116 @@ def test_translation_equivariance(model, grid, stable_direction):
         grid.shift_values(plain.u_samples[-1], shift) - moved.u_samples[-1]
     )
     assert gap <= 1e-10
+
+
+def physical_split_solve(model, u0, samples, dt, collapse_floor=None,
+                         ceiling=10.0):
+    """The split step in physical space, four FFTs a step, as a reference.
+
+    Steps and sample clamps, escape checks and escape times follow
+    ``evolve_full`` in fixed-step mode; norms come from the grid.  Returns
+    (times, samples, escape sign, escape time).
+    """
+    grid = model.grid
+
+    def step(u, h):
+        mult = np.exp(-0.5 * h * (grid.wavenumbers**2 + 1.0))
+        v = np.fft.irfft(np.fft.rfft(u) * mult, grid.n)
+        denom = 1.0 - h * v
+        if np.min(denom) <= reference._DENOM_FLOOR:
+            return None
+        return np.fft.irfft(np.fft.rfft(v / denom) * mult, grid.n)
+
+    u, t = u0.values.copy(), 0.0
+    times, states = [0.0], [u.copy()]
+    sign, escape_time, next_sample = 0, None, 1
+    while t < samples[-1] and next_sample < len(samples):
+        target = samples[next_sample]
+        clamped = dt >= target - t
+        h = target - t if clamped else dt
+        u = step(u, h)
+        if u is None:
+            sign, escape_time = 1, t
+            break
+        t = target if clamped else t + h
+        if clamped:
+            times.append(t)
+            states.append(u.copy())
+            next_sample += 1
+        weak = grid.weak_norm_values(u)
+        if not np.isfinite(weak) or weak >= ceiling or (
+                weak >= 0.4 * ceiling
+                and grid.strong_norm_values(u) >= ceiling):
+            sign, escape_time = 1, t
+            break
+        if collapse_floor is not None and weak <= collapse_floor:
+            sign, escape_time = -1, t
+            break
+    return np.array(times), np.array(states), sign, escape_time
+
+
+def test_parseval_norms_match_the_grid_norms(grid):
+    rng = np.random.default_rng(7)
+    stepper = reference._SplitStepper(grid)
+    nyquist = np.cos(np.pi * np.arange(grid.n))
+    for _ in range(5):
+        vhat = np.zeros(grid.n // 2 + 1, dtype=complex)
+        vhat[:64] = (rng.standard_normal(64) + 1j * rng.standard_normal(64)) \
+            * np.exp(-0.1 * np.arange(64))
+        values = np.fft.irfft(vhat, grid.n) + rng.uniform(0.1, 1.0) * nyquist
+        values_hat = np.fft.rfft(values)
+        assert values_hat[-1] != 0.0
+        assert stepper.weak_norm(values_hat) == pytest.approx(
+            float(grid.weak_norm_values(values)), rel=1e-13)
+        assert stepper.strong_norm(values_hat) == pytest.approx(
+            float(grid.strong_norm_values(values)), rel=1e-13)
+
+
+@pytest.mark.parametrize("offset, t_end", [
+    (0.0, 2.5), (1e-2, 10.0), (-1e-2, 10.0),
+])
+def test_fourier_state_solve_matches_the_physical_split_step(
+        corrected_run, workspace, model, grid, offset, t_end):
+    point, refined, _ = corrected_run
+    u0 = corrected_initial_state(workspace, point, refined.beta, offset)
+    samples = mesh_prefix(workspace.times, t_end)
+    floor = reference._collapse_floor(model)
+    traj = evolve_full(model, u0, float(samples[-1]), fixed_dt=1e-3,
+                       sample_times=samples, collapse_floor=floor)
+    times, states, sign, escape_time = physical_split_solve(
+        model, u0, samples, 1e-3, collapse_floor=floor)
+    assert traj.stats["escape_sign"] == sign == np.sign(offset)
+    assert traj.stats["escape_time"] == escape_time
+    assert np.array_equal(traj.times, times)
+    if sign == 0:
+        # Approaching a blow-up amplifies round-off faster, so the state
+        # bound is kept to the surviving run.
+        assert traj.stats["steps"] >= 2000
+        gaps = grid.weak_norm_values(traj.u_samples - states)
+        assert np.max(gaps / grid.weak_norm_values(states)) <= 1e-11
+
+
+def test_fixed_step_solve_makes_two_ffts_per_step(model, grid, monkeypatch):
+    calls = {"rfft": 0, "irfft": 0}
+
+    def counted(name):
+        transform = getattr(np.fft, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return transform(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.fft, name, counted(name))
+    samples = np.linspace(0.0, 0.2, 5)
+    traj = evolve_full(model, model.profile, 0.2, fixed_dt=1e-3,
+                       sample_times=samples)
+    steps = traj.stats["steps"]
+    assert steps >= 200 and traj.n_samples == len(samples)
+    # One forward transform of the initial state; the sample at t = 0 is
+    # the initial state itself.
+    assert calls == {"rfft": steps + 1, "irfft": steps + len(samples) - 1}
 
 
 @pytest.mark.parametrize("eps", [1e-3, 1e-4])
