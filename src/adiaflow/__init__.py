@@ -44,7 +44,6 @@ from .model import PulseModel, SymmetryPoint
 from .modulation import (
     ModulationCoefficients,
     decompose_state,
-    effective_rhs,
     solve_modulation,
 )
 from .paths import TrajectoryPath, path_distance, path_norm, time_mesh, time_weight
@@ -65,7 +64,6 @@ from .spectral import (
     decompose,
     measure_propagator_constant,
     project_stable,
-    propagate_stable,
     propagate_stable_batch,
 )
 
@@ -106,7 +104,6 @@ __all__ = [
     "decompose",
     "decompose_state",
     "default_speed_constant",
-    "effective_rhs",
     "evolve_full",
     "extract_modulated",
     "instability_witness",
@@ -118,7 +115,6 @@ __all__ = [
     "path_norm",
     "preset_field",
     "project_stable",
-    "propagate_stable",
     "propagate_stable_batch",
     "random_admissible_path",
     "refine_correction",

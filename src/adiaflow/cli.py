@@ -20,12 +20,11 @@ from .config import ExperimentConfig, load_config
 from .errors import AdiaflowError, ConfigError
 from .grid import GridField, PeriodicGrid
 from .harness import (
-    AGREEMENT_BOUND,
-    CheckResult,
-    ENVELOPE_RATE_BOUND,
     Runtime,
+    _eigenvalue_table,
     _jsonable,
     build_runtime,
+    comparison_checks,
     load_trajectory_csv,
     point_payload,
     run_assumption_ledger,
@@ -75,6 +74,21 @@ def _load_field_csv(path: str, grid: PeriodicGrid) -> GridField:
     return GridField(np.array(values), grid)
 
 
+def _read_point(path: str) -> tuple[dict, np.ndarray]:
+    """A point file's payload and the time mesh it was constructed on."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+        spec = payload["mesh"]
+        mesh = time_mesh(float(spec["dt_fine"]), float(spec["t_uniform"]),
+                         float(spec["ratio"]), float(spec["horizon"]))
+    except (OSError, json.JSONDecodeError) as err:
+        raise ConfigError(f"cannot read point file: {err}") from err
+    except KeyError as err:
+        raise ConfigError(f"point file lacks required key: {err}") from err
+    return payload, mesh
+
+
 def _eta_argument(spec: str, runtime: Runtime) -> tuple[str, GridField]:
     """Resolve an ``--eta``-style argument to (label, field)."""
     if spec in PRESET_NAMES:
@@ -96,17 +110,12 @@ def _cmd_spectrum(args, cfg: ExperimentConfig) -> int:
         zero_tol=cfg.spectral.zero_tol,
     )
     if args.out:
-        kinds = {}
-        for idx in spectrum.unstable_indices:
-            kinds[int(idx)] = "unstable"
-        for idx in spectrum.zero_indices:
-            kinds[int(idx)] = "zero"
         with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(["index", "eigenvalue", "kind"])
-            for idx, value in enumerate(spectrum.eigenvalues):
+            for row in _eigenvalue_table(spectrum, len(spectrum.eigenvalues)):
                 writer.writerow(
-                    [idx, f"{value:.17g}", kinds.get(idx, "stable")]
+                    [row["index"], f"{row['eigenvalue']:.17g}", row["kind"]]
                 )
     c2, rate = measure_propagator_constant(
         spectrum, seed=cfg.seeds.propagator
@@ -143,7 +152,7 @@ def _cmd_modulate(args, cfg: ExperimentConfig) -> int:
     _print_json({
         "sigma": point.scalar,
         "a": coeffs.a,
-        "abs_a": float(np.linalg.norm(coeffs.a)),
+        "abs_a": abs(coeffs.a),
         "modulation_residual": coeffs.residual,
         "orthogonality_residual": abs(remainder.inner(tangent)),
         "w_weak_norm": remainder.weak_norm(),
@@ -249,16 +258,11 @@ def _cmd_simulate(args, cfg: ExperimentConfig) -> int:
         unstable_mode = runtime.workspace.unstable_mode
         mesh = runtime.times
     else:
-        try:
-            with open(args.init, encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, json.JSONDecodeError) as err:
-            raise ConfigError(f"cannot read point file: {err}") from err
+        payload, mesh = _read_point(args.init)
         try:
             initial_values = np.array(payload["initial_values"], dtype=float)
             unstable_mode = np.array(payload["unstable_mode"], dtype=float)
             sigma0 = float(payload["sigma0"])
-            mesh_spec = payload["mesh"]
         except KeyError as err:
             raise ConfigError(f"point file lacks required key: {err}") from err
         if len(initial_values) != grid.n:
@@ -266,10 +270,6 @@ def _cmd_simulate(args, cfg: ExperimentConfig) -> int:
                 f"point file has {len(initial_values)} state values, "
                 f"the configured grid has {grid.n} points"
             )
-        mesh = time_mesh(
-            float(mesh_spec["dt_fine"]), float(mesh_spec["t_uniform"]),
-            float(mesh_spec["ratio"]), float(mesh_spec["horizon"]),
-        )
 
     if args.T > mesh[-1] + 1e-12:
         raise ConfigError(
@@ -302,17 +302,12 @@ def _cmd_simulate(args, cfg: ExperimentConfig) -> int:
 
 
 def _cmd_compare(args, cfg: ExperimentConfig) -> int:
-    try:
-        with open(args.point, encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, json.JSONDecodeError) as err:
-        raise ConfigError(f"cannot read point file: {err}") from err
+    payload, mesh = _read_point(args.point)
     runtime = build_runtime(cfg)
     try:
         eta_values = np.array(payload["eta_values"], dtype=float)
         delta = float(payload["delta"])
         alpha = float(payload["alpha"])
-        mesh_spec = payload["mesh"]
     except KeyError as err:
         raise ConfigError(f"point file lacks required key: {err}") from err
     if len(eta_values) != runtime.grid.n:
@@ -320,10 +315,6 @@ def _cmd_compare(args, cfg: ExperimentConfig) -> int:
             f"point file has {len(eta_values)} seed values, the configured "
             f"grid has {runtime.grid.n} points"
         )
-    mesh = time_mesh(
-        float(mesh_spec["dt_fine"]), float(mesh_spec["t_uniform"]),
-        float(mesh_spec["ratio"]), float(mesh_spec["horizon"]),
-    )
     workspace = (
         runtime.workspace if np.array_equal(mesh, runtime.times)
         else SolutionMapWorkspace(runtime.spectrum, times=mesh)
@@ -337,40 +328,8 @@ def _cmd_compare(args, cfg: ExperimentConfig) -> int:
     traj = load_trajectory_csv(args.traj, runtime.grid)
     comparison = compare_effective(workspace, point, traj,
                                    delta=delta, alpha=alpha)
-    agreement = max(
-        comparison["sup_sigma_effective"],
-        comparison["sup_sigma_fixed_point"],
-        comparison["sup_w_strong"],
-    )
     degenerate = float(np.max(np.abs(eta_values))) == 0.0
-    checks = [
-        CheckResult(
-            name="reduced-agreement",
-            claim="fixed-point path and effective chart dynamics match the "
-                  "extracted full solution",
-            passed=agreement <= AGREEMENT_BOUND,
-            value=agreement,
-            bound=f"sup differences <= {AGREEMENT_BOUND:g}",
-        ),
-        CheckResult(
-            name="remainder-envelope",
-            claim="extracted remainder stays inside the weighted decay "
-                  "envelope",
-            passed=comparison["decay_margin"] <= 1.0,
-            value=comparison["decay_margin"],
-            bound="<= 1",
-        ),
-        CheckResult(
-            name="envelope-rate",
-            claim="extracted remainder decays exponentially over the fit "
-                  "window",
-            passed=True if degenerate
-            else comparison["envelope_rate"] <= ENVELOPE_RATE_BOUND,
-            value=None if degenerate else comparison["envelope_rate"],
-            bound="degenerate for a zero seed" if degenerate
-            else f"<= {ENVELOPE_RATE_BOUND}",
-        ),
-    ]
+    checks = comparison_checks(comparison, degenerate)
     passed = all(check.passed for check in checks)
     report = {
         "point": args.point,

@@ -161,22 +161,9 @@ class GridField:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field contains non-finite samples")
 
-    # -- descriptive properties ----------------------------------------------
     @property
     def n(self) -> int:
         return self.grid.n
-
-    @property
-    def domain_half_length(self) -> float:
-        return self.grid.half_length
-
-    @property
-    def grid_spacing(self) -> float:
-        return self.grid.spacing
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.grid.x
 
     # -- norms and calculus ----------------------------------------------------
     def weak_norm(self) -> float:
@@ -202,3 +189,15 @@ class GridField:
 
 def zero_field(grid: PeriodicGrid) -> GridField:
     return GridField(np.zeros(grid.n), grid)
+
+
+def smooth_noise(grid: PeriodicGrid, rng: np.random.Generator,
+                 cutoff: float) -> np.ndarray:
+    """One standard normal draw on the grid, low-passed by exp(-(k/cutoff)^2).
+
+    Each call consumes exactly one draw of ``grid.n`` normals from ``rng``.
+    """
+    raw = rng.standard_normal(grid.n)
+    return np.fft.irfft(
+        np.fft.rfft(raw) * np.exp(-((grid.wavenumbers / cutoff) ** 2)), grid.n
+    )

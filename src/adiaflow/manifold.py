@@ -31,7 +31,8 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from .errors import BallViolationError, ConvergenceError
-from .grid import GridField
+from .grid import GridField, smooth_noise
+from .modulation import frame_coefficient
 from .paths import TrajectoryPath, path_distance, time_mesh, time_weight
 from .spectral import SpectralData, project_stable, propagate_stable_batch
 
@@ -105,7 +106,7 @@ class SolutionMapWorkspace:
             raise ValueError("the time mesh must start at t = 0")
         self.sigma0 = spectrum.base_point.scalar
 
-        self.stable_eigenvalues, self.stable_modes = spectrum.stable_basis()
+        self.stable_eigenvalues, self.stable_modes = spectrum.stable_basis
         self.unstable_mode = spectrum.unstable_mode
         self.unstable_eigenvalue = spectrum.unstable_eigenvalue
         zero_j = spectrum.zero_indices[0]
@@ -116,15 +117,7 @@ class SolutionMapWorkspace:
         self._pulse_base = self.model.family(origin).values
         self._tangent_base = self.model.family_tangent(origin).values
         self._second_base = self.model.family_second(origin).values
-        self._frame_base = spectrum.base_point
         self._f_frozen = self.grid.shift_values(self._pulse_base, self.sigma0)
-
-        # The chart is flat: the frame-derivative term of the modulation
-        # coupling vanishes identically, so the batched coupling below may
-        # drop it.  Guard the assumption at construction time.
-        fd = self.model.frame_derivative(origin)
-        if fd.weak_norm() != 0.0:
-            raise ValueError("workspace assumes a flat chart frame")
 
         self._dt = np.diff(self.times)
         self._stable_decay = np.exp(-np.outer(self._dt, self.stable_eigenvalues))
@@ -146,15 +139,10 @@ class SolutionMapWorkspace:
         tangent_trial = grid.shift_values(self._tangent_base, sigma_trial)
         second_trial = grid.shift_values(self._second_base, sigma_trial)
 
-        # Frame coefficient per sample (flat chart: no frame-derivative term).
-        coupling = grid.inner_values(w_trial, second_trial)
-        if np.min(np.abs(1.0 - coupling)) < 0.1:
-            raise ConvergenceError(
-                "modulation system is near-singular along the trial path; "
-                "the remainder has left the perturbative regime"
-            )
-        modulation = grid.inner_values(w_trial**2, tangent_trial) / (1.0 - coupling)
-        speed = self.model.trivialized_velocity(modulation, self._frame_base)
+        # Frame coefficient per sample; the chart moves at a * xi.
+        modulation = frame_coefficient(grid, w_trial, tangent_trial,
+                                       second_trial)
+        speed = modulation * self.model.xi
         sigma_out = self.sigma0 + cumulative_trapezoid(speed, times, initial=0.0)
 
         # Sources: quadratic remainder, chart-velocity term, and the potential
@@ -427,10 +415,7 @@ def random_admissible_path(workspace: SolutionMapWorkspace, *, delta: float,
 
     w = np.zeros((len(times), grid.n))
     for _ in range(n_fields):
-        raw = rng.standard_normal(grid.n)
-        smooth = np.fft.irfft(
-            np.fft.rfft(raw) * np.exp(-((grid.wavenumbers / 3.0) ** 2)), grid.n
-        )
+        smooth = smooth_noise(grid, rng, 3.0)
         fld = project_stable(workspace.spectrum, GridField(smooth, grid))
         fld_values = fld.values / fld.strong_norm()
         omega = rng.uniform(0.2, 1.0)
@@ -510,11 +495,7 @@ def measure_correction_lipschitz(workspace: SolutionMapWorkspace, *,
     for _ in range(n_pairs):
         fields = []
         for _ in range(2):
-            raw = rng.standard_normal(grid.n)
-            smooth = np.fft.irfft(
-                np.fft.rfft(raw) * np.exp(-((grid.wavenumbers / 3.0) ** 2)),
-                grid.n,
-            )
+            smooth = smooth_noise(grid, rng, 3.0)
             fld = project_stable(workspace.spectrum, GridField(smooth, grid))
             size = rng.uniform(0.3, 0.9) * eta_fraction * delta
             fields.append(GridField(size * fld.values / fld.strong_norm(), grid))

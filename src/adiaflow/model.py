@@ -21,12 +21,14 @@ one-dimensional unstable direction.
 
 The chart on the symmetry group is the flat global chart sigma in R; the
 tangent frame is normalized so the family tangent has unit weak norm, with
-scale factor xi = 1 / ||phi'||.
+scale factor xi = 1 / ||phi'||.  The frame does not turn along the chart, so
+a frame coefficient a moves the chart at the velocity a * xi.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,33 +38,28 @@ from .grid import GridField, PeriodicGrid
 
 @dataclass(frozen=True)
 class SymmetryPoint:
-    """A point on the symmetry-group chart (here: a translation amount).
+    """A point on the symmetry-group chart: one translation amount.
 
-    The chart is global and flat: distances between points and norms of
-    tangent vectors are plain Euclidean norms of the coordinate arrays.
-    ``chart_radius`` bounds the working neighborhood of the identity.
+    The chart is global and flat, so the distance between two points is the
+    difference of their translation amounts.  ``chart_radius`` bounds the
+    working neighborhood of the identity.
     """
 
-    coords: np.ndarray
+    scalar: float
     chart_radius: float = 5.0
 
     def __post_init__(self):
-        coords = np.atleast_1d(np.asarray(self.coords, dtype=float))
-        object.__setattr__(self, "coords", coords)
-        if not np.all(np.isfinite(coords)):
+        scalar = float(self.scalar)
+        object.__setattr__(self, "scalar", scalar)
+        if not math.isfinite(scalar):
             raise ValueError("symmetry coordinates must be finite")
-        if float(np.linalg.norm(coords)) > self.chart_radius:
+        if abs(scalar) > self.chart_radius:
             raise ValueError(
-                f"coordinates {coords} leave the chart of radius {self.chart_radius}"
+                f"coordinate {scalar} leaves the chart of radius {self.chart_radius}"
             )
 
-    @property
-    def scalar(self) -> float:
-        """The translation amount (the model has a one-dimensional group)."""
-        return float(self.coords[0])
-
     def distance(self, other: "SymmetryPoint") -> float:
-        return float(np.linalg.norm(self.coords - other.coords))
+        return abs(self.scalar - other.scalar)
 
 
 class PulseModel:
@@ -86,8 +83,6 @@ class PulseModel:
         self.grid = grid
         self.chart_radius = float(chart_radius)
         self.delta_ball = float(delta_ball)
-        self.dim_sigma = 1
-        self.n_unstable = 1
 
         x = grid.x
         sech2 = 1.0 / np.cosh(x / 2.0) ** 2
@@ -104,7 +99,7 @@ class PulseModel:
 
     # -- symmetry chart helpers -------------------------------------------------
     def symmetry_point(self, sigma: float) -> SymmetryPoint:
-        return SymmetryPoint(np.array([float(sigma)]), self.chart_radius)
+        return SymmetryPoint(float(sigma), self.chart_radius)
 
     @property
     def origin(self) -> SymmetryPoint:
@@ -167,12 +162,7 @@ class PulseModel:
         nonzero) discrete stationarity defect of the sampled profile.  For
         the cubic potential used here the result is exactly -w^2.
         """
-        sn = w.strong_norm()
-        if sn > self.delta_ball:
-            raise BallViolationError(
-                f"strong norm {sn:.3e} exceeds the small-ball radius "
-                f"{self.delta_ball:.3e}"
-            )
+        self.check_ball(w)
         fvals = self.family(sigma).values
         result = (
             self.potential_derivative(fvals + w.values)
@@ -185,6 +175,15 @@ class PulseModel:
                 f"quadratic-remainder identity violated: residual {defect:.3e}"
             )
         return GridField(result, self.grid)
+
+    def check_ball(self, w: GridField) -> None:
+        """Raise BallViolationError if w leaves the small ball."""
+        sn = w.strong_norm()
+        if sn > self.delta_ball:
+            raise BallViolationError(
+                f"strong norm {sn:.3e} exceeds the small-ball radius "
+                f"{self.delta_ball:.3e}"
+            )
 
     # -- the equilibrium family ----------------------------------------------------
     def family(self, sigma: SymmetryPoint) -> GridField:
@@ -206,28 +205,10 @@ class PulseModel:
             self.grid.shift_values(self._second0, sigma.scalar), self.grid
         )
 
-    def frame_derivative(self, sigma: SymmetryPoint) -> GridField:
-        """Rate of change of the normalized tangent frame along the chart.
-
-        The global chart is flat and the frame scale xi is constant, so this
-        is identically zero.  The code path exists (and is exercised by a
-        zero-assertion test) so curved-chart models can supply a nonzero
-        field without changing any caller.
-        """
-        return GridField(np.zeros(self.grid.n), self.grid)
-
-    def trivialized_velocity(self, a: np.ndarray, sigma: SymmetryPoint) -> np.ndarray:
-        """Chart velocity h(a, sigma) = a * xi produced by frame coefficients a.
-
-        In the flat chart the trivialization is multiplication by the constant
-        frame scale, so |h| <= c_h |a| with c_h = xi.
-        """
-        return np.atleast_1d(np.asarray(a, dtype=float)) * self.xi
-
     # -- measured diagnostics ---------------------------------------------------
     @property
     def c_h(self) -> float:
-        """Trivialization bound: |h(a, sigma)| <= c_h |a|."""
+        """Trivialization bound: the chart velocity a * xi is at most c_h |a|."""
         return self.xi
 
     def family_bound(self, sigma_samples=None) -> float:

@@ -1,20 +1,19 @@
-"""Modulation: frame coefficients, effective dynamics, state decomposition.
+"""Modulation: the frame coefficient and the state decomposition.
 
 Writing a state near the equilibrium family as u = f(sigma) + w with w
 orthogonal to the family tangent turns the flow into a coupled system: the
-chart point sigma(t) moves with velocity determined algebraically by w, and
-the remainder w evolves under the linearized operator plus the quadratic
-remainder.  Differentiating the orthogonality constraint in time gives an
-affine equation for the frame coefficients a:
+chart point sigma(t) moves with velocity a * xi, where the frame coefficient
+a is determined algebraically by w, and the remainder w evolves under the
+linearized operator plus the quadratic remainder -w^2.  Differentiating the
+orthogonality constraint in time gives, in the flat one-dimensional chart,
+the scalar equation
 
-    (I - R) a = d,
+    (1 - <w, d^2 f>) a = <w^2, d f>,
 
-where R collects the overlap of w with the second derivative of the family
-(plus a frame-curvature term that vanishes in the flat chart) and d is the
-overlap of the quadratic remainder with the tangent.  Because the equation
-is affine in a, a direct linear solve replaces any fixed-point argument; a
-damped Newton iteration is only needed to *find* sigma when decomposing an
-arbitrary state.
+where d f and d^2 f are the family's tangent and second derivative along
+the unit frame.  ``frame_coefficient`` is the one place this quotient is
+formed; a damped Newton iteration is only needed to *find* sigma when
+decomposing an arbitrary state.
 """
 
 from __future__ import annotations
@@ -24,76 +23,71 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .grid import GridField
+from .grid import GridField, PeriodicGrid
 from .model import PulseModel, SymmetryPoint
 
 
 @dataclass
 class ModulationCoefficients:
-    """Solution of the modulation system at one (sigma, w).
+    """The frame coefficient at one (sigma, w).
 
-    ``residual`` is the max-norm defect |a - R a - d| of the affine system;
-    ``iterations`` is 0 for the direct solve used here.
+    ``residual`` is the defect |(1 - <w, d^2 f>) a - <w^2, d f>| of the
+    scalar equation the coefficient solves.
     """
 
-    a: np.ndarray
+    a: float
     residual: float
-    iterations: int
 
 
-def coupling_matrix(model: PulseModel, sigma: SymmetryPoint,
-                    w: GridField) -> np.ndarray:
-    """R: overlap of w with the family's second derivative along the frame.
-
-    R_ij = <w, (d^2 f xi_j) xi_i> + <w, (d xi_i) xi_j>; the second term is
-    the frame-curvature contribution and is identically zero in the flat
-    chart (the code path is kept for curved charts).
-    """
-    second = model.family_second(sigma)
-    curvature = model.frame_derivative(sigma)
-    value = w.inner(second) + w.inner(curvature)
-    return np.array([[value]])
+def _overlaps(grid: PeriodicGrid, w, tangent, second):
+    """(coupling, drive) = (<w, d^2 f>, <w^2, d f>) along the last axis."""
+    return grid.inner_values(w, second), grid.inner_values(w**2, tangent)
 
 
-def drive_term(model: PulseModel, sigma: SymmetryPoint,
-               w: GridField) -> np.ndarray:
-    """d: minus the overlap of the quadratic remainder with the unit tangent.
+def frame_coefficient(grid: PeriodicGrid, w, tangent, second):
+    """a = <w^2, d f> / (1 - <w, d^2 f>); the chart moves at a * xi.
 
-    d_i = -<N(sigma, w), df(sigma) xi_i>.  For the pulse model N = -w^2, so
-    d = +<w^2, tangent>.
-    """
-    remainder = model.nonlinearity(sigma, w)
-    tangent = model.family_tangent(sigma)
-    return np.array([-remainder.inner(tangent)])
-
-
-def solve_modulation(model: PulseModel, sigma: SymmetryPoint,
-                     w: GridField) -> ModulationCoefficients:
-    """Solve (I - R) a = d directly.
+    ``w`` is the remainder and ``tangent``, ``second`` the family's unit
+    tangent and second derivative at the chart point: one field each, or
+    one row per sample.  Returns one coefficient per field.
 
     Raises
     ------
     ConvergenceError
-        If I - R is near-singular, which signals leaving the perturbative
-        regime (the coupling matrix is small-norm for admissible w).
+        If |1 - <w, d^2 f>| < 0.1 for any field, which signals that the
+        remainder left the perturbative regime.
     """
-    matrix = np.eye(model.dim_sigma) - coupling_matrix(model, sigma, w)
-    rhs = drive_term(model, sigma, w)
-    if abs(np.linalg.det(matrix)) < 0.1:
+    coupling, drive = _overlaps(grid, w, tangent, second)
+    denom = 1.0 - coupling
+    if np.min(np.abs(denom)) < 0.1:
         raise ConvergenceError(
-            "modulation system near-singular: the state left the "
+            "modulation system is near-singular: the remainder has left the "
             "perturbative regime"
         )
-    a = np.linalg.solve(matrix, rhs)
-    residual = float(np.max(np.abs(matrix @ a - rhs)))
-    return ModulationCoefficients(a=a, residual=residual, iterations=0)
+    return drive / denom
 
 
-def effective_rhs(model: PulseModel, sigma: SymmetryPoint,
-                  w: GridField) -> np.ndarray:
-    """Chart velocity of the effective dynamics: sigma_dot = h(a, sigma)."""
-    coeffs = solve_modulation(model, sigma, w)
-    return model.trivialized_velocity(coeffs.a, sigma)
+def solve_modulation(model: PulseModel, sigma: SymmetryPoint,
+                     w: GridField) -> ModulationCoefficients:
+    """The frame coefficient at (sigma, w), with the defect of its equation.
+
+    Raises
+    ------
+    BallViolationError
+        If the strong norm of w exceeds the model's small-ball radius.
+    ConvergenceError
+        If the modulation equation is near-singular (see
+        ``frame_coefficient``).
+    """
+    model.check_ball(w)
+    grid = model.grid
+    tangent = model.family_tangent(sigma).values
+    second = model.family_second(sigma).values
+    a = float(frame_coefficient(grid, w.values, tangent, second))
+    coupling, drive = _overlaps(grid, w.values, tangent, second)
+    return ModulationCoefficients(
+        a=a, residual=float(abs((1.0 - coupling) * a - drive))
+    )
 
 
 def _constraint(model: PulseModel, u_values: np.ndarray, s: float) -> float:
@@ -111,8 +105,8 @@ def decompose_state(model: PulseModel, u: GridField,
 
     Finds the chart point by a damped Newton iteration on the scalar
     constraint g(sigma) = <u - f(sigma), tangent(sigma)>; the derivative is
-    g'(sigma) = (R(sigma, w) - 1) / xi with w the current remainder.  Steps
-    that increase |g| are halved.
+    g'(sigma) = (<w, d^2 f(sigma)> - 1) / xi with w the current remainder.
+    Steps that increase |g| are halved.
 
     Raises
     ------

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AdmissibilityError
-from .grid import GridField, PeriodicGrid
+from .grid import PeriodicGrid
 
 
 def time_mesh(dt_fine: float = 0.02, t_uniform: float = 4.0,
@@ -84,9 +84,6 @@ class TrajectoryPath:
     @property
     def n_samples(self) -> int:
         return len(self.times)
-
-    def field_at(self, j: int) -> GridField:
-        return GridField(self.w[j].copy(), self.grid)
 
     def sigma_dot(self) -> np.ndarray:
         """Chart speed by centered differences on the mesh."""

@@ -25,7 +25,8 @@ On top of the solver:
 * ``compare_effective`` measures how far the reduced dynamics (fixed-point
   path and chart velocity field) sit from the extracted full solution;
 * ``instability_witness`` perturbs the corrected initial state along the
-  unstable mode and fits the resulting growth rate.
+  unstable mode and solves; ``witness_report`` fits the resulting growth
+  rate, also on a trajectory already solved for another purpose.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .errors import ConvergenceError
 from .grid import GridField, PeriodicGrid
 from .manifold import ManifoldPoint, SolutionMapWorkspace
 from .model import PulseModel
-from .modulation import decompose_state, solve_modulation
+from .modulation import decompose_state, frame_coefficient
 from .paths import TrajectoryPath, mesh_prefix, time_weight
 
 #: Smallest acceptable nonlinear-substep denominator; below this the step is
@@ -70,9 +71,6 @@ class FullTrajectory:
     @property
     def escaped(self) -> bool:
         return self.stats.get("escape_sign", 0) != 0
-
-    def sample(self, j: int, grid: PeriodicGrid) -> GridField:
-        return GridField(self.u_samples[j].copy(), grid)
 
     def energies(self, model: PulseModel) -> np.ndarray:
         return np.array([
@@ -601,8 +599,10 @@ def compare_effective(workspace: SolutionMapWorkspace, point: ManifoldPoint,
 
     def velocity(s: float, w_values: np.ndarray) -> float:
         pt = model.symmetry_point(s)
-        coeffs = solve_modulation(model, pt, GridField(w_values, grid))
-        return float(model.trivialized_velocity(coeffs.a, pt)[0])
+        return float(frame_coefficient(
+            grid, w_values, model.family_tangent(pt).values,
+            model.family_second(pt).values,
+        )) * model.xi
 
     for j in range(m - 1):
         h_t = extracted.times[j + 1] - extracted.times[j]
@@ -657,10 +657,9 @@ def instability_witness(workspace: SolutionMapWorkspace, point: ManifoldPoint,
     """Evolve the corrected state with an unstable-mode offset and fit growth.
 
     With a zero offset the trajectory should stay decaying for the whole
-    horizon; any nonzero offset seeds the unstable channel, whose extracted
-    coefficient is fitted with an exponential over the window where its
-    magnitude lies inside ``window``.  The escape direction distinguishes
-    blow-up (+1) from collapse toward zero (-1).
+    horizon; any nonzero offset seeds the unstable channel, whose growth
+    ``witness_report`` fits.  A weak norm at or below ``_collapse_floor``
+    ends the run as a collapse toward zero.
 
     Samples sit on the workspace mesh so the stepping — step size plus the
     clamps onto sample times — reproduces the discrete flow the refined
@@ -669,13 +668,29 @@ def instability_witness(workspace: SolutionMapWorkspace, point: ManifoldPoint,
     exponentially into a spurious signal.
     """
     model = workspace.model
-    grid = workspace.grid
     u0 = corrected_initial_state(workspace, point, beta, offset)
     samples = mesh_prefix(workspace.times, t_max)
     traj = evolve_full(
         model, u0, float(samples[-1]), fixed_dt=dt, sample_times=samples,
         collapse_floor=_collapse_floor(model),
     )
+    return witness_report(workspace, point, traj, offset, delta=delta,
+                          alpha=alpha, window=window)
+
+
+def witness_report(workspace: SolutionMapWorkspace, point: ManifoldPoint,
+                   traj: FullTrajectory, offset: float, *, delta: float,
+                   alpha: float = 1.0,
+                   window: tuple[float, float] = (1e-3, 1e-1)) -> WitnessReport:
+    """Fit the growth of the unstable coefficient along a witness trajectory.
+
+    ``traj`` is the solve from the corrected state plus ``offset`` along the
+    unstable mode.  The extracted coefficient is fitted with an exponential
+    over the samples where its magnitude lies inside ``window``; the escape
+    direction distinguishes blow-up (+1) from collapse toward zero (-1).
+    """
+    model = workspace.model
+    grid = workspace.grid
     extracted = extract_modulated(
         model, traj, sigma_guess=point.sigma0, stop_on_failure=True
     )

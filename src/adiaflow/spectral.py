@@ -17,11 +17,12 @@ constraint and the spectral stable range consistent to machine precision.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ClassificationError
-from .grid import GridField
+from .grid import GridField, smooth_noise
 from .model import PulseModel, SymmetryPoint
 
 
@@ -62,12 +63,15 @@ class SpectralData:
         """Smallest stable eigenvalue (decay rate of the stable flow)."""
         return float(np.min(self.eigenvalues[self.stable_indices]))
 
+    @cached_property
     def stable_basis(self) -> tuple[np.ndarray, np.ndarray]:
-        """(eigenvalues, eigenvector columns) of the stable range."""
-        return (
-            self.eigenvalues[self.stable_indices],
-            self.eigenvectors[:, self.stable_indices],
-        )
+        """(eigenvalues, eigenvector columns) of the stable range, copied out
+        once per decomposition and shared read-only by every caller."""
+        lam = self.eigenvalues[self.stable_indices]
+        basis = self.eigenvectors[:, self.stable_indices]
+        lam.flags.writeable = False
+        basis.flags.writeable = False
+        return lam, basis
 
 
 def assemble_operator(model: PulseModel, sigma: SymmetryPoint) -> np.ndarray:
@@ -110,9 +114,9 @@ def decompose(model: PulseModel, sigma: SymmetryPoint,
     Raises
     ------
     ClassificationError
-        If the zero-mode count differs from the chart dimension, the unstable
-        count differs from the model's unstable dimension, or an eigenvalue
-        falls in the ambiguous band between -gap_threshold and -zero_tol.
+        Unless there is exactly one zero mode (the translation chart is
+        one-dimensional) and one unstable mode, or if an eigenvalue falls in
+        the ambiguous band between -gap_threshold and -zero_tol.
     """
     operator = assemble_operator(model, sigma)
     eigenvalues, vectors = np.linalg.eigh(operator)
@@ -135,16 +139,11 @@ def decompose(model: PulseModel, sigma: SymmetryPoint,
         head = ", ".join(f"{v:.6g}" for v in eigenvalues[:6])
         return f"{msg} (lowest eigenvalues: {head}, ...)"
 
-    if len(zero) != model.dim_sigma:
-        raise ClassificationError(
-            table(f"expected {model.dim_sigma} zero mode(s), found {len(zero)}")
-        )
-    if len(unstable) != model.n_unstable:
-        raise ClassificationError(
-            table(
-                f"expected {model.n_unstable} unstable mode(s), found {len(unstable)}"
-            )
-        )
+    if len(zero) != 1 or len(unstable) != 1:
+        raise ClassificationError(table(
+            f"expected one zero and one unstable mode, found {len(zero)} "
+            f"and {len(unstable)}"
+        ))
     if len(ambiguous) > 0:
         raise ClassificationError(
             table("eigenvalue in the ambiguous band below -zero_tol")
@@ -176,39 +175,31 @@ def decompose(model: PulseModel, sigma: SymmetryPoint,
 
 
 def project_stable(spectrum: SpectralData, v: GridField) -> GridField:
-    """Remove the analytic zero mode and all unstable modes from v."""
+    """Remove the analytic zero mode and the unstable mode from v."""
     grid = spectrum.grid
     values = v.values.copy()
     tangent = spectrum.zero_mode_analytic.values
     values -= grid.inner_values(values, tangent) * tangent
-    for j in spectrum.unstable_indices:
-        mode = spectrum.eigenvectors[:, j]
-        values -= grid.inner_values(values, mode) * mode
+    mode = spectrum.unstable_mode
+    values -= grid.inner_values(values, mode) * mode
     return GridField(values, grid)
-
-
-def propagate_stable(spectrum: SpectralData, v: GridField, t: float) -> GridField:
-    """exp(-tL) restricted to the stable range, by eigenexpansion.
-
-    Returns sum over stable modes of exp(-lam_k t) <v, e_k> e_k.  Exact up to
-    the eigendecomposition itself, so propagator measurements are not
-    polluted by time-integration error.
-    """
-    if t < 0:
-        raise ValueError("propagation time must be nonnegative")
-    grid = spectrum.grid
-    lam, basis = spectrum.stable_basis()
-    coeff = grid.spacing * (basis.T @ v.values)
-    return GridField(basis @ (np.exp(-lam * t) * coeff), grid)
 
 
 def propagate_stable_batch(spectrum: SpectralData, v: GridField,
                            times: np.ndarray) -> np.ndarray:
-    """Rows of exp(-t_j L) P_S v for all sample times at once."""
+    """Rows of exp(-t_j L) P_S v for all sample times at once.
+
+    Each row is the eigenexpansion sum over stable modes of
+    exp(-lam_k t_j) <v, e_k> e_k, exact up to the eigendecomposition itself,
+    so propagator measurements are not polluted by time-integration error.
+    """
+    times = np.asarray(times, dtype=float)
+    if np.any(times < 0):
+        raise ValueError("propagation time must be nonnegative")
     grid = spectrum.grid
-    lam, basis = spectrum.stable_basis()
+    lam, basis = spectrum.stable_basis
     coeff = grid.spacing * (basis.T @ v.values)
-    weights = np.exp(-np.asarray(times)[:, None] * lam[None, :]) * coeff[None, :]
+    weights = np.exp(-times[:, None] * lam[None, :]) * coeff[None, :]
     return weights @ basis.T
 
 
@@ -229,10 +220,7 @@ def verify_operator_lipschitz(model: PulseModel, sigma: SymmetryPoint,
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_probes):
-        raw = rng.standard_normal(grid.n)
-        smooth = np.fft.irfft(
-            np.fft.rfft(raw) * np.exp(-((grid.wavenumbers / 4.0) ** 2)), grid.n
-        )
+        smooth = smooth_noise(grid, rng, 4.0)
         ratio = grid.weak_norm_values(diff * smooth) / grid.weak_norm_values(smooth)
         worst = max(worst, float(ratio))
     return worst / dist
@@ -252,21 +240,16 @@ def measure_propagator_constant(spectrum: SpectralData, n_probes: int = 20,
     norm mismatch without changing the decay rate.
     """
     grid = spectrum.grid
-    lam, basis = spectrum.stable_basis()
     times = np.linspace(0.0, t_max, n_times)
     rng = np.random.default_rng(seed)
     c2 = 0.0
     rates = []
     fit_mask = times >= 1.0
     for _ in range(n_probes):
-        raw = rng.standard_normal(grid.n)
-        if smooth:
-            raw = np.fft.irfft(
-                np.fft.rfft(raw) * np.exp(-((grid.wavenumbers / 4.0) ** 2)), grid.n
-            )
+        raw = (smooth_noise(grid, rng, 4.0) if smooth
+               else rng.standard_normal(grid.n))
         weak0 = grid.weak_norm_values(raw)
-        coeff = grid.spacing * (basis.T @ raw)
-        fields = (np.exp(-times[:, None] * lam[None, :]) * coeff[None, :]) @ basis.T
+        fields = propagate_stable_batch(spectrum, GridField(raw, grid), times)
         strongs = grid.strong_norm_values(fields)
         c2 = max(c2, float(np.max(strongs / (np.exp(-0.7 * times) * weak0))))
         slope = np.polyfit(times[fit_mask], np.log(strongs[fit_mask]), 1)[0]

@@ -3,7 +3,6 @@
 import csv
 import json
 
-import numpy as np
 import pytest
 
 from adiaflow.cli import main
@@ -82,4 +81,29 @@ def test_modulate_reports_the_chart_decomposition(tmp_path, capsys, model,
     assert payload["w_weak_norm"] == pytest.approx(0.01, rel=1e-9)
     assert payload["orthogonality_residual"] <= 1e-10
     assert payload["modulation_residual"] <= 1e-12
-    assert np.shape(payload["a"]) == (1,)
+    assert isinstance(payload["a"], float)
+    assert payload["abs_a"] == abs(payload["a"])
+
+
+def test_compare_checks_a_simulated_trajectory(tmp_path, capsys):
+    point = tmp_path / "point.json"
+    traj = tmp_path / "traj.csv"
+    report = tmp_path / "report.json"
+    assert main(["construct", "--eta", "stable-bump", "--out", str(point)]) == 0
+    assert main(["simulate", "--init", str(point), "--T", "5",
+                 "--out", str(traj)]) == 0
+    capsys.readouterr()
+    assert main(["compare", "--point", str(point), "--traj", str(traj),
+                 "--out", str(report)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["passed"] and payload["exit_code"] == 0
+    assert json.loads(report.read_text(encoding="utf-8")) == payload
+    bounds = {check["name"]: check["bound"] for check in payload["checks"]}
+    assert bounds == {
+        "reduced-agreement": "sup differences <= 0.005",
+        "remainder-envelope": "<= 1",
+        "envelope-rate": "<= -0.7",
+    }
+    assert set(payload["checks"][0]["details"]) == {
+        "sup_sigma_effective", "sup_sigma_fixed_point", "sup_w_strong",
+    }

@@ -3,57 +3,99 @@
 import numpy as np
 import pytest
 
-from adiaflow.errors import ConvergenceError
-from adiaflow.grid import GridField, zero_field
+from adiaflow.errors import BallViolationError, ConvergenceError
+from adiaflow.grid import GridField, smooth_noise, zero_field
 from adiaflow.model import PulseModel
 from adiaflow.modulation import (
-    coupling_matrix,
     decompose_state,
-    drive_term,
-    effective_rhs,
+    frame_coefficient,
     solve_modulation,
 )
 
 
-def _smooth_noise(grid, rng, width=3.0):
-    raw = rng.standard_normal(grid.n)
-    window = np.exp(-((grid.wavenumbers / width) ** 2))
-    return np.fft.irfft(np.fft.rfft(raw) * window, grid.n)
+def _closed_form(grid, w, tangent, second):
+    """<w^2, d f> / (1 - <w, d^2 f>) for one field, by explicit sums."""
+    h = grid.spacing
+    return h * np.sum(w * w * tangent) / (1.0 - h * np.sum(w * second))
+
+
+def _remainder_rows(model, grid, seed, sizes):
+    """Frame fields at random chart points and smooth remainders of the
+    given strong sizes, one row each."""
+    rng = np.random.default_rng(seed)
+    sigmas = rng.uniform(-1.0, 1.0, len(sizes))
+    rows = []
+    for size in sizes:
+        sm = smooth_noise(grid, rng, 3.0)
+        rows.append(size * sm / grid.strong_norm_values(sm))
+    tangent = np.array([model.family_tangent(model.symmetry_point(s)).values
+                        for s in sigmas])
+    second = np.array([model.family_second(model.symmetry_point(s)).values
+                       for s in sigmas])
+    return sigmas, np.array(rows), tangent, second
 
 
 def test_coefficients_vanish_exactly_at_zero_remainder(model, grid):
     for scalar in (-1.5, 0.0, 0.4, 2.0):
         coeffs = solve_modulation(model, model.symmetry_point(scalar), zero_field(grid))
-        assert coeffs.a[0] == 0.0
+        assert coeffs.a == 0.0
         assert coeffs.residual == 0.0
-        assert coeffs.iterations == 0
 
 
-def test_coupling_and_drive_formulas(model, grid):
-    rng = np.random.default_rng(6)
-    sm = _smooth_noise(grid, rng)
-    w_vals = 0.05 * sm / grid.strong_norm_values(sm)
-    w = GridField(w_vals, grid)
-    pt = model.symmetry_point(0.8)
-    coupling = coupling_matrix(model, pt, w)
-    assert coupling.shape == (1, 1)
-    expected = grid.inner_values(w_vals, model.family_second(pt).values)
-    assert coupling[0, 0] == pytest.approx(expected, rel=1e-13)
-    drive = drive_term(model, pt, w)
-    tangent = model.family_tangent(pt).values
-    assert drive[0] == pytest.approx(grid.inner_values(w_vals**2, tangent), abs=1e-15)
+def test_frame_coefficient_matches_the_closed_form(model, grid):
+    sigmas, w, tangent, second = _remainder_rows(
+        model, grid, 6, [0.01, 0.05, 0.1, 0.3])
+    expected = np.array([
+        _closed_form(grid, w[j], tangent[j], second[j]) for j in range(len(w))
+    ])
+    batched = frame_coefficient(grid, w, tangent, second)
+    assert batched.shape == (len(w),)
+    assert np.allclose(batched, expected, rtol=1e-12, atol=0.0)
+    for j in range(len(w)):
+        single = frame_coefficient(grid, w[j], tangent[j], second[j])
+        assert np.ndim(single) == 0
+        assert single == batched[j]
+        coeffs = solve_modulation(model, model.symmetry_point(sigmas[j]),
+                                  GridField(w[j], grid))
+        assert coeffs.a == single
+
+
+def test_frame_coefficient_agrees_with_the_gradient_remainder_drive(model,
+                                                                    grid):
+    # The modulation drive is -<N(sigma, w), d f> with N the gradient
+    # remainder, which is -w^2 up to the cancellation of order-one G' terms.
+    sizes = [1e-2, 3e-2, 0.1, 0.3]
+    sigmas, w, tangent, second = _remainder_rows(model, grid, 8, sizes)
+    a = frame_coefficient(grid, w, tangent, second)
+    for j, s in enumerate(sigmas):
+        remainder = model.nonlinearity(model.symmetry_point(s),
+                                       GridField(w[j], grid))
+        drive = -grid.inner_values(remainder.values, tangent[j])
+        old = drive / (1.0 - grid.inner_values(w[j], second[j]))
+        assert a[j] == pytest.approx(old, rel=1e-10)
 
 
 def test_solve_satisfies_the_affine_system(model, grid):
     rng = np.random.default_rng(7)
-    sm = _smooth_noise(grid, rng)
+    sm = smooth_noise(grid, rng, 3.0)
     w = GridField(0.08 * sm / grid.strong_norm_values(sm), grid)
     pt = model.symmetry_point(-0.6)
     coeffs = solve_modulation(model, pt, w)
-    coupling = coupling_matrix(model, pt, w)[0, 0]
-    drive = drive_term(model, pt, w)[0]
-    assert (1.0 - coupling) * coeffs.a[0] - drive == pytest.approx(0.0, abs=1e-14)
+    coupling = grid.inner_values(w.values, model.family_second(pt).values)
+    drive = grid.inner_values(w.values**2, model.family_tangent(pt).values)
+    assert (1.0 - coupling) * coeffs.a - drive == pytest.approx(0.0, abs=1e-14)
     assert coeffs.residual <= 1e-14
+
+
+def test_solve_rejects_a_remainder_outside_the_ball(model, grid):
+    rng = np.random.default_rng(13)
+    sm = smooth_noise(grid, rng, 3.0)
+    unit = sm / grid.strong_norm_values(sm)
+    inside = GridField(0.99 * model.delta_ball * unit, grid)
+    solve_modulation(model, model.origin, inside)
+    outside = GridField(1.01 * model.delta_ball * unit, grid)
+    with pytest.raises(BallViolationError):
+        solve_modulation(model, model.origin, outside)
 
 
 def test_near_singular_coupling_raises(grid):
@@ -68,11 +110,11 @@ def test_coefficient_is_small_on_the_remainder_ball(model, grid):
     rng = np.random.default_rng(5)
     worst = 0.0
     for _ in range(20):
-        sm = _smooth_noise(grid, rng)
+        sm = smooth_noise(grid, rng, 3.0)
         size = rng.uniform(0.05, 0.4)
         w_vals = size * sm / grid.strong_norm_values(sm)
         coeffs = solve_modulation(model, model.origin, GridField(w_vals, grid))
-        worst = max(worst, abs(coeffs.a[0]) / grid.strong_norm_values(w_vals))
+        worst = max(worst, abs(coeffs.a) / grid.strong_norm_values(w_vals))
     assert worst <= 0.01
 
 
@@ -84,7 +126,7 @@ def test_nonlinearity_difference_is_lipschitz_on_the_ball(model, grid):
         s_a, s_b = rng.uniform(-0.5, 0.5, 2)
         pair = []
         for _ in range(2):
-            sm = _smooth_noise(grid, rng)
+            sm = smooth_noise(grid, rng, 3.0)
             size = rng.uniform(0.2, 1.0) * delta
             pair.append(size * sm / grid.strong_norm_values(sm))
         n_a = model.nonlinearity(model.symmetry_point(s_a), GridField(pair[0], grid))
@@ -93,16 +135,6 @@ def test_nonlinearity_difference_is_lipschitz_on_the_ball(model, grid):
         budget = delta * (abs(s_a - s_b) + grid.strong_norm_values(pair[0] - pair[1]))
         worst = max(worst, gap / budget)
     assert worst <= 0.5
-
-
-def test_effective_rhs_is_the_trivialized_coefficient(model, grid):
-    rng = np.random.default_rng(11)
-    sm = _smooth_noise(grid, rng)
-    w = GridField(0.06 * sm / grid.strong_norm_values(sm), grid)
-    pt = model.symmetry_point(0.2)
-    coeffs = solve_modulation(model, pt, w)
-    velocity = effective_rhs(model, pt, w)
-    assert velocity[0] == pytest.approx(coeffs.a[0] * model.xi, rel=1e-12)
 
 
 def test_decompose_recovers_a_family_point(model, grid):
@@ -114,7 +146,7 @@ def test_decompose_recovers_a_family_point(model, grid):
 
 def test_decompose_output_is_orthogonal_and_exact(model, grid):
     rng = np.random.default_rng(12)
-    sm = _smooth_noise(grid, rng)
+    sm = smooth_noise(grid, rng, 3.0)
     state_vals = (
         model.family(model.symmetry_point(0.42)).values
         + 0.03 * sm / grid.strong_norm_values(sm)

@@ -1,5 +1,7 @@
 """Full integrator versus the reduced picture: decay, shooting, witnesses."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,9 @@ from adiaflow.reference import (
     corrected_initial_state,
     evolve_full,
     extract_modulated,
+    instability_witness,
     refine_correction,
+    witness_report,
 )
 
 #: Decay envelope for a seed of strong size 0.01 followed to t = 10 with
@@ -367,6 +371,22 @@ def test_drift_of_the_corrected_bump(workspace, model, grid, point_bump,
         for j in range(0, extracted.n_samples, 10)
     )
     assert worst <= 1e-10
+
+
+def test_witness_report_of_the_comparison_trajectory(workspace, point_bump,
+                                                     refined_bump, traj_bump):
+    # traj_bump is the zero-offset witness solve: same state, step and mesh.
+    analysed = witness_report(workspace, point_bump, traj_bump, 0.0,
+                              delta=0.05)
+    solved = instability_witness(workspace, point_bump, refined_bump.beta,
+                                 0.0, delta=0.05)
+    for item in dataclasses.fields(reference.WitnessReport):
+        mine = getattr(analysed, item.name)
+        theirs = getattr(solved, item.name)
+        if isinstance(mine, np.ndarray):
+            assert np.array_equal(mine, theirs), item.name
+        else:
+            assert mine == theirs, item.name
 
 
 def test_comparison_requires_the_shared_mesh(workspace, point_bump, grid):
