@@ -21,6 +21,7 @@ from adiaflow.reference import (
     compare_effective,
     corrected_initial_state,
     evolve_full,
+    extract_modulated,
     refine_correction,
 )
 from adiaflow.spectral import decompose
@@ -51,7 +52,9 @@ def main() -> None:
                                                       refined.beta),
                        float(samples[-1]), fixed_dt=1e-3,
                        sample_times=samples)
-    comparison = compare_effective(workspace, point, traj, delta=DELTA)
+    extracted = extract_modulated(model, traj, sigma_guess=point.sigma0)
+    comparison = compare_effective(workspace, point, traj, extracted,
+                                   delta=DELTA)
     print(f"full solve versus the reduced description to t = {HORIZON}")
     print(f"  sup |chart (effective)  - extracted|  {comparison['sup_sigma_effective']:.2e}")
     print(f"  sup |chart (fixed pt)   - extracted|  {comparison['sup_sigma_fixed_point']:.2e}")

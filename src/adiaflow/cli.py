@@ -23,27 +23,26 @@ from .harness import (
     Runtime,
     _eigenvalue_table,
     _jsonable,
+    build_model,
     build_runtime,
     comparison_checks,
+    config_mesh,
+    construct_point,
     load_trajectory_csv,
     point_payload,
+    refine_point,
     run_assumption_ledger,
     run_full_pipeline,
+    scan_corrections,
+    solve_fixed_step,
     trajectory_rows,
     write_json,
     write_trajectory_csv,
 )
-from .manifold import SolutionMapWorkspace, construct_manifold_point, correction_scan
-from .model import PulseModel
 from .modulation import decompose_state, solve_modulation
-from .paths import mesh_prefix, time_mesh
+from .paths import mesh_prefix
 from .presets import PRESET_NAMES, preset_field
-from .reference import (
-    compare_effective,
-    corrected_initial_state,
-    evolve_full,
-    refine_correction,
-)
+from .reference import compare_effective, extract_modulated
 from .spectral import decompose, measure_propagator_constant, \
     operator_norm_diagnostic, verify_operator_lipschitz
 
@@ -74,19 +73,42 @@ def _load_field_csv(path: str, grid: PeriodicGrid) -> GridField:
     return GridField(np.array(values), grid)
 
 
-def _read_point(path: str) -> tuple[dict, np.ndarray]:
-    """A point file's payload and the time mesh it was constructed on."""
+def _read_point(path: str, cfg: ExperimentConfig) -> dict:
+    """A point file's payload.  The ball and the time mesh the point was
+    constructed with replace the configured ones in ``cfg``."""
     try:
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
         spec = payload["mesh"]
-        mesh = time_mesh(float(spec["dt_fine"]), float(spec["t_uniform"]),
-                         float(spec["ratio"]), float(spec["horizon"]))
+        mf = cfg.manifold
+        mf.delta, mf.alpha = float(payload["delta"]), float(payload["alpha"])
+        mf.mesh_dt_fine, mf.mesh_t_uniform, mf.mesh_ratio, mf.horizon = (
+            float(spec[key]) for key in ("dt_fine", "t_uniform", "ratio",
+                                         "horizon"))
     except (OSError, json.JSONDecodeError) as err:
         raise ConfigError(f"cannot read point file: {err}") from err
     except KeyError as err:
         raise ConfigError(f"point file lacks required key: {err}") from err
-    return payload, mesh
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"malformed point file {path!r}: {err}") from err
+    cfg.validate()
+    return payload
+
+
+def _point_entry(payload: dict, key: str, size: int | None = None):
+    """One entry of a point file as floats, with ``size`` values if given."""
+    try:
+        values = np.array(payload[key], dtype=float)
+    except KeyError as err:
+        raise ConfigError(f"point file lacks required key: {err}") from err
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"malformed point file entry {key!r}: {err}") from err
+    if size is not None and values.shape != (size,):
+        raise ConfigError(
+            f"point file has {values.size} {key} entries, the configured "
+            f"grid has {size} points"
+        )
+    return values
 
 
 def _eta_argument(spec: str, runtime: Runtime) -> tuple[str, GridField]:
@@ -101,8 +123,7 @@ def _eta_argument(spec: str, runtime: Runtime) -> tuple[str, GridField]:
 # --------------------------------------------------------------------------
 
 def _cmd_spectrum(args, cfg: ExperimentConfig) -> int:
-    grid = PeriodicGrid(cfg.model.n_points, cfg.model.domain_half_length)
-    model = PulseModel(grid, cfg.model.chart_radius, cfg.model.ball_radius)
+    model = build_model(cfg)
     sigma = model.symmetry_point(args.sigma)
     spectrum = decompose(
         model, sigma,
@@ -141,9 +162,8 @@ def _cmd_spectrum(args, cfg: ExperimentConfig) -> int:
 
 
 def _cmd_modulate(args, cfg: ExperimentConfig) -> int:
-    grid = PeriodicGrid(cfg.model.n_points, cfg.model.domain_half_length)
-    model = PulseModel(grid, cfg.model.chart_radius, cfg.model.ball_radius)
-    state = _load_field_csv(args.state, grid)
+    model = build_model(cfg)
+    state = _load_field_csv(args.state, model.grid)
     point, remainder = decompose_state(
         model, state, model.symmetry_point(args.sigma_guess)
     )
@@ -166,32 +186,12 @@ def _cmd_construct(args, cfg: ExperimentConfig) -> int:
         cfg.set_option(f"manifold.delta={args.delta}")
     if args.alpha is not None:
         cfg.set_option(f"manifold.alpha={args.alpha}")
-    cfg.validate()
     runtime = build_runtime(cfg)
     label, eta = _eta_argument(args.eta, runtime)
-    point = construct_manifold_point(
-        runtime.workspace, eta,
-        delta=cfg.manifold.delta, alpha=cfg.manifold.alpha,
-        fixed_point_tol=cfg.manifold.fixed_point_tol,
-        max_iter=cfg.manifold.max_iterations,
-    )
-    beta_star = None
-    refine_info = None
-    initial_values = point.initial_state.values
-    if args.refine:
-        refine = refine_correction(
-            runtime.workspace, point,
-            dt=cfg.reference.fixed_dt,
-            probe_time=cfg.reference.refine_probe_time,
-        )
-        beta_star = refine.beta
-        refine_info = refine.payload()
-        initial_values = corrected_initial_state(
-            runtime.workspace, point, refine.beta
-        ).values
-    payload = point_payload(
-        runtime, label, point, beta_star, refine_info, initial_values
-    )
+    point = construct_point(cfg, runtime.workspace, eta)
+    refine = refine_point(cfg, runtime.workspace, point) if args.refine \
+        else None
+    payload = point_payload(runtime, label, point, refine)
     write_json(args.out, payload)
     summary = {key: payload[key] for key in (
         "beta", "beta_star", "correction_strong_norm", "eta_strong_norm",
@@ -210,12 +210,7 @@ def _cmd_scan_phi(args, cfg: ExperimentConfig) -> int:
     scales = [float(s) for s in args.scales.split(",") if s.strip()]
     if not scales:
         raise ConfigError("at least one scale is required")
-    scan = correction_scan(
-        runtime.workspace, direction, scales,
-        delta=cfg.manifold.delta, alpha=cfg.manifold.alpha,
-        fixed_point_tol=cfg.manifold.fixed_point_tol,
-        max_iter=cfg.manifold.max_iterations,
-    )
+    scan = scan_corrections(cfg, runtime.workspace, direction, scales)
     with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["scale", "correction", "ratio"])
@@ -231,58 +226,32 @@ def _cmd_scan_phi(args, cfg: ExperimentConfig) -> int:
 
 
 def _cmd_simulate(args, cfg: ExperimentConfig) -> int:
-    grid = PeriodicGrid(cfg.model.n_points, cfg.model.domain_half_length)
-    model = PulseModel(grid, cfg.model.chart_radius, cfg.model.ball_radius)
-
     if args.init in PRESET_NAMES:
         runtime = build_runtime(cfg)
-        model, grid = runtime.model, runtime.grid
-        eta = preset_field(args.init, runtime.spectrum)
-        point = construct_manifold_point(
-            runtime.workspace, eta,
-            delta=cfg.manifold.delta, alpha=cfg.manifold.alpha,
-            fixed_point_tol=cfg.manifold.fixed_point_tol,
-            max_iter=cfg.manifold.max_iterations,
+        point = construct_point(
+            cfg, runtime.workspace, preset_field(args.init, runtime.spectrum)
         )
-        beta = point.correction
-        if not args.no_refine:
-            beta = refine_correction(
-                runtime.workspace, point,
-                dt=cfg.reference.fixed_dt,
-                probe_time=cfg.reference.refine_probe_time,
-            ).beta
-        initial_values = corrected_initial_state(
-            runtime.workspace, point, beta
-        ).values
-        sigma0 = point.sigma0
-        unstable_mode = runtime.workspace.unstable_mode
-        mesh = runtime.times
+        refine = None if args.no_refine else \
+            refine_point(cfg, runtime.workspace, point)
+        payload = point_payload(runtime, args.init, point, refine)
     else:
-        payload, mesh = _read_point(args.init)
-        try:
-            initial_values = np.array(payload["initial_values"], dtype=float)
-            unstable_mode = np.array(payload["unstable_mode"], dtype=float)
-            sigma0 = float(payload["sigma0"])
-        except KeyError as err:
-            raise ConfigError(f"point file lacks required key: {err}") from err
-        if len(initial_values) != grid.n:
-            raise ConfigError(
-                f"point file has {len(initial_values)} state values, "
-                f"the configured grid has {grid.n} points"
-            )
+        payload = _read_point(args.init, cfg)
+    model = build_model(cfg)
+    initial_values = _point_entry(payload, "initial_values", model.grid.n)
+    unstable_mode = _point_entry(payload, "unstable_mode", model.grid.n)
+    sigma0 = float(_point_entry(payload, "sigma0"))
 
+    mesh = config_mesh(cfg)
     if args.T > mesh[-1] + 1e-12:
         raise ConfigError(
             f"requested horizon T = {args.T:g} exceeds the mesh horizon "
             f"{mesh[-1]:g}"
         )
-    samples = mesh_prefix(mesh, args.T)
-    traj = evolve_full(
-        model, GridField(initial_values.copy(), grid), float(samples[-1]),
-        fixed_dt=cfg.reference.fixed_dt, sample_times=samples,
-        ceiling=cfg.reference.ceiling,
-    )
-    header, rows = trajectory_rows(model, sigma0, unstable_mode, traj)
+    traj = solve_fixed_step(cfg, model, initial_values,
+                            mesh_prefix(mesh, args.T))
+    extracted = extract_modulated(model, traj, sigma_guess=sigma0)
+    header, rows = trajectory_rows(traj, extracted, traj.energies(model),
+                                   unstable_mode, sigma0)
     write_trajectory_csv(args.out, header, rows)
     last = rows[-1]
     _print_json({
@@ -302,34 +271,17 @@ def _cmd_simulate(args, cfg: ExperimentConfig) -> int:
 
 
 def _cmd_compare(args, cfg: ExperimentConfig) -> int:
-    payload, mesh = _read_point(args.point)
+    payload = _read_point(args.point, cfg)
     runtime = build_runtime(cfg)
-    try:
-        eta_values = np.array(payload["eta_values"], dtype=float)
-        delta = float(payload["delta"])
-        alpha = float(payload["alpha"])
-    except KeyError as err:
-        raise ConfigError(f"point file lacks required key: {err}") from err
-    if len(eta_values) != runtime.grid.n:
-        raise ConfigError(
-            f"point file has {len(eta_values)} seed values, the configured "
-            f"grid has {runtime.grid.n} points"
-        )
-    workspace = (
-        runtime.workspace if np.array_equal(mesh, runtime.times)
-        else SolutionMapWorkspace(runtime.spectrum, times=mesh)
-    )
-    point = construct_manifold_point(
-        workspace, GridField(eta_values, runtime.grid),
-        delta=delta, alpha=alpha,
-        fixed_point_tol=cfg.manifold.fixed_point_tol,
-        max_iter=cfg.manifold.max_iterations,
-    )
+    eta = GridField(_point_entry(payload, "eta_values", runtime.grid.n),
+                    runtime.grid)
+    point = construct_point(cfg, runtime.workspace, eta)
     traj = load_trajectory_csv(args.traj, runtime.grid)
-    comparison = compare_effective(workspace, point, traj,
-                                   delta=delta, alpha=alpha)
-    degenerate = float(np.max(np.abs(eta_values))) == 0.0
-    checks = comparison_checks(comparison, degenerate)
+    extracted = extract_modulated(runtime.model, traj, point.sigma0)
+    comparison = compare_effective(runtime.workspace, point, traj, extracted,
+                                   delta=cfg.manifold.delta,
+                                   alpha=cfg.manifold.alpha)
+    checks = comparison_checks(comparison, eta.strong_norm() == 0.0)
     passed = all(check.passed for check in checks)
     report = {
         "point": args.point,
@@ -344,14 +296,21 @@ def _cmd_compare(args, cfg: ExperimentConfig) -> int:
     return 0 if passed else 1
 
 
+def _print_checks(checks: list) -> None:
+    """One PASS/FAIL line per check, with the error of a failed stage."""
+    for check in checks:
+        status = "PASS" if check.passed else "FAIL"
+        value = "n/a" if check.value is None else f"{check.value:.6g}"
+        error = check.details.get("error")
+        print(f"{status} {check.name}: {value} ({check.bound})"
+              + (f": {error}" if error else ""))
+
+
 def _cmd_ledger(args, cfg: ExperimentConfig) -> int:
     report = run_assumption_ledger(cfg)
     if args.out:
         write_json(args.out, report.to_dict())
-    for check in report.checks:
-        status = "PASS" if check.passed else "FAIL"
-        value = "n/a" if check.value is None else f"{check.value:.6g}"
-        print(f"{status} {check.name}: {value} ({check.bound})")
+    _print_checks(report.checks)
     print("ledger " + ("PASSED" if report.passed else "FAILED"))
     return 0 if report.passed else 1
 
@@ -361,10 +320,7 @@ def _cmd_pipeline(args, cfg: ExperimentConfig) -> int:
     report = run_full_pipeline(cfg, eta_preset=args.preset, out_dir=out_dir)
     if not report.ledger_passed:
         print("FAIL assumption-ledger (see ledger.json)")
-    for check in report.checks:
-        status = "PASS" if check.passed else "FAIL"
-        value = "n/a" if check.value is None else f"{check.value:.6g}"
-        print(f"{status} {check.name}: {value} ({check.bound})")
+    _print_checks(report.checks)
     print(f"pipeline {'PASSED' if report.passed else 'FAILED'}: "
           f"artifacts in {out_dir}")
     return report.exit_code

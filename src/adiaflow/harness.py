@@ -7,7 +7,8 @@ and frame regularity, operator and nonlinearity smallness — and reports the
 measured constants.  ``run_full_pipeline`` chains ledger, fixed-point
 construction, shooting refinement, full solve, reduced-versus-full
 comparison, and the instability witness, writing every artifact into one
-run directory.
+run directory.  The config-bound stages below turn the configuration into
+the arguments of those calls, for the pipeline and the command line alike.
 
 Artifacts are deterministic by construction: seeded randomness, sorted JSON
 keys, shortest round-trip float formatting, and no timestamps — identical
@@ -17,6 +18,7 @@ configuration must produce bit-identical bytes.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import os
 from dataclasses import dataclass, field
@@ -30,14 +32,16 @@ from .manifold import (
     ManifoldPoint,
     SolutionMapWorkspace,
     construct_manifold_point,
+    correction_scan,
     default_speed_constant,
     measure_contraction,
 )
 from .model import PulseModel
-from .paths import mesh_prefix, time_mesh
+from .paths import TrajectoryPath, mesh_prefix, time_mesh
 from .presets import preset_field
 from .reference import (
     FullTrajectory,
+    RefineResult,
     _collapse_floor,
     compare_effective,
     corrected_initial_state,
@@ -45,6 +49,7 @@ from .reference import (
     extract_modulated,
     instability_witness,
     refine_correction,
+    unstable_coefficient,
     witness_report,
 )
 from .spectral import (
@@ -76,24 +81,82 @@ class Runtime:
     workspace: SolutionMapWorkspace = field(repr=False)
 
 
+def build_model(cfg: ExperimentConfig) -> PulseModel:
+    """The configured grid and pulse model (``model.grid`` is the grid)."""
+    grid = PeriodicGrid(cfg.model.n_points, cfg.model.domain_half_length)
+    return PulseModel(grid, cfg.model.chart_radius, cfg.model.ball_radius)
+
+
+def config_mesh(cfg: ExperimentConfig) -> np.ndarray:
+    """The configured time mesh of the fixed-point construction."""
+    mf = cfg.manifold
+    return time_mesh(mf.mesh_dt_fine, mf.mesh_t_uniform, mf.mesh_ratio,
+                     mf.horizon)
+
+
 def build_runtime(cfg: ExperimentConfig) -> Runtime:
     """Assemble every long-lived object a run needs from the configuration."""
     cfg.validate()
-    grid = PeriodicGrid(cfg.model.n_points, cfg.model.domain_half_length)
-    model = PulseModel(grid, cfg.model.chart_radius, cfg.model.ball_radius)
+    model = build_model(cfg)
     spectrum = decompose(
         model, model.origin,
         gap_threshold=cfg.spectral.gap_threshold,
         zero_tol=cfg.spectral.zero_tol,
     )
-    times = time_mesh(
-        cfg.manifold.mesh_dt_fine, cfg.manifold.mesh_t_uniform,
-        cfg.manifold.mesh_ratio, cfg.manifold.horizon,
-    )
+    times = config_mesh(cfg)
     workspace = SolutionMapWorkspace(spectrum, times=times)
     return Runtime(
-        config=cfg, grid=grid, model=model, spectrum=spectrum,
+        config=cfg, grid=model.grid, model=model, spectrum=spectrum,
         times=times, workspace=workspace,
+    )
+
+
+# --------------------------------------------------------------------------
+# Config-bound stages
+# --------------------------------------------------------------------------
+
+def speed_constant(cfg: ExperimentConfig, model: PulseModel) -> float:
+    """Chart-speed constant of the admissible set: prefactor * (c_h + 1)."""
+    return cfg.manifold.speed_prefactor * default_speed_constant(model)
+
+
+def _picard_arguments(cfg: ExperimentConfig, model: PulseModel) -> dict:
+    mf = cfg.manifold
+    return dict(delta=mf.delta, alpha=mf.alpha,
+                speed_constant=speed_constant(cfg, model),
+                fixed_point_tol=mf.fixed_point_tol, max_iter=mf.max_iterations)
+
+
+def construct_point(cfg: ExperimentConfig, workspace: SolutionMapWorkspace,
+                    eta: GridField) -> ManifoldPoint:
+    """The configured Picard construction over eta."""
+    return construct_manifold_point(workspace, eta,
+                                    **_picard_arguments(cfg, workspace.model))
+
+
+def scan_corrections(cfg: ExperimentConfig, workspace: SolutionMapWorkspace,
+                     direction: GridField, scales) -> dict:
+    """``correction_scan`` with the configured Picard construction."""
+    return correction_scan(workspace, direction, scales,
+                           **_picard_arguments(cfg, workspace.model))
+
+
+def refine_point(cfg: ExperimentConfig, workspace: SolutionMapWorkspace,
+                 point: ManifoldPoint) -> RefineResult:
+    """The configured shooting refinement of the point's correction."""
+    return refine_correction(workspace, point, dt=cfg.reference.fixed_dt,
+                             probe_time=cfg.reference.refine_probe_time)
+
+
+def solve_fixed_step(cfg: ExperimentConfig, model: PulseModel,
+                     u0: np.ndarray, samples: np.ndarray) -> FullTrajectory:
+    """The configured fixed-step full solve from the values u0, recorded at
+    the mesh samples and ended by the configured ceiling or the witness's
+    collapse floor."""
+    return evolve_full(
+        model, GridField(u0, model.grid), float(samples[-1]),
+        fixed_dt=cfg.reference.fixed_dt, sample_times=samples,
+        ceiling=cfg.reference.ceiling, collapse_floor=_collapse_floor(model),
     )
 
 
@@ -190,8 +253,7 @@ def _ledger_with_runtime(cfg: ExperimentConfig):
     try:
         runtime = build_runtime(cfg)
     except ClassificationError as err:
-        grid = PeriodicGrid(cfg.model.n_points, cfg.model.domain_half_length)
-        model = PulseModel(grid, cfg.model.chart_radius, cfg.model.ball_radius)
+        model = build_model(cfg)
         check = CheckResult(
             name="spectral-classification",
             claim="discrete spectrum splits into one simple negative "
@@ -484,32 +546,25 @@ def comparison_checks(comparison: dict, degenerate: bool) -> list:
 # Trajectory artifacts
 # --------------------------------------------------------------------------
 
-def trajectory_rows(model: PulseModel, point_sigma0: float,
-                    unstable_mode: np.ndarray,
-                    traj: FullTrajectory) -> tuple[list, list]:
-    """(header, rows) for the trajectory CSV.
+def trajectory_rows(traj: FullTrajectory, extracted: TrajectoryPath,
+                    energies: np.ndarray, unstable_mode: np.ndarray,
+                    sigma0: float) -> tuple[list, list]:
+    """(header, rows) for the trajectory CSV of traj, its extraction and
+    its sample energies.
 
     Columns: time, chart coordinate, strong norm of the remainder, unstable
     coefficient, energy, then the full state so any consumer can rebuild the
-    exact discrete trajectory.  On an escaped trajectory only the
-    decomposable prefix is emitted.
+    exact discrete trajectory.  Only the extracted prefix is emitted.
     """
-    grid = model.grid
-    extraction = extract_modulated(
-        model, traj, sigma_guess=point_sigma0, stop_on_failure=True
-    )
-    m = extraction.n_samples
-    frame_modes = grid.shift_values(
-        unstable_mode, extraction.sigma - point_sigma0
-    )
-    coeff = grid.inner_values(extraction.w, frame_modes)
-    strongs = extraction.w_strong_norms()
-    energies = traj.energies(model)
+    grid = extracted.grid
+    coeff = unstable_coefficient(grid, unstable_mode, sigma0,
+                                 extracted.sigma, extracted.w)
+    strongs = extracted.w_strong_norms()
     header = ["t", "sigma", "strong_norm_w", "unstable_coefficient", "energy"]
     header += [f"u_{k}" for k in range(grid.n)]
     rows = []
-    for j in range(m):
-        row = [traj.times[j], extraction.sigma[j], strongs[j],
+    for j in range(extracted.n_samples):
+        row = [traj.times[j], extracted.sigma[j], strongs[j],
                float(coeff[j]), float(energies[j])]
         row += [float(v) for v in traj.u_samples[j]]
         rows.append(row)
@@ -562,13 +617,15 @@ def load_trajectory_csv(path: str, grid: PeriodicGrid) -> FullTrajectory:
 
 
 def point_payload(runtime: Runtime, preset: str, point: ManifoldPoint,
-                  beta_star: float | None, refine_info: dict | None,
-                  initial_values: np.ndarray) -> dict:
-    """JSON payload describing one constructed (and possibly refined) point."""
+                  refine: RefineResult | None) -> dict:
+    """JSON payload describing one constructed point, refined when
+    ``refine`` is given; ``initial_values`` is the state to solve from."""
     cfg = runtime.config
-    speed = cfg.manifold.speed_prefactor * default_speed_constant(runtime.model)
+    initial = point.initial_state if refine is None else \
+        corrected_initial_state(runtime.workspace, point, refine.beta)
     margins = point.path.admissibility_margins(
-        cfg.manifold.delta, cfg.manifold.alpha, speed,
+        cfg.manifold.delta, cfg.manifold.alpha,
+        speed_constant(cfg, runtime.model),
     )
     return {
         "preset": preset,
@@ -576,8 +633,8 @@ def point_payload(runtime: Runtime, preset: str, point: ManifoldPoint,
         "delta": cfg.manifold.delta,
         "alpha": cfg.manifold.alpha,
         "beta": point.correction,
-        "beta_star": beta_star,
-        "refine": refine_info,
+        "beta_star": None if refine is None else refine.beta,
+        "refine": None if refine is None else refine.payload(),
         "correction_strong_norm": abs(point.correction)
         * float(runtime.grid.strong_norm_values(runtime.workspace.unstable_mode)),
         "eta_strong_norm": point.eta.strong_norm(),
@@ -593,7 +650,7 @@ def point_payload(runtime: Runtime, preset: str, point: ManifoldPoint,
             "horizon": cfg.manifold.horizon,
         },
         "eta_values": point.eta.values,
-        "initial_values": initial_values,
+        "initial_values": initial.values,
         "unstable_mode": runtime.workspace.unstable_mode,
     }
 
@@ -638,63 +695,53 @@ def run_full_pipeline(cfg: ExperimentConfig, eta_preset: str = "stable-bump",
 
     The run directory receives ``config.json``, ``ledger.json``,
     ``point.json``, ``traj.csv``, and ``report.json``.  Any criterion
-    failure — including a failed assumption ledger or a non-contracting
-    construction — is recorded as a failed check and aborts the remaining
-    stages cleanly; the report is always written.
+    failure — including a failed assumption ledger, or a typed error inside
+    a stage, recorded under the stage's name — is a failed check and aborts
+    the remaining stages cleanly; the report is always written.
     """
     cfg.validate()
     os.makedirs(out_dir, exist_ok=True)
     artifacts = ["config.json", "ledger.json"]
-    with open(os.path.join(out_dir, "config.json"), "w",
-              encoding="utf-8", newline="\n") as handle:
-        handle.write(cfg.to_json())
-        handle.write("\n")
+    write_json(os.path.join(out_dir, "config.json"), cfg.to_dict())
 
     ledger, runtime = _ledger_with_runtime(cfg)
     write_json(os.path.join(out_dir, "ledger.json"), ledger.to_dict())
 
     checks: list[CheckResult] = []
     metrics: dict = {"constants": ledger.constants}
+    if runtime is not None and ledger.passed:
+        stage = None
+        try:
+            for stage in _pipeline_stages(runtime, eta_preset, out_dir,
+                                          checks, metrics, artifacts):
+                pass
+        except AdiaflowError as err:
+            checks.append(CheckResult(
+                name=stage, claim=f"the {stage} stage runs to completion",
+                passed=False, value=None, bound="completes without error",
+                details={"error": str(err)},
+            ))
 
-    def finish() -> PipelineReport:
-        report = PipelineReport(
-            preset=eta_preset,
-            checks=checks,
-            metrics=metrics,
-            artifacts=artifacts,
-            ledger_passed=ledger.passed,
-        )
-        write_json(os.path.join(out_dir, "report.json"), report.to_dict())
-        return report
+    report = PipelineReport(preset=eta_preset, checks=checks, metrics=metrics,
+                            artifacts=artifacts, ledger_passed=ledger.passed)
+    write_json(os.path.join(out_dir, "report.json"), report.to_dict())
+    return report
 
-    if runtime is None or not ledger.passed:
-        return finish()
 
-    model, grid, workspace = runtime.model, runtime.grid, runtime.workspace
+def _pipeline_stages(runtime: Runtime, eta_preset: str, out_dir: str,
+                     checks: list, metrics: dict, artifacts: list):
+    """The pipeline after the ledger: each stage appends its checks, metrics
+    and artifacts.  Yields a stage's name before running it, so the caller
+    can name the stage a typed error came from; returns early where a
+    failed check leaves the later stages nothing to check."""
+    cfg = runtime.config
+    model, workspace = runtime.model, runtime.workspace
     delta, alpha = cfg.manifold.delta, cfg.manifold.alpha
-    speed = cfg.manifold.speed_prefactor * default_speed_constant(model)
+
+    yield "construction"
     eta = preset_field(eta_preset, runtime.spectrum)
     degenerate = eta.strong_norm() == 0.0
-
-    # Construction: Picard iteration of the solution map.
-    try:
-        point = construct_manifold_point(
-            workspace, eta, delta=delta, alpha=alpha, speed_constant=speed,
-            fixed_point_tol=cfg.manifold.fixed_point_tol,
-            max_iter=cfg.manifold.max_iterations,
-        )
-    except AdiaflowError as err:
-        checks.append(CheckResult(
-            name="fixed-point-convergence",
-            claim="solution map contracts to a fixed point at the "
-                  "configured ball radius",
-            passed=False,
-            value=None,
-            bound=f"convergence within {cfg.manifold.max_iterations} rounds",
-            details={"error": str(err)},
-        ))
-        return finish()
-
+    point = construct_point(cfg, workspace, eta)
     checks.append(CheckResult(
         name="fixed-point-convergence",
         claim="solution map contracts to a fixed point at the "
@@ -709,8 +756,10 @@ def run_full_pipeline(cfg: ExperimentConfig, eta_preset: str = "stable-bump",
         },
     ))
 
+    yield "contraction"
     contraction = measure_contraction(
-        workspace, delta=delta, alpha=alpha, speed_constant=speed,
+        workspace, delta=delta, alpha=alpha,
+        speed_constant=speed_constant(cfg, model),
         n_pairs=10, seed=cfg.seeds.contraction,
     )
     checks.append(CheckResult(
@@ -724,30 +773,18 @@ def run_full_pipeline(cfg: ExperimentConfig, eta_preset: str = "stable-bump",
     ))
 
     # Shooting refinement against the discrete full solver.
-    refine = refine_correction(
-        workspace, point,
-        dt=cfg.reference.fixed_dt,
-        probe_time=cfg.reference.refine_probe_time,
-    )
-    refine_info = refine.payload()
-    initial_state = corrected_initial_state(workspace, point, refine.beta)
-    write_json(
-        os.path.join(out_dir, "point.json"),
-        point_payload(runtime, eta_preset, point, refine.beta, refine_info,
-                      initial_state.values),
-    )
+    yield "shooting"
+    refine = refine_point(cfg, workspace, point)
+    payload = point_payload(runtime, eta_preset, point, refine)
+    write_json(os.path.join(out_dir, "point.json"), payload)
     artifacts.append("point.json")
     metrics["beta"] = point.correction
     metrics["beta_star"] = refine.beta
     metrics["refine_evaluations"] = refine.evaluations
 
-    # Full solve on the mesh prefix, and the trajectory artifact.
+    yield "full-solve"
     samples = mesh_prefix(workspace.times, cfg.reference.compare_horizon)
-    traj = evolve_full(
-        model, initial_state, float(samples[-1]),
-        fixed_dt=cfg.reference.fixed_dt, sample_times=samples,
-        ceiling=cfg.reference.ceiling, collapse_floor=_collapse_floor(model),
-    )
+    traj = solve_fixed_step(cfg, model, payload["initial_values"], samples)
     checks.append(CheckResult(
         name="full-solve-complete",
         claim="corrected initial state survives the comparison horizon "
@@ -758,7 +795,7 @@ def run_full_pipeline(cfg: ExperimentConfig, eta_preset: str = "stable-bump",
         details={"stats": dict(traj.stats)},
     ))
     if traj.escaped:
-        return finish()
+        return
 
     energies = traj.energies(model)
     energy_increase = float(np.max(np.diff(energies)))
@@ -770,30 +807,33 @@ def run_full_pipeline(cfg: ExperimentConfig, eta_preset: str = "stable-bump",
         bound="<= 1e-12 per sample step",
     ))
 
-    header, rows = trajectory_rows(
-        model, point.sigma0, workspace.unstable_mode, traj
-    )
+    # The one decomposition of the solve, and the trajectory artifact.
+    yield "extraction"
+    extracted = extract_modulated(model, traj, sigma_guess=point.sigma0)
+    header, rows = trajectory_rows(traj, extracted, energies,
+                                   workspace.unstable_mode, point.sigma0)
     write_trajectory_csv(os.path.join(out_dir, "traj.csv"), header, rows)
     artifacts.append("traj.csv")
 
-    # Reduced-versus-full comparison.
-    comparison = compare_effective(workspace, point, traj,
+    yield "comparison"
+    comparison = compare_effective(workspace, point, traj, extracted,
                                    delta=delta, alpha=alpha)
     metrics["comparison"] = comparison
     checks.extend(comparison_checks(comparison, degenerate))
 
     # Instability witness: growth with an offset, quiet without one.
+    yield "witness"
     offset = cfg.reference.witness_offset
     rate_target = -workspace.unstable_eigenvalue
     witness_metrics = {}
+    witness = functools.partial(
+        instability_witness, workspace, point, refine.beta, delta=delta,
+        alpha=alpha, dt=cfg.reference.fixed_dt,
+        t_max=cfg.reference.witness_horizon,
+    )
     if offset > 0.0:
-        for sign in (+1.0, -1.0):
-            label = "plus" if sign > 0 else "minus"
-            report = instability_witness(
-                workspace, point, refine.beta, sign * offset,
-                delta=delta, alpha=alpha, dt=cfg.reference.fixed_dt,
-                t_max=cfg.reference.witness_horizon,
-            )
+        for sign, label in ((1, "plus"), (-1, "minus")):
+            report = witness(sign * offset)
             witness_metrics[label] = {
                 "rate": report.rate,
                 "escape_sign": report.escape_sign,
@@ -807,10 +847,10 @@ def run_full_pipeline(cfg: ExperimentConfig, eta_preset: str = "stable-bump",
                 claim="offset along the unstable mode grows at the "
                       "unstable eigenvalue's rate and escapes in the "
                       "offset's direction",
-                passed=rate_ok and report.escape_sign == (1 if sign > 0 else -1),
+                passed=rate_ok and report.escape_sign == sign,
                 value=report.rate,
                 bound=f"rate within {GROWTH_RATE_TOL} of {rate_target:.6f}; "
-                      f"escape sign {'+1' if sign > 0 else '-1'}",
+                      f"escape sign {sign:+d}",
                 details=witness_metrics[label],
             ))
     if np.array_equal(
@@ -818,14 +858,10 @@ def run_full_pipeline(cfg: ExperimentConfig, eta_preset: str = "stable-bump",
     ):
         # The comparison solve is the zero-offset witness solve: same state,
         # step, samples and escape checks.
-        quiet = witness_report(workspace, point, traj, 0.0,
+        quiet = witness_report(workspace, traj, extracted, 0.0,
                                delta=delta, alpha=alpha)
     else:
-        quiet = instability_witness(
-            workspace, point, refine.beta, 0.0,
-            delta=delta, alpha=alpha, dt=cfg.reference.fixed_dt,
-            t_max=cfg.reference.witness_horizon,
-        )
+        quiet = witness(0.0)
     witness_metrics["zero"] = {
         "rate": quiet.rate,
         "escape_sign": quiet.escape_sign,
@@ -845,5 +881,3 @@ def run_full_pipeline(cfg: ExperimentConfig, eta_preset: str = "stable-bump",
         details=witness_metrics["zero"],
     ))
     metrics["witness"] = witness_metrics
-
-    return finish()

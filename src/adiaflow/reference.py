@@ -15,7 +15,8 @@ On top of the solver:
 
 * ``extract_modulated`` turns a full trajectory into a chart path plus
   orthogonal remainder, warm-starting each decomposition at the previous
-  chart point;
+  chart point.  It runs once per solve: the readouts below take its
+  ``TrajectoryPath`` instead of decomposing the states again;
 * ``refine_correction`` shoots for the initial unstable coefficient whose
   discrete trajectory neither blows up nor collapses — the solver-level
   counterpart of the fixed-point correction.  Cheap solves to a quarter of
@@ -254,33 +255,29 @@ def evolve_full(model: PulseModel, u0: GridField, t_final: float,
 
 
 def extract_modulated(model: PulseModel, traj: FullTrajectory,
-                      sigma_guess: float | None = None, *,
-                      stop_on_failure: bool = False,
-                      tol: float = 1e-12) -> TrajectoryPath:
-    """Decompose every sample into chart point plus orthogonal remainder.
+                      sigma_guess: float) -> TrajectoryPath:
+    """Decompose the samples into chart point plus orthogonal remainder.
 
-    The chart solve at each sample starts from the previous sample's chart
-    point, so slow drifts are followed without chart jumps.  When a sample
-    cannot be decomposed — the state left the tubular neighborhood — the
-    error names the first bad time, or with ``stop_on_failure`` the valid
-    prefix is returned instead.
+    Each chart solve starts from the previous sample's chart point (the
+    first from sigma_guess), so slow drifts are followed without chart
+    jumps.  The result is the decomposable prefix, which ends before the
+    first sample that left the tubular neighborhood; a first sample that
+    cannot be decomposed raises ConvergenceError.
     """
     grid = model.grid
-    guess = 0.0 if sigma_guess is None else float(sigma_guess)
+    guess = float(sigma_guess)
     sigmas: list[float] = []
     fields: list[np.ndarray] = []
-    for j, t in enumerate(traj.times):
+    for j in range(traj.n_samples):
         state = GridField(traj.u_samples[j].copy(), grid)
         try:
-            pt, w = decompose_state(
-                model, state, model.symmetry_point(guess), tol=tol
-            )
+            pt, w = decompose_state(model, state, model.symmetry_point(guess))
         except ConvergenceError as err:
-            if stop_on_failure and j > 0:
+            if j > 0:
                 break
             raise ConvergenceError(
-                f"state decomposition failed at t = {t:.6g} "
-                f"(sample {j}): {err}"
+                f"state decomposition failed at t = {traj.times[0]:.6g} "
+                f"(sample 0): {err}"
             ) from err
         sigmas.append(pt.scalar)
         fields.append(w.values)
@@ -292,6 +289,15 @@ def extract_modulated(model: PulseModel, traj: FullTrajectory,
         w=np.array(fields),
         grid=grid,
     )
+
+
+def unstable_coefficient(grid: PeriodicGrid, unstable_mode: np.ndarray,
+                         sigma0: float, sigma, w: np.ndarray):
+    """Moving-frame unstable coefficient <w, e_u shifted by sigma - sigma0>
+    of a remainder w at chart point sigma (one sample, or rows), where
+    ``unstable_mode`` is e_u at sigma0."""
+    return grid.inner_values(w, grid.shift_values(unstable_mode,
+                                                  sigma - sigma0))
 
 
 @dataclass
@@ -434,8 +440,9 @@ def refine_correction(workspace: SolutionMapWorkspace, point: ManifoldPoint,
             pt, w = decompose_state(
                 model, state, model.symmetry_point(point.sigma0)
             )
-            frame_mode = grid.shift_values(mode, pt.scalar - workspace.sigma0)
-            value = float(grid.inner_values(w.values, frame_mode))
+            value = float(unstable_coefficient(
+                grid, mode, workspace.sigma0, pt.scalar, w.values
+            ))
             result = (1.0 if value > 0.0 else -1.0), value
         solved[key] = result
         return result
@@ -567,8 +574,8 @@ def corrected_initial_state(workspace: SolutionMapWorkspace,
 
 
 def compare_effective(workspace: SolutionMapWorkspace, point: ManifoldPoint,
-                      traj: FullTrajectory, *, delta: float,
-                      alpha: float = 1.0) -> dict:
+                      traj: FullTrajectory, extracted: TrajectoryPath, *,
+                      delta: float, alpha: float = 1.0) -> dict:
     """Reduced dynamics versus the extracted full solution.
 
     Returns the sup differences between (a) the chart path integrated from
@@ -576,10 +583,11 @@ def compare_effective(workspace: SolutionMapWorkspace, point: ManifoldPoint,
     extracted chart path, (b) the fixed-point chart path and the extracted
     one, and (c) the fixed-point remainder and the extracted remainder in
     the strong norm — together with the weighted decay margins and fitted
-    envelope rate of the extracted remainder.
+    envelope rate of the extracted remainder (``extracted`` of ``traj``).
 
     The trajectory must be sampled on a prefix of the fixed point's mesh so
-    every comparison is pointwise in time, never interpolated.
+    every comparison is pointwise in time, never interpolated; an
+    extraction that lacks samples raises ConvergenceError.
     """
     model = workspace.model
     grid = workspace.grid
@@ -589,8 +597,10 @@ def compare_effective(workspace: SolutionMapWorkspace, point: ManifoldPoint,
         raise ValueError(
             "trajectory samples must coincide with the fixed point's mesh"
         )
-
-    extracted = extract_modulated(model, traj, sigma_guess=point.sigma0)
+    if extracted.n_samples < m:
+        j = extracted.n_samples
+        raise ConvergenceError(f"state decomposition failed at t = "
+                               f"{traj.times[j]:.6g} (sample {j})")
 
     # Effective chart dynamics driven by the extracted remainder (Heun on
     # the shared mesh).
@@ -674,30 +684,26 @@ def instability_witness(workspace: SolutionMapWorkspace, point: ManifoldPoint,
         model, u0, float(samples[-1]), fixed_dt=dt, sample_times=samples,
         collapse_floor=_collapse_floor(model),
     )
-    return witness_report(workspace, point, traj, offset, delta=delta,
+    extracted = extract_modulated(model, traj, sigma_guess=point.sigma0)
+    return witness_report(workspace, traj, extracted, offset, delta=delta,
                           alpha=alpha, window=window)
 
 
-def witness_report(workspace: SolutionMapWorkspace, point: ManifoldPoint,
-                   traj: FullTrajectory, offset: float, *, delta: float,
+def witness_report(workspace: SolutionMapWorkspace, traj: FullTrajectory,
+                   extracted: TrajectoryPath, offset: float, *, delta: float,
                    alpha: float = 1.0,
                    window: tuple[float, float] = (1e-3, 1e-1)) -> WitnessReport:
     """Fit the growth of the unstable coefficient along a witness trajectory.
 
     ``traj`` is the solve from the corrected state plus ``offset`` along the
-    unstable mode.  The extracted coefficient is fitted with an exponential
-    over the samples where its magnitude lies inside ``window``; the escape
-    direction distinguishes blow-up (+1) from collapse toward zero (-1).
+    unstable mode and ``extracted`` its extraction.  The extracted
+    coefficient is fitted with an exponential over the samples where its
+    magnitude lies inside ``window``; the escape direction distinguishes
+    blow-up (+1) from collapse toward zero (-1).
     """
-    model = workspace.model
-    grid = workspace.grid
-    extracted = extract_modulated(
-        model, traj, sigma_guess=point.sigma0, stop_on_failure=True
-    )
-    frame_modes = grid.shift_values(
-        workspace.unstable_mode, extracted.sigma - workspace.sigma0
-    )
-    coeff = grid.inner_values(extracted.w, frame_modes)
+    coeff = unstable_coefficient(workspace.grid, workspace.unstable_mode,
+                                 workspace.sigma0, extracted.sigma,
+                                 extracted.w)
 
     magnitude = np.abs(coeff)
     mask = (magnitude >= window[0]) & (magnitude <= window[1])

@@ -74,5 +74,12 @@ def traj_bump(workspace, model, point_bump, refined_bump):
 
 
 @pytest.fixture(scope="session")
+def extracted_bump(model, point_bump, traj_bump):
+    from adiaflow.reference import extract_modulated
+
+    return extract_modulated(model, traj_bump, sigma_guess=point_bump.sigma0)
+
+
+@pytest.fixture(scope="session")
 def cfg():
     return ExperimentConfig()

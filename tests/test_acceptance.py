@@ -31,6 +31,7 @@ from adiaflow.reference import (
     extract_modulated,
     instability_witness,
     refine_correction,
+    witness_report,
 )
 from adiaflow.spectral import decompose, measure_propagator_constant
 
@@ -130,20 +131,21 @@ def test_criterion_03_tangent_annihilation(model, report):
 
 
 def test_criterion_04_modulation_consistency(model, grid, point_bump,
-                                             traj_bump, report):
+                                             traj_bump, extracted_bump,
+                                             report):
     zero_exact = all(
         solve_modulation(model, model.symmetry_point(s),
                          zero_field(grid)).a == 0.0
         for s in (0.0, 1.1)
     )
     worst_path = _worst_orthogonality(model, grid, point_bump.path)
-    extracted = extract_modulated(model, traj_bump, sigma_guess=0.0)
-    worst_traj = _worst_orthogonality(model, grid, extracted)
+    complete = extracted_bump.n_samples == traj_bump.n_samples
+    worst_traj = _worst_orthogonality(model, grid, extracted_bump)
     q_coarse = _modulation_quotients(1024)
     q_fine = _modulation_quotients(2048)
     grid_gap = float(np.max(np.abs(q_coarse - q_fine)))
-    passed = (zero_exact and worst_path <= 1e-8 and worst_traj <= 1e-8
-              and grid_gap <= 1e-10)
+    passed = (zero_exact and complete and worst_path <= 1e-8
+              and worst_traj <= 1e-8 and grid_gap <= 1e-10)
     report(4, passed,
            f"zero input -> exactly zero output: {zero_exact}; "
            f"orthogonality along fixed point {worst_path:.2e} and along "
@@ -177,9 +179,10 @@ def test_criterion_06_contraction_and_construction(workspace, eta_bump,
 
 
 def test_criterion_07_reduced_matches_full(workspace, model, point_bump,
-                                           refined_bump, traj_bump, report):
-    comp = compare_effective(workspace, point_bump, traj_bump, delta=DELTA,
-                             alpha=ALPHA)
+                                           refined_bump, traj_bump,
+                                           extracted_bump, report):
+    comp = compare_effective(workspace, point_bump, traj_bump,
+                             extracted_bump, delta=DELTA, alpha=ALPHA)
     sups = (comp["sup_sigma_effective"], comp["sup_sigma_fixed_point"],
             comp["sup_w_strong"])
 
@@ -191,8 +194,11 @@ def test_criterion_07_reduced_matches_full(workspace, model, point_bump,
                                        refined_half.beta),
         float(samples[-1]), fixed_dt=5e-4, sample_times=samples,
     )
-    comp_half = compare_effective(workspace, point_bump, traj_half,
-                                  delta=DELTA, alpha=ALPHA)
+    comp_half = compare_effective(
+        workspace, point_bump, traj_half,
+        extract_modulated(model, traj_half, sigma_guess=point_bump.sigma0),
+        delta=DELTA, alpha=ALPHA,
+    )
     sups_half = (comp_half["sup_sigma_effective"],
                  comp_half["sup_sigma_fixed_point"],
                  comp_half["sup_w_strong"])
@@ -211,13 +217,15 @@ def test_criterion_07_reduced_matches_full(workspace, model, point_bump,
 
 
 def test_criterion_08_instability_witness(workspace, point_bump, refined_bump,
-                                          report):
+                                          traj_bump, extracted_bump, report):
     plus = instability_witness(workspace, point_bump, refined_bump.beta,
                                +1e-3, delta=DELTA, t_max=20.0)
     minus = instability_witness(workspace, point_bump, refined_bump.beta,
                                 -1e-3, delta=DELTA, t_max=20.0)
-    stay = instability_witness(workspace, point_bump, refined_bump.beta,
-                               0.0, delta=DELTA, t_max=20.0)
+    # traj_bump is the zero-offset witness solve: same state, step and mesh
+    # (test_witness_report_of_the_comparison_trajectory checks the reports).
+    stay = witness_report(workspace, traj_bump, extracted_bump, 0.0,
+                          delta=DELTA)
     rates_ok = all(
         wit.rate is not None and abs(wit.rate - 1.25) <= 0.19
         for wit in (plus, minus)

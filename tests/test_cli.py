@@ -6,8 +6,10 @@ import json
 import pytest
 
 from adiaflow.cli import main
+from adiaflow.errors import ConvergenceError
 from adiaflow.grid import GridField
 from adiaflow.harness import write_field_csv
+from adiaflow.manifold import construct_manifold_point
 
 
 def test_help_exits_cleanly():
@@ -107,3 +109,67 @@ def test_compare_checks_a_simulated_trajectory(tmp_path, capsys):
     assert set(payload["checks"][0]["details"]) == {
         "sup_sigma_effective", "sup_sigma_fixed_point", "sup_w_strong",
     }
+
+
+def test_speed_prefactor_refuses_the_construction_as_the_pipeline_does(
+        tmp_path, capsys):
+    setting = ["--set", "manifold.speed_prefactor=5e-4"]
+    point = tmp_path / "point.json"
+    assert main(setting + ["construct", "--eta", "stable-bump",
+                           "--out", str(point)]) == 1
+    cli_error = capsys.readouterr().err
+    assert "chart-speed bound violated at t = 0.0000" in cli_error
+    assert not point.exists()
+
+    run_dir = tmp_path / "run"
+    assert main(setting + ["pipeline", "--out", str(run_dir)]) == 1
+    assert "FAIL construction: n/a" in capsys.readouterr().out
+    report = json.loads((run_dir / "report.json").read_text(encoding="utf-8"))
+    assert [check["name"] for check in report["checks"]] == ["construction"]
+    assert report["checks"][0]["details"]["error"] in cli_error
+
+
+def test_speed_prefactor_sets_the_construct_command_speed_constant(
+        tmp_path, capsys, workspace, eta_bump, model, point_bump):
+    out = tmp_path / "point.json"
+    assert main(["--set", "manifold.speed_prefactor=0.3", "construct",
+                 "--eta", "stable-bump", "--out", str(out)]) == 0
+    capsys.readouterr()
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    speed = 0.3 * (model.c_h + 1.0)
+    reference = construct_manifold_point(
+        workspace, eta_bump, delta=0.05, alpha=1.0, speed_constant=speed,
+        fixed_point_tol=1e-10, max_iter=30,
+    )
+    assert payload["distances"] == pytest.approx(reference.distances,
+                                                 rel=1e-6)
+    # The speed constant weighs the chart term of the path distance.
+    assert payload["distances"][-1] != pytest.approx(
+        point_bump.distances[-1], rel=1e-3)
+    margins = reference.path.admissibility_margins(0.05, 1.0, speed)
+    assert payload["margins"]["sigma_dot_margin"] == pytest.approx(
+        margins["sigma_dot_margin"], rel=1e-9)
+
+
+def test_a_typed_error_in_a_stage_is_a_failed_check_of_that_stage(
+        tmp_path, capsys, monkeypatch):
+    from adiaflow import harness
+
+    def failing(*args, **kwargs):
+        raise ConvergenceError("no surviving coefficient")
+
+    monkeypatch.setattr(harness, "refine_correction", failing)
+    run_dir = tmp_path / "run"
+    assert main(["pipeline", "--out", str(run_dir)]) == 1
+    printed = capsys.readouterr().out
+    assert ("FAIL shooting: n/a (completes without error): no surviving "
+            "coefficient") in printed
+    report = json.loads((run_dir / "report.json").read_text(encoding="utf-8"))
+    assert not report["passed"] and report["exit_code"] == 1
+    assert [check["name"] for check in report["checks"]] == [
+        "fixed-point-convergence", "contraction-factor", "shooting",
+    ]
+    shooting = report["checks"][-1]
+    assert not shooting["passed"]
+    assert shooting["details"]["error"] == "no surviving coefficient"
+    assert report["artifacts"] == ["config.json", "ledger.json"]

@@ -15,7 +15,11 @@ from adiaflow.harness import (
     write_trajectory_csv,
 )
 from adiaflow.paths import time_mesh
-from adiaflow.reference import evolve_full
+from adiaflow.reference import (
+    corrected_initial_state,
+    evolve_full,
+    extract_modulated,
+)
 
 LEDGER_CHECKS = {
     "operator-symmetry",
@@ -103,7 +107,9 @@ def test_trajectory_csv_round_trip(model, grid, spectrum, workspace, tmp_path):
     u0 = GridField(model.profile.values + 0.005 * e_s, grid)
     traj = evolve_full(model, u0, 0.1, fixed_dt=1e-3,
                        sample_times=np.array([0.0, 0.05, 0.1]))
-    header, rows = trajectory_rows(model, 0.0, workspace.unstable_mode, traj)
+    extracted = extract_modulated(model, traj, sigma_guess=0.0)
+    header, rows = trajectory_rows(traj, extracted, traj.energies(model),
+                                   workspace.unstable_mode, 0.0)
     assert header[:5] == ["t", "sigma", "strong_norm_w",
                           "unstable_coefficient", "energy"]
     assert len(header) == 5 + grid.n
@@ -138,10 +144,9 @@ def test_runtime_assembly(cfg):
     assert runtime.model.grid is runtime.grid
 
 
-def test_point_payload_fields(cfg, point_bump):
+def test_point_payload_fields(cfg, point_bump, refined_bump):
     runtime = build_runtime(cfg)
-    payload = point_payload(runtime, "stable-bump", point_bump, None, None,
-                            point_bump.initial_state.values)
+    payload = point_payload(runtime, "stable-bump", point_bump, None)
     assert set(payload) == {
         "preset", "sigma0", "delta", "alpha", "beta", "beta_star", "refine",
         "correction_strong_norm", "eta_strong_norm", "iterations",
@@ -150,7 +155,14 @@ def test_point_payload_fields(cfg, point_bump):
     }
     assert payload["preset"] == "stable-bump"
     assert payload["beta"] == point_bump.correction
-    assert payload["beta_star"] is None
+    assert payload["beta_star"] is None and payload["refine"] is None
+    assert np.array_equal(payload["initial_values"],
+                          point_bump.initial_state.values)
+    refined = point_payload(runtime, "stable-bump", point_bump, refined_bump)
+    assert refined["beta_star"] == refined_bump.beta
+    assert refined["refine"] == refined_bump.payload()
+    assert np.array_equal(refined["initial_values"], corrected_initial_state(
+        runtime.workspace, point_bump, refined_bump.beta).values)
     assert payload["eta_strong_norm"] == pytest.approx(0.04, rel=1e-12)
     assert set(payload["margins"]) == {
         "w_margin", "sigma_dot_margin", "w_worst_time", "sigma_worst_time",

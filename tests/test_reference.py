@@ -350,12 +350,13 @@ def test_even_perturbations_keep_the_chart_at_zero(model, grid,
 
 
 def test_drift_of_the_corrected_bump(workspace, model, grid, point_bump,
-                                     refined_bump, traj_bump):
+                                     refined_bump, traj_bump,
+                                     extracted_bump):
     assert refined_bump.beta == pytest.approx(-4.2961748663815815e-05,
                                               rel=1e-6)
     assert refined_bump.evaluations <= 60
     assert not traj_bump.escaped
-    extracted = extract_modulated(model, traj_bump, sigma_guess=0.0)
+    extracted = extracted_bump
     assert extracted.n_samples == traj_bump.n_samples
     # The quadratic chart drive has a definite sign while the remainder is
     # coherent, so early increments share it; the total stays tiny.
@@ -374,9 +375,10 @@ def test_drift_of_the_corrected_bump(workspace, model, grid, point_bump,
 
 
 def test_witness_report_of_the_comparison_trajectory(workspace, point_bump,
-                                                     refined_bump, traj_bump):
+                                                     refined_bump, traj_bump,
+                                                     extracted_bump):
     # traj_bump is the zero-offset witness solve: same state, step and mesh.
-    analysed = witness_report(workspace, point_bump, traj_bump, 0.0,
+    analysed = witness_report(workspace, traj_bump, extracted_bump, 0.0,
                               delta=0.05)
     solved = instability_witness(workspace, point_bump, refined_bump.beta,
                                  0.0, delta=0.05)
@@ -396,4 +398,73 @@ def test_comparison_requires_the_shared_mesh(workspace, point_bump, grid):
         stats={},
     )
     with pytest.raises(ValueError):
-        compare_effective(workspace, point_bump, stray, delta=0.05)
+        compare_effective(workspace, point_bump, stray, point_bump.path,
+                          delta=0.05)
+
+
+def _failing_after(monkeypatch, n_good: int) -> None:
+    """Make every decomposition after the first n_good fail."""
+    calls = []
+
+    def decompose(*args, **kwargs):
+        calls.append(None)
+        if len(calls) > n_good:
+            raise ConvergenceError("left the tubular neighborhood")
+        return decompose_state(*args, **kwargs)
+
+    monkeypatch.setattr(reference, "decompose_state", decompose)
+
+
+def test_extraction_returns_the_decomposable_prefix(model, traj_bump,
+                                                    extracted_bump,
+                                                    monkeypatch):
+    _failing_after(monkeypatch, 7)
+    prefix = extract_modulated(model, traj_bump, sigma_guess=0.0)
+    assert prefix.n_samples == 7
+    assert np.array_equal(prefix.times, traj_bump.times[:7])
+    assert np.array_equal(prefix.sigma, extracted_bump.sigma[:7])
+    assert np.array_equal(prefix.w, extracted_bump.w[:7])
+
+
+def test_extraction_failing_at_the_first_sample_names_t_0(model, traj_bump,
+                                                          monkeypatch):
+    _failing_after(monkeypatch, 0)
+    with pytest.raises(ConvergenceError, match=r"t = 0 \(sample 0\)"):
+        extract_modulated(model, traj_bump, sigma_guess=0.0)
+
+
+def test_comparison_refuses_a_short_extraction(workspace, point_bump,
+                                               traj_bump, extracted_bump):
+    short = dataclasses.replace(
+        extracted_bump, times=extracted_bump.times[:40],
+        sigma=extracted_bump.sigma[:40], w=extracted_bump.w[:40],
+    )
+    first_missing = f"t = {traj_bump.times[40]:.6g} \\(sample 40\\)"
+    with pytest.raises(ConvergenceError, match=first_missing):
+        compare_effective(workspace, point_bump, traj_bump, short,
+                          delta=0.05)
+
+
+def test_readouts_take_the_extraction_and_never_extract(
+        workspace, point_bump, traj_bump, extracted_bump, model,
+        monkeypatch):
+    from adiaflow import harness
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the readout extracted the trajectory again")
+
+    monkeypatch.setattr(reference, "extract_modulated", refuse)
+    monkeypatch.setattr(harness, "extract_modulated", refuse)
+    monkeypatch.setattr(reference, "decompose_state", refuse)
+    header, rows = harness.trajectory_rows(
+        traj_bump, extracted_bump, traj_bump.energies(model),
+        workspace.unstable_mode, point_bump.sigma0,
+    )
+    assert len(rows) == traj_bump.n_samples
+    comparison = compare_effective(workspace, point_bump, traj_bump,
+                                   extracted_bump, delta=0.05)
+    assert comparison["n_samples"] == traj_bump.n_samples
+    quiet = witness_report(workspace, traj_bump, extracted_bump, 0.0,
+                           delta=0.05)
+    # The CSV column and the witness read the one coefficient formula.
+    assert np.array_equal([row[3] for row in rows], quiet.coefficients)
