@@ -42,7 +42,8 @@ from .harness import (
 from .modulation import decompose_state, solve_modulation
 from .paths import mesh_prefix
 from .presets import PRESET_NAMES, preset_field
-from .reference import compare_effective, extract_modulated
+from .reference import compare_effective, extract_modulated, \
+    unstable_coefficient
 from .spectral import decompose, measure_propagator_constant, \
     operator_norm_diagnostic, verify_operator_lipschitz
 
@@ -74,17 +75,14 @@ def _load_field_csv(path: str, grid: PeriodicGrid) -> GridField:
 
 
 def _read_point(path: str, cfg: ExperimentConfig) -> dict:
-    """A point file's payload.  The ball and the time mesh the point was
-    constructed with replace the configured ones in ``cfg``."""
+    """A point file's payload.  The ``manifold`` section the point was
+    constructed with (ball, Picard controls, speed prefactor and time mesh)
+    replaces the configured one in ``cfg``."""
     try:
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
-        spec = payload["mesh"]
-        mf = cfg.manifold
-        mf.delta, mf.alpha = float(payload["delta"]), float(payload["alpha"])
-        mf.mesh_dt_fine, mf.mesh_t_uniform, mf.mesh_ratio, mf.horizon = (
-            float(spec[key]) for key in ("dt_fine", "t_uniform", "ratio",
-                                         "horizon"))
+        cfg.manifold = ExperimentConfig.from_dict(
+            {"manifold": payload["manifold"]}).manifold
     except (OSError, json.JSONDecodeError) as err:
         raise ConfigError(f"cannot read point file: {err}") from err
     except KeyError as err:
@@ -250,8 +248,10 @@ def _cmd_simulate(args, cfg: ExperimentConfig) -> int:
     traj = solve_fixed_step(cfg, model, initial_values,
                             mesh_prefix(mesh, args.T))
     extracted = extract_modulated(model, traj, sigma_guess=sigma0)
+    coefficients = unstable_coefficient(model.grid, unstable_mode, sigma0,
+                                        extracted.sigma, extracted.w)
     header, rows = trajectory_rows(traj, extracted, traj.energies(model),
-                                   unstable_mode, sigma0)
+                                   coefficients)
     write_trajectory_csv(args.out, header, rows)
     last = rows[-1]
     _print_json({

@@ -21,7 +21,7 @@ import csv
 import functools
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -45,9 +45,9 @@ from .reference import (
     _collapse_floor,
     compare_effective,
     corrected_initial_state,
-    evolve_full,
+    evolve_lanes,
     extract_modulated,
-    instability_witness,
+    instability_witnesses,
     refine_correction,
     unstable_coefficient,
     witness_report,
@@ -145,19 +145,21 @@ def refine_point(cfg: ExperimentConfig, workspace: SolutionMapWorkspace,
                  point: ManifoldPoint) -> RefineResult:
     """The configured shooting refinement of the point's correction."""
     return refine_correction(workspace, point, dt=cfg.reference.fixed_dt,
-                             probe_time=cfg.reference.refine_probe_time)
+                             probe_time=cfg.reference.refine_probe_time,
+                             ceiling=cfg.reference.ceiling)
 
 
-def solve_fixed_step(cfg: ExperimentConfig, model: PulseModel,
-                     u0: np.ndarray, samples: np.ndarray) -> FullTrajectory:
-    """The configured fixed-step full solve from the values u0, recorded at
-    the mesh samples and ended by the configured ceiling or the witness's
-    collapse floor."""
-    return evolve_full(
-        model, GridField(u0, model.grid), float(samples[-1]),
-        fixed_dt=cfg.reference.fixed_dt, sample_times=samples,
-        ceiling=cfg.reference.ceiling, collapse_floor=_collapse_floor(model),
-    )
+def solve_fixed_step(cfg: ExperimentConfig, model: PulseModel, start,
+                     samples: np.ndarray) -> FullTrajectory:
+    """The configured fixed-step full solve, recorded at the mesh samples
+    and ended by the configured ceiling or the witness's collapse floor.
+    ``start`` is the initial values, or a configured fixed-step solve (such
+    as the refinement's probe solve) to continue."""
+    return evolve_lanes(
+        model, [start], float(samples[-1]), dt=cfg.reference.fixed_dt,
+        sample_times=samples, ceiling=cfg.reference.ceiling,
+        collapse_floor=_collapse_floor(model),
+    )[0]
 
 
 @dataclass
@@ -547,25 +549,24 @@ def comparison_checks(comparison: dict, degenerate: bool) -> list:
 # --------------------------------------------------------------------------
 
 def trajectory_rows(traj: FullTrajectory, extracted: TrajectoryPath,
-                    energies: np.ndarray, unstable_mode: np.ndarray,
-                    sigma0: float) -> tuple[list, list]:
-    """(header, rows) for the trajectory CSV of traj, its extraction and
-    its sample energies.
+                    energies: np.ndarray,
+                    coefficients: np.ndarray) -> tuple[list, list]:
+    """(header, rows) for the trajectory CSV of traj, its extraction, its
+    sample energies and the extraction's moving-frame unstable coefficients
+    (``unstable_coefficient``).
 
     Columns: time, chart coordinate, strong norm of the remainder, unstable
     coefficient, energy, then the full state so any consumer can rebuild the
     exact discrete trajectory.  Only the extracted prefix is emitted.
     """
     grid = extracted.grid
-    coeff = unstable_coefficient(grid, unstable_mode, sigma0,
-                                 extracted.sigma, extracted.w)
     strongs = extracted.w_strong_norms()
     header = ["t", "sigma", "strong_norm_w", "unstable_coefficient", "energy"]
     header += [f"u_{k}" for k in range(grid.n)]
     rows = []
     for j in range(extracted.n_samples):
         row = [traj.times[j], extracted.sigma[j], strongs[j],
-               float(coeff[j]), float(energies[j])]
+               float(coefficients[j]), float(energies[j])]
         row += [float(v) for v in traj.u_samples[j]]
         rows.append(row)
     return header, rows
@@ -630,8 +631,7 @@ def point_payload(runtime: Runtime, preset: str, point: ManifoldPoint,
     return {
         "preset": preset,
         "sigma0": point.sigma0,
-        "delta": cfg.manifold.delta,
-        "alpha": cfg.manifold.alpha,
+        "manifold": asdict(cfg.manifold),
         "beta": point.correction,
         "beta_star": None if refine is None else refine.beta,
         "refine": None if refine is None else refine.payload(),
@@ -643,12 +643,6 @@ def point_payload(runtime: Runtime, preset: str, point: ManifoldPoint,
         "contraction_ratios": list(point.contraction_ratios),
         "tail_bound": point.tail_bound,
         "margins": margins,
-        "mesh": {
-            "dt_fine": cfg.manifold.mesh_dt_fine,
-            "t_uniform": cfg.manifold.mesh_t_uniform,
-            "ratio": cfg.manifold.mesh_ratio,
-            "horizon": cfg.manifold.horizon,
-        },
         "eta_values": point.eta.values,
         "initial_values": initial.values,
         "unstable_mode": runtime.workspace.unstable_mode,
@@ -782,9 +776,14 @@ def _pipeline_stages(runtime: Runtime, eta_preset: str, out_dir: str,
     metrics["beta_star"] = refine.beta
     metrics["refine_evaluations"] = refine.evaluations
 
+    # The comparison solve continues the probe solve of beta*, which has
+    # the same state, step, mesh clamps and escape checks.
     yield "full-solve"
     samples = mesh_prefix(workspace.times, cfg.reference.compare_horizon)
-    traj = solve_fixed_step(cfg, model, payload["initial_values"], samples)
+    probe = refine.trajectory
+    traj = solve_fixed_step(
+        cfg, model, probe if probe is not None and probe.continues_to(samples)
+        else payload["initial_values"], samples)
     checks.append(CheckResult(
         name="full-solve-complete",
         claim="corrected initial state survives the comparison horizon "
@@ -810,8 +809,10 @@ def _pipeline_stages(runtime: Runtime, eta_preset: str, out_dir: str,
     # The one decomposition of the solve, and the trajectory artifact.
     yield "extraction"
     extracted = extract_modulated(model, traj, sigma_guess=point.sigma0)
-    header, rows = trajectory_rows(traj, extracted, energies,
-                                   workspace.unstable_mode, point.sigma0)
+    coefficients = unstable_coefficient(workspace.grid,
+                                        workspace.unstable_mode, point.sigma0,
+                                        extracted.sigma, extracted.w)
+    header, rows = trajectory_rows(traj, extracted, energies, coefficients)
     write_trajectory_csv(os.path.join(out_dir, "traj.csv"), header, rows)
     artifacts.append("traj.csv")
 
@@ -826,14 +827,14 @@ def _pipeline_stages(runtime: Runtime, eta_preset: str, out_dir: str,
     offset = cfg.reference.witness_offset
     rate_target = -workspace.unstable_eigenvalue
     witness_metrics = {}
-    witness = functools.partial(
-        instability_witness, workspace, point, refine.beta, delta=delta,
+    witnesses = functools.partial(
+        instability_witnesses, workspace, point, refine.beta, delta=delta,
         alpha=alpha, dt=cfg.reference.fixed_dt,
         t_max=cfg.reference.witness_horizon,
     )
     if offset > 0.0:
-        for sign, label in ((1, "plus"), (-1, "minus")):
-            report = witness(sign * offset)
+        reports = witnesses([offset, -offset])
+        for sign, label, report in zip((1, -1), ("plus", "minus"), reports):
             witness_metrics[label] = {
                 "rate": report.rate,
                 "escape_sign": report.escape_sign,
@@ -858,10 +859,10 @@ def _pipeline_stages(runtime: Runtime, eta_preset: str, out_dir: str,
     ):
         # The comparison solve is the zero-offset witness solve: same state,
         # step, samples and escape checks.
-        quiet = witness_report(workspace, traj, extracted, 0.0,
+        quiet = witness_report(traj, extracted, coefficients, 0.0,
                                delta=delta, alpha=alpha)
     else:
-        quiet = witness(0.0)
+        quiet, = witnesses([0.0])
     witness_metrics["zero"] = {
         "rate": quiet.rate,
         "escape_sign": quiet.escape_sign,

@@ -11,6 +11,12 @@ physical space only where a sample is recorded.  Step sizes adapt by
 halving against a Richardson error estimate; a fixed-step mode keeps the
 discrete flow bitwise reproducible for shooting.
 
+Fixed steps run in lanes (``evolve_lanes``): several states stepped as the
+rows of one array, two FFTs per step for all of them, each lane bitwise
+equal to its own solve and dropped when it escapes.  A fixed-step solve
+that did not escape can be continued to a later time, and the continued
+trajectory equals one solve from t = 0.
+
 On top of the solver:
 
 * ``extract_modulated`` turns a full trajectory into a chart path plus
@@ -19,21 +25,24 @@ On top of the solver:
   ``TrajectoryPath`` instead of decomposing the states again;
 * ``refine_correction`` shoots for the initial unstable coefficient whose
   discrete trajectory neither blows up nor collapses — the solver-level
-  counterpart of the fixed-point correction.  Cheap solves to a quarter of
-  the probe time predict the root as closely as the full probe needs, a
-  false-position polish at the full probe stops at the round-off floor of
-  the root, and every solve is cached so none is repeated;
+  counterpart of the fixed-point correction.  One four-lane solve to a
+  quarter of the probe time gives a Newton predictor, a safeguarded Newton
+  iteration on lane pairs at the full probe stops at the round-off floor of
+  the root, every solve is cached so none is repeated, and the probe solve
+  of the result is handed on to be continued;
 * ``compare_effective`` measures how far the reduced dynamics (fixed-point
   path and chart velocity field) sit from the extracted full solution;
-* ``instability_witness`` perturbs the corrected initial state along the
-  unstable mode and solves; ``witness_report`` fits the resulting growth
-  rate, also on a trajectory already solved for another purpose.
+* ``instability_witnesses`` perturbs the corrected initial state along the
+  unstable mode by several offsets and solves them as lanes;
+  ``witness_report`` fits the resulting growth rate, also on a trajectory
+  already solved for another purpose.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from itertools import compress
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -58,12 +67,15 @@ class FullTrajectory:
 
     ``stats`` records steps, rejected steps, the largest accepted per-step
     error estimate, and — when the run terminated early — the escape time
-    and direction (+1 for blow-up, -1 for collapse toward zero).
+    and direction (+1 for blow-up, -1 for collapse toward zero).  ``end``
+    is where a fixed-step solve stopped without escaping: the time and the
+    rfft of the state there, from which ``evolve_lanes`` can continue it.
     """
 
     times: np.ndarray
     u_samples: np.ndarray = field(repr=False)
     stats: dict = field(default_factory=dict)
+    end: tuple[float, np.ndarray] | None = field(default=None, repr=False)
 
     @property
     def n_samples(self) -> int:
@@ -73,6 +85,13 @@ class FullTrajectory:
     def escaped(self) -> bool:
         return self.stats.get("escape_sign", 0) != 0
 
+    def continues_to(self, sample_times: np.ndarray) -> bool:
+        """Whether a fixed-step solve recorded at ``sample_times`` can
+        continue this one: it stopped without escaping, and its samples are
+        a prefix of those times."""
+        return self.end is not None and np.array_equal(
+            self.times, sample_times[:self.n_samples])
+
     def energies(self, model: PulseModel) -> np.ndarray:
         return np.array([
             model.energy(GridField(u, model.grid)) for u in self.u_samples
@@ -80,14 +99,17 @@ class FullTrajectory:
 
 
 class _SplitStepper:
-    """Symmetric splitting steps on the rfft of the state.
+    """Symmetric splitting steps on the rffts of a stack of states.
 
-    The state lives in Fourier space between steps, so a step costs one
-    inverse and one forward FFT: the first linear half step is a product
-    with the half-step multiplier, the quadratic substep runs on the
-    physical values, and the second linear half step is a product again.
-    Norms of a state come from its |rfft|^2 by Parseval, with no FFT.
-    Half-step multipliers are cached per dt.
+    The states live in Fourier space between steps, one per row, so a step
+    costs one inverse and one forward FFT for the whole stack: the first
+    linear half step is a product with the half-step multiplier, the
+    quadratic substep runs on the physical values, and the second linear
+    half step is a product again.  Rows never mix, and the FFTs transform
+    each row exactly as they would transform it alone, so every row evolves
+    bitwise as it would in a stack of one.  Norms of a state come from its
+    |rfft|^2 by Parseval, with no FFT.  Half-step multipliers are cached
+    per dt.
     """
 
     def __init__(self, grid: PeriodicGrid):
@@ -106,18 +128,24 @@ class _SplitStepper:
             self._cache[dt] = mult
         return mult
 
-    def step(self, uh: np.ndarray, dt: float) -> np.ndarray | None:
-        """Advance the rfft state by dt, or None when the quadratic subflow
-        blows up."""
+    def step(self, uh: np.ndarray, dt: float, out: np.ndarray | None = None):
+        """Advance each row of the rfft stack uh by dt.
+
+        Returns the advanced rows, written into ``out`` when every row
+        advances, and the mask of the rows left out because their quadratic
+        subflow blows up (None when there are none).
+        """
         mult = self._half(dt)
         v = np.fft.irfft(uh * mult, self.n)
         denom = 1.0 - dt * v
+        blown = None
         if denom.min() <= _DENOM_FLOOR:
-            return None
+            blown = denom.min(axis=1) <= _DENOM_FLOOR
+            v, denom, out = v[~blown], denom[~blown], None
         v /= denom
-        uh_new = np.fft.rfft(v)
+        uh_new = np.fft.rfft(v, out=out)
         uh_new *= mult
-        return uh_new
+        return uh_new, blown
 
     def weak_norm(self, uh: np.ndarray) -> float:
         """``grid.weak_norm_values`` of the state whose rfft is uh."""
@@ -128,6 +156,151 @@ class _SplitStepper:
         """``grid.strong_norm_values`` of the state whose rfft is uh."""
         parts = uh.view(np.float64)
         return math.sqrt(parts.dot(parts * self._strong))
+
+    @staticmethod
+    def bind(uh: np.ndarray) -> list:
+        """(row, its interleaved real and imaginary parts, a buffer for
+        their weighted copy) for each row of the rfft stack uh, for
+        ``escape_signs`` to use for as long as the stack keeps its rows."""
+        parts = uh.view(np.float64)
+        return list(zip(uh, parts, np.empty_like(parts)))
+
+    def escape_signs(self, bound: list, ceiling: float,
+                     collapse_floor: float | None) -> list[int]:
+        """For each row bound by ``bind``: +1 when its state is not finite
+        or has reached the ceiling, -1 when its weak norm is at or below the
+        collapse floor, else 0."""
+        signs = []
+        for uh, parts, weighted in bound:
+            np.multiply(parts, self._weak, out=weighted)
+            weak = math.sqrt(parts.dot(weighted))
+            if not math.isfinite(weak) or weak >= ceiling or (
+                weak >= 0.4 * ceiling and self.strong_norm(uh) >= ceiling
+            ):
+                signs.append(1)
+            elif collapse_floor is not None and weak <= collapse_floor:
+                signs.append(-1)
+            else:
+                signs.append(0)
+        return signs
+
+
+def _checked_samples(sample_times, t_final: float) -> np.ndarray:
+    sample_times = np.asarray(sample_times, dtype=float)
+    if len(sample_times) == 0 or sample_times[0] < 0.0:
+        raise ValueError("sample times must be nonnegative and nonempty")
+    if np.any(np.diff(sample_times) <= 0.0):
+        raise ValueError("sample times must be strictly increasing")
+    if sample_times[-1] > t_final + 1e-12:
+        raise ValueError("sample times must not exceed the final time")
+    return sample_times
+
+
+def _end_lane(stats: dict, steps: int, sign: int, t) -> None:
+    """Close a lane's stats after ``steps`` steps of its solve."""
+    stats["steps"] += steps
+    stats["escape_sign"], stats["escape_time"] = sign, t
+
+
+def evolve_lanes(model: PulseModel, starts, t_final: float, *, dt: float,
+                 sample_times: np.ndarray, ceiling: float = 10.0,
+                 collapse_floor: float | None = None) -> list[FullTrajectory]:
+    """Fixed-step solves of several states stepped together as lanes.
+
+    ``starts`` holds one entry per lane: the initial values at t = 0, or a
+    ``FullTrajectory`` to continue from its ``end``.  All lanes must start
+    at one time.  Their rffts are stepped as one ``(K, n // 2 + 1)`` stack,
+    one inverse and one forward FFT per step for all of them, and each lane
+    comes out bitwise equal to solving it alone: same samples, same escape,
+    same ``stats``.  A continued lane's trajectory and ``stats`` equal
+    those of one solve from t = 0 with the same step, samples and escape
+    checks.
+
+    Steps have the fixed size dt, clamped onto each of ``sample_times``,
+    where the states are recorded.  A lane escapes with direction +1 when
+    its quadratic substep passes through infinity or its strong norm
+    reaches ``ceiling``, and with direction -1 when its weak norm falls to
+    ``collapse_floor`` (when given); it is then dropped from the stack,
+    keeping the samples recorded so far.
+    """
+    sample_times = _checked_samples(sample_times, t_final)
+    n = model.grid.n
+    dt = float(dt)
+    stepper = _SplitStepper(model.grid)
+    lanes, rows, origins = [], [], set()
+    for start in starts:
+        if isinstance(start, FullTrajectory):
+            if start.end is None or start.stats.get("final_dt") != dt:
+                raise ValueError("only a fixed-step solve with the same step "
+                                 "that did not escape can be continued")
+            t0, uh0 = start.end
+            lanes.append((list(start.times), list(start.u_samples),
+                          dict(start.stats), start))
+        else:
+            values = np.asarray(start, dtype=float)
+            t0, uh0 = 0.0, np.fft.rfft(values)
+            first = sample_times[0] == 0.0
+            lanes.append(([0.0] if first else [], [values.copy()] if first
+                          else [], {
+                "steps": 0, "rejected": 0, "max_error_estimate": 0.0,
+                "escape_sign": 0, "escape_time": None, "mode": "fixed",
+                "tol": None, "final_dt": dt,
+            }, None))
+        origins.add(t0)
+        rows.append(uh0)
+    if len(origins) != 1:
+        raise ValueError("all lanes must start at one time")
+    t = origins.pop()
+    next_sample = int(np.searchsorted(sample_times, t, side="right"))
+    for _, _, _, start in lanes:
+        if start is not None and not (start.n_samples == next_sample
+                                      and start.continues_to(sample_times)):
+            raise ValueError("a continued solve must have recorded exactly "
+                             "the sample times before its end")
+
+    uh = np.array(rows)
+    bound = stepper.bind(uh)
+    active = list(range(len(lanes)))
+    steps = 0
+    horizon = min(t_final, sample_times[-1])
+    while active and t < horizon and next_sample < len(sample_times):
+        target = sample_times[next_sample]
+        clamped = dt >= target - t
+        uh, blown = stepper.step(uh, target - t if clamped else dt, out=uh)
+        if blown is not None:
+            for lane in compress(active, blown):
+                _end_lane(lanes[lane][2], steps, 1, t)
+            active = list(compress(active, ~blown))
+            if not active:
+                break
+            bound = stepper.bind(uh)
+        steps += 1
+        t = target if clamped else t + dt
+        if clamped:
+            for lane, values in zip(active, np.fft.irfft(uh, n)):
+                lanes[lane][0].append(t)
+                lanes[lane][1].append(values)
+            next_sample += 1
+        signs = stepper.escape_signs(bound, ceiling, collapse_floor)
+        if any(signs):
+            for lane, sign in zip(active, signs):
+                if sign:
+                    _end_lane(lanes[lane][2], steps, sign, t)
+            keep = [not sign for sign in signs]
+            uh, active = uh[keep], list(compress(active, keep))
+            bound = stepper.bind(uh)
+
+    trajectories = []
+    for lane, (times, states, stats, _) in enumerate(lanes):
+        end = None
+        if lane in active:
+            _end_lane(stats, steps, 0, None)
+            end = (t, uh[active.index(lane)].copy())
+        trajectories.append(FullTrajectory(
+            times=np.array(times), u_samples=np.array(states), stats=stats,
+            end=end,
+        ))
+    return trajectories
 
 
 def evolve_full(model: PulseModel, u0: GridField, t_final: float,
@@ -144,7 +317,8 @@ def evolve_full(model: PulseModel, u0: GridField, t_final: float,
     meets ``tol`` in the weak norm; rejected steps halve the step size and
     comfortable ones double it.  Passing ``fixed_dt`` disables the estimate
     and steps deterministically, which shooting and comparison runs need so
-    that re-runs traverse the identical discrete flow.
+    that re-runs traverse the identical discrete flow: that mode is the
+    one-lane call of ``evolve_lanes``, whose result can be continued.
 
     Between steps the state is kept as its rfft (see ``_SplitStepper``):
     the error estimate and the escape checks read its norms by Parseval,
@@ -157,21 +331,18 @@ def evolve_full(model: PulseModel, u0: GridField, t_final: float,
     (when given) ends it with escape direction -1.  The returned trajectory
     is truncated at the recorded samples in either case.
     """
-    grid = model.grid
     if sample_times is None:
         sample_times = np.linspace(0.0, t_final, 401)
-    sample_times = np.asarray(sample_times, dtype=float)
-    if len(sample_times) == 0 or sample_times[0] < 0.0:
-        raise ValueError("sample times must be nonnegative and nonempty")
-    if np.any(np.diff(sample_times) <= 0.0):
-        raise ValueError("sample times must be strictly increasing")
-    if sample_times[-1] > t_final + 1e-12:
-        raise ValueError("sample times must not exceed the final time")
+    sample_times = _checked_samples(sample_times, t_final)
+    if fixed_dt is not None:
+        return evolve_lanes(model, [u0.values], t_final, dt=fixed_dt,
+                            sample_times=sample_times, ceiling=ceiling,
+                            collapse_floor=collapse_floor)[0]
 
-    stepper = _SplitStepper(grid)
-    uh = np.fft.rfft(u0.values)
+    stepper = _SplitStepper(model.grid)
+    uh = np.fft.rfft(u0.values)[None]
     t = 0.0
-    dt = float(fixed_dt) if fixed_dt is not None else float(dt_init)
+    dt = float(dt_init)
 
     recorded_t: list[float] = []
     recorded_u: list[np.ndarray] = []
@@ -183,14 +354,9 @@ def evolve_full(model: PulseModel, u0: GridField, t_final: float,
 
     stats = {
         "steps": 0, "rejected": 0, "max_error_estimate": 0.0,
-        "escape_sign": 0, "escape_time": None,
-        "mode": "fixed" if fixed_dt is not None else "adaptive",
+        "escape_sign": 0, "escape_time": None, "mode": "adaptive",
         "tol": float(tol), "final_dt": dt,
     }
-
-    def escape(sign: int, now: float):
-        stats["escape_sign"] = sign
-        stats["escape_time"] = now
 
     horizon = min(t_final, sample_times[-1])
     while t < horizon and next_sample < len(sample_times):
@@ -198,52 +364,39 @@ def evolve_full(model: PulseModel, u0: GridField, t_final: float,
         clamped = dt >= target - t
         dt_step = target - t if clamped else dt
 
-        if fixed_dt is not None:
-            uh_new = stepper.step(uh, dt_step)
-            if uh_new is None:
-                escape(+1, t)
-                break
+        uh_big, blown_big = stepper.step(uh, dt_step)
+        uh_half, blown_half = stepper.step(uh, 0.5 * dt_step)
+        uh_new, blown_new = (uh_half, blown_half) if blown_half is not None \
+            else stepper.step(uh_half, 0.5 * dt_step)
+        if blown_big is not None or blown_new is not None:
+            estimate = np.inf
         else:
-            uh_big = stepper.step(uh, dt_step)
-            uh_half = stepper.step(uh, 0.5 * dt_step)
-            uh_new = (None if uh_half is None
-                      else stepper.step(uh_half, 0.5 * dt_step))
-            if uh_big is None or uh_new is None:
-                estimate = np.inf
-            else:
-                estimate = stepper.weak_norm(uh_big - uh_new) / 3.0
-            if not estimate <= tol:
-                stats["rejected"] += 1
-                dt = 0.5 * dt_step
-                if dt < _DT_FLOOR:
-                    escape(+1, t)
-                    break
-                continue
-            stats["max_error_estimate"] = max(
-                stats["max_error_estimate"], float(estimate)
-            )
-            if estimate < 0.1 * tol and not clamped:
-                dt = min(2.0 * dt, dt_max)
+            estimate = stepper.weak_norm(uh_big[0] - uh_new[0]) / 3.0
+        if not estimate <= tol:
+            stats["rejected"] += 1
+            dt = 0.5 * dt_step
+            if dt < _DT_FLOOR:
+                stats["escape_sign"], stats["escape_time"] = 1, t
+                break
+            continue
+        stats["max_error_estimate"] = max(
+            stats["max_error_estimate"], float(estimate)
+        )
+        if estimate < 0.1 * tol and not clamped:
+            dt = min(2.0 * dt, dt_max)
 
         stats["steps"] += 1
         uh = uh_new
         t = target if clamped else t + dt_step
         if clamped:
             recorded_t.append(t)
-            recorded_u.append(np.fft.irfft(uh, grid.n))
+            recorded_u.append(np.fft.irfft(uh[0], model.grid.n))
             next_sample += 1
 
-        weak = stepper.weak_norm(uh)
-        if not math.isfinite(weak):
-            escape(+1, t)
-            break
-        if weak >= ceiling or (
-            weak >= 0.4 * ceiling and stepper.strong_norm(uh) >= ceiling
-        ):
-            escape(+1, t)
-            break
-        if collapse_floor is not None and weak <= collapse_floor:
-            escape(-1, t)
+        sign, = stepper.escape_signs(stepper.bind(uh), ceiling,
+                                     collapse_floor)
+        if sign:
+            stats["escape_sign"], stats["escape_time"] = sign, t
             break
 
     stats["final_dt"] = dt
@@ -306,11 +459,15 @@ class RefineResult:
 
     ``beta`` is the refined coefficient, the full-probe solve whose probe
     coefficient is closest to zero, and ``picard_beta`` the fixed-point
-    value the search started from.  ``evaluations`` counts the full solves
-    made, at every probe time.  ``bracket`` is the width of the bracket the
-    final polish started from: both of its ends survive to ``probe_time`` and
-    give the extracted coefficient opposite signs, so ``beta`` lies inside
-    it.  ``dt`` is the fixed step of the probe solves.
+    value the search started from.  ``evaluations`` counts the lane solves
+    made, at every probe time; a solve of K lanes counts K.  ``bracket`` is
+    the width of the narrowest pair of full-probe solves that has ``beta``
+    at one end, survives to ``probe_time`` and gives the extracted
+    coefficient opposite signs, so it contains ``beta`` and the root that
+    ``beta`` estimates.  ``dt`` is the fixed step of the probe solves.
+    ``trajectory`` is the full-probe solve of ``beta``, which a longer
+    fixed-step solve from the same state can continue; it is left out of
+    the payload.
     """
 
     beta: float
@@ -319,10 +476,14 @@ class RefineResult:
     bracket: float
     probe_time: float
     dt: float
+    trajectory: FullTrajectory | None = field(default=None, repr=False,
+                                              compare=False)
 
     def payload(self) -> dict:
-        """The fields as a plain dict, in declaration order, for artifacts."""
-        return asdict(self)
+        """The fields but the trajectory as a plain dict, in declaration
+        order, for artifacts."""
+        return {item.name: getattr(self, item.name) for item in fields(self)
+                if item.name != "trajectory"}
 
 
 #: The short probe sits at the mesh time at or below this fraction of the
@@ -330,15 +491,17 @@ class RefineResult:
 #: bracket wide enough to hold the fixed-point error survives to it.
 _SHORT_PROBE_FRACTION = 0.25
 
-#: The short-probe polish stops once its next step would move the
-#: full-probe coefficient by less than this.  The predictor only has to
-#: start the full-probe march well inside the window of order-one
-#: coefficients in which full-probe solves survive; the gap between the
-#: short- and the full-probe root is itself worth about 0.05 there.
-_PREDICTOR_COEFFICIENT_TOL = 1e-3
+#: Finite-difference partners of the Newton steps, in units of beta.  The
+#: one short-probe step from the fixed-point value spans about 1e-7, so its
+#: partner sits 1e4 round-off floors of the root (see ``_roundoff_floor``,
+#: about 7e-15) away, where probe noise leaves the slope good to about
+#: 1e-4.  Full-probe steps shrink to the floor; a partner of about 150
+#: floors keeps their slope good to a few parts in 1e3.
+_SHORT_PARTNER = 1e-10
+_FULL_PARTNER = 1e-11
 
-#: Overshoot of the first step towards the root at the full probe, so that
-#: the step crosses the root even when the predicted slope is off by up to
+#: Overshoot of the march from an escaped full-probe solve, so that the
+#: march crosses the root even when the predicted slope is off by up to
 #: this factor.
 _MARCH_OVERSHOOT = 2.0
 
@@ -361,10 +524,19 @@ def _roundoff_floor(u0: np.ndarray, growth: float, dt: float) -> float:
     return float(eps * np.max(np.abs(u0)) / np.sqrt(2.0 * growth * dt))
 
 
+def _newton_step(value: float, slope: float, curvature: float) -> float:
+    """Step to the root of value + slope * d * (1 + curvature * d), the
+    nearer one; to its vertex where it has none."""
+    newton = -value / slope
+    return 2.0 * newton / (1.0 + math.sqrt(max(1.0 + 4.0 * curvature * newton,
+                                               0.0)))
+
+
 def refine_correction(workspace: SolutionMapWorkspace, point: ManifoldPoint,
                       *, dt: float = 1e-3, probe_time: float | None = None,
                       bracket_factor: float = 4.0, bracket_min: float = 2e-5,
-                      max_evaluations: int = 60) -> RefineResult:
+                      max_evaluations: int = 60,
+                      ceiling: float = 10.0) -> RefineResult:
     """Tune the initial unstable coefficient against the discrete full solver.
 
     The fixed-point correction carries quadrature error, and the splitting
@@ -374,27 +546,36 @@ def refine_correction(workspace: SolutionMapWorkspace, point: ManifoldPoint,
     coefficient at zero at the probe time, in two stages:
 
     1. *Predictor.*  At a short probe (the mesh time at or below a quarter
-       of the probe time) a bracket around the fixed-point value survives,
-       so false position finds that probe's root in a few cheap solves.
-       It stops once its next step would move the full-probe coefficient
-       (the short-probe chord slope scaled by the unstable growth between
-       the probes) by less than ``_PREDICTOR_COEFFICIENT_TOL``.
-    2. *Polish.*  At the full probe, the search steps from the predictor
-       against the sign of its coefficient, by the Newton step of the
-       short-probe slope scaled by the unstable growth between the probes,
-       overshot so that the step crosses the root.  False position then
-       polishes the surviving bracket.
+       of the probe time) one four-lane solve takes both ends of a bracket
+       around the fixed-point value, the value itself and a
+       finite-difference partner of it; the bracket widens until its ends
+       give opposite signs.  The predictor is the Newton step from the
+       fixed-point value.  Where that step leaves the bracket, or the
+       fixed-point value escapes, false position on the bracket, narrowed
+       until both ends survive, takes its place.
+    2. *Polish.*  At the full probe, a safeguarded Newton iteration starts
+       at the predictor.  Each round solves the iterate and a
+       finite-difference partner, on the side the last step moved to, as
+       two lanes.  A step that leaves the narrowest opposite-sign pair of
+       solves made so far is replaced by false position on that pair, and
+       an iterate that escapes starts a march against its escape sign, by
+       the short-probe slope grown by the unstable mode between the probes,
+       until the sign flips.
 
-    The full-probe polish stops once the next iterate moves less than the
-    round-off floor of the root (see ``_roundoff_floor``).  Inside that
-    floor the probe coefficient is noise, so the result is the solved
-    coefficient whose probe coefficient is closest to zero.  Wherever a
-    bracket end escapes (blows up or collapses), sign bisection narrows the
-    bracket until both ends survive.  Every solve is cached by probe and
-    coefficient, so no solve is repeated, and every stage draws on the one
-    budget of ``max_evaluations`` solves.  The probe trajectories use the
-    same step size and the same sample clamping as later comparison runs,
-    so the refined value belongs to the exact discrete flow being compared.
+    The polish stops once the Newton step is below the round-off floor of
+    the root (see ``_roundoff_floor``) and the solve closest to zero has a
+    surviving neighbour of opposite sign.  Inside that floor the probe
+    coefficient is noise, so the result is the solved coefficient whose
+    probe coefficient is closest to zero.  Wherever a bracket end escapes
+    (blows up or collapses), sign bisection narrows the bracket until both
+    ends survive, and an escape between two surviving solves of opposite
+    sign is a ConvergenceError.  Every solve is cached by probe and
+    coefficient, so none is repeated, and every stage draws on the one
+    budget of ``max_evaluations`` lane solves; a solve whose lanes do not
+    all fit in it is not started.  The probe trajectories use the same step
+    size, sample clamping and escape checks as later comparison runs, so
+    the refined value belongs to the exact discrete flow being compared,
+    and such a run can continue the returned ``trajectory``.
     """
     model = workspace.model
     grid = workspace.grid
@@ -413,29 +594,37 @@ def refine_correction(workspace: SolutionMapWorkspace, point: ManifoldPoint,
     growth = -workspace.unstable_eigenvalue
     xtol = _roundoff_floor(base, growth, dt)
     solved: dict[tuple[int, float], tuple[float, float | None]] = {}
+    best = None  # (|value|, beta, trajectory) of the full-probe solve
+    #              closest to zero; no other trajectory is kept
 
-    def coefficient_at_probe(samples: np.ndarray, beta: float, stage: str):
-        """(sign, value-or-None) of the unstable coefficient at the probe.
+    def solves_at(samples):
+        return [(beta, end) for (n, beta), end in solved.items()
+                if n == len(samples)]
+
+    def probe(samples, betas, stage):
+        """(sign, value-or-None) of the unstable coefficient at the probe,
+        for each beta; those not solved before are solved as lanes.
 
         An escaped run gives its escape direction and no value; a zero value
         counts as negative, so every sign is +1 or -1.
         """
-        key = (len(samples), beta)
-        if key in solved:
-            return solved[key]
-        if len(solved) >= max_evaluations:
+        nonlocal best
+        n = len(samples)
+        new = [beta for beta in dict.fromkeys(betas) if (n, beta) not in solved]
+        if len(solved) + len(new) > max_evaluations:
             raise ConvergenceError(
                 f"shooting refinement exhausted its budget of "
                 f"{max_evaluations} solves during the {stage}"
             )
-        u0 = GridField(base + (beta - point.correction) * mode, grid)
-        traj = evolve_full(
-            model, u0, float(samples[-1]), fixed_dt=dt, sample_times=samples,
+        trajectories = evolve_lanes(
+            model, [base + (beta - point.correction) * mode for beta in new],
+            float(samples[-1]), dt=dt, sample_times=samples, ceiling=ceiling,
             collapse_floor=floor,
-        )
-        if traj.escaped:
-            result = float(traj.stats["escape_sign"]), None
-        else:
+        ) if new else []
+        for beta, traj in zip(new, trajectories):
+            if traj.escaped:
+                solved[(n, beta)] = float(traj.stats["escape_sign"]), None
+                continue
             state = GridField(traj.u_samples[-1].copy(), grid)
             pt, w = decompose_state(
                 model, state, model.symmetry_point(point.sigma0)
@@ -443,9 +632,21 @@ def refine_correction(workspace: SolutionMapWorkspace, point: ManifoldPoint,
             value = float(unstable_coefficient(
                 grid, mode, workspace.sigma0, pt.scalar, w.values
             ))
-            result = (1.0 if value > 0.0 else -1.0), value
-        solved[key] = result
-        return result
+            solved[(n, beta)] = (1.0 if value > 0.0 else -1.0), value
+            if n == len(full_samples) and (
+                    best is None or (abs(value), beta) < best[:2]):
+                best = abs(value), beta, traj
+        survivors = [(b, end[0]) for b, end in solves_at(samples)
+                     if end[1] is not None]
+        for beta in new:
+            if solved[(n, beta)][1] is None and any(
+                    b < beta and sign < 0 for b, sign in survivors) and any(
+                    b > beta and sign > 0 for b, sign in survivors):
+                raise ConvergenceError(
+                    f"the {stage} iterate {beta!r} escaped before "
+                    f"t = {samples[-1]:.6g} inside a surviving bracket"
+                )
+        return [solved[(n, beta)] for beta in betas]
 
     def settle(samples, lo, end_lo, hi, end_hi, stage):
         """Sign bisection until both ends of [lo, hi] survive the probe."""
@@ -457,54 +658,26 @@ def refine_correction(workspace: SolutionMapWorkspace, point: ManifoldPoint,
                     f"at t = {samples[-1]:.6g}: the {stage} reached "
                     f"adjacent floats"
                 )
-            end_mid = coefficient_at_probe(samples, mid, stage)
+            end_mid, = probe(samples, [mid], stage)
             if end_mid[0] < 0:
                 lo, end_lo = mid, end_mid
             else:
                 hi, end_hi = mid, end_mid
         return lo, end_lo[1], hi, end_hi[1]
 
-    def polish(samples, lo, v_lo, hi, v_hi, stage, tol):
-        """False position on a surviving bracket, v_lo < 0 < v_hi.
+    def false_position(lo, v_lo, hi, v_hi):
+        return lo - v_lo * (hi - lo) / (v_hi - v_lo)
 
-        The Anderson-Bjorck rule keeps both ends closing in.  Returns the
-        root estimate once the next iterate would move less than tol.
-        """
-        beta = lo - v_lo / ((v_hi - v_lo) / (hi - lo))
-        moved = 0.0
-        while lo < beta < hi:
-            sign, value = coefficient_at_probe(samples, beta, stage)
-            if value is None:
-                raise ConvergenceError(
-                    f"the {stage} iterate {beta!r} escaped before "
-                    f"t = {samples[-1]:.6g} inside a surviving bracket"
-                )
-            # When the same end moves twice in a row, scale down the value
-            # of the end left behind.
-            if sign < 0:
-                scale = 1.0 - value / v_lo
-                lo, v_lo = beta, value
-                if moved < 0:
-                    v_hi *= scale if scale > 0.0 else 0.5
-            else:
-                scale = 1.0 - value / v_hi
-                hi, v_hi = beta, value
-                if moved > 0:
-                    v_lo *= scale if scale > 0.0 else 0.5
-            moved = sign
-            step = lo - v_lo * (hi - lo) / (v_hi - v_lo) - beta
-            beta += step
-            if abs(step) <= tol:
-                break
-        return beta
-
-    # Predictor: bracket the short-probe root around the fixed-point value.
+    # Predictor: a Newton step from the fixed-point value at the short
+    # probe, inside a bracket whose ends give opposite signs.
     stage = "short-probe bracketing"
-    radius = max(bracket_factor * abs(point.correction), bracket_min)
+    center = point.correction
+    partner = center + _SHORT_PARTNER
+    radius = max(bracket_factor * abs(center), bracket_min)
     for _ in range(5):
-        lo, hi = point.correction - radius, point.correction + radius
-        end_lo = coefficient_at_probe(short_samples, lo, stage)
-        end_hi = coefficient_at_probe(short_samples, hi, stage)
+        lo, hi = center - radius, center + radius
+        end_lo, end_hi, end_c, end_p = probe(short_samples,
+                                             [lo, hi, center, partner], stage)
         if end_lo[0] < 0 < end_hi[0]:
             break
         radius *= 4.0
@@ -513,53 +686,94 @@ def refine_correction(workspace: SolutionMapWorkspace, point: ManifoldPoint,
             "could not bracket the refined correction: the unstable "
             "coefficient does not change sign around the fixed-point value"
         )
-    lo, v_lo, hi, v_hi = settle(short_samples, lo, end_lo, hi, end_hi,
-                                "short-probe escape bisection")
-    # The full-probe coefficient per unit beta: the short-probe chord slope
-    # grown by the unstable mode between the probes.
-    slope = (v_hi - v_lo) / (hi - lo) * np.exp(
-        growth * (probe_time - float(short_samples[-1]))
-    )
-    predictor = polish(short_samples, lo, v_lo, hi, v_hi,
-                       "short-probe polish",
-                       max(xtol, _PREDICTOR_COEFFICIENT_TOL / slope))
+    slope = predictor = math.nan
+    curvature = 0.0
+    if end_c[1] is not None and end_p[1] is not None:
+        slope = (end_p[1] - end_c[1]) / (partner - center)
+        if end_lo[1] is not None and end_hi[1] is not None:
+            curvature = ((end_hi[1] - end_c[1]) / (hi - center)
+                         - (end_c[1] - end_lo[1]) / (center - lo)) \
+                / (hi - lo) / slope
+        predictor = center + _newton_step(end_c[1], slope, curvature)
+    if not (slope > 0.0 and lo < predictor < hi):
+        lo, v_lo, hi, v_hi = settle(short_samples, lo, end_lo, hi, end_hi,
+                                    "short-probe escape bisection")
+        slope, curvature = (v_hi - v_lo) / (hi - lo), 0.0
+        predictor = false_position(lo, v_lo, hi, v_hi)
+    # The full-probe coefficient per unit beta and its relative curvature:
+    # the unstable mode grows the first by exp(growth * dT) between the
+    # probes, and the second, which comes from the quadratic term acting on
+    # the growing mode, by the same factor.
+    grown = np.exp(growth * (probe_time - float(short_samples[-1])))
+    full_slope, curvature = slope * grown, curvature * grown
 
-    # Polish: step from the predictor across the full-probe root, then
-    # narrow the bracket it makes.  An escaped run's coefficient grew to
-    # order one; steps that do not cross grow until the budget runs out.
-    stage = "full-probe bracketing"
-    near = predictor
-    end_near = coefficient_at_probe(full_samples, near, stage)
-    size = 1.0 if end_near[1] is None else abs(end_near[1])
-    step = _MARCH_OVERSHOOT * size / slope
-    while True:
-        far = near - end_near[0] * step
-        end_far = coefficient_at_probe(full_samples, far, stage)
-        if end_far[0] != end_near[0]:
-            break
-        near, end_near = far, end_far
-        step *= 4.0
-    if end_near[0] < 0:
-        ends = (near, end_near, far, end_far)
+    # Polish: safeguarded Newton at the full probe.
+    def opposite_to_best():
+        """Surviving full-probe solves of the other sign than the one
+        closest to zero."""
+        best_sign = solved[(len(full_samples), best[1])][0]
+        return [beta for beta, end in solves_at(full_samples)
+                if end[1] is not None and end[0] != best_sign]
+
+    def narrowest_sign_pair():
+        """The narrowest pair of neighbouring full-probe solves with the
+        negative one below, as (lo, end_lo, hi, end_hi), or None."""
+        ordered = sorted(solves_at(full_samples), key=lambda item: item[0])
+        pairs = [(a, end_a, b, end_b) for (a, end_a), (b, end_b)
+                 in zip(ordered, ordered[1:]) if end_a[0] < 0 < end_b[0]]
+        return min(pairs, key=lambda pair: pair[2] - pair[0], default=None)
+
+    x, side = predictor, (1.0 if predictor >= center else -1.0)
+    for _ in range(max_evaluations):
+        (sign, value), (_, partner_value) = probe(
+            full_samples, [x, x + side * _FULL_PARTNER], "full-probe polish")
+        step = math.nan
+        if value is not None:
+            # On the quadratic model, the secant to the partner is the slope
+            # at x times (1 + curvature * offset).
+            offset = side * _FULL_PARTNER
+            newton_slope = math.nan if partner_value is None else \
+                (partner_value - value) / offset / (1.0 + curvature * offset)
+            step = _newton_step(value, newton_slope if newton_slope > 0.0
+                                else full_slope, curvature)
+            if abs(step) <= xtol and opposite_to_best():
+                break
+        ends = narrowest_sign_pair()
+        if ends is None and value is None:
+            # March from the escaped iterate against its escape sign until
+            # the sign flips.
+            stride = _MARCH_OVERSHOOT / full_slope
+            while True:
+                far = x - sign * stride
+                (sign_far, _), = probe(full_samples, [far],
+                                       "full-probe bracketing")
+                if sign_far != sign:
+                    break
+                x, stride = far, 4.0 * stride
+            ends = narrowest_sign_pair()
+        if ends is not None:
+            lo, v_lo, hi, v_hi = settle(full_samples, *ends,
+                                        "full-probe escape bisection")
+            if not lo < x + step < hi:
+                step = false_position(lo, v_lo, hi, v_hi) - x
+        side = 1.0 if step > 0.0 else -1.0
+        x += step
     else:
-        ends = (far, end_far, near, end_near)
-    lo, v_lo, hi, v_hi = settle(full_samples, *ends,
-                                "full-probe escape bisection")
-    polish(full_samples, lo, v_lo, hi, v_hi, "full-probe polish", xtol)
-    # Inside the round-off floor the next estimate is as good as noise, so
-    # the result is the solved coefficient closest to zero at the probe.
-    _, beta_star = min(
-        (abs(value), beta) for (n, beta), (_, value) in solved.items()
-        if n == len(full_samples) and value is not None
-    )
+        raise ConvergenceError(
+            f"the full-probe polish did not settle within "
+            f"{max_evaluations} rounds"
+        )
+    _, beta_star, trajectory = best
+    bracket = min(abs(beta - beta_star) for beta in opposite_to_best())
 
     return RefineResult(
         beta=float(beta_star),
         picard_beta=point.correction,
         evaluations=len(solved),
-        bracket=float(hi - lo),
+        bracket=float(bracket),
         probe_time=probe_time,
         dt=float(dt),
+        trajectory=trajectory,
     )
 
 
@@ -677,35 +891,52 @@ def instability_witness(workspace: SolutionMapWorkspace, point: ManifoldPoint,
     discrete unstable channel at round-off size, which the flow amplifies
     exponentially into a spurious signal.
     """
+    return instability_witnesses(workspace, point, beta, [offset],
+                                 delta=delta, alpha=alpha, dt=dt, t_max=t_max,
+                                 window=window)[0]
+
+
+def instability_witnesses(workspace: SolutionMapWorkspace,
+                          point: ManifoldPoint, beta: float, offsets, *,
+                          delta: float, alpha: float = 1.0, dt: float = 1e-3,
+                          t_max: float = 20.0,
+                          window: tuple[float, float] = (1e-3, 1e-1)) -> list:
+    """``instability_witness`` for each of ``offsets``, solved together as
+    lanes of one ``evolve_lanes`` call; one report per offset."""
     model = workspace.model
-    u0 = corrected_initial_state(workspace, point, beta, offset)
     samples = mesh_prefix(workspace.times, t_max)
-    traj = evolve_full(
-        model, u0, float(samples[-1]), fixed_dt=dt, sample_times=samples,
+    trajectories = evolve_lanes(
+        model, [corrected_initial_state(workspace, point, beta, offset).values
+                for offset in offsets],
+        float(samples[-1]), dt=dt, sample_times=samples,
         collapse_floor=_collapse_floor(model),
     )
-    extracted = extract_modulated(model, traj, sigma_guess=point.sigma0)
-    return witness_report(workspace, traj, extracted, offset, delta=delta,
-                          alpha=alpha, window=window)
+    reports = []
+    for offset, traj in zip(offsets, trajectories):
+        extracted = extract_modulated(model, traj, sigma_guess=point.sigma0)
+        coefficients = unstable_coefficient(
+            workspace.grid, workspace.unstable_mode, workspace.sigma0,
+            extracted.sigma, extracted.w)
+        reports.append(witness_report(traj, extracted, coefficients, offset,
+                                      delta=delta, alpha=alpha,
+                                      window=window))
+    return reports
 
 
-def witness_report(workspace: SolutionMapWorkspace, traj: FullTrajectory,
-                   extracted: TrajectoryPath, offset: float, *, delta: float,
+def witness_report(traj: FullTrajectory, extracted: TrajectoryPath,
+                   coefficients: np.ndarray, offset: float, *, delta: float,
                    alpha: float = 1.0,
                    window: tuple[float, float] = (1e-3, 1e-1)) -> WitnessReport:
     """Fit the growth of the unstable coefficient along a witness trajectory.
 
     ``traj`` is the solve from the corrected state plus ``offset`` along the
-    unstable mode and ``extracted`` its extraction.  The extracted
-    coefficient is fitted with an exponential over the samples where its
-    magnitude lies inside ``window``; the escape direction distinguishes
-    blow-up (+1) from collapse toward zero (-1).
+    unstable mode, ``extracted`` its extraction and ``coefficients`` the
+    moving-frame unstable coefficients of that extraction
+    (``unstable_coefficient``).  They are fitted with an exponential over the
+    samples where their magnitude lies inside ``window``; the escape
+    direction distinguishes blow-up (+1) from collapse toward zero (-1).
     """
-    coeff = unstable_coefficient(workspace.grid, workspace.unstable_mode,
-                                 workspace.sigma0, extracted.sigma,
-                                 extracted.w)
-
-    magnitude = np.abs(coeff)
+    magnitude = np.abs(coefficients)
     mask = (magnitude >= window[0]) & (magnitude <= window[1])
     rate = None
     if np.count_nonzero(mask) >= 5:
@@ -720,7 +951,7 @@ def witness_report(workspace: SolutionMapWorkspace, traj: FullTrajectory,
         escape_sign=int(traj.stats["escape_sign"]),
         escape_time=traj.stats["escape_time"],
         times=extracted.times,
-        coefficients=coeff,
+        coefficients=coefficients,
         max_coefficient=float(np.max(magnitude)),
         max_remainder_margin=float(np.max(margins) / delta),
     )

@@ -63,14 +63,16 @@ def refined_bump(workspace, point_bump):
 
 
 @pytest.fixture(scope="session")
-def traj_bump(workspace, model, point_bump, refined_bump):
+def traj_bump(workspace, model, refined_bump):
+    """The comparison solve to t = 20 from beta*, continuing the
+    refinement's probe solve, with the pipeline's escape checks."""
     from adiaflow.paths import mesh_prefix
-    from adiaflow.reference import corrected_initial_state, evolve_full
+    from adiaflow.reference import _collapse_floor, evolve_lanes
 
-    u0 = corrected_initial_state(workspace, point_bump, refined_bump.beta)
     samples = mesh_prefix(workspace.times, 20.0)
-    return evolve_full(model, u0, float(samples[-1]), fixed_dt=1e-3,
-                       sample_times=samples)
+    return evolve_lanes(model, [refined_bump.trajectory], float(samples[-1]),
+                        dt=1e-3, sample_times=samples,
+                        collapse_floor=_collapse_floor(model))[0]
 
 
 @pytest.fixture(scope="session")

@@ -25,12 +25,13 @@ from adiaflow.model import PulseModel
 from adiaflow.modulation import solve_modulation
 from adiaflow.paths import mesh_prefix, time_mesh
 from adiaflow.reference import (
+    _collapse_floor,
     compare_effective,
-    corrected_initial_state,
-    evolve_full,
+    evolve_lanes,
     extract_modulated,
-    instability_witness,
+    instability_witnesses,
     refine_correction,
+    unstable_coefficient,
     witness_report,
 )
 from adiaflow.spectral import decompose, measure_propagator_constant
@@ -189,10 +190,10 @@ def test_criterion_07_reduced_matches_full(workspace, model, point_bump,
     refined_half = refine_correction(workspace, point_bump, dt=5e-4,
                                      probe_time=16.0)
     samples = mesh_prefix(workspace.times, 20.0)
-    traj_half = evolve_full(
-        model, corrected_initial_state(workspace, point_bump,
-                                       refined_half.beta),
-        float(samples[-1]), fixed_dt=5e-4, sample_times=samples,
+    # Continue the probe solve of the refined coefficient to t = 20.
+    traj_half, = evolve_lanes(
+        model, [refined_half.trajectory], float(samples[-1]), dt=5e-4,
+        sample_times=samples, collapse_floor=_collapse_floor(model),
     )
     comp_half = compare_effective(
         workspace, point_bump, traj_half,
@@ -218,13 +219,15 @@ def test_criterion_07_reduced_matches_full(workspace, model, point_bump,
 
 def test_criterion_08_instability_witness(workspace, point_bump, refined_bump,
                                           traj_bump, extracted_bump, report):
-    plus = instability_witness(workspace, point_bump, refined_bump.beta,
-                               +1e-3, delta=DELTA, t_max=20.0)
-    minus = instability_witness(workspace, point_bump, refined_bump.beta,
-                                -1e-3, delta=DELTA, t_max=20.0)
+    plus, minus = instability_witnesses(workspace, point_bump,
+                                        refined_bump.beta, [+1e-3, -1e-3],
+                                        delta=DELTA, t_max=20.0)
     # traj_bump is the zero-offset witness solve: same state, step and mesh
     # (test_witness_report_of_the_comparison_trajectory checks the reports).
-    stay = witness_report(workspace, traj_bump, extracted_bump, 0.0,
+    coefficients = unstable_coefficient(
+        workspace.grid, workspace.unstable_mode, workspace.sigma0,
+        extracted_bump.sigma, extracted_bump.w)
+    stay = witness_report(traj_bump, extracted_bump, coefficients, 0.0,
                           delta=DELTA)
     rates_ok = all(
         wit.rate is not None and abs(wit.rate - 1.25) <= 0.19

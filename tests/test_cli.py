@@ -8,7 +8,7 @@ import pytest
 from adiaflow.cli import main
 from adiaflow.errors import ConvergenceError
 from adiaflow.grid import GridField
-from adiaflow.harness import write_field_csv
+from adiaflow.harness import construct_point, write_field_csv
 from adiaflow.manifold import construct_manifold_point
 
 
@@ -149,6 +149,33 @@ def test_speed_prefactor_sets_the_construct_command_speed_constant(
     margins = reference.path.admissibility_margins(0.05, 1.0, speed)
     assert payload["margins"]["sigma_dot_margin"] == pytest.approx(
         margins["sigma_dot_margin"], rel=1e-9)
+
+
+def test_compare_rebuilds_the_point_with_its_own_manifold_section(
+        tmp_path, capsys, monkeypatch):
+    from adiaflow import cli
+
+    point = tmp_path / "point.json"
+    traj = tmp_path / "traj.csv"
+    assert main(["--set", "manifold.speed_prefactor=0.3", "construct",
+                 "--eta", "stable-bump", "--out", str(point)]) == 0
+    payload = json.loads(point.read_text(encoding="utf-8"))
+    assert payload["manifold"]["speed_prefactor"] == 0.3
+    assert main(["simulate", "--init", str(point), "--T", "5",
+                 "--out", str(traj)]) == 0
+    rebuilt = []
+
+    def recording(*args, **kwargs):
+        rebuilt.append(construct_point(*args, **kwargs))
+        return rebuilt[-1]
+
+    monkeypatch.setattr(cli, "construct_point", recording)
+    capsys.readouterr()
+    assert main(["compare", "--point", str(point), "--traj", str(traj),
+                 "--out", str(tmp_path / "report.json")]) == 0
+    # Rebuilt at the point file's prefactor 0.3, not the default 1.
+    assert rebuilt[0].distances == payload["distances"]
+    assert rebuilt[0].distances[-1] == pytest.approx(1.317e-11, rel=1e-3)
 
 
 def test_a_typed_error_in_a_stage_is_a_failed_check_of_that_stage(

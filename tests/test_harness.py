@@ -19,6 +19,7 @@ from adiaflow.reference import (
     corrected_initial_state,
     evolve_full,
     extract_modulated,
+    unstable_coefficient,
 )
 
 LEDGER_CHECKS = {
@@ -108,8 +109,10 @@ def test_trajectory_csv_round_trip(model, grid, spectrum, workspace, tmp_path):
     traj = evolve_full(model, u0, 0.1, fixed_dt=1e-3,
                        sample_times=np.array([0.0, 0.05, 0.1]))
     extracted = extract_modulated(model, traj, sigma_guess=0.0)
+    coefficients = unstable_coefficient(grid, workspace.unstable_mode, 0.0,
+                                        extracted.sigma, extracted.w)
     header, rows = trajectory_rows(traj, extracted, traj.energies(model),
-                                   workspace.unstable_mode, 0.0)
+                                   coefficients)
     assert header[:5] == ["t", "sigma", "strong_norm_w",
                           "unstable_coefficient", "energy"]
     assert len(header) == 5 + grid.n
@@ -148,11 +151,12 @@ def test_point_payload_fields(cfg, point_bump, refined_bump):
     runtime = build_runtime(cfg)
     payload = point_payload(runtime, "stable-bump", point_bump, None)
     assert set(payload) == {
-        "preset", "sigma0", "delta", "alpha", "beta", "beta_star", "refine",
+        "preset", "sigma0", "manifold", "beta", "beta_star", "refine",
         "correction_strong_norm", "eta_strong_norm", "iterations",
-        "distances", "contraction_ratios", "tail_bound", "margins", "mesh",
+        "distances", "contraction_ratios", "tail_bound", "margins",
         "eta_values", "initial_values", "unstable_mode",
     }
+    assert payload["manifold"] == cfg.to_dict()["manifold"]
     assert payload["preset"] == "stable-bump"
     assert payload["beta"] == point_bump.correction
     assert payload["beta_star"] is None and payload["refine"] is None

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from adiaflow import reference
 from adiaflow.errors import ConvergenceError
@@ -16,11 +18,21 @@ from adiaflow.reference import (
     compare_effective,
     corrected_initial_state,
     evolve_full,
+    evolve_lanes,
     extract_modulated,
     instability_witness,
+    instability_witnesses,
     refine_correction,
+    unstable_coefficient,
     witness_report,
 )
+
+def frame_coefficients(workspace, extracted):
+    """Moving-frame unstable coefficients of an extraction."""
+    return unstable_coefficient(workspace.grid, workspace.unstable_mode,
+                                workspace.sigma0, extracted.sigma,
+                                extracted.w)
+
 
 #: Decay envelope for a seed of strong size 0.01 followed to t = 10 with
 #: spectral-gap rate: 3 * 0.01 * exp(-0.7 * 10).
@@ -48,10 +60,26 @@ def uncorrected_run(model, grid, stable_direction):
     return traj
 
 
+def recording_lanes(log, alter=None):
+    """An ``evolve_lanes`` that logs (initial state bytes, final time) for
+    each lane, then solves them; ``alter(index, trajectory)`` may change the
+    trajectory of the lane with that index in the log."""
+    def recording(model, starts, t_final, **kwargs):
+        first = len(log)
+        log.extend((np.asarray(u0).tobytes(), float(t_final))
+                   for u0 in starts)
+        trajectories = evolve_lanes(model, starts, t_final, **kwargs)
+        if alter is not None:
+            for index, traj in enumerate(trajectories, start=first):
+                alter(index, traj)
+        return trajectories
+    return recording
+
+
 @pytest.fixture(scope="module")
 def refine_solves():
-    """(initial state bytes, final time) of each full solve that the
-    ``corrected_run`` refinement makes."""
+    """(initial state bytes, final time) of each lane that the
+    ``corrected_run`` refinement solves."""
     return []
 
 
@@ -61,12 +89,9 @@ def corrected_run(workspace, model, grid, stable_direction, refine_solves):
     point = construct_manifold_point(workspace, eta, delta=0.05, alpha=1.0,
                                      fixed_point_tol=1e-10, max_iter=30)
 
-    def recording(model, u0, t_final, **kwargs):
-        refine_solves.append((u0.values.tobytes(), float(t_final)))
-        return evolve_full(model, u0, t_final, **kwargs)
-
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(reference, "evolve_full", recording)
+        patch.setattr(reference, "evolve_lanes",
+                      recording_lanes(refine_solves))
         refined = refine_correction(workspace, point, dt=1e-3,
                                     probe_time=12.0)
     u0 = corrected_initial_state(workspace, point, refined.beta)
@@ -139,49 +164,68 @@ def test_refinement_solves_no_coefficient_twice(corrected_run, refine_solves):
     assert finals[-1] == refined.probe_time
 
 
-@pytest.mark.parametrize("stage", [
-    "short-probe bracketing", "short-probe polish", "full-probe bracketing",
+@pytest.mark.parametrize("stage, before, spare", [
+    pytest.param("short-probe bracketing", "none", 0,
+                 id="short-probe bracketing"),
+    pytest.param("short-probe bracketing", "none", 3,
+                 id="short-probe bracketing, lanes short"),
+    pytest.param("full-probe bracketing", "escaped first round", 0,
+                 id="full-probe bracketing"),
+    pytest.param("full-probe polish", "short", 0, id="full-probe polish"),
 ])
 def test_refinement_budget_binds_in_every_stage(
-        corrected_run, refine_solves, workspace, monkeypatch, stage):
+        corrected_run, refine_solves, workspace, monkeypatch, stage, before,
+        spare):
     point, refined, _ = corrected_run
     short_solves = sum(t_final < refined.probe_time
                        for _, t_final in refine_solves)
-    budget = {
-        "short-probe bracketing": 1,
-        "short-probe polish": short_solves - 1,
-        "full-probe bracketing": short_solves + 1,
-    }[stage]
+    # Lane solves made before the solve that the budget stops; ``spare``
+    # lanes more do not hold all lanes of that solve, so it is not started.
+    made = {
+        "none": 0,
+        "short": short_solves,
+        "escaped first round": short_solves + 2,
+    }[before]
+    budget = made + spare
+
+    def escaping_first_round(index, traj):
+        # The predictor and its partner escape, so the march starts.
+        if before == "escaped first round" and index >= short_solves:
+            traj.stats["escape_sign"] = 1
+            traj.stats["escape_time"] = float(traj.times[-1])
+
     calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args[2])
-        return evolve_full(*args, **kwargs)
-
-    monkeypatch.setattr(reference, "evolve_full", counting)
+    monkeypatch.setattr(reference, "evolve_lanes",
+                        recording_lanes(calls, escaping_first_round))
     with pytest.raises(ConvergenceError, match=stage):
         refine_correction(workspace, point, dt=1e-3, probe_time=12.0,
                           max_evaluations=budget)
-    assert len(calls) == budget
+    assert len(calls) == made
+    if spare == 0:
+        assert len(calls) == budget
 
 
 def test_escaping_polish_iterate_is_a_convergence_error(
-        corrected_run, workspace, monkeypatch):
-    point, _, _ = corrected_run
-    calls = []
+        corrected_run, refine_solves, workspace, monkeypatch):
+    point, refined, _ = corrected_run
+    # Every lane after the first two full-probe rounds escapes; the third
+    # round's iterate lies between the surviving, opposite-sign second
+    # iterate and its partner.
+    survivors = sum(t_final < refined.probe_time
+                    for _, t_final in refine_solves) + 4
+    assert refined.evaluations == survivors + 2
 
-    def escaping_after_bracket(*args, **kwargs):
-        traj = evolve_full(*args, **kwargs)
-        calls.append(args[2])
-        if len(calls) > 2:  # the two bracket ends survive, polish escapes
+    def escaping(index, traj):
+        if index >= survivors:
             traj.stats["escape_sign"] = 1
             traj.stats["escape_time"] = float(traj.times[-1])
-        return traj
 
-    monkeypatch.setattr(reference, "evolve_full", escaping_after_bracket)
-    with pytest.raises(ConvergenceError, match="short-probe polish"):
+    calls = []
+    monkeypatch.setattr(reference, "evolve_lanes",
+                        recording_lanes(calls, escaping))
+    with pytest.raises(ConvergenceError, match="full-probe polish"):
         refine_correction(workspace, point, dt=1e-3, probe_time=12.0)
-    assert len(calls) == 3
+    assert len(calls) == survivors + 2
 
 
 def test_corrected_seed_meets_the_decay_bound(corrected_run, model, grid):
@@ -378,8 +422,9 @@ def test_witness_report_of_the_comparison_trajectory(workspace, point_bump,
                                                      refined_bump, traj_bump,
                                                      extracted_bump):
     # traj_bump is the zero-offset witness solve: same state, step and mesh.
-    analysed = witness_report(workspace, traj_bump, extracted_bump, 0.0,
-                              delta=0.05)
+    analysed = witness_report(traj_bump, extracted_bump,
+                              frame_coefficients(workspace, extracted_bump),
+                              0.0, delta=0.05)
     solved = instability_witness(workspace, point_bump, refined_bump.beta,
                                  0.0, delta=0.05)
     for item in dataclasses.fields(reference.WitnessReport):
@@ -456,15 +501,115 @@ def test_readouts_take_the_extraction_and_never_extract(
     monkeypatch.setattr(reference, "extract_modulated", refuse)
     monkeypatch.setattr(harness, "extract_modulated", refuse)
     monkeypatch.setattr(reference, "decompose_state", refuse)
+    coefficients = frame_coefficients(workspace, extracted_bump)
     header, rows = harness.trajectory_rows(
-        traj_bump, extracted_bump, traj_bump.energies(model),
-        workspace.unstable_mode, point_bump.sigma0,
-    )
+        traj_bump, extracted_bump, traj_bump.energies(model), coefficients)
     assert len(rows) == traj_bump.n_samples
     comparison = compare_effective(workspace, point_bump, traj_bump,
                                    extracted_bump, delta=0.05)
     assert comparison["n_samples"] == traj_bump.n_samples
-    quiet = witness_report(workspace, traj_bump, extracted_bump, 0.0,
+    quiet = witness_report(traj_bump, extracted_bump, coefficients, 0.0,
                            delta=0.05)
-    # The CSV column and the witness read the one coefficient formula.
+    # The CSV column and the witness read the one coefficient array.
     assert np.array_equal([row[3] for row in rows], quiet.coefficients)
+
+
+def assert_same_solve(mine, theirs):
+    assert np.array_equal(mine.times, theirs.times)
+    assert np.array_equal(mine.u_samples, theirs.u_samples)
+    assert mine.stats == theirs.stats
+
+
+#: Offsets along the unstable mode: one lane that survives, one that blows
+#: up early, one that collapses and one that blows up late.
+LANE_OFFSETS = (0.0, 3e-2, -1e-2, 1e-2)
+
+
+@pytest.fixture(scope="module")
+def single_solves(workspace, model):
+    samples = mesh_prefix(workspace.times, 5.0)
+    floor = reference._collapse_floor(model)
+    starts = [model.profile.values + offset * workspace.unstable_mode
+              for offset in LANE_OFFSETS]
+    singles = [evolve_full(model, GridField(u0, model.grid),
+                           float(samples[-1]), fixed_dt=1e-3,
+                           sample_times=samples, collapse_floor=floor)
+               for u0 in starts]
+    assert [traj.stats["escape_sign"] for traj in singles] == [0, 1, -1, 1]
+    return starts, samples, floor, singles
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 3, 4])
+def test_lanes_are_bitwise_their_single_solves(model, single_solves, lanes):
+    starts, samples, floor, singles = single_solves
+    solved = evolve_lanes(model, starts[:lanes], float(samples[-1]), dt=1e-3,
+                          sample_times=samples, collapse_floor=floor)
+    assert len(solved) == lanes
+    for mine, theirs in zip(solved, singles):
+        assert_same_solve(mine, theirs)
+        assert mine.stats["escape_time"] == theirs.stats["escape_time"]
+        assert (mine.end is None) == mine.escaped
+
+
+def test_continued_solves_equal_solves_from_zero(workspace, model,
+                                                single_solves):
+    starts, samples, floor, singles = single_solves
+    early = mesh_prefix(workspace.times, 3.0)
+    # Both lanes survive to t = 3; the second escapes after it.
+    begun = evolve_lanes(model, [starts[0], starts[3]], float(early[-1]),
+                         dt=1e-3, sample_times=early, collapse_floor=floor)
+    assert not any(traj.escaped for traj in begun)
+    continued = evolve_lanes(model, begun, float(samples[-1]), dt=1e-3,
+                             sample_times=samples, collapse_floor=floor)
+    for mine, theirs in zip(continued, (singles[0], singles[3])):
+        assert_same_solve(mine, theirs)
+        assert list(mine.stats) == list(theirs.stats)
+
+
+def test_the_comparison_solve_continues_the_probe_solve(refined_bump,
+                                                        traj_bump):
+    probe = refined_bump.trajectory
+    assert probe.times[-1] == refined_bump.probe_time
+    assert probe.stats["steps"] < traj_bump.stats["steps"]
+    assert np.array_equal(traj_bump.times[:probe.n_samples], probe.times)
+    assert np.array_equal(traj_bump.u_samples[:probe.n_samples],
+                          probe.u_samples)
+
+
+def test_only_a_surviving_fixed_step_solve_on_the_same_samples_continues(
+        model, single_solves):
+    starts, samples, floor, singles = single_solves
+    survived, escaped = singles[0], singles[1]
+    longer = np.append(samples, samples[-1] + 0.02)
+    with pytest.raises(ValueError):
+        evolve_lanes(model, [escaped], float(longer[-1]), dt=1e-3,
+                     sample_times=longer)
+    with pytest.raises(ValueError):
+        evolve_lanes(model, [survived], float(longer[-1]), dt=5e-4,
+                     sample_times=longer)
+    with pytest.raises(ValueError):
+        evolve_lanes(model, [survived], float(longer[-1]), dt=1e-3,
+                     sample_times=longer[::2])
+    with pytest.raises(ValueError):
+        evolve_lanes(model, [survived, starts[0]], float(longer[-1]),
+                     dt=1e-3, sample_times=longer)
+
+
+@settings(max_examples=4, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(offsets=st.lists(
+    st.tuples(st.sampled_from((-1.0, 0.0, 1.0)),
+              st.floats(min_value=-2.0, max_value=-0.7)),
+    min_size=1, max_size=4))
+def test_every_lane_is_its_single_solve(workspace, model, offsets):
+    samples = mesh_prefix(workspace.times, 3.0)
+    floor = reference._collapse_floor(model)
+    starts = [model.profile.values + sign * 10.0**power
+              * workspace.unstable_mode for sign, power in offsets]
+    solved = evolve_lanes(model, starts, float(samples[-1]), dt=2e-3,
+                          sample_times=samples, collapse_floor=floor)
+    for u0, mine in zip(starts, solved):
+        single = evolve_full(model, GridField(u0, model.grid),
+                             float(samples[-1]), fixed_dt=2e-3,
+                             sample_times=samples, collapse_floor=floor)
+        assert_same_solve(mine, single)
