@@ -49,7 +49,7 @@ def main() -> None:
     # Why the correction is necessary: replay the unstable channel forward.
     # Starting from the backward-selected value reproduces the bounded
     # branch; any offset grows like exp(1.25 t).
-    branch = workspace.unstable_coefficients(point.path)
+    branch = grid.inner_values(point.path.w, workspace.unstable_mode)
     replay = forward_unstable_coefficient(workspace, point.unstable_source,
                                           point.correction)
     offset = forward_unstable_coefficient(workspace, point.unstable_source,

@@ -20,7 +20,7 @@ from adiaflow.presets import preset_field
 from adiaflow.reference import (
     compare_effective,
     corrected_initial_state,
-    evolve_full,
+    evolve_lanes,
     extract_modulated,
     refine_correction,
 )
@@ -48,10 +48,9 @@ def main() -> None:
     print()
 
     samples = mesh_prefix(workspace.times, HORIZON)
-    traj = evolve_full(model, corrected_initial_state(workspace, point,
-                                                      refined.beta),
-                       float(samples[-1]), fixed_dt=1e-3,
-                       sample_times=samples)
+    start = corrected_initial_state(workspace, point, refined.beta)
+    traj = evolve_lanes(model, [start.values], float(samples[-1]), dt=1e-3,
+                        sample_times=samples)[0]
     extracted = extract_modulated(model, traj, sigma_guess=point.sigma0)
     comparison = compare_effective(workspace, point, traj, extracted,
                                    delta=DELTA)

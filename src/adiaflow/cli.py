@@ -201,13 +201,19 @@ def _cmd_construct(args, cfg: ExperimentConfig) -> int:
 
 
 def _cmd_scan_phi(args, cfg: ExperimentConfig) -> int:
+    try:
+        scales = [float(s) for s in args.scales.split(",") if s.strip()]
+    except ValueError as err:
+        raise ConfigError(f"malformed scales {args.scales!r}: {err}") from err
+    if not scales:
+        raise ConfigError("at least one scale is required")
+    if not all(0.0 < s < np.inf for s in scales):
+        raise ConfigError(f"every scale must be a positive finite seed size, "
+                          f"got {args.scales!r}")
     runtime = build_runtime(cfg)
     label, direction = _eta_argument(args.direction, runtime)
     if direction.strong_norm() == 0.0:
         raise ConfigError("scan direction must be a nonzero field")
-    scales = [float(s) for s in args.scales.split(",") if s.strip()]
-    if not scales:
-        raise ConfigError("at least one scale is required")
     scan = scan_corrections(cfg, runtime.workspace, direction, scales)
     with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
         writer = csv.writer(handle, lineterminator="\n")
@@ -224,6 +230,9 @@ def _cmd_scan_phi(args, cfg: ExperimentConfig) -> int:
 
 
 def _cmd_simulate(args, cfg: ExperimentConfig) -> int:
+    if not args.T >= 0.0:
+        raise ConfigError(f"requested horizon T = {args.T:g} must be "
+                          f"nonnegative")
     if args.init in PRESET_NAMES:
         runtime = build_runtime(cfg)
         point = construct_point(

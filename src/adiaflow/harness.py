@@ -71,13 +71,13 @@ QUIET_COEFFICIENT_BOUND = 1e-3
 
 @dataclass
 class Runtime:
-    """Configured grid, model, spectrum, mesh, and solution-map workspace."""
+    """Configured grid, model, spectrum, and solution-map workspace; the
+    configured time mesh is ``workspace.times``."""
 
     config: ExperimentConfig
     grid: PeriodicGrid
     model: PulseModel
     spectrum: SpectralData
-    times: np.ndarray = field(repr=False)
     workspace: SolutionMapWorkspace = field(repr=False)
 
 
@@ -103,11 +103,10 @@ def build_runtime(cfg: ExperimentConfig) -> Runtime:
         gap_threshold=cfg.spectral.gap_threshold,
         zero_tol=cfg.spectral.zero_tol,
     )
-    times = config_mesh(cfg)
-    workspace = SolutionMapWorkspace(spectrum, times=times)
+    workspace = SolutionMapWorkspace(spectrum, times=config_mesh(cfg))
     return Runtime(
         config=cfg, grid=model.grid, model=model, spectrum=spectrum,
-        times=times, workspace=workspace,
+        workspace=workspace,
     )
 
 
@@ -830,7 +829,7 @@ def _pipeline_stages(runtime: Runtime, eta_preset: str, out_dir: str,
     witnesses = functools.partial(
         instability_witnesses, workspace, point, refine.beta, delta=delta,
         alpha=alpha, dt=cfg.reference.fixed_dt,
-        t_max=cfg.reference.witness_horizon,
+        t_max=cfg.reference.witness_horizon, ceiling=cfg.reference.ceiling,
     )
     if offset > 0.0:
         reports = witnesses([offset, -offset])

@@ -40,6 +40,9 @@ from .spectral import SpectralData, project_stable, propagate_stable_batch
 #: this weak-inner-product tolerance (scaled by the field size).
 ORTHOGONALITY_TOL = 1e-10
 
+#: ``random_admissible_path`` fills this fraction of the weighted decay set.
+_PATH_MARGIN = 0.9
+
 
 def default_speed_constant(model) -> float:
     """Admissible chart-speed constant c = c'(c_h + 1) with c' = 1."""
@@ -84,9 +87,6 @@ class ManifoldPoint:
     distances: list
     contraction_ratios: list
     iterations: int
-
-    def initial_remainder(self) -> GridField:
-        return GridField(self.path.w[0].copy(), self.path.grid)
 
 
 class SolutionMapWorkspace:
@@ -203,10 +203,6 @@ class SolutionMapWorkspace:
             tail_bound=tail_bound,
         )
 
-    def unstable_coefficients(self, path: TrajectoryPath) -> np.ndarray:
-        """Coefficient of the unstable mode along a path (weak projections)."""
-        return self.grid.spacing * (path.w @ self.unstable_mode)
-
 
 def check_input_field(workspace: SolutionMapWorkspace, eta: GridField) -> None:
     """Require eta to carry no tangent or unstable component."""
@@ -235,34 +231,30 @@ def seed_path(workspace: SolutionMapWorkspace, eta: GridField) -> TrajectoryPath
 def apply_solution_map(workspace: SolutionMapWorkspace, eta: GridField,
                        trial: TrajectoryPath | None = None, *,
                        delta: float, alpha: float = 1.0,
-                       speed_constant: float | None = None,
-                       eta_fraction: float = 1.0) -> SolutionMapResult:
+                       speed_constant: float) -> SolutionMapResult:
     """One checked application of the solution map.
 
     Verifies that eta is admissible input (orthogonal, strong norm at most
-    ``eta_fraction * delta``) and that the output path lies in the weighted
-    decay set for (delta, alpha); violations raise.
+    delta) and that the output path lies in the weighted decay set for
+    (delta, alpha) and the chart-speed constant; violations raise.
     """
     check_input_field(workspace, eta)
     sn = eta.strong_norm()
-    if sn > eta_fraction * delta:
+    if sn > delta:
         raise BallViolationError(
             f"input strong norm {sn:.3e} exceeds the admissible seed size "
-            f"{eta_fraction * delta:.3e}"
+            f"{delta:.3e}"
         )
     if trial is None:
         trial = seed_path(workspace, eta)
     result = workspace.apply_raw(eta.values, trial.sigma, trial.w)
-    c = default_speed_constant(workspace.model) if speed_constant is None \
-        else speed_constant
-    result.path.check_admissible(delta, alpha, c)
+    result.path.check_admissible(delta, alpha, speed_constant)
     return result
 
 
 def construct_manifold_point(workspace: SolutionMapWorkspace, eta: GridField, *,
                              delta: float, alpha: float = 1.0,
                              speed_constant: float | None = None,
-                             eta_fraction: float = 1.0,
                              fixed_point_tol: float = 1e-10,
                              max_iter: int = 50,
                              initial_path: TrajectoryPath | None = None
@@ -272,7 +264,8 @@ def construct_manifold_point(workspace: SolutionMapWorkspace, eta: GridField, *,
     The iteration stops once successive paths differ by at most
     ``fixed_point_tol`` in the weighted path norm; each iterate is checked
     against the admissible set, so a delta that is too large fails loudly
-    rather than silently leaving the contraction regime.
+    rather than silently leaving the contraction regime.  Without a
+    ``speed_constant`` the admissible set uses ``default_speed_constant``.
     """
     c = default_speed_constant(workspace.model) if speed_constant is None \
         else speed_constant
@@ -285,7 +278,7 @@ def construct_manifold_point(workspace: SolutionMapWorkspace, eta: GridField, *,
     for iterations in range(1, max_iter + 1):
         result = apply_solution_map(
             workspace, eta, trial, delta=delta, alpha=alpha,
-            speed_constant=c, eta_fraction=eta_fraction,
+            speed_constant=c,
         )
         d = path_distance(result.path, trial, alpha, c)
         distances.append(d)
@@ -321,19 +314,6 @@ def construct_manifold_point(workspace: SolutionMapWorkspace, eta: GridField, *,
         contraction_ratios=ratios,
         iterations=iterations,
     )
-
-
-def beta_initial(workspace: SolutionMapWorkspace, eta: GridField,
-                 trial: TrajectoryPath | None = None) -> float:
-    """Correction produced by a single application at the given trial path.
-
-    With no trial supplied the propagated seed for eta is used.  The value
-    depends on the trial only through the sources, so closed-form trials
-    (separable in time) have analytically checkable corrections.
-    """
-    if trial is None:
-        trial = seed_path(workspace, eta)
-    return workspace.apply_raw(eta.values, trial.sigma, trial.w).correction
 
 
 def forward_unstable_coefficient(workspace: SolutionMapWorkspace,
@@ -394,27 +374,23 @@ def correction_scan(workspace: SolutionMapWorkspace, direction: GridField,
 
 
 def random_admissible_path(workspace: SolutionMapWorkspace, *, delta: float,
-                           alpha: float = 1.0,
-                           speed_constant: float | None = None,
-                           seed: int = 0, margin: float = 0.9,
-                           n_fields: int = 3) -> TrajectoryPath:
+                           alpha: float = 1.0, speed_constant: float,
+                           seed: int = 0) -> TrajectoryPath:
     """A smooth random path strictly inside the weighted decay set.
 
-    Spatial content is a few random low-frequency fields projected onto the
+    Spatial content is three random low-frequency fields projected onto the
     stable range; time content is the decay envelope times slow modulation.
     The whole path is rescaled so its worst weighted remainder ratio equals
-    ``margin``, and the chart speed is kept below the same fraction of its
-    bound.
+    ``_PATH_MARGIN``, and the chart speed is kept below the same fraction of
+    its bound ``speed_constant``.
     """
     rng = np.random.default_rng(seed)
     grid = workspace.grid
     times = workspace.times
-    c = default_speed_constant(workspace.model) if speed_constant is None \
-        else speed_constant
     envelope = 1.0 / time_weight(times, alpha)
 
     w = np.zeros((len(times), grid.n))
-    for _ in range(n_fields):
+    for _ in range(3):
         smooth = smooth_noise(grid, rng, 3.0)
         fld = project_stable(workspace.spectrum, GridField(smooth, grid))
         fld_values = fld.values / fld.strong_norm()
@@ -424,34 +400,33 @@ def random_admissible_path(workspace: SolutionMapWorkspace, *, delta: float,
         profile = envelope * amp * np.cos(omega * times + phase)
         w += profile[:, None] * fld_values[None, :]
     worst = np.max(grid.strong_norm_values(w) / (delta * envelope))
-    w *= margin / worst
+    w *= _PATH_MARGIN / worst
 
     # Chart trajectory: slowly varying speed inside the admissible tube.
     base, wobble = rng.uniform(-0.45, 0.45), rng.uniform(0.0, 0.4)
     omega = rng.uniform(0.05, 0.2)
     phase = rng.uniform(0.0, 2.0 * np.pi)
-    speed = margin * c * delta * envelope * (
+    speed = _PATH_MARGIN * speed_constant * delta * envelope * (
         base + wobble * np.cos(omega * times + phase)
     ) / max(abs(base) + wobble, 1.0)
     sigma = workspace.sigma0 + cumulative_trapezoid(speed, times, initial=0.0)
 
     path = TrajectoryPath(times=times.copy(), sigma=sigma, w=w, grid=grid)
-    path.check_admissible(delta, alpha, c)
+    path.check_admissible(delta, alpha, speed_constant)
     return path
 
 
 def measure_contraction(workspace: SolutionMapWorkspace, *, delta: float,
-                        alpha: float = 1.0,
-                        speed_constant: float | None = None,
+                        alpha: float = 1.0, speed_constant: float,
                         n_pairs: int = 10, seed: int = 5) -> dict:
     """Contraction factors of the map over random admissible path pairs.
 
     The seed field is irrelevant to differences of images (it enters the
     stable channels additively), so the zero field is used; each factor is
-    the path distance of the two images over the distance of the inputs.
+    the path distance of the two images over the distance of the inputs,
+    in the path norm of ``speed_constant``.
     """
-    c = default_speed_constant(workspace.model) if speed_constant is None \
-        else speed_constant
+    c = speed_constant
     zero = np.zeros(workspace.grid.n)
     factors = []
     for k in range(n_pairs):
@@ -479,13 +454,12 @@ def measure_contraction(workspace: SolutionMapWorkspace, *, delta: float,
 def measure_correction_lipschitz(workspace: SolutionMapWorkspace, *,
                                  delta: float, alpha: float = 1.0,
                                  n_pairs: int = 5, seed: int = 17,
-                                 eta_fraction: float = 1.0,
                                  fixed_point_tol: float = 1e-10) -> dict:
     """Measured Lipschitz quotients of the correction map on the seed ball.
 
-    Draws random smooth stable seed fields of strong norm up to
-    ``eta_fraction * delta``, constructs the correction at paired points,
-    and reports max |correction difference| / strong(seed difference).  The
+    Draws random smooth stable seed fields of strong norm up to 0.9 delta,
+    constructs the correction at paired points, and reports
+    max |correction difference| / strong(seed difference).  The
     quotient scales like delta for a quadratically tangent map, so the
     normalized column ``max / delta`` should be stable across delta.
     """
@@ -497,12 +471,12 @@ def measure_correction_lipschitz(workspace: SolutionMapWorkspace, *,
         for _ in range(2):
             smooth = smooth_noise(grid, rng, 3.0)
             fld = project_stable(workspace.spectrum, GridField(smooth, grid))
-            size = rng.uniform(0.3, 0.9) * eta_fraction * delta
+            size = rng.uniform(0.3, 0.9) * delta
             fields.append(GridField(size * fld.values / fld.strong_norm(), grid))
         pts = [
             construct_manifold_point(
                 workspace, f, delta=delta, alpha=alpha,
-                eta_fraction=eta_fraction, fixed_point_tol=fixed_point_tol,
+                fixed_point_tol=fixed_point_tol,
             )
             for f in fields
         ]

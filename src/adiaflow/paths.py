@@ -130,25 +130,17 @@ class TrajectoryPath:
             )
 
 
-def trivial_path(grid: PeriodicGrid, times: np.ndarray,
-                 sigma0: float = 0.0) -> TrajectoryPath:
-    """The constant path sitting at the equilibrium: sigma = sigma0, w = 0."""
-    m = len(times)
-    return TrajectoryPath(
-        times=np.asarray(times, dtype=float),
-        sigma=np.full(m, float(sigma0)),
-        w=np.zeros((m, grid.n)),
-        grid=grid,
-    )
-
-
-def _path_norm_arrays(times: np.ndarray, sigma: np.ndarray, w: np.ndarray,
-                      grid: PeriodicGrid, alpha: float, c: float) -> float:
+def path_distance(a: TrajectoryPath, b: TrajectoryPath, alpha: float,
+                  c: float) -> float:
+    """Path norm of the componentwise difference a - b (shared mesh); see the
+    module docstring for the formula."""
+    if a.n_samples != b.n_samples or not np.allclose(a.times, b.times):
+        raise ValueError("paths must share the same time mesh")
+    times = a.times
     weights = time_weight(times, alpha)
-    strongs = grid.strong_norm_values(w)
-    w_term = weights * strongs
+    w_term = weights * a.grid.strong_norm_values(a.w - b.w)
 
-    speed = np.abs(np.gradient(sigma, times))
+    speed = np.abs(np.gradient(a.sigma - b.sigma, times))
     integrand = weights * speed
     cumulative = np.concatenate(
         ([0.0], np.cumsum(np.diff(times) * 0.5 * (integrand[1:] + integrand[:-1])))
@@ -157,18 +149,3 @@ def _path_norm_arrays(times: np.ndarray, sigma: np.ndarray, w: np.ndarray,
     s_term[0] = integrand[0]  # the t -> 0 limit of the running average
     s_term[1:] = cumulative[1:] / times[1:]
     return float(np.max(w_term + s_term / c))
-
-
-def path_norm(path: TrajectoryPath, alpha: float, c: float) -> float:
-    """Weighted path norm; see the module docstring for the formula."""
-    return _path_norm_arrays(path.times, path.sigma, path.w, path.grid, alpha, c)
-
-
-def path_distance(a: TrajectoryPath, b: TrajectoryPath, alpha: float,
-                  c: float) -> float:
-    """Path norm of the componentwise difference a - b (shared mesh)."""
-    if a.n_samples != b.n_samples or not np.allclose(a.times, b.times):
-        raise ValueError("paths must share the same time mesh")
-    return _path_norm_arrays(
-        a.times, a.sigma - b.sigma, a.w - b.w, a.grid, alpha, c
-    )

@@ -7,15 +7,17 @@ space, the pointwise quadratic part advanced exactly by its closed-form
 solution — composed symmetrically for second-order accuracy.  The state
 lives in Fourier space between steps, so a step costs two FFTs, and the
 error estimate and escape checks read its norms by Parseval; it returns to
-physical space only where a sample is recorded.  Step sizes adapt by
-halving against a Richardson error estimate; a fixed-step mode keeps the
-discrete flow bitwise reproducible for shooting.
+physical space only where a sample is recorded.  There are two entry
+points:
 
-Fixed steps run in lanes (``evolve_lanes``): several states stepped as the
-rows of one array, two FFTs per step for all of them, each lane bitwise
-equal to its own solve and dropped when it escapes.  A fixed-step solve
-that did not escape can be continued to a later time, and the continued
-trajectory equals one solve from t = 0.
+* ``evolve_lanes`` takes fixed steps, so that shooting and comparison runs
+  traverse the identical, bitwise reproducible discrete flow.  Several
+  states run as lanes: the rows of one array, two FFTs per step for all of
+  them, each lane bitwise equal to its own solve and dropped when it
+  escapes.  A solve that did not escape can be continued to a later time,
+  and the continued trajectory equals one solve from t = 0;
+* ``evolve_full`` adapts its step by halving against a Richardson error
+  estimate, the one error-controlled solve.
 
 On top of the solver:
 
@@ -59,6 +61,10 @@ _DENOM_FLOOR = 0.5
 
 #: Hard floor on the adaptive step before the run is declared escaped.
 _DT_FLOOR = 1e-12
+
+#: First and largest adaptive step.
+_DT_INIT = 1e-3
+_DT_MAX = 5e-2
 
 
 @dataclass
@@ -304,21 +310,18 @@ def evolve_lanes(model: PulseModel, starts, t_final: float, *, dt: float,
 
 
 def evolve_full(model: PulseModel, u0: GridField, t_final: float,
-                tol: float = 1e-9, *, dt_init: float = 1e-3,
-                fixed_dt: float | None = None,
+                tol: float = 1e-9, *,
                 sample_times: np.ndarray | None = None,
                 ceiling: float = 10.0,
-                collapse_floor: float | None = None,
-                dt_max: float = 5e-2) -> FullTrajectory:
-    """Integrate the gradient flow up to t_final.
+                collapse_floor: float | None = None) -> FullTrajectory:
+    """Integrate the gradient flow up to t_final with adaptive steps.
 
-    In the default adaptive mode each step is taken twice (once whole, twice
-    halved) and accepted when the Richardson estimate of the halved result
-    meets ``tol`` in the weak norm; rejected steps halve the step size and
-    comfortable ones double it.  Passing ``fixed_dt`` disables the estimate
-    and steps deterministically, which shooting and comparison runs need so
-    that re-runs traverse the identical discrete flow: that mode is the
-    one-lane call of ``evolve_lanes``, whose result can be continued.
+    Each step is taken twice (once whole, twice halved) and accepted when
+    the Richardson estimate of the halved result meets ``tol`` in the weak
+    norm; rejected steps halve the step size and comfortable ones double
+    it, from ``_DT_INIT`` up to ``_DT_MAX``.  Fixed steps, which shooting
+    and comparison runs need so that re-runs traverse the identical discrete
+    flow, are ``evolve_lanes``; a one-state solve is its one-lane call.
 
     Between steps the state is kept as its rfft (see ``_SplitStepper``):
     the error estimate and the escape checks read its norms by Parseval,
@@ -334,15 +337,10 @@ def evolve_full(model: PulseModel, u0: GridField, t_final: float,
     if sample_times is None:
         sample_times = np.linspace(0.0, t_final, 401)
     sample_times = _checked_samples(sample_times, t_final)
-    if fixed_dt is not None:
-        return evolve_lanes(model, [u0.values], t_final, dt=fixed_dt,
-                            sample_times=sample_times, ceiling=ceiling,
-                            collapse_floor=collapse_floor)[0]
-
     stepper = _SplitStepper(model.grid)
     uh = np.fft.rfft(u0.values)[None]
     t = 0.0
-    dt = float(dt_init)
+    dt = _DT_INIT
 
     recorded_t: list[float] = []
     recorded_u: list[np.ndarray] = []
@@ -383,7 +381,7 @@ def evolve_full(model: PulseModel, u0: GridField, t_final: float,
             stats["max_error_estimate"], float(estimate)
         )
         if estimate < 0.1 * tol and not clamped:
-            dt = min(2.0 * dt, dt_max)
+            dt = min(2.0 * dt, _DT_MAX)
 
         stats["steps"] += 1
         uh = uh_new
@@ -500,6 +498,12 @@ _SHORT_PROBE_FRACTION = 0.25
 _SHORT_PARTNER = 1e-10
 _FULL_PARTNER = 1e-11
 
+#: The first short-probe bracket is the fixed-point value plus or minus
+#: this factor times its size, or at least the absolute width; it widens
+#: fourfold until its ends give opposite signs.
+_BRACKET_FACTOR = 4.0
+_BRACKET_MIN = 2e-5
+
 #: Overshoot of the march from an escaped full-probe solve, so that the
 #: march crosses the root even when the predicted slope is off by up to
 #: this factor.
@@ -534,7 +538,6 @@ def _newton_step(value: float, slope: float, curvature: float) -> float:
 
 def refine_correction(workspace: SolutionMapWorkspace, point: ManifoldPoint,
                       *, dt: float = 1e-3, probe_time: float | None = None,
-                      bracket_factor: float = 4.0, bracket_min: float = 2e-5,
                       max_evaluations: int = 60,
                       ceiling: float = 10.0) -> RefineResult:
     """Tune the initial unstable coefficient against the discrete full solver.
@@ -673,7 +676,7 @@ def refine_correction(workspace: SolutionMapWorkspace, point: ManifoldPoint,
     stage = "short-probe bracketing"
     center = point.correction
     partner = center + _SHORT_PARTNER
-    radius = max(bracket_factor * abs(center), bracket_min)
+    radius = max(_BRACKET_FACTOR * abs(center), _BRACKET_MIN)
     for _ in range(5):
         lo, hi = center - radius, center + radius
         end_lo, end_hi, end_c, end_p = probe(short_samples,
@@ -873,17 +876,23 @@ class WitnessReport:
     max_remainder_margin: float
 
 
+#: A witness fits the growth of its unstable coefficient over the samples
+#: whose magnitude lies in this window.
+_FIT_WINDOW = (1e-3, 1e-1)
+
+
 def instability_witness(workspace: SolutionMapWorkspace, point: ManifoldPoint,
                         beta: float, offset: float, *, delta: float,
                         alpha: float = 1.0, dt: float = 1e-3,
                         t_max: float = 20.0,
-                        window: tuple[float, float] = (1e-3, 1e-1)) -> WitnessReport:
+                        ceiling: float = 10.0) -> WitnessReport:
     """Evolve the corrected state with an unstable-mode offset and fit growth.
 
     With a zero offset the trajectory should stay decaying for the whole
     horizon; any nonzero offset seeds the unstable channel, whose growth
-    ``witness_report`` fits.  A weak norm at or below ``_collapse_floor``
-    ends the run as a collapse toward zero.
+    ``witness_report`` fits.  A strong norm at ``ceiling`` ends the run as a
+    blow-up, and a weak norm at or below ``_collapse_floor`` as a collapse
+    toward zero.
 
     Samples sit on the workspace mesh so the stepping — step size plus the
     clamps onto sample times — reproduces the discrete flow the refined
@@ -893,14 +902,13 @@ def instability_witness(workspace: SolutionMapWorkspace, point: ManifoldPoint,
     """
     return instability_witnesses(workspace, point, beta, [offset],
                                  delta=delta, alpha=alpha, dt=dt, t_max=t_max,
-                                 window=window)[0]
+                                 ceiling=ceiling)[0]
 
 
 def instability_witnesses(workspace: SolutionMapWorkspace,
                           point: ManifoldPoint, beta: float, offsets, *,
                           delta: float, alpha: float = 1.0, dt: float = 1e-3,
-                          t_max: float = 20.0,
-                          window: tuple[float, float] = (1e-3, 1e-1)) -> list:
+                          t_max: float = 20.0, ceiling: float = 10.0) -> list:
     """``instability_witness`` for each of ``offsets``, solved together as
     lanes of one ``evolve_lanes`` call; one report per offset."""
     model = workspace.model
@@ -908,7 +916,7 @@ def instability_witnesses(workspace: SolutionMapWorkspace,
     trajectories = evolve_lanes(
         model, [corrected_initial_state(workspace, point, beta, offset).values
                 for offset in offsets],
-        float(samples[-1]), dt=dt, sample_times=samples,
+        float(samples[-1]), dt=dt, sample_times=samples, ceiling=ceiling,
         collapse_floor=_collapse_floor(model),
     )
     reports = []
@@ -918,26 +926,24 @@ def instability_witnesses(workspace: SolutionMapWorkspace,
             workspace.grid, workspace.unstable_mode, workspace.sigma0,
             extracted.sigma, extracted.w)
         reports.append(witness_report(traj, extracted, coefficients, offset,
-                                      delta=delta, alpha=alpha,
-                                      window=window))
+                                      delta=delta, alpha=alpha))
     return reports
 
 
 def witness_report(traj: FullTrajectory, extracted: TrajectoryPath,
                    coefficients: np.ndarray, offset: float, *, delta: float,
-                   alpha: float = 1.0,
-                   window: tuple[float, float] = (1e-3, 1e-1)) -> WitnessReport:
+                   alpha: float = 1.0) -> WitnessReport:
     """Fit the growth of the unstable coefficient along a witness trajectory.
 
     ``traj`` is the solve from the corrected state plus ``offset`` along the
     unstable mode, ``extracted`` its extraction and ``coefficients`` the
     moving-frame unstable coefficients of that extraction
     (``unstable_coefficient``).  They are fitted with an exponential over the
-    samples where their magnitude lies inside ``window``; the escape
+    samples where their magnitude lies inside ``_FIT_WINDOW``; the escape
     direction distinguishes blow-up (+1) from collapse toward zero (-1).
     """
     magnitude = np.abs(coefficients)
-    mask = (magnitude >= window[0]) & (magnitude <= window[1])
+    mask = (magnitude >= _FIT_WINDOW[0]) & (magnitude <= _FIT_WINDOW[1])
     rate = None
     if np.count_nonzero(mask) >= 5:
         rate = float(np.polyfit(

@@ -18,6 +18,7 @@ from adiaflow.manifold import (
     SolutionMapWorkspace,
     construct_manifold_point,
     correction_scan,
+    default_speed_constant,
     measure_contraction,
     measure_correction_lipschitz,
 )
@@ -165,8 +166,10 @@ def test_criterion_05_stable_decay(spectrum, report):
 def test_criterion_06_contraction_and_construction(workspace, eta_bump,
                                                    report):
     start = time.perf_counter()
-    contraction = measure_contraction(workspace, delta=DELTA, alpha=ALPHA,
-                                      n_pairs=10, seed=5)
+    contraction = measure_contraction(
+        workspace, delta=DELTA, alpha=ALPHA,
+        speed_constant=default_speed_constant(workspace.model),
+        n_pairs=10, seed=5)
     point = construct_manifold_point(workspace, eta_bump, delta=DELTA,
                                      alpha=ALPHA, fixed_point_tol=1e-10,
                                      max_iter=30)

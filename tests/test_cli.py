@@ -200,3 +200,24 @@ def test_a_typed_error_in_a_stage_is_a_failed_check_of_that_stage(
     assert not shooting["passed"]
     assert shooting["details"]["error"] == "no surviving coefficient"
     assert report["artifacts"] == ["config.json", "ledger.json"]
+
+
+def test_a_negative_horizon_is_a_configuration_error(capsys):
+    assert main(["simulate", "--init", "zero", "--no-refine", "--T", "-1"]) == 2
+    assert "T = -1 must be nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scales, message", [
+    ("0.02,0", "positive finite seed size"),
+    ("0.02,-0.01", "positive finite seed size"),
+    ("0.02,x", "malformed scales"),
+])
+def test_a_scale_that_is_no_seed_size_is_refused_before_any_work(
+        capsys, monkeypatch, scales, message):
+    from adiaflow import cli
+
+    monkeypatch.setattr(cli, "build_runtime",
+                        lambda cfg: pytest.fail("the runtime was built"))
+    assert main(["scan-phi", "--direction", "stable-bump",
+                 "--scales", scales]) == 2
+    assert message in capsys.readouterr().err

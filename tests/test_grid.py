@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adiaflow.grid import GridField, PeriodicGrid, zero_field
 
@@ -59,6 +61,17 @@ def test_shift_roundtrip(grid):
     v = _smooth_noise(grid, 1)
     back = grid.shift_values(grid.shift_values(v, 1.3), -1.3)
     assert np.max(np.abs(back - v)) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       a=st.floats(min_value=-5.0, max_value=5.0),
+       b=st.floats(min_value=-5.0, max_value=5.0))
+def test_shifts_compose_by_adding_their_offsets(grid, seed, a, b):
+    v = _smooth_noise(grid, seed)
+    twice = grid.shift_values(grid.shift_values(v, a), b)
+    assert np.max(np.abs(twice - grid.shift_values(v, a + b))) <= 1e-12
+    assert np.array_equal(grid.shift_values(v, 0.0), v)
 
 
 def test_shift_accepts_a_vector_of_offsets(grid):

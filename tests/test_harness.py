@@ -17,7 +17,7 @@ from adiaflow.harness import (
 from adiaflow.paths import time_mesh
 from adiaflow.reference import (
     corrected_initial_state,
-    evolve_full,
+    evolve_lanes,
     extract_modulated,
     unstable_coefficient,
 )
@@ -106,8 +106,8 @@ def test_ledger_json_is_byte_deterministic(ledger, cfg, tmp_path):
 def test_trajectory_csv_round_trip(model, grid, spectrum, workspace, tmp_path):
     e_s = spectrum.eigenvectors[:, spectrum.stable_indices[0]]
     u0 = GridField(model.profile.values + 0.005 * e_s, grid)
-    traj = evolve_full(model, u0, 0.1, fixed_dt=1e-3,
-                       sample_times=np.array([0.0, 0.05, 0.1]))
+    traj = evolve_lanes(model, [u0.values], 0.1, dt=1e-3,
+                        sample_times=np.array([0.0, 0.05, 0.1]))[0]
     extracted = extract_modulated(model, traj, sigma_guess=0.0)
     coefficients = unstable_coefficient(grid, workspace.unstable_mode, 0.0,
                                         extracted.sigma, extracted.w)
@@ -142,7 +142,7 @@ def test_field_csv_round_trip(grid, eta_bump, tmp_path):
 def test_runtime_assembly(cfg):
     runtime = build_runtime(cfg)
     assert runtime.grid.n == 1024
-    assert np.array_equal(runtime.times, time_mesh())
+    assert np.array_equal(runtime.workspace.times, time_mesh())
     assert runtime.workspace.spectrum is runtime.spectrum
     assert runtime.model.grid is runtime.grid
 

@@ -7,7 +7,6 @@ from adiaflow.grid import GridField, zero_field
 from adiaflow.manifold import (
     ORTHOGONALITY_TOL,
     apply_solution_map,
-    beta_initial,
     check_input_field,
     construct_manifold_point,
     correction_scan,
@@ -17,7 +16,7 @@ from adiaflow.manifold import (
     random_admissible_path,
     seed_path,
 )
-from adiaflow.paths import TrajectoryPath, path_distance, trivial_path
+from adiaflow.paths import TrajectoryPath, path_distance
 from adiaflow.spectral import propagate_stable_batch
 
 DELTA = 0.05
@@ -60,8 +59,9 @@ def test_seed_path_is_the_stable_semigroup(workspace, eta_bump, grid):
 
 
 def test_map_on_the_trivial_path_is_the_semigroup(workspace, eta_bump, grid, model):
-    trivial = trivial_path(grid, workspace.times)
-    result = workspace.apply_raw(eta_bump.values, trivial.sigma, trivial.w)
+    m = workspace.n_samples
+    result = workspace.apply_raw(eta_bump.values, np.zeros(m),
+                                 np.zeros((m, grid.n)))
     expected = propagate_stable_batch(workspace.spectrum, eta_bump, workspace.times)
     assert np.max(grid.strong_norm_values(result.path.w - expected)) <= 1e-12
     assert result.correction == 0.0
@@ -69,9 +69,12 @@ def test_map_on_the_trivial_path_is_the_semigroup(workspace, eta_bump, grid, mod
 
 
 def test_backward_integral_of_nothing_is_zero(workspace, grid):
-    assert beta_initial(workspace, zero_field(grid)) == 0.0
-    trivial = trivial_path(grid, workspace.times)
-    assert beta_initial(workspace, zero_field(grid), trial=trivial) == 0.0
+    zero = zero_field(grid)
+    seed = seed_path(workspace, zero)
+    assert workspace.apply_raw(zero.values, seed.sigma, seed.w).correction == 0.0
+    m = workspace.n_samples
+    trivial = workspace.apply_raw(zero.values, np.zeros(m), np.zeros((m, grid.n)))
+    assert trivial.correction == 0.0
 
 
 def test_backward_integral_closed_form(workspace, spectrum, grid):
@@ -87,7 +90,8 @@ def test_backward_integral_closed_form(workspace, spectrum, grid):
         w=(eps * np.exp(-times))[:, None] * e_s[None, :],
         grid=grid,
     )
-    value = beta_initial(workspace, zero_field(grid), trial=trial)
+    value = workspace.apply_raw(np.zeros(grid.n), trial.sigma,
+                                trial.w).correction
     closed = (
         -eps**2
         * grid.inner_values(e_s**2, spectrum.unstable_mode)
@@ -110,7 +114,7 @@ def test_fixed_point_of_the_solution_map(workspace, eta_bump, point_bump, model,
 
     speed = default_speed_constant(model)
     replay = apply_solution_map(workspace, eta_bump, point_bump.path,
-                                delta=DELTA, alpha=ALPHA)
+                                delta=DELTA, alpha=ALPHA, speed_constant=speed)
     assert path_distance(replay.path, point_bump.path, ALPHA, speed) <= 1e-12
     assert replay.correction == pytest.approx(point_bump.correction, abs=1e-12)
     assert _orthogonality_along(model, grid, point_bump.path, stride=10) <= 1e-12
@@ -123,18 +127,18 @@ def test_initial_state_decomposition(workspace, point_bump, model, grid):
     assert unstable_part == pytest.approx(point_bump.correction, abs=1e-12)
     tangent = model.family_tangent(workspace.spectrum.base_point).values
     assert abs(grid.inner_values(remainder, tangent)) <= 1e-12
-    assert point_bump.initial_remainder().strong_norm() <= DELTA
+    assert grid.strong_norm_values(point_bump.path.w[0]) <= DELTA
 
 
 def test_fixed_point_independent_of_the_starting_trial(workspace, eta_bump,
                                                        point_bump, model):
+    speed = default_speed_constant(model)
     alternative = random_admissible_path(workspace, delta=DELTA, alpha=ALPHA,
-                                         seed=3)
+                                         speed_constant=speed, seed=3)
     other = construct_manifold_point(
         workspace, eta_bump, delta=DELTA, alpha=ALPHA,
         fixed_point_tol=1e-10, max_iter=30, initial_path=alternative,
     )
-    speed = default_speed_constant(model)
     assert path_distance(other.path, point_bump.path, ALPHA, speed) <= 1e-12
     assert abs(other.correction - point_bump.correction) <= 1e-12
 
@@ -151,7 +155,8 @@ def test_zero_seed_gives_the_trivial_point(workspace, grid):
 
 def test_random_admissible_path_sits_inside_the_tube(workspace, model):
     speed = default_speed_constant(model)
-    path = random_admissible_path(workspace, delta=DELTA, alpha=ALPHA, seed=21)
+    path = random_admissible_path(workspace, delta=DELTA, alpha=ALPHA,
+                                  speed_constant=speed, seed=21)
     margins = path.admissibility_margins(DELTA, ALPHA, speed)
     assert margins["w_margin"] == pytest.approx(0.9, rel=1e-9)
     assert margins["sigma_dot_margin"] <= 0.9 + 1e-9
@@ -159,8 +164,10 @@ def test_random_admissible_path_sits_inside_the_tube(workspace, model):
 
 
 def test_contraction_on_random_pairs(workspace):
-    result = measure_contraction(workspace, delta=DELTA, alpha=ALPHA,
-                                 n_pairs=2, seed=5)
+    result = measure_contraction(
+        workspace, delta=DELTA, alpha=ALPHA,
+        speed_constant=default_speed_constant(workspace.model),
+        n_pairs=2, seed=5)
     factors = result["factors"]
     assert factors.shape == (2,)
     assert np.all((factors > 0) & (factors <= 0.5))
@@ -176,7 +183,8 @@ def test_correction_scan_shrinks_quadratically(workspace, eta_bump, point_bump):
 
 
 def test_forward_replay_reproduces_the_bounded_branch(workspace, point_bump):
-    branch = workspace.unstable_coefficients(point_bump.path)
+    branch = workspace.grid.inner_values(point_bump.path.w,
+                                         workspace.unstable_mode)
     assert branch[0] == pytest.approx(point_bump.correction, abs=1e-12)
     replay = forward_unstable_coefficient(
         workspace, point_bump.unstable_source, point_bump.correction

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adiaflow.errors import BallViolationError, ConvergenceError
 from adiaflow.grid import GridField, smooth_noise, zero_field
@@ -160,6 +162,25 @@ def test_decompose_output_is_orthogonal_and_exact(model, grid):
         state_vals - (model.family(pt).values + w.values)
     )) <= 1e-15
     assert abs(pt.scalar - 0.42) <= 0.05
+
+
+@settings(max_examples=15, deadline=None)
+@given(sigma=st.floats(min_value=-1.0, max_value=1.0),
+       guess_offset=st.floats(min_value=-0.2, max_value=0.2),
+       size=st.floats(min_value=0.0, max_value=0.05),
+       seed=st.integers(0, 2**32 - 1))
+def test_decompose_inverts_a_family_point_plus_an_orthogonal_remainder(
+        model, grid, sigma, guess_offset, size, seed):
+    pt = model.symmetry_point(sigma)
+    tangent = model.family_tangent(pt).values
+    sm = smooth_noise(grid, np.random.default_rng(seed), 3.0)
+    sm -= grid.inner_values(sm, tangent) * tangent
+    w = size * sm / grid.strong_norm_values(sm)
+    state = GridField(model.family(pt).values + w, grid)
+    found, remainder = decompose_state(
+        model, state, model.symmetry_point(sigma + guess_offset))
+    assert abs(found.scalar - sigma) <= 1e-11
+    assert np.max(np.abs(remainder.values - w)) <= 1e-11
 
 
 def test_decompose_of_an_even_perturbation_keeps_the_chart_point(model, grid,

@@ -2,22 +2,28 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adiaflow.errors import AdmissibilityError
 from adiaflow.paths import (
     TrajectoryPath,
     mesh_prefix,
     path_distance,
-    path_norm,
     time_mesh,
     time_weight,
-    trivial_path,
 )
 
 
 @pytest.fixture(scope="module")
 def mesh():
     return time_mesh()
+
+
+def _frozen_path(grid, times, sigma0=0.0):
+    """The chart frozen at sigma0 and no remainder."""
+    return TrajectoryPath(times=times, sigma=np.full(len(times), sigma0),
+                          w=np.zeros((len(times), grid.n)), grid=grid)
 
 
 def _unit_field_rows(grid, amplitudes):
@@ -127,11 +133,9 @@ def test_chart_speed_violation_raises(grid):
 
 
 def test_trivial_path_has_zero_norm(grid, mesh):
-    path = trivial_path(grid, mesh, sigma0=0.4)
-    assert np.all(path.sigma == 0.4)
-    assert not np.any(path.w)
+    path = _frozen_path(grid, mesh, sigma0=0.4)
     # The nonuniform-mesh chart speed of a constant leaves gradient dust.
-    assert path_norm(path, 1.0, 2.0) <= 1e-14
+    assert path_distance(path, _frozen_path(grid, mesh), 1.0, 2.0) <= 1e-14
 
 
 def test_path_norm_hand_example(grid):
@@ -142,7 +146,35 @@ def test_path_norm_hand_example(grid):
     path = TrajectoryPath(times=times, sigma=np.zeros(3),
                           w=_unit_field_rows(grid, [amplitude] * 3), grid=grid)
     expected = amplitude * time_weight(times[-1], 1.0)
-    assert path_norm(path, 1.0, 2.0) == pytest.approx(expected, rel=1e-12)
+    assert path_distance(path, _frozen_path(grid, times), 1.0, 2.0) \
+        == pytest.approx(expected, rel=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_path_distance_is_a_metric(grid, seed):
+    rng = np.random.default_rng(seed)
+    times = np.cumsum(np.concatenate(([0.0], rng.uniform(0.1, 1.0, 5))))
+    alpha, c = rng.uniform(0.5, 2.0), rng.uniform(1.0, 3.0)
+
+    def path(sigma, w):
+        return TrajectoryPath(times=times, sigma=sigma, w=w, grid=grid)
+
+    def random_path(scale=1.0):
+        return path(scale * rng.normal(0.0, 0.1, len(times)),
+                    scale * rng.normal(0.0, 0.01, (len(times), grid.n)))
+
+    a, b = random_path(), random_path()
+    # A path near the segment from a to b, where the triangle inequality is
+    # close to an equality.
+    share, noise = rng.uniform(0.0, 1.0), random_path(rng.uniform(0.0, 0.1))
+    m = path(a.sigma + share * (b.sigma - a.sigma) + noise.sigma,
+             a.w + share * (b.w - a.w) + noise.w)
+    assert path_distance(a, a, alpha, c) == 0.0
+    assert path_distance(a, b, alpha, c) == pytest.approx(
+        path_distance(b, a, alpha, c), rel=1e-14)
+    assert path_distance(a, b, alpha, c) <= (1.0 + 1e-12) * (
+        path_distance(a, m, alpha, c) + path_distance(m, b, alpha, c))
 
 
 def test_path_distance_symmetry_and_mesh_guard(grid, mesh):
@@ -156,6 +188,6 @@ def test_path_distance_symmetry_and_mesh_guard(grid, mesh):
     backward = path_distance(path_b, path_a, 1.0, 2.0)
     assert forward == pytest.approx(backward, rel=1e-14)
     assert path_distance(path_a, path_a, 1.0, 2.0) == 0.0
-    other = trivial_path(grid, mesh)
+    other = _frozen_path(grid, mesh)
     with pytest.raises(ValueError):
         path_distance(path_a, other, 1.0, 2.0)

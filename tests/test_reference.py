@@ -96,8 +96,8 @@ def corrected_run(workspace, model, grid, stable_direction, refine_solves):
                                     probe_time=12.0)
     u0 = corrected_initial_state(workspace, point, refined.beta)
     samples = mesh_prefix(workspace.times, 10.0)
-    traj = evolve_full(model, u0, float(samples[-1]), fixed_dt=1e-3,
-                       sample_times=samples)
+    traj = evolve_lanes(model, [u0.values], float(samples[-1]), dt=1e-3,
+                        sample_times=samples)[0]
     return point, refined, traj
 
 
@@ -265,8 +265,10 @@ def test_translation_equivariance(model, grid, stable_direction):
     shift = 1.3
     u0s = GridField(grid.shift_values(u0.values, shift), grid)
     ends = np.array([0.0, 1.0])
-    plain = evolve_full(model, u0, 1.0, fixed_dt=1e-3, sample_times=ends)
-    moved = evolve_full(model, u0s, 1.0, fixed_dt=1e-3, sample_times=ends)
+    plain = evolve_lanes(model, [u0.values], 1.0, dt=1e-3,
+                         sample_times=ends)[0]
+    moved = evolve_lanes(model, [u0s.values], 1.0, dt=1e-3,
+                         sample_times=ends)[0]
     gap = grid.weak_norm_values(
         grid.shift_values(plain.u_samples[-1], shift) - moved.u_samples[-1]
     )
@@ -278,7 +280,7 @@ def physical_split_solve(model, u0, samples, dt, collapse_floor=None,
     """The split step in physical space, four FFTs a step, as a reference.
 
     Steps and sample clamps, escape checks and escape times follow
-    ``evolve_full`` in fixed-step mode; norms come from the grid.  Returns
+    ``evolve_lanes``; norms come from the grid.  Returns
     (times, samples, escape sign, escape time).
     """
     grid = model.grid
@@ -345,8 +347,8 @@ def test_fourier_state_solve_matches_the_physical_split_step(
     u0 = corrected_initial_state(workspace, point, refined.beta, offset)
     samples = mesh_prefix(workspace.times, t_end)
     floor = reference._collapse_floor(model)
-    traj = evolve_full(model, u0, float(samples[-1]), fixed_dt=1e-3,
-                       sample_times=samples, collapse_floor=floor)
+    traj = evolve_lanes(model, [u0.values], float(samples[-1]), dt=1e-3,
+                        sample_times=samples, collapse_floor=floor)[0]
     times, states, sign, escape_time = physical_split_solve(
         model, u0, samples, 1e-3, collapse_floor=floor)
     assert traj.stats["escape_sign"] == sign == np.sign(offset)
@@ -374,8 +376,8 @@ def test_fixed_step_solve_makes_two_ffts_per_step(model, grid, monkeypatch):
     for name in calls:
         monkeypatch.setattr(np.fft, name, counted(name))
     samples = np.linspace(0.0, 0.2, 5)
-    traj = evolve_full(model, model.profile, 0.2, fixed_dt=1e-3,
-                       sample_times=samples)
+    traj = evolve_lanes(model, [model.profile.values], 0.2, dt=1e-3,
+                        sample_times=samples)[0]
     steps = traj.stats["steps"]
     assert steps >= 200 and traj.n_samples == len(samples)
     # One forward transform of the initial state; the sample at t = 0 is
@@ -434,6 +436,19 @@ def test_witness_report_of_the_comparison_trajectory(workspace, point_bump,
             assert np.array_equal(mine, theirs), item.name
         else:
             assert mine == theirs, item.name
+
+
+def test_the_witness_stops_at_its_ceiling(workspace, point_bump):
+    # The pulse's weak norm is 2.45, so a ceiling of 2 stops the solve at its
+    # first step, and one of 4 stops it on the way to the blow-up.
+    reports = [instability_witness(workspace, point_bump,
+                                   point_bump.correction, 1e-3, delta=0.05,
+                                   ceiling=ceiling)
+               for ceiling in (2.0, 4.0, 10.0)]
+    assert [report.escape_sign for report in reports] == [1, 1, 1]
+    times = [report.escape_time for report in reports]
+    assert times[0] == 1e-3
+    assert times[0] < times[1] < times[2]
 
 
 def test_comparison_requires_the_shared_mesh(workspace, point_bump, grid):
@@ -531,9 +546,8 @@ def single_solves(workspace, model):
     floor = reference._collapse_floor(model)
     starts = [model.profile.values + offset * workspace.unstable_mode
               for offset in LANE_OFFSETS]
-    singles = [evolve_full(model, GridField(u0, model.grid),
-                           float(samples[-1]), fixed_dt=1e-3,
-                           sample_times=samples, collapse_floor=floor)
+    singles = [evolve_lanes(model, [u0], float(samples[-1]), dt=1e-3,
+                            sample_times=samples, collapse_floor=floor)[0]
                for u0 in starts]
     assert [traj.stats["escape_sign"] for traj in singles] == [0, 1, -1, 1]
     return starts, samples, floor, singles
@@ -609,7 +623,6 @@ def test_every_lane_is_its_single_solve(workspace, model, offsets):
     solved = evolve_lanes(model, starts, float(samples[-1]), dt=2e-3,
                           sample_times=samples, collapse_floor=floor)
     for u0, mine in zip(starts, solved):
-        single = evolve_full(model, GridField(u0, model.grid),
-                             float(samples[-1]), fixed_dt=2e-3,
-                             sample_times=samples, collapse_floor=floor)
+        single = evolve_lanes(model, [u0], float(samples[-1]), dt=2e-3,
+                              sample_times=samples, collapse_floor=floor)[0]
         assert_same_solve(mine, single)

@@ -166,13 +166,6 @@ def test_propagator_constant_frozen(spectrum):
     assert rate <= -0.7
 
 
-def test_rough_probes_cost_a_larger_constant(spectrum):
-    c2, _ = measure_propagator_constant(spectrum, seed=11)
-    c_rough, rate_rough = measure_propagator_constant(spectrum, seed=11, smooth=False)
-    assert c_rough >= c2
-    assert rate_rough <= -0.7
-
-
 def test_operator_lipschitz_vanishes_at_zero_separation(model):
     ratio = verify_operator_lipschitz(model, model.origin, model.origin, seed=7)
     assert ratio == 0.0
