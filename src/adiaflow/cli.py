@@ -205,11 +205,12 @@ def _cmd_scan_phi(args, cfg: ExperimentConfig) -> int:
         scales = [float(s) for s in args.scales.split(",") if s.strip()]
     except ValueError as err:
         raise ConfigError(f"malformed scales {args.scales!r}: {err}") from err
-    if not scales:
-        raise ConfigError("at least one scale is required")
     if not all(0.0 < s < np.inf for s in scales):
         raise ConfigError(f"every scale must be a positive finite seed size, "
                           f"got {args.scales!r}")
+    if len(set(scales)) < 2:
+        raise ConfigError(f"a log-log slope needs at least two distinct "
+                          f"scales, got {args.scales!r}")
     runtime = build_runtime(cfg)
     label, direction = _eta_argument(args.direction, runtime)
     if direction.strong_norm() == 0.0:

@@ -85,14 +85,24 @@ class PeriodicGrid:
         s_arr = np.asarray(s, dtype=float)
         if s_arr.ndim == 0 and s_arr == 0.0:
             return np.array(values, dtype=float, copy=True)
-        vhat = np.fft.rfft(values, axis=-1)
-        if s_arr.ndim == 0:
-            phase = np.exp(-1j * self.wavenumbers * s_arr)
-            phase[-1] = np.cos(self.wavenumbers[-1] * s_arr)
-            return np.fft.irfft(vhat * phase, self.n, axis=-1)
-        phase = np.exp(-1j * self.wavenumbers[None, :] * s_arr[:, None])
-        phase[:, -1] = np.cos(self.wavenumbers[-1] * s_arr)
-        return np.fft.irfft(vhat[None, :] * phase, self.n, axis=-1)
+        return self.apply_phases(np.fft.rfft(values, axis=-1),
+                                 self.shift_phases(s_arr))
+
+    def shift_phases(self, s) -> np.ndarray:
+        """The rfft phase table of a translation by s: exp(-i k s) per mode.
+
+        A scalar s gives one row, an array of shifts one row per shift; the
+        Nyquist entry is cos(k_nyq * s) so shifted fields stay real.  Every
+        row is bitwise the table of its own scalar shift.
+        """
+        s_arr = np.asarray(s, dtype=float)
+        phase = np.exp(-1j * self.wavenumbers * s_arr[..., None])
+        phase[..., -1] = np.cos(self.wavenumbers[-1] * s_arr)
+        return phase
+
+    def apply_phases(self, vhat: np.ndarray, phases: np.ndarray) -> np.ndarray:
+        """Grid values of the rfft coefficients ``vhat`` times ``phases``."""
+        return np.fft.irfft(vhat * phases, self.n, axis=-1)
 
     # -- norms on raw arrays --------------------------------------------------
     def inner_values(self, u: np.ndarray, v: np.ndarray):

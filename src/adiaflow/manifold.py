@@ -112,12 +112,17 @@ class SolutionMapWorkspace:
         zero_j = spectrum.zero_indices[0]
         self.zero_mode = spectrum.eigenvectors[:, zero_j]
 
-        # Base fields for batched frame translation.
+        # Base fields, kept as rfft coefficients for batched frame translation.
         origin = self.model.origin
-        self._pulse_base = self.model.family(origin).values
-        self._tangent_base = self.model.family_tangent(origin).values
-        self._second_base = self.model.family_second(origin).values
-        self._f_frozen = self.grid.shift_values(self._pulse_base, self.sigma0)
+        pulse_base = self.model.family(origin).values
+        self._pulse_hat = np.fft.rfft(pulse_base)
+        self._tangent_hat = np.fft.rfft(self.model.family_tangent(origin).values)
+        self._second_hat = np.fft.rfft(self.model.family_second(origin).values)
+        self._f_frozen = self.grid.shift_values(pulse_base, self.sigma0)
+        # The output chart path of the last application, its phase table and
+        # its tangent frame: a Picard round's trial path is the previous
+        # round's output, so its tangent frame is already built.
+        self._carried = (None, None, None)
 
         self._dt = np.diff(self.times)
         self._stable_decay = np.exp(-np.outer(self._dt, self.stable_eigenvalues))
@@ -135,25 +140,32 @@ class SolutionMapWorkspace:
         times, dt = self.times, self._dt
         m = self.n_samples
 
-        f_trial = grid.shift_values(self._pulse_base, sigma_trial)
-        tangent_trial = grid.shift_values(self._tangent_base, sigma_trial)
-        second_trial = grid.shift_values(self._second_base, sigma_trial)
+        carried_sigma, phases, tangent_trial = self._carried
+        if not np.array_equal(sigma_trial, carried_sigma):
+            phases = grid.shift_phases(sigma_trial)
+            tangent_trial = grid.apply_phases(self._tangent_hat, phases)
+        second_trial = grid.apply_phases(self._second_hat, phases)
 
         # Frame coefficient per sample; the chart moves at a * xi.
         modulation = frame_coefficient(grid, w_trial, tangent_trial,
                                        second_trial)
+        del second_trial
         speed = modulation * self.model.xi
         sigma_out = self.sigma0 + cumulative_trapezoid(speed, times, initial=0.0)
 
         # Sources: quadratic remainder, chart-velocity term, and the potential
         # difference between the moving frame and the frozen base point.
+        f_trial = grid.apply_phases(self._pulse_hat, phases)
         sources = (
             w_trial**2
             - modulation[:, None] * tangent_trial
             + 2.0 * (f_trial - self._f_frozen[None, :]) * w_trial
         )
+        # Free the trial frames before the projections, to keep peak memory.
+        del f_trial, tangent_trial, phases
         source_stable = h * (sources @ self.stable_modes)
         source_unstable = h * (sources @ self.unstable_mode)
+        del sources
 
         # Forward integration of the stable channels (exact decay kernel,
         # trapezoidal sources).
@@ -183,7 +195,9 @@ class SolutionMapWorkspace:
 
         # Tangent channel: slaved to the orthogonality constraint at the
         # output chart positions, making the constraint hold exactly.
-        tangent_out = grid.shift_values(self._tangent_base, sigma_out)
+        phases_out = grid.shift_phases(sigma_out)
+        tangent_out = grid.apply_phases(self._tangent_hat, phases_out)
+        self._carried = (sigma_out.copy(), phases_out, tangent_out)
         w_main = coeff @ self.stable_modes.T + branch[:, None] * self.unstable_mode
         overlap = grid.inner_values(self.zero_mode[None, :], tangent_out)
         if np.min(np.abs(overlap)) < 0.5:
@@ -350,9 +364,12 @@ def correction_scan(workspace: SolutionMapWorkspace, direction: GridField,
     The direction is normalized to unit strong norm, so ``scales`` are the
     seed sizes themselves.  Returns the corrections, the ratios
     |correction| / scale (which must shrink with the scale for a map that is
-    quadratically tangent to zero), and the log-log slope.
+    quadratically tangent to zero), and the log-log slope, which needs at
+    least two distinct scales.
     """
     scales = np.asarray(sorted(scales, reverse=True), dtype=float)
+    if len(np.unique(scales)) < 2:
+        raise ValueError("a log-log slope needs at least two distinct scales")
     unit = GridField(direction.values / direction.strong_norm(), direction.grid)
     corrections = []
     for s in scales:

@@ -211,6 +211,8 @@ def test_a_negative_horizon_is_a_configuration_error(capsys):
     ("0.02,0", "positive finite seed size"),
     ("0.02,-0.01", "positive finite seed size"),
     ("0.02,x", "malformed scales"),
+    ("0.02", "at least two distinct scales"),
+    ("0.02,0.02", "at least two distinct scales"),
 ])
 def test_a_scale_that_is_no_seed_size_is_refused_before_any_work(
         capsys, monkeypatch, scales, message):

@@ -83,6 +83,16 @@ def test_shift_accepts_a_vector_of_offsets(grid):
         assert np.max(np.abs(row - grid.shift_values(v, float(s)))) <= 1e-13
 
 
+def test_each_row_of_a_batched_shift_is_bitwise_its_scalar_shift(grid):
+    # A nonzero offset: a zero scalar shift is the identity, not a round trip.
+    v = _smooth_noise(grid, 3)
+    offsets = np.concatenate(([0.4, -1.1, 1e-3],
+                              np.random.default_rng(3).uniform(-5.0, 5.0, 13)))
+    block = grid.shift_values(v, offsets)
+    for row, s in zip(block, offsets):
+        assert np.array_equal(row, grid.shift_values(v, float(s)))
+
+
 def test_norms_of_the_constant_field(grid):
     v = np.ones(grid.n)
     assert grid.weak_norm_values(v) == pytest.approx(np.sqrt(40.0), rel=1e-14)

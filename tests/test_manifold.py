@@ -6,6 +6,7 @@ import pytest
 from adiaflow.grid import GridField, zero_field
 from adiaflow.manifold import (
     ORTHOGONALITY_TOL,
+    SolutionMapWorkspace,
     apply_solution_map,
     check_input_field,
     construct_manifold_point,
@@ -180,6 +181,61 @@ def test_correction_scan_shrinks_quadratically(workspace, eta_bump, point_bump):
     assert np.all(np.diff(scan["ratios"]) < 0)
     assert scan["corrections"][0] == pytest.approx(point_bump.correction, rel=1e-6)
     assert scan["loglog_slope"] == pytest.approx(2.0, abs=0.3)
+
+
+def test_correction_scan_needs_two_distinct_scales(workspace, eta_bump):
+    for scales in ([0.02], [0.02, 0.02]):
+        with pytest.raises(ValueError, match="two distinct scales"):
+            correction_scan(workspace, eta_bump, scales, delta=DELTA)
+
+
+def _count_phase_tables(monkeypatch, workspace):
+    built = []
+    shift_phases = workspace.grid.shift_phases
+
+    def counting(s):
+        built.append(s)
+        return shift_phases(s)
+
+    monkeypatch.setattr(workspace.grid, "shift_phases", counting)
+    return built
+
+
+def _assert_same_application(a, b):
+    assert np.array_equal(a.path.sigma, b.path.sigma)
+    assert np.array_equal(a.path.w, b.path.w)
+    assert a.correction == b.correction
+    assert np.array_equal(a.modulation, b.modulation)
+    assert np.array_equal(a.unstable_source, b.unstable_source)
+
+
+def test_carried_frame_reproduces_a_fresh_application(spectrum, eta_bump,
+                                                      point_bump, monkeypatch):
+    # The last Picard round leaves its output frame on the workspace, so
+    # applying the map to the point's own path reuses it.
+    carrying = SolutionMapWorkspace(spectrum)
+    point = construct_manifold_point(carrying, eta_bump, delta=DELTA,
+                                     initial_path=point_bump.path)
+    built = _count_phase_tables(monkeypatch, carrying)
+    hit = carrying.apply_raw(eta_bump.values, point.path.sigma, point.path.w)
+    assert len(built) == 1
+    missed = SolutionMapWorkspace(spectrum).apply_raw(
+        eta_bump.values, point.path.sigma, point.path.w)
+    _assert_same_application(hit, missed)
+
+
+def test_a_path_changed_in_place_does_not_reuse_the_carried_frame(
+        spectrum, eta_bump, point_bump, monkeypatch):
+    carrying = SolutionMapWorkspace(spectrum)
+    first = carrying.apply_raw(eta_bump.values, point_bump.path.sigma,
+                               point_bump.path.w)
+    sigma, w = first.path.sigma, first.path.w
+    sigma += 0.05
+    built = _count_phase_tables(monkeypatch, carrying)
+    again = carrying.apply_raw(eta_bump.values, sigma, w)
+    assert len(built) == 2
+    fresh = SolutionMapWorkspace(spectrum).apply_raw(eta_bump.values, sigma, w)
+    _assert_same_application(again, fresh)
 
 
 def test_forward_replay_reproduces_the_bounded_branch(workspace, point_bump):

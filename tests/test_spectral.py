@@ -50,6 +50,22 @@ def test_unstable_mode_is_the_cubed_secant(spectrum, grid):
     assert abs(grid.inner_values(mode, spectrum.unstable_mode)) >= 1.0 - 1e-8
 
 
+def test_bound_states_match_the_poschl_teller_closed_forms(spectrum, grid):
+    """-d^2 + 1 - 3 sech^2(x/2) is reflectionless Poschl-Teller: its bound
+    states are -5/4, 0 and 3/4, the lowest with eigenfunction sech^3(x/2).
+    The third state decays like exp(-|x|/2), so on L = 20 its eigenvalue
+    carries a wrap error of order exp(-L) (about 2.5e-8)."""
+    ev = spectrum.eigenvalues
+    assert abs(ev[0] + 1.25) <= 1e-11
+    assert abs(ev[1]) <= 1e-11
+    assert abs(ev[2] - 0.75) <= 1e-6
+    mode = 1.0 / np.cosh(grid.x / 2.0) ** 3
+    mode /= grid.weak_norm_values(mode)
+    unstable = spectrum.unstable_mode
+    unstable = np.sign(grid.inner_values(unstable, mode)) * unstable
+    assert np.max(np.abs(unstable - mode)) <= 1e-11
+
+
 def test_zero_mode_is_the_family_tangent(spectrum, grid, model):
     tangent = model.family_tangent(model.origin)
     zero_mode = spectrum.eigenvectors[:, spectrum.zero_indices[0]]
