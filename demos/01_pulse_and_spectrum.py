@@ -28,7 +28,7 @@ def main() -> None:
     print(f"  chart normalization xi     {model.xi:.15f}  (= sqrt(5/6))")
     print()
 
-    spectrum = decompose(model, model.origin)
+    spectrum = decompose(model, 0.0)
     ev = spectrum.eigenvalues
     print("spectrum of the linearized operator")
     print(f"  unstable eigenvalue  {ev[0]:+.12f}   (exact -1.25)")

@@ -23,19 +23,17 @@ def main() -> None:
     # initial guess for the chart coordinate.
     smooth = smooth_noise(grid, rng, 3.0)
     bump = 0.02 * smooth / grid.strong_norm_values(smooth)
-    state = GridField(model.family(model.symmetry_point(0.8)).values + bump,
-                      grid)
+    state = GridField(model.family(0.8).values + bump, grid)
 
-    point, remainder = decompose_state(model, state,
-                                       model.symmetry_point(0.2))
-    tangent = model.family_tangent(point)
+    sigma, remainder = decompose_state(model, state, 0.2)
+    tangent = model.family_tangent(sigma)
     print("chart decomposition of a shifted, perturbed pulse")
-    print(f"  recovered chart coordinate {point.scalar:+.6f}  (shift was +0.8)")
+    print(f"  recovered chart coordinate {sigma:+.6f}  (shift was +0.8)")
     print(f"  remainder strong norm      {remainder.strong_norm():.4e}")
     print(f"  orthogonality residual     {abs(remainder.inner(tangent)):.2e}")
     print()
 
-    coeffs = solve_modulation(model, point, remainder)
+    coeffs = solve_modulation(model, sigma, remainder)
     print("modulation solve at the decomposed point")
     print(f"  coefficient a        {coeffs.a:+.6e}")
     print(f"  chart velocity       {coeffs.a * model.xi:+.6e}  (= a * xi)")
@@ -45,7 +43,7 @@ def main() -> None:
     # The coefficient is quadratically small in the remainder: halving the
     # perturbation quarters a.
     small = GridField(0.5 * remainder.values, grid)
-    half = solve_modulation(model, point, small)
+    half = solve_modulation(model, sigma, small)
     print("quadratic smallness of the drive")
     print(f"  a at full remainder  {coeffs.a:+.6e}")
     print(f"  a at half remainder  {half.a:+.6e}")

@@ -26,7 +26,7 @@ DELTA = 0.05
 def main() -> None:
     grid = PeriodicGrid()
     model = PulseModel(grid)
-    spectrum = decompose(model, model.origin)
+    spectrum = decompose(model, 0.0)
     workspace = SolutionMapWorkspace(spectrum)
     eta = preset_field("stable-bump", spectrum)
 

@@ -33,7 +33,7 @@ HORIZON = 8.0
 def main() -> None:
     grid = PeriodicGrid()
     model = PulseModel(grid)
-    spectrum = decompose(model, model.origin)
+    spectrum = decompose(model, 0.0)
     workspace = SolutionMapWorkspace(spectrum)
     eta = preset_field("stable-bump", spectrum)
 

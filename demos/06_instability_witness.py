@@ -37,7 +37,7 @@ def describe(label: str, witness) -> None:
 def main() -> None:
     grid = PeriodicGrid()
     model = PulseModel(grid)
-    spectrum = decompose(model, model.origin)
+    spectrum = decompose(model, 0.0)
     workspace = SolutionMapWorkspace(spectrum)
     eta = preset_field("stable-bump", spectrum)
 

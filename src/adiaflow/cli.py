@@ -109,6 +109,16 @@ def _point_entry(payload: dict, key: str, size: int | None = None):
     return values
 
 
+def _chart_argument(flag: str, sigma: float, cfg: ExperimentConfig) -> float:
+    """A chart coordinate given on the command line, refused unless it is
+    finite and inside the chart of radius ``model.chart_radius``."""
+    radius = cfg.model.chart_radius
+    if not abs(sigma) <= radius:
+        raise ConfigError(f"{flag} {sigma:g} must be a finite chart "
+                          f"coordinate of magnitude at most {radius:g}")
+    return sigma
+
+
 def _eta_argument(spec: str, runtime: Runtime) -> tuple[str, GridField]:
     """Resolve an ``--eta``-style argument to (label, field)."""
     if spec in PRESET_NAMES:
@@ -121,8 +131,8 @@ def _eta_argument(spec: str, runtime: Runtime) -> tuple[str, GridField]:
 # --------------------------------------------------------------------------
 
 def _cmd_spectrum(args, cfg: ExperimentConfig) -> int:
+    sigma = _chart_argument("--sigma", args.sigma, cfg)
     model = build_model(cfg)
-    sigma = model.symmetry_point(args.sigma)
     spectrum = decompose(
         model, sigma,
         gap_threshold=cfg.spectral.gap_threshold,
@@ -139,9 +149,8 @@ def _cmd_spectrum(args, cfg: ExperimentConfig) -> int:
     c2, rate = measure_propagator_constant(
         spectrum, seed=cfg.seeds.propagator
     )
-    near = model.symmetry_point(args.sigma + 0.3)
     _print_json({
-        "sigma": args.sigma,
+        "sigma": sigma,
         "c1": operator_norm_diagnostic(spectrum),
         "c2": c2,
         "propagator_rate": rate,
@@ -151,7 +160,7 @@ def _cmd_spectrum(args, cfg: ExperimentConfig) -> int:
             spectrum.eigenvalues[spectrum.zero_indices[0]]
         ),
         "delta0_ratio": verify_operator_lipschitz(
-            model, sigma, near, seed=cfg.seeds.operator_probes
+            model, sigma, sigma + 0.3, seed=cfg.seeds.operator_probes
         ),
         "n_unstable": len(spectrum.unstable_indices),
         "n_zero": len(spectrum.zero_indices),
@@ -160,15 +169,14 @@ def _cmd_spectrum(args, cfg: ExperimentConfig) -> int:
 
 
 def _cmd_modulate(args, cfg: ExperimentConfig) -> int:
+    guess = _chart_argument("--sigma-guess", args.sigma_guess, cfg)
     model = build_model(cfg)
     state = _load_field_csv(args.state, model.grid)
-    point, remainder = decompose_state(
-        model, state, model.symmetry_point(args.sigma_guess)
-    )
-    coeffs = solve_modulation(model, point, remainder)
-    tangent = model.family_tangent(point)
+    sigma, remainder = decompose_state(model, state, guess)
+    coeffs = solve_modulation(model, sigma, remainder)
+    tangent = model.family_tangent(sigma)
     _print_json({
-        "sigma": point.scalar,
+        "sigma": sigma,
         "a": coeffs.a,
         "abs_a": abs(coeffs.a),
         "modulation_residual": coeffs.residual,

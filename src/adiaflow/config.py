@@ -52,9 +52,8 @@ class ManifoldSection:
 
 @dataclass
 class ReferenceSection:
-    """Full-solver tolerances and comparison horizons."""
+    """Full-solver controls and comparison horizons."""
 
-    tol: float = 1e-9
     ceiling: float = 10.0
     fixed_dt: float = 1e-3
     compare_horizon: float = 20.0
@@ -113,7 +112,6 @@ class ExperimentConfig:
              "manifold.mesh_t_uniform must lie strictly between 0 and the horizon"),
             (mf.mesh_ratio > 1.0, "manifold.mesh_ratio must exceed 1"),
             (mf.speed_prefactor > 0, "manifold.speed_prefactor must be positive"),
-            (r.tol > 0, "reference.tol must be positive"),
             (r.ceiling > 0, "reference.ceiling must be positive"),
             (r.fixed_dt > 0, "reference.fixed_dt must be positive"),
             (0 < r.compare_horizon <= mf.horizon,

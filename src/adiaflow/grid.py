@@ -186,13 +186,6 @@ class GridField:
         other_values = other.values if isinstance(other, GridField) else other
         return float(self.grid.inner_values(self.values, other_values))
 
-    def derivative(self) -> "GridField":
-        return GridField(self.grid.first_derivative_values(self.values), self.grid)
-
-    def shift(self, s: float) -> "GridField":
-        """Translate the field by s (periodic, spectral accuracy)."""
-        return GridField(self.grid.shift_values(self.values, float(s)), self.grid)
-
     def copy(self) -> "GridField":
         return GridField(self.values.copy(), self.grid)
 

@@ -99,7 +99,7 @@ def build_runtime(cfg: ExperimentConfig) -> Runtime:
     cfg.validate()
     model = build_model(cfg)
     spectrum = decompose(
-        model, model.origin,
+        model, 0.0,
         gap_threshold=cfg.spectral.gap_threshold,
         zero_tol=cfg.spectral.zero_tol,
     )
@@ -239,7 +239,7 @@ def _eigenvalue_table(spectrum: SpectralData, n_rows: int = 8) -> list:
 
 def _raw_eigenvalue_table(model: PulseModel, n_rows: int = 8) -> list:
     """Eigenvalues without classification, for failure reports."""
-    matrix = assemble_operator(model, model.origin)
+    matrix = assemble_operator(model, 0.0)
     values = np.linalg.eigvalsh(matrix)
     return [
         {"index": idx, "eigenvalue": float(values[idx]), "kind": "unclassified"}
@@ -281,7 +281,7 @@ def _ledger_with_runtime(cfg: ExperimentConfig):
     # Operator symmetry: the assembled matrix is exactly symmetric.
     asym = 0.0
     for s in (0.0, 1.3):
-        matrix = assemble_operator(model, model.symmetry_point(s))
+        matrix = assemble_operator(model, s)
         asym = max(asym, float(np.max(np.abs(matrix - matrix.T))))
     checks.append(CheckResult(
         name="operator-symmetry",
@@ -300,11 +300,10 @@ def _ledger_with_runtime(cfg: ExperimentConfig):
     ratio_spread = 0.0
     base_ratios = None
     for s in sigma_samples:
-        pt = model.symmetry_point(s)
         shifted = grid.shift_values(probes, s)
         ratios = np.array([
             grid.weak_norm_values(model.linearized_apply(
-                pt, GridField(row.copy(), grid)).values)
+                s, GridField(row.copy(), grid)).values)
             / grid.strong_norm_values(row)
             for row in shifted
         ])
@@ -349,7 +348,7 @@ def _ledger_with_runtime(cfg: ExperimentConfig):
     ))
 
     # The kernel eigenvector is the symmetry tangent.
-    tangent = model.family_tangent(model.origin)
+    tangent = model.family_tangent(0.0)
     overlap = abs(float(grid.inner_values(
         spectrum.eigenvectors[:, spectrum.zero_indices[0]], tangent.values
     )))
@@ -363,9 +362,7 @@ def _ledger_with_runtime(cfg: ExperimentConfig):
 
     # The tangent is annihilated at every sampled chart point.
     annihilation = max(
-        float(model.linearized_apply(
-            model.symmetry_point(s), model.family_tangent(model.symmetry_point(s))
-        ).weak_norm())
+        float(model.linearized_apply(s, model.family_tangent(s)).weak_norm())
         for s in sigma_samples
     )
     checks.append(CheckResult(
@@ -393,7 +390,7 @@ def _ledger_with_runtime(cfg: ExperimentConfig):
 
     # Family regularity: exact base point, bounded derivatives.
     base_defect = float(np.max(np.abs(
-        model.family(model.origin).values - model.profile.values
+        model.family(0.0).values - model.profile.values
     )))
     c_f = model.family_bound()
     checks.append(CheckResult(
@@ -408,7 +405,7 @@ def _ledger_with_runtime(cfg: ExperimentConfig):
 
     # Frame normalization and trivialization bound.
     frame_defect = max(
-        abs(float(model.family_tangent(model.symmetry_point(s)).weak_norm()) - 1.0)
+        abs(float(model.family_tangent(s).weak_norm()) - 1.0)
         for s in sigma_samples
     )
     checks.append(CheckResult(
@@ -424,10 +421,7 @@ def _ledger_with_runtime(cfg: ExperimentConfig):
     # Operator Lipschitz continuity in the chart point.
     pairs = [(0.0, 0.25), (0.0, 0.5), (1.0, 1.4), (-1.0, -0.6)]
     delta0_ratio = max(
-        verify_operator_lipschitz(
-            model, model.symmetry_point(a), model.symmetry_point(b),
-            seed=seeds.operator_probes,
-        )
+        verify_operator_lipschitz(model, a, b, seed=seeds.operator_probes)
         for a, b in pairs
     )
     slope_bound = 2.0 * model.max_profile_slope()
@@ -449,7 +443,7 @@ def _ledger_with_runtime(cfg: ExperimentConfig):
         smooth = smooth_noise(grid, rng, 4.0)
         w_values = 0.3 * smooth / grid.strong_norm_values(smooth)
         w_field = GridField(w_values, grid)
-        remainder = model.nonlinearity(model.origin, w_field)
+        remainder = model.nonlinearity(0.0, w_field)
         quad_defect = max(quad_defect, float(
             grid.weak_norm_values(remainder.values + w_values**2)
         ))

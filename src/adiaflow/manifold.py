@@ -104,7 +104,7 @@ class SolutionMapWorkspace:
         self.times = time_mesh() if times is None else np.asarray(times, dtype=float)
         if self.times[0] != 0.0:
             raise ValueError("the time mesh must start at t = 0")
-        self.sigma0 = spectrum.base_point.scalar
+        self.sigma0 = spectrum.base_point
 
         self.stable_eigenvalues, self.stable_modes = spectrum.stable_basis
         self.unstable_mode = spectrum.unstable_mode
@@ -113,11 +113,10 @@ class SolutionMapWorkspace:
         self.zero_mode = spectrum.eigenvectors[:, zero_j]
 
         # Base fields, kept as rfft coefficients for batched frame translation.
-        origin = self.model.origin
-        pulse_base = self.model.family(origin).values
+        pulse_base = self.model.family(0.0).values
         self._pulse_hat = np.fft.rfft(pulse_base)
-        self._tangent_hat = np.fft.rfft(self.model.family_tangent(origin).values)
-        self._second_hat = np.fft.rfft(self.model.family_second(origin).values)
+        self._tangent_hat = np.fft.rfft(self.model.family_tangent(0.0).values)
+        self._second_hat = np.fft.rfft(self.model.family_second(0.0).values)
         self._f_frozen = self.grid.shift_values(pulse_base, self.sigma0)
         # The output chart path of the last application, its phase table and
         # its tangent frame: a Picard round's trial path is the previous

@@ -19,7 +19,8 @@ annihilates the family tangent (the symmetry zero mode) and has exactly one
 negative eigenvalue, so each pulse is an unstable equilibrium with a
 one-dimensional unstable direction.
 
-The chart on the symmetry group is the flat global chart sigma in R; the
+The chart on the symmetry group is the flat global chart sigma in R, so a
+chart point is a plain float and the distance of two is |sigma - sigma'|; the
 tangent frame is normalized so the family tangent has unit weak norm, with
 scale factor xi = 1 / ||phi'||.  The frame does not turn along the chart, so
 a frame coefficient a moves the chart at the velocity a * xi.
@@ -27,39 +28,10 @@ a frame coefficient a moves the chart at the velocity a * xi.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import BallViolationError
 from .grid import GridField, PeriodicGrid
-
-
-@dataclass(frozen=True)
-class SymmetryPoint:
-    """A point on the symmetry-group chart: one translation amount.
-
-    The chart is global and flat, so the distance between two points is the
-    difference of their translation amounts.  ``chart_radius`` bounds the
-    working neighborhood of the identity.
-    """
-
-    scalar: float
-    chart_radius: float = 5.0
-
-    def __post_init__(self):
-        scalar = float(self.scalar)
-        object.__setattr__(self, "scalar", scalar)
-        if not math.isfinite(scalar):
-            raise ValueError("symmetry coordinates must be finite")
-        if abs(scalar) > self.chart_radius:
-            raise ValueError(
-                f"coordinate {scalar} leaves the chart of radius {self.chart_radius}"
-            )
-
-    def distance(self, other: "SymmetryPoint") -> float:
-        return abs(self.scalar - other.scalar)
 
 
 class PulseModel:
@@ -72,7 +44,8 @@ class PulseModel:
         half_length = 20 the periodic wrap-around is ~7e-9 pointwise, below
         every test tolerance used here.
     chart_radius : float
-        Radius of the working chart on the translation group.
+        Radius of the working chart on the translation group: the state
+        decomposition refuses chart coordinates beyond it.
     delta_ball : float
         Small-ball radius for perturbation fields w; operations that are only
         meaningful perturbatively reject fields with a larger strong norm.
@@ -96,14 +69,6 @@ class PulseModel:
         self.xi = 1.0 / float(grid.weak_norm_values(self._pulse_derivative))
         self._tangent0 = -self.xi * self._pulse_derivative
         self._second0 = (self.xi**2) * self._pulse_second
-
-    # -- symmetry chart helpers -------------------------------------------------
-    def symmetry_point(self, sigma: float) -> SymmetryPoint:
-        return SymmetryPoint(float(sigma), self.chart_radius)
-
-    @property
-    def origin(self) -> SymmetryPoint:
-        return self.symmetry_point(0.0)
 
     # -- static profile -----------------------------------------------------------
     @property
@@ -142,13 +107,13 @@ class PulseModel:
         lap = self.grid.second_derivative_values(u.values)
         return GridField(-lap + self.potential_derivative(u.values), self.grid)
 
-    def linearized_apply(self, sigma: SymmetryPoint, v: GridField) -> GridField:
+    def linearized_apply(self, sigma: float, v: GridField) -> GridField:
         """L(sigma) v = -v_xx + (1 - 2 f(sigma)) v."""
         lap = self.grid.second_derivative_values(v.values)
         fvals = self.family(sigma).values
         return GridField(-lap + (1.0 - 2.0 * fvals) * v.values, self.grid)
 
-    def nonlinearity(self, sigma: SymmetryPoint, w: GridField) -> GridField:
+    def nonlinearity(self, sigma: float, w: GridField) -> GridField:
         """The remainder E'(f(sigma)+w) - L(sigma) w.
 
         Expanding the difference, the second-derivative terms cancel and the
@@ -186,23 +151,23 @@ class PulseModel:
             )
 
     # -- the equilibrium family ----------------------------------------------------
-    def family(self, sigma: SymmetryPoint) -> GridField:
+    def family(self, sigma: float) -> GridField:
         """f(sigma) = phi(. - sigma), translated spectrally."""
         return GridField(
-            self.grid.shift_values(self._pulse, sigma.scalar), self.grid
+            self.grid.shift_values(self._pulse, sigma), self.grid
         )
 
-    def family_tangent(self, sigma: SymmetryPoint) -> GridField:
+    def family_tangent(self, sigma: float) -> GridField:
         """Unit-weak-norm tangent to the family: -xi * phi'(. - sigma)."""
         return GridField(
-            self.grid.shift_values(self._tangent0, sigma.scalar), self.grid
+            self.grid.shift_values(self._tangent0, sigma), self.grid
         )
 
-    def family_second(self, sigma: SymmetryPoint) -> GridField:
+    def family_second(self, sigma: float) -> GridField:
         """Second derivative of the family along the normalized frame:
         xi^2 * phi''(. - sigma)."""
         return GridField(
-            self.grid.shift_values(self._second0, sigma.scalar), self.grid
+            self.grid.shift_values(self._second0, sigma), self.grid
         )
 
     # -- measured diagnostics ---------------------------------------------------
@@ -218,11 +183,10 @@ class PulseModel:
             sigma_samples = np.linspace(-2.0, 2.0, 9)
         best = 0.0
         for s in sigma_samples:
-            pt = self.symmetry_point(float(s))
             total = (
-                self.family(pt).strong_norm()
-                + self.family_tangent(pt).strong_norm()
-                + self.family_second(pt).strong_norm()
+                self.family(s).strong_norm()
+                + self.family_tangent(s).strong_norm()
+                + self.family_second(s).strong_norm()
             )
             best = max(best, total)
         return best

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .grid import GridField, PeriodicGrid
-from .model import PulseModel, SymmetryPoint
+from .model import PulseModel
 
 
 @dataclass
@@ -67,7 +67,7 @@ def frame_coefficient(grid: PeriodicGrid, w, tangent, second):
     return drive / denom
 
 
-def solve_modulation(model: PulseModel, sigma: SymmetryPoint,
+def solve_modulation(model: PulseModel, sigma: float,
                      w: GridField) -> ModulationCoefficients:
     """The frame coefficient at (sigma, w), with the defect of its equation.
 
@@ -91,38 +91,45 @@ def solve_modulation(model: PulseModel, sigma: SymmetryPoint,
 
 
 def _constraint(model: PulseModel, u_values: np.ndarray, s: float) -> float:
-    """g(s) = <u - f(s), tangent(s)> for scalar chart coordinate s."""
-    pt = model.symmetry_point(s)
-    fvals = model.family(pt).values
-    tvals = model.family_tangent(pt).values
+    """g(s) = <u - f(s), tangent(s)> for the chart coordinate s.
+
+    Raises ConvergenceError if s is not finite or leaves the model's chart.
+    """
+    if not abs(s) <= model.chart_radius:
+        raise ConvergenceError(
+            f"chart coordinate {s} leaves the chart of radius "
+            f"{model.chart_radius}"
+        )
+    fvals = model.family(s).values
+    tvals = model.family_tangent(s).values
     return float(model.grid.inner_values(u_values - fvals, tvals))
 
 
-def decompose_state(model: PulseModel, u: GridField,
-                    sigma_guess: SymmetryPoint, tol: float = 1e-12,
-                    max_iter: int = 50) -> tuple[SymmetryPoint, GridField]:
+def decompose_state(model: PulseModel, u: GridField, sigma_guess: float,
+                    tol: float = 1e-12,
+                    max_iter: int = 50) -> tuple[float, GridField]:
     """Split u into f(sigma) + w with w orthogonal to the family tangent.
 
     Finds the chart point by a damped Newton iteration on the scalar
     constraint g(sigma) = <u - f(sigma), tangent(sigma)>; the derivative is
     g'(sigma) = (<w, d^2 f(sigma)> - 1) / xi with w the current remainder.
-    Steps that increase |g| are halved.
+    Steps that increase |g| are halved.  Returns (sigma, w).
 
     Raises
     ------
     ConvergenceError
-        After max_iter iterations without reaching tol, which signals that u
-        left the tubular neighborhood of the family.
+        After max_iter iterations without reaching tol, or when the guess or
+        a trial step leaves the chart of radius ``model.chart_radius``; both
+        signal that u left the tubular neighborhood of the family.
     """
     grid = model.grid
-    s = sigma_guess.scalar
+    s = float(sigma_guess)
     g = _constraint(model, u.values, s)
     for _ in range(max_iter):
         if abs(g) <= tol:
             break
-        pt = model.symmetry_point(s)
-        w_vals = u.values - model.family(pt).values
-        overlap = grid.inner_values(w_vals, model.family_second(pt).values)
+        w_vals = u.values - model.family(s).values
+        overlap = grid.inner_values(w_vals, model.family_second(s).values)
         slope = (overlap - 1.0) / model.xi
         if slope == 0.0:
             raise ConvergenceError("degenerate constraint slope in decomposition")
@@ -145,6 +152,4 @@ def decompose_state(model: PulseModel, u: GridField,
             f"{max_iter} iterations (last residual {abs(g):.3e}); the state "
             "may have left the tubular neighborhood"
         )
-    sigma = model.symmetry_point(s)
-    w = GridField(u.values - model.family(sigma).values, grid)
-    return sigma, w
+    return float(s), GridField(u.values - model.family(s).values, grid)

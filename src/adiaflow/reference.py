@@ -422,7 +422,7 @@ def extract_modulated(model: PulseModel, traj: FullTrajectory,
     for j in range(traj.n_samples):
         state = GridField(traj.u_samples[j].copy(), grid)
         try:
-            pt, w = decompose_state(model, state, model.symmetry_point(guess))
+            guess, w = decompose_state(model, state, guess)
         except ConvergenceError as err:
             if j > 0:
                 break
@@ -430,9 +430,8 @@ def extract_modulated(model: PulseModel, traj: FullTrajectory,
                 f"state decomposition failed at t = {traj.times[0]:.6g} "
                 f"(sample 0): {err}"
             ) from err
-        sigmas.append(pt.scalar)
+        sigmas.append(guess)
         fields.append(w.values)
-        guess = pt.scalar
     m = len(sigmas)
     return TrajectoryPath(
         times=traj.times[:m].copy(),
@@ -629,11 +628,9 @@ def refine_correction(workspace: SolutionMapWorkspace, point: ManifoldPoint,
                 solved[(n, beta)] = float(traj.stats["escape_sign"]), None
                 continue
             state = GridField(traj.u_samples[-1].copy(), grid)
-            pt, w = decompose_state(
-                model, state, model.symmetry_point(point.sigma0)
-            )
+            sigma, w = decompose_state(model, state, point.sigma0)
             value = float(unstable_coefficient(
-                grid, mode, workspace.sigma0, pt.scalar, w.values
+                grid, mode, workspace.sigma0, sigma, w.values
             ))
             solved[(n, beta)] = (1.0 if value > 0.0 else -1.0), value
             if n == len(full_samples) and (
@@ -825,10 +822,9 @@ def compare_effective(workspace: SolutionMapWorkspace, point: ManifoldPoint,
     sigma_eff[0] = extracted.sigma[0]
 
     def velocity(s: float, w_values: np.ndarray) -> float:
-        pt = model.symmetry_point(s)
         return float(frame_coefficient(
-            grid, w_values, model.family_tangent(pt).values,
-            model.family_second(pt).values,
+            grid, w_values, model.family_tangent(s).values,
+            model.family_second(s).values,
         )) * model.xi
 
     for j in range(m - 1):

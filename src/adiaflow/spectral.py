@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ClassificationError
 from .grid import GridField, smooth_noise
-from .model import PulseModel, SymmetryPoint
+from .model import PulseModel
 
 
 @dataclass
@@ -35,7 +35,7 @@ class SpectralData:
     what projections actually remove along the zero direction.
     """
 
-    base_point: SymmetryPoint
+    base_point: float
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray = field(repr=False)
     unstable_indices: np.ndarray
@@ -74,7 +74,7 @@ class SpectralData:
         return lam, basis
 
 
-def assemble_operator(model: PulseModel, sigma: SymmetryPoint) -> np.ndarray:
+def assemble_operator(model: PulseModel, sigma: float) -> np.ndarray:
     """Dense symmetric matrix of L(sigma) = -D2 + diag(1 - 2 f(sigma)).
 
     The spectral D2 block is an exactly symmetric circulant and the potential
@@ -102,7 +102,7 @@ def operator_norm_diagnostic(spectrum: "SpectralData") -> float:
     return float(np.max(np.abs(spectrum.eigenvalues) / np.sqrt(strong_sq)))
 
 
-def decompose(model: PulseModel, sigma: SymmetryPoint,
+def decompose(model: PulseModel, sigma: float,
               gap_threshold: float = 0.1, zero_tol: float = 5e-3) -> SpectralData:
     """Symmetric eigendecomposition of L(sigma) with mode classification.
 
@@ -163,7 +163,7 @@ def decompose(model: PulseModel, sigma: SymmetryPoint,
         )
 
     return SpectralData(
-        base_point=sigma,
+        base_point=float(sigma),
         eigenvalues=eigenvalues,
         eigenvectors=vectors,
         unstable_indices=unstable,
@@ -203,16 +203,16 @@ def propagate_stable_batch(spectrum: SpectralData, v: GridField,
     return weights @ basis.T
 
 
-def verify_operator_lipschitz(model: PulseModel, sigma: SymmetryPoint,
-                              sigma_p: SymmetryPoint, seed: int = 7) -> float:
-    """Measured ratio ||(L(sigma) - L(sigma')) v|| / ||v|| / d(sigma, sigma').
+def verify_operator_lipschitz(model: PulseModel, sigma: float,
+                              sigma_p: float, seed: int = 7) -> float:
+    """Measured ratio ||(L(sigma) - L(sigma')) v|| / ||v|| / |sigma - sigma'|.
 
     The operator difference is multiplication by 2 (f(sigma') - f(sigma)), so
     the ratio is bounded by 2 sup|phi'| as the points approach each other.
     The largest ratio over 8 smooth random probes is reported; d = 0
     returns 0 by convention.
     """
-    dist = sigma.distance(sigma_p)
+    dist = abs(sigma - sigma_p)
     if dist == 0.0:
         return 0.0
     grid = model.grid

@@ -34,7 +34,7 @@ def model(grid):
 
 @pytest.fixture(scope="session")
 def spectrum(model):
-    return decompose(model, model.origin)
+    return decompose(model, 0.0)
 
 
 @pytest.fixture(scope="session")

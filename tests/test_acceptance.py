@@ -55,7 +55,7 @@ def report(request):
 def _worst_orthogonality(model, grid, path, stride=5):
     worst = 0.0
     for j in range(0, path.n_samples, stride):
-        tangent = model.family_tangent(model.symmetry_point(path.sigma[j]))
+        tangent = model.family_tangent(path.sigma[j])
         worst = max(worst, abs(grid.inner_values(path.w[j], tangent.values)))
     return worst
 
@@ -79,10 +79,8 @@ def _modulation_quotients(n: int) -> np.ndarray:
                 )
             size = rng.uniform(0.05, 0.3)
             fields.append(size * vals / g.strong_norm_values(vals))
-        a_1 = solve_modulation(m, m.symmetry_point(s_a),
-                               GridField(fields[0], g)).a
-        a_2 = solve_modulation(m, m.symmetry_point(s_b),
-                               GridField(fields[1], g)).a
+        a_1 = solve_modulation(m, s_a, GridField(fields[0], g)).a
+        a_2 = solve_modulation(m, s_b, GridField(fields[1], g)).a
         den = abs(s_a - s_b) + g.strong_norm_values(fields[0] - fields[1])
         quotients.append(abs(a_1 - a_2) / den)
     return np.array(quotients)
@@ -100,7 +98,7 @@ def test_criterion_01_pulse_stationarity(model, report):
 
 def test_criterion_02_spectral_classification(model, report):
     start = time.perf_counter()
-    spectrum = decompose(model, model.origin)
+    spectrum = decompose(model, 0.0)
     elapsed = time.perf_counter() - start
     ev = spectrum.eigenvalues
     targets_ok = (
@@ -120,10 +118,7 @@ def test_criterion_02_spectral_classification(model, report):
 
 def test_criterion_03_tangent_annihilation(model, report):
     worst = max(
-        model.linearized_apply(
-            model.symmetry_point(s),
-            model.family_tangent(model.symmetry_point(s)),
-        ).weak_norm()
+        model.linearized_apply(s, model.family_tangent(s)).weak_norm()
         for s in (-2.0, -0.7, 0.0, 1.1, 2.3)
     )
     passed = worst <= 5e-5
@@ -136,8 +131,7 @@ def test_criterion_04_modulation_consistency(model, grid, point_bump,
                                              traj_bump, extracted_bump,
                                              report):
     zero_exact = all(
-        solve_modulation(model, model.symmetry_point(s),
-                         zero_field(grid)).a == 0.0
+        solve_modulation(model, s, zero_field(grid)).a == 0.0
         for s in (0.0, 1.1)
     )
     worst_path = _worst_orthogonality(model, grid, point_bump.path)

@@ -46,6 +46,28 @@ def test_missing_field_file_is_a_configuration_error(tmp_path):
     assert main(["construct", "--eta", str(tmp_path / "no-such.csv")]) == 2
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["spectrum", "--sigma", "4.8"], 0),
+    (["spectrum", "--sigma", "7"], 2),
+    (["spectrum", "--sigma", "-5.5"], 2),
+    (["spectrum", "--sigma", "nan"], 2),
+    (["modulate", "--sigma-guess", "6"], 2),
+], ids=["sigma=4.8", "sigma=7", "sigma=-5.5", "sigma=nan", "sigma-guess=6"])
+def test_chart_arguments_must_lie_inside_the_chart(argv, code, tmp_path,
+                                                   capsys, model):
+    if argv[0] == "modulate":
+        state = tmp_path / "state.csv"
+        write_field_csv(str(state), model.profile)
+        argv = argv + ["--state", str(state)]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert json.loads(captured.out)["sigma"] == float(argv[2])
+    else:
+        assert "chart coordinate" in captured.err
+        assert captured.out == ""
+
+
 def test_spectrum_writes_the_table_and_reports_constants(tmp_path, capsys):
     out = tmp_path / "eig.csv"
     assert main(["spectrum", "--sigma", "0.0", "--out", str(out)]) == 0

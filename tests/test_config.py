@@ -64,6 +64,7 @@ def test_partial_dicts_fill_in_defaults():
     {"model": {"n_points": True}},
     {"model": "not a table"},
     [1, 2, 3],
+    {"reference": {"tol": 1e-9}},
 ])
 def test_malformed_dicts_are_rejected(data):
     with pytest.raises(ConfigError):
@@ -95,6 +96,7 @@ def test_set_option_applies_in_place():
     "model.zzz=3",
     "model.n_points=abc",
     "delta=0.1",
+    "reference.tol=1e-9",
 ])
 def test_set_option_rejects_malformed_overrides(assignment):
     config = ExperimentConfig()

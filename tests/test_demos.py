@@ -1,15 +1,18 @@
 """The demos and the README's Python examples import only names that the
-package still defines."""
+package still defines, and the cheap demos run to completion."""
 
 import ast
 import importlib
 import re
+import runpy
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# Demos 01-03 take about 1-2 s each; 04-06 run full solves (4-7 s each).
+CHEAP_DEMOS = DEMOS[:3]
 README = ROOT / "README.md"
 
 
@@ -48,6 +51,12 @@ def test_demo_imports_exist(path):
     assert imports
     missing = _missing(imports)
     assert not missing, f"{path.name} imports names adiaflow lacks: {missing}"
+
+
+@pytest.mark.parametrize("path", CHEAP_DEMOS, ids=lambda path: path.name)
+def test_cheap_demo_runs(path, capsys):
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out.strip()
 
 
 def test_readme_example_imports_exist():

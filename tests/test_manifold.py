@@ -27,7 +27,7 @@ ALPHA = 1.0
 def _orthogonality_along(model, grid, path, stride=1):
     worst = 0.0
     for j in range(0, path.n_samples, stride):
-        tangent = model.family_tangent(model.symmetry_point(path.sigma[j]))
+        tangent = model.family_tangent(path.sigma[j])
         worst = max(worst, abs(grid.inner_values(path.w[j], tangent.values)))
     return worst
 
@@ -44,7 +44,7 @@ def test_input_field_screening(workspace, eta_bump, grid):
     )
     with pytest.raises(ValueError):
         check_input_field(workspace, contaminated)
-    tangent = workspace.model.family_tangent(workspace.model.origin)
+    tangent = workspace.model.family_tangent(0.0)
     tilted = GridField(eta_bump.values + 1e-3 * tangent.values, grid)
     with pytest.raises(ValueError):
         check_input_field(workspace, tilted)

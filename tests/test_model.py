@@ -5,7 +5,7 @@ import pytest
 
 from adiaflow.errors import BallViolationError
 from adiaflow.grid import GridField, PeriodicGrid, smooth_noise
-from adiaflow.model import PulseModel, SymmetryPoint
+from adiaflow.model import PulseModel
 
 
 def _smooth_noise(grid, seed):
@@ -68,14 +68,14 @@ def test_gradient_formula(grid, model):
 
 def test_linearized_apply_formula(grid, model):
     v_vals = _smooth_noise(grid, 5)
-    out = model.linearized_apply(model.origin, GridField(v_vals.copy(), grid)).values
+    out = model.linearized_apply(0.0, GridField(v_vals.copy(), grid)).values
     well = 1.0 - 2.0 * model.profile.values
     expected = -grid.second_derivative_values(v_vals) + well * v_vals
     assert np.max(np.abs(out - expected)) <= 1e-10
 
 
 def test_linearized_apply_follows_the_base_point(grid, model):
-    sigma = model.symmetry_point(1.1)
+    sigma = 1.1
     v_vals = np.exp(-0.5 * (grid.x - 1.1) ** 2)
     out = model.linearized_apply(sigma, GridField(v_vals.copy(), grid)).values
     well = 1.0 - 2.0 * model.family(sigma).values
@@ -86,7 +86,7 @@ def test_linearized_apply_follows_the_base_point(grid, model):
 def test_nonlinearity_is_exactly_minus_w_squared(grid, model):
     sm = _smooth_noise(grid, 6)
     w_vals = 0.05 * sm / grid.strong_norm_values(sm)
-    out = model.nonlinearity(model.symmetry_point(0.8), GridField(w_vals, grid))
+    out = model.nonlinearity(0.8, GridField(w_vals, grid))
     assert np.max(np.abs(out.values + w_vals**2)) <= 1e-12
 
 
@@ -94,11 +94,11 @@ def test_nonlinearity_enforces_the_remainder_ball(grid, model):
     v = np.ones(grid.n)
     big = GridField(0.6 * v / grid.strong_norm_values(v), grid)
     with pytest.raises(BallViolationError):
-        model.nonlinearity(model.origin, big)
+        model.nonlinearity(0.0, big)
 
 
 def test_family_is_the_shifted_profile(grid, model):
-    sigma = model.symmetry_point(0.7)
+    sigma = 0.7
     shifted = grid.shift_values(model.profile.values, 0.7)
     assert np.array_equal(model.family(sigma).values, shifted)
     naked = 1.5 / np.cosh((grid.x - 0.7) / 2.0) ** 2
@@ -108,14 +108,12 @@ def test_family_is_the_shifted_profile(grid, model):
 def test_family_tangent_is_the_unit_chart_derivative(grid, model):
     h = 1e-5
     s = 0.4
-    numerical = (
-        model.family(model.symmetry_point(s + h)).values
-        - model.family(model.symmetry_point(s - h)).values
-    ) / (2 * h)
-    tangent = model.family_tangent(model.symmetry_point(s))
+    numerical = (model.family(s + h).values - model.family(s - h).values) \
+        / (2 * h)
+    tangent = model.family_tangent(s)
     assert np.max(np.abs(model.xi * numerical - tangent.values)) <= 1e-7
-    for scalar in (0.0, -1.3, 2.1):
-        unit = model.family_tangent(model.symmetry_point(scalar))
+    for sigma in (0.0, -1.3, 2.1):
+        unit = model.family_tangent(sigma)
         assert unit.weak_norm() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -124,22 +122,18 @@ def test_family_second_matches_the_constraint_slope(grid, model):
     # the slope the state decomposition's Newton iteration relies on.
     s = 0.3
     sm = _smooth_noise(grid, 7)
-    u_vals = (
-        model.family(model.symmetry_point(s)).values
-        + 0.03 * sm / grid.strong_norm_values(sm)
-    )
+    u_vals = model.family(s).values + 0.03 * sm / grid.strong_norm_values(sm)
 
-    def constraint(scalar):
-        pt = model.symmetry_point(scalar)
+    def constraint(sigma):
         return grid.inner_values(
-            u_vals - model.family(pt).values, model.family_tangent(pt).values
+            u_vals - model.family(sigma).values,
+            model.family_tangent(sigma).values,
         )
 
     h = 1e-5
     numerical = (constraint(s + h) - constraint(s - h)) / (2 * h)
-    pt = model.symmetry_point(s)
-    w_vals = u_vals - model.family(pt).values
-    overlap = grid.inner_values(w_vals, model.family_second(pt).values)
+    w_vals = u_vals - model.family(s).values
+    overlap = grid.inner_values(w_vals, model.family_second(s).values)
     assert numerical == pytest.approx((overlap - 1.0) / model.xi, rel=1e-6)
 
 
@@ -149,7 +143,9 @@ def test_trivialized_velocity_scales_by_xi(model):
 
 def test_xi_closed_form(model):
     assert model.xi == pytest.approx(np.sqrt(5.0 / 6.0), abs=1e-14)
-    assert model.xi == pytest.approx(1.0 / model.profile.derivative().weak_norm(),
+    grid = model.grid
+    slope = grid.first_derivative_values(model.profile.values)
+    assert model.xi == pytest.approx(1.0 / grid.weak_norm_values(slope),
                                      rel=1e-10)
 
 
@@ -160,16 +156,3 @@ def test_family_bound(model):
 
 def test_max_profile_slope(model):
     assert model.max_profile_slope() == pytest.approx(1.0 / np.sqrt(3.0), abs=1e-4)
-
-
-def test_symmetry_point_chart(model):
-    pt = model.symmetry_point(1.2)
-    assert pt.scalar == 1.2
-    assert pt.distance(model.origin) == pytest.approx(1.2, rel=1e-15)
-    assert model.origin.scalar == 0.0
-    with pytest.raises(ValueError):
-        model.symmetry_point(5.2)
-    with pytest.raises(ValueError):
-        SymmetryPoint(7.0)
-    with pytest.raises(ValueError):
-        SymmetryPoint(float("nan"))

@@ -389,9 +389,9 @@ def test_fixed_step_solve_makes_two_ffts_per_step(model, grid, monkeypatch):
 def test_even_perturbations_keep_the_chart_at_zero(model, grid,
                                                    stable_direction, eps):
     state = GridField(model.profile.values + eps * stable_direction, grid)
-    point, w = decompose_state(model, state, model.origin)
-    assert point.scalar == 0.0
-    tangent = model.family_tangent(point)
+    sigma, w = decompose_state(model, state, 0.0)
+    assert sigma == 0.0
+    tangent = model.family_tangent(sigma)
     assert abs(w.inner(tangent)) <= 1e-12
 
 
@@ -413,7 +413,7 @@ def test_drift_of_the_corrected_bump(workspace, model, grid, point_bump,
     worst = max(
         abs(grid.inner_values(
             extracted.w[j],
-            model.family_tangent(model.symmetry_point(extracted.sigma[j])).values,
+            model.family_tangent(extracted.sigma[j]).values,
         ))
         for j in range(0, extracted.n_samples, 10)
     )
@@ -491,6 +491,17 @@ def test_extraction_failing_at_the_first_sample_names_t_0(model, traj_bump,
     _failing_after(monkeypatch, 0)
     with pytest.raises(ConvergenceError, match=r"t = 0 \(sample 0\)"):
         extract_modulated(model, traj_bump, sigma_guess=0.0)
+
+
+def test_extraction_ends_its_prefix_where_the_chart_is_left(model, grid):
+    # The second state's first damped Newton trial step lands at
+    # sigma = -6.26, outside the chart of radius 5.
+    far = model.profile.values + 5.0 * np.exp(-(grid.x - 3.0) ** 2)
+    traj = FullTrajectory(times=np.array([0.0, 0.02]),
+                          u_samples=np.array([model.profile.values, far]))
+    prefix = extract_modulated(model, traj, sigma_guess=0.0)
+    assert prefix.n_samples == 1
+    assert prefix.sigma[0] == 0.0
 
 
 def test_comparison_refuses_a_short_extraction(workspace, point_bump,

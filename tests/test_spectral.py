@@ -67,7 +67,7 @@ def test_bound_states_match_the_poschl_teller_closed_forms(spectrum, grid):
 
 
 def test_zero_mode_is_the_family_tangent(spectrum, grid, model):
-    tangent = model.family_tangent(model.origin)
+    tangent = model.family_tangent(0.0)
     zero_mode = spectrum.eigenvectors[:, spectrum.zero_indices[0]]
     assert abs(grid.inner_values(zero_mode, tangent.values)) >= 1.0 - 1e-10
 
@@ -79,7 +79,7 @@ def test_eigenvectors_weak_orthonormal(spectrum, grid):
 
 
 def test_eigen_residual(spectrum, model, grid):
-    matrix = assemble_operator(model, model.origin)
+    matrix = assemble_operator(model, 0.0)
     residual = (
         matrix @ spectrum.eigenvectors
         - spectrum.eigenvectors * spectrum.eigenvalues[None, :]
@@ -88,40 +88,40 @@ def test_eigen_residual(spectrum, model, grid):
 
 
 def test_assembled_operator_symmetric(model):
-    matrix = assemble_operator(model, model.origin)
+    matrix = assemble_operator(model, 0.0)
     assert np.array_equal(matrix, matrix.T)
 
 
 def test_operator_applied_to_constants(model, grid):
-    matrix = assemble_operator(model, model.origin)
+    matrix = assemble_operator(model, 0.0)
     image = matrix @ np.ones(grid.n)
     assert np.max(np.abs(image - (1.0 - 2.0 * model.profile.values))) <= 1e-10
 
 
 def test_dense_and_spectral_application_agree(model, grid):
-    matrix = assemble_operator(model, model.origin)
+    matrix = assemble_operator(model, 0.0)
     rng = np.random.default_rng(3)
     rough = rng.standard_normal(grid.n)
-    via_fft = model.linearized_apply(model.origin, GridField(rough.copy(), grid))
+    via_fft = model.linearized_apply(0.0, GridField(rough.copy(), grid))
     assert np.max(np.abs(matrix @ rough - via_fft.values)) <= 1e-10
 
 
 def test_eigenvalues_do_not_depend_on_the_base_point(spectrum, model):
-    shifted = np.linalg.eigvalsh(assemble_operator(model, model.symmetry_point(0.9)))
+    shifted = np.linalg.eigvalsh(assemble_operator(model, 0.9))
     assert np.max(np.abs(shifted - spectrum.eigenvalues)) <= 1e-10
 
 
 def test_decomposition_is_deterministic(spectrum, model):
-    again = decompose(model, model.origin)
+    again = decompose(model, 0.0)
     assert np.array_equal(again.eigenvalues, spectrum.eigenvalues)
     assert np.array_equal(again.eigenvectors, spectrum.eigenvectors)
 
 
 def test_classification_rejects_misconfigured_bands(model):
     with pytest.raises(ClassificationError):
-        decompose(model, model.origin, zero_tol=1e-16)
+        decompose(model, 0.0, zero_tol=1e-16)
     with pytest.raises(ClassificationError):
-        decompose(model, model.origin, gap_threshold=2.0)
+        decompose(model, 0.0, gap_threshold=2.0)
 
 
 def test_project_stable_annihilates_the_other_channels(spectrum, grid):
@@ -183,13 +183,13 @@ def test_propagator_constant_frozen(spectrum):
 
 
 def test_operator_lipschitz_vanishes_at_zero_separation(model):
-    ratio = verify_operator_lipschitz(model, model.origin, model.origin, seed=7)
+    ratio = verify_operator_lipschitz(model, 0.0, 0.0, seed=7)
     assert ratio == 0.0
 
 
 def test_operator_lipschitz_ratio_saturates_toward_zero_separation(model):
     ratios = np.array([
-        verify_operator_lipschitz(model, model.origin, model.symmetry_point(d), seed=7)
+        verify_operator_lipschitz(model, 0.0, d, seed=7)
         for d in (0.4, 0.2, 0.1, 0.05)
     ])
     assert ratios[0] == pytest.approx(0.4690392166, abs=1e-8)
