@@ -4,7 +4,7 @@ Every subcommand reads the same configuration (defaults, optionally a JSON
 file via ``--config``, then ``--set section.key=value`` overrides) and
 prints a JSON summary to stdout; file artifacts go wherever ``--out``
 points.  Exit codes: 0 success, 1 criterion failure, 2 configuration or
-input error.
+input error, including an unreadable input or an unwritable output.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .harness import (
     run_full_pipeline,
     scan_corrections,
     solve_fixed_step,
+    spectral_constants,
     trajectory_rows,
     write_json,
     write_trajectory_csv,
@@ -44,8 +45,7 @@ from .paths import mesh_prefix
 from .presets import PRESET_NAMES, preset_field
 from .reference import compare_effective, extract_modulated, \
     unstable_coefficient
-from .spectral import decompose, measure_propagator_constant, \
-    operator_norm_diagnostic, verify_operator_lipschitz
+from .spectral import decompose, verify_operator_lipschitz
 
 
 def _print_json(payload: dict) -> None:
@@ -146,19 +146,9 @@ def _cmd_spectrum(args, cfg: ExperimentConfig) -> int:
                 writer.writerow(
                     [row["index"], f"{row['eigenvalue']:.17g}", row["kind"]]
                 )
-    c2, rate = measure_propagator_constant(
-        spectrum, seed=cfg.seeds.propagator
-    )
     _print_json({
         "sigma": sigma,
-        "c1": operator_norm_diagnostic(spectrum),
-        "c2": c2,
-        "propagator_rate": rate,
-        "spectral_gap": spectrum.spectral_gap,
-        "unstable_eigenvalue": spectrum.unstable_eigenvalue,
-        "zero_eigenvalue": float(
-            spectrum.eigenvalues[spectrum.zero_indices[0]]
-        ),
+        **spectral_constants(spectrum, cfg.seeds.propagator),
         "delta0_ratio": verify_operator_lipschitz(
             model, sigma, sigma + 0.3, seed=cfg.seeds.operator_probes
         ),
@@ -290,11 +280,14 @@ def _cmd_simulate(args, cfg: ExperimentConfig) -> int:
 
 def _cmd_compare(args, cfg: ExperimentConfig) -> int:
     payload = _read_point(args.point, cfg)
+    traj = load_trajectory_csv(args.traj, build_model(cfg).grid)
+    if not np.array_equal(traj.times, config_mesh(cfg)[:traj.n_samples]):
+        raise ConfigError(f"trajectory file {args.traj!r} is not sampled on "
+                          f"a prefix of the point's time mesh")
     runtime = build_runtime(cfg)
     eta = GridField(_point_entry(payload, "eta_values", runtime.grid.n),
                     runtime.grid)
     point = construct_point(cfg, runtime.workspace, eta)
-    traj = load_trajectory_csv(args.traj, runtime.grid)
     extracted = extract_modulated(runtime.model, traj, point.sigma0)
     comparison = compare_effective(runtime.workspace, point, traj, extracted,
                                    delta=cfg.manifold.delta,
@@ -430,6 +423,9 @@ def main(argv=None) -> int:
     except AdiaflowError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except OSError as err:
+        print(f"file error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .config import ExperimentConfig
-from .errors import AdiaflowError, ClassificationError
+from .errors import AdiaflowError, ClassificationError, ConfigError
 from .grid import GridField, PeriodicGrid, smooth_noise
 from .manifold import (
     ManifoldPoint,
@@ -183,6 +183,62 @@ class CheckResult:
         }
 
 
+#: The claim of every check the ledger, the pipeline and ``compare`` report.
+_CLAIMS = {
+    "operator-symmetry": "linearized operator is self-adjoint (assembled "
+                         "matrix is exactly symmetric)",
+    "operator-bound": "linearized operator is bounded strong-to-weak, "
+                      "uniformly over the chart",
+    "spectral-classification": "discrete spectrum splits into one simple "
+                               "negative eigenvalue, a one-dimensional "
+                               "symmetry kernel, and a gapped stable rest",
+    "zero-mode-identity": "kernel eigenvector coincides with the symmetry "
+                          "tangent",
+    "tangent-annihilation": "family tangent is annihilated by the linearized "
+                            "operator at every sampled chart point",
+    "propagator-decay": "semigroup restricted to the stable range decays at "
+                        "least like exp(-0.7 t) in the strong norm",
+    "family-regularity": "equilibrium family passes through the pulse and is "
+                         "twice differentiable along the chart with bounded "
+                         "derivatives",
+    "frame-normalization": "chart frame is orthonormal in the weak metric "
+                           "with a bounded flat trivialization",
+    "operator-lipschitz": "linearized operator is Lipschitz in the chart "
+                          "point as a strong-to-weak operator",
+    "nonlinearity-quadratic": "gradient remainder at the family is exactly "
+                              "minus the squared perturbation",
+    "stationarity-defect": "sampled pulse is stationary for the discrete "
+                           "energy gradient",
+    "fixed-point-convergence": "solution map contracts to a fixed point at "
+                               "the configured ball radius",
+    "contraction-factor": "solution map contracts trial-path pairs at the "
+                          "configured ball radius",
+    "full-solve-complete": "corrected initial state survives the comparison "
+                           "horizon without escaping",
+    "energy-dissipation": "discrete energy is nonincreasing along the full "
+                          "solve",
+    "reduced-agreement": "fixed-point path and effective chart dynamics "
+                         "match the extracted full solution",
+    "remainder-envelope": "extracted remainder stays inside the weighted "
+                          "decay envelope",
+    "envelope-rate": "extracted remainder decays exponentially over the fit "
+                     "window",
+    **dict.fromkeys(
+        ("instability-growth-plus", "instability-growth-minus"),
+        "offset along the unstable mode grows at the unstable eigenvalue's "
+        "rate and escapes in the offset's direction"),
+    "zero-offset-quiet": "with no offset the unstable coefficient never "
+                         "grows over the witness horizon",
+}
+
+
+def _check(name: str, passed: bool, value: float | None, bound: str,
+           **details) -> CheckResult:
+    """The check ``name`` with its claim from ``_CLAIMS``."""
+    return CheckResult(name=name, claim=_CLAIMS[name], passed=passed,
+                       value=value, bound=bound, details=details)
+
+
 @dataclass
 class LedgerReport:
     """Assumption diagnostics, measured constants, and the eigenvalue table."""
@@ -247,6 +303,23 @@ def _raw_eigenvalue_table(model: PulseModel, n_rows: int = 8) -> list:
     ]
 
 
+def spectral_constants(spectrum: SpectralData, propagator_seed: int) -> dict:
+    """The measured constants of one spectrum: the strong-to-weak operator
+    norm ``c1``, the stable propagator's envelope ``c2`` and fitted
+    ``propagator_rate`` (probes seeded by ``propagator_seed``), the spectral
+    gap, and the unstable and zero eigenvalues."""
+    c2, rate = measure_propagator_constant(spectrum, seed=propagator_seed)
+    return {
+        "c1": operator_norm_diagnostic(spectrum),
+        "c2": c2,
+        "propagator_rate": rate,
+        "spectral_gap": spectrum.spectral_gap,
+        "unstable_eigenvalue": spectrum.unstable_eigenvalue,
+        "zero_eigenvalue": float(
+            spectrum.eigenvalues[spectrum.zero_indices[0]]),
+    }
+
+
 def _ledger_with_runtime(cfg: ExperimentConfig):
     """(LedgerReport, Runtime or None); classification failures are reported,
     not raised."""
@@ -254,243 +327,111 @@ def _ledger_with_runtime(cfg: ExperimentConfig):
     try:
         runtime = build_runtime(cfg)
     except ClassificationError as err:
-        model = build_model(cfg)
-        check = CheckResult(
-            name="spectral-classification",
-            claim="discrete spectrum splits into one simple negative "
-                  "eigenvalue, a one-dimensional symmetry kernel, and a "
-                  "gapped stable rest",
-            passed=False,
-            value=None,
-            bound="classification must succeed at the configured thresholds",
-            details={"error": str(err)},
-        )
-        report = LedgerReport(
-            checks=[check],
-            constants={},
-            eigenvalue_table=_raw_eigenvalue_table(model),
-        )
-        return report, None
+        check = _check(
+            "spectral-classification", False, None,
+            "classification must succeed at the configured thresholds",
+            error=str(err))
+        return LedgerReport([check], {},
+                            _raw_eigenvalue_table(build_model(cfg))), None
 
-    model, spectrum = runtime.model, runtime.spectrum
-    grid = runtime.grid
+    model, spectrum, grid = runtime.model, runtime.spectrum, runtime.grid
     seeds = cfg.seeds
     sigma_samples = [-2.0, -0.7, 0.0, 0.9, 2.3]
-    checks: list[CheckResult] = []
+    constants = spectral_constants(spectrum, seeds.propagator)
+    c1, gap = constants["c1"], constants["spectral_gap"]
+    e1 = constants["unstable_eigenvalue"]
+    zero_eig = constants["zero_eigenvalue"]
 
-    # Operator symmetry: the assembled matrix is exactly symmetric.
-    asym = 0.0
-    for s in (0.0, 1.3):
-        matrix = assemble_operator(model, s)
-        asym = max(asym, float(np.max(np.abs(matrix - matrix.T))))
-    checks.append(CheckResult(
-        name="operator-symmetry",
-        claim="linearized operator is self-adjoint (assembled matrix is "
-              "exactly symmetric)",
-        passed=asym == 0.0,
-        value=asym,
-        bound="= 0",
-    ))
+    asym = max(float(np.max(np.abs(matrix - matrix.T))) for matrix in (
+        assemble_operator(model, s) for s in (0.0, 1.3)))
 
-    # Operator bound, uniform over the chart: weak(L v) <= c1 strong(v), and
-    # the measured ratios are chart-independent by translation equivariance.
-    c1 = operator_norm_diagnostic(spectrum)
+    # weak(L v) / strong(v) for 4 probes at each sampled chart point; by
+    # translation equivariance every row matches the first.
     rng = np.random.default_rng(seeds.operator_probes)
     probes = np.array([smooth_noise(grid, rng, 4.0) for _ in range(4)])
-    ratio_spread = 0.0
-    base_ratios = None
-    for s in sigma_samples:
-        shifted = grid.shift_values(probes, s)
-        ratios = np.array([
-            grid.weak_norm_values(model.linearized_apply(
-                s, GridField(row.copy(), grid)).values)
-            / grid.strong_norm_values(row)
-            for row in shifted
-        ])
-        if base_ratios is None:
-            base_ratios = ratios
-        else:
-            ratio_spread = max(
-                ratio_spread, float(np.max(np.abs(ratios - base_ratios)))
-            )
-    checks.append(CheckResult(
-        name="operator-bound",
-        claim="linearized operator is bounded strong-to-weak, uniformly "
-              "over the chart",
-        passed=bool(np.isfinite(c1)) and ratio_spread <= 1e-8 * c1,
-        value=c1,
-        bound="finite, chart-uniform to relative 1e-8",
-        details={"chart_ratio_spread": ratio_spread},
-    ))
+    ratios = np.array([[
+        grid.weak_norm_values(model.linearized_apply(
+            s, GridField(row, grid)).values) / grid.strong_norm_values(row)
+        for row in grid.shift_values(probes, s)
+    ] for s in sigma_samples])
+    ratio_spread = float(np.max(np.abs(ratios - ratios[0])))
 
-    # Spectral classification at the configured thresholds.
-    gap = spectrum.spectral_gap
-    e1 = spectrum.unstable_eigenvalue
-    zero_eig = float(spectrum.eigenvalues[spectrum.zero_indices[0]])
-    counts_ok = (
-        len(spectrum.unstable_indices) == 1 and len(spectrum.zero_indices) == 1
-    )
-    checks.append(CheckResult(
-        name="spectral-classification",
-        claim="discrete spectrum splits into one simple negative "
-              "eigenvalue, a one-dimensional symmetry kernel, and a "
-              "gapped stable rest",
-        passed=counts_ok and abs(e1 + 1.25) <= 5e-3
-        and abs(zero_eig) <= cfg.spectral.zero_tol and gap >= 0.7,
-        value=gap,
-        bound="counts (1, 1); lowest eigenvalue -1.25 +- 5e-3; gap >= 0.7",
-        details={
-            "unstable_eigenvalue": e1,
-            "zero_eigenvalue": zero_eig,
-            "n_unstable": len(spectrum.unstable_indices),
-            "n_zero": len(spectrum.zero_indices),
-        },
-    ))
-
-    # The kernel eigenvector is the symmetry tangent.
-    tangent = model.family_tangent(0.0)
+    counts = (len(spectrum.unstable_indices), len(spectrum.zero_indices))
     overlap = abs(float(grid.inner_values(
-        spectrum.eigenvectors[:, spectrum.zero_indices[0]], tangent.values
+        spectrum.eigenvectors[:, spectrum.zero_indices[0]],
+        model.family_tangent(0.0).values,
     )))
-    checks.append(CheckResult(
-        name="zero-mode-identity",
-        claim="kernel eigenvector coincides with the symmetry tangent",
-        passed=abs(1.0 - overlap) <= 1e-8,
-        value=1.0 - overlap,
-        bound="|1 - overlap| <= 1e-8",
-    ))
-
-    # The tangent is annihilated at every sampled chart point.
     annihilation = max(
         float(model.linearized_apply(s, model.family_tangent(s)).weak_norm())
         for s in sigma_samples
     )
-    checks.append(CheckResult(
-        name="tangent-annihilation",
-        claim="family tangent is annihilated by the linearized operator "
-              "at every sampled chart point",
-        passed=annihilation <= 5e-5,
-        value=annihilation,
-        bound="<= 5e-5",
-    ))
-
-    # Propagator decay on the stable range.
-    c2, decay_rate = measure_propagator_constant(
-        spectrum, seed=seeds.propagator
-    )
-    checks.append(CheckResult(
-        name="propagator-decay",
-        claim="semigroup restricted to the stable range decays at least "
-              "like exp(-0.7 t) in the strong norm",
-        passed=decay_rate <= ENVELOPE_RATE_BOUND,
-        value=decay_rate,
-        bound="fitted rate <= -0.7",
-        details={"c2": c2},
-    ))
-
-    # Family regularity: exact base point, bounded derivatives.
     base_defect = float(np.max(np.abs(
         model.family(0.0).values - model.profile.values
     )))
     c_f = model.family_bound()
-    checks.append(CheckResult(
-        name="family-regularity",
-        claim="equilibrium family passes through the pulse and is twice "
-              "differentiable along the chart with bounded derivatives",
-        passed=base_defect == 0.0 and bool(np.isfinite(c_f)),
-        value=c_f,
-        bound="exact at the origin; bound finite",
-        details={"origin_defect": base_defect},
-    ))
-
-    # Frame normalization and trivialization bound.
     frame_defect = max(
         abs(float(model.family_tangent(s).weak_norm()) - 1.0)
         for s in sigma_samples
     )
-    checks.append(CheckResult(
-        name="frame-normalization",
-        claim="chart frame is orthonormal in the weak metric with a "
-              "bounded flat trivialization",
-        passed=frame_defect <= 1e-12,
-        value=frame_defect,
-        bound="|weak(tangent) - 1| <= 1e-12",
-        details={"c_h": model.c_h},
-    ))
-
-    # Operator Lipschitz continuity in the chart point.
     pairs = [(0.0, 0.25), (0.0, 0.5), (1.0, 1.4), (-1.0, -0.6)]
     delta0_ratio = max(
         verify_operator_lipschitz(model, a, b, seed=seeds.operator_probes)
         for a, b in pairs
     )
     slope_bound = 2.0 * model.max_profile_slope()
-    checks.append(CheckResult(
-        name="operator-lipschitz",
-        claim="linearized operator is Lipschitz in the chart point as a "
-              "strong-to-weak operator",
-        passed=delta0_ratio <= 1.1 * slope_bound,
-        value=delta0_ratio,
-        bound="<= 1.1 x (twice the largest profile slope)",
-        details={"slope_bound": slope_bound},
-    ))
 
-    # Nonlinearity: exactly quadratic, with its measured constant.
+    # The nonlinearity at the family against -w^2, on 8 probes of strong
+    # norm 0.3.
     rng = np.random.default_rng(seeds.modulation_probes)
-    quad_defect = 0.0
-    quad_constant = 0.0
+    quad_defect = quad_constant = 0.0
     for _ in range(8):
         smooth = smooth_noise(grid, rng, 4.0)
-        w_values = 0.3 * smooth / grid.strong_norm_values(smooth)
-        w_field = GridField(w_values, grid)
-        remainder = model.nonlinearity(0.0, w_field)
+        w = GridField(0.3 * smooth / grid.strong_norm_values(smooth), grid)
+        remainder = model.nonlinearity(0.0, w)
         quad_defect = max(quad_defect, float(
-            grid.weak_norm_values(remainder.values + w_values**2)
-        ))
-        quad_constant = max(
-            quad_constant,
-            float(remainder.weak_norm()) / w_field.strong_norm() ** 2,
-        )
-    checks.append(CheckResult(
-        name="nonlinearity-quadratic",
-        claim="gradient remainder at the family is exactly minus the "
-              "squared perturbation",
-        passed=quad_defect <= 1e-12,
-        value=quad_defect,
-        bound="<= 1e-12",
-        details={"quadratic_constant": quad_constant},
-    ))
-
-    # Discrete stationarity of the sampled pulse.
+            grid.weak_norm_values(remainder.values + w.values**2)))
+        quad_constant = max(quad_constant, float(remainder.weak_norm())
+                            / w.strong_norm() ** 2)
     stationarity = float(model.gradient(model.profile).weak_norm())
-    checks.append(CheckResult(
-        name="stationarity-defect",
-        claim="sampled pulse is stationary for the discrete energy gradient",
-        passed=stationarity <= 1e-6,
-        value=stationarity,
-        bound="<= 1e-6",
-    ))
 
-    constants = {
-        "c1": c1,
-        "c2": c2,
-        "c_f": c_f,
-        "c_h": model.c_h,
-        "xi": model.xi,
-        "delta0_ratio": delta0_ratio,
-        "spectral_gap": gap,
-        "unstable_eigenvalue": e1,
-        "zero_eigenvalue": zero_eig,
-        "propagator_rate": decay_rate,
-        "stationarity_defect": stationarity,
-        "energy_at_pulse": model.energy(model.profile),
-    }
-    report = LedgerReport(
-        checks=checks,
-        constants=constants,
-        eigenvalue_table=_eigenvalue_table(spectrum),
-    )
-    return report, runtime
+    constants.update(c_f=c_f, c_h=model.c_h, xi=model.xi,
+                     delta0_ratio=delta0_ratio,
+                     stationarity_defect=stationarity,
+                     energy_at_pulse=model.energy(model.profile))
+    return LedgerReport([
+        _check("operator-symmetry", asym == 0.0, asym, "= 0"),
+        _check("operator-bound",
+               bool(np.isfinite(c1)) and ratio_spread <= 1e-8 * c1, c1,
+               "finite, chart-uniform to relative 1e-8",
+               chart_ratio_spread=ratio_spread),
+        _check("spectral-classification",
+               counts == (1, 1) and abs(e1 + 1.25) <= 5e-3
+               and abs(zero_eig) <= cfg.spectral.zero_tol and gap >= 0.7,
+               gap,
+               "counts (1, 1); lowest eigenvalue -1.25 +- 5e-3; gap >= 0.7",
+               unstable_eigenvalue=e1, zero_eigenvalue=zero_eig,
+               n_unstable=counts[0], n_zero=counts[1]),
+        _check("zero-mode-identity", abs(1.0 - overlap) <= 1e-8,
+               1.0 - overlap, "|1 - overlap| <= 1e-8"),
+        _check("tangent-annihilation", annihilation <= 5e-5, annihilation,
+               "<= 5e-5"),
+        _check("propagator-decay",
+               constants["propagator_rate"] <= ENVELOPE_RATE_BOUND,
+               constants["propagator_rate"], "fitted rate <= -0.7",
+               c2=constants["c2"]),
+        _check("family-regularity",
+               base_defect == 0.0 and bool(np.isfinite(c_f)), c_f,
+               "exact at the origin; bound finite", origin_defect=base_defect),
+        _check("frame-normalization", frame_defect <= 1e-12, frame_defect,
+               "|weak(tangent) - 1| <= 1e-12", c_h=model.c_h),
+        _check("operator-lipschitz", delta0_ratio <= 1.1 * slope_bound,
+               delta0_ratio, "<= 1.1 x (twice the largest profile slope)",
+               slope_bound=slope_bound),
+        _check("nonlinearity-quadratic", quad_defect <= 1e-12, quad_defect,
+               "<= 1e-12", quadratic_constant=quad_constant),
+        _check("stationarity-defect", stationarity <= 1e-6, stationarity,
+               "<= 1e-6"),
+    ], constants, _eigenvalue_table(spectrum)), runtime
 
 
 def run_assumption_ledger(cfg: ExperimentConfig) -> LedgerReport:
@@ -508,32 +449,13 @@ def comparison_checks(comparison: dict, degenerate: bool) -> list:
     agreement = max(sups.values())
     rate = None if degenerate else comparison["envelope_rate"]
     return [
-        CheckResult(
-            name="reduced-agreement",
-            claim="fixed-point path and effective chart dynamics match the "
-                  "extracted full solution",
-            passed=agreement <= AGREEMENT_BOUND,
-            value=agreement,
-            bound=f"sup differences <= {AGREEMENT_BOUND:g}",
-            details=sups,
-        ),
-        CheckResult(
-            name="remainder-envelope",
-            claim="extracted remainder stays inside the weighted decay "
-                  "envelope",
-            passed=comparison["decay_margin"] <= 1.0,
-            value=comparison["decay_margin"],
-            bound="<= 1",
-        ),
-        CheckResult(
-            name="envelope-rate",
-            claim="extracted remainder decays exponentially over the fit "
-                  "window",
-            passed=degenerate or rate <= ENVELOPE_RATE_BOUND,
-            value=rate,
-            bound="degenerate for a zero seed (nothing to fit)" if degenerate
-            else f"<= {ENVELOPE_RATE_BOUND}",
-        ),
+        _check("reduced-agreement", agreement <= AGREEMENT_BOUND, agreement,
+               f"sup differences <= {AGREEMENT_BOUND:g}", **sups),
+        _check("remainder-envelope", comparison["decay_margin"] <= 1.0,
+               comparison["decay_margin"], "<= 1"),
+        _check("envelope-rate", degenerate or rate <= ENVELOPE_RATE_BOUND,
+               rate, "degenerate for a zero seed (nothing to fit)"
+               if degenerate else f"<= {ENVELOPE_RATE_BOUND}"),
     ]
 
 
@@ -583,26 +505,38 @@ def write_field_csv(path: str, field: GridField) -> None:
 
 
 def load_trajectory_csv(path: str, grid: PeriodicGrid) -> FullTrajectory:
-    """Rebuild a FullTrajectory from a trajectory CSV (state columns)."""
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        try:
+    """Rebuild a FullTrajectory from a trajectory CSV (state columns); a
+    file that cannot be read or replayed on ``grid`` raises ConfigError."""
+    try:
+        with open(path, encoding="utf-8", newline="") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, [])
+            if "u_0" not in header:
+                raise ConfigError(f"trajectory file {path!r} lacks state "
+                                  f"columns u_0.. and cannot be replayed")
             first_state = header.index("u_0")
-        except ValueError:
-            raise ValueError(
-                "trajectory file lacks state columns u_0.. and cannot be "
-                "replayed"
-            ) from None
-        if len(header) - first_state != grid.n:
-            raise ValueError(
-                f"trajectory has {len(header) - first_state} state columns, "
-                f"expected {grid.n}"
-            )
-        times, states = [], []
-        for row in reader:
-            times.append(float(row[0]))
-            states.append(np.array([float(v) for v in row[first_state:]]))
+            if len(header) - first_state != grid.n:
+                raise ConfigError(
+                    f"trajectory file {path!r} has "
+                    f"{len(header) - first_state} state columns, the grid "
+                    f"has {grid.n} points"
+                )
+            times, states = [], []
+            for row in reader:
+                if len(row) != len(header):
+                    raise ConfigError(
+                        f"trajectory file {path!r} line {reader.line_num} "
+                        f"has {len(row)} cells, the header has {len(header)}"
+                    )
+                times.append(float(row[0]))
+                states.append([float(v) for v in row[first_state:]])
+    except OSError as err:
+        raise ConfigError(f"cannot read trajectory file: {err}") from err
+    except (ValueError, csv.Error) as err:
+        raise ConfigError(
+            f"malformed trajectory file {path!r}: {err}") from err
+    if not times:
+        raise ConfigError(f"trajectory file {path!r} has no samples")
     return FullTrajectory(
         times=np.array(times),
         u_samples=np.array(states),
@@ -729,18 +663,12 @@ def _pipeline_stages(runtime: Runtime, eta_preset: str, out_dir: str,
     eta = preset_field(eta_preset, runtime.spectrum)
     degenerate = eta.strong_norm() == 0.0
     point = construct_point(cfg, workspace, eta)
-    checks.append(CheckResult(
-        name="fixed-point-convergence",
-        claim="solution map contracts to a fixed point at the "
-              "configured ball radius",
-        passed=point.iterations <= cfg.manifold.max_iterations,
-        value=float(point.iterations),
-        bound=f"<= {cfg.manifold.max_iterations} rounds to "
-              f"{cfg.manifold.fixed_point_tol:g}",
-        details={
-            "distances": list(point.distances),
-            "ratios": list(point.contraction_ratios),
-        },
+    checks.append(_check(
+        "fixed-point-convergence",
+        point.iterations <= cfg.manifold.max_iterations,
+        float(point.iterations), f"<= {cfg.manifold.max_iterations} rounds "
+        f"to {cfg.manifold.fixed_point_tol:g}",
+        distances=list(point.distances), ratios=list(point.contraction_ratios),
     ))
 
     yield "contraction"
@@ -749,14 +677,10 @@ def _pipeline_stages(runtime: Runtime, eta_preset: str, out_dir: str,
         speed_constant=speed_constant(cfg, model),
         n_pairs=10, seed=cfg.seeds.contraction,
     )
-    checks.append(CheckResult(
-        name="contraction-factor",
-        claim="solution map contracts trial-path pairs at the configured "
-              "ball radius",
-        passed=contraction["max"] <= CONTRACTION_BOUND,
-        value=contraction["max"],
-        bound=f"<= {CONTRACTION_BOUND}",
-        details={"mean": contraction["mean"]},
+    checks.append(_check(
+        "contraction-factor", contraction["max"] <= CONTRACTION_BOUND,
+        contraction["max"], f"<= {CONTRACTION_BOUND}",
+        mean=contraction["mean"],
     ))
 
     # Shooting refinement against the discrete full solver.
@@ -777,26 +701,18 @@ def _pipeline_stages(runtime: Runtime, eta_preset: str, out_dir: str,
     traj = solve_fixed_step(
         cfg, model, probe if probe is not None and probe.continues_to(samples)
         else payload["initial_values"], samples)
-    checks.append(CheckResult(
-        name="full-solve-complete",
-        claim="corrected initial state survives the comparison horizon "
-              "without escaping",
-        passed=not traj.escaped,
-        value=float(traj.times[-1]),
-        bound=f"reaches t = {float(samples[-1]):g}",
-        details={"stats": dict(traj.stats)},
+    checks.append(_check(
+        "full-solve-complete", not traj.escaped, float(traj.times[-1]),
+        f"reaches t = {float(samples[-1]):g}", stats=dict(traj.stats),
     ))
     if traj.escaped:
         return
 
     energies = traj.energies(model)
     energy_increase = float(np.max(np.diff(energies)))
-    checks.append(CheckResult(
-        name="energy-dissipation",
-        claim="discrete energy is nonincreasing along the full solve",
-        passed=energy_increase <= 1e-12,
-        value=energy_increase,
-        bound="<= 1e-12 per sample step",
+    checks.append(_check(
+        "energy-dissipation", energy_increase <= 1e-12, energy_increase,
+        "<= 1e-12 per sample step",
     ))
 
     # The one decomposition of the solve, and the trajectory artifact.
@@ -836,16 +752,12 @@ def _pipeline_stages(runtime: Runtime, eta_preset: str, out_dir: str,
             }
             rate_ok = (report.rate is not None
                        and abs(report.rate - rate_target) <= GROWTH_RATE_TOL)
-            checks.append(CheckResult(
-                name=f"instability-growth-{label}",
-                claim="offset along the unstable mode grows at the "
-                      "unstable eigenvalue's rate and escapes in the "
-                      "offset's direction",
-                passed=rate_ok and report.escape_sign == sign,
-                value=report.rate,
-                bound=f"rate within {GROWTH_RATE_TOL} of {rate_target:.6f}; "
-                      f"escape sign {sign:+d}",
-                details=witness_metrics[label],
+            checks.append(_check(
+                f"instability-growth-{label}",
+                rate_ok and report.escape_sign == sign, report.rate,
+                f"rate within {GROWTH_RATE_TOL} of {rate_target:.6f}; "
+                f"escape sign {sign:+d}",
+                **witness_metrics[label],
             ))
     if np.array_equal(
         mesh_prefix(workspace.times, cfg.reference.witness_horizon), samples
@@ -862,16 +774,14 @@ def _pipeline_stages(runtime: Runtime, eta_preset: str, out_dir: str,
         "max_coefficient": quiet.max_coefficient,
         "max_remainder_margin": quiet.max_remainder_margin,
     }
-    checks.append(CheckResult(
-        name="zero-offset-quiet",
-        claim="with no offset the unstable coefficient never grows over "
-              "the witness horizon",
-        passed=quiet.escape_sign == 0 and quiet.rate is None
+    checks.append(_check(
+        "zero-offset-quiet",
+        quiet.escape_sign == 0 and quiet.rate is None
         and quiet.max_coefficient <= QUIET_COEFFICIENT_BOUND
         and quiet.max_remainder_margin <= 1.0,
-        value=quiet.max_coefficient,
-        bound=f"no escape; coefficient <= {QUIET_COEFFICIENT_BOUND:g}; "
-              "remainder inside its envelope",
-        details=witness_metrics["zero"],
+        quiet.max_coefficient,
+        f"no escape; coefficient <= {QUIET_COEFFICIENT_BOUND:g}; "
+        "remainder inside its envelope",
+        **witness_metrics["zero"],
     ))
     metrics["witness"] = witness_metrics

@@ -801,7 +801,8 @@ def compare_effective(workspace: SolutionMapWorkspace, point: ManifoldPoint,
 
     The trajectory must be sampled on a prefix of the fixed point's mesh so
     every comparison is pointwise in time, never interpolated; an
-    extraction that lacks samples raises ConvergenceError.
+    extraction that lacks samples, or fewer than two samples in the
+    envelope fit window t in [1, 10], raises ConvergenceError.
     """
     model = workspace.model
     grid = workspace.grid
@@ -815,6 +816,12 @@ def compare_effective(workspace: SolutionMapWorkspace, point: ManifoldPoint,
         j = extracted.n_samples
         raise ConvergenceError(f"state decomposition failed at t = "
                                f"{traj.times[j]:.6g} (sample {j})")
+    fit_mask = (extracted.times >= 1.0) & (extracted.times <= 10.0)
+    if np.count_nonzero(fit_mask) < 2:
+        raise ConvergenceError(
+            f"the envelope fit window t in [1, 10] holds "
+            f"{np.count_nonzero(fit_mask)} comparison samples, fewer than two"
+        )
 
     # Effective chart dynamics driven by the extracted remainder (Heun on
     # the shared mesh).
@@ -838,7 +845,6 @@ def compare_effective(workspace: SolutionMapWorkspace, point: ManifoldPoint,
     extracted_strong = extracted.w_strong_norms()
     envelope = delta / time_weight(extracted.times, alpha)
 
-    fit_mask = (extracted.times >= 1.0) & (extracted.times <= 10.0)
     envelope_rate = float(np.polyfit(
         extracted.times[fit_mask],
         np.log(extracted_strong[fit_mask]),

@@ -245,3 +245,91 @@ def test_a_scale_that_is_no_seed_size_is_refused_before_any_work(
     assert main(["scan-phi", "--direction", "stable-bump",
                  "--scales", scales]) == 2
     assert message in capsys.readouterr().err
+
+
+def _trajectory_text(times, n):
+    header = ["t", "sigma", "strong_norm_w", "unstable_coefficient", "energy"]
+    header += [f"u_{k}" for k in range(n)]
+    rows = [[f"{t:.17g}"] + ["0"] * (len(header) - 1) for t in times]
+    return "\n".join(",".join(row) for row in [header] + rows) + "\n"
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("missing.csv", None, "cannot read trajectory file"),
+    ("empty.csv", "", "lacks state columns"),
+    ("header.csv", _trajectory_text([], 1024), "has no samples"),
+    ("field.csv", "x,value\n0.0,1.0\n", "lacks state columns"),
+    ("cell.csv", _trajectory_text([0.0], 1024).replace(",0\n", ",x\n"),
+     "malformed trajectory file"),
+    ("off-mesh.csv", _trajectory_text([0.0, 0.013], 1024),
+     "not sampled on a prefix of the point's time mesh"),
+], ids=["missing", "empty", "header-only", "x-value", "non-numeric",
+        "off-mesh"])
+def test_an_unusable_trajectory_file_is_refused_before_any_work(
+        tmp_path, capsys, monkeypatch, cfg, name, text, message):
+    from adiaflow import cli
+
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps({"manifold": cfg.to_dict()["manifold"]}),
+                     encoding="utf-8")
+    traj = tmp_path / name
+    if text is not None:
+        traj.write_text(text, encoding="utf-8")
+    monkeypatch.setattr(cli, "build_runtime",
+                        lambda cfg: pytest.fail("the runtime was built"))
+    assert main(["compare", "--point", str(point), "--traj", str(traj),
+                 "--out", str(tmp_path / "report.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("configuration error: ")
+    assert message in captured.err
+
+
+def test_a_comparison_shorter_than_the_fit_window_fails_in_one_line(
+        tmp_path, capsys):
+    point = tmp_path / "point.json"
+    traj = tmp_path / "traj.csv"
+    assert main(["construct", "--eta", "stable-bump", "--out", str(point)]) == 0
+    assert main(["simulate", "--init", str(point), "--T", "0.5",
+                 "--out", str(traj)]) == 0
+    capsys.readouterr()
+    assert main(["compare", "--point", str(point), "--traj", str(traj),
+                 "--out", str(tmp_path / "report.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the envelope fit window t in [1, 10] "
+                            "holds 0 comparison samples, fewer than two\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--out", "{missing}/x.csv"],
+    ["ledger", "--out", "{missing}/l.json"],
+    ["scan-phi", "--direction", "stable-bump", "--scales", "0.02,0.01",
+     "--out", "{missing}/s.csv"],
+    ["pipeline", "--out", "{file}"],
+], ids=["spectrum", "ledger", "scan-phi", "pipeline-over-a-file"])
+def test_an_unwritable_output_is_an_input_error(tmp_path, capsys, argv):
+    existing = tmp_path / "file"
+    existing.write_text("", encoding="utf-8")
+    argv = [arg.format(missing=tmp_path / "missing", file=existing)
+            for arg in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("file error: ") and err.count("\n") == 1
+
+
+def test_a_failed_classification_stops_the_pipeline_after_the_ledger(
+        tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert main(["--set", "spectral.zero_tol=1e-16", "pipeline",
+                 "--out", str(run_dir)]) == 1
+    assert "FAIL assumption-ledger" in capsys.readouterr().out
+    assert sorted(p.name for p in run_dir.iterdir()) == [
+        "config.json", "ledger.json", "report.json",
+    ]
+    report = json.loads((run_dir / "report.json").read_text(encoding="utf-8"))
+    assert report["ledger_passed"] is False
+    assert not report["passed"] and report["exit_code"] == 1
+    assert report["checks"] == []
+    assert report["artifacts"] == ["config.json", "ledger.json"]

@@ -1,8 +1,12 @@
 """Assumption ledger, deterministic artifacts, and CSV round-trips."""
 
+import json
+
 import numpy as np
 import pytest
 
+from adiaflow.cli import main
+from adiaflow.errors import ConfigError
 from adiaflow.grid import GridField, PeriodicGrid
 from adiaflow.harness import (
     build_runtime,
@@ -103,6 +107,27 @@ def test_ledger_json_is_byte_deterministic(ledger, cfg, tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_a_failed_classification_is_one_failed_ledger_check(ledger, tmp_path,
+                                                            capsys):
+    out = tmp_path / "ledger.json"
+    assert main(["--set", "spectral.zero_tol=1e-16", "ledger",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "ledger FAILED"
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert not report["passed"]
+    check, = report["checks"]
+    assert check["name"] == "spectral-classification"
+    assert not check["passed"] and check["value"] is None
+    assert check["details"]["error"]
+    passing = {c.name: c.claim for c in ledger.checks}
+    assert check["claim"] == passing["spectral-classification"]
+    assert report["constants"] == {}
+    table = report["eigenvalue_table"]
+    assert [row["index"] for row in table] == list(range(8))
+    assert {row["kind"] for row in table} == {"unclassified"}
+    assert table[0]["eigenvalue"] == pytest.approx(-1.25, abs=1e-9)
+
+
 def test_trajectory_csv_round_trip(model, grid, spectrum, workspace, tmp_path):
     e_s = spectrum.eigenvectors[:, spectrum.stable_indices[0]]
     u0 = GridField(model.profile.values + 0.005 * e_s, grid)
@@ -124,7 +149,7 @@ def test_trajectory_csv_round_trip(model, grid, spectrum, workspace, tmp_path):
     assert np.array_equal(loaded.times, traj.times)
     assert np.array_equal(loaded.u_samples, traj.u_samples)
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="1024 state columns"):
         load_trajectory_csv(str(path), PeriodicGrid(512))
 
 

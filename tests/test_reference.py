@@ -12,7 +12,7 @@ from adiaflow.errors import ConvergenceError
 from adiaflow.grid import GridField
 from adiaflow.manifold import construct_manifold_point
 from adiaflow.modulation import decompose_state
-from adiaflow.paths import mesh_prefix
+from adiaflow.paths import TrajectoryPath, mesh_prefix
 from adiaflow.reference import (
     FullTrajectory,
     compare_effective,
@@ -459,6 +459,19 @@ def test_comparison_requires_the_shared_mesh(workspace, point_bump, grid):
     )
     with pytest.raises(ValueError):
         compare_effective(workspace, point_bump, stray, point_bump.path,
+                          delta=0.05)
+
+
+def test_comparison_needs_two_samples_in_the_envelope_fit_window(
+        workspace, point_bump, grid):
+    path = point_bump.path
+    m = len(mesh_prefix(path.times, 0.5))
+    short = FullTrajectory(times=path.times[:m],
+                           u_samples=np.zeros((m, grid.n)), stats={})
+    extracted = TrajectoryPath(path.times[:m], path.sigma[:m], path.w[:m],
+                               grid)
+    with pytest.raises(ConvergenceError, match="holds 0 comparison samples"):
+        compare_effective(workspace, point_bump, short, extracted,
                           delta=0.05)
 
 
