@@ -4,7 +4,9 @@ Any state near the pulse family splits uniquely into a translated pulse plus
 a remainder that is weak-orthogonal to the family tangent.  The modulation
 solve then determines the chart velocity that keeps the decomposition
 orthogonal along a trajectory.  This demo decomposes a perturbed, shifted
-pulse, recovers the shift, and inspects the modulation coefficient.
+pulse, recovers the shift, and inspects the modulation coefficient.  The
+model's ``frame(sigma)`` gives the translated pulse, its unit tangent and
+its second derivative as the three rows of one array.
 """
 
 import numpy as np
@@ -26,7 +28,7 @@ def main() -> None:
     state = GridField(model.family(0.8).values + bump, grid)
 
     sigma, remainder = decompose_state(model, state, 0.2)
-    tangent = model.family_tangent(sigma)
+    _, tangent, second = model.frame(sigma)
     print("chart decomposition of a shifted, perturbed pulse")
     print(f"  recovered chart coordinate {sigma:+.6f}  (shift was +0.8)")
     print(f"  remainder strong norm      {remainder.strong_norm():.4e}")
@@ -38,6 +40,7 @@ def main() -> None:
     print(f"  coefficient a        {coeffs.a:+.6e}")
     print(f"  chart velocity       {coeffs.a * model.xi:+.6e}  (= a * xi)")
     print(f"  equation residual    {coeffs.residual:.2e}")
+    print(f"  coupling <w, d^2 f>  {remainder.inner(second):+.6e}")
     print()
 
     # The coefficient is quadratically small in the remainder: halving the

@@ -21,13 +21,13 @@ from .errors import AdiaflowError, ConfigError
 from .grid import GridField, PeriodicGrid
 from .harness import (
     Runtime,
-    _eigenvalue_table,
-    _jsonable,
     build_model,
     build_runtime,
     comparison_checks,
     config_mesh,
     construct_point,
+    eigenvalue_table,
+    jsonable,
     load_trajectory_csv,
     point_payload,
     refine_point,
@@ -49,7 +49,7 @@ from .spectral import decompose, verify_operator_lipschitz
 
 
 def _print_json(payload: dict) -> None:
-    print(json.dumps(_jsonable(payload), indent=2, sort_keys=True))
+    print(json.dumps(jsonable(payload), indent=2, sort_keys=True))
 
 
 def _load_field_csv(path: str, grid: PeriodicGrid) -> GridField:
@@ -142,7 +142,7 @@ def _cmd_spectrum(args, cfg: ExperimentConfig) -> int:
         with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(["index", "eigenvalue", "kind"])
-            for row in _eigenvalue_table(spectrum, len(spectrum.eigenvalues)):
+            for row in eigenvalue_table(spectrum, len(spectrum.eigenvalues)):
                 writer.writerow(
                     [row["index"], f"{row['eigenvalue']:.17g}", row["kind"]]
                 )
@@ -164,7 +164,7 @@ def _cmd_modulate(args, cfg: ExperimentConfig) -> int:
     state = _load_field_csv(args.state, model.grid)
     sigma, remainder = decompose_state(model, state, guess)
     coeffs = solve_modulation(model, sigma, remainder)
-    tangent = model.family_tangent(sigma)
+    tangent = model.frame(sigma)[1]
     _print_json({
         "sigma": sigma,
         "a": coeffs.a,

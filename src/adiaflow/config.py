@@ -114,13 +114,13 @@ class ExperimentConfig:
             (mf.speed_prefactor > 0, "manifold.speed_prefactor must be positive"),
             (r.ceiling > 0, "reference.ceiling must be positive"),
             (r.fixed_dt > 0, "reference.fixed_dt must be positive"),
-            (0 < r.compare_horizon <= mf.horizon,
-             "reference.compare_horizon must lie inside the mesh horizon"),
-            (0 < r.refine_probe_time <= mf.horizon,
-             "reference.refine_probe_time must lie inside the mesh horizon"),
             (r.witness_offset >= 0, "reference.witness_offset must be nonnegative"),
-            (0 < r.witness_horizon <= mf.horizon,
-             "reference.witness_horizon must lie inside the mesh horizon"),
+        ] + [  # a solve horizon below the first mesh step has no sample but 0
+            (mf.mesh_dt_fine <= getattr(r, name) <= mf.horizon,
+             f"reference.{name} = {getattr(r, name):g} must lie between the "
+             f"first mesh step (manifold.mesh_dt_fine = {mf.mesh_dt_fine:g}) "
+             f"and the mesh horizon ({mf.horizon:g})")
+            for name in ("compare_horizon", "refine_probe_time", "witness_horizon")
         ]
         for ok, message in checks:
             if not ok:

@@ -42,7 +42,7 @@ from .presets import preset_field
 from .reference import (
     FullTrajectory,
     RefineResult,
-    _collapse_floor,
+    collapse_floor,
     compare_effective,
     corrected_initial_state,
     evolve_lanes,
@@ -157,7 +157,7 @@ def solve_fixed_step(cfg: ExperimentConfig, model: PulseModel, start,
     return evolve_lanes(
         model, [start], float(samples[-1]), dt=cfg.reference.fixed_dt,
         sample_times=samples, ceiling=cfg.reference.ceiling,
-        collapse_floor=_collapse_floor(model),
+        collapse_floor=collapse_floor(model),
     )[0]
 
 
@@ -179,7 +179,7 @@ class CheckResult:
             "passed": bool(self.passed),
             "value": self.value,
             "bound": self.bound,
-            "details": _jsonable(self.details),
+            "details": jsonable(self.details),
         }
 
 
@@ -255,19 +255,19 @@ class LedgerReport:
         return {
             "passed": self.passed,
             "checks": [check.to_dict() for check in self.checks],
-            "constants": _jsonable(self.constants),
-            "eigenvalue_table": _jsonable(self.eigenvalue_table),
+            "constants": jsonable(self.constants),
+            "eigenvalue_table": jsonable(self.eigenvalue_table),
         }
 
 
-def _jsonable(obj):
+def jsonable(obj):
     """Recursively convert numpy scalars/arrays for JSON serialization."""
     if isinstance(obj, dict):
-        return {key: _jsonable(value) for key, value in obj.items()}
+        return {key: jsonable(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(item) for item in obj]
+        return [jsonable(item) for item in obj]
     if isinstance(obj, np.ndarray):
-        return [_jsonable(item) for item in obj.tolist()]
+        return [jsonable(item) for item in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     return obj
@@ -276,11 +276,12 @@ def _jsonable(obj):
 def write_json(path: str, payload: dict) -> None:
     """Write JSON with sorted keys and a trailing newline (deterministic)."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(_jsonable(payload), handle, indent=2, sort_keys=True)
+        json.dump(jsonable(payload), handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 
-def _eigenvalue_table(spectrum: SpectralData, n_rows: int = 8) -> list:
+def eigenvalue_table(spectrum: SpectralData, n_rows: int = 8) -> list:
+    """The lowest ``n_rows`` eigenvalues with their classification."""
     kinds = {int(spectrum.unstable_indices[0]): "unstable",
              int(spectrum.zero_indices[0]): "zero"}
     table = []
@@ -357,21 +358,21 @@ def _ledger_with_runtime(cfg: ExperimentConfig):
     ratio_spread = float(np.max(np.abs(ratios - ratios[0])))
 
     counts = (len(spectrum.unstable_indices), len(spectrum.zero_indices))
+    tangents = {s: GridField(model.frame(s)[1], grid) for s in sigma_samples}
     overlap = abs(float(grid.inner_values(
         spectrum.eigenvectors[:, spectrum.zero_indices[0]],
-        model.family_tangent(0.0).values,
+        tangents[0.0].values,
     )))
     annihilation = max(
-        float(model.linearized_apply(s, model.family_tangent(s)).weak_norm())
-        for s in sigma_samples
+        float(model.linearized_apply(s, tangent).weak_norm())
+        for s, tangent in tangents.items()
     )
     base_defect = float(np.max(np.abs(
         model.family(0.0).values - model.profile.values
     )))
     c_f = model.family_bound()
     frame_defect = max(
-        abs(float(model.family_tangent(s).weak_norm()) - 1.0)
-        for s in sigma_samples
+        abs(tangent.weak_norm() - 1.0) for tangent in tangents.values()
     )
     pairs = [(0.0, 0.25), (0.0, 0.5), (1.0, 1.4), (-1.0, -0.6)]
     delta0_ratio = max(
@@ -431,7 +432,7 @@ def _ledger_with_runtime(cfg: ExperimentConfig):
                "<= 1e-12", quadratic_constant=quad_constant),
         _check("stationarity-defect", stationarity <= 1e-6, stationarity,
                "<= 1e-6"),
-    ], constants, _eigenvalue_table(spectrum)), runtime
+    ], constants, eigenvalue_table(spectrum)), runtime
 
 
 def run_assumption_ledger(cfg: ExperimentConfig) -> LedgerReport:
@@ -605,7 +606,7 @@ class PipelineReport:
             "exit_code": self.exit_code,
             "ledger_passed": self.ledger_passed,
             "checks": [check.to_dict() for check in self.checks],
-            "metrics": _jsonable(self.metrics),
+            "metrics": jsonable(self.metrics),
             "artifacts": list(self.artifacts),
         }
 
@@ -702,8 +703,10 @@ def _pipeline_stages(runtime: Runtime, eta_preset: str, out_dir: str,
         cfg, model, probe if probe is not None and probe.continues_to(samples)
         else payload["initial_values"], samples)
     checks.append(_check(
-        "full-solve-complete", not traj.escaped, float(traj.times[-1]),
-        f"reaches t = {float(samples[-1]):g}", stats=dict(traj.stats),
+        "full-solve-complete",
+        not traj.escaped and bool(traj.times[-1] == samples[-1]),
+        float(traj.times[-1]), f"reaches t = {float(samples[-1]):g}",
+        stats=dict(traj.stats),
     ))
     if traj.escaped:
         return

@@ -112,12 +112,7 @@ class SolutionMapWorkspace:
         zero_j = spectrum.zero_indices[0]
         self.zero_mode = spectrum.eigenvectors[:, zero_j]
 
-        # Base fields, kept as rfft coefficients for batched frame translation.
-        pulse_base = self.model.family(0.0).values
-        self._pulse_hat = np.fft.rfft(pulse_base)
-        self._tangent_hat = np.fft.rfft(self.model.family_tangent(0.0).values)
-        self._second_hat = np.fft.rfft(self.model.family_second(0.0).values)
-        self._f_frozen = self.grid.shift_values(pulse_base, self.sigma0)
+        self._f_frozen = self.model.frame(self.sigma0)[0]
         # The output chart path of the last application, its phase table and
         # its tangent frame: a Picard round's trial path is the previous
         # round's output, so its tangent frame is already built.
@@ -138,12 +133,13 @@ class SolutionMapWorkspace:
         grid, h = self.grid, self.grid.spacing
         times, dt = self.times, self._dt
         m = self.n_samples
+        pulse_hat, tangent_hat, second_hat = self.model.frame_hat
 
         carried_sigma, phases, tangent_trial = self._carried
         if not np.array_equal(sigma_trial, carried_sigma):
             phases = grid.shift_phases(sigma_trial)
-            tangent_trial = grid.apply_phases(self._tangent_hat, phases)
-        second_trial = grid.apply_phases(self._second_hat, phases)
+            tangent_trial = grid.apply_phases(tangent_hat, phases)
+        second_trial = grid.apply_phases(second_hat, phases)
 
         # Frame coefficient per sample; the chart moves at a * xi.
         modulation = frame_coefficient(grid, w_trial, tangent_trial,
@@ -154,7 +150,7 @@ class SolutionMapWorkspace:
 
         # Sources: quadratic remainder, chart-velocity term, and the potential
         # difference between the moving frame and the frozen base point.
-        f_trial = grid.apply_phases(self._pulse_hat, phases)
+        f_trial = grid.apply_phases(pulse_hat, phases)
         sources = (
             w_trial**2
             - modulation[:, None] * tangent_trial
@@ -195,7 +191,7 @@ class SolutionMapWorkspace:
         # Tangent channel: slaved to the orthogonality constraint at the
         # output chart positions, making the constraint hold exactly.
         phases_out = grid.shift_phases(sigma_out)
-        tangent_out = grid.apply_phases(self._tangent_hat, phases_out)
+        tangent_out = grid.apply_phases(tangent_hat, phases_out)
         self._carried = (sigma_out.copy(), phases_out, tangent_out)
         w_main = coeff @ self.stable_modes.T + branch[:, None] * self.unstable_mode
         overlap = grid.inner_values(self.zero_mode[None, :], tangent_out)
@@ -219,7 +215,7 @@ class SolutionMapWorkspace:
 
 def check_input_field(workspace: SolutionMapWorkspace, eta: GridField) -> None:
     """Require eta to carry no tangent or unstable component."""
-    tangent = workspace.model.family_tangent(workspace.spectrum.base_point)
+    tangent = workspace.model.frame(workspace.spectrum.base_point)[1]
     tol = ORTHOGONALITY_TOL * max(1.0, eta.weak_norm())
     along_tangent = abs(eta.inner(tangent))
     along_unstable = abs(

@@ -24,6 +24,8 @@ chart point is a plain float and the distance of two is |sigma - sigma'|; the
 tangent frame is normalized so the family tangent has unit weak norm, with
 scale factor xi = 1 / ||phi'||.  The frame does not turn along the chart, so
 a frame coefficient a moves the chart at the velocity a * xi.
+``PulseModel.frame(sigma)`` alone translates the frame (f, d f, d^2 f):
+all three rows together, from the rfft coefficients ``frame_hat``.
 """
 
 from __future__ import annotations
@@ -59,22 +61,24 @@ class PulseModel:
 
         x = grid.x
         sech2 = 1.0 / np.cosh(x / 2.0) ** 2
-        self._pulse = 1.5 * sech2
+        pulse = 1.5 * sech2
         # phi'(x) = -(3/2) sech^2(x/2) tanh(x/2), evaluated analytically.
         self._pulse_derivative = -1.5 * sech2 * np.tanh(x / 2.0)
-        # phi'' = phi - phi^2 exactly (the profile equation).
-        self._pulse_second = self._pulse - self._pulse**2
 
         # Tangent-frame normalization: unit weak norm for the family tangent.
         self.xi = 1.0 / float(grid.weak_norm_values(self._pulse_derivative))
-        self._tangent0 = -self.xi * self._pulse_derivative
-        self._second0 = (self.xi**2) * self._pulse_second
+        # The frame at sigma = 0: phi, the unit tangent -xi phi', and
+        # xi^2 phi'' with phi'' = phi - phi^2 exactly (the profile equation).
+        self._frame0 = np.stack([pulse, -self.xi * self._pulse_derivative,
+                                 (self.xi**2) * (pulse - pulse**2)])
+        self.frame_hat = np.fft.rfft(self._frame0, axis=-1)
+        self.frame_hat.flags.writeable = False
 
     # -- static profile -----------------------------------------------------------
     @property
     def profile(self) -> GridField:
         """The pulse equilibrium at the chart origin."""
-        return GridField(self._pulse.copy(), self.grid)
+        return GridField(self._frame0[0].copy(), self.grid)
 
     # -- potential ------------------------------------------------------------------
     @staticmethod
@@ -151,24 +155,19 @@ class PulseModel:
             )
 
     # -- the equilibrium family ----------------------------------------------------
+    def frame(self, sigma: float) -> np.ndarray:
+        """(f, d f, d^2 f) at sigma as one (3, n) array: phi(. - sigma), the
+        unit tangent -xi phi'(. - sigma) and xi^2 phi''(. - sigma), translated
+        with one phase table and one inverse FFT.  Each row is bitwise
+        ``grid.shift_values`` of its base field; sigma = 0 is exact."""
+        if sigma == 0.0:
+            return self._frame0.copy()
+        return self.grid.apply_phases(self.frame_hat,
+                                      self.grid.shift_phases(sigma))
+
     def family(self, sigma: float) -> GridField:
-        """f(sigma) = phi(. - sigma), translated spectrally."""
-        return GridField(
-            self.grid.shift_values(self._pulse, sigma), self.grid
-        )
-
-    def family_tangent(self, sigma: float) -> GridField:
-        """Unit-weak-norm tangent to the family: -xi * phi'(. - sigma)."""
-        return GridField(
-            self.grid.shift_values(self._tangent0, sigma), self.grid
-        )
-
-    def family_second(self, sigma: float) -> GridField:
-        """Second derivative of the family along the normalized frame:
-        xi^2 * phi''(. - sigma)."""
-        return GridField(
-            self.grid.shift_values(self._second0, sigma), self.grid
-        )
+        """f(sigma) = phi(. - sigma), row 0 of ``frame``."""
+        return GridField(self.frame(sigma)[0], self.grid)
 
     # -- measured diagnostics ---------------------------------------------------
     @property
@@ -181,15 +180,8 @@ class PulseModel:
         + strong_norm(second)."""
         if sigma_samples is None:
             sigma_samples = np.linspace(-2.0, 2.0, 9)
-        best = 0.0
-        for s in sigma_samples:
-            total = (
-                self.family(s).strong_norm()
-                + self.family_tangent(s).strong_norm()
-                + self.family_second(s).strong_norm()
-            )
-            best = max(best, total)
-        return best
+        return max(float(sum(self.grid.strong_norm_values(self.frame(s))))
+                   for s in sigma_samples)
 
     def max_profile_slope(self) -> float:
         """sup |phi'|, which bounds the sigma-Lipschitz constant of L(sigma)

@@ -11,9 +11,9 @@ the scalar equation
     (1 - <w, d^2 f>) a = <w^2, d f>,
 
 where d f and d^2 f are the family's tangent and second derivative along
-the unit frame.  ``frame_coefficient`` is the one place this quotient is
-formed; a damped Newton iteration is only needed to *find* sigma when
-decomposing an arbitrary state.
+the unit frame, rows 1 and 2 of ``PulseModel.frame``.  ``frame_coefficient``
+is the one place this quotient is formed; a damped Newton iteration is only
+needed to *find* sigma when decomposing an arbitrary state.
 """
 
 from __future__ import annotations
@@ -81,8 +81,7 @@ def solve_modulation(model: PulseModel, sigma: float,
     """
     model.check_ball(w)
     grid = model.grid
-    tangent = model.family_tangent(sigma).values
-    second = model.family_second(sigma).values
+    _, tangent, second = model.frame(sigma)
     a = float(frame_coefficient(grid, w.values, tangent, second))
     coupling, drive = _overlaps(grid, w.values, tangent, second)
     return ModulationCoefficients(
@@ -90,8 +89,13 @@ def solve_modulation(model: PulseModel, sigma: float,
     )
 
 
-def _constraint(model: PulseModel, u_values: np.ndarray, s: float) -> float:
-    """g(s) = <u - f(s), tangent(s)> for the chart coordinate s.
+#: The decomposition stops once the constraint residual |g| is this small.
+_DECOMPOSE_TOL = 1e-12
+
+
+def _constraint(model: PulseModel, u_values: np.ndarray,
+                s: float) -> tuple[float, np.ndarray]:
+    """g(s) = <u - f(s), tangent(s)> and the frame ``model.frame(s)``.
 
     Raises ConvergenceError if s is not finite or leaves the model's chart.
     """
@@ -100,43 +104,42 @@ def _constraint(model: PulseModel, u_values: np.ndarray, s: float) -> float:
             f"chart coordinate {s} leaves the chart of radius "
             f"{model.chart_radius}"
         )
-    fvals = model.family(s).values
-    tvals = model.family_tangent(s).values
-    return float(model.grid.inner_values(u_values - fvals, tvals))
+    frame = model.frame(s)
+    return float(model.grid.inner_values(u_values - frame[0], frame[1])), frame
 
 
 def decompose_state(model: PulseModel, u: GridField, sigma_guess: float,
-                    tol: float = 1e-12,
                     max_iter: int = 50) -> tuple[float, GridField]:
     """Split u into f(sigma) + w with w orthogonal to the family tangent.
 
     Finds the chart point by a damped Newton iteration on the scalar
     constraint g(sigma) = <u - f(sigma), tangent(sigma)>; the derivative is
     g'(sigma) = (<w, d^2 f(sigma)> - 1) / xi with w the current remainder.
-    Steps that increase |g| are halved.  Returns (sigma, w).
+    Steps that increase |g| are halved.  The accepted trial's frame serves
+    the next slope and the remainder.  Returns (sigma, w).
 
     Raises
     ------
     ConvergenceError
-        After max_iter iterations without reaching tol, or when the guess or
-        a trial step leaves the chart of radius ``model.chart_radius``; both
-        signal that u left the tubular neighborhood of the family.
+        After max_iter iterations without reaching |g| <= 1e-12, or when the
+        guess or a trial step leaves the chart of radius
+        ``model.chart_radius``; both signal that u left the tubular
+        neighborhood of the family.
     """
     grid = model.grid
     s = float(sigma_guess)
-    g = _constraint(model, u.values, s)
+    g, frame = _constraint(model, u.values, s)
     for _ in range(max_iter):
-        if abs(g) <= tol:
+        if abs(g) <= _DECOMPOSE_TOL:
             break
-        w_vals = u.values - model.family(s).values
-        overlap = grid.inner_values(w_vals, model.family_second(s).values)
+        overlap = grid.inner_values(u.values - frame[0], frame[2])
         slope = (overlap - 1.0) / model.xi
         if slope == 0.0:
             raise ConvergenceError("degenerate constraint slope in decomposition")
         step = -g / slope
         # damping: halve the step while the residual grows
         for _ in range(40):
-            g_new = _constraint(model, u.values, s + step)
+            g_new, frame_new = _constraint(model, u.values, s + step)
             if abs(g_new) < abs(g):
                 break
             step *= 0.5
@@ -145,11 +148,11 @@ def decompose_state(model: PulseModel, u: GridField, sigma_guess: float,
                 "damped Newton stalled while decomposing the state"
             )
         s += step
-        g = g_new
+        g, frame = g_new, frame_new
     else:
         raise ConvergenceError(
-            f"state decomposition did not reach |g| <= {tol:.1e} in "
-            f"{max_iter} iterations (last residual {abs(g):.3e}); the state "
-            "may have left the tubular neighborhood"
+            f"state decomposition did not reach |g| <= {_DECOMPOSE_TOL:.1e} "
+            f"in {max_iter} iterations (last residual {abs(g):.3e}); the "
+            "state may have left the tubular neighborhood"
         )
-    return float(s), GridField(u.values - model.family(s).values, grid)
+    return float(s), GridField(u.values - frame[0], grid)

@@ -509,7 +509,8 @@ _BRACKET_MIN = 2e-5
 _MARCH_OVERSHOOT = 2.0
 
 
-def _collapse_floor(model: PulseModel) -> float:
+def collapse_floor(model: PulseModel) -> float:
+    """Half the pulse's weak norm: at or below it a solve has collapsed."""
     return 0.5 * model.profile.weak_norm()
 
 
@@ -590,7 +591,7 @@ def refine_correction(workspace: SolutionMapWorkspace, point: ManifoldPoint,
     short_samples = mesh_prefix(
         mesh, _SHORT_PROBE_FRACTION * probe_time
     )
-    floor = _collapse_floor(model)
+    floor = collapse_floor(model)
     base = point.initial_state.values
     mode = workspace.unstable_mode
     growth = -workspace.unstable_eigenvalue
@@ -829,10 +830,9 @@ def compare_effective(workspace: SolutionMapWorkspace, point: ManifoldPoint,
     sigma_eff[0] = extracted.sigma[0]
 
     def velocity(s: float, w_values: np.ndarray) -> float:
-        return float(frame_coefficient(
-            grid, w_values, model.family_tangent(s).values,
-            model.family_second(s).values,
-        )) * model.xi
+        _, tangent, second = model.frame(s)
+        return float(frame_coefficient(grid, w_values, tangent,
+                                       second)) * model.xi
 
     for j in range(m - 1):
         h_t = extracted.times[j + 1] - extracted.times[j]
@@ -893,7 +893,7 @@ def instability_witness(workspace: SolutionMapWorkspace, point: ManifoldPoint,
     With a zero offset the trajectory should stay decaying for the whole
     horizon; any nonzero offset seeds the unstable channel, whose growth
     ``witness_report`` fits.  A strong norm at ``ceiling`` ends the run as a
-    blow-up, and a weak norm at or below ``_collapse_floor`` as a collapse
+    blow-up, and a weak norm at or below ``collapse_floor`` as a collapse
     toward zero.
 
     Samples sit on the workspace mesh so the stepping — step size plus the
@@ -919,7 +919,7 @@ def instability_witnesses(workspace: SolutionMapWorkspace,
         model, [corrected_initial_state(workspace, point, beta, offset).values
                 for offset in offsets],
         float(samples[-1]), dt=dt, sample_times=samples, ceiling=ceiling,
-        collapse_floor=_collapse_floor(model),
+        collapse_floor=collapse_floor(model),
     )
     reports = []
     for offset, traj in zip(offsets, trajectories):

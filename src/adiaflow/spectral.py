@@ -154,7 +154,7 @@ def decompose(model: PulseModel, sigma: float,
     mask[zero] = False
     stable = np.flatnonzero(mask)
 
-    tangent = model.family_tangent(sigma)
+    tangent = GridField(model.frame(sigma)[1], grid)
     overlap = abs(grid.inner_values(tangent.values, vectors[:, zero[0]]))
     if overlap < 1.0 - 1e-4:
         raise ClassificationError(

@@ -67,12 +67,12 @@ def traj_bump(workspace, model, refined_bump):
     """The comparison solve to t = 20 from beta*, continuing the
     refinement's probe solve, with the pipeline's escape checks."""
     from adiaflow.paths import mesh_prefix
-    from adiaflow.reference import _collapse_floor, evolve_lanes
+    from adiaflow.reference import collapse_floor, evolve_lanes
 
     samples = mesh_prefix(workspace.times, 20.0)
     return evolve_lanes(model, [refined_bump.trajectory], float(samples[-1]),
                         dt=1e-3, sample_times=samples,
-                        collapse_floor=_collapse_floor(model))[0]
+                        collapse_floor=collapse_floor(model))[0]
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 """Command-line entry points, exercised in-process through main(argv)."""
 
 import csv
+import dataclasses
 import json
 
 import pytest
@@ -222,6 +223,38 @@ def test_a_typed_error_in_a_stage_is_a_failed_check_of_that_stage(
     assert not shooting["passed"]
     assert shooting["details"]["error"] == "no surviving coefficient"
     assert report["artifacts"] == ["config.json", "ledger.json"]
+
+
+def test_a_horizon_below_the_first_mesh_step_is_refused_in_one_line(capsys):
+    assert main(["--set", "reference.compare_horizon=0.01", "pipeline"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "configuration error: reference.compare_horizon = 0.01 must lie "
+        "between the first mesh step (manifold.mesh_dt_fine = 0.02) and the "
+        "mesh horizon (30)\n")
+
+
+def test_a_solve_that_stops_short_fails_full_solve_complete(
+        tmp_path, capsys, monkeypatch):
+    from adiaflow import harness
+
+    solve = harness.solve_fixed_step
+
+    def short(cfg, model, start, samples):
+        traj = solve(cfg, model, start, samples)
+        kept = traj.times < samples[-1]
+        return dataclasses.replace(traj, times=traj.times[kept],
+                                   u_samples=traj.u_samples[kept])
+
+    monkeypatch.setattr(harness, "solve_fixed_step", short)
+    run_dir = tmp_path / "run"
+    assert main(["--set", "reference.compare_horizon=2",
+                 "--set", "reference.witness_horizon=2",
+                 "--set", "reference.witness_offset=0",
+                 "pipeline", "--out", str(run_dir)]) == 1
+    assert ("FAIL full-solve-complete: 1.98 (reaches t = 2)"
+            in capsys.readouterr().out)
 
 
 def test_a_negative_horizon_is_a_configuration_error(capsys):

@@ -26,6 +26,10 @@ def test_defaults_are_complete_and_valid(cfg):
     "model.n_points=17",        # odd grid size
     "manifold.mesh_ratio=1.0",  # geometric mesh must grow
     "reference.compare_horizon=99.0",  # beyond the mesh horizon
+    # below the first mesh step (manifold.mesh_dt_fine = 0.02)
+    "reference.compare_horizon=0.01",
+    "reference.witness_horizon=0.01",
+    "reference.refine_probe_time=0.01",
 ])
 def test_validation_rejects_bad_values(assignment):
     config = ExperimentConfig()

@@ -27,8 +27,8 @@ ALPHA = 1.0
 def _orthogonality_along(model, grid, path, stride=1):
     worst = 0.0
     for j in range(0, path.n_samples, stride):
-        tangent = model.family_tangent(path.sigma[j])
-        worst = max(worst, abs(grid.inner_values(path.w[j], tangent.values)))
+        tangent = model.frame(path.sigma[j])[1]
+        worst = max(worst, abs(grid.inner_values(path.w[j], tangent)))
     return worst
 
 
@@ -44,8 +44,8 @@ def test_input_field_screening(workspace, eta_bump, grid):
     )
     with pytest.raises(ValueError):
         check_input_field(workspace, contaminated)
-    tangent = workspace.model.family_tangent(0.0)
-    tilted = GridField(eta_bump.values + 1e-3 * tangent.values, grid)
+    tangent = workspace.model.frame(0.0)[1]
+    tilted = GridField(eta_bump.values + 1e-3 * tangent, grid)
     with pytest.raises(ValueError):
         check_input_field(workspace, tilted)
     with pytest.raises(ValueError):
@@ -126,7 +126,7 @@ def test_initial_state_decomposition(workspace, point_bump, model, grid):
     remainder = point_bump.initial_state.values - base
     unstable_part = grid.inner_values(remainder, workspace.unstable_mode)
     assert unstable_part == pytest.approx(point_bump.correction, abs=1e-12)
-    tangent = model.family_tangent(workspace.spectrum.base_point).values
+    tangent = model.frame(workspace.spectrum.base_point)[1]
     assert abs(grid.inner_values(remainder, tangent)) <= 1e-12
     assert grid.strong_norm_values(point_bump.path.w[0]) <= DELTA
 

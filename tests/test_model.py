@@ -105,20 +105,39 @@ def test_family_is_the_shifted_profile(grid, model):
     assert np.max(np.abs(model.family(sigma).values - naked)) <= 1e-7
 
 
+def test_frame_at_the_origin_is_the_exact_base_fields(grid, model):
+    sech2 = 1.0 / np.cosh(grid.x / 2.0) ** 2
+    pulse = 1.5 * sech2
+    expected = np.stack([
+        pulse,
+        -model.xi * (-1.5 * sech2 * np.tanh(grid.x / 2.0)),
+        (model.xi**2) * (pulse - pulse**2),
+    ])
+    assert np.array_equal(model.frame(0.0), expected)
+    assert np.array_equal(model.frame(0.0)[0], model.profile.values)
+
+
+@pytest.mark.parametrize("sigma", [0.7, -1.3, 4.9, 1e-9])
+def test_frame_rows_are_the_shifted_base_fields(grid, model, sigma):
+    for row, base in zip(model.frame(sigma), model.frame(0.0)):
+        assert np.array_equal(row, grid.shift_values(base, sigma))
+    assert np.array_equal(model.family(sigma).values, model.frame(sigma)[0])
+
+
 def test_family_tangent_is_the_unit_chart_derivative(grid, model):
     h = 1e-5
     s = 0.4
     numerical = (model.family(s + h).values - model.family(s - h).values) \
         / (2 * h)
-    tangent = model.family_tangent(s)
-    assert np.max(np.abs(model.xi * numerical - tangent.values)) <= 1e-7
+    tangent = model.frame(s)[1]
+    assert np.max(np.abs(model.xi * numerical - tangent)) <= 1e-7
     for sigma in (0.0, -1.3, 2.1):
-        unit = model.family_tangent(sigma)
-        assert unit.weak_norm() == pytest.approx(1.0, abs=1e-12)
+        unit = model.frame(sigma)[1]
+        assert grid.weak_norm_values(unit) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_family_second_matches_the_constraint_slope(grid, model):
-    # d/ds <u - f(s), tangent(s)> must equal (<w, family_second> - 1) / xi,
+    # d/ds <u - f(s), tangent(s)> must equal (<w, second(s)> - 1) / xi,
     # the slope the state decomposition's Newton iteration relies on.
     s = 0.3
     sm = _smooth_noise(grid, 7)
@@ -127,13 +146,13 @@ def test_family_second_matches_the_constraint_slope(grid, model):
     def constraint(sigma):
         return grid.inner_values(
             u_vals - model.family(sigma).values,
-            model.family_tangent(sigma).values,
+            model.frame(sigma)[1],
         )
 
     h = 1e-5
     numerical = (constraint(s + h) - constraint(s - h)) / (2 * h)
     w_vals = u_vals - model.family(s).values
-    overlap = grid.inner_values(w_vals, model.family_second(s).values)
+    overlap = grid.inner_values(w_vals, model.frame(s)[2])
     assert numerical == pytest.approx((overlap - 1.0) / model.xi, rel=1e-6)
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adiaflow import modulation
 from adiaflow.errors import BallViolationError, ConvergenceError
 from adiaflow.grid import GridField, smooth_noise, zero_field
 from adiaflow.model import PulseModel
@@ -30,8 +31,8 @@ def _remainder_rows(model, grid, seed, sizes):
     for size in sizes:
         sm = smooth_noise(grid, rng, 3.0)
         rows.append(size * sm / grid.strong_norm_values(sm))
-    tangent = np.array([model.family_tangent(s).values for s in sigmas])
-    second = np.array([model.family_second(s).values for s in sigmas])
+    tangent = np.array([model.frame(s)[1] for s in sigmas])
+    second = np.array([model.frame(s)[2] for s in sigmas])
     return sigmas, np.array(rows), tangent, second
 
 
@@ -79,8 +80,8 @@ def test_solve_satisfies_the_affine_system(model, grid):
     w = GridField(0.08 * sm / grid.strong_norm_values(sm), grid)
     sigma = -0.6
     coeffs = solve_modulation(model, sigma, w)
-    coupling = grid.inner_values(w.values, model.family_second(sigma).values)
-    drive = grid.inner_values(w.values**2, model.family_tangent(sigma).values)
+    coupling = grid.inner_values(w.values, model.frame(sigma)[2])
+    drive = grid.inner_values(w.values**2, model.frame(sigma)[1])
     assert (1.0 - coupling) * coeffs.a - drive == pytest.approx(0.0, abs=1e-14)
     assert coeffs.residual <= 1e-14
 
@@ -98,10 +99,10 @@ def test_solve_rejects_a_remainder_outside_the_ball(model, grid):
 
 def test_near_singular_coupling_raises(grid):
     loose = PulseModel(grid, 5.0, 10.0)
-    second = loose.family_second(0.0)
-    scale = 0.95 / grid.inner_values(second.values, second.values)
+    second = loose.frame(0.0)[2]
+    scale = 0.95 / grid.inner_values(second, second)
     with pytest.raises(ConvergenceError):
-        solve_modulation(loose, 0.0, GridField(scale * second.values, grid))
+        solve_modulation(loose, 0.0, GridField(scale * second, grid))
 
 
 def test_coefficient_is_small_on_the_remainder_ball(model, grid):
@@ -150,8 +151,7 @@ def test_decompose_output_is_orthogonal_and_exact(model, grid):
         + 0.03 * sm / grid.strong_norm_values(sm)
     )
     sigma, w = decompose_state(model, GridField(state_vals.copy(), grid), 0.3)
-    tangent = model.family_tangent(sigma)
-    assert abs(w.inner(tangent)) <= 1e-12
+    assert abs(w.inner(model.frame(sigma)[1])) <= 1e-12
     # Reassembly is exact to one rounding of the subtraction that defined w.
     assert np.max(np.abs(
         state_vals - (model.family(sigma).values + w.values)
@@ -166,7 +166,7 @@ def test_decompose_output_is_orthogonal_and_exact(model, grid):
        seed=st.integers(0, 2**32 - 1))
 def test_decompose_inverts_a_family_point_plus_an_orthogonal_remainder(
         model, grid, sigma, guess_offset, size, seed):
-    tangent = model.family_tangent(sigma).values
+    tangent = model.frame(sigma)[1]
     sm = smooth_noise(grid, np.random.default_rng(seed), 3.0)
     sm -= grid.inner_values(sm, tangent) * tangent
     w = size * sm / grid.strong_norm_values(sm)
@@ -176,14 +176,43 @@ def test_decompose_inverts_a_family_point_plus_an_orthogonal_remainder(
     assert np.max(np.abs(remainder.values - w)) <= 1e-11
 
 
+def test_decompose_translates_the_frame_once_per_constraint_evaluation(
+        model, grid, monkeypatch):
+    rng = np.random.default_rng(12)
+    sm = smooth_noise(grid, rng, 3.0)
+    state = GridField(model.family(0.42).values
+                      + 0.03 * sm / grid.strong_norm_values(sm), grid)
+    expected = decompose_state(model, state, 0.3)
+
+    transforms = {"rfft": 0, "irfft": 0}
+    for name in transforms:
+        def counted(*args, _name=name, _fft=getattr(np.fft, name), **kwargs):
+            transforms[_name] += 1
+            return _fft(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    points = []
+    constraint = modulation._constraint
+
+    def recorded(model, u_values, s):
+        points.append(s)
+        return constraint(model, u_values, s)
+
+    monkeypatch.setattr(modulation, "_constraint", recorded)
+    sigma, w = decompose_state(model, state, 0.3)
+    assert sigma == expected[0]
+    assert np.array_equal(w.values, expected[1].values)
+    assert len(points) >= 3
+    assert transforms == {"rfft": 0,
+                          "irfft": sum(s != 0.0 for s in points)}
+
+
 def test_decompose_of_an_even_perturbation_keeps_the_chart_point(model, grid,
                                                                  spectrum):
     e_s = spectrum.eigenvectors[:, spectrum.stable_indices[0]]
     state = GridField(model.profile.values + 1e-3 * e_s, grid)
     sigma, w = decompose_state(model, state, 0.0)
     assert sigma == 0.0
-    tangent = model.family_tangent(sigma)
-    assert abs(w.inner(tangent)) <= 1e-12
+    assert abs(w.inner(model.frame(sigma)[1])) <= 1e-12
 
 
 def test_leaving_the_chart_is_a_convergence_error(model, grid):

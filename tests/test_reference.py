@@ -346,7 +346,7 @@ def test_fourier_state_solve_matches_the_physical_split_step(
     point, refined, _ = corrected_run
     u0 = corrected_initial_state(workspace, point, refined.beta, offset)
     samples = mesh_prefix(workspace.times, t_end)
-    floor = reference._collapse_floor(model)
+    floor = reference.collapse_floor(model)
     traj = evolve_lanes(model, [u0.values], float(samples[-1]), dt=1e-3,
                         sample_times=samples, collapse_floor=floor)[0]
     times, states, sign, escape_time = physical_split_solve(
@@ -391,8 +391,7 @@ def test_even_perturbations_keep_the_chart_at_zero(model, grid,
     state = GridField(model.profile.values + eps * stable_direction, grid)
     sigma, w = decompose_state(model, state, 0.0)
     assert sigma == 0.0
-    tangent = model.family_tangent(sigma)
-    assert abs(w.inner(tangent)) <= 1e-12
+    assert abs(w.inner(model.frame(sigma)[1])) <= 1e-12
 
 
 def test_drift_of_the_corrected_bump(workspace, model, grid, point_bump,
@@ -413,7 +412,7 @@ def test_drift_of_the_corrected_bump(workspace, model, grid, point_bump,
     worst = max(
         abs(grid.inner_values(
             extracted.w[j],
-            model.family_tangent(extracted.sigma[j]).values,
+            model.frame(extracted.sigma[j])[1],
         ))
         for j in range(0, extracted.n_samples, 10)
     )
@@ -567,7 +566,7 @@ LANE_OFFSETS = (0.0, 3e-2, -1e-2, 1e-2)
 @pytest.fixture(scope="module")
 def single_solves(workspace, model):
     samples = mesh_prefix(workspace.times, 5.0)
-    floor = reference._collapse_floor(model)
+    floor = reference.collapse_floor(model)
     starts = [model.profile.values + offset * workspace.unstable_mode
               for offset in LANE_OFFSETS]
     singles = [evolve_lanes(model, [u0], float(samples[-1]), dt=1e-3,
@@ -641,7 +640,7 @@ def test_only_a_surviving_fixed_step_solve_on_the_same_samples_continues(
     min_size=1, max_size=4))
 def test_every_lane_is_its_single_solve(workspace, model, offsets):
     samples = mesh_prefix(workspace.times, 3.0)
-    floor = reference._collapse_floor(model)
+    floor = reference.collapse_floor(model)
     starts = [model.profile.values + sign * 10.0**power
               * workspace.unstable_mode for sign, power in offsets]
     solved = evolve_lanes(model, starts, float(samples[-1]), dt=2e-3,

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module imports is used in that module."""
+"""Source hygiene: every name a module imports is used in that module, and
+no module imports another module's underscore names."""
 
 import ast
 from pathlib import Path
@@ -25,10 +26,31 @@ def _unused_imports(tree: ast.Module) -> list:
                   if name not in used)
 
 
+def _private_imports(tree: ast.Module) -> list:
+    return sorted(
+        (node.lineno, alias.name) for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names if alias.name.startswith("_")
+    )
+
+
 def test_the_check_sees_an_unused_import():
     tree = ast.parse("import os\nimport numpy as np\nfrom x import a, b\n"
                      "np.zeros(a)\n")
     assert _unused_imports(tree) == [(1, "os"), (3, "b")]
+
+
+def test_the_check_sees_a_private_import():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "from .harness import _jsonable, build_runtime\n"
+                     "from numpy import _core\n")
+    assert _private_imports(tree) == [(2, "_jsonable"), (3, "_core")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_a_module_imports_no_underscore_name(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _private_imports(tree) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
