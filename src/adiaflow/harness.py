@@ -475,25 +475,24 @@ def trajectory_rows(traj: FullTrajectory, extracted: TrajectoryPath,
     coefficient, energy, then the full state so any consumer can rebuild the
     exact discrete trajectory.  Only the extracted prefix is emitted.
     """
-    grid = extracted.grid
-    strongs = extracted.w_strong_norms()
+    m = extracted.n_samples
     header = ["t", "sigma", "strong_norm_w", "unstable_coefficient", "energy"]
-    header += [f"u_{k}" for k in range(grid.n)]
-    rows = []
-    for j in range(extracted.n_samples):
-        row = [traj.times[j], extracted.sigma[j], strongs[j],
-               float(coefficients[j]), float(energies[j])]
-        row += [float(v) for v in traj.u_samples[j]]
-        rows.append(row)
+    header += [f"u_{k}" for k in range(extracted.grid.n)]
+    rows = np.column_stack([
+        traj.times[:m], extracted.sigma, extracted.w_strong_norms(),
+        coefficients, energies[:m], traj.u_samples[:m],
+    ]).tolist()
     return header, rows
 
 
 def write_trajectory_csv(path: str, header: list, rows: list) -> None:
+    """Write the trajectory table, every value as 17 significant digits;
+    the bytes are those of ``csv.writer`` on the formatted values."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
+        handle.write(",".join(header) + "\n")
+        line = ",".join(["%.17g"] * len(header)) + "\n"
         for row in rows:
-            writer.writerow([f"{value:.17g}" for value in row])
+            handle.write(line % tuple(row))
 
 
 def write_field_csv(path: str, field: GridField) -> None:

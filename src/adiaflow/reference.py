@@ -47,6 +47,8 @@ from itertools import compress
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+from numpy.fft._pocketfft_umath import irfft as _irfft
+from numpy.fft._pocketfft_umath import rfft_n_even as _rfft
 
 from .errors import ConvergenceError
 from .grid import GridField, PeriodicGrid
@@ -116,23 +118,52 @@ class _SplitStepper:
     bitwise as it would in a stack of one.  Norms of a state come from its
     |rfft|^2 by Parseval, with no FFT.  Half-step multipliers are cached
     per dt.
+
+    The transforms call the pocketfft loops that ``np.fft.rfft`` and
+    ``np.fft.irfft`` wrap, with the scales those pass (1 forward, 1/n
+    inverse), so they give the same bits.  At the solver's sizes a numpy
+    FFT call spends much of its time in Python argument handling before
+    its loop starts, and a step makes two of them.  The half-stepped
+    spectrum, the physical values and the denominators of a step go into
+    buffers kept for the current stack height.
     """
 
     def __init__(self, grid: PeriodicGrid):
         self.n = grid.n
+        self._scale = 1.0 / grid.n
         self._rate = grid.wavenumbers**2 + 1.0
         # Weights on the interleaved real and imaginary parts of a state.
         weak, strong = grid.parseval_weights()
         self._weak = np.repeat(weak, 2)
         self._strong = np.repeat(strong, 2)
         self._cache: dict[float, np.ndarray] = {}
+        self._height = 0
 
     def _half(self, dt: float) -> np.ndarray:
         mult = self._cache.get(dt)
         if mult is None:
-            mult = np.exp(-0.5 * dt * self._rate)
+            # Complex, as a product with the rfft would cast it.
+            mult = np.exp(-0.5 * dt * self._rate).astype(complex)
             self._cache[dt] = mult
         return mult
+
+    def _buffers(self, height: int) -> None:
+        """Size the step and norm buffers for a stack of ``height`` rows."""
+        if height != self._height:
+            self._height = height
+            self._spectrum = np.empty((height, self.n // 2 + 1), complex)
+            self._values = np.empty((height, self.n))
+            self._denom = np.empty((height, self.n))
+            self._weighted = np.empty((height, self.n + 2))
+
+    def spectrum(self, values: np.ndarray) -> np.ndarray:
+        """``np.fft.rfft`` of each row of values."""
+        out = np.empty(values.shape[:-1] + (self.n // 2 + 1,), complex)
+        return _rfft(values, 1.0, out=out)
+
+    def values(self, uh: np.ndarray) -> np.ndarray:
+        """``np.fft.irfft`` of each row of the rfft stack uh, to n points."""
+        return _irfft(uh, self._scale, out=np.empty(uh.shape[:-1] + (self.n,)))
 
     def step(self, uh: np.ndarray, dt: float, out: np.ndarray | None = None):
         """Advance each row of the rfft stack uh by dt.
@@ -142,14 +173,18 @@ class _SplitStepper:
         subflow blows up (None when there are none).
         """
         mult = self._half(dt)
-        v = np.fft.irfft(uh * mult, self.n)
-        denom = 1.0 - dt * v
+        self._buffers(len(uh))
+        v, denom = self._values, self._denom
+        _irfft(np.multiply(uh, mult, out=self._spectrum), self._scale, out=v)
+        np.subtract(1.0, np.multiply(v, dt, out=denom), out=denom)
         blown = None
         if denom.min() <= _DENOM_FLOOR:
             blown = denom.min(axis=1) <= _DENOM_FLOOR
             v, denom, out = v[~blown], denom[~blown], None
         v /= denom
-        uh_new = np.fft.rfft(v, out=out)
+        if out is None:
+            out = np.empty((len(v), self.n // 2 + 1), complex)
+        uh_new = _rfft(v, 1.0, out=out)
         uh_new *= mult
         return uh_new, blown
 
@@ -163,31 +198,37 @@ class _SplitStepper:
         parts = uh.view(np.float64)
         return math.sqrt(parts.dot(parts * self._strong))
 
-    @staticmethod
-    def bind(uh: np.ndarray) -> list:
-        """(row, its interleaved real and imaginary parts, a buffer for
-        their weighted copy) for each row of the rfft stack uh, for
-        ``escape_signs`` to use for as long as the stack keeps its rows."""
-        parts = uh.view(np.float64)
-        return list(zip(uh, parts, np.empty_like(parts)))
+    def escape_signs(self, uh: np.ndarray, ceiling: float,
+                     collapse_floor: float | None) -> list[int] | None:
+        """For each row of the rfft stack uh: +1 when its state is not
+        finite or has reached the ceiling, -1 when its weak norm is at or
+        below the collapse floor, else 0; None when every row is 0.
 
-    def escape_signs(self, bound: list, ceiling: float,
-                     collapse_floor: float | None) -> list[int]:
-        """For each row bound by ``bind``: +1 when its state is not finite
-        or has reached the ceiling, -1 when its weak norm is at or below the
-        collapse floor, else 0."""
-        signs = []
-        for uh, parts, weighted in bound:
-            np.multiply(parts, self._weak, out=weighted)
-            weak = math.sqrt(parts.dot(weighted))
+        One ``np.vecdot`` gives every squared weak norm, bitwise the per-row
+        dot; a row's strong norm is read only from 0.4 ceiling up.
+        """
+        self._buffers(len(uh))
+        parts = uh.view(np.float64)
+        squares = np.vecdot(parts, np.multiply(parts, self._weak,
+                                               out=self._weighted))
+        low = -math.inf if collapse_floor is None else collapse_floor
+        watch = 0.4 * ceiling
+        signs = None
+        for row, square in enumerate(squares.tolist()):
+            weak = math.sqrt(square)
+            if low < weak < watch:
+                continue
             if not math.isfinite(weak) or weak >= ceiling or (
-                weak >= 0.4 * ceiling and self.strong_norm(uh) >= ceiling
+                weak >= watch and self.strong_norm(uh[row]) >= ceiling
             ):
-                signs.append(1)
-            elif collapse_floor is not None and weak <= collapse_floor:
-                signs.append(-1)
+                sign = 1
+            elif weak <= low:
+                sign = -1
             else:
-                signs.append(0)
+                continue
+            if signs is None:
+                signs = [0] * len(uh)
+            signs[row] = sign
         return signs
 
 
@@ -230,7 +271,6 @@ def evolve_lanes(model: PulseModel, starts, t_final: float, *, dt: float,
     keeping the samples recorded so far.
     """
     sample_times = _checked_samples(sample_times, t_final)
-    n = model.grid.n
     dt = float(dt)
     stepper = _SplitStepper(model.grid)
     lanes, rows, origins = [], [], set()
@@ -244,7 +284,7 @@ def evolve_lanes(model: PulseModel, starts, t_final: float, *, dt: float,
                           dict(start.stats), start))
         else:
             values = np.asarray(start, dtype=float)
-            t0, uh0 = 0.0, np.fft.rfft(values)
+            t0, uh0 = 0.0, stepper.spectrum(values)
             first = sample_times[0] == 0.0
             lanes.append(([0.0] if first else [], [values.copy()] if first
                           else [], {
@@ -265,7 +305,6 @@ def evolve_lanes(model: PulseModel, starts, t_final: float, *, dt: float,
                              "the sample times before its end")
 
     uh = np.array(rows)
-    bound = stepper.bind(uh)
     active = list(range(len(lanes)))
     steps = 0
     horizon = min(t_final, sample_times[-1])
@@ -279,22 +318,20 @@ def evolve_lanes(model: PulseModel, starts, t_final: float, *, dt: float,
             active = list(compress(active, ~blown))
             if not active:
                 break
-            bound = stepper.bind(uh)
         steps += 1
         t = target if clamped else t + dt
         if clamped:
-            for lane, values in zip(active, np.fft.irfft(uh, n)):
+            for lane, values in zip(active, stepper.values(uh)):
                 lanes[lane][0].append(t)
                 lanes[lane][1].append(values)
             next_sample += 1
-        signs = stepper.escape_signs(bound, ceiling, collapse_floor)
-        if any(signs):
+        signs = stepper.escape_signs(uh, ceiling, collapse_floor)
+        if signs is not None:
             for lane, sign in zip(active, signs):
                 if sign:
                     _end_lane(lanes[lane][2], steps, sign, t)
             keep = [not sign for sign in signs]
             uh, active = uh[keep], list(compress(active, keep))
-            bound = stepper.bind(uh)
 
     trajectories = []
     for lane, (times, states, stats, _) in enumerate(lanes):
@@ -338,7 +375,7 @@ def evolve_full(model: PulseModel, u0: GridField, t_final: float,
         sample_times = np.linspace(0.0, t_final, 401)
     sample_times = _checked_samples(sample_times, t_final)
     stepper = _SplitStepper(model.grid)
-    uh = np.fft.rfft(u0.values)[None]
+    uh = stepper.spectrum(u0.values[None])
     t = 0.0
     dt = _DT_INIT
 
@@ -388,13 +425,12 @@ def evolve_full(model: PulseModel, u0: GridField, t_final: float,
         t = target if clamped else t + dt_step
         if clamped:
             recorded_t.append(t)
-            recorded_u.append(np.fft.irfft(uh[0], model.grid.n))
+            recorded_u.append(stepper.values(uh[0]))
             next_sample += 1
 
-        sign, = stepper.escape_signs(stepper.bind(uh), ceiling,
-                                     collapse_floor)
-        if sign:
-            stats["escape_sign"], stats["escape_time"] = sign, t
+        signs = stepper.escape_signs(uh, ceiling, collapse_floor)
+        if signs is not None:
+            stats["escape_sign"], stats["escape_time"] = signs[0], t
             break
 
     stats["final_dt"] = dt

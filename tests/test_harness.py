@@ -1,5 +1,6 @@
 """Assumption ledger, deterministic artifacts, and CSV round-trips."""
 
+import csv
 import json
 
 import numpy as np
@@ -151,6 +152,23 @@ def test_trajectory_csv_round_trip(model, grid, spectrum, workspace, tmp_path):
 
     with pytest.raises(ConfigError, match="1024 state columns"):
         load_trajectory_csv(str(path), PeriodicGrid(512))
+
+
+def test_trajectory_csv_bytes_are_the_csv_writer_bytes(tmp_path):
+    header = ["t", "sigma", "u_0", "u_1"]
+    rows = [[0.0, -0.0, 5e-324, 1e300],
+            [float("inf"), -float("inf"), 0.1, -1.0 / 3.0],
+            [1e-3, 2.5e-17, -123456.78901234567, 7.0]]
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(str(path), header, rows)
+    expected = tmp_path / "expected.csv"
+    with open(expected, "w", encoding="utf-8", newline="\n") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{value:.17g}" for value in row])
+    assert path.read_bytes() == expected.read_bytes()
+    assert b"inf,-inf" in path.read_bytes()
 
 
 def test_field_csv_round_trip(grid, eta_bump, tmp_path):

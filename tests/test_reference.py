@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from adiaflow import reference
 from adiaflow.errors import ConvergenceError
-from adiaflow.grid import GridField
+from adiaflow.grid import GridField, PeriodicGrid
 from adiaflow.manifold import construct_manifold_point
 from adiaflow.modulation import decompose_state
 from adiaflow.paths import TrajectoryPath, mesh_prefix
@@ -362,11 +362,64 @@ def test_fourier_state_solve_matches_the_physical_split_step(
         assert np.max(gaps / grid.weak_norm_values(states)) <= 1e-11
 
 
+def _nyquist_stack(n, rows, seed):
+    """A (rows, n) stack of smooth states plus Nyquist content."""
+    rng = np.random.default_rng(seed)
+    x = np.arange(n) / n
+    smooth = np.array([np.sin(2.0 * np.pi * rng.integers(1, n // 4) * x
+                              + rng.uniform(0.0, 6.0))
+                       for _ in range(rows)])
+    nyquist = np.cos(np.pi * np.arange(n))
+    return 0.3 * smooth + rng.uniform(0.1, 0.4, (rows, 1)) * nyquist
+
+
+@pytest.mark.parametrize("n", [16, 1024])
+@pytest.mark.parametrize("rows", [1, 2, 3, 4])
+def test_the_solver_transforms_are_numpys_fft(n, rows):
+    stepper = reference._SplitStepper(PeriodicGrid(n))
+    values = _nyquist_stack(n, rows, seed=10 * n + rows)
+    values_hat = stepper.spectrum(values)
+    assert np.array_equal(values_hat, np.fft.rfft(values))
+    assert np.all(values_hat[:, -1] != 0.0)
+    assert np.array_equal(stepper.values(values_hat),
+                          np.fft.irfft(values_hat, n))
+    # A step is the split step written with np.fft.
+    dt = 1e-2
+    mult = np.exp(-0.5 * dt * (PeriodicGrid(n).wavenumbers**2 + 1.0))
+    v = np.fft.irfft(values_hat * mult, n)
+    expected = np.fft.rfft(v / (1.0 - dt * v)) * mult
+    stepped, blown = stepper.step(values_hat.copy(), dt)
+    assert blown is None
+    assert np.array_equal(stepped, expected)
+    # In place over the stack, as the fixed-step solve steps it.
+    stack = values_hat.copy()
+    stepped, _ = stepper.step(stack, dt, out=stack)
+    assert stepped is stack and np.array_equal(stack, expected)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 4])
+def test_escape_checks_read_each_rows_own_weak_norm(grid, rows):
+    stepper = reference._SplitStepper(grid)
+    for seed in range(8):
+        uh = stepper.spectrum(_nyquist_stack(grid.n, rows, seed=seed))
+        norms = [stepper.weak_norm(row) for row in uh]
+        assert stepper.escape_signs(uh, 10.0, 0.5 * min(norms)) is None
+        for row, norm in enumerate(norms):
+            # At the row's own norm it collapses, one float below it does
+            # not.
+            signs = stepper.escape_signs(uh, 10.0, norm)
+            assert signs[row] == -1
+            assert signs.count(-1) == sum(other <= norm for other in norms)
+            below = stepper.escape_signs(uh, 10.0, np.nextafter(norm, 0.0))
+            assert below is None or below[row] == 0
+            assert stepper.escape_signs(uh, norm, None)[row] == 1
+
+
 def test_fixed_step_solve_makes_two_ffts_per_step(model, grid, monkeypatch):
-    calls = {"rfft": 0, "irfft": 0}
+    calls = {"_rfft": 0, "_irfft": 0}
 
     def counted(name):
-        transform = getattr(np.fft, name)
+        transform = getattr(reference, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
@@ -374,7 +427,7 @@ def test_fixed_step_solve_makes_two_ffts_per_step(model, grid, monkeypatch):
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(np.fft, name, counted(name))
+        monkeypatch.setattr(reference, name, counted(name))
     samples = np.linspace(0.0, 0.2, 5)
     traj = evolve_lanes(model, [model.profile.values], 0.2, dt=1e-3,
                         sample_times=samples)[0]
@@ -382,7 +435,51 @@ def test_fixed_step_solve_makes_two_ffts_per_step(model, grid, monkeypatch):
     assert steps >= 200 and traj.n_samples == len(samples)
     # One forward transform of the initial state; the sample at t = 0 is
     # the initial state itself.
-    assert calls == {"rfft": steps + 1, "irfft": steps + len(samples) - 1}
+    assert calls == {"_rfft": steps + 1, "_irfft": steps + len(samples) - 1}
+
+
+def test_a_state_past_the_watch_line_that_stays_below_the_ceiling_runs_on(
+        model):
+    # The pulse's weak norm, 2.45, is past 0.4 of a ceiling of 5, so every
+    # step reads its strong norm, 2.68, which stays below the ceiling.
+    samples = np.linspace(0.0, 0.2, 5)
+    fixed = evolve_lanes(model, [model.profile.values], 0.2, dt=1e-3,
+                         sample_times=samples, ceiling=5.0)[0]
+    adaptive = evolve_full(model, model.profile, 0.2, sample_times=samples,
+                           ceiling=5.0)
+    for traj in (fixed, adaptive):
+        assert traj.stats["escape_sign"] == 0
+        assert traj.stats["escape_time"] is None
+        assert np.array_equal(traj.times, samples)
+
+
+def test_a_lane_that_blows_up_leaves_the_stack(workspace, model, monkeypatch):
+    # With a ceiling this high only the quadratic substep's denominator can
+    # end the second lane; the first survives beside it.
+    samples = mesh_prefix(workspace.times, 5.0)
+    starts = [model.profile.values,
+              model.profile.values + 3e-2 * workspace.unstable_mode]
+    blown = []
+    step = reference._SplitStepper.step
+
+    def spied(self, uh, dt, out=None):
+        uh_new, mask = step(self, uh, dt, out)
+        if mask is not None:
+            blown.append(mask.tolist())
+        return uh_new, mask
+
+    monkeypatch.setattr(reference._SplitStepper, "step", spied)
+    solved = evolve_lanes(model, starts, float(samples[-1]), dt=1e-3,
+                          sample_times=samples, ceiling=1e6)
+    assert blown == [[False, True]]
+    singles = [evolve_lanes(model, [u0], float(samples[-1]), dt=1e-3,
+                            sample_times=samples, ceiling=1e6)[0]
+               for u0 in starts]
+    assert blown == [[False, True], [True]]
+    assert [traj.stats["escape_sign"] for traj in solved] == [0, 1]
+    assert 3.0 < solved[1].stats["escape_time"] < 4.0
+    for mine, theirs in zip(solved, singles):
+        assert_same_solve(mine, theirs)
 
 
 @pytest.mark.parametrize("eps", [1e-3, 1e-4])
