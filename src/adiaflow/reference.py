@@ -243,6 +243,19 @@ def _checked_samples(sample_times, t_final: float) -> np.ndarray:
     return sample_times
 
 
+#: Relative slack on the number of whole steps in a sample interval, so
+#: that a gap of 20 steps plus round-off is 20 steps and never 20 steps
+#: plus one of round-off length.
+_STEP_SLACK = 1e-9
+
+
+def _whole_steps(gap: float, dt: float) -> int:
+    """Whole steps of size dt that precede the clamped step ending a sample
+    interval of length gap; the clamped step is then longer than 0 and at
+    most dt, up to the slack."""
+    return math.ceil(gap / dt * (1.0 - _STEP_SLACK)) - 1
+
+
 def _end_lane(stats: dict, steps: int, sign: int, t) -> None:
     """Close a lane's stats after ``steps`` steps of its solve."""
     stats["steps"] += steps
@@ -263,12 +276,14 @@ def evolve_lanes(model: PulseModel, starts, t_final: float, *, dt: float,
     those of one solve from t = 0 with the same step, samples and escape
     checks.
 
-    Steps have the fixed size dt, clamped onto each of ``sample_times``,
-    where the states are recorded.  A lane escapes with direction +1 when
-    its quadratic substep passes through infinity or its strong norm
-    reaches ``ceiling``, and with direction -1 when its weak norm falls to
-    ``collapse_floor`` (when given); it is then dropped from the stack,
-    keeping the samples recorded so far.
+    Each interval up to the next of ``sample_times``, where the states are
+    recorded, takes the whole steps of size dt that it holds and then one
+    clamped step that ends on the sample (see ``_whole_steps``), so no
+    sample is missed and no step has round-off length.  A lane escapes
+    with direction +1 when its quadratic substep passes through infinity
+    or its strong norm reaches ``ceiling``, and with direction -1 when its
+    weak norm falls to ``collapse_floor`` (when given); it is then dropped
+    from the stack, keeping the samples recorded so far.
     """
     sample_times = _checked_samples(sample_times, t_final)
     dt = float(dt)
@@ -307,10 +322,12 @@ def evolve_lanes(model: PulseModel, starts, t_final: float, *, dt: float,
     uh = np.array(rows)
     active = list(range(len(lanes)))
     steps = 0
-    horizon = min(t_final, sample_times[-1])
-    while active and t < horizon and next_sample < len(sample_times):
+    taken = 0  # whole steps taken in the current sample interval
+    while active and next_sample < len(sample_times):
         target = sample_times[next_sample]
-        clamped = dt >= target - t
+        if taken == 0:
+            t_begin, whole = t, _whole_steps(target - t, dt)
+        clamped = taken == whole
         uh, blown = stepper.step(uh, target - t if clamped else dt, out=uh)
         if blown is not None:
             for lane in compress(active, blown):
@@ -319,12 +336,15 @@ def evolve_lanes(model: PulseModel, starts, t_final: float, *, dt: float,
             if not active:
                 break
         steps += 1
-        t = target if clamped else t + dt
         if clamped:
+            t, taken = target, 0
             for lane, values in zip(active, stepper.values(uh)):
                 lanes[lane][0].append(t)
                 lanes[lane][1].append(values)
             next_sample += 1
+        else:
+            taken += 1
+            t = t_begin + taken * dt
         signs = stepper.escape_signs(uh, ceiling, collapse_floor)
         if signs is not None:
             for lane, sign in zip(active, signs):

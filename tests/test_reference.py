@@ -1,6 +1,7 @@
 """Full integrator versus the reduced picture: decay, shooting, witnesses."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -279,9 +280,9 @@ def physical_split_solve(model, u0, samples, dt, collapse_floor=None,
                          ceiling=10.0):
     """The split step in physical space, four FFTs a step, as a reference.
 
-    Steps and sample clamps, escape checks and escape times follow
-    ``evolve_lanes``; norms come from the grid.  Returns
-    (times, samples, escape sign, escape time).
+    The step plan (whole steps, then one clamped onto each sample), escape
+    checks and escape times follow ``evolve_lanes``; norms come from the
+    grid.  Returns (times, samples, escape sign, escape time).
     """
     grid = model.grid
 
@@ -293,32 +294,40 @@ def physical_split_solve(model, u0, samples, dt, collapse_floor=None,
             return None
         return np.fft.irfft(np.fft.rfft(v / denom) * mult, grid.n)
 
-    u, t = u0.values.copy(), 0.0
-    times, states = [0.0], [u.copy()]
-    sign, escape_time, next_sample = 0, None, 1
-    while t < samples[-1] and next_sample < len(samples):
-        target = samples[next_sample]
-        clamped = dt >= target - t
-        h = target - t if clamped else dt
-        u = step(u, h)
-        if u is None:
-            sign, escape_time = 1, t
-            break
-        t = target if clamped else t + h
-        if clamped:
-            times.append(t)
-            states.append(u.copy())
-            next_sample += 1
+    def escape_sign(u):
         weak = grid.weak_norm_values(u)
         if not np.isfinite(weak) or weak >= ceiling or (
                 weak >= 0.4 * ceiling
                 and grid.strong_norm_values(u) >= ceiling):
-            sign, escape_time = 1, t
-            break
+            return 1
         if collapse_floor is not None and weak <= collapse_floor:
-            sign, escape_time = -1, t
-            break
-    return np.array(times), np.array(states), sign, escape_time
+            return -1
+        return 0
+
+    u, t = u0.values.copy(), 0.0
+    times, states = [0.0], [u.copy()]
+
+    def solved(sign, escape_time):
+        return np.array(times), np.array(states), sign, escape_time
+
+    for target in samples[1:]:
+        # The whole steps the interval holds, up to round-off, then one
+        # clamped step onto the sample.
+        start = t
+        whole = math.ceil((target - start) / dt * (1.0 - 1e-9)) - 1
+        for j in range(1, whole + 2):
+            clamped = j > whole
+            u = step(u, target - t if clamped else dt)
+            if u is None:
+                return solved(1, t)
+            t = target if clamped else start + j * dt
+            if clamped:
+                times.append(t)
+                states.append(u.copy())
+            sign = escape_sign(u)
+            if sign:
+                return solved(sign, t)
+    return solved(0, None)
 
 
 def test_parseval_norms_match_the_grid_norms(grid):
@@ -708,6 +717,58 @@ def test_the_comparison_solve_continues_the_probe_solve(refined_bump,
     assert np.array_equal(traj_bump.times[:probe.n_samples], probe.times)
     assert np.array_equal(traj_bump.u_samples[:probe.n_samples],
                           probe.u_samples)
+
+
+def test_whole_steps_absorb_round_off_in_the_gap():
+    dt = 1e-3
+    # Mesh intervals of 0.02 hold 20 steps up to round-off on either side.
+    over, under = 0.14 - 0.12, 0.06 - 0.04
+    assert under / dt < 20.0 < over / dt
+    assert reference._whole_steps(over, dt) == 19
+    assert reference._whole_steps(under, dt) == 19
+    assert reference._whole_steps(20.5 * dt, dt) == 20
+    assert reference._whole_steps(0.5 * dt, dt) == 0
+    assert reference._whole_steps(dt, dt) == 0
+
+
+@pytest.mark.parametrize("t_end, steps", [(0.5, 500), (1.0, 1000)])
+def test_a_short_solve_records_every_sample_in_whole_steps(workspace, model,
+                                                           t_end, steps):
+    samples = mesh_prefix(workspace.times, t_end)
+    traj = evolve_lanes(model, [model.profile.values], float(samples[-1]),
+                        dt=1e-3, sample_times=samples)[0]
+    assert traj.times[-1] == t_end
+    assert np.array_equal(traj.times, samples)
+    assert traj.stats["steps"] == steps
+
+
+def test_every_interval_takes_its_whole_steps_then_one_clamped_step(
+        workspace, model, monkeypatch):
+    dt = 1e-3
+    samples = mesh_prefix(workspace.times, 6.0)
+    sizes = []
+    step = reference._SplitStepper.step
+
+    def spied(self, uh, h, out=None):
+        sizes.append(h)
+        return step(self, uh, h, out)
+
+    monkeypatch.setattr(reference._SplitStepper, "step", spied)
+    evolve_lanes(model, [model.profile.values], float(samples[-1]), dt=dt,
+                 sample_times=samples)
+    gaps = np.diff(samples) / dt
+    assert np.any(gaps % 1.0 > 0.01)  # the mesh has partial steps past 4
+    assert len(sizes) == int(np.sum(np.ceil(np.round(gaps, 6))))
+    assert min(sizes) > 0.005 * dt
+    assert max(sizes) <= dt * (1.0 + 1e-9)
+
+
+def test_the_probe_and_comparison_solves_take_whole_steps(refined_bump,
+                                                          traj_bump):
+    # Each mesh interval's whole steps plus one clamped step, none of zero
+    # size, on the default mesh at dt 1e-3.
+    assert refined_bump.trajectory.stats["steps"] == 15331
+    assert traj_bump.stats["steps"] == 19275
 
 
 def test_only_a_surviving_fixed_step_solve_on_the_same_samples_continues(
