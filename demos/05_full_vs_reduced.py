@@ -49,7 +49,7 @@ def main() -> None:
 
     samples = mesh_prefix(workspace.times, HORIZON)
     start = corrected_initial_state(workspace, point, refined.beta)
-    traj = evolve_lanes(model, [start.values], float(samples[-1]), dt=1e-3,
+    traj = evolve_lanes(model, [start.values], dt=1e-3,
                         sample_times=samples)[0]
     extracted = extract_modulated(model, traj, sigma_guess=point.sigma0)
     comparison = compare_effective(workspace, point, traj, extracted,

@@ -40,6 +40,7 @@ from .harness import (
     write_json,
     write_trajectory_csv,
 )
+from .manifold import check_input_field
 from .modulation import decompose_state, solve_modulation
 from .paths import mesh_prefix
 from .presets import PRESET_NAMES, preset_field
@@ -71,6 +72,10 @@ def _load_field_csv(path: str, grid: PeriodicGrid) -> GridField:
         raise ConfigError(
             f"field file has {len(values)} rows, the grid has {grid.n} points"
         )
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise ConfigError(f"field file {path!r} has a non-finite value on "
+                          f"line {finite.argmin() + 2}")
     return GridField(np.array(values), grid)
 
 
@@ -93,8 +98,8 @@ def _read_point(path: str, cfg: ExperimentConfig) -> dict:
     return payload
 
 
-def _point_entry(payload: dict, key: str, size: int | None = None):
-    """One entry of a point file as floats, with ``size`` values if given."""
+def _point_entry(path: str, payload: dict, key: str, size=None):
+    """Entry ``key`` of the point file at ``path`` as finite floats."""
     try:
         values = np.array(payload[key], dtype=float)
     except KeyError as err:
@@ -106,6 +111,9 @@ def _point_entry(payload: dict, key: str, size: int | None = None):
             f"point file has {values.size} {key} entries, the configured "
             f"grid has {size} points"
         )
+    if not np.isfinite(values).all():
+        raise ConfigError(f"point file {path!r} entry {key!r} has "
+                          f"non-finite values")
     return values
 
 
@@ -119,11 +127,20 @@ def _chart_argument(flag: str, sigma: float, cfg: ExperimentConfig) -> float:
     return sigma
 
 
+def _seed(source: str, eta: GridField, runtime: Runtime) -> GridField:
+    """A seed from ``source``, refused if it has a tangent or unstable part."""
+    try:
+        check_input_field(runtime.workspace, eta)
+    except ValueError as err:
+        raise ConfigError(f"seed from {source!r}: {err}") from err
+    return eta
+
+
 def _eta_argument(spec: str, runtime: Runtime) -> tuple[str, GridField]:
     """Resolve an ``--eta``-style argument to (label, field)."""
     if spec in PRESET_NAMES:
         return spec, preset_field(spec, runtime.spectrum)
-    return "file", _load_field_csv(spec, runtime.grid)
+    return "file", _seed(spec, _load_field_csv(spec, runtime.grid), runtime)
 
 
 # --------------------------------------------------------------------------
@@ -243,9 +260,10 @@ def _cmd_simulate(args, cfg: ExperimentConfig) -> int:
     else:
         payload = _read_point(args.init, cfg)
     model = build_model(cfg)
-    initial_values = _point_entry(payload, "initial_values", model.grid.n)
-    unstable_mode = _point_entry(payload, "unstable_mode", model.grid.n)
-    sigma0 = float(_point_entry(payload, "sigma0"))
+    initial_values, unstable_mode = (
+        _point_entry(args.init, payload, key, model.grid.n)
+        for key in ("initial_values", "unstable_mode"))
+    sigma0 = float(_point_entry(args.init, payload, "sigma0"))
 
     mesh = config_mesh(cfg)
     if args.T > mesh[-1] + 1e-12:
@@ -284,9 +302,10 @@ def _cmd_compare(args, cfg: ExperimentConfig) -> int:
     if not np.array_equal(traj.times, config_mesh(cfg)[:traj.n_samples]):
         raise ConfigError(f"trajectory file {args.traj!r} is not sampled on "
                           f"a prefix of the point's time mesh")
+    eta_values = _point_entry(args.point, payload, "eta_values",
+                              cfg.model.n_points)
     runtime = build_runtime(cfg)
-    eta = GridField(_point_entry(payload, "eta_values", runtime.grid.n),
-                    runtime.grid)
+    eta = _seed(args.point, GridField(eta_values, runtime.grid), runtime)
     point = construct_point(cfg, runtime.workspace, eta)
     extracted = extract_modulated(runtime.model, traj, point.sigma0)
     comparison = compare_effective(runtime.workspace, point, traj, extracted,

@@ -154,11 +154,9 @@ def solve_fixed_step(cfg: ExperimentConfig, model: PulseModel, start,
     and ended by the configured ceiling or the witness's collapse floor.
     ``start`` is the initial values, or a configured fixed-step solve (such
     as the refinement's probe solve) to continue."""
-    return evolve_lanes(
-        model, [start], float(samples[-1]), dt=cfg.reference.fixed_dt,
-        sample_times=samples, ceiling=cfg.reference.ceiling,
-        collapse_floor=collapse_floor(model),
-    )[0]
+    return evolve_lanes(model, [start], dt=cfg.reference.fixed_dt,
+                        sample_times=samples, ceiling=cfg.reference.ceiling,
+                        collapse_floor=collapse_floor(model))[0]
 
 
 @dataclass
@@ -537,11 +535,13 @@ def load_trajectory_csv(path: str, grid: PeriodicGrid) -> FullTrajectory:
             f"malformed trajectory file {path!r}: {err}") from err
     if not times:
         raise ConfigError(f"trajectory file {path!r} has no samples")
-    return FullTrajectory(
-        times=np.array(times),
-        u_samples=np.array(states),
-        stats={"mode": "loaded", "escape_sign": 0, "escape_time": None},
-    )
+    times, states = np.array(times), np.array(states)
+    finite = np.isfinite(times) & np.isfinite(states).all(axis=1)
+    if not finite.all():
+        raise ConfigError(f"trajectory file {path!r} has a non-finite value "
+                          f"in sample {finite.argmin()}")
+    return FullTrajectory(times, states, {"mode": "loaded", "escape_sign": 0,
+                                          "escape_time": None})
 
 
 def point_payload(runtime: Runtime, preset: str, point: ManifoldPoint,

@@ -8,7 +8,7 @@ solution — composed symmetrically for second-order accuracy.  The state
 lives in Fourier space between steps, so a step costs two FFTs, and the
 error estimate and escape checks read its norms by Parseval; it returns to
 physical space only where a sample is recorded.  There are two entry
-points:
+points, with one step plan (``_whole_steps``):
 
 * ``evolve_lanes`` takes fixed steps, so that shooting and comparison runs
   traverse the identical, bitwise reproducible discrete flow.  Several
@@ -188,15 +188,12 @@ class _SplitStepper:
         uh_new *= mult
         return uh_new, blown
 
-    def weak_norm(self, uh: np.ndarray) -> float:
-        """``grid.weak_norm_values`` of the state whose rfft is uh."""
+    def norm(self, uh: np.ndarray, strong: bool = False) -> float:
+        """``grid.weak_norm_values``, or ``strong_norm_values`` if strong,
+        of the state whose rfft is uh."""
         parts = uh.view(np.float64)
-        return math.sqrt(parts.dot(parts * self._weak))
-
-    def strong_norm(self, uh: np.ndarray) -> float:
-        """``grid.strong_norm_values`` of the state whose rfft is uh."""
-        parts = uh.view(np.float64)
-        return math.sqrt(parts.dot(parts * self._strong))
+        return math.sqrt(parts.dot(parts * (self._strong if strong
+                                            else self._weak)))
 
     def escape_signs(self, uh: np.ndarray, ceiling: float,
                      collapse_floor: float | None) -> list[int] | None:
@@ -219,7 +216,7 @@ class _SplitStepper:
             if low < weak < watch:
                 continue
             if not math.isfinite(weak) or weak >= ceiling or (
-                weak >= watch and self.strong_norm(uh[row]) >= ceiling
+                weak >= watch and self.norm(uh[row], strong=True) >= ceiling
             ):
                 sign = 1
             elif weak <= low:
@@ -232,7 +229,7 @@ class _SplitStepper:
         return signs
 
 
-def _checked_samples(sample_times, t_final: float) -> np.ndarray:
+def _checked_samples(sample_times, t_final: float = math.inf) -> np.ndarray:
     sample_times = np.asarray(sample_times, dtype=float)
     if len(sample_times) == 0 or sample_times[0] < 0.0:
         raise ValueError("sample times must be nonnegative and nonempty")
@@ -243,7 +240,7 @@ def _checked_samples(sample_times, t_final: float) -> np.ndarray:
     return sample_times
 
 
-#: Relative slack on the number of whole steps in a sample interval, so
+#: Slack, in steps, on the number of whole steps in a sample interval, so
 #: that a gap of 20 steps plus round-off is 20 steps and never 20 steps
 #: plus one of round-off length.
 _STEP_SLACK = 1e-9
@@ -251,18 +248,31 @@ _STEP_SLACK = 1e-9
 
 def _whole_steps(gap: float, dt: float) -> int:
     """Whole steps of size dt that precede the clamped step ending a sample
-    interval of length gap; the clamped step is then longer than 0 and at
-    most dt, up to the slack."""
-    return math.ceil(gap / dt * (1.0 - _STEP_SLACK)) - 1
+    interval of length gap, in both solvers; the clamped step is then longer
+    than ``_STEP_SLACK * dt`` and at most ``dt * (1 + _STEP_SLACK)``."""
+    return math.ceil(gap / dt - _STEP_SLACK) - 1
 
 
-def _end_lane(stats: dict, steps: int, sign: int, t) -> None:
-    """Close a lane's stats after ``steps`` steps of its solve."""
+def _new_lane(values: np.ndarray, sample_times: np.ndarray, mode: str,
+              tol: float | None, dt: float) -> tuple[list, list, dict]:
+    """Recorded times, recorded states and stats of a solve from values at
+    t = 0; a sample at t = 0 is the initial state itself."""
+    first = sample_times[0] == 0.0
+    return [0.0] if first else [], [values.copy()] if first else [], dict(
+        steps=0, rejected=0, max_error_estimate=0.0, escape_sign=0,
+        escape_time=None, mode=mode, tol=tol, final_dt=dt)
+
+
+def _end_lane(lane, steps: int, sign: int, t, end=None) -> FullTrajectory:
+    """The trajectory of a lane (times, states, stats) that ends after
+    ``steps`` steps of its solve, with escape sign and time."""
+    times, states, stats = lane
     stats["steps"] += steps
     stats["escape_sign"], stats["escape_time"] = sign, t
+    return FullTrajectory(np.array(times), np.array(states), stats, end)
 
 
-def evolve_lanes(model: PulseModel, starts, t_final: float, *, dt: float,
+def evolve_lanes(model: PulseModel, starts, *, dt: float,
                  sample_times: np.ndarray, ceiling: float = 10.0,
                  collapse_floor: float | None = None) -> list[FullTrajectory]:
     """Fixed-step solves of several states stepped together as lanes.
@@ -278,14 +288,14 @@ def evolve_lanes(model: PulseModel, starts, t_final: float, *, dt: float,
 
     Each interval up to the next of ``sample_times``, where the states are
     recorded, takes the whole steps of size dt that it holds and then one
-    clamped step that ends on the sample (see ``_whole_steps``), so no
-    sample is missed and no step has round-off length.  A lane escapes
-    with direction +1 when its quadratic substep passes through infinity
-    or its strong norm reaches ``ceiling``, and with direction -1 when its
-    weak norm falls to ``collapse_floor`` (when given); it is then dropped
-    from the stack, keeping the samples recorded so far.
+    clamped step that ends on the sample (``_whole_steps``, the step plan
+    of ``evolve_full`` too), so no step has round-off length.  A lane
+    escapes with direction +1 when its quadratic substep passes through
+    infinity or its strong norm reaches ``ceiling``, and with direction -1
+    when its weak norm falls to ``collapse_floor`` (when given); it is then
+    dropped from the stack, keeping the samples recorded so far.
     """
-    sample_times = _checked_samples(sample_times, t_final)
+    sample_times = _checked_samples(sample_times)
     dt = float(dt)
     stepper = _SplitStepper(model.grid)
     lanes, rows, origins = [], [], set()
@@ -295,32 +305,26 @@ def evolve_lanes(model: PulseModel, starts, t_final: float, *, dt: float,
                 raise ValueError("only a fixed-step solve with the same step "
                                  "that did not escape can be continued")
             t0, uh0 = start.end
+            if not np.array_equal(start.times, sample_times[:np.searchsorted(
+                    sample_times, t0, side="right")]):
+                raise ValueError("a continued solve must have recorded "
+                                 "exactly the sample times before its end")
             lanes.append((list(start.times), list(start.u_samples),
-                          dict(start.stats), start))
+                          dict(start.stats)))
         else:
             values = np.asarray(start, dtype=float)
             t0, uh0 = 0.0, stepper.spectrum(values)
-            first = sample_times[0] == 0.0
-            lanes.append(([0.0] if first else [], [values.copy()] if first
-                          else [], {
-                "steps": 0, "rejected": 0, "max_error_estimate": 0.0,
-                "escape_sign": 0, "escape_time": None, "mode": "fixed",
-                "tol": None, "final_dt": dt,
-            }, None))
+            lanes.append(_new_lane(values, sample_times, "fixed", None, dt))
         origins.add(t0)
         rows.append(uh0)
     if len(origins) != 1:
         raise ValueError("all lanes must start at one time")
     t = origins.pop()
     next_sample = int(np.searchsorted(sample_times, t, side="right"))
-    for _, _, _, start in lanes:
-        if start is not None and not (start.n_samples == next_sample
-                                      and start.continues_to(sample_times)):
-            raise ValueError("a continued solve must have recorded exactly "
-                             "the sample times before its end")
 
     uh = np.array(rows)
     active = list(range(len(lanes)))
+    ended = [None] * len(lanes)
     steps = 0
     taken = 0  # whole steps taken in the current sample interval
     while active and next_sample < len(sample_times):
@@ -331,7 +335,7 @@ def evolve_lanes(model: PulseModel, starts, t_final: float, *, dt: float,
         uh, blown = stepper.step(uh, target - t if clamped else dt, out=uh)
         if blown is not None:
             for lane in compress(active, blown):
-                _end_lane(lanes[lane][2], steps, 1, t)
+                ended[lane] = _end_lane(lanes[lane], steps, 1, t)
             active = list(compress(active, ~blown))
             if not active:
                 break
@@ -349,21 +353,14 @@ def evolve_lanes(model: PulseModel, starts, t_final: float, *, dt: float,
         if signs is not None:
             for lane, sign in zip(active, signs):
                 if sign:
-                    _end_lane(lanes[lane][2], steps, sign, t)
+                    ended[lane] = _end_lane(lanes[lane], steps, sign, t)
             keep = [not sign for sign in signs]
             uh, active = uh[keep], list(compress(active, keep))
 
-    trajectories = []
-    for lane, (times, states, stats, _) in enumerate(lanes):
-        end = None
-        if lane in active:
-            _end_lane(stats, steps, 0, None)
-            end = (t, uh[active.index(lane)].copy())
-        trajectories.append(FullTrajectory(
-            times=np.array(times), u_samples=np.array(states), stats=stats,
-            end=end,
-        ))
-    return trajectories
+    for row, lane in enumerate(active):
+        ended[lane] = _end_lane(lanes[lane], steps, 0, None,
+                                (t, uh[row].copy()))
+    return ended
 
 
 def evolve_full(model: PulseModel, u0: GridField, t_final: float,
@@ -385,80 +382,65 @@ def evolve_full(model: PulseModel, u0: GridField, t_final: float,
     and it returns to physical space only at the recorded samples.
 
     Samples are recorded exactly at ``sample_times`` (default: 401 uniform
-    times) by clamping the step onto each sample.  A strong norm at or above
-    ``ceiling`` — or a quadratic substep passing through infinity — ends the
-    run with escape direction +1; a weak norm at or below ``collapse_floor``
-    (when given) ends it with escape direction -1.  The returned trajectory
-    is truncated at the recorded samples in either case.
+    times) by the step plan of ``evolve_lanes`` with the current step as dt
+    (see ``_whole_steps``).  A strong norm at or above ``ceiling`` — or a
+    quadratic substep passing through infinity — ends the run with escape
+    direction +1; a weak norm at or below ``collapse_floor`` (when given)
+    ends it with escape direction -1.  The returned trajectory is truncated
+    at the recorded samples in either case.
     """
     if sample_times is None:
         sample_times = np.linspace(0.0, t_final, 401)
     sample_times = _checked_samples(sample_times, t_final)
     stepper = _SplitStepper(model.grid)
     uh = stepper.spectrum(u0.values[None])
-    t = 0.0
     dt = _DT_INIT
-
-    recorded_t: list[float] = []
-    recorded_u: list[np.ndarray] = []
-    next_sample = 0
-    if sample_times[0] == 0.0:
-        recorded_t.append(0.0)
-        recorded_u.append(u0.values.copy())
-        next_sample = 1
-
-    stats = {
-        "steps": 0, "rejected": 0, "max_error_estimate": 0.0,
-        "escape_sign": 0, "escape_time": None, "mode": "adaptive",
-        "tol": float(tol), "final_dt": dt,
-    }
-
-    horizon = min(t_final, sample_times[-1])
-    while t < horizon and next_sample < len(sample_times):
+    times, states, stats = _new_lane(u0.values, sample_times, "adaptive",
+                                     float(tol), dt)
+    next_sample = len(times)
+    t, steps, sign = 0.0, 0, 0
+    left = None  # time from t to the next sample
+    while next_sample < len(sample_times):
         target = sample_times[next_sample]
-        clamped = dt >= target - t
-        dt_step = target - t if clamped else dt
+        left = target - t if left is None else left
+        clamped = _whole_steps(left, dt) == 0
+        dt_step = left if clamped else dt
 
         uh_big, blown_big = stepper.step(uh, dt_step)
         uh_half, blown_half = stepper.step(uh, 0.5 * dt_step)
         uh_new, blown_new = (uh_half, blown_half) if blown_half is not None \
             else stepper.step(uh_half, 0.5 * dt_step)
-        if blown_big is not None or blown_new is not None:
-            estimate = np.inf
-        else:
-            estimate = stepper.weak_norm(uh_big[0] - uh_new[0]) / 3.0
+        estimate = np.inf if blown_big is not None or blown_new is not None \
+            else stepper.norm(uh_big[0] - uh_new[0]) / 3.0
         if not estimate <= tol:
             stats["rejected"] += 1
             dt = 0.5 * dt_step
             if dt < _DT_FLOOR:
-                stats["escape_sign"], stats["escape_time"] = 1, t
+                sign = 1
                 break
             continue
-        stats["max_error_estimate"] = max(
-            stats["max_error_estimate"], float(estimate)
-        )
+        stats["max_error_estimate"] = max(stats["max_error_estimate"],
+                                          float(estimate))
         if estimate < 0.1 * tol and not clamped:
             dt = min(2.0 * dt, _DT_MAX)
 
-        stats["steps"] += 1
+        steps += 1
         uh = uh_new
-        t = target if clamped else t + dt_step
         if clamped:
-            recorded_t.append(t)
-            recorded_u.append(stepper.values(uh[0]))
+            t, left = target, None
+            times.append(t)
+            states.append(stepper.values(uh[0]))
             next_sample += 1
+        else:
+            t, left = t + dt_step, left - dt_step
 
         signs = stepper.escape_signs(uh, ceiling, collapse_floor)
         if signs is not None:
-            stats["escape_sign"], stats["escape_time"] = signs[0], t
+            sign = signs[0]
             break
 
     stats["final_dt"] = dt
-    return FullTrajectory(
-        times=np.array(recorded_t),
-        u_samples=np.array(recorded_u),
-        stats=stats,
-    )
+    return _end_lane((times, states, stats), steps, sign, t if sign else None)
 
 
 def extract_modulated(model: PulseModel, traj: FullTrajectory,
@@ -677,8 +659,7 @@ def refine_correction(workspace: SolutionMapWorkspace, point: ManifoldPoint,
             )
         trajectories = evolve_lanes(
             model, [base + (beta - point.correction) * mode for beta in new],
-            float(samples[-1]), dt=dt, sample_times=samples, ceiling=ceiling,
-            collapse_floor=floor,
+            dt=dt, sample_times=samples, ceiling=ceiling, collapse_floor=floor,
         ) if new else []
         for beta, traj in zip(new, trajectories):
             if traj.escaped:
@@ -973,10 +954,8 @@ def instability_witnesses(workspace: SolutionMapWorkspace,
     samples = mesh_prefix(workspace.times, t_max)
     trajectories = evolve_lanes(
         model, [corrected_initial_state(workspace, point, beta, offset).values
-                for offset in offsets],
-        float(samples[-1]), dt=dt, sample_times=samples, ceiling=ceiling,
-        collapse_floor=collapse_floor(model),
-    )
+                for offset in offsets], dt=dt, sample_times=samples,
+        ceiling=ceiling, collapse_floor=collapse_floor(model))
     reports = []
     for offset, traj in zip(offsets, trajectories):
         extracted = extract_modulated(model, traj, sigma_guess=point.sigma0)

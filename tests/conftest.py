@@ -70,7 +70,7 @@ def traj_bump(workspace, model, refined_bump):
     from adiaflow.reference import collapse_floor, evolve_lanes
 
     samples = mesh_prefix(workspace.times, 20.0)
-    return evolve_lanes(model, [refined_bump.trajectory], float(samples[-1]),
+    return evolve_lanes(model, [refined_bump.trajectory],
                         dt=1e-3, sample_times=samples,
                         collapse_floor=collapse_floor(model))[0]
 

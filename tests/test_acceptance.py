@@ -190,7 +190,7 @@ def test_criterion_07_reduced_matches_full(workspace, model, point_bump,
     samples = mesh_prefix(workspace.times, 20.0)
     # Continue the probe solve of the refined coefficient to t = 20.
     traj_half, = evolve_lanes(
-        model, [refined_half.trajectory], float(samples[-1]), dt=5e-4,
+        model, [refined_half.trajectory], dt=5e-4,
         sample_times=samples, collapse_floor=collapse_floor(model),
     )
     comp_half = compare_effective(

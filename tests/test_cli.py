@@ -296,8 +296,10 @@ def _trajectory_text(times, n):
      "malformed trajectory file"),
     ("off-mesh.csv", _trajectory_text([0.0, 0.013], 1024),
      "not sampled on a prefix of the point's time mesh"),
+    ("nan.csv", _trajectory_text([0.0, 0.02], 1024)[:-2] + "nan\n",
+     "nan.csv' has a non-finite value in sample 1"),
 ], ids=["missing", "empty", "header-only", "x-value", "non-numeric",
-        "off-mesh"])
+        "off-mesh", "non-finite"])
 def test_an_unusable_trajectory_file_is_refused_before_any_work(
         tmp_path, capsys, monkeypatch, cfg, name, text, message):
     from adiaflow import cli
@@ -366,3 +368,81 @@ def test_a_failed_classification_stops_the_pipeline_after_the_ledger(
     assert not report["passed"] and report["exit_code"] == 1
     assert report["checks"] == []
     assert report["artifacts"] == ["config.json", "ledger.json"]
+
+
+def _assert_refused_in_one_line(capsys, message):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("configuration error: ")
+    assert message in captured.err
+
+
+FIELD_ARGUMENTS = [
+    ["modulate", "--state", "{field}"],
+    ["construct", "--eta", "{field}", "--out", "{out}"],
+    ["scan-phi", "--direction", "{field}", "--scales", "0.02,0.01",
+     "--out", "{out}"],
+]
+
+
+@pytest.mark.parametrize("argv", FIELD_ARGUMENTS,
+                         ids=["modulate", "construct", "scan-phi"])
+def test_a_field_file_with_a_non_finite_value_is_refused_in_one_line(
+        tmp_path, capsys, model, argv):
+    path = tmp_path / "field.csv"
+    write_field_csv(str(path), model.profile)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[7] = lines[7].split(",")[0] + ",nan"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main([arg.format(field=path, out=tmp_path / "out")
+                 for arg in argv]) == 2
+    _assert_refused_in_one_line(
+        capsys, f"field file {str(path)!r} has a non-finite value on line 8")
+
+
+@pytest.mark.parametrize("command, key", [
+    ("simulate", "initial_values"),
+    ("compare", "eta_values"),
+])
+def test_a_point_file_with_a_non_finite_entry_is_refused_before_any_work(
+        tmp_path, capsys, monkeypatch, cfg, command, key):
+    from adiaflow import cli
+
+    values = [0.0] * cfg.model.n_points
+    values[5] = float("nan")
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps({
+        "manifold": cfg.to_dict()["manifold"], "sigma0": 0.0,
+        "initial_values": [0.0] * cfg.model.n_points,
+        "unstable_mode": [0.0] * cfg.model.n_points, key: values,
+    }), encoding="utf-8")
+    traj = tmp_path / "traj.csv"
+    traj.write_text(_trajectory_text([0.0], cfg.model.n_points),
+                    encoding="utf-8")
+    monkeypatch.setattr(cli, "build_runtime",
+                        lambda cfg: pytest.fail("the runtime was built"))
+    argv = (["simulate", "--init", str(point), "--T", "1"]
+            if command == "simulate" else
+            ["compare", "--point", str(point), "--traj", str(traj)])
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    _assert_refused_in_one_line(
+        capsys, f"point file {str(point)!r} entry {key!r} has non-finite "
+                f"values")
+
+
+@pytest.mark.parametrize("argv", FIELD_ARGUMENTS[1:],
+                         ids=["construct", "scan-phi"])
+@pytest.mark.parametrize("channel", ["unstable", "tangent"])
+def test_a_file_seed_outside_the_stable_range_is_refused_in_one_line(
+        tmp_path, capsys, workspace, eta_bump, argv, channel):
+    direction = workspace.unstable_mode if channel == "unstable" \
+        else workspace.model.frame(0.0)[1]
+    path = tmp_path / "seed.csv"
+    write_field_csv(str(path), GridField(eta_bump.values + 1e-3 * direction,
+                                         eta_bump.grid))
+    assert main([arg.format(field=path, out=tmp_path / "out")
+                 for arg in argv]) == 2
+    _assert_refused_in_one_line(
+        capsys, f"seed from {str(path)!r}: input field has components along "
+                f"the tangent or unstable directions")

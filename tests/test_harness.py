@@ -132,7 +132,7 @@ def test_a_failed_classification_is_one_failed_ledger_check(ledger, tmp_path,
 def test_trajectory_csv_round_trip(model, grid, spectrum, workspace, tmp_path):
     e_s = spectrum.eigenvectors[:, spectrum.stable_indices[0]]
     u0 = GridField(model.profile.values + 0.005 * e_s, grid)
-    traj = evolve_lanes(model, [u0.values], 0.1, dt=1e-3,
+    traj = evolve_lanes(model, [u0.values], dt=1e-3,
                         sample_times=np.array([0.0, 0.05, 0.1]))[0]
     extracted = extract_modulated(model, traj, sigma_guess=0.0)
     coefficients = unstable_coefficient(grid, workspace.unstable_mode, 0.0,

@@ -183,6 +183,37 @@ def test_correction_scan_shrinks_quadratically(workspace, eta_bump, point_bump):
     assert scan["loglog_slope"] == pytest.approx(2.0, abs=0.3)
 
 
+def quadratic_coefficient(spectrum, unstable_mode, eta):
+    """Closed-form beta_2 in beta(eps eta) = beta_2 eps^2 + O(eps^3).
+
+    To second order the remainder is the stable flow sum_k c_k
+    exp(-lambda_k t) e_k with c_k = <eta, e_k>, and the bounded unstable
+    coefficient it drives through the quadratic term is
+    beta_2 = -sum c_k c_l <e_k e_l, e_u> / (lambda_k + lambda_l + 5/4).
+    """
+    grid = spectrum.grid
+    modes = spectrum.eigenvectors[:, spectrum.stable_indices]
+    rates = spectrum.eigenvalues[spectrum.stable_indices]
+    c = grid.inner_values(modes.T, eta.values)
+    products = grid.spacing * (modes.T @ (unstable_mode[:, None] * modes))
+    return -float(np.sum(np.outer(c, c) * products
+                         / (rates[:, None] + rates[None, :] + 1.25)))
+
+
+def test_correction_has_the_closed_form_quadratic_coefficient(
+        workspace, spectrum, eta_bump):
+    unit = GridField(eta_bump.values / eta_bump.strong_norm(), eta_bump.grid)
+    beta2 = quadratic_coefficient(spectrum, workspace.unstable_mode, unit)
+    scan = correction_scan(workspace, unit, [0.04, 0.02, 0.01], delta=DELTA)
+    g = scan["corrections"] / scan["scales"] ** 2 - beta2
+    # The remainder is cubic: g is linear in eps, so its differences halve
+    # with eps (measured ratio 2.0086) ...
+    assert (g[0] - g[1]) / (g[1] - g[2]) == pytest.approx(2.0, abs=0.1)
+    # ... and g extrapolates to 0 at eps = 0, so beta / eps^2 tends to
+    # beta_2 itself (measured -1.1e-5, 4.2e-4 of beta_2).
+    assert abs(2.0 * g[2] - g[1]) <= 1e-3 * abs(beta2)
+
+
 def test_correction_scan_needs_two_distinct_scales(workspace, eta_bump):
     for scales in ([0.02], [0.02, 0.02]):
         with pytest.raises(ValueError, match="two distinct scales"):

@@ -45,31 +45,54 @@ def stable_direction(spectrum):
     return spectrum.eigenvectors[:, spectrum.stable_indices[0]]
 
 
+def recording_steps(sizes):
+    """A ``_SplitStepper.step`` that logs the size of each step it takes."""
+    step = reference._SplitStepper.step
+
+    def recording(self, uh, dt, out=None):
+        sizes.append(dt)
+        return step(self, uh, dt, out)
+    return recording
+
+
 @pytest.fixture(scope="module")
-def equilibrium_deviation(model, grid):
-    traj = evolve_full(model, model.profile, 2.0, tol=1e-13,
-                       sample_times=np.linspace(0.0, 2.0, 81))
+def adaptive_steps():
+    """Step sizes, trial steps included, of each adaptive fixture solve."""
+    return {}
+
+
+@pytest.fixture(scope="module")
+def equilibrium_deviation(model, grid, adaptive_steps):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reference._SplitStepper, "step", recording_steps(
+            adaptive_steps.setdefault("equilibrium", [])))
+        traj = evolve_full(model, model.profile, 2.0, tol=1e-13,
+                           sample_times=np.linspace(0.0, 2.0, 81))
     return grid.weak_norm_values(
         traj.u_samples - model.profile.values[None, :]
     ), traj.stats
 
 
 @pytest.fixture(scope="module")
-def uncorrected_run(model, grid, stable_direction):
+def uncorrected_run(model, grid, stable_direction, adaptive_steps):
     u0 = GridField(model.profile.values + 0.01 * stable_direction, grid)
-    traj = evolve_full(model, u0, 10.0, sample_times=np.linspace(0.0, 10.0, 51))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reference._SplitStepper, "step", recording_steps(
+            adaptive_steps.setdefault("uncorrected", [])))
+        traj = evolve_full(model, u0, 10.0,
+                           sample_times=np.linspace(0.0, 10.0, 51))
     return traj
 
 
 def recording_lanes(log, alter=None):
-    """An ``evolve_lanes`` that logs (initial state bytes, final time) for
-    each lane, then solves them; ``alter(index, trajectory)`` may change the
-    trajectory of the lane with that index in the log."""
-    def recording(model, starts, t_final, **kwargs):
+    """An ``evolve_lanes`` that logs (initial state bytes, final sample
+    time) for each lane, then solves them; ``alter(index, trajectory)`` may
+    change the trajectory of the lane with that index in the log."""
+    def recording(model, starts, **kwargs):
         first = len(log)
-        log.extend((np.asarray(u0).tobytes(), float(t_final))
-                   for u0 in starts)
-        trajectories = evolve_lanes(model, starts, t_final, **kwargs)
+        t_final = float(kwargs["sample_times"][-1])
+        log.extend((np.asarray(u0).tobytes(), t_final) for u0 in starts)
+        trajectories = evolve_lanes(model, starts, **kwargs)
         if alter is not None:
             for index, traj in enumerate(trajectories, start=first):
                 alter(index, traj)
@@ -97,7 +120,7 @@ def corrected_run(workspace, model, grid, stable_direction, refine_solves):
                                     probe_time=12.0)
     u0 = corrected_initial_state(workspace, point, refined.beta)
     samples = mesh_prefix(workspace.times, 10.0)
-    traj = evolve_lanes(model, [u0.values], float(samples[-1]), dt=1e-3,
+    traj = evolve_lanes(model, [u0.values], dt=1e-3,
                         sample_times=samples)[0]
     return point, refined, traj
 
@@ -266,9 +289,9 @@ def test_translation_equivariance(model, grid, stable_direction):
     shift = 1.3
     u0s = GridField(grid.shift_values(u0.values, shift), grid)
     ends = np.array([0.0, 1.0])
-    plain = evolve_lanes(model, [u0.values], 1.0, dt=1e-3,
+    plain = evolve_lanes(model, [u0.values], dt=1e-3,
                          sample_times=ends)[0]
-    moved = evolve_lanes(model, [u0s.values], 1.0, dt=1e-3,
+    moved = evolve_lanes(model, [u0s.values], dt=1e-3,
                          sample_times=ends)[0]
     gap = grid.weak_norm_values(
         grid.shift_values(plain.u_samples[-1], shift) - moved.u_samples[-1]
@@ -341,9 +364,9 @@ def test_parseval_norms_match_the_grid_norms(grid):
         values = np.fft.irfft(vhat, grid.n) + rng.uniform(0.1, 1.0) * nyquist
         values_hat = np.fft.rfft(values)
         assert values_hat[-1] != 0.0
-        assert stepper.weak_norm(values_hat) == pytest.approx(
+        assert stepper.norm(values_hat) == pytest.approx(
             float(grid.weak_norm_values(values)), rel=1e-13)
-        assert stepper.strong_norm(values_hat) == pytest.approx(
+        assert stepper.norm(values_hat, strong=True) == pytest.approx(
             float(grid.strong_norm_values(values)), rel=1e-13)
 
 
@@ -356,7 +379,7 @@ def test_fourier_state_solve_matches_the_physical_split_step(
     u0 = corrected_initial_state(workspace, point, refined.beta, offset)
     samples = mesh_prefix(workspace.times, t_end)
     floor = reference.collapse_floor(model)
-    traj = evolve_lanes(model, [u0.values], float(samples[-1]), dt=1e-3,
+    traj = evolve_lanes(model, [u0.values], dt=1e-3,
                         sample_times=samples, collapse_floor=floor)[0]
     times, states, sign, escape_time = physical_split_solve(
         model, u0, samples, 1e-3, collapse_floor=floor)
@@ -411,7 +434,7 @@ def test_escape_checks_read_each_rows_own_weak_norm(grid, rows):
     stepper = reference._SplitStepper(grid)
     for seed in range(8):
         uh = stepper.spectrum(_nyquist_stack(grid.n, rows, seed=seed))
-        norms = [stepper.weak_norm(row) for row in uh]
+        norms = [stepper.norm(row) for row in uh]
         assert stepper.escape_signs(uh, 10.0, 0.5 * min(norms)) is None
         for row, norm in enumerate(norms):
             # At the row's own norm it collapses, one float below it does
@@ -438,7 +461,7 @@ def test_fixed_step_solve_makes_two_ffts_per_step(model, grid, monkeypatch):
     for name in calls:
         monkeypatch.setattr(reference, name, counted(name))
     samples = np.linspace(0.0, 0.2, 5)
-    traj = evolve_lanes(model, [model.profile.values], 0.2, dt=1e-3,
+    traj = evolve_lanes(model, [model.profile.values], dt=1e-3,
                         sample_times=samples)[0]
     steps = traj.stats["steps"]
     assert steps >= 200 and traj.n_samples == len(samples)
@@ -452,7 +475,7 @@ def test_a_state_past_the_watch_line_that_stays_below_the_ceiling_runs_on(
     # The pulse's weak norm, 2.45, is past 0.4 of a ceiling of 5, so every
     # step reads its strong norm, 2.68, which stays below the ceiling.
     samples = np.linspace(0.0, 0.2, 5)
-    fixed = evolve_lanes(model, [model.profile.values], 0.2, dt=1e-3,
+    fixed = evolve_lanes(model, [model.profile.values], dt=1e-3,
                          sample_times=samples, ceiling=5.0)[0]
     adaptive = evolve_full(model, model.profile, 0.2, sample_times=samples,
                            ceiling=5.0)
@@ -478,10 +501,10 @@ def test_a_lane_that_blows_up_leaves_the_stack(workspace, model, monkeypatch):
         return uh_new, mask
 
     monkeypatch.setattr(reference._SplitStepper, "step", spied)
-    solved = evolve_lanes(model, starts, float(samples[-1]), dt=1e-3,
+    solved = evolve_lanes(model, starts, dt=1e-3,
                           sample_times=samples, ceiling=1e6)
     assert blown == [[False, True]]
-    singles = [evolve_lanes(model, [u0], float(samples[-1]), dt=1e-3,
+    singles = [evolve_lanes(model, [u0], dt=1e-3,
                             sample_times=samples, ceiling=1e6)[0]
                for u0 in starts]
     assert blown == [[False, True], [True]]
@@ -675,7 +698,7 @@ def single_solves(workspace, model):
     floor = reference.collapse_floor(model)
     starts = [model.profile.values + offset * workspace.unstable_mode
               for offset in LANE_OFFSETS]
-    singles = [evolve_lanes(model, [u0], float(samples[-1]), dt=1e-3,
+    singles = [evolve_lanes(model, [u0], dt=1e-3,
                             sample_times=samples, collapse_floor=floor)[0]
                for u0 in starts]
     assert [traj.stats["escape_sign"] for traj in singles] == [0, 1, -1, 1]
@@ -685,7 +708,7 @@ def single_solves(workspace, model):
 @pytest.mark.parametrize("lanes", [1, 2, 3, 4])
 def test_lanes_are_bitwise_their_single_solves(model, single_solves, lanes):
     starts, samples, floor, singles = single_solves
-    solved = evolve_lanes(model, starts[:lanes], float(samples[-1]), dt=1e-3,
+    solved = evolve_lanes(model, starts[:lanes], dt=1e-3,
                           sample_times=samples, collapse_floor=floor)
     assert len(solved) == lanes
     for mine, theirs in zip(solved, singles):
@@ -699,10 +722,10 @@ def test_continued_solves_equal_solves_from_zero(workspace, model,
     starts, samples, floor, singles = single_solves
     early = mesh_prefix(workspace.times, 3.0)
     # Both lanes survive to t = 3; the second escapes after it.
-    begun = evolve_lanes(model, [starts[0], starts[3]], float(early[-1]),
+    begun = evolve_lanes(model, [starts[0], starts[3]],
                          dt=1e-3, sample_times=early, collapse_floor=floor)
     assert not any(traj.escaped for traj in begun)
-    continued = evolve_lanes(model, begun, float(samples[-1]), dt=1e-3,
+    continued = evolve_lanes(model, begun, dt=1e-3,
                              sample_times=samples, collapse_floor=floor)
     for mine, theirs in zip(continued, (singles[0], singles[3])):
         assert_same_solve(mine, theirs)
@@ -735,7 +758,7 @@ def test_whole_steps_absorb_round_off_in_the_gap():
 def test_a_short_solve_records_every_sample_in_whole_steps(workspace, model,
                                                            t_end, steps):
     samples = mesh_prefix(workspace.times, t_end)
-    traj = evolve_lanes(model, [model.profile.values], float(samples[-1]),
+    traj = evolve_lanes(model, [model.profile.values],
                         dt=1e-3, sample_times=samples)[0]
     assert traj.times[-1] == t_end
     assert np.array_equal(traj.times, samples)
@@ -747,20 +770,41 @@ def test_every_interval_takes_its_whole_steps_then_one_clamped_step(
     dt = 1e-3
     samples = mesh_prefix(workspace.times, 6.0)
     sizes = []
-    step = reference._SplitStepper.step
-
-    def spied(self, uh, h, out=None):
-        sizes.append(h)
-        return step(self, uh, h, out)
-
-    monkeypatch.setattr(reference._SplitStepper, "step", spied)
-    evolve_lanes(model, [model.profile.values], float(samples[-1]), dt=dt,
-                 sample_times=samples)
+    monkeypatch.setattr(reference._SplitStepper, "step",
+                        recording_steps(sizes))
+    evolve_lanes(model, [model.profile.values], dt=dt, sample_times=samples)
     gaps = np.diff(samples) / dt
     assert np.any(gaps % 1.0 > 0.01)  # the mesh has partial steps past 4
     assert len(sizes) == int(np.sum(np.ceil(np.round(gaps, 6))))
     assert min(sizes) > 0.005 * dt
     assert max(sizes) <= dt * (1.0 + 1e-9)
+
+
+def test_adaptive_solves_take_no_step_of_round_off_length(
+        equilibrium_deviation, uncorrected_run, adaptive_steps):
+    # Trial steps included: each is taken whole and as two halves.
+    dev, _ = equilibrium_deviation
+    assert len(dev) == 81 and uncorrected_run.n_samples == 51
+    for sizes in adaptive_steps.values():
+        assert sum(size < 1e-9 for size in sizes) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(dt=st.one_of(st.integers(-30, 5).map(lambda k: 1e-3 * 2.0**k),
+                    st.floats(reference._DT_FLOOR, reference._DT_MAX)),
+       steps=st.one_of(
+           st.floats(1e-6, 64.0),
+           st.tuples(st.integers(1, 64), st.floats(-1e-7, 1e-7)).map(sum)))
+def test_the_step_plan_clamps_one_step_onto_each_sample(dt, steps):
+    gap, slack = steps * dt, reference._STEP_SLACK
+    # The adaptive solve takes dt while the gap holds a whole step of it.
+    left = gap
+    while reference._whole_steps(left, dt) > 0:
+        left -= dt
+    assert 0.0 < left <= dt * (1.0 + 2.0 * slack)
+    # The fixed-step solve counts the whole steps once per interval.
+    rest = gap - reference._whole_steps(gap, dt) * dt
+    assert 0.0 < rest <= dt * (1.0 + 2.0 * slack)
 
 
 def test_the_probe_and_comparison_solves_take_whole_steps(refined_bump,
@@ -777,16 +821,16 @@ def test_only_a_surviving_fixed_step_solve_on_the_same_samples_continues(
     survived, escaped = singles[0], singles[1]
     longer = np.append(samples, samples[-1] + 0.02)
     with pytest.raises(ValueError):
-        evolve_lanes(model, [escaped], float(longer[-1]), dt=1e-3,
+        evolve_lanes(model, [escaped], dt=1e-3,
                      sample_times=longer)
     with pytest.raises(ValueError):
-        evolve_lanes(model, [survived], float(longer[-1]), dt=5e-4,
+        evolve_lanes(model, [survived], dt=5e-4,
                      sample_times=longer)
     with pytest.raises(ValueError):
-        evolve_lanes(model, [survived], float(longer[-1]), dt=1e-3,
+        evolve_lanes(model, [survived], dt=1e-3,
                      sample_times=longer[::2])
     with pytest.raises(ValueError):
-        evolve_lanes(model, [survived, starts[0]], float(longer[-1]),
+        evolve_lanes(model, [survived, starts[0]],
                      dt=1e-3, sample_times=longer)
 
 
@@ -801,9 +845,9 @@ def test_every_lane_is_its_single_solve(workspace, model, offsets):
     floor = reference.collapse_floor(model)
     starts = [model.profile.values + sign * 10.0**power
               * workspace.unstable_mode for sign, power in offsets]
-    solved = evolve_lanes(model, starts, float(samples[-1]), dt=2e-3,
+    solved = evolve_lanes(model, starts, dt=2e-3,
                           sample_times=samples, collapse_floor=floor)
     for u0, mine in zip(starts, solved):
-        single = evolve_lanes(model, [u0], float(samples[-1]), dt=2e-3,
+        single = evolve_lanes(model, [u0], dt=2e-3,
                               sample_times=samples, collapse_floor=floor)[0]
         assert_same_solve(mine, single)
