@@ -259,11 +259,11 @@ def _cmd_simulate(args, cfg: ExperimentConfig) -> int:
         payload = point_payload(runtime, args.init, point, refine)
     else:
         payload = _read_point(args.init, cfg)
-    model = build_model(cfg)
     initial_values, unstable_mode = (
-        _point_entry(args.init, payload, key, model.grid.n)
+        _point_entry(args.init, payload, key, cfg.model.n_points)
         for key in ("initial_values", "unstable_mode"))
     sigma0 = float(_point_entry(args.init, payload, "sigma0"))
+    model = build_model(cfg)
 
     mesh = config_mesh(cfg)
     if args.T > mesh[-1] + 1e-12:

@@ -96,9 +96,10 @@ class FullTrajectory:
     def continues_to(self, sample_times: np.ndarray) -> bool:
         """Whether a fixed-step solve recorded at ``sample_times`` can
         continue this one: it stopped without escaping, and its samples are
-        a prefix of those times."""
+        exactly those of the times up to its end."""
         return self.end is not None and np.array_equal(
-            self.times, sample_times[:self.n_samples])
+            self.times, sample_times[:np.searchsorted(
+                sample_times, self.end[0], side="right")])
 
     def energies(self, model: PulseModel) -> np.ndarray:
         return np.array([
@@ -188,12 +189,15 @@ class _SplitStepper:
         uh_new *= mult
         return uh_new, blown
 
-    def norm(self, uh: np.ndarray, strong: bool = False) -> float:
-        """``grid.weak_norm_values``, or ``strong_norm_values`` if strong,
-        of the state whose rfft is uh."""
+    def weak_norm(self, uh: np.ndarray) -> float:
+        """``grid.weak_norm_values`` of the state whose rfft is uh."""
         parts = uh.view(np.float64)
-        return math.sqrt(parts.dot(parts * (self._strong if strong
-                                            else self._weak)))
+        return math.sqrt(parts.dot(parts * self._weak))
+
+    def strong_norm(self, uh: np.ndarray) -> float:
+        """``grid.strong_norm_values`` of the state whose rfft is uh."""
+        parts = uh.view(np.float64)
+        return math.sqrt(parts.dot(parts * self._strong))
 
     def escape_signs(self, uh: np.ndarray, ceiling: float,
                      collapse_floor: float | None) -> list[int] | None:
@@ -216,7 +220,7 @@ class _SplitStepper:
             if low < weak < watch:
                 continue
             if not math.isfinite(weak) or weak >= ceiling or (
-                weak >= watch and self.norm(uh[row], strong=True) >= ceiling
+                weak >= watch and self.strong_norm(uh[row]) >= ceiling
             ):
                 sign = 1
             elif weak <= low:
@@ -247,10 +251,10 @@ _STEP_SLACK = 1e-9
 
 
 def _whole_steps(gap: float, dt: float) -> int:
-    """Whole steps of size dt that precede the clamped step ending a sample
-    interval of length gap, in both solvers; the clamped step is then longer
-    than ``_STEP_SLACK * dt`` and at most ``dt * (1 + _STEP_SLACK)``."""
-    return math.ceil(gap / dt - _STEP_SLACK) - 1
+    """Whole steps of size dt before the clamped step that ends a sample
+    interval of length gap > 0; that step is then longer than 0, at most
+    dt (1 + _STEP_SLACK), and shorter than _STEP_SLACK dt only if gap is."""
+    return max(0, math.ceil(gap / dt - _STEP_SLACK) - 1)
 
 
 def _new_lane(values: np.ndarray, sample_times: np.ndarray, mode: str,
@@ -263,10 +267,10 @@ def _new_lane(values: np.ndarray, sample_times: np.ndarray, mode: str,
         escape_time=None, mode=mode, tol=tol, final_dt=dt)
 
 
-def _end_lane(lane, steps: int, sign: int, t, end=None) -> FullTrajectory:
-    """The trajectory of a lane (times, states, stats) that ends after
-    ``steps`` steps of its solve, with escape sign and time."""
-    times, states, stats = lane
+def _end_lane(times: list, states: list, stats: dict, steps: int, sign: int,
+              t, end=None) -> FullTrajectory:
+    """The trajectory of a lane (recorded times and states, stats) that ends
+    after ``steps`` steps of its solve, with escape sign and time."""
     stats["steps"] += steps
     stats["escape_sign"], stats["escape_time"] = sign, t
     return FullTrajectory(np.array(times), np.array(states), stats, end)
@@ -289,11 +293,12 @@ def evolve_lanes(model: PulseModel, starts, *, dt: float,
     Each interval up to the next of ``sample_times``, where the states are
     recorded, takes the whole steps of size dt that it holds and then one
     clamped step that ends on the sample (``_whole_steps``, the step plan
-    of ``evolve_full`` too), so no step has round-off length.  A lane
-    escapes with direction +1 when its quadratic substep passes through
-    infinity or its strong norm reaches ``ceiling``, and with direction -1
-    when its weak norm falls to ``collapse_floor`` (when given); it is then
-    dropped from the stack, keeping the samples recorded so far.
+    of ``evolve_full`` too), so no step has zero length, and none has
+    round-off length unless the interval has.  A lane escapes with
+    direction +1 when its quadratic substep passes through infinity or its
+    strong norm reaches ``ceiling``, and with direction -1 when its weak
+    norm falls to ``collapse_floor`` (when given); it is then dropped from
+    the stack, keeping the samples recorded so far.
     """
     sample_times = _checked_samples(sample_times)
     dt = float(dt)
@@ -301,14 +306,11 @@ def evolve_lanes(model: PulseModel, starts, *, dt: float,
     lanes, rows, origins = [], [], set()
     for start in starts:
         if isinstance(start, FullTrajectory):
-            if start.end is None or start.stats.get("final_dt") != dt:
-                raise ValueError("only a fixed-step solve with the same step "
-                                 "that did not escape can be continued")
+            if not (start.continues_to(sample_times)
+                    and start.stats.get("final_dt") == dt):
+                raise ValueError("only a surviving fixed-step solve with the "
+                                 "same step and samples can be continued")
             t0, uh0 = start.end
-            if not np.array_equal(start.times, sample_times[:np.searchsorted(
-                    sample_times, t0, side="right")]):
-                raise ValueError("a continued solve must have recorded "
-                                 "exactly the sample times before its end")
             lanes.append((list(start.times), list(start.u_samples),
                           dict(start.stats)))
         else:
@@ -324,7 +326,6 @@ def evolve_lanes(model: PulseModel, starts, *, dt: float,
 
     uh = np.array(rows)
     active = list(range(len(lanes)))
-    ended = [None] * len(lanes)
     steps = 0
     taken = 0  # whole steps taken in the current sample interval
     while active and next_sample < len(sample_times):
@@ -335,7 +336,7 @@ def evolve_lanes(model: PulseModel, starts, *, dt: float,
         uh, blown = stepper.step(uh, target - t if clamped else dt, out=uh)
         if blown is not None:
             for lane in compress(active, blown):
-                ended[lane] = _end_lane(lanes[lane], steps, 1, t)
+                lanes[lane] = _end_lane(*lanes[lane], steps, 1, t)
             active = list(compress(active, ~blown))
             if not active:
                 break
@@ -353,14 +354,14 @@ def evolve_lanes(model: PulseModel, starts, *, dt: float,
         if signs is not None:
             for lane, sign in zip(active, signs):
                 if sign:
-                    ended[lane] = _end_lane(lanes[lane], steps, sign, t)
+                    lanes[lane] = _end_lane(*lanes[lane], steps, sign, t)
             keep = [not sign for sign in signs]
             uh, active = uh[keep], list(compress(active, keep))
 
     for row, lane in enumerate(active):
-        ended[lane] = _end_lane(lanes[lane], steps, 0, None,
+        lanes[lane] = _end_lane(*lanes[lane], steps, 0, None,
                                 (t, uh[row].copy()))
-    return ended
+    return lanes
 
 
 def evolve_full(model: PulseModel, u0: GridField, t_final: float,
@@ -411,7 +412,7 @@ def evolve_full(model: PulseModel, u0: GridField, t_final: float,
         uh_new, blown_new = (uh_half, blown_half) if blown_half is not None \
             else stepper.step(uh_half, 0.5 * dt_step)
         estimate = np.inf if blown_big is not None or blown_new is not None \
-            else stepper.norm(uh_big[0] - uh_new[0]) / 3.0
+            else stepper.weak_norm(uh_big[0] - uh_new[0]) / 3.0
         if not estimate <= tol:
             stats["rejected"] += 1
             dt = 0.5 * dt_step
@@ -440,7 +441,7 @@ def evolve_full(model: PulseModel, u0: GridField, t_final: float,
             break
 
     stats["final_dt"] = dt
-    return _end_lane((times, states, stats), steps, sign, t if sign else None)
+    return _end_lane(times, states, stats, steps, sign, t if sign else None)
 
 
 def extract_modulated(model: PulseModel, traj: FullTrajectory,

@@ -420,8 +420,10 @@ def test_a_point_file_with_a_non_finite_entry_is_refused_before_any_work(
     traj = tmp_path / "traj.csv"
     traj.write_text(_trajectory_text([0.0], cfg.model.n_points),
                     encoding="utf-8")
-    monkeypatch.setattr(cli, "build_runtime",
-                        lambda cfg: pytest.fail("the runtime was built"))
+    # compare reads the point after the trajectory, which needs the grid.
+    monkeypatch.setattr(cli, "build_model" if command == "simulate"
+                        else "build_runtime",
+                        lambda cfg: pytest.fail("the work began"))
     argv = (["simulate", "--init", str(point), "--T", "1"]
             if command == "simulate" else
             ["compare", "--point", str(point), "--traj", str(traj)])

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from adiaflow import reference
@@ -364,9 +364,9 @@ def test_parseval_norms_match_the_grid_norms(grid):
         values = np.fft.irfft(vhat, grid.n) + rng.uniform(0.1, 1.0) * nyquist
         values_hat = np.fft.rfft(values)
         assert values_hat[-1] != 0.0
-        assert stepper.norm(values_hat) == pytest.approx(
+        assert stepper.weak_norm(values_hat) == pytest.approx(
             float(grid.weak_norm_values(values)), rel=1e-13)
-        assert stepper.norm(values_hat, strong=True) == pytest.approx(
+        assert stepper.strong_norm(values_hat) == pytest.approx(
             float(grid.strong_norm_values(values)), rel=1e-13)
 
 
@@ -434,7 +434,7 @@ def test_escape_checks_read_each_rows_own_weak_norm(grid, rows):
     stepper = reference._SplitStepper(grid)
     for seed in range(8):
         uh = stepper.spectrum(_nyquist_stack(grid.n, rows, seed=seed))
-        norms = [stepper.norm(row) for row in uh]
+        norms = [stepper.weak_norm(row) for row in uh]
         assert stepper.escape_signs(uh, 10.0, 0.5 * min(norms)) is None
         for row, norm in enumerate(norms):
             # At the row's own norm it collapses, one float below it does
@@ -794,17 +794,41 @@ def test_adaptive_solves_take_no_step_of_round_off_length(
                     st.floats(reference._DT_FLOOR, reference._DT_MAX)),
        steps=st.one_of(
            st.floats(1e-6, 64.0),
-           st.tuples(st.integers(1, 64), st.floats(-1e-7, 1e-7)).map(sum)))
-def test_the_step_plan_clamps_one_step_onto_each_sample(dt, steps):
+           st.floats(1e-200, 1e-9),
+           st.tuples(st.integers(1, 64), st.floats(-1e-7, 1e-7)).map(sum)),
+       factors=st.lists(st.sampled_from((0.5, 1.0, 2.0)), max_size=4))
+@example(dt=1e-3, steps=1.0 + 1.5e-9, factors=[2.0])
+@example(dt=1e-3, steps=5e-10, factors=[])
+def test_the_step_plan_clamps_one_step_onto_each_sample(dt, steps, factors):
     gap, slack = steps * dt, reference._STEP_SLACK
-    # The adaptive solve takes dt while the gap holds a whole step of it.
-    left = gap
-    while reference._whole_steps(left, dt) > 0:
-        left -= dt
-    assert 0.0 < left <= dt * (1.0 + 2.0 * slack)
+    # The adaptive solve takes its current step while the time left holds a
+    # whole one; its controller may halve or double the step after each.
+    left, dt_now, factors = gap, dt, iter(factors)
+    while reference._whole_steps(left, dt_now) != 0:
+        assert left > dt_now
+        left -= dt_now
+        dt_now *= next(factors, 1.0)
+    assert 0.0 < left <= dt_now * (1.0 + 2.0 * slack)
     # The fixed-step solve counts the whole steps once per interval.
     rest = gap - reference._whole_steps(gap, dt) * dt
     assert 0.0 < rest <= dt * (1.0 + 2.0 * slack)
+
+
+def test_samples_within_round_off_of_a_step_are_recorded(model):
+    # A decaying state, so that a solve which steps past a sample collapses
+    # instead of running on.
+    values = 1e-3 * model.profile.values
+    floor = 0.5 * float(model.grid.weak_norm_values(values))
+    # The first step of 1e-3 leaves 1.5e-12 to the sample, and the
+    # controller then doubles the step.
+    near = 1e-3 * (1.0 + 1.5e-9)
+    traj = evolve_full(model, GridField(values, model.grid), near, tol=1e-6,
+                       sample_times=[0.0, near], collapse_floor=floor)
+    assert traj.stats["final_dt"] == 2e-3
+    assert not traj.escaped and list(traj.times) == [0.0, near]
+    traj = evolve_lanes(model, [values], dt=1e-3, sample_times=[0.0, 5e-13],
+                        collapse_floor=floor)[0]
+    assert not traj.escaped and list(traj.times) == [0.0, 5e-13]
 
 
 def test_the_probe_and_comparison_solves_take_whole_steps(refined_bump,
