@@ -27,11 +27,11 @@ On top of the solver:
   ``TrajectoryPath`` instead of decomposing the states again;
 * ``refine_correction`` shoots for the initial unstable coefficient whose
   discrete trajectory neither blows up nor collapses — the solver-level
-  counterpart of the fixed-point correction.  One four-lane solve to a
-  quarter of the probe time gives a Newton predictor, a safeguarded Newton
-  iteration on lane pairs at the full probe stops at the round-off floor of
-  the root, every solve is cached so none is repeated, and the probe solve
-  of the result is handed on to be continued;
+  counterpart of the fixed-point correction.  One three-lane solve to a
+  quarter of the probe time gives a quadratic predictor, a safeguarded
+  Newton iteration on lane pairs at the full probe stops at the round-off
+  floor of the root, every solve is cached so none is repeated, and the
+  probe solve of the result is handed on to be continued;
 * ``compare_effective`` measures how far the reduced dynamics (fixed-point
   path and chart velocity field) sit from the extracted full solution;
 * ``instability_witnesses`` perturbs the corrected initial state along the
@@ -527,13 +527,10 @@ class RefineResult:
 #: bracket wide enough to hold the fixed-point error survives to it.
 _SHORT_PROBE_FRACTION = 0.25
 
-#: Finite-difference partners of the Newton steps, in units of beta.  The
-#: one short-probe step from the fixed-point value spans about 1e-7, so its
-#: partner sits 1e4 round-off floors of the root (see ``_roundoff_floor``,
-#: about 7e-15) away, where probe noise leaves the slope good to about
-#: 1e-4.  Full-probe steps shrink to the floor; a partner of about 150
-#: floors keeps their slope good to a few parts in 1e3.
-_SHORT_PARTNER = 1e-10
+#: Finite-difference partner of the full-probe Newton steps, in units of
+#: beta.  The steps shrink to the round-off floor of the root (see
+#: ``_roundoff_floor``, about 7e-15); a partner of about 150 floors keeps
+#: their slope good to a few parts in 1e3.
 _FULL_PARTNER = 1e-11
 
 #: The first short-probe bracket is the fixed-point value plus or minus
@@ -588,13 +585,13 @@ def refine_correction(workspace: SolutionMapWorkspace, point: ManifoldPoint,
     coefficient at zero at the probe time, in two stages:
 
     1. *Predictor.*  At a short probe (the mesh time at or below a quarter
-       of the probe time) one four-lane solve takes both ends of a bracket
-       around the fixed-point value, the value itself and a
-       finite-difference partner of it; the bracket widens until its ends
-       give opposite signs.  The predictor is the Newton step from the
-       fixed-point value.  Where that step leaves the bracket, or the
-       fixed-point value escapes, false position on the bracket, narrowed
-       until both ends survive, takes its place.
+       of the probe time) one three-lane solve takes both ends of a
+       bracket around the fixed-point value and the value itself; the
+       bracket widens until its ends give opposite signs.  The predictor is
+       the root nearest the fixed-point value of the quadratic through the
+       three solves.  Where that root leaves the bracket, or one of the
+       three solves escapes, false position on the bracket, narrowed until
+       both ends survive, takes its place.
     2. *Polish.*  At the full probe, a safeguarded Newton iteration starts
        at the predictor.  Each round solves the iterate and a
        finite-difference partner, on the side the last step moved to, as
@@ -682,7 +679,7 @@ def refine_correction(workspace: SolutionMapWorkspace, point: ManifoldPoint,
                     b < beta and sign < 0 for b, sign in survivors) and any(
                     b > beta and sign > 0 for b, sign in survivors):
                 raise ConvergenceError(
-                    f"the {stage} iterate {beta!r} escaped before "
+                    f"the {stage} iterate {float(beta)!r} escaped before "
                     f"t = {samples[-1]:.6g} inside a surviving bracket"
                 )
         return [solved[(n, beta)] for beta in betas]
@@ -693,9 +690,9 @@ def refine_correction(workspace: SolutionMapWorkspace, point: ManifoldPoint,
             mid = 0.5 * (lo + hi)
             if not lo < mid < hi:
                 raise ConvergenceError(
-                    f"no surviving coefficient between {lo!r} and {hi!r} "
-                    f"at t = {samples[-1]:.6g}: the {stage} reached "
-                    f"adjacent floats"
+                    f"no surviving coefficient between {float(lo)!r} and "
+                    f"{float(hi)!r} at t = {samples[-1]:.6g}: the {stage} "
+                    f"reached adjacent floats"
                 )
             end_mid, = probe(samples, [mid], stage)
             if end_mid[0] < 0:
@@ -707,16 +704,14 @@ def refine_correction(workspace: SolutionMapWorkspace, point: ManifoldPoint,
     def false_position(lo, v_lo, hi, v_hi):
         return lo - v_lo * (hi - lo) / (v_hi - v_lo)
 
-    # Predictor: a Newton step from the fixed-point value at the short
-    # probe, inside a bracket whose ends give opposite signs.
+    # Predictor: at the short probe, a bracket around the fixed-point value
+    # whose ends give opposite signs.
     stage = "short-probe bracketing"
     center = point.correction
-    partner = center + _SHORT_PARTNER
     radius = max(_BRACKET_FACTOR * abs(center), _BRACKET_MIN)
     for _ in range(5):
         lo, hi = center - radius, center + radius
-        end_lo, end_hi, end_c, end_p = probe(short_samples,
-                                             [lo, hi, center, partner], stage)
+        end_lo, end_hi, end_c = probe(short_samples, [lo, hi, center], stage)
         if end_lo[0] < 0 < end_hi[0]:
             break
         radius *= 4.0
@@ -725,16 +720,16 @@ def refine_correction(workspace: SolutionMapWorkspace, point: ManifoldPoint,
             "could not bracket the refined correction: the unstable "
             "coefficient does not change sign around the fixed-point value"
         )
-    slope = predictor = math.nan
-    curvature = 0.0
-    if end_c[1] is not None and end_p[1] is not None:
-        slope = (end_p[1] - end_c[1]) / (partner - center)
-        if end_lo[1] is not None and end_hi[1] is not None:
-            curvature = ((end_hi[1] - end_c[1]) / (hi - center)
-                         - (end_c[1] - end_lo[1]) / (center - lo)) \
-                / (hi - lo) / slope
+    predictor = math.nan
+    if None not in (end_lo[1], end_hi[1], end_c[1]):
+        # The root of the quadratic through the three solves: the ends sit
+        # symmetric about the center, so their secant is its slope there.
+        slope = (end_hi[1] - end_lo[1]) / (hi - lo)
+        curvature = ((end_hi[1] - end_c[1]) / (hi - center)
+                     - (end_c[1] - end_lo[1]) / (center - lo)) \
+            / (hi - lo) / slope
         predictor = center + _newton_step(end_c[1], slope, curvature)
-    if not (slope > 0.0 and lo < predictor < hi):
+    if not lo < predictor < hi:
         lo, v_lo, hi, v_hi = settle(short_samples, lo, end_lo, hi, end_hi,
                                     "short-probe escape bisection")
         slope, curvature = (v_hi - v_lo) / (hi - lo), 0.0

@@ -86,12 +86,14 @@ def uncorrected_run(model, grid, stable_direction, adaptive_steps):
 
 def recording_lanes(log, alter=None):
     """An ``evolve_lanes`` that logs (initial state bytes, final sample
-    time) for each lane, then solves them; ``alter(index, trajectory)`` may
-    change the trajectory of the lane with that index in the log."""
+    time, log index of the call's first lane) for each lane, then solves
+    them; ``alter(index, trajectory)`` may change the trajectory of the lane
+    with that index in the log."""
     def recording(model, starts, **kwargs):
         first = len(log)
         t_final = float(kwargs["sample_times"][-1])
-        log.extend((np.asarray(u0).tobytes(), t_final) for u0 in starts)
+        log.extend((np.asarray(u0).tobytes(), t_final, first)
+                   for u0 in starts)
         trajectories = evolve_lanes(model, starts, **kwargs)
         if alter is not None:
             for index, traj in enumerate(trajectories, start=first):
@@ -102,8 +104,8 @@ def recording_lanes(log, alter=None):
 
 @pytest.fixture(scope="module")
 def refine_solves():
-    """(initial state bytes, final time) of each lane that the
-    ``corrected_run`` refinement solves."""
+    """(initial state bytes, final time, first lane of its call) of each
+    lane that the ``corrected_run`` refinement solves."""
     return []
 
 
@@ -178,20 +180,41 @@ def test_refinement_contract(corrected_run, workspace):
 def test_refinement_solves_no_coefficient_twice(corrected_run, refine_solves):
     _, refined, _ = corrected_run
     assert len(refine_solves) == refined.evaluations
-    initial_states = [u0 for u0, _ in refine_solves]
+    initial_states = [u0 for u0, _, _ in refine_solves]
     assert len(set(initial_states)) == len(initial_states)
     assert refined.evaluations <= 16
     # Short-probe solves come first and end well before the probe.
-    finals = [t_final for _, t_final in refine_solves]
+    finals = [t_final for _, t_final, _ in refine_solves]
     assert finals == sorted(finals)
     assert finals[0] <= 0.25 * refined.probe_time < finals[-1]
     assert finals[-1] == refined.probe_time
 
 
+def test_the_short_probe_is_one_solve_of_the_bracket_ends_and_the_center(
+        corrected_run, refine_solves, workspace):
+    point, refined, _ = corrected_run
+    short = [(np.frombuffer(u0), first) for u0, t_final, first
+             in refine_solves if t_final < refined.probe_time]
+    assert [first for _, first in short] == [0, 0, 0]
+    (lo, _), (hi, _), (center, _) = short
+    base, mode = point.initial_state.values, workspace.unstable_mode
+    assert np.array_equal(center, base)
+    # The ends step from the fixed-point value along the unstable mode by
+    # the same size in opposite directions, around the refined value.
+    steps = [np.dot(end - base, mode) / np.dot(mode, mode)
+             for end in (lo, hi)]
+    for end, step in zip((lo, hi), steps):
+        # Up to the rounding of adding the step to the base state.
+        np.testing.assert_allclose(end - base, step * mode, rtol=0.0,
+                                   atol=1e-15)
+    assert steps[0] == pytest.approx(-steps[1], rel=1e-9)
+    assert steps[0] < refined.beta - point.correction < steps[1]
+
+
 @pytest.mark.parametrize("stage, before, spare", [
     pytest.param("short-probe bracketing", "none", 0,
                  id="short-probe bracketing"),
-    pytest.param("short-probe bracketing", "none", 3,
+    pytest.param("short-probe bracketing", "none", 2,
                  id="short-probe bracketing, lanes short"),
     pytest.param("full-probe bracketing", "escaped first round", 0,
                  id="full-probe bracketing"),
@@ -202,7 +225,7 @@ def test_refinement_budget_binds_in_every_stage(
         spare):
     point, refined, _ = corrected_run
     short_solves = sum(t_final < refined.probe_time
-                       for _, t_final in refine_solves)
+                       for _, t_final, _ in refine_solves)
     # Lane solves made before the solve that the budget stops; ``spare``
     # lanes more do not hold all lanes of that solve, so it is not started.
     made = {
@@ -236,7 +259,7 @@ def test_escaping_polish_iterate_is_a_convergence_error(
     # round's iterate lies between the surviving, opposite-sign second
     # iterate and its partner.
     survivors = sum(t_final < refined.probe_time
-                    for _, t_final in refine_solves) + 4
+                    for _, t_final, _ in refine_solves) + 4
     assert refined.evaluations == survivors + 2
 
     def escaping(index, traj):
@@ -247,9 +270,10 @@ def test_escaping_polish_iterate_is_a_convergence_error(
     calls = []
     monkeypatch.setattr(reference, "evolve_lanes",
                         recording_lanes(calls, escaping))
-    with pytest.raises(ConvergenceError, match="full-probe polish"):
+    with pytest.raises(ConvergenceError, match="full-probe polish") as error:
         refine_correction(workspace, point, dt=1e-3, probe_time=12.0)
     assert len(calls) == survivors + 2
+    assert "np.float64" not in str(error.value)
 
 
 def test_corrected_seed_meets_the_decay_bound(corrected_run, model, grid):

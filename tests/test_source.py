@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module imports is used in that module, and
-no module imports another module's underscore names."""
+"""Source hygiene: every name a module imports is used in that module, no
+module imports another module's underscore names, and every underscore name
+a module defines at its top level is read in that module."""
 
 import ast
 from pathlib import Path
@@ -34,6 +35,26 @@ def _private_imports(tree: ast.Module) -> list:
     )
 
 
+def _unread_private_names(tree: ast.Module) -> list:
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [name.id for target in node.targets
+                     for name in ast.walk(target)
+                     if isinstance(name, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.endswith("__"):
+                defined.setdefault(name, node.lineno)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted((line, name) for name, line in defined.items()
+                  if name not in read)
+
+
 def test_the_check_sees_an_unused_import():
     tree = ast.parse("import os\nimport numpy as np\nfrom x import a, b\n"
                      "np.zeros(a)\n")
@@ -47,6 +68,16 @@ def test_the_check_sees_a_private_import():
     assert _private_imports(tree) == [(2, "_jsonable"), (3, "_core")]
 
 
+def test_the_check_sees_an_unread_private_name():
+    tree = ast.parse("__version__ = '1'\n_READ = 1\n_UNREAD = 2\n"
+                     "def _helper():\n    _local = _READ\n"
+                     "class _Box:\n    pass\n"
+                     "_A, _B = 3, 4\n"
+                     "def public():\n    return _A\n")
+    assert _unread_private_names(tree) == [
+        (3, "_UNREAD"), (4, "_helper"), (6, "_Box"), (8, "_B")]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_a_module_imports_no_underscore_name(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -57,3 +88,9 @@ def test_a_module_imports_no_underscore_name(path):
 def test_a_module_imports_only_names_it_uses(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _unused_imports(tree) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_a_module_reads_every_underscore_name_it_defines(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _unread_private_names(tree) == []
