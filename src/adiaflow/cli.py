@@ -17,8 +17,8 @@ import sys
 import numpy as np
 
 from .config import ExperimentConfig, load_config
-from .errors import AdiaflowError, ConfigError
-from .grid import GridField, PeriodicGrid
+from .errors import AdiaflowError, BallViolationError, ConfigError
+from .grid import GridField
 from .harness import (
     Runtime,
     build_model,
@@ -28,8 +28,11 @@ from .harness import (
     construct_point,
     eigenvalue_table,
     jsonable,
+    load_field_csv,
     load_trajectory_csv,
+    point_entry,
     point_payload,
+    read_point,
     refine_point,
     run_assumption_ledger,
     run_full_pipeline,
@@ -40,81 +43,17 @@ from .harness import (
     write_json,
     write_trajectory_csv,
 )
-from .manifold import check_input_field
+from .manifold import ManifoldPoint, check_input_field
 from .modulation import decompose_state, solve_modulation
 from .paths import mesh_prefix
 from .presets import PRESET_NAMES, preset_field
-from .reference import compare_effective, extract_modulated, \
-    unstable_coefficient
+from .reference import compare_effective, corrected_initial_state, \
+    extract_modulated, unstable_coefficient
 from .spectral import decompose, verify_operator_lipschitz
 
 
 def _print_json(payload: dict) -> None:
     print(json.dumps(jsonable(payload), indent=2, sort_keys=True))
-
-
-def _load_field_csv(path: str, grid: PeriodicGrid) -> GridField:
-    """Read a grid field from a two-column CSV with an x,value header."""
-    try:
-        with open(path, encoding="utf-8", newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header[:2]] != ["x", "value"]:
-                raise ConfigError(
-                    f"field file {path!r} must have an 'x,value' header"
-                )
-            values = [float(row[1]) for row in reader]
-    except OSError as err:
-        raise ConfigError(f"cannot read field file: {err}") from err
-    except (ValueError, IndexError) as err:
-        raise ConfigError(f"malformed field file {path!r}: {err}") from err
-    if len(values) != grid.n:
-        raise ConfigError(
-            f"field file has {len(values)} rows, the grid has {grid.n} points"
-        )
-    finite = np.isfinite(values)
-    if not finite.all():
-        raise ConfigError(f"field file {path!r} has a non-finite value on "
-                          f"line {finite.argmin() + 2}")
-    return GridField(np.array(values), grid)
-
-
-def _read_point(path: str, cfg: ExperimentConfig) -> dict:
-    """A point file's payload.  The ``manifold`` section the point was
-    constructed with (ball, Picard controls, speed prefactor and time mesh)
-    replaces the configured one in ``cfg``."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-        cfg.manifold = ExperimentConfig.from_dict(
-            {"manifold": payload["manifold"]}).manifold
-    except (OSError, json.JSONDecodeError) as err:
-        raise ConfigError(f"cannot read point file: {err}") from err
-    except KeyError as err:
-        raise ConfigError(f"point file lacks required key: {err}") from err
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"malformed point file {path!r}: {err}") from err
-    cfg.validate()
-    return payload
-
-
-def _point_entry(path: str, payload: dict, key: str, size=None):
-    """Entry ``key`` of the point file at ``path`` as finite floats."""
-    try:
-        values = np.array(payload[key], dtype=float)
-    except KeyError as err:
-        raise ConfigError(f"point file lacks required key: {err}") from err
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"malformed point file entry {key!r}: {err}") from err
-    if size is not None and values.shape != (size,):
-        raise ConfigError(
-            f"point file has {values.size} {key} entries, the configured "
-            f"grid has {size} points"
-        )
-    if not np.isfinite(values).all():
-        raise ConfigError(f"point file {path!r} entry {key!r} has "
-                          f"non-finite values")
-    return values
 
 
 def _chart_argument(flag: str, sigma: float, cfg: ExperimentConfig) -> float:
@@ -140,7 +79,16 @@ def _eta_argument(spec: str, runtime: Runtime) -> tuple[str, GridField]:
     """Resolve an ``--eta``-style argument to (label, field)."""
     if spec in PRESET_NAMES:
         return spec, preset_field(spec, runtime.spectrum)
-    return "file", _seed(spec, _load_field_csv(spec, runtime.grid), runtime)
+    return "file", _seed(spec, load_field_csv(spec, runtime.grid), runtime)
+
+
+def _construct(source: str, eta: GridField, runtime: Runtime) -> ManifoldPoint:
+    """The configured construction over a seed from ``source``; a seed the
+    construction refuses as larger than ``manifold.delta`` is an input error."""
+    try:
+        return construct_point(runtime.config, runtime.workspace, eta)
+    except BallViolationError as err:
+        raise ConfigError(f"seed from {source!r}: {err}") from err
 
 
 # --------------------------------------------------------------------------
@@ -178,7 +126,7 @@ def _cmd_spectrum(args, cfg: ExperimentConfig) -> int:
 def _cmd_modulate(args, cfg: ExperimentConfig) -> int:
     guess = _chart_argument("--sigma-guess", args.sigma_guess, cfg)
     model = build_model(cfg)
-    state = _load_field_csv(args.state, model.grid)
+    state = load_field_csv(args.state, model.grid)
     sigma, remainder = decompose_state(model, state, guess)
     coeffs = solve_modulation(model, sigma, remainder)
     tangent = model.frame(sigma)[1]
@@ -201,7 +149,7 @@ def _cmd_construct(args, cfg: ExperimentConfig) -> int:
         cfg.set_option(f"manifold.alpha={args.alpha}")
     runtime = build_runtime(cfg)
     label, eta = _eta_argument(args.eta, runtime)
-    point = construct_point(cfg, runtime.workspace, eta)
+    point = _construct(args.eta, eta, runtime)
     refine = refine_point(cfg, runtime.workspace, point) if args.refine \
         else None
     payload = point_payload(runtime, label, point, refine)
@@ -249,28 +197,31 @@ def _cmd_simulate(args, cfg: ExperimentConfig) -> int:
     if not args.T >= 0.0:
         raise ConfigError(f"requested horizon T = {args.T:g} must be "
                           f"nonnegative")
-    if args.init in PRESET_NAMES:
-        runtime = build_runtime(cfg)
-        point = construct_point(
-            cfg, runtime.workspace, preset_field(args.init, runtime.spectrum)
-        )
-        refine = None if args.no_refine else \
-            refine_point(cfg, runtime.workspace, point)
-        payload = point_payload(runtime, args.init, point, refine)
-    else:
-        payload = _read_point(args.init, cfg)
-    initial_values, unstable_mode = (
-        _point_entry(args.init, payload, key, cfg.model.n_points)
-        for key in ("initial_values", "unstable_mode"))
-    sigma0 = float(_point_entry(args.init, payload, "sigma0"))
-    model = build_model(cfg)
-
+    preset = args.init in PRESET_NAMES
+    # A point file brings its own mesh: read it before checking T.
+    payload = None if preset else read_point(args.init, cfg)
     mesh = config_mesh(cfg)
     if args.T > mesh[-1] + 1e-12:
         raise ConfigError(
             f"requested horizon T = {args.T:g} exceeds the mesh horizon "
             f"{mesh[-1]:g}"
         )
+    if preset:
+        runtime = build_runtime(cfg)
+        point = _construct(args.init, preset_field(args.init, runtime.spectrum),
+                           runtime)
+        initial = point.initial_state if args.no_refine else \
+            corrected_initial_state(runtime.workspace, point, refine_point(
+                cfg, runtime.workspace, point).beta)
+        initial_values, unstable_mode = initial.values, \
+            runtime.workspace.unstable_mode
+        sigma0, model = point.sigma0, runtime.model
+    else:
+        initial_values, unstable_mode = (
+            point_entry(args.init, payload, key, cfg.model.n_points)
+            for key in ("initial_values", "unstable_mode"))
+        sigma0 = float(point_entry(args.init, payload, "sigma0"))
+        model = build_model(cfg)
     traj = solve_fixed_step(cfg, model, initial_values,
                             mesh_prefix(mesh, args.T))
     extracted = extract_modulated(model, traj, sigma_guess=sigma0)
@@ -297,16 +248,16 @@ def _cmd_simulate(args, cfg: ExperimentConfig) -> int:
 
 
 def _cmd_compare(args, cfg: ExperimentConfig) -> int:
-    payload = _read_point(args.point, cfg)
+    payload = read_point(args.point, cfg)
     traj = load_trajectory_csv(args.traj, build_model(cfg).grid)
     if not np.array_equal(traj.times, config_mesh(cfg)[:traj.n_samples]):
         raise ConfigError(f"trajectory file {args.traj!r} is not sampled on "
                           f"a prefix of the point's time mesh")
-    eta_values = _point_entry(args.point, payload, "eta_values",
-                              cfg.model.n_points)
+    eta_values = point_entry(args.point, payload, "eta_values",
+                             cfg.model.n_points)
     runtime = build_runtime(cfg)
     eta = _seed(args.point, GridField(eta_values, runtime.grid), runtime)
-    point = construct_point(cfg, runtime.workspace, eta)
+    point = _construct(args.point, eta, runtime)
     extracted = extract_modulated(runtime.model, traj, point.sigma0)
     comparison = compare_effective(runtime.workspace, point, traj, extracted,
                                    delta=cfg.manifold.delta,

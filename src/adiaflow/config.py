@@ -5,12 +5,13 @@ spectral classification thresholds, the ball and mesh used by the fixed-point
 construction, the full-solver controls, and the seeds for every randomized
 diagnostic.  All defaults are embedded, so a run with no configuration file
 is fully specified; a file (or ``section.key=value`` overrides) replaces
-individual entries.
+individual entries, each made and checked by the one function ``_entry``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ConfigError
@@ -153,21 +154,9 @@ class ExperimentConfig:
             entries = data.get(name, {})
             if not isinstance(entries, dict):
                 raise ConfigError(f"section '{name}' must be a JSON object")
-            known = {f.name: f.type for f in fields(section_type)}
-            bad = set(entries) - set(known)
-            if bad:
-                raise ConfigError(
-                    f"unknown keys in section '{name}': {sorted(bad)}"
-                )
-            coerced = {}
-            for key, value in entries.items():
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ConfigError(
-                        f"{name}.{key} must be a number, got {value!r}"
-                    )
-                default = getattr(section_type(), key)
-                coerced[key] = int(value) if isinstance(default, int) else float(value)
-            sections[name] = section_type(**coerced)
+            sections[name] = section_type(**{
+                key: _entry(name, key, value) for key, value in entries.items()
+            })
         return cls(**sections)
 
     def to_json(self) -> str:
@@ -182,30 +171,49 @@ class ExperimentConfig:
         return cls.from_dict(data)
 
     def set_option(self, assignment: str) -> None:
-        """Apply one ``section.key=value`` override in place."""
-        head, sep, raw = assignment.partition("=")
-        if not sep:
+        """Apply one ``section.key=value`` override in place; the value is
+        read as an integer or else a float, and checked as a file entry is."""
+        head, sep, text = assignment.partition("=")
+        section, dot, key = head.strip().partition(".")
+        if not (sep and dot):
             raise ConfigError(
                 f"override {assignment!r} is not of the form section.key=value"
             )
-        section_name, dot, key = head.strip().partition(".")
-        if not dot or section_name not in _SECTION_TYPES:
-            raise ConfigError(
-                f"override target {head.strip()!r} is not a known section.key"
-            )
-        section = getattr(self, section_name)
-        if not hasattr(section, key):
-            raise ConfigError(
-                f"section '{section_name}' has no key '{key}'"
-            )
-        default = getattr(_SECTION_TYPES[section_name](), key)
         try:
-            value = int(raw) if isinstance(default, int) else float(raw)
-        except ValueError as err:
-            raise ConfigError(
-                f"cannot parse {raw!r} as a value for {head.strip()}"
-            ) from err
-        setattr(section, key, value)
+            value = int(text) if text.strip().lstrip("+-").isdigit() \
+                else float(text)
+        except ValueError:
+            raise ConfigError(f"cannot parse {text!r} as a value for "
+                              f"{head.strip()}") from None
+        value = _entry(section, key, value)
+        setattr(getattr(self, section), key, value)
+
+
+def _entry(section: str, key: str, value) -> int | float:
+    """The entry ``section.key`` made from a value given outside the program,
+    in a configuration file or by ``set_option``.  Refused unless the entry
+    exists and the value is a finite number, not a bool, and integral for an
+    integer entry (``1024``, ``1024.0`` and ``1e3`` are all integral)."""
+    section_type = _SECTION_TYPES.get(section)
+    if section_type is None:
+        raise ConfigError(f"unknown configuration section {section!r}")
+    defaults = {item.name: item.default for item in fields(section_type)}
+    if key not in defaults:
+        raise ConfigError(f"section {section!r} has no key {key!r}")
+    name = f"{section}.{key}"
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    kind = type(defaults[key])
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        if kind is int and not value.is_integer():
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError:
+        raise ConfigError(f"{name} must be a finite number, got "
+                          f"{value!r}") from None
 
 
 def load_config(path: str | None = None,
@@ -217,7 +225,7 @@ def load_config(path: str | None = None,
         try:
             with open(path, encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as err:
+        except (OSError, UnicodeDecodeError) as err:
             raise ConfigError(f"cannot read configuration file: {err}") from err
         cfg = ExperimentConfig.from_json(text)
     for assignment in overrides or []:

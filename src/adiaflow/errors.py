@@ -10,7 +10,8 @@ class BallViolationError(AdiaflowError):
 
 
 class ClassificationError(AdiaflowError):
-    """Spectral classification failed (wrong mode counts or ambiguous gaps)."""
+    """Spectral classification failed (wrong mode counts or ambiguous gaps);
+    ``decompose`` attaches the eigenvalues it classified as ``eigenvalues``."""
 
 
 class ConvergenceError(AdiaflowError):

@@ -17,6 +17,7 @@ configuration must produce bit-identical bytes.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import json
@@ -292,16 +293,6 @@ def eigenvalue_table(spectrum: SpectralData, n_rows: int = 8) -> list:
     return table
 
 
-def _raw_eigenvalue_table(model: PulseModel, n_rows: int = 8) -> list:
-    """Eigenvalues without classification, for failure reports."""
-    matrix = assemble_operator(model, 0.0)
-    values = np.linalg.eigvalsh(matrix)
-    return [
-        {"index": idx, "eigenvalue": float(values[idx]), "kind": "unclassified"}
-        for idx in range(min(n_rows, len(values)))
-    ]
-
-
 def spectral_constants(spectrum: SpectralData, propagator_seed: int) -> dict:
     """The measured constants of one spectrum: the strong-to-weak operator
     norm ``c1``, the stable propagator's envelope ``c2`` and fitted
@@ -320,9 +311,8 @@ def spectral_constants(spectrum: SpectralData, propagator_seed: int) -> dict:
 
 
 def _ledger_with_runtime(cfg: ExperimentConfig):
-    """(LedgerReport, Runtime or None); classification failures are reported,
-    not raised."""
-    cfg.validate()
+    """(LedgerReport, Runtime or None); a classification failure is
+    reported, with the lowest eigenvalues it classified, not raised."""
     try:
         runtime = build_runtime(cfg)
     except ClassificationError as err:
@@ -330,8 +320,10 @@ def _ledger_with_runtime(cfg: ExperimentConfig):
             "spectral-classification", False, None,
             "classification must succeed at the configured thresholds",
             error=str(err))
-        return LedgerReport([check], {},
-                            _raw_eigenvalue_table(build_model(cfg))), None
+        table = [{"index": idx, "eigenvalue": float(value),
+                  "kind": "unclassified"}
+                 for idx, value in enumerate(err.eigenvalues[:8])]
+        return LedgerReport([check], {}, table), None
 
     model, spectrum, grid = runtime.model, runtime.spectrum, runtime.grid
     seeds = cfg.seeds
@@ -459,8 +451,31 @@ def comparison_checks(comparison: dict, degenerate: bool) -> list:
 
 
 # --------------------------------------------------------------------------
-# Trajectory artifacts
+# File artifacts: each format is written and read here
 # --------------------------------------------------------------------------
+
+@contextlib.contextmanager
+def _input_file(path: str, kind: str):
+    """Turn a failure to open or parse the ``kind`` file at ``path`` inside
+    the block into a one-line ConfigError."""
+    try:
+        yield
+    except OSError as err:
+        raise ConfigError(f"cannot read {kind} file: {err}") from err
+    except KeyError as err:
+        raise ConfigError(f"{kind} file lacks required key: {err}") from err
+    except (ValueError, LookupError, TypeError, csv.Error) as err:
+        raise ConfigError(f"malformed {kind} file {path!r}: {err}") from err
+
+
+def _finite(values: np.ndarray, problem) -> np.ndarray:
+    """``values``, refused with ConfigError(``problem(row)``) at the first
+    entry of a vector, or row of a table, that is not finite."""
+    finite = np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
+    if not finite.all():
+        raise ConfigError(problem(int(np.argmin(finite))))
+    return values
+
 
 def trajectory_rows(traj: FullTrajectory, extracted: TrajectoryPath,
                     energies: np.ndarray,
@@ -493,8 +508,44 @@ def write_trajectory_csv(path: str, header: list, rows: list) -> None:
             handle.write(line % tuple(row))
 
 
+def load_trajectory_csv(path: str, grid: PeriodicGrid) -> FullTrajectory:
+    """Rebuild a FullTrajectory from a trajectory CSV (state columns); a
+    file that cannot be read or replayed on ``grid`` raises ConfigError."""
+    with _input_file(path, "trajectory"), \
+            open(path, encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        if "u_0" not in header:
+            raise ConfigError(f"trajectory file {path!r} lacks state "
+                              f"columns u_0.. and cannot be replayed")
+        first_state = header.index("u_0")
+        if len(header) - first_state != grid.n:
+            raise ConfigError(
+                f"trajectory file {path!r} has "
+                f"{len(header) - first_state} state columns, the grid "
+                f"has {grid.n} points"
+            )
+        samples = []
+        for row in reader:
+            if len(row) != len(header):
+                raise ConfigError(
+                    f"trajectory file {path!r} line {reader.line_num} "
+                    f"has {len(row)} cells, the header has {len(header)}"
+                )
+            samples.append([float(row[0])]
+                           + [float(v) for v in row[first_state:]])
+    if not samples:
+        raise ConfigError(f"trajectory file {path!r} has no samples")
+    samples = _finite(np.array(samples), lambda row: (
+        f"trajectory file {path!r} has a non-finite value in sample {row}"))
+    return FullTrajectory(samples[:, 0].copy(),
+                          np.ascontiguousarray(samples[:, 1:]),
+                          {"mode": "loaded", "escape_sign": 0,
+                           "escape_time": None})
+
+
 def write_field_csv(path: str, field: GridField) -> None:
-    """Write a grid field as the two-column CSV the CLI reads back."""
+    """Write a grid field as the two-column CSV ``load_field_csv`` reads."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["x", "value"])
@@ -502,46 +553,25 @@ def write_field_csv(path: str, field: GridField) -> None:
             writer.writerow([f"{x:.17g}", f"{v:.17g}"])
 
 
-def load_trajectory_csv(path: str, grid: PeriodicGrid) -> FullTrajectory:
-    """Rebuild a FullTrajectory from a trajectory CSV (state columns); a
-    file that cannot be read or replayed on ``grid`` raises ConfigError."""
-    try:
-        with open(path, encoding="utf-8", newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, [])
-            if "u_0" not in header:
-                raise ConfigError(f"trajectory file {path!r} lacks state "
-                                  f"columns u_0.. and cannot be replayed")
-            first_state = header.index("u_0")
-            if len(header) - first_state != grid.n:
-                raise ConfigError(
-                    f"trajectory file {path!r} has "
-                    f"{len(header) - first_state} state columns, the grid "
-                    f"has {grid.n} points"
-                )
-            times, states = [], []
-            for row in reader:
-                if len(row) != len(header):
-                    raise ConfigError(
-                        f"trajectory file {path!r} line {reader.line_num} "
-                        f"has {len(row)} cells, the header has {len(header)}"
-                    )
-                times.append(float(row[0]))
-                states.append([float(v) for v in row[first_state:]])
-    except OSError as err:
-        raise ConfigError(f"cannot read trajectory file: {err}") from err
-    except (ValueError, csv.Error) as err:
+def load_field_csv(path: str, grid: PeriodicGrid) -> GridField:
+    """The grid field in an x,value CSV; a file that cannot be read, or has
+    other than one finite value per grid point, raises ConfigError."""
+    with _input_file(path, "field"), \
+            open(path, encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header[:2]] != ["x", "value"]:
+            raise ConfigError(
+                f"field file {path!r} must have an 'x,value' header"
+            )
+        values = np.array([float(row[1]) for row in reader])
+    if len(values) != grid.n:
         raise ConfigError(
-            f"malformed trajectory file {path!r}: {err}") from err
-    if not times:
-        raise ConfigError(f"trajectory file {path!r} has no samples")
-    times, states = np.array(times), np.array(states)
-    finite = np.isfinite(times) & np.isfinite(states).all(axis=1)
-    if not finite.all():
-        raise ConfigError(f"trajectory file {path!r} has a non-finite value "
-                          f"in sample {finite.argmin()}")
-    return FullTrajectory(times, states, {"mode": "loaded", "escape_sign": 0,
-                                          "escape_time": None})
+            f"field file has {len(values)} rows, the grid has {grid.n} points"
+        )
+    return GridField(_finite(values, lambda row: (
+        f"field file {path!r} has a non-finite value on line {row + 2}")),
+        grid)
 
 
 def point_payload(runtime: Runtime, preset: str, point: ManifoldPoint,
@@ -574,6 +604,33 @@ def point_payload(runtime: Runtime, preset: str, point: ManifoldPoint,
         "initial_values": initial.values,
         "unstable_mode": runtime.workspace.unstable_mode,
     }
+
+
+def read_point(path: str, cfg: ExperimentConfig) -> dict:
+    """The payload of a point file ``point_payload`` wrote, whose other
+    entries ``point_entry`` reads.  The ``manifold`` section the point was
+    constructed with replaces the configured one in ``cfg``."""
+    with _input_file(path, "point"), open(path, encoding="utf-8") as handle:
+        payload = json.load(handle)
+        cfg.manifold = ExperimentConfig.from_dict(
+            {"manifold": payload["manifold"]}).manifold
+    cfg.validate()
+    return payload
+
+
+def point_entry(path: str, payload: dict, key: str,
+                size: int | None = None) -> np.ndarray:
+    """Entry ``key`` of the point file at ``path``, read by ``read_point``,
+    as finite floats: ``size`` of them, or one when ``size`` is None."""
+    with _input_file(path, "point"):
+        values = np.array(payload[key], dtype=float)
+    if values.shape != (() if size is None else (size,)):
+        raise ConfigError(
+            f"point file has {values.size} {key} entries, " + (
+                "one expected" if size is None else
+                f"the configured grid has {size} points"))
+    return _finite(values, lambda row: (
+        f"point file {path!r} entry {key!r} has non-finite values"))
 
 
 # --------------------------------------------------------------------------

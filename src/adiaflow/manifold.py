@@ -237,30 +237,6 @@ def seed_path(workspace: SolutionMapWorkspace, eta: GridField) -> TrajectoryPath
                           grid=workspace.grid)
 
 
-def apply_solution_map(workspace: SolutionMapWorkspace, eta: GridField,
-                       trial: TrajectoryPath | None = None, *,
-                       delta: float, alpha: float = 1.0,
-                       speed_constant: float) -> SolutionMapResult:
-    """One checked application of the solution map.
-
-    Verifies that eta is admissible input (orthogonal, strong norm at most
-    delta) and that the output path lies in the weighted decay set for
-    (delta, alpha) and the chart-speed constant; violations raise.
-    """
-    check_input_field(workspace, eta)
-    sn = eta.strong_norm()
-    if sn > delta:
-        raise BallViolationError(
-            f"input strong norm {sn:.3e} exceeds the admissible seed size "
-            f"{delta:.3e}"
-        )
-    if trial is None:
-        trial = seed_path(workspace, eta)
-    result = workspace.apply_raw(eta.values, trial.sigma, trial.w)
-    result.path.check_admissible(delta, alpha, speed_constant)
-    return result
-
-
 def construct_manifold_point(workspace: SolutionMapWorkspace, eta: GridField, *,
                              delta: float, alpha: float = 1.0,
                              speed_constant: float | None = None,
@@ -270,12 +246,21 @@ def construct_manifold_point(workspace: SolutionMapWorkspace, eta: GridField, *,
                              ) -> ManifoldPoint:
     """Iterate the solution map to its fixed point and package the result.
 
+    The seed is checked once, before the first round: ``check_input_field``
+    raises ValueError, a strong norm above ``delta`` BallViolationError.
     The iteration stops once successive paths differ by at most
     ``fixed_point_tol`` in the weighted path norm; each iterate is checked
     against the admissible set, so a delta that is too large fails loudly
     rather than silently leaving the contraction regime.  Without a
     ``speed_constant`` the admissible set uses ``default_speed_constant``.
     """
+    check_input_field(workspace, eta)
+    sn = eta.strong_norm()
+    if sn > delta:
+        raise BallViolationError(
+            f"input strong norm {sn:.3e} exceeds the admissible seed size "
+            f"{delta:.3e}"
+        )
     c = default_speed_constant(workspace.model) if speed_constant is None \
         else speed_constant
     trial = seed_path(workspace, eta) if initial_path is None else initial_path
@@ -285,10 +270,8 @@ def construct_manifold_point(workspace: SolutionMapWorkspace, eta: GridField, *,
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        result = apply_solution_map(
-            workspace, eta, trial, delta=delta, alpha=alpha,
-            speed_constant=c,
-        )
+        result = workspace.apply_raw(eta.values, trial.sigma, trial.w)
+        result.path.check_admissible(delta, alpha, c)
         d = path_distance(result.path, trial, alpha, c)
         distances.append(d)
         if len(distances) >= 2 and distances[-2] > 0.0:

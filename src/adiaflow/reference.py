@@ -155,7 +155,6 @@ class _SplitStepper:
             self._spectrum = np.empty((height, self.n // 2 + 1), complex)
             self._values = np.empty((height, self.n))
             self._denom = np.empty((height, self.n))
-            self._weighted = np.empty((height, self.n + 2))
 
     def spectrum(self, values: np.ndarray) -> np.ndarray:
         """``np.fft.rfft`` of each row of values."""
@@ -205,22 +204,18 @@ class _SplitStepper:
         finite or has reached the ceiling, -1 when its weak norm is at or
         below the collapse floor, else 0; None when every row is 0.
 
-        One ``np.vecdot`` gives every squared weak norm, bitwise the per-row
-        dot; a row's strong norm is read only from 0.4 ceiling up.
+        Each row's weak norm is its own ``weak_norm``; a row's strong norm
+        is read only from 0.4 ceiling up.
         """
-        self._buffers(len(uh))
-        parts = uh.view(np.float64)
-        squares = np.vecdot(parts, np.multiply(parts, self._weak,
-                                               out=self._weighted))
         low = -math.inf if collapse_floor is None else collapse_floor
         watch = 0.4 * ceiling
         signs = None
-        for row, square in enumerate(squares.tolist()):
-            weak = math.sqrt(square)
+        for row, state in enumerate(uh):
+            weak = self.weak_norm(state)
             if low < weak < watch:
                 continue
             if not math.isfinite(weak) or weak >= ceiling or (
-                weak >= watch and self.strong_norm(uh[row]) >= ceiling
+                weak >= watch and self.strong_norm(state) >= ceiling
             ):
                 sign = 1
             elif weak <= low:
@@ -529,8 +524,8 @@ _SHORT_PROBE_FRACTION = 0.25
 
 #: Finite-difference partner of the full-probe Newton steps, in units of
 #: beta.  The steps shrink to the round-off floor of the root (see
-#: ``_roundoff_floor``, about 7e-15); a partner of about 150 floors keeps
-#: their slope good to a few parts in 1e3.
+#: ``_roundoff_floor``, 6.62e-15 on the default pipeline); a partner of
+#: about 1,500 floors keeps their slope good to a few parts in 1e3.
 _FULL_PARTNER = 1e-11
 
 #: The first short-probe bracket is the fixed-point value plus or minus

@@ -116,7 +116,8 @@ def decompose(model: PulseModel, sigma: float,
     ClassificationError
         Unless there is exactly one zero mode (the translation chart is
         one-dimensional) and one unstable mode, or if an eigenvalue falls in
-        the ambiguous band between -gap_threshold and -zero_tol.
+        the ambiguous band between -gap_threshold and -zero_tol; it
+        carries the eigenvalues as ``eigenvalues``.
     """
     operator = assemble_operator(model, sigma)
     eigenvalues, vectors = np.linalg.eigh(operator)
@@ -135,19 +136,21 @@ def decompose(model: PulseModel, sigma: float,
         (eigenvalues >= -gap_threshold) & (eigenvalues < -zero_tol)
     )
 
-    def table(msg):
-        head = ", ".join(f"{v:.6g}" for v in eigenvalues[:6])
-        return f"{msg} (lowest eigenvalues: {head}, ...)"
+    def refused(msg, table=True):
+        if table:
+            head = ", ".join(f"{v:.6g}" for v in eigenvalues[:6])
+            msg = f"{msg} (lowest eigenvalues: {head}, ...)"
+        error = ClassificationError(msg)
+        error.eigenvalues = eigenvalues
+        return error
 
     if len(zero) != 1 or len(unstable) != 1:
-        raise ClassificationError(table(
+        raise refused(
             f"expected one zero and one unstable mode, found {len(zero)} "
             f"and {len(unstable)}"
-        ))
-    if len(ambiguous) > 0:
-        raise ClassificationError(
-            table("eigenvalue in the ambiguous band below -zero_tol")
         )
+    if len(ambiguous) > 0:
+        raise refused("eigenvalue in the ambiguous band below -zero_tol")
 
     mask = np.ones(grid.n, dtype=bool)
     mask[unstable] = False
@@ -157,9 +160,9 @@ def decompose(model: PulseModel, sigma: float,
     tangent = GridField(model.frame(sigma)[1], grid)
     overlap = abs(grid.inner_values(tangent.values, vectors[:, zero[0]]))
     if overlap < 1.0 - 1e-4:
-        raise ClassificationError(
+        raise refused(
             f"numerical zero mode misaligned with the family tangent "
-            f"(overlap {overlap:.6f})"
+            f"(overlap {overlap:.6f})", table=False
         )
 
     return SpectralData(

@@ -262,6 +262,17 @@ def test_a_negative_horizon_is_a_configuration_error(capsys):
     assert "T = -1 must be nonnegative" in capsys.readouterr().err
 
 
+def test_a_horizon_past_the_mesh_is_refused_before_any_work(capsys,
+                                                            monkeypatch):
+    from adiaflow import cli
+
+    monkeypatch.setattr(cli, "build_runtime",
+                        lambda cfg: pytest.fail("the runtime was built"))
+    assert main(["simulate", "--init", "stable-bump", "--T", "40"]) == 2
+    _assert_refused_in_one_line(
+        capsys, "requested horizon T = 40 exceeds the mesh horizon 30")
+
+
 @pytest.mark.parametrize("scales, message", [
     ("0.02,0", "positive finite seed size"),
     ("0.02,-0.01", "positive finite seed size"),
@@ -433,6 +444,24 @@ def test_a_point_file_with_a_non_finite_entry_is_refused_before_any_work(
                 f"values")
 
 
+def test_a_point_file_with_a_list_for_sigma0_is_refused_before_any_work(
+        tmp_path, capsys, monkeypatch, cfg):
+    from adiaflow import cli
+
+    zeros = [0.0] * cfg.model.n_points
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps({
+        "manifold": cfg.to_dict()["manifold"], "sigma0": [0.0, 1.0],
+        "initial_values": zeros, "unstable_mode": zeros,
+    }), encoding="utf-8")
+    monkeypatch.setattr(cli, "build_model",
+                        lambda cfg: pytest.fail("the work began"))
+    assert main(["simulate", "--init", str(point), "--T", "1",
+                 "--out", str(tmp_path / "out")]) == 2
+    _assert_refused_in_one_line(capsys,
+                                "point file has 2 sigma0 entries, one expected")
+
+
 @pytest.mark.parametrize("argv", FIELD_ARGUMENTS[1:],
                          ids=["construct", "scan-phi"])
 @pytest.mark.parametrize("channel", ["unstable", "tangent"])
@@ -448,3 +477,67 @@ def test_a_file_seed_outside_the_stable_range_is_refused_in_one_line(
     _assert_refused_in_one_line(
         capsys, f"seed from {str(path)!r}: input field has components along "
                 f"the tangent or unstable directions")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--set", "manifold.horizon=inf", "simulate", "--init", "zero",
+      "--no-refine", "--T", "1"],
+     "manifold.horizon must be a finite number, got inf"),
+    (["--set", "manifold.delta_max=nan", "--set", "manifold.delta=0.5",
+      "construct", "--eta", "stable-bump"],
+     "manifold.delta_max must be a finite number, got nan"),
+    (["--config", "{n_points}", "spectrum"],
+     "model.n_points must be an integer, got 1024.7"),
+    (["--config", "{ceiling}", "ledger"],
+     "reference.ceiling must be a finite number, got inf"),
+], ids=["horizon-inf", "delta-max-nan", "file-n-points", "file-ceiling"])
+def test_a_non_finite_or_non_integral_entry_is_refused_before_any_work(
+        tmp_path, capsys, monkeypatch, argv, message):
+    from adiaflow import cli
+
+    files = {"n_points": '{"model": {"n_points": 1024.7}}',
+             "ceiling": '{"reference": {"ceiling": Infinity}}'}
+    for name, text in files.items():
+        (tmp_path / f"{name}.json").write_text(text, encoding="utf-8")
+    for name in ("build_model", "build_runtime", "run_assumption_ledger"):
+        monkeypatch.setattr(cli, name,
+                            lambda cfg: pytest.fail("the work began"))
+    argv = [arg.format(**{name: tmp_path / f"{name}.json"
+                          for name in files}) for arg in argv]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    _assert_refused_in_one_line(capsys, message)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["construct", "--eta", "{field}"],
+     "seed from '{field}': input strong norm 2.000e-01 exceeds the "
+     "admissible seed size 5.000e-02"),
+    (["--set", "manifold.delta=0.03", "construct", "--eta", "stable-bump"],
+     "seed from 'stable-bump': input strong norm 4.000e-02 exceeds the "
+     "admissible seed size 3.000e-02"),
+    (["--set", "manifold.delta=0.03", "simulate", "--init", "stable-bump",
+      "--no-refine"],
+     "seed from 'stable-bump': input strong norm 4.000e-02 exceeds the "
+     "admissible seed size 3.000e-02"),
+], ids=["construct-file", "construct-preset", "simulate-preset"])
+def test_an_oversized_seed_is_refused_before_any_picard_round(
+        tmp_path, capsys, monkeypatch, eta_bump, argv, message):
+    from adiaflow.manifold import SolutionMapWorkspace
+
+    path = tmp_path / "seed.csv"
+    write_field_csv(str(path), GridField(5.0 * eta_bump.values, eta_bump.grid))
+    monkeypatch.setattr(SolutionMapWorkspace, "apply_raw",
+                        lambda *args: pytest.fail("a Picard round ran"))
+    assert main([arg.format(field=path) for arg in argv]
+                + ["--out", str(tmp_path / "out")]) == 2
+    _assert_refused_in_one_line(capsys, message.format(field=path))
+
+
+def test_a_scan_direction_is_not_held_to_the_seed_size(tmp_path, capsys,
+                                                       eta_bump):
+    # Directions are normalized: only the scaled seeds meet manifold.delta.
+    path = tmp_path / "direction.csv"
+    write_field_csv(str(path), GridField(5.0 * eta_bump.values, eta_bump.grid))
+    assert main(["scan-phi", "--direction", str(path), "--scales",
+                 "0.02,0.01", "--out", str(tmp_path / "scan.csv")]) == 0
+    assert json.loads(capsys.readouterr().out)["direction"] == "file"

@@ -1,7 +1,12 @@
 """Configuration validation, round-trips, overrides, and named presets."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from adiaflow.config import ExperimentConfig, load_config
 from adiaflow.errors import ConfigError
@@ -69,6 +74,11 @@ def test_partial_dicts_fill_in_defaults():
     {"model": "not a table"},
     [1, 2, 3],
     {"reference": {"tol": 1e-9}},
+    {"model": {"n_points": 1024.7}},
+    {"seeds": {"contraction": 5.9}},
+    {"manifold": {"horizon": float("inf")}},
+    {"manifold": {"delta_max": float("nan")}},
+    {"reference": {"ceiling": 10**400}},
 ])
 def test_malformed_dicts_are_rejected(data):
     with pytest.raises(ConfigError):
@@ -101,11 +111,65 @@ def test_set_option_applies_in_place():
     "model.n_points=abc",
     "delta=0.1",
     "reference.tol=1e-9",
+    "model.n_points=1024.7",
+    "seeds.contraction=5.9",
+    "manifold.horizon=inf",
+    "manifold.delta_max=nan",
+    "reference.ceiling=Infinity",
+    "model.n_points=True",
 ])
 def test_set_option_rejects_malformed_overrides(assignment):
     config = ExperimentConfig()
     with pytest.raises(ConfigError):
         config.set_option(assignment)
+
+
+ENTRIES = [(section.name, item.name)
+           for section in dataclasses.fields(ExperimentConfig)
+           for item in dataclasses.fields(section.default_factory())]
+
+
+@settings(max_examples=300, deadline=None)
+@given(entry=st.sampled_from(ENTRIES),
+       value=st.one_of(st.integers(), st.floats(),
+                       st.integers(-2**60, 2**60).map(float)))
+@example(entry=("model", "n_points"), value=1024.7)
+@example(entry=("model", "n_points"), value=1e3)
+@example(entry=("seeds", "contraction"), value=5.9)
+@example(entry=("manifold", "horizon"), value=float("inf"))
+@example(entry=("manifold", "delta_max"), value=float("nan"))
+@example(entry=("reference", "ceiling"), value=10**400)
+def test_a_file_entry_and_the_same_override_agree(entry, value):
+    """A value in a configuration file and the same value given to
+    ``--set`` make the same configuration, or the same ConfigError."""
+    section, key = entry
+
+    def outcome(build):
+        try:
+            return build()
+        except ConfigError as err:
+            return f"ConfigError: {err}"
+
+    def overridden():
+        config = ExperimentConfig()
+        config.set_option(f"{section}.{key}={value!r}")
+        return config
+
+    from_file = outcome(lambda: ExperimentConfig.from_json(
+        json.dumps({section: {key: value}})))
+    assert from_file == outcome(overridden)
+    if not isinstance(from_file, str):
+        assert type(getattr(getattr(from_file, section), key)) is type(
+            getattr(getattr(ExperimentConfig(), section), key))
+
+
+def test_integral_values_fill_integer_entries():
+    config = ExperimentConfig()
+    config.set_option("model.n_points=1e3")
+    assert config.model.n_points == 1000
+    assert isinstance(config.model.n_points, int)
+    config.set_option("seeds.contraction=12345678901234567890123")
+    assert config.seeds.contraction == 12345678901234567890123
 
 
 def test_load_config_defaults_and_overrides():
@@ -121,6 +185,13 @@ def test_load_config_from_file(tmp_path, cfg):
     assert load_config(str(path)) == cfg
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "missing.json"))
+
+
+def test_a_configuration_file_that_is_not_utf8_is_refused(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(ConfigError, match="cannot read configuration file"):
+        load_config(str(path))
 
 
 def test_bump_preset_is_normalized_and_stable(spectrum, grid, eta_bump):

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from adiaflow.cli import main
-from adiaflow.errors import ConfigError
+from adiaflow.config import ExperimentConfig
+from adiaflow.errors import ClassificationError, ConfigError
 from adiaflow.grid import GridField, PeriodicGrid
 from adiaflow.harness import (
     build_runtime,
+    load_field_csv,
     load_trajectory_csv,
     point_payload,
     run_assumption_ledger,
@@ -101,6 +103,26 @@ def test_ledger_eigenvalue_table(ledger):
     assert all(row["kind"] == "stable" for row in table[2:])
 
 
+def test_a_failed_classification_tabulates_the_eigenvalues_it_classified(
+        model, monkeypatch):
+    from adiaflow import harness
+    from adiaflow.spectral import decompose
+
+    with pytest.raises(ClassificationError) as excinfo:
+        decompose(model, 0.0, zero_tol=1e-16)
+    # No second operator assembly or eigendecomposition for the table.
+    monkeypatch.setattr(harness, "assemble_operator",
+                        lambda *args: pytest.fail("operator assembled again"))
+    cfg = ExperimentConfig()
+    cfg.spectral.zero_tol = 1e-16
+    report = run_assumption_ledger(cfg)
+    assert not report.passed
+    assert report.eigenvalue_table == [
+        {"index": idx, "eigenvalue": float(value), "kind": "unclassified"}
+        for idx, value in enumerate(excinfo.value.eigenvalues[:8])
+    ]
+
+
 def test_ledger_json_is_byte_deterministic(ledger, cfg, tmp_path):
     first, second = tmp_path / "a.json", tmp_path / "b.json"
     write_json(str(first), ledger.to_dict())
@@ -172,13 +194,11 @@ def test_trajectory_csv_bytes_are_the_csv_writer_bytes(tmp_path):
 
 
 def test_field_csv_round_trip(grid, eta_bump, tmp_path):
-    from adiaflow.cli import _load_field_csv
-
     path = tmp_path / "eta.csv"
     write_field_csv(str(path), eta_bump)
     first_line = path.read_text(encoding="utf-8").splitlines()[0]
     assert first_line == "x,value"
-    loaded = _load_field_csv(str(path), grid)
+    loaded = load_field_csv(str(path), grid)
     assert np.array_equal(loaded.values, eta_bump.values)
 
 

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from adiaflow import manifold
+from adiaflow.errors import BallViolationError
 from adiaflow.grid import GridField, zero_field
 from adiaflow.manifold import (
     ORTHOGONALITY_TOL,
     SolutionMapWorkspace,
-    apply_solution_map,
     check_input_field,
     construct_manifold_point,
     correction_scan,
@@ -50,6 +51,23 @@ def test_input_field_screening(workspace, eta_bump, grid):
         check_input_field(workspace, tilted)
     with pytest.raises(ValueError):
         construct_manifold_point(workspace, contaminated, delta=DELTA, alpha=ALPHA)
+
+
+def test_the_seed_is_checked_once_before_the_first_round(
+        workspace, eta_bump, grid, monkeypatch):
+    checks = []
+    screen = manifold.check_input_field
+    monkeypatch.setattr(manifold, "check_input_field",
+                        lambda *args: checks.append(screen(*args)))
+    point = construct_manifold_point(workspace, eta_bump, delta=DELTA,
+                                     alpha=ALPHA)
+    assert point.iterations >= 3 and len(checks) == 1
+    monkeypatch.setattr(SolutionMapWorkspace, "apply_raw",
+                        lambda *args: pytest.fail("a Picard round ran"))
+    with pytest.raises(BallViolationError, match="admissible seed size"):
+        construct_manifold_point(workspace,
+                                 GridField(2.0 * eta_bump.values, grid),
+                                 delta=DELTA, alpha=ALPHA)
 
 
 def test_seed_path_is_the_stable_semigroup(workspace, eta_bump, grid):
@@ -114,8 +132,9 @@ def test_fixed_point_of_the_solution_map(workspace, eta_bump, point_bump, model,
     assert point_bump.tail_bound >= 0.0
 
     speed = default_speed_constant(model)
-    replay = apply_solution_map(workspace, eta_bump, point_bump.path,
-                                delta=DELTA, alpha=ALPHA, speed_constant=speed)
+    replay = workspace.apply_raw(eta_bump.values, point_bump.path.sigma,
+                                 point_bump.path.w)
+    replay.path.check_admissible(DELTA, ALPHA, speed)
     assert path_distance(replay.path, point_bump.path, ALPHA, speed) <= 1e-12
     assert replay.correction == pytest.approx(point_bump.correction, abs=1e-12)
     assert _orthogonality_along(model, grid, point_bump.path, stride=10) <= 1e-12

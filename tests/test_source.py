@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports is used in that module, no
-module imports another module's underscore names, and every underscore name
-a module defines at its top level is read in that module."""
+module imports another module's underscore names, every underscore name
+a module defines at its top level is read in that module, and the command
+line reads no file itself."""
 
 import ast
 from pathlib import Path
@@ -94,3 +95,14 @@ def test_a_module_imports_only_names_it_uses(path):
 def test_a_module_reads_every_underscore_name_it_defines(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _unread_private_names(tree) == []
+
+
+def test_the_command_line_opens_files_only_to_write_them():
+    """Every input file is read in the module that owns its format; cli.py
+    only writes its own outputs."""
+    path = Path(adiaflow.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    modes = [node.args[1].value if len(node.args) > 1 else None
+             for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "open"]
+    assert modes and set(modes) == {"w"}

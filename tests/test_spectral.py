@@ -117,11 +117,14 @@ def test_decomposition_is_deterministic(spectrum, model):
     assert np.array_equal(again.eigenvectors, spectrum.eigenvectors)
 
 
-def test_classification_rejects_misconfigured_bands(model):
-    with pytest.raises(ClassificationError):
+def test_classification_rejects_misconfigured_bands(model, spectrum):
+    with pytest.raises(ClassificationError) as excinfo:
         decompose(model, 0.0, zero_tol=1e-16)
-    with pytest.raises(ClassificationError):
+    # The refusal carries the eigenvalues it classified.
+    assert np.array_equal(excinfo.value.eigenvalues, spectrum.eigenvalues)
+    with pytest.raises(ClassificationError) as excinfo:
         decompose(model, 0.0, gap_threshold=2.0)
+    assert np.array_equal(excinfo.value.eigenvalues, spectrum.eigenvalues)
 
 
 def test_project_stable_annihilates_the_other_channels(spectrum, grid):
