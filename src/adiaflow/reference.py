@@ -584,32 +584,32 @@ def refine_correction(workspace: SolutionMapWorkspace, point: ManifoldPoint,
        bracket around the fixed-point value and the value itself; the
        bracket widens until its ends give opposite signs.  The predictor is
        the root nearest the fixed-point value of the quadratic through the
-       three solves.  Where that root leaves the bracket, or one of the
-       three solves escapes, false position on the bracket, narrowed until
-       both ends survive, takes its place.
+       three solves.
     2. *Polish.*  At the full probe, a safeguarded Newton iteration starts
        at the predictor.  Each round solves the iterate and a
        finite-difference partner, on the side the last step moved to, as
-       two lanes.  A step that leaves the narrowest opposite-sign pair of
-       solves made so far is replaced by false position on that pair, and
-       an iterate that escapes starts a march against its escape sign, by
-       the short-probe slope grown by the unstable mode between the probes,
+       two lanes.  An escaped iterate with no pair of opposite-sign solves
+       yet marches against its escape sign, one solve at a time, by the
+       short-probe slope grown by the unstable mode between the probes,
        until the sign flips.
 
-    The polish stops once the Newton step is below the round-off floor of
-    the root (see ``_roundoff_floor``) and the solve closest to zero has a
-    surviving neighbour of opposite sign.  Inside that floor the probe
-    coefficient is noise, so the result is the solved coefficient whose
-    probe coefficient is closest to zero.  Wherever a bracket end escapes
-    (blows up or collapses), sign bisection narrows the bracket until both
-    ends survive, and an escape between two surviving solves of opposite
-    sign is a ConvergenceError.  Every solve is cached by probe and
-    coefficient, so none is repeated, and every stage draws on the one
-    budget of ``max_evaluations`` lane solves; a solve whose lanes do not
-    all fit in it is not started.  The probe trajectories use the same step
-    size, sample clamping and escape checks as later comparison runs, so
-    the refined value belongs to the exact discrete flow being compared,
-    and such a run can continue the returned ``trajectory``.
+    One bracket rule serves both probes: a predictor or step that is not
+    inside the narrowest neighbouring pair of solves with sign -1 below and
+    +1 above (or is missing, because a solve escaped) is replaced by false
+    position on that pair, once sign bisection has narrowed the pair until
+    both ends survive.  An escape between two surviving solves of opposite
+    sign is a ConvergenceError.  The polish stops once the Newton step is
+    below the round-off floor of the root (see ``_roundoff_floor``) and the
+    solve closest to zero has a surviving neighbour of opposite sign.
+    Inside that floor the probe coefficient is noise, so the result is the
+    solved coefficient whose probe coefficient is closest to zero.  Every
+    solve is cached by probe and coefficient, so none is repeated, and every
+    stage draws on the one budget of ``max_evaluations`` lane solves; a
+    solve whose lanes do not all fit in it is not started.  The probe
+    trajectories use the same step size, sample clamping and escape checks
+    as later comparison runs, so the refined value belongs to the exact
+    discrete flow being compared, and such a run can continue the returned
+    ``trajectory``.
     """
     model = workspace.model
     grid = workspace.grid
@@ -679,8 +679,19 @@ def refine_correction(workspace: SolutionMapWorkspace, point: ManifoldPoint,
                 )
         return [solved[(n, beta)] for beta in betas]
 
-    def settle(samples, lo, end_lo, hi, end_hi, stage):
-        """Sign bisection until both ends of [lo, hi] survive the probe."""
+    def bracketed(samples, x, name):
+        """x, or false position on the narrowest neighbouring pair of solves
+        at this probe with sign -1 below and +1 above when x lies outside
+        it, and that pair as (lo, v_lo, hi, v_hi) once sign bisection has
+        narrowed it until both ends survive; the pair is None when the probe
+        has none, and then x is returned as it is."""
+        ordered = sorted(solves_at(samples))
+        pairs = [(a, end_a, b, end_b) for (a, end_a), (b, end_b)
+                 in zip(ordered, ordered[1:]) if end_a[0] < 0 < end_b[0]]
+        if not pairs:
+            return x, None
+        lo, end_lo, hi, end_hi = min(pairs, key=lambda pair: pair[2] - pair[0])
+        stage = f"{name} escape bisection"
         while end_lo[1] is None or end_hi[1] is None:
             mid = 0.5 * (lo + hi)
             if not lo < mid < hi:
@@ -694,10 +705,10 @@ def refine_correction(workspace: SolutionMapWorkspace, point: ManifoldPoint,
                 lo, end_lo = mid, end_mid
             else:
                 hi, end_hi = mid, end_mid
-        return lo, end_lo[1], hi, end_hi[1]
-
-    def false_position(lo, v_lo, hi, v_hi):
-        return lo - v_lo * (hi - lo) / (v_hi - v_lo)
+        (_, v_lo), (_, v_hi) = end_lo, end_hi
+        if not lo < x < hi:
+            x = lo - v_lo * (hi - lo) / (v_hi - v_lo)
+        return x, (lo, v_lo, hi, v_hi)
 
     # Predictor: at the short probe, a bracket around the fixed-point value
     # whose ends give opposite signs.
@@ -715,7 +726,7 @@ def refine_correction(workspace: SolutionMapWorkspace, point: ManifoldPoint,
             "could not bracket the refined correction: the unstable "
             "coefficient does not change sign around the fixed-point value"
         )
-    predictor = math.nan
+    root = math.nan
     if None not in (end_lo[1], end_hi[1], end_c[1]):
         # The root of the quadratic through the three solves: the ends sit
         # symmetric about the center, so their secant is its slope there.
@@ -723,12 +734,11 @@ def refine_correction(workspace: SolutionMapWorkspace, point: ManifoldPoint,
         curvature = ((end_hi[1] - end_c[1]) / (hi - center)
                      - (end_c[1] - end_lo[1]) / (center - lo)) \
             / (hi - lo) / slope
-        predictor = center + _newton_step(end_c[1], slope, curvature)
-    if not lo < predictor < hi:
-        lo, v_lo, hi, v_hi = settle(short_samples, lo, end_lo, hi, end_hi,
-                                    "short-probe escape bisection")
+        root = center + _newton_step(end_c[1], slope, curvature)
+    predictor, (lo, v_lo, hi, v_hi) = bracketed(short_samples, root,
+                                                "short-probe")
+    if predictor != root:
         slope, curvature = (v_hi - v_lo) / (hi - lo), 0.0
-        predictor = false_position(lo, v_lo, hi, v_hi)
     # The full-probe coefficient per unit beta and its relative curvature:
     # the unstable mode grows the first by exp(growth * dT) between the
     # probes, and the second, which comes from the quadratic term acting on
@@ -744,20 +754,17 @@ def refine_correction(workspace: SolutionMapWorkspace, point: ManifoldPoint,
         return [beta for beta, end in solves_at(full_samples)
                 if end[1] is not None and end[0] != best_sign]
 
-    def narrowest_sign_pair():
-        """The narrowest pair of neighbouring full-probe solves with the
-        negative one below, as (lo, end_lo, hi, end_hi), or None."""
-        ordered = sorted(solves_at(full_samples), key=lambda item: item[0])
-        pairs = [(a, end_a, b, end_b) for (a, end_a), (b, end_b)
-                 in zip(ordered, ordered[1:]) if end_a[0] < 0 < end_b[0]]
-        return min(pairs, key=lambda pair: pair[2] - pair[0], default=None)
-
-    x, side = predictor, (1.0 if predictor >= center else -1.0)
+    # ``stride`` is nonzero while marching from an escaped iterate.
+    x, side, stride = predictor, (1.0 if predictor >= center else -1.0), 0.0
     for _ in range(max_evaluations):
-        (sign, value), (_, partner_value) = probe(
-            full_samples, [x, x + side * _FULL_PARTNER], "full-probe polish")
+        if stride:
+            (sign, value), = probe(full_samples, [x], "full-probe bracketing")
+        else:
+            (sign, value), (_, partner_value) = probe(
+                full_samples, [x, x + side * _FULL_PARTNER],
+                "full-probe polish")
         step = math.nan
-        if value is not None:
+        if value is not None and not stride:
             # On the quadratic model, the secant to the partner is the slope
             # at x times (1 + curvature * offset).
             offset = side * _FULL_PARTNER
@@ -767,26 +774,16 @@ def refine_correction(workspace: SolutionMapWorkspace, point: ManifoldPoint,
                                 else full_slope, curvature)
             if abs(step) <= xtol and opposite_to_best():
                 break
-        ends = narrowest_sign_pair()
-        if ends is None and value is None:
-            # March from the escaped iterate against its escape sign until
-            # the sign flips.
-            stride = _MARCH_OVERSHOOT / full_slope
-            while True:
-                far = x - sign * stride
-                (sign_far, _), = probe(full_samples, [far],
-                                       "full-probe bracketing")
-                if sign_far != sign:
-                    break
-                x, stride = far, 4.0 * stride
-            ends = narrowest_sign_pair()
-        if ends is not None:
-            lo, v_lo, hi, v_hi = settle(full_samples, *ends,
-                                        "full-probe escape bisection")
-            if not lo < x + step < hi:
-                step = false_position(lo, v_lo, hi, v_hi) - x
-        side = 1.0 if step > 0.0 else -1.0
-        x += step
+        target, _ = bracketed(full_samples, x + step, "full-probe")
+        if math.isnan(target):
+            # No step and no pair: march against the escape sign, by the
+            # short-probe slope grown between the probes, until it flips.
+            stride = 4.0 * stride if stride else _MARCH_OVERSHOOT / full_slope
+            target = x - sign * stride
+        else:
+            stride = 0.0
+        side = 1.0 if target > x else -1.0
+        x = target
     else:
         raise ConvergenceError(
             f"the full-probe polish did not settle within "
