@@ -174,6 +174,10 @@ def _cmd_scan_phi(args, cfg: ExperimentConfig) -> int:
     if len(set(scales)) < 2:
         raise ConfigError(f"a log-log slope needs at least two distinct "
                           f"scales, got {args.scales!r}")
+    if max(scales) > cfg.manifold.delta:
+        raise ConfigError(f"scale {max(scales):g} exceeds the admissible "
+                          f"seed size manifold.delta = "
+                          f"{cfg.manifold.delta:g}")
     runtime = build_runtime(cfg)
     label, direction = _eta_argument(args.direction, runtime)
     if direction.strong_norm() == 0.0:

@@ -94,7 +94,12 @@ class ExperimentConfig:
     seeds: SeedSection = field(default_factory=SeedSection)
 
     def validate(self) -> None:
-        """Raise ConfigError on the first violated invariant."""
+        """Raise ConfigError on the first violated invariant.  Every entry
+        is first held to the rule for entries from outside (``_entry``), so
+        values set in code are refused as file entries are."""
+        for section in _SECTION_TYPES:
+            for key, value in vars(getattr(self, section)).items():
+                _entry(section, key, value)
         m, s, mf, r = self.model, self.spectral, self.manifold, self.reference
         checks = [
             (m.domain_half_length > 0, "model.domain_half_length must be positive"),

@@ -602,14 +602,16 @@ def refine_correction(workspace: SolutionMapWorkspace, point: ManifoldPoint,
     below the round-off floor of the root (see ``_roundoff_floor``) and the
     solve closest to zero has a surviving neighbour of opposite sign.
     Inside that floor the probe coefficient is noise, so the result is the
-    solved coefficient whose probe coefficient is closest to zero.  Every
-    solve is cached by probe and coefficient, so none is repeated, and every
-    stage draws on the one budget of ``max_evaluations`` lane solves; a
-    solve whose lanes do not all fit in it is not started.  The probe
-    trajectories use the same step size, sample clamping and escape checks
-    as later comparison runs, so the refined value belongs to the exact
-    discrete flow being compared, and such a run can continue the returned
-    ``trajectory``.
+    solved coefficient whose probe coefficient is closest to zero; a probe
+    time at which that floor, grown by the unstable mode, reaches the
+    ``ceiling`` is refused before any solve, since round-off alone would
+    drive every coefficient there to escape.  Every solve is cached by
+    probe and coefficient, so none is repeated, and every stage draws on
+    the one budget of ``max_evaluations`` lane solves; a solve whose lanes
+    do not all fit in it is not started.  The probe trajectories use the
+    same step size, sample clamping and escape checks as later comparison
+    runs, so the refined value belongs to the exact discrete flow being
+    compared, and such a run can continue the returned ``trajectory``.
     """
     model = workspace.model
     grid = workspace.grid
@@ -627,6 +629,12 @@ def refine_correction(workspace: SolutionMapWorkspace, point: ManifoldPoint,
     mode = workspace.unstable_mode
     growth = -workspace.unstable_eigenvalue
     xtol = _roundoff_floor(base, growth, dt)
+    if xtol * np.exp(growth * probe_time) >= ceiling:
+        raise ConvergenceError(
+            f"no coefficient can be refined at the probe time t = "
+            f"{probe_time:.6g}: round-off alone grows past the ceiling "
+            f"{ceiling:g} there"
+        )
     solved: dict[tuple[int, float], tuple[float, float | None]] = {}
     best = None  # (|value|, beta, trajectory) of the full-probe solve
     #              closest to zero; no other trajectory is kept

@@ -279,6 +279,8 @@ def test_a_horizon_past_the_mesh_is_refused_before_any_work(capsys,
     ("0.02,x", "malformed scales"),
     ("0.02", "at least two distinct scales"),
     ("0.02,0.02", "at least two distinct scales"),
+    ("0.1,0.01",
+     "scale 0.1 exceeds the admissible seed size manifold.delta = 0.05"),
 ])
 def test_a_scale_that_is_no_seed_size_is_refused_before_any_work(
         capsys, monkeypatch, scales, message):
@@ -288,7 +290,7 @@ def test_a_scale_that_is_no_seed_size_is_refused_before_any_work(
                         lambda cfg: pytest.fail("the runtime was built"))
     assert main(["scan-phi", "--direction", "stable-bump",
                  "--scales", scales]) == 2
-    assert message in capsys.readouterr().err
+    _assert_refused_in_one_line(capsys, message)
 
 
 def _trajectory_text(times, n):

@@ -50,6 +50,29 @@ def test_oversized_ball_names_the_certified_limit():
         config.validate()
 
 
+@pytest.mark.parametrize("assignments, message", [
+    # delta > nan is false, so the delta_max check alone would pass these
+    ([("manifold", "delta", 0.5), ("manifold", "delta_max", float("nan"))],
+     "manifold.delta_max must be a finite number"),
+    ([("seeds", "contraction", float("nan"))],
+     "seeds.contraction must be a finite number"),
+    ([("reference", "ceiling", float("inf"))],
+     "reference.ceiling must be a finite number"),
+    ([("reference", "witness_offset", float("inf"))],
+     "reference.witness_offset must be a finite number"),
+], ids=["delta_max-nan", "contraction-nan", "ceiling-inf",
+        "witness_offset-inf"])
+def test_values_set_in_code_are_held_to_the_rule_for_files(assignments,
+                                                            message):
+    config = ExperimentConfig()
+    for section, key, value in assignments:
+        setattr(getattr(config, section), key, value)
+    before = config.to_json()
+    with pytest.raises(ConfigError, match=message):
+        config.validate()
+    assert config.to_json() == before
+
+
 def test_dict_round_trip(cfg):
     rebuilt = ExperimentConfig.from_dict(cfg.to_dict())
     assert rebuilt == cfg

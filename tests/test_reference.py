@@ -276,6 +276,43 @@ def test_escaping_polish_iterate_is_a_convergence_error(
     assert "np.float64" not in str(error.value)
 
 
+def test_the_shooting_counts_are_pinned(refined_bump, corrected_run,
+                                       refine_solves):
+    # A change that adds a shooting round fails here, not only on the bench.
+    assert refined_bump.evaluations == 7
+    _, refined, _ = corrected_run
+    assert refined.evaluations == len(refine_solves) == 9
+    assert len({first for _, _, first in refine_solves}) == 4
+
+
+@pytest.mark.parametrize("probe_time, snapped", [(28.6, "28.5073"),
+                                                 (30.0, "30")])
+def test_a_probe_time_past_the_round_off_limit_is_refused_before_any_solve(
+        workspace, point_bump, monkeypatch, probe_time, snapped):
+    # Round-off alone, 6.62e-15 in beta, grows by exp(1.25 t) to the
+    # ceiling 10 near t = 28.
+    calls = []
+    monkeypatch.setattr(reference, "evolve_lanes", recording_lanes(calls))
+    with pytest.raises(ConvergenceError,
+                       match=f"at the probe time t = {snapped}:"):
+        refine_correction(workspace, point_bump, dt=1e-3,
+                          probe_time=probe_time)
+    assert calls == []
+
+
+def test_the_last_probe_time_below_the_round_off_limit_is_solved(
+        workspace, point_bump, monkeypatch):
+    class Solving(Exception):
+        pass
+
+    def solving(*args, **kwargs):
+        raise Solving
+
+    monkeypatch.setattr(reference, "evolve_lanes", solving)
+    with pytest.raises(Solving):  # the mesh time 27.10
+        refine_correction(workspace, point_bump, dt=1e-3, probe_time=27.2)
+
+
 def test_corrected_seed_meets_the_decay_bound(corrected_run, model, grid):
     _, _, traj = corrected_run
     assert not traj.escaped
