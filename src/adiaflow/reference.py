@@ -5,8 +5,9 @@ it integrates the flow with a stiff-aware splitting — the constant-coefficient
 linear part (second derivative minus identity) advanced exactly in Fourier
 space, the pointwise quadratic part advanced exactly by its closed-form
 solution — composed symmetrically for second-order accuracy.  The state
-lives in Fourier space between steps, so a step costs two FFTs, and the
-error estimate and escape checks read its norms by Parseval; it returns to
+lives in Fourier space between steps, so a step costs two FFTs (pocketfft
+through scipy's binding, bitwise equal to ``np.fft``), and the error
+estimate and escape checks read its norms by Parseval; it returns to
 physical space only where a sample is recorded.  There are two entry
 points, with one step plan (``_whole_steps``):
 
@@ -47,8 +48,8 @@ from itertools import compress
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from numpy.fft._pocketfft_umath import irfft as _irfft
-from numpy.fft._pocketfft_umath import rfft_n_even as _rfft
+from scipy.fft._pocketfft.pypocketfft import c2r as _irfft
+from scipy.fft._pocketfft.pypocketfft import r2c as _rfft
 
 from .errors import ConvergenceError
 from .grid import GridField, PeriodicGrid
@@ -120,18 +121,21 @@ class _SplitStepper:
     |rfft|^2 by Parseval, with no FFT.  Half-step multipliers are cached
     per dt.
 
-    The transforms call the pocketfft loops that ``np.fft.rfft`` and
-    ``np.fft.irfft`` wrap, with the scales those pass (1 forward, 1/n
-    inverse), so they give the same bits.  At the solver's sizes a numpy
-    FFT call spends much of its time in Python argument handling before
-    its loop starts, and a step makes two of them.  The half-stepped
-    spectrum, the physical values and the denominators of a step go into
-    buffers kept for the current stack height.
+    The transforms call scipy's own binding of pocketfft (``r2c`` and
+    ``c2r``), the C++ code that ``np.fft.rfft`` and ``np.fft.irfft`` run
+    too, with the scales those apply (none forward, 1/n inverse), so they
+    give the same bits.  At the solver's sizes a numpy FFT call spends a
+    good part of its time in fixed per-call costs that this binding, with
+    its cached plans, does not have; a step makes two calls.  They take
+    their arguments by position, which is cheaper than by keyword: axes
+    ``(-1,)``, for the inverse the output length n, the direction, the
+    scale (0 none, 2 by 1/n), the output buffer and one thread.  The
+    half-stepped spectrum, the physical values and the denominators of a
+    step go into buffers kept for the current stack height.
     """
 
     def __init__(self, grid: PeriodicGrid):
         self.n = grid.n
-        self._scale = 1.0 / grid.n
         self._rate = grid.wavenumbers**2 + 1.0
         # Weights on the interleaved real and imaginary parts of a state.
         weak, strong = grid.parseval_weights()
@@ -159,11 +163,12 @@ class _SplitStepper:
     def spectrum(self, values: np.ndarray) -> np.ndarray:
         """``np.fft.rfft`` of each row of values."""
         out = np.empty(values.shape[:-1] + (self.n // 2 + 1,), complex)
-        return _rfft(values, 1.0, out=out)
+        return _rfft(values, (-1,), True, 0, out, 1)
 
     def values(self, uh: np.ndarray) -> np.ndarray:
         """``np.fft.irfft`` of each row of the rfft stack uh, to n points."""
-        return _irfft(uh, self._scale, out=np.empty(uh.shape[:-1] + (self.n,)))
+        out = np.empty(uh.shape[:-1] + (self.n,))
+        return _irfft(uh, (-1,), self.n, False, 2, out, 1)
 
     def step(self, uh: np.ndarray, dt: float, out: np.ndarray | None = None):
         """Advance each row of the rfft stack uh by dt.
@@ -175,7 +180,8 @@ class _SplitStepper:
         mult = self._half(dt)
         self._buffers(len(uh))
         v, denom = self._values, self._denom
-        _irfft(np.multiply(uh, mult, out=self._spectrum), self._scale, out=v)
+        _irfft(np.multiply(uh, mult, out=self._spectrum), (-1,), self.n,
+               False, 2, v, 1)
         np.subtract(1.0, np.multiply(v, dt, out=denom), out=denom)
         blown = None
         if denom.min() <= _DENOM_FLOOR:
@@ -184,7 +190,7 @@ class _SplitStepper:
         v /= denom
         if out is None:
             out = np.empty((len(v), self.n // 2 + 1), complex)
-        uh_new = _rfft(v, 1.0, out=out)
+        uh_new = _rfft(v, (-1,), True, 0, out, 1)
         uh_new *= mult
         return uh_new, blown
 
@@ -228,10 +234,22 @@ class _SplitStepper:
         return signs
 
 
+def _positive(name: str, value: float) -> float:
+    """value as a float, or a ValueError naming it when it is not a
+    positive finite number."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be a positive finite number, "
+                         f"got {value!r}")
+    return value
+
+
 def _checked_samples(sample_times, t_final: float = math.inf) -> np.ndarray:
     sample_times = np.asarray(sample_times, dtype=float)
     if len(sample_times) == 0 or sample_times[0] < 0.0:
         raise ValueError("sample times must be nonnegative and nonempty")
+    if not np.all(np.isfinite(sample_times)):
+        raise ValueError("sample times must be finite")
     if np.any(np.diff(sample_times) <= 0.0):
         raise ValueError("sample times must be strictly increasing")
     if sample_times[-1] > t_final + 1e-12:
@@ -293,10 +311,12 @@ def evolve_lanes(model: PulseModel, starts, *, dt: float,
     direction +1 when its quadratic substep passes through infinity or its
     strong norm reaches ``ceiling``, and with direction -1 when its weak
     norm falls to ``collapse_floor`` (when given); it is then dropped from
-    the stack, keeping the samples recorded so far.
+    the stack, keeping the samples recorded so far.  A dt that is not a
+    positive finite number, and sample times that are not finite, are
+    refused with ``ValueError`` before any step.
     """
+    dt = _positive("dt", dt)
     sample_times = _checked_samples(sample_times)
-    dt = float(dt)
     stepper = _SplitStepper(model.grid)
     lanes, rows, origins = [], [], set()
     for start in starts:
@@ -383,8 +403,11 @@ def evolve_full(model: PulseModel, u0: GridField, t_final: float,
     quadratic substep passing through infinity — ends the run with escape
     direction +1; a weak norm at or below ``collapse_floor`` (when given)
     ends it with escape direction -1.  The returned trajectory is truncated
-    at the recorded samples in either case.
+    at the recorded samples in either case.  A tol that is not a positive
+    finite number, and sample times that are not finite, are refused with
+    ``ValueError`` before any step.
     """
+    tol = _positive("tol", tol)
     if sample_times is None:
         sample_times = np.linspace(0.0, t_final, 401)
     sample_times = _checked_samples(sample_times, t_final)
@@ -392,7 +415,7 @@ def evolve_full(model: PulseModel, u0: GridField, t_final: float,
     uh = stepper.spectrum(u0.values[None])
     dt = _DT_INIT
     times, states, stats = _new_lane(u0.values, sample_times, "adaptive",
-                                     float(tol), dt)
+                                     tol, dt)
     next_sample = len(times)
     t, steps, sign = 0.0, 0, 0
     left = None  # time from t to the next sample

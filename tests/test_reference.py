@@ -466,8 +466,10 @@ def _nyquist_stack(n, rows, seed):
     return 0.3 * smooth + rng.uniform(0.1, 0.4, (rows, 1)) * nyquist
 
 
-@pytest.mark.parametrize("n", [16, 1024])
-@pytest.mark.parametrize("rows", [1, 2, 3, 4])
+# The study sizes and non-powers of two, where the inverse scale 1/n is not
+# exact, up to eight lanes.
+@pytest.mark.parametrize("n", [16, 192, 256, 512, 768, 1024, 1536])
+@pytest.mark.parametrize("rows", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_the_solver_transforms_are_numpys_fft(n, rows):
     stepper = reference._SplitStepper(PeriodicGrid(n))
     values = _nyquist_stack(n, rows, seed=10 * n + rows)
@@ -529,6 +531,41 @@ def test_fixed_step_solve_makes_two_ffts_per_step(model, grid, monkeypatch):
     # One forward transform of the initial state; the sample at t = 0 is
     # the initial state itself.
     assert calls == {"_rfft": steps + 1, "_irfft": steps + len(samples) - 1}
+
+
+@pytest.fixture
+def no_steps(monkeypatch):
+    """Fails a test that reaches ``_SplitStepper.step``."""
+    def refused(self, uh, dt, out=None):
+        raise AssertionError(f"a step of {dt} was taken")
+    monkeypatch.setattr(reference._SplitStepper, "step", refused)
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-3, math.inf, math.nan])
+def test_a_bad_fixed_step_is_refused_before_any_step(model, no_steps, dt):
+    with pytest.raises(ValueError, match="dt must be a positive finite"):
+        evolve_lanes(model, [model.profile.values], dt=dt,
+                     sample_times=np.linspace(0.0, 0.2, 5))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan])
+def test_a_bad_tolerance_is_refused_before_any_step(model, no_steps, tol):
+    with pytest.raises(ValueError, match="tol must be a positive finite"):
+        evolve_full(model, model.profile, 0.2, tol=tol,
+                    sample_times=np.linspace(0.0, 0.2, 5))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("where", [0, 2, 4])
+def test_a_sample_time_that_is_not_finite_is_refused_before_any_step(
+        model, no_steps, bad, where):
+    samples = np.linspace(0.0, 0.2, 5)
+    samples[where] = bad
+    with pytest.raises(ValueError, match="sample times must be finite"):
+        evolve_lanes(model, [model.profile.values], dt=1e-3,
+                     sample_times=samples)
+    with pytest.raises(ValueError, match="sample times must be finite"):
+        evolve_full(model, model.profile, 0.2, sample_times=samples)
 
 
 def test_a_state_past_the_watch_line_that_stays_below_the_ceiling_runs_on(
