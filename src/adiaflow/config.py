@@ -15,6 +15,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ConfigError
+from .reference import DT_FLOOR
 
 
 @dataclass
@@ -119,7 +120,8 @@ class ExperimentConfig:
             (mf.mesh_ratio > 1.0, "manifold.mesh_ratio must exceed 1"),
             (mf.speed_prefactor > 0, "manifold.speed_prefactor must be positive"),
             (r.ceiling > 0, "reference.ceiling must be positive"),
-            (r.fixed_dt > 0, "reference.fixed_dt must be positive"),
+            (r.fixed_dt >= DT_FLOOR, "reference.fixed_dt must be at least "
+             f"{DT_FLOOR:g}, the solver's smallest step"),
             (r.witness_offset >= 0, "reference.witness_offset must be nonnegative"),
         ] + [  # a solve horizon below the first mesh step has no sample but 0
             (mf.mesh_dt_fine <= getattr(r, name) <= mf.horizon,

@@ -18,6 +18,7 @@ needed to *find* sigma when decomposing an arbitrary state.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,8 +105,13 @@ def _constraint(model: PulseModel, u_values: np.ndarray,
             f"chart coordinate {s} leaves the chart of radius "
             f"{model.chart_radius}"
         )
-    frame = model.frame(s)
-    return float(model.grid.inner_values(u_values - frame[0], frame[1])), frame
+    return _residual(model.grid, u_values, model.frame(s))
+
+
+def _residual(grid: PeriodicGrid, u_values: np.ndarray,
+              frame: np.ndarray) -> tuple[float, np.ndarray]:
+    """g = <u - f, tangent> at the chart point of ``frame``, and the frame."""
+    return float(grid.inner_values(u_values - frame[0], frame[1])), frame
 
 
 def decompose_state(model: PulseModel, u: GridField, sigma_guess: float,
@@ -126,9 +132,39 @@ def decompose_state(model: PulseModel, u: GridField, sigma_guess: float,
         ``model.chart_radius``; both signal that u left the tubular
         neighborhood of the family.
     """
+    sigma, w, _ = _decompose(model, u, float(sigma_guess), None, max_iter)
+    return sigma, w
+
+
+def decompose_states(model: PulseModel, states: np.ndarray,
+                     sigma_guess: float) -> Iterator[tuple[float, GridField]]:
+    """``decompose_state`` of each row of grid values in ``states`` in turn,
+    yielded as (sigma, w).
+
+    Each solve starts from the chart point found for the state before (the
+    first from sigma_guess), so slow drifts are followed without chart
+    jumps.  It also takes over the frame that the solve before accepted at
+    that point, the frame its remainder was taken from, so its first
+    constraint evaluation builds no frame; the results are bitwise those of
+    calling ``decompose_state`` state by state.  A state that cannot be
+    decomposed raises ConvergenceError and ends the iteration.
+    """
+    s, frame = float(sigma_guess), None
+    for values in states:
+        s, w, frame = _decompose(model, GridField(values, model.grid), s,
+                                 frame)
+        yield s, w
+
+
+def _decompose(model: PulseModel, u: GridField, s: float,
+               frame: np.ndarray | None,
+               max_iter: int = 50) -> tuple[float, GridField, np.ndarray]:
+    """``decompose_state`` from the chart point s, plus the frame at the
+    result.  ``frame`` is ``model.frame(s)`` when the caller has it, and
+    None to build it (and check that s lies in the chart)."""
     grid = model.grid
-    s = float(sigma_guess)
-    g, frame = _constraint(model, u.values, s)
+    g, frame = _constraint(model, u.values, s) if frame is None \
+        else _residual(grid, u.values, frame)
     for _ in range(max_iter):
         if abs(g) <= _DECOMPOSE_TOL:
             break
@@ -155,4 +191,4 @@ def decompose_state(model: PulseModel, u: GridField, sigma_guess: float,
             f"in {max_iter} iterations (last residual {abs(g):.3e}); the "
             "state may have left the tubular neighborhood"
         )
-    return float(s), GridField(u.values - frame[0], grid)
+    return float(s), GridField(u.values - frame[0], grid), frame

@@ -55,15 +55,16 @@ from .errors import ConvergenceError
 from .grid import GridField, PeriodicGrid
 from .manifold import ManifoldPoint, SolutionMapWorkspace
 from .model import PulseModel
-from .modulation import decompose_state, frame_coefficient
+from .modulation import decompose_state, decompose_states, frame_coefficient
 from .paths import TrajectoryPath, mesh_prefix, time_weight
 
 #: Smallest acceptable nonlinear-substep denominator; below this the step is
 #: considered to have crossed a blow-up.
 _DENOM_FLOOR = 0.5
 
-#: Hard floor on the adaptive step before the run is declared escaped.
-_DT_FLOOR = 1e-12
+#: Hard floor on the adaptive step before the run is declared escaped, and
+#: the smallest fixed step a solve accepts.
+DT_FLOOR = 1e-12
 
 #: First and largest adaptive step.
 _DT_INIT = 1e-3
@@ -121,6 +122,12 @@ class _SplitStepper:
     |rfft|^2 by Parseval, with no FFT.  Half-step multipliers are cached
     per dt.
 
+    ``step`` is the one step kernel: it runs up to a count of steps of one
+    dt in one call, with its operands bound once, so a sample interval's
+    whole steps cost one Python call; each step is the same operations on
+    the same operands, so a count of k gives the bits of k counts of 1.  It
+    stops early where ``escape_signs`` has to decide (see ``_quiet_band``).
+
     The transforms call scipy's own binding of pocketfft (``r2c`` and
     ``c2r``), the C++ code that ``np.fft.rfft`` and ``np.fft.irfft`` run
     too, with the scales those apply (none forward, 1/n inverse), so they
@@ -129,9 +136,10 @@ class _SplitStepper:
     its cached plans, does not have; a step makes two calls.  They take
     their arguments by position, which is cheaper than by keyword: axes
     ``(-1,)``, for the inverse the output length n, the direction, the
-    scale (0 none, 2 by 1/n), the output buffer and one thread.  The
-    half-stepped spectrum, the physical values and the denominators of a
-    step go into buffers kept for the current stack height.
+    scale (0 none, 2 by 1/n), the output buffer and one thread; the step's
+    ufuncs take their output buffers by position too.  The half-stepped
+    spectrum, the physical values and the denominators of a step go into
+    buffers kept for the current stack height.
     """
 
     def __init__(self, grid: PeriodicGrid):
@@ -141,6 +149,7 @@ class _SplitStepper:
         weak, strong = grid.parseval_weights()
         self._weak = np.repeat(weak, 2)
         self._strong = np.repeat(strong, 2)
+        self._product = np.empty_like(self._weak)
         self._cache: dict[float, np.ndarray] = {}
         self._height = 0
 
@@ -153,7 +162,7 @@ class _SplitStepper:
         return mult
 
     def _buffers(self, height: int) -> None:
-        """Size the step and norm buffers for a stack of ``height`` rows."""
+        """Size the step buffers for a stack of ``height`` rows."""
         if height != self._height:
             self._height = height
             self._spectrum = np.empty((height, self.n // 2 + 1), complex)
@@ -170,29 +179,48 @@ class _SplitStepper:
         out = np.empty(uh.shape[:-1] + (self.n,))
         return _irfft(uh, (-1,), self.n, False, 2, out, 1)
 
-    def step(self, uh: np.ndarray, dt: float, out: np.ndarray | None = None):
-        """Advance each row of the rfft stack uh by dt.
+    def step(self, uh: np.ndarray, dt: float, count: int = 1,
+             out: np.ndarray | None = None,
+             band: tuple[float, float] | None = None):
+        """Advance each row of the rfft stack uh by up to ``count`` >= 1
+        steps of dt.
 
-        Returns the advanced rows, written into ``out`` when every row
-        advances, and the mask of the rows left out because their quadratic
-        subflow blows up (None when there are none).
+        Returns the advanced rows, the mask of the rows left out because
+        their quadratic subflow blows up (None when there are none), and the
+        number of steps taken.  The rows are written into ``out`` (uh itself
+        to step in place; a new stack when None) unless a row blows up; the
+        steps stop after that step, and, when ``band`` = (low, high) is
+        given, after a step that leaves some row's weak norm, computed as
+        ``weak_norm`` does, outside the open interval.
         """
         mult = self._half(dt)
         self._buffers(len(uh))
-        v, denom = self._values, self._denom
-        _irfft(np.multiply(uh, mult, out=self._spectrum), (-1,), self.n,
-               False, 2, v, 1)
-        np.subtract(1.0, np.multiply(v, dt, out=denom), out=denom)
-        blown = None
-        if denom.min() <= _DENOM_FLOOR:
-            blown = denom.min(axis=1) <= _DENOM_FLOOR
-            v, denom, out = v[~blown], denom[~blown], None
-        v /= denom
+        spectrum, v, denom = self._spectrum, self._values, self._denom
+        n = self.n
         if out is None:
-            out = np.empty((len(v), self.n // 2 + 1), complex)
-        uh_new = _rfft(v, (-1,), True, 0, out, 1)
-        uh_new *= mult
-        return uh_new, blown
+            out = np.empty_like(uh)
+        if band is not None:
+            (low, high), weak, product = band, self._weak, self._product
+            rows = list(out.view(np.float64))
+        blown = None
+        for taken in range(1, count + 1):
+            _irfft(np.multiply(uh, mult, spectrum), (-1,), n, False, 2, v, 1)
+            np.subtract(1.0, np.multiply(v, dt, denom), denom)
+            if np.minimum.reduce(denom, None) <= _DENOM_FLOOR:
+                blown = denom.min(axis=1) <= _DENOM_FLOOR
+                v, denom = v[~blown], denom[~blown]
+                out = np.empty((len(v), n // 2 + 1), complex)
+            v /= denom
+            uh = _rfft(v, (-1,), True, 0, out, 1)
+            uh *= mult
+            if blown is not None:
+                return uh, blown, taken
+            if band is not None:
+                for row in rows:
+                    if not low < math.sqrt(row.dot(
+                            np.multiply(row, weak, product))) < high:
+                        return uh, None, taken
+        return uh, None, count
 
     def weak_norm(self, uh: np.ndarray) -> float:
         """``grid.weak_norm_values`` of the state whose rfft is uh."""
@@ -211,10 +239,9 @@ class _SplitStepper:
         below the collapse floor, else 0; None when every row is 0.
 
         Each row's weak norm is its own ``weak_norm``; a row's strong norm
-        is read only from 0.4 ceiling up.
+        is read only past the quiet band's top, 0.4 ceiling.
         """
-        low = -math.inf if collapse_floor is None else collapse_floor
-        watch = 0.4 * ceiling
+        low, watch = _quiet_band(ceiling, collapse_floor)
         signs = None
         for row, state in enumerate(uh):
             weak = self.weak_norm(state)
@@ -234,12 +261,22 @@ class _SplitStepper:
         return signs
 
 
-def _positive(name: str, value: float) -> float:
+def _quiet_band(ceiling: float,
+                collapse_floor: float | None) -> tuple[float, float]:
+    """The open interval of weak norms in which a state can neither escape
+    nor need its strong norm read: above the collapse floor (when given)
+    and below 0.4 ceiling, where the strong norm could reach the ceiling."""
+    low = -math.inf if collapse_floor is None else collapse_floor
+    return low, 0.4 * ceiling
+
+
+def _positive(name: str, value: float, floor: float = 0.0) -> float:
     """value as a float, or a ValueError naming it when it is not a
-    positive finite number."""
+    positive finite number of at least floor."""
     value = float(value)
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be a positive finite number, "
+    if not (math.isfinite(value) and value > 0.0 and value >= floor):
+        least = f" of at least {floor:g}" if floor else ""
+        raise ValueError(f"{name} must be a positive finite number{least}, "
                          f"got {value!r}")
     return value
 
@@ -312,10 +349,11 @@ def evolve_lanes(model: PulseModel, starts, *, dt: float,
     strong norm reaches ``ceiling``, and with direction -1 when its weak
     norm falls to ``collapse_floor`` (when given); it is then dropped from
     the stack, keeping the samples recorded so far.  A dt that is not a
-    positive finite number, and sample times that are not finite, are
-    refused with ``ValueError`` before any step.
+    positive finite number of at least ``DT_FLOOR`` (a smaller one plans
+    more steps than a solve can take), and sample times that are not
+    finite, are refused with ``ValueError`` before any step.
     """
-    dt = _positive("dt", dt)
+    dt = _positive("dt", dt, DT_FLOOR)
     sample_times = _checked_samples(sample_times)
     stepper = _SplitStepper(model.grid)
     lanes, rows, origins = [], [], set()
@@ -340,6 +378,7 @@ def evolve_lanes(model: PulseModel, starts, *, dt: float,
     next_sample = int(np.searchsorted(sample_times, t, side="right"))
 
     uh = np.array(rows)
+    band = _quiet_band(ceiling, collapse_floor)
     active = list(range(len(lanes)))
     steps = 0
     taken = 0  # whole steps taken in the current sample interval
@@ -348,14 +387,21 @@ def evolve_lanes(model: PulseModel, starts, *, dt: float,
         if taken == 0:
             t_begin, whole = t, _whole_steps(target - t, dt)
         clamped = taken == whole
-        uh, blown = stepper.step(uh, target - t if clamped else dt, out=uh)
+        if clamped:
+            uh, blown, done = stepper.step(uh, target - t, out=uh)
+        else:
+            uh, blown, done = stepper.step(uh, dt, whole - taken, out=uh,
+                                           band=band)
         if blown is not None:
+            # The rows blew up in the last of the steps taken.
+            before = t if clamped else t_begin + (taken + done - 1) * dt
             for lane in compress(active, blown):
-                lanes[lane] = _end_lane(*lanes[lane], steps, 1, t)
+                lanes[lane] = _end_lane(*lanes[lane], steps + done - 1, 1,
+                                        before)
             active = list(compress(active, ~blown))
             if not active:
                 break
-        steps += 1
+        steps += done
         if clamped:
             t, taken = target, 0
             for lane, values in zip(active, stepper.values(uh)):
@@ -363,7 +409,7 @@ def evolve_lanes(model: PulseModel, starts, *, dt: float,
                 lanes[lane][1].append(values)
             next_sample += 1
         else:
-            taken += 1
+            taken += done
             t = t_begin + taken * dt
         signs = stepper.escape_signs(uh, ceiling, collapse_floor)
         if signs is not None:
@@ -425,16 +471,16 @@ def evolve_full(model: PulseModel, u0: GridField, t_final: float,
         clamped = _whole_steps(left, dt) == 0
         dt_step = left if clamped else dt
 
-        uh_big, blown_big = stepper.step(uh, dt_step)
-        uh_half, blown_half = stepper.step(uh, 0.5 * dt_step)
+        uh_big, blown_big = stepper.step(uh, dt_step)[:2]
+        uh_half, blown_half = stepper.step(uh, 0.5 * dt_step)[:2]
         uh_new, blown_new = (uh_half, blown_half) if blown_half is not None \
-            else stepper.step(uh_half, 0.5 * dt_step)
+            else stepper.step(uh_half, 0.5 * dt_step)[:2]
         estimate = np.inf if blown_big is not None or blown_new is not None \
             else stepper.weak_norm(uh_big[0] - uh_new[0]) / 3.0
         if not estimate <= tol:
             stats["rejected"] += 1
             dt = 0.5 * dt_step
-            if dt < _DT_FLOOR:
+            if dt < DT_FLOOR:
                 sign = 1
                 break
             continue
@@ -466,35 +512,30 @@ def extract_modulated(model: PulseModel, traj: FullTrajectory,
                       sigma_guess: float) -> TrajectoryPath:
     """Decompose the samples into chart point plus orthogonal remainder.
 
-    Each chart solve starts from the previous sample's chart point (the
-    first from sigma_guess), so slow drifts are followed without chart
-    jumps.  The result is the decomposable prefix, which ends before the
-    first sample that left the tubular neighborhood; a first sample that
-    cannot be decomposed raises ConvergenceError.
+    The chart solves (``decompose_states``) start each from the previous
+    sample's chart point (the first from sigma_guess), so slow drifts are
+    followed without chart jumps.  The result is the decomposable prefix,
+    which ends before the first sample that left the tubular neighborhood;
+    a first sample that cannot be decomposed raises ConvergenceError.
     """
-    grid = model.grid
-    guess = float(sigma_guess)
     sigmas: list[float] = []
     fields: list[np.ndarray] = []
-    for j in range(traj.n_samples):
-        state = GridField(traj.u_samples[j].copy(), grid)
-        try:
-            guess, w = decompose_state(model, state, guess)
-        except ConvergenceError as err:
-            if j > 0:
-                break
+    try:
+        for sigma, w in decompose_states(model, traj.u_samples, sigma_guess):
+            sigmas.append(sigma)
+            fields.append(w.values)
+    except ConvergenceError as err:
+        if not sigmas:
             raise ConvergenceError(
                 f"state decomposition failed at t = {traj.times[0]:.6g} "
                 f"(sample 0): {err}"
             ) from err
-        sigmas.append(guess)
-        fields.append(w.values)
     m = len(sigmas)
     return TrajectoryPath(
         times=traj.times[:m].copy(),
         sigma=np.array(sigmas),
         w=np.array(fields),
-        grid=grid,
+        grid=model.grid,
     )
 
 

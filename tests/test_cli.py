@@ -481,6 +481,22 @@ def test_a_file_seed_outside_the_stable_range_is_refused_in_one_line(
                 f"the tangent or unstable directions")
 
 
+def test_a_fixed_step_below_the_solver_floor_is_refused_before_any_work(
+        tmp_path, capsys, monkeypatch):
+    from adiaflow import cli
+
+    for name in ("build_model", "build_runtime", "run_full_pipeline"):
+        monkeypatch.setattr(cli, name,
+                            lambda *args, **kwargs: pytest.fail("the work began"))
+    argv = ["--set", "reference.fixed_dt=1e-320", "pipeline",
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    _assert_refused_in_one_line(
+        capsys, "reference.fixed_dt must be at least 1e-12, the solver's "
+        "smallest step")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--set", "manifold.horizon=inf", "simulate", "--init", "zero",
       "--no-refine", "--T", "1"],

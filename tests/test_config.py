@@ -35,6 +35,9 @@ def test_defaults_are_complete_and_valid(cfg):
     "reference.compare_horizon=0.01",
     "reference.witness_horizon=0.01",
     "reference.refine_probe_time=0.01",
+    # below the solver's smallest step, 1e-12
+    "reference.fixed_dt=1e-320",
+    "reference.fixed_dt=5e-13",
 ])
 def test_validation_rejects_bad_values(assignment):
     config = ExperimentConfig()

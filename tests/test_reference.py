@@ -8,10 +8,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from adiaflow import reference
+from adiaflow import modulation, reference
 from adiaflow.errors import ConvergenceError
 from adiaflow.grid import GridField, PeriodicGrid
 from adiaflow.manifold import construct_manifold_point
+from adiaflow.model import PulseModel
 from adiaflow.modulation import decompose_state
 from adiaflow.paths import TrajectoryPath, mesh_prefix
 from adiaflow.reference import (
@@ -46,12 +47,14 @@ def stable_direction(spectrum):
 
 
 def recording_steps(sizes):
-    """A ``_SplitStepper.step`` that logs the size of each step it takes."""
+    """A ``_SplitStepper.step`` that logs the size of each step it takes,
+    one entry per step of a counted call."""
     step = reference._SplitStepper.step
 
-    def recording(self, uh, dt, out=None):
-        sizes.append(dt)
-        return step(self, uh, dt, out)
+    def recording(self, uh, dt, count=1, out=None, band=None):
+        stepped = step(self, uh, dt, count, out, band)
+        sizes.extend([dt] * stepped[2])
+        return stepped
     return recording
 
 
@@ -483,12 +486,12 @@ def test_the_solver_transforms_are_numpys_fft(n, rows):
     mult = np.exp(-0.5 * dt * (PeriodicGrid(n).wavenumbers**2 + 1.0))
     v = np.fft.irfft(values_hat * mult, n)
     expected = np.fft.rfft(v / (1.0 - dt * v)) * mult
-    stepped, blown = stepper.step(values_hat.copy(), dt)
-    assert blown is None
+    stepped, blown, taken = stepper.step(values_hat.copy(), dt)
+    assert blown is None and taken == 1
     assert np.array_equal(stepped, expected)
     # In place over the stack, as the fixed-step solve steps it.
     stack = values_hat.copy()
-    stepped, _ = stepper.step(stack, dt, out=stack)
+    stepped, _, _ = stepper.step(stack, dt, out=stack)
     assert stepped is stack and np.array_equal(stack, expected)
 
 
@@ -535,17 +538,34 @@ def test_fixed_step_solve_makes_two_ffts_per_step(model, grid, monkeypatch):
 
 @pytest.fixture
 def no_steps(monkeypatch):
-    """Fails a test that reaches ``_SplitStepper.step``."""
-    def refused(self, uh, dt, out=None):
-        raise AssertionError(f"a step of {dt} was taken")
+    """Fails a test that reaches ``_SplitStepper.step``, the one step
+    kernel, with any count, or that makes the inverse transform every step
+    makes."""
+    def refused(self, uh, dt, count=1, out=None, band=None):
+        raise AssertionError(f"{count} step(s) of {dt} were taken")
+
+    def no_transform(*args):
+        raise AssertionError("a step's inverse transform was made")
     monkeypatch.setattr(reference._SplitStepper, "step", refused)
+    monkeypatch.setattr(reference, "_irfft", no_transform)
 
 
-@pytest.mark.parametrize("dt", [0.0, -1e-3, math.inf, math.nan])
+# Below the floor, 1e-12, a dt plans more steps than a solve can take
+# (1e-300: about 1e299 a sample interval) or overflows the plan (1e-320).
+@pytest.mark.parametrize("dt", [0.0, -1e-3, math.inf, math.nan,
+                                1e-320, 1e-300, 5e-13])
 def test_a_bad_fixed_step_is_refused_before_any_step(model, no_steps, dt):
     with pytest.raises(ValueError, match="dt must be a positive finite"):
         evolve_lanes(model, [model.profile.values], dt=dt,
                      sample_times=np.linspace(0.0, 0.2, 5))
+
+
+def test_the_smallest_fixed_step_is_taken(model):
+    floor = reference.DT_FLOOR
+    traj = evolve_lanes(model, [model.profile.values], dt=floor,
+                        sample_times=[0.0, 3.5 * floor])[0]
+    assert traj.stats["steps"] == 4 and traj.stats["final_dt"] == floor
+    assert list(traj.times) == [0.0, 3.5 * floor]
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan])
@@ -592,11 +612,11 @@ def test_a_lane_that_blows_up_leaves_the_stack(workspace, model, monkeypatch):
     blown = []
     step = reference._SplitStepper.step
 
-    def spied(self, uh, dt, out=None):
-        uh_new, mask = step(self, uh, dt, out)
+    def spied(self, uh, dt, count=1, out=None, band=None):
+        uh_new, mask, taken = step(self, uh, dt, count, out, band)
         if mask is not None:
             blown.append(mask.tolist())
-        return uh_new, mask
+        return uh_new, mask, taken
 
     monkeypatch.setattr(reference._SplitStepper, "step", spied)
     solved = evolve_lanes(model, starts, dt=1e-3,
@@ -610,6 +630,55 @@ def test_a_lane_that_blows_up_leaves_the_stack(workspace, model, monkeypatch):
     assert 3.0 < solved[1].stats["escape_time"] < 4.0
     for mine, theirs in zip(solved, singles):
         assert_same_solve(mine, theirs)
+
+
+#: Lanes for the counted step kernel: offsets along the unstable mode and
+#: the ceiling, with the escape sign of each lane.
+KERNEL_CASES = {
+    "quiet": ([0.0], 10.0, [0]),
+    # The pulse's weak norm, 2.45, is past 0.4 of a ceiling of 5, so every
+    # step leaves the quiet band.
+    "past-the-watch-line": ([0.0], 5.0, [0]),
+    "blow-up-beside-a-survivor": ([0.0, 3e-2], 1e6, [0, 1]),
+    "collapse": ([-1e-2], 10.0, [-1]),
+    "reaches-the-ceiling": ([1e-2], 10.0, [1]),
+}
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES)
+def test_the_counted_step_kernel_is_bitwise_single_steps(
+        workspace, model, monkeypatch, case):
+    offsets, ceiling, signs = KERNEL_CASES[case]
+    samples = mesh_prefix(workspace.times, 5.0)
+    starts = [model.profile.values + offset * workspace.unstable_mode
+              for offset in offsets]
+    step = reference._SplitStepper.step
+    counts = []
+
+    def solve():
+        return evolve_lanes(model, starts, dt=1e-3, sample_times=samples,
+                            ceiling=ceiling,
+                            collapse_floor=reference.collapse_floor(model))
+
+    def counted(self, uh, dt, count=1, out=None, band=None):
+        counts.append(count)
+        return step(self, uh, dt, count, out, band)
+
+    def single(self, uh, dt, count=1, out=None, band=None):
+        return step(self, uh, dt, 1, out, band)
+
+    monkeypatch.setattr(reference._SplitStepper, "step", counted)
+    kernel = solve()
+    monkeypatch.setattr(reference._SplitStepper, "step", single)
+    singles = solve()
+    assert max(counts) > 1
+    assert [traj.stats["escape_sign"] for traj in kernel] == signs
+    for mine, theirs in zip(kernel, singles):
+        assert_same_solve(mine, theirs)
+        assert (mine.end is None) == (theirs.end is None)
+        if mine.end is not None:
+            assert mine.end[0] == theirs.end[0]
+            assert np.array_equal(mine.end[1], theirs.end[1])
 
 
 @pytest.mark.parametrize("eps", [1e-3, 1e-4])
@@ -702,16 +771,16 @@ def test_comparison_needs_two_samples_in_the_envelope_fit_window(
 
 
 def _failing_after(monkeypatch, n_good: int) -> None:
-    """Make every decomposition after the first n_good fail."""
-    calls = []
-
+    """Make every decomposition of an extraction after the first n_good
+    fail."""
     def decompose(*args, **kwargs):
-        calls.append(None)
-        if len(calls) > n_good:
-            raise ConvergenceError("left the tubular neighborhood")
-        return decompose_state(*args, **kwargs)
+        for calls, decomposed in enumerate(
+                modulation.decompose_states(*args, **kwargs), start=1):
+            if calls > n_good:
+                raise ConvergenceError("left the tubular neighborhood")
+            yield decomposed
 
-    monkeypatch.setattr(reference, "decompose_state", decompose)
+    monkeypatch.setattr(reference, "decompose_states", decompose)
 
 
 def test_extraction_returns_the_decomposable_prefix(model, traj_bump,
@@ -730,6 +799,43 @@ def test_extraction_failing_at_the_first_sample_names_t_0(model, traj_bump,
     _failing_after(monkeypatch, 0)
     with pytest.raises(ConvergenceError, match=r"t = 0 \(sample 0\)"):
         extract_modulated(model, traj_bump, sigma_guess=0.0)
+
+
+def test_extraction_carries_each_samples_frame_to_the_next(
+        workspace, model, grid, point_bump, monkeypatch):
+    # An escaping witness trajectory, as the witness workload solves it.
+    u0 = corrected_initial_state(workspace, point_bump,
+                                 point_bump.correction, 1e-3)
+    traj = evolve_lanes(model, [u0.values], dt=1e-3,
+                        sample_times=mesh_prefix(workspace.times, 20.0),
+                        collapse_floor=reference.collapse_floor(model))[0]
+    assert traj.escaped
+    frames = []
+    frame = PulseModel.frame
+
+    def counted(self, sigma):
+        frames.append(sigma)
+        return frame(self, sigma)
+
+    monkeypatch.setattr(PulseModel, "frame", counted)
+    extracted = extract_modulated(model, traj, point_bump.sigma0)
+    carried = len(frames)
+    frames.clear()
+    sigma, sigmas, remainders = point_bump.sigma0, [], []
+    for values in traj.u_samples[:extracted.n_samples]:
+        sigma, w = decompose_state(model, GridField(values, grid), sigma)
+        sigmas.append(sigma)
+        remainders.append(w.values)
+    if extracted.n_samples < traj.n_samples:
+        with pytest.raises(ConvergenceError):
+            decompose_state(model, GridField(
+                traj.u_samples[extracted.n_samples], grid), sigma)
+    assert extracted.n_samples > 100
+    assert np.array_equal(extracted.sigma, sigmas)
+    assert np.array_equal(extracted.w, remainders)
+    # One frame fewer for every sample after the first: its first
+    # constraint evaluation takes the frame the previous sample accepted.
+    assert len(frames) - carried == extracted.n_samples - 1
 
 
 def test_extraction_ends_its_prefix_where_the_chart_is_left(model, grid):
@@ -766,6 +872,7 @@ def test_readouts_take_the_extraction_and_never_extract(
     monkeypatch.setattr(reference, "extract_modulated", refuse)
     monkeypatch.setattr(harness, "extract_modulated", refuse)
     monkeypatch.setattr(reference, "decompose_state", refuse)
+    monkeypatch.setattr(reference, "decompose_states", refuse)
     coefficients = frame_coefficients(workspace, extracted_bump)
     header, rows = harness.trajectory_rows(
         traj_bump, extracted_bump, traj_bump.energies(model), coefficients)
@@ -889,7 +996,7 @@ def test_adaptive_solves_take_no_step_of_round_off_length(
 
 @settings(max_examples=300, deadline=None)
 @given(dt=st.one_of(st.integers(-30, 5).map(lambda k: 1e-3 * 2.0**k),
-                    st.floats(reference._DT_FLOOR, reference._DT_MAX)),
+                    st.floats(reference.DT_FLOOR, reference._DT_MAX)),
        steps=st.one_of(
            st.floats(1e-6, 64.0),
            st.floats(1e-200, 1e-9),
