@@ -15,15 +15,22 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ConfigError
+from .grid import DEFAULT_HALF_LENGTH, DEFAULT_N_POINTS
 from .reference import DT_FLOOR
+
+#: The largest grid a run may ask for.  The runtime holds the dense n x n
+#: operator, its eigenvectors and their weak-normalized copies, and eigh
+#: needs work space beside them: about seven n x n float64 arrays at the
+#: peak, 0.94 GB at this size, and eigh's time grows as n^3.
+_MAX_N_POINTS = 4096
 
 
 @dataclass
 class ModelSection:
     """Domain geometry and chart/ball radii."""
 
-    domain_half_length: float = 20.0
-    n_points: int = 1024
+    domain_half_length: float = DEFAULT_HALF_LENGTH
+    n_points: int = DEFAULT_N_POINTS
     chart_radius: float = 5.0
     ball_radius: float = 0.5
 
@@ -106,6 +113,11 @@ class ExperimentConfig:
             (m.domain_half_length > 0, "model.domain_half_length must be positive"),
             (m.n_points >= 16 and m.n_points % 2 == 0,
              "model.n_points must be an even integer >= 16"),
+            (m.n_points <= _MAX_N_POINTS,
+             f"model.n_points = {m.n_points} exceeds {_MAX_N_POINTS}: the "
+             "dense n x n operator and its eigendecomposition take about "
+             f"seven n x n float64 arrays, {56e-9 * m.n_points**2:.3g} GB "
+             "at this size"),
             (m.chart_radius > 0, "model.chart_radius must be positive"),
             (m.ball_radius > 0, "model.ball_radius must be positive"),
             (s.gap_threshold > 0, "spectral.gap_threshold must be positive"),

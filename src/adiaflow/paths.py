@@ -62,8 +62,8 @@ def time_weight(t: np.ndarray, alpha: float) -> np.ndarray:
 class TrajectoryPath:
     """A sampled path (sigma(t), w(t)) on a shared time mesh.
 
-    ``w`` stores one field per row; at n = 1024 and a few hundred samples
-    this is a couple of MB per path, which is accepted rather than
+    ``w`` stores one field per row; at n = 512 and a few hundred samples
+    this is about a MB per path, which is accepted rather than
     compressed.  The chart speed is always the centered difference of the
     sampled sigma on the (possibly nonuniform) mesh.
     """

@@ -69,7 +69,8 @@ def test_chart_arguments_must_lie_inside_the_chart(argv, code, tmp_path,
         assert captured.out == ""
 
 
-def test_spectrum_writes_the_table_and_reports_constants(tmp_path, capsys):
+def test_spectrum_writes_the_table_and_reports_constants(tmp_path, capsys,
+                                                          grid):
     out = tmp_path / "eig.csv"
     assert main(["spectrum", "--sigma", "0.0", "--out", str(out)]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -87,7 +88,7 @@ def test_spectrum_writes_the_table_and_reports_constants(tmp_path, capsys):
     with open(out, encoding="utf-8", newline="") as handle:
         rows = list(csv.reader(handle))
     assert rows[0] == ["index", "eigenvalue", "kind"]
-    assert len(rows) == 1 + 1024
+    assert len(rows) == 1 + grid.n
     assert rows[1][2] == "unstable"
     assert float(rows[1][1]) == pytest.approx(-1.25, abs=1e-9)
     kinds = {row[2] for row in rows[1:]}
@@ -300,16 +301,19 @@ def _trajectory_text(times, n):
     return "\n".join(",".join(row) for row in [header] + rows) + "\n"
 
 
+# Each text is made for the configured grid size n, so that only the defect
+# it carries is refused.
 @pytest.mark.parametrize("name, text, message", [
     ("missing.csv", None, "cannot read trajectory file"),
-    ("empty.csv", "", "lacks state columns"),
-    ("header.csv", _trajectory_text([], 1024), "has no samples"),
-    ("field.csv", "x,value\n0.0,1.0\n", "lacks state columns"),
-    ("cell.csv", _trajectory_text([0.0], 1024).replace(",0\n", ",x\n"),
+    ("empty.csv", lambda n: "", "lacks state columns"),
+    ("header.csv", lambda n: _trajectory_text([], n), "has no samples"),
+    ("field.csv", lambda n: "x,value\n0.0,1.0\n", "lacks state columns"),
+    ("cell.csv",
+     lambda n: _trajectory_text([0.0], n).replace(",0\n", ",x\n"),
      "malformed trajectory file"),
-    ("off-mesh.csv", _trajectory_text([0.0, 0.013], 1024),
+    ("off-mesh.csv", lambda n: _trajectory_text([0.0, 0.013], n),
      "not sampled on a prefix of the point's time mesh"),
-    ("nan.csv", _trajectory_text([0.0, 0.02], 1024)[:-2] + "nan\n",
+    ("nan.csv", lambda n: _trajectory_text([0.0, 0.02], n)[:-2] + "nan\n",
      "nan.csv' has a non-finite value in sample 1"),
 ], ids=["missing", "empty", "header-only", "x-value", "non-numeric",
         "off-mesh", "non-finite"])
@@ -322,7 +326,7 @@ def test_an_unusable_trajectory_file_is_refused_before_any_work(
                      encoding="utf-8")
     traj = tmp_path / name
     if text is not None:
-        traj.write_text(text, encoding="utf-8")
+        traj.write_text(text(cfg.model.n_points), encoding="utf-8")
     monkeypatch.setattr(cli, "build_runtime",
                         lambda cfg: pytest.fail("the runtime was built"))
     assert main(["compare", "--point", str(point), "--traj", str(traj),
@@ -524,6 +528,23 @@ def test_a_non_finite_or_non_integral_entry_is_refused_before_any_work(
                           for name in files}) for arg in argv]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
     _assert_refused_in_one_line(capsys, message)
+
+
+def test_a_grid_too_large_for_the_dense_operator_is_refused_before_any_work(
+        tmp_path, capsys, monkeypatch):
+    from adiaflow import cli
+
+    # Its dense operator alone would be 320 GB.
+    for name in ("build_model", "build_runtime", "run_assumption_ledger"):
+        monkeypatch.setattr(cli, name,
+                            lambda cfg: pytest.fail("the work began"))
+    assert main(["--set", "model.n_points=200000", "pipeline",
+                 "--out", str(tmp_path / "out")]) == 2
+    _assert_refused_in_one_line(
+        capsys, "model.n_points = 200000 exceeds 4096: the dense n x n "
+        "operator and its eigendecomposition take about seven n x n float64 "
+        "arrays, 2.24e+03 GB at this size")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv, message", [

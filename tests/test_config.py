@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 
 from adiaflow.config import ExperimentConfig, load_config
 from adiaflow.errors import ConfigError
+from adiaflow.grid import PeriodicGrid
+from adiaflow.harness import build_model
 from adiaflow.presets import PRESET_NAMES, preset_field
 
 
 def test_defaults_are_complete_and_valid(cfg):
     cfg.validate()
-    assert cfg.model.n_points == 1024
+    assert cfg.model.n_points == 512
     assert cfg.model.domain_half_length == 20.0
     assert cfg.manifold.delta == 0.05
     assert cfg.manifold.delta_max == 0.05
@@ -44,6 +46,23 @@ def test_validation_rejects_bad_values(assignment):
     config.set_option(assignment)
     with pytest.raises(ConfigError):
         config.validate()
+
+
+def test_the_largest_grid_is_valid_and_the_next_is_refused():
+    config = ExperimentConfig()
+    config.set_option("model.n_points=4096")
+    config.validate()
+    config.set_option("model.n_points=4098")
+    with pytest.raises(ConfigError, match="exceeds 4096: the dense n x n "
+                       "operator and its eigendecomposition take about "
+                       r"seven n x n float64 arrays, 0.94 GB at this size"):
+        config.validate()
+
+
+def test_the_grid_and_the_configuration_share_one_default():
+    # Runs build their grid from the model section; the demos, the README
+    # and the session fixtures call PeriodicGrid().  Both get one grid.
+    assert build_model(ExperimentConfig()).grid == PeriodicGrid()
 
 
 def test_oversized_ball_names_the_certified_limit():
@@ -90,7 +109,7 @@ def test_json_round_trip(cfg):
 def test_partial_dicts_fill_in_defaults():
     config = ExperimentConfig.from_dict({"manifold": {"delta": 0.02}})
     assert config.manifold.delta == 0.02
-    assert config.model.n_points == 1024
+    assert config.model.n_points == ExperimentConfig().model.n_points
 
 
 @pytest.mark.parametrize("data", [

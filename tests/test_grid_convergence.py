@@ -1,0 +1,158 @@
+"""Grid convergence: the correction, the shooting root and the bound states
+across grid sizes, at the fixed time mesh and step of the default run.
+
+The sizes are those of the study behind the default grid of 512 points:
+192, 256, 384, 512, 768, 1024 and 1536.  The pulse is smooth and
+exponentially localized, so every discretization error in n is far below
+round-off from 192 points on:
+
+* the Picard correction beta agrees across all sizes to 4.2e-17 (2.8e-17
+  over the powers of two);
+* the three Poschl-Teller bound states -5/4, 0 and 3/4 come out at every
+  size, the third with the same wrap error of the domain, -2.47e-8, to
+  7e-13;
+* the shooting root, read off a line through seven probe solves 1e-12
+  apart, sits within 4.3 round-off floors at 256, 512 and 1024 points.
+
+Where the root does move with n, the transforms move it: sizes with a factor
+3 sit 48 to 55 floors from the powers of two, and writing the solver's real
+transforms as complex FFTs, the same transform up to round-off, moves the
+root by 8 to 37 floors at a fixed size (about 14 at 512).  A one-ulp change of
+the initial state moves it by at most 0.23 floors.  So the root's spread
+over n is the transforms' round-off, and 1024 points buy no accuracy.
+"""
+
+import numpy as np
+import pytest
+
+from adiaflow import reference
+from adiaflow.config import ExperimentConfig
+from adiaflow.grid import GridField
+from adiaflow.harness import build_runtime
+from adiaflow.manifold import construct_manifold_point
+from adiaflow.modulation import decompose_state
+from adiaflow.paths import mesh_prefix
+from adiaflow.presets import preset_field
+
+SIZES = (192, 256, 384, 512, 768, 1024, 1536)
+POWERS_OF_TWO = (256, 512, 1024)
+
+#: Spacing of the seven probe lanes around the shooting root, about 150
+#: round-off floors: wide enough that the line fit sees the slope, narrow
+#: enough that the probe coefficient is linear across the lanes.
+LANE_SPACING = 1e-12
+
+
+@pytest.fixture(scope="module")
+def points(grid, workspace, point_bump):
+    """(workspace, bump point) per size; the session's at the default."""
+    built = {grid.n: (workspace, point_bump)}
+    for n in SIZES:
+        if n not in built:
+            cfg = ExperimentConfig()
+            cfg.model.n_points = n
+            ws = build_runtime(cfg).workspace
+            eta = preset_field("stable-bump", ws.spectrum)
+            built[n] = ws, construct_manifold_point(
+                ws, eta, delta=0.05, alpha=1.0, fixed_point_tol=1e-10,
+                max_iter=30)
+    return built
+
+
+def _probe_root(workspace, point, center, probe_time):
+    """(root, largest fit residual in beta) of the line through the probe
+    coefficients of seven fixed-step solves spaced LANE_SPACING around
+    center, each read as ``refine_correction`` reads its probe solves."""
+    model, grid, mode = workspace.model, workspace.grid, workspace.unstable_mode
+    offsets = LANE_SPACING * np.arange(-3, 4)
+    base = point.initial_state.values
+    trajectories = reference.evolve_lanes(
+        model, [base + (center + d - point.correction) * mode
+                for d in offsets],
+        dt=1e-3, sample_times=mesh_prefix(workspace.times, probe_time),
+        collapse_floor=reference.collapse_floor(model))
+    values = []
+    for traj in trajectories:
+        assert not traj.escaped
+        sigma, w = decompose_state(
+            model, GridField(traj.u_samples[-1].copy(), grid), point.sigma0)
+        values.append(float(reference.unstable_coefficient(
+            grid, mode, workspace.sigma0, sigma, w.values)))
+    slope, intercept = np.polyfit(offsets, values, 1)
+    residual = np.max(np.abs(values - (slope * offsets + intercept)))
+    return center - intercept / slope, residual / slope
+
+
+def test_the_correction_is_converged_in_the_grid(points):
+    betas = [points[n][1].correction for n in SIZES]
+    assert max(betas) - min(betas) <= 5e-17
+
+
+def test_the_bound_states_are_poschl_teller_at_every_size(points):
+    thirds = []
+    for n in SIZES:
+        ev = points[n][0].spectrum.eigenvalues
+        assert abs(ev[0] + 1.25) <= 2e-12
+        assert abs(ev[1]) <= 2e-12
+        # The third state's wrap error of order exp(-L), about -2.5e-8 on
+        # L = 20, is the domain's: it is the same at every size.
+        assert -3e-8 <= ev[2] - 0.75 <= -2e-8
+        thirds.append(ev[2])
+    assert max(thirds) - min(thirds) <= 2e-12
+
+
+@pytest.fixture(scope="module")
+def floor(points):
+    """The round-off floor of the root at 512 points, 6.62e-15."""
+    workspace, point = points[512]
+    return reference._roundoff_floor(point.initial_state.values,
+                                     -workspace.unstable_eigenvalue, 1e-3)
+
+
+@pytest.fixture(scope="module")
+def roots(points, refined_bump):
+    """(root, fit residual) at each power of two, around the session's
+    shooting root."""
+    return {n: _probe_root(*points[n], refined_bump.beta,
+                           refined_bump.probe_time)
+            for n in POWERS_OF_TWO}
+
+
+def test_the_shooting_root_agrees_over_the_powers_of_two(roots, floor,
+                                                        refined_bump):
+    for root, residual in roots.values():
+        # A line through the lanes, to round-off.
+        assert abs(residual) <= 1.5 * floor
+        # The refinement's own root lies within its bracket of each.
+        assert abs(root - refined_bump.beta) <= refined_bump.bracket
+    values = [root for root, _ in roots.values()]
+    assert max(values) - min(values) <= 6.0 * floor
+
+
+def _complex_rfft(values, axes, forward, scale, out, threads):
+    """The solver's forward transform written as a complex FFT."""
+    out[...] = np.fft.fft(values.astype(complex))[..., :out.shape[-1]]
+    return out
+
+
+def _complex_irfft(uh, axes, n, forward, scale, out, threads):
+    """The solver's inverse transform written as a complex FFT of the
+    Hermitian extension; the mean and Nyquist entries count as real."""
+    full = np.empty(uh.shape[:-1] + (n,), complex)
+    full[..., :n // 2 + 1] = uh
+    full[..., n // 2 + 1:] = np.conj(uh[..., n // 2 - 1:0:-1])
+    full[..., 0] = uh[..., 0].real
+    full[..., n // 2] = uh[..., n // 2].real
+    out[...] = np.fft.ifft(full).real
+    return out
+
+
+def test_the_transforms_move_the_root_more_than_the_grid_does(
+        points, roots, floor, refined_bump, monkeypatch):
+    monkeypatch.setattr(reference, "_rfft", _complex_rfft)
+    monkeypatch.setattr(reference, "_irfft", _complex_irfft)
+    swapped, residual = _probe_root(*points[512], refined_bump.beta,
+                                    refined_bump.probe_time)
+    assert abs(residual) <= 1.5 * floor
+    values = [root for root, _ in roots.values()]
+    assert abs(swapped - roots[512][0]) >= 2.0 * (max(values) - min(values))

@@ -68,15 +68,15 @@ def test_ledger_spot_values(ledger):
     by_name = {check.name: check for check in ledger.checks}
     assert by_name["operator-symmetry"].value == 0.0
     assert by_name["operator-bound"].value == pytest.approx(
-        3706.4246396488834, rel=1e-9)
+        945.801530381642, rel=1e-9)
     assert by_name["spectral-classification"].value == pytest.approx(
         0.749999975266288, rel=1e-9)
     assert by_name["propagator-decay"].value == pytest.approx(
-        -0.9319620783474747, abs=1e-9)
+        -0.8583164933043944, abs=1e-9)
     assert by_name["family-regularity"].value == pytest.approx(
         5.187817523750103, rel=1e-9)
     assert by_name["operator-lipschitz"].value == pytest.approx(
-        0.4777734422078162, rel=1e-9)
+        0.4474471413126912, rel=1e-9)
     assert by_name["tangent-annihilation"].value <= 1e-5
 
 
@@ -89,7 +89,7 @@ def test_ledger_constants(ledger):
     assert constants["unstable_eigenvalue"] == pytest.approx(-1.25, abs=1e-10)
     assert abs(constants["zero_eigenvalue"]) <= 1e-10
     assert constants["spectral_gap"] == pytest.approx(0.75, abs=1e-6)
-    assert constants["c2"] == pytest.approx(2.6048199748083665, rel=1e-9)
+    assert constants["c2"] == pytest.approx(2.5306180566475134, rel=1e-9)
 
 
 def test_ledger_eigenvalue_table(ledger):
@@ -172,8 +172,8 @@ def test_trajectory_csv_round_trip(model, grid, spectrum, workspace, tmp_path):
     assert np.array_equal(loaded.times, traj.times)
     assert np.array_equal(loaded.u_samples, traj.u_samples)
 
-    with pytest.raises(ConfigError, match="1024 state columns"):
-        load_trajectory_csv(str(path), PeriodicGrid(512))
+    with pytest.raises(ConfigError, match=f"{grid.n} state columns"):
+        load_trajectory_csv(str(path), PeriodicGrid(2 * grid.n))
 
 
 def test_trajectory_csv_bytes_are_the_csv_writer_bytes(tmp_path):
@@ -202,9 +202,9 @@ def test_field_csv_round_trip(grid, eta_bump, tmp_path):
     assert np.array_equal(loaded.values, eta_bump.values)
 
 
-def test_runtime_assembly(cfg):
+def test_runtime_assembly(cfg, grid):
     runtime = build_runtime(cfg)
-    assert runtime.grid.n == 1024
+    assert runtime.grid == grid
     assert np.array_equal(runtime.workspace.times, time_mesh())
     assert runtime.workspace.spectrum is runtime.spectrum
     assert runtime.model.grid is runtime.grid

@@ -28,7 +28,7 @@ def test_profile_solves_the_stationary_equation(grid, model):
 def test_stationarity_defect(model):
     defect = model.gradient(model.profile).weak_norm()
     assert defect <= 1e-6
-    assert defect == pytest.approx(1.8059706512392424e-07, rel=1e-6)
+    assert defect == pytest.approx(1.2773377278826352e-07, rel=1e-6)
 
 
 def test_energy_at_the_pulse(model):

@@ -282,7 +282,7 @@ def test_escaping_polish_iterate_is_a_convergence_error(
 def test_the_shooting_counts_are_pinned(refined_bump, corrected_run,
                                        refine_solves):
     # A change that adds a shooting round fails here, not only on the bench.
-    assert refined_bump.evaluations == 7
+    assert refined_bump.evaluations == 9
     _, refined, _ = corrected_run
     assert refined.evaluations == len(refine_solves) == 9
     assert len({first for _, _, first in refine_solves}) == 4
