@@ -11,7 +11,11 @@ at n = 512.
 
 Norm conventions: ``weak_norm`` is the discrete L2 norm sqrt(h * sum v^2)
 (the ambient-space norm), ``strong_norm`` is the discrete H1 norm
-sqrt(weak^2 + weak(Dv)^2) (the stronger norm on the smoother subspace).
+sqrt(weak^2 + weak(Dv)^2) (the stronger norm on the smoother subspace), with
+D the spectral first derivative, which zeroes the Nyquist mode.  The strong
+norm is evaluated by Parseval on one rfft, sum_k w_k |vhat_k|^2 with the
+weights of ``parseval_weights``; no derivative is formed, and the Nyquist
+mode counts in the weak part only, as D's convention says.
 """
 
 from __future__ import annotations
@@ -53,6 +57,16 @@ class PeriodicGrid:
         self.x = -self.half_length + self.spacing * np.arange(self.n)
         # rfft wavenumbers; the last entry is the Nyquist mode.
         self.wavenumbers = 2.0 * np.pi * np.fft.rfftfreq(self.n, d=self.spacing)
+        # Parseval weights on the interleaved parts of an rfft (see
+        # ``parseval_weights``), built once and shared read-only.
+        weak = np.full(self.n // 2 + 1, 2.0 * self.spacing / self.n)
+        weak[0] *= 0.5
+        weak[-1] *= 0.5
+        k2 = self.wavenumbers**2
+        k2[-1] = 0.0
+        self._parseval = (np.repeat(weak, 2), np.repeat(weak * (1.0 + k2), 2))
+        for weights in self._parseval:
+            weights.setflags(write=False)
         self._dense_cache: dict[str, np.ndarray] = {}
 
     # -- identity -----------------------------------------------------------
@@ -102,11 +116,16 @@ class PeriodicGrid:
 
         A scalar s gives one row, an array of shifts one row per shift; the
         Nyquist entry is cos(k_nyq * s) so shifted fields stay real.  Every
-        row is bitwise the table of its own scalar shift.
+        row is bitwise the table of its own scalar shift.  The table is
+        filled as cos(k s) - i sin(k s), the value np.exp(-1j * k * s) gives
+        without evaluating exp of the zero real parts; subtracting from 0.0
+        keeps the zero imaginary parts positive, as np.exp leaves them.
         """
-        s_arr = np.asarray(s, dtype=float)
-        phase = np.exp(-1j * self.wavenumbers * s_arr[..., None])
-        phase[..., -1] = np.cos(self.wavenumbers[-1] * s_arr)
+        ks = self.wavenumbers * np.asarray(s, dtype=float)[..., None]
+        phase = np.empty(ks.shape, complex)
+        np.cos(ks, out=phase.real)
+        np.subtract(0.0, np.sin(ks, out=phase.imag), out=phase.imag)
+        phase.imag[..., -1] = 0.0
         return phase
 
     def apply_phases(self, vhat: np.ndarray, phases: np.ndarray) -> np.ndarray:
@@ -122,25 +141,25 @@ class PeriodicGrid:
         return np.sqrt(self.spacing * np.sum(values**2, axis=-1))
 
     def strong_norm_values(self, values: np.ndarray):
-        dv = self.first_derivative_values(values)
-        return np.sqrt(
-            self.spacing * (np.sum(values**2, axis=-1) + np.sum(dv**2, axis=-1))
-        )
+        """Strong norm along the last axis by Parseval on one rfft:
+        sqrt(sum_k w_k |vhat_k|^2) with the strong ``parseval_weights``,
+        which count the Nyquist mode without its k^2 (D zeroes it)."""
+        parts = np.fft.rfft(np.asarray(values, dtype=float),
+                            axis=-1).view(np.float64)
+        return np.sqrt(np.square(parts, out=parts) @ self._parseval[1])
 
     def parseval_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """Weights (weak, strong) with norm^2 = sum(weights * |rfft(v)|^2).
+        """Weights (weak, strong) with norm^2 = parts . (weights * parts),
+        where parts are the interleaved real and imaginary parts of rfft(v),
+        ``rfft(v).view(np.float64)``; the arrays are the grid's own and
+        read-only.
 
         By Parseval, h * sum(v^2) = (h / n) * sum_k m_k |vhat_k|^2, where
         rfft stores each conjugate pair once (m_k = 2) and the mean and
         Nyquist modes alone (m_k = 1).  The strong weights add k^2 on every
         mode but the Nyquist one, which ``first_derivative_values`` zeroes.
         """
-        weak = np.full(self.n // 2 + 1, 2.0 * self.spacing / self.n)
-        weak[0] *= 0.5
-        weak[-1] *= 0.5
-        k2 = self.wavenumbers**2
-        k2[-1] = 0.0
-        return weak, weak * (1.0 + k2)
+        return self._parseval
 
     # -- dense operators ------------------------------------------------------
     def dense_second_derivative(self) -> np.ndarray:

@@ -163,25 +163,34 @@ class SolutionMapWorkspace:
         del sources
 
         # Forward integration of the stable channels (exact decay kernel,
-        # trapezoidal sources).
+        # trapezoidal sources): coeff[j + 1] = decay[j] * (coeff[j]
+        # + dt[j] / 2 * source[j]) + dt[j] / 2 * source[j + 1], with both
+        # source terms formed up front and each step written into its row.
+        half_dt = (0.5 * dt)[:, None]
+        first = half_dt * source_stable[:-1]
+        second = half_dt * source_stable[1:]
         coeff = np.empty((m, len(self.stable_eigenvalues)))
         coeff[0] = h * (eta_values @ self.stable_modes)
-        for j in range(m - 1):
-            coeff[j + 1] = (
-                self._stable_decay[j] * (coeff[j] + 0.5 * dt[j] * source_stable[j])
-                + 0.5 * dt[j] * source_stable[j + 1]
-            )
+        for j, decay in enumerate(self._stable_decay):
+            row = coeff[j + 1]
+            np.add(coeff[j], first[j], row)
+            np.multiply(decay, row, row)
+            np.add(row, second[j], row)
+        del first, second
 
-        # Backward integration of the unstable channel.  The seed freezes the
-        # source beyond the horizon; the first entry is the correction.
+        # Backward integration of the unstable channel, on Python floats.
+        # The seed freezes the source beyond the horizon; the first entry is
+        # the correction.
         rate = self.unstable_eigenvalue
-        branch = np.empty(m)
-        branch[-1] = source_unstable[-1] / rate
+        source = source_unstable.tolist()
+        decays, steps = self._unstable_decay.tolist(), dt.tolist()
+        value = source[-1] / rate
+        branch = [value] * m
         for j in range(m - 2, -1, -1):
-            ed = self._unstable_decay[j]
-            branch[j] = ed * branch[j + 1] - 0.5 * dt[j] * (
-                source_unstable[j] + ed * source_unstable[j + 1]
-            )
+            ed = decays[j]
+            value = ed * value - 0.5 * steps[j] * (source[j] + ed * source[j + 1])
+            branch[j] = value
+        branch = np.array(branch)
         tail_bound = float(
             np.max(np.abs(source_unstable))
             * np.exp(rate * (times[-1] - times[0]))

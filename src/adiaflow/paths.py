@@ -134,7 +134,7 @@ def path_distance(a: TrajectoryPath, b: TrajectoryPath, alpha: float,
                   c: float) -> float:
     """Path norm of the componentwise difference a - b (shared mesh); see the
     module docstring for the formula."""
-    if a.n_samples != b.n_samples or not np.allclose(a.times, b.times):
+    if not np.array_equal(a.times, b.times):
         raise ValueError("paths must share the same time mesh")
     times = a.times
     weights = time_weight(times, alpha)

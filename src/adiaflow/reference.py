@@ -146,9 +146,7 @@ class _SplitStepper:
         self.n = grid.n
         self._rate = grid.wavenumbers**2 + 1.0
         # Weights on the interleaved real and imaginary parts of a state.
-        weak, strong = grid.parseval_weights()
-        self._weak = np.repeat(weak, 2)
-        self._strong = np.repeat(strong, 2)
+        self._weak, self._strong = grid.parseval_weights()
         self._product = np.empty_like(self._weak)
         self._cache: dict[float, np.ndarray] = {}
         self._height = 0

@@ -1,5 +1,6 @@
 """Shared fixtures: one grid/model/spectrum per session, plus slow builds."""
 
+import numpy as np
 import pytest
 
 from adiaflow.config import ExperimentConfig
@@ -20,6 +21,17 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in lines:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(scope="session")
+def derivative_strong_norm():
+    """The strong norm formed from the spectral derivative, as an oracle
+    for the grid's Parseval norm: sqrt(h * (sum v^2 + sum (Dv)^2))."""
+    def norm(grid, values):
+        dv = grid.first_derivative_values(values)
+        return np.sqrt(grid.spacing * (np.sum(values**2, axis=-1)
+                                       + np.sum(dv**2, axis=-1)))
+    return norm
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adiaflow.config import ModelSection
 from adiaflow.grid import GridField, PeriodicGrid, zero_field
 
 
@@ -105,6 +106,64 @@ def test_strong_norm_adds_derivative_energy(grid):
     assert grid.strong_norm_values(v) == pytest.approx(
         np.sqrt(20.0 * (1.0 + k**2)), rel=1e-13
     )
+
+
+@pytest.mark.parametrize("n", [16, 192, 512, 1024, 1536])
+def test_parseval_strong_norm_matches_the_derivative_formula(
+        n, derivative_strong_norm):
+    grid = PeriodicGrid(n)
+    rng = np.random.default_rng(n)
+    smooth = np.stack([_smooth_noise(grid, seed) for seed in range(276)])
+    rough = rng.standard_normal((276, n))
+    for stack in (smooth, rough, smooth + rough[::-1]):
+        norms = grid.strong_norm_values(stack)
+        assert norms.shape == (276,)
+        assert np.max(np.abs(norms / derivative_strong_norm(grid, stack) - 1.0)) \
+            <= 1e-14
+        for row in stack[::55]:
+            assert grid.strong_norm_values(row) == pytest.approx(
+                derivative_strong_norm(grid, row), rel=1e-14, abs=0.0)
+    # The Nyquist mode carries no derivative: its strong norm is its weak one.
+    nyquist = np.cos(np.pi * np.arange(n))
+    assert grid.strong_norm_values(nyquist) == pytest.approx(
+        grid.weak_norm_values(nyquist), rel=1e-14, abs=0.0)
+    assert grid.strong_norm_values(nyquist) == pytest.approx(
+        derivative_strong_norm(grid, nyquist), rel=1e-14, abs=0.0)
+    constant = np.full(n, 0.3)
+    assert grid.strong_norm_values(constant) == pytest.approx(
+        derivative_strong_norm(grid, constant), rel=1e-14, abs=0.0)
+    assert grid.strong_norm_values(np.zeros(n)) == 0.0
+
+
+def test_parseval_weights_are_the_grids_own_and_read_only(grid):
+    weak, strong = grid.parseval_weights()
+    assert grid.parseval_weights()[0] is weak
+    assert weak.shape == strong.shape == (grid.n + 2,)
+    assert not weak.flags.writeable and not strong.flags.writeable
+    v = _smooth_noise(grid, 8)
+    parts = np.fft.rfft(v).view(np.float64)
+    assert np.sqrt(parts @ (weak * parts)) == pytest.approx(
+        grid.weak_norm_values(v), rel=1e-14)
+
+
+def _exp_phases(grid, s):
+    """The phase table as the complex exponential, Nyquist column cos(k s)."""
+    s_arr = np.asarray(s, dtype=float)
+    phase = np.exp(-1j * grid.wavenumbers * s_arr[..., None])
+    phase[..., -1] = np.cos(grid.wavenumbers[-1] * s_arr)
+    return phase
+
+
+def test_phase_table_is_bitwise_the_complex_exponential(grid):
+    radius = ModelSection().chart_radius
+    rng = np.random.default_rng(11)
+    path = np.cumsum(rng.normal(0.0, 1e-3, 276))
+    for s in (0.0, -0.0, 0.37, -1.3, 1e-3, 5e-324, radius, -radius,
+              np.nextafter(radius, 0.0), path, rng.uniform(-radius, radius, 276)):
+        table = grid.shift_phases(s)
+        assert table.shape == np.shape(s) + (grid.n // 2 + 1,)
+        assert np.array_equal(table.view(np.uint64),
+                              _exp_phases(grid, s).view(np.uint64))
 
 
 def test_distinct_modes_are_orthogonal(grid):

@@ -5,7 +5,7 @@ import pytest
 
 from adiaflow import manifold
 from adiaflow.errors import BallViolationError
-from adiaflow.grid import GridField, zero_field
+from adiaflow.grid import GridField, PeriodicGrid, zero_field
 from adiaflow.manifold import (
     ORTHOGONALITY_TOL,
     SolutionMapWorkspace,
@@ -304,3 +304,35 @@ def test_forward_replay_reproduces_the_bounded_branch(workspace, point_bump):
         workspace, point_bump.unstable_source, point_bump.correction + 1e-3
     )
     assert np.max(np.abs(offset)) >= 1e6
+
+
+def test_the_norm_formula_never_changes_picard_values(
+        spectrum, eta_bump, point_bump, derivative_strong_norm, monkeypatch):
+    # Norms only measure and gate the rounds: with the strong norm formed
+    # from the derivative instead of by Parseval, the rounds are the same.
+    monkeypatch.setattr(PeriodicGrid, "strong_norm_values",
+                        derivative_strong_norm)
+    point = construct_manifold_point(
+        SolutionMapWorkspace(spectrum), eta_bump, delta=DELTA, alpha=ALPHA,
+        fixed_point_tol=1e-10, max_iter=30,
+    )
+    assert point.iterations == point_bump.iterations
+    assert point.correction == point_bump.correction
+    assert np.array_equal(point.path.sigma, point_bump.path.sigma)
+    assert np.array_equal(point.path.w, point_bump.path.w)
+    assert np.array_equal(point.initial_state.values,
+                          point_bump.initial_state.values)
+    assert point.distances == pytest.approx(point_bump.distances,
+                                            rel=1e-14, abs=0.0)
+
+
+def test_backward_channel_is_the_array_recursion(workspace, point_bump):
+    # The unstable channel runs on Python floats; the same recursion on
+    # numpy scalars gives the same correction, bit for bit.
+    source, dt = point_bump.unstable_source, workspace._dt
+    rate, decay = workspace.unstable_eigenvalue, workspace._unstable_decay
+    value = source[-1] / rate
+    for j in range(len(dt) - 1, -1, -1):
+        value = decay[j] * value - 0.5 * dt[j] * (
+            source[j] + decay[j] * source[j + 1])
+    assert value == point_bump.correction

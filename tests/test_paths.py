@@ -191,3 +191,8 @@ def test_path_distance_symmetry_and_mesh_guard(grid, mesh):
     other = _frozen_path(grid, mesh)
     with pytest.raises(ValueError):
         path_distance(path_a, other, 1.0, 2.0)
+    # Meshes must agree sample for sample, not merely to np.allclose.
+    shifted = TrajectoryPath(times=times + 1e-9, sigma=np.zeros(3), w=w_b,
+                             grid=grid)
+    with pytest.raises(ValueError, match="same time mesh"):
+        path_distance(path_a, shifted, 1.0, 2.0)

@@ -420,6 +420,9 @@ def physical_split_solve(model, u0, samples, dt, collapse_floor=None,
 def test_parseval_norms_match_the_grid_norms(grid):
     rng = np.random.default_rng(7)
     stepper = reference._SplitStepper(grid)
+    # The grid owns the weights; the stepper reads them, it keeps no copy.
+    weak, strong = grid.parseval_weights()
+    assert stepper._weak is weak and stepper._strong is strong
     nyquist = np.cos(np.pi * np.arange(grid.n))
     for _ in range(5):
         vhat = np.zeros(grid.n // 2 + 1, dtype=complex)
