@@ -559,7 +559,9 @@ class RefineResult:
     coefficient opposite signs, so it contains ``beta`` and the root that
     ``beta`` estimates.  ``dt`` is the fixed step of the probe solves.
     ``trajectory`` is the full-probe solve of ``beta``, which a longer
-    fixed-step solve from the same state can continue; it is left out of
+    fixed-step solve from the same state can continue.  ``history`` holds
+    one record (probe time, coefficient, sign, probe coefficient or None if
+    the solve escaped) per lane solve, in solve order.  Both are left out of
     the payload.
     """
 
@@ -571,18 +573,27 @@ class RefineResult:
     dt: float
     trajectory: FullTrajectory | None = field(default=None, repr=False,
                                               compare=False)
+    history: tuple[tuple[float, float, float, float | None], ...] = field(
+        default=(), repr=False)
 
     def payload(self) -> dict:
-        """The fields but the trajectory as a plain dict, in declaration
-        order, for artifacts."""
+        """The fields but the trajectory and history as a plain dict, in
+        declaration order, for artifacts."""
         return {item.name: getattr(self, item.name) for item in fields(self)
-                if item.name != "trajectory"}
+                if item.name not in ("trajectory", "history")}
 
 
 #: The short probe sits at the mesh time at or below this fraction of the
 #: full probe time.  Its solves cost that fraction of a full one, and a
 #: bracket wide enough to hold the fixed-point error survives to it.
 _SHORT_PROBE_FRACTION = 0.25
+
+#: The mid probe sits at the mesh time at or below this fraction of the
+#: full probe time.  The root at a probe time drifts toward the full-probe
+#: root as that time grows, so one Newton step there starts the polish
+#: close enough for two full-probe rounds; at half the probe time, probes
+#: 12 and 14 on the default pipeline took 9 and 8 lane solves, not 7.
+_MID_PROBE_FRACTION = 0.7
 
 #: Finite-difference partner of the full-probe Newton steps, in units of
 #: beta.  The steps shrink to the round-off floor of the root (see
@@ -639,7 +650,7 @@ def refine_correction(workspace: SolutionMapWorkspace, point: ManifoldPoint,
     solver has its own slightly shifted invariant structures; both are
     amplified exponentially over long comparisons.  This routine shoots for
     the coefficient whose fixed-step trajectory keeps the extracted unstable
-    coefficient at zero at the probe time, in two stages:
+    coefficient at zero at the probe time, in three stages:
 
     1. *Predictor.*  At a short probe (the mesh time at or below a quarter
        of the probe time) one three-lane solve takes both ends of a
@@ -647,15 +658,25 @@ def refine_correction(workspace: SolutionMapWorkspace, point: ManifoldPoint,
        bracket widens until its ends give opposite signs.  The predictor is
        the root nearest the fixed-point value of the quadratic through the
        three solves.
-    2. *Polish.*  At the full probe, a safeguarded Newton iteration starts
-       at the predictor.  Each round solves the iterate and a
-       finite-difference partner, on the side the last step moved to, as
-       two lanes.  An escaped iterate with no pair of opposite-sign solves
-       yet marches against its escape sign, one solve at a time, by the
-       short-probe slope grown by the unstable mode between the probes,
+    2. *Mid probe.*  One solve of the predictor to the mesh time at or below
+       0.7 of the probe time, and one Newton step there on the short-probe
+       slope and curvature, grown by the unstable mode between the two
+       probes.  The polish starts where that step lands, or at the
+       predictor if the solve escaped.
+    3. *Polish.*  At the full probe, a safeguarded Newton iteration.  A
+       round solves the iterate and a finite-difference partner, on the
+       side the last step moved to (at first, the side the predictor moved
+       to from the fixed-point value), as two lanes.  Once a
+       finite-difference slope has been measured and surviving solves of
+       both signs are held, a round solves the iterate alone.  Each step
+       takes the last measured slope, and until there is one the
+       short-probe slope grown by the unstable mode between the probes.  An
+       escaped iterate with no pair of opposite-sign solves yet marches
+       against its escape sign, one solve at a time, by that grown slope,
        until the sign flips.
 
-    One bracket rule serves both probes: a predictor or step that is not
+    One bracket rule serves the short and the full probe (the mid probe's
+    one solve forms no pair): a predictor or step that is not
     inside the narrowest neighbouring pair of solves with sign -1 below and
     +1 above (or is missing, because a solve escaped) is replaced by false
     position on that pair, once sign bisection has narrowed the pair until
@@ -683,9 +704,8 @@ def refine_correction(workspace: SolutionMapWorkspace, point: ManifoldPoint,
     full_samples = mesh_prefix(mesh, probe_time)
     # Snap onto the mesh so the recorded probe time is the one actually used.
     probe_time = float(full_samples[-1])
-    short_samples = mesh_prefix(
-        mesh, _SHORT_PROBE_FRACTION * probe_time
-    )
+    short_samples = mesh_prefix(mesh, _SHORT_PROBE_FRACTION * probe_time)
+    mid_samples = mesh_prefix(mesh, _MID_PROBE_FRACTION * probe_time)
     floor = collapse_floor(model)
     base = point.initial_state.values
     mode = workspace.unstable_mode
@@ -697,13 +717,20 @@ def refine_correction(workspace: SolutionMapWorkspace, point: ManifoldPoint,
             f"{probe_time:.6g}: round-off alone grows past the ceiling "
             f"{ceiling:g} there"
         )
-    solved: dict[tuple[int, float], tuple[float, float | None]] = {}
+    # (sign, value-or-None) of each solve, keyed by (probe time, beta), in
+    # solve order.
+    solved: dict[tuple[float, float], tuple[float, float | None]] = {}
     best = None  # (|value|, beta, trajectory) of the full-probe solve
     #              closest to zero; no other trajectory is kept
 
     def solves_at(samples):
-        return [(beta, end) for (n, beta), end in solved.items()
-                if n == len(samples)]
+        return [(beta, end) for (t, beta), end in solved.items()
+                if t == samples[-1]]
+
+    def survivors(samples):
+        """(beta, sign) of the solves at this probe that did not escape."""
+        return [(beta, end[0]) for beta, end in solves_at(samples)
+                if end[1] is not None]
 
     def probe(samples, betas, stage):
         """(sign, value-or-None) of the unstable coefficient at the probe,
@@ -713,8 +740,8 @@ def refine_correction(workspace: SolutionMapWorkspace, point: ManifoldPoint,
         counts as negative, so every sign is +1 or -1.
         """
         nonlocal best
-        n = len(samples)
-        new = [beta for beta in dict.fromkeys(betas) if (n, beta) not in solved]
+        t = float(samples[-1])
+        new = [beta for beta in dict.fromkeys(betas) if (t, beta) not in solved]
         if len(solved) + len(new) > max_evaluations:
             raise ConvergenceError(
                 f"shooting refinement exhausted its budget of "
@@ -726,28 +753,27 @@ def refine_correction(workspace: SolutionMapWorkspace, point: ManifoldPoint,
         ) if new else []
         for beta, traj in zip(new, trajectories):
             if traj.escaped:
-                solved[(n, beta)] = float(traj.stats["escape_sign"]), None
+                solved[(t, beta)] = float(traj.stats["escape_sign"]), None
                 continue
             state = GridField(traj.u_samples[-1].copy(), grid)
             sigma, w = decompose_state(model, state, point.sigma0)
             value = float(unstable_coefficient(
                 grid, mode, workspace.sigma0, sigma, w.values
             ))
-            solved[(n, beta)] = (1.0 if value > 0.0 else -1.0), value
-            if n == len(full_samples) and (
+            solved[(t, beta)] = (1.0 if value > 0.0 else -1.0), value
+            if t == probe_time and (
                     best is None or (abs(value), beta) < best[:2]):
                 best = abs(value), beta, traj
-        survivors = [(b, end[0]) for b, end in solves_at(samples)
-                     if end[1] is not None]
+        held = survivors(samples)
         for beta in new:
-            if solved[(n, beta)][1] is None and any(
-                    b < beta and sign < 0 for b, sign in survivors) and any(
-                    b > beta and sign > 0 for b, sign in survivors):
+            if solved[(t, beta)][1] is None and any(
+                    b < beta and sign < 0 for b, sign in held) and any(
+                    b > beta and sign > 0 for b, sign in held):
                 raise ConvergenceError(
                     f"the {stage} iterate {float(beta)!r} escaped before "
-                    f"t = {samples[-1]:.6g} inside a surviving bracket"
+                    f"t = {t:.6g} inside a surviving bracket"
                 )
-        return [solved[(n, beta)] for beta in betas]
+        return [solved[(t, beta)] for beta in betas]
 
     def bracketed(samples, x, name):
         """x, or false position on the narrowest neighbouring pair of solves
@@ -809,38 +835,59 @@ def refine_correction(workspace: SolutionMapWorkspace, point: ManifoldPoint,
                                                 "short-probe")
     if predictor != root:
         slope, curvature = (v_hi - v_lo) / (hi - lo), 0.0
-    # The full-probe coefficient per unit beta and its relative curvature:
-    # the unstable mode grows the first by exp(growth * dT) between the
-    # probes, and the second, which comes from the quadratic term acting on
-    # the growing mode, by the same factor.
-    grown = np.exp(growth * (probe_time - float(short_samples[-1])))
-    full_slope, curvature = slope * grown, curvature * grown
+    # The probe coefficient per unit beta and its relative curvature at a
+    # later probe: the unstable mode grows the first by exp(growth * dT)
+    # between the probes, and the second, which comes from the quadratic
+    # term acting on the growing mode, by the same factor.
+    def grown(samples):
+        return np.exp(growth * (float(samples[-1] - short_samples[-1])))
+
+    # Mid probe: one Newton step from the predictor on the grown model.
+    start = predictor
+    (_, mid_value), = probe(mid_samples, [predictor], "mid-probe")
+    if mid_value is not None:
+        factor = grown(mid_samples)
+        start = predictor + _newton_step(mid_value, slope * factor,
+                                         curvature * factor)
+    factor = grown(full_samples)
+    full_slope, curvature = slope * factor, curvature * factor
 
     # Polish: safeguarded Newton at the full probe.
     def opposite_to_best():
         """Surviving full-probe solves of the other sign than the one
         closest to zero."""
-        best_sign = solved[(len(full_samples), best[1])][0]
-        return [beta for beta, end in solves_at(full_samples)
-                if end[1] is not None and end[0] != best_sign]
+        best_sign = solved[(probe_time, best[1])][0]
+        return [beta for beta, sign in survivors(full_samples)
+                if sign != best_sign]
 
-    # ``stride`` is nonzero while marching from an escaped iterate.
-    x, side, stride = predictor, (1.0 if predictor >= center else -1.0), 0.0
+    # ``stride`` is nonzero while marching from an escaped iterate;
+    # ``measured`` is the last positive finite-difference slope.  On every
+    # seed measured, the roots at shorter probes lay on the fixed-point
+    # value's side of the full-probe root, so the first partner goes the way
+    # the predictor moved from that value.
+    x, side, stride = start, (1.0 if predictor >= center else -1.0), 0.0
+    measured = math.nan
     for _ in range(max_evaluations):
         if stride:
             (sign, value), = probe(full_samples, [x], "full-probe bracketing")
+        elif measured > 0.0 and len(
+                {sign for _, sign in survivors(full_samples)}) == 2:
+            (sign, value), = probe(full_samples, [x], "full-probe polish")
         else:
             (sign, value), (_, partner_value) = probe(
                 full_samples, [x, x + side * _FULL_PARTNER],
                 "full-probe polish")
+            if value is not None and partner_value is not None:
+                # On the quadratic model, the secant to the partner is the
+                # slope at x times (1 + curvature * offset).
+                offset = side * _FULL_PARTNER
+                secant = (partner_value - value) / offset \
+                    / (1.0 + curvature * offset)
+                if secant > 0.0:
+                    measured = secant
         step = math.nan
         if value is not None and not stride:
-            # On the quadratic model, the secant to the partner is the slope
-            # at x times (1 + curvature * offset).
-            offset = side * _FULL_PARTNER
-            newton_slope = math.nan if partner_value is None else \
-                (partner_value - value) / offset / (1.0 + curvature * offset)
-            step = _newton_step(value, newton_slope if newton_slope > 0.0
+            step = _newton_step(value, measured if measured > 0.0
                                 else full_slope, curvature)
             if abs(step) <= xtol and opposite_to_best():
                 break
@@ -870,6 +917,8 @@ def refine_correction(workspace: SolutionMapWorkspace, point: ManifoldPoint,
         probe_time=probe_time,
         dt=float(dt),
         trajectory=trajectory,
+        history=tuple((t, float(beta), sign, value)
+                      for (t, beta), (sign, value) in solved.items()),
     )
 
 
