@@ -8,8 +8,10 @@ solution — composed symmetrically for second-order accuracy.  The state
 lives in Fourier space between steps, so a step costs two FFTs (pocketfft
 through scipy's binding, bitwise equal to ``np.fft``), and the error
 estimate and escape checks read its norms by Parseval; it returns to
-physical space only where a sample is recorded.  There are two entry
-points, with one step plan (``_whole_steps``):
+physical space only where a sample is recorded.  Within a sample interval
+the step kernel rules escapes out by a bound on one sum of squares per
+state, and runs the exact escape tests only near the escape band's edges.
+There are two entry points, with one step plan (``_whole_steps``):
 
 * ``evolve_lanes`` takes fixed steps, so that shooting and comparison runs
   traverse the identical, bitwise reproducible discrete flow.  Several
@@ -61,6 +63,12 @@ from .paths import TrajectoryPath, mesh_prefix, time_weight
 #: Smallest acceptable nonlinear-substep denominator; below this the step is
 #: considered to have crossed a blow-up.
 _DENOM_FLOOR = 0.5
+
+#: Relative slack that the step kernel's bounds on a sum of squares give
+#: up to round-off (see ``_SplitStepper._sum_bounds``): the weak norm read
+#: by Parseval and the transforms differ from the exact sums by a few
+#: parts in 1e16.
+_SUM_SLACK = 1e-9
 
 #: Hard floor on the adaptive step before the run is declared escaped, and
 #: the smallest fixed step a solve accepts.
@@ -127,6 +135,10 @@ class _SplitStepper:
     whole steps cost one Python call; each step is the same operations on
     the same operands, so a count of k gives the bits of k counts of 1.  It
     stops early where ``escape_signs`` has to decide (see ``_quiet_band``).
+    A bound on one sum of squares per row (``_sum_bounds``) rules those
+    escapes out; the exact tests run only in steps where it cannot, near
+    the band's edges, and stop the kernel where they would stop it if they
+    ran after every step.
 
     The transforms call scipy's own binding of pocketfft (``r2c`` and
     ``c2r``), the C++ code that ``np.fft.rfft`` and ``np.fft.irfft`` run
@@ -147,6 +159,7 @@ class _SplitStepper:
         self._rate = grid.wavenumbers**2 + 1.0
         # Weights on the interleaved real and imaginary parts of a state.
         self._weak, self._strong = grid.parseval_weights()
+        self._spacing = grid.spacing
         self._product = np.empty_like(self._weak)
         self._cache: dict[float, np.ndarray] = {}
         self._height = 0
@@ -190,6 +203,20 @@ class _SplitStepper:
         steps stop after that step, and, when ``band`` = (low, high) is
         given, after a step that leaves some row's weak norm, computed as
         ``weak_norm`` does, outside the open interval.
+
+        With a band, the exact tests run only near its edges.  Each step
+        reads s = sum(v^2) of each row's half-stepped values v, one dot
+        product (see ``_sum_bounds``): s below its upper bound rules out a
+        blow-up in this step and an exit past the band's top after it, and
+        s above its lower bound shows that the state entering the step is
+        above the band's bottom.  Where the first fails, the step runs the
+        denominator test and then the weak-norm test on its result; where
+        the second fails, the state entering the step, the result of the
+        step before, gets the weak-norm test before anything is written,
+        and the call returns that state with one step fewer.  The result of
+        the last step is not tested against the band, as either way the
+        call returns it.  So the call stops after the step where testing
+        every step would, with the same bits.
         """
         mult = self._half(dt)
         self._buffers(len(uh))
@@ -197,14 +224,29 @@ class _SplitStepper:
         n = self.n
         if out is None:
             out = np.empty_like(uh)
+        exact = True
         if band is not None:
             (low, high), weak, product = band, self._weak, self._product
-            rows = list(out.view(np.float64))
+            rows, physical = list(out.view(np.float64)), list(v)
+            s_low, s_high = self._sum_bounds(dt, low, high)
+
+            def inside():
+                return all(low < math.sqrt(row.dot(
+                    np.multiply(row, weak, product))) < high for row in rows)
         blown = None
         for taken in range(1, count + 1):
             _irfft(np.multiply(uh, mult, spectrum), (-1,), n, False, 2, v, 1)
+            if band is not None:
+                exact = edge = False
+                for row in physical:
+                    s = row.dot(row)
+                    exact = exact or not s < s_high
+                    edge = edge or not s > s_low
+                # uh is out from the second step on.
+                if edge and taken > 1 and not inside():
+                    return uh, None, taken - 1
             np.subtract(1.0, np.multiply(v, dt, denom), denom)
-            if np.minimum.reduce(denom, None) <= _DENOM_FLOOR:
+            if exact and np.minimum.reduce(denom, None) <= _DENOM_FLOOR:
                 blown = denom.min(axis=1) <= _DENOM_FLOOR
                 v, denom = v[~blown], denom[~blown]
                 out = np.empty((len(v), n // 2 + 1), complex)
@@ -213,12 +255,30 @@ class _SplitStepper:
             uh *= mult
             if blown is not None:
                 return uh, blown, taken
-            if band is not None:
-                for row in rows:
-                    if not low < math.sqrt(row.dot(
-                            np.multiply(row, weak, product))) < high:
-                        return uh, None, taken
+            if exact and band is not None and not inside():
+                return uh, None, taken
         return uh, None, count
+
+    def _sum_bounds(self, dt: float, low: float,
+                    high: float) -> tuple[float, float]:
+        """Bounds (s_low, s_high) on s = sum(v^2), where v are the values of
+        a state u after a linear half step of dt, for a band (low, high)
+        with high > 0.
+
+        The half step damps every mode by exp(-dt (k^2 + 1) / 2) <= 1, so
+        sqrt(h s) <= |u|, the weak norm: s > s_low = low^2 / h shows |u| >
+        low.  Each |v_i| <= sqrt(s), so dt sqrt(s) <= 0.4 keeps every
+        denominator 1 - dt v_i at 0.6 or more, above ``_DENOM_FLOOR``, and
+        the quadratic substep gives |v_i / (1 - dt v_i)| <= |v_i| / (1 - dt
+        sqrt(s)); with the second half step, the state after the step has a
+        weak norm of at most sqrt(h s) / (1 - dt sqrt(s)), which is below
+        high for sqrt(s) < high / (sqrt(h) + high dt).  s < s_high shows
+        both.  Each bound gives up ``_SUM_SLACK`` of itself to round-off.
+        """
+        h = self._spacing
+        s_low = low * abs(low) / h * (1.0 + _SUM_SLACK)  # -inf: no floor
+        root = min(high / (math.sqrt(h) + high * dt), 0.4 / dt)
+        return s_low, root * root * (1.0 - _SUM_SLACK)
 
     def weak_norm(self, uh: np.ndarray) -> float:
         """``grid.weak_norm_values`` of the state whose rfft is uh."""
@@ -277,6 +337,20 @@ def _positive(name: str, value: float, floor: float = 0.0) -> float:
         raise ValueError(f"{name} must be a positive finite number{least}, "
                          f"got {value!r}")
     return value
+
+
+def _checked_escapes(ceiling: float,
+                     collapse_floor: float | None) -> tuple[float, float | None]:
+    """The ceiling and collapse floor as floats, or a ValueError naming the
+    one that is not a positive finite number, or (the floor) a finite
+    number of at least 0; a floor of None stays None."""
+    ceiling = _positive("ceiling", ceiling)
+    if collapse_floor is not None:
+        collapse_floor = float(collapse_floor)
+        if not (math.isfinite(collapse_floor) and collapse_floor >= 0.0):
+            raise ValueError(f"collapse_floor must be a finite number of at "
+                             f"least 0, got {collapse_floor!r}")
+    return ceiling, collapse_floor
 
 
 def _checked_samples(sample_times, t_final: float = math.inf) -> np.ndarray:
@@ -348,11 +422,14 @@ def evolve_lanes(model: PulseModel, starts, *, dt: float,
     norm falls to ``collapse_floor`` (when given); it is then dropped from
     the stack, keeping the samples recorded so far.  A dt that is not a
     positive finite number of at least ``DT_FLOOR`` (a smaller one plans
-    more steps than a solve can take), and sample times that are not
-    finite, are refused with ``ValueError`` before any step.
+    more steps than a solve can take), sample times that are not finite, a
+    ceiling that is not a positive finite number and a collapse floor that
+    is not a finite number of at least 0 are refused with ``ValueError``
+    before any step.
     """
     dt = _positive("dt", dt, DT_FLOOR)
     sample_times = _checked_samples(sample_times)
+    ceiling, collapse_floor = _checked_escapes(ceiling, collapse_floor)
     stepper = _SplitStepper(model.grid)
     lanes, rows, origins = [], [], set()
     for start in starts:
@@ -448,13 +525,15 @@ def evolve_full(model: PulseModel, u0: GridField, t_final: float,
     direction +1; a weak norm at or below ``collapse_floor`` (when given)
     ends it with escape direction -1.  The returned trajectory is truncated
     at the recorded samples in either case.  A tol that is not a positive
-    finite number, and sample times that are not finite, are refused with
+    finite number, sample times that are not finite, and a ceiling or
+    collapse floor that ``evolve_lanes`` refuses are refused with
     ``ValueError`` before any step.
     """
     tol = _positive("tol", tol)
     if sample_times is None:
         sample_times = np.linspace(0.0, t_final, 401)
     sample_times = _checked_samples(sample_times, t_final)
+    ceiling, collapse_floor = _checked_escapes(ceiling, collapse_floor)
     stepper = _SplitStepper(model.grid)
     uh = stepper.spectrum(u0.values[None])
     dt = _DT_INIT
@@ -561,8 +640,8 @@ class RefineResult:
     ``trajectory`` is the full-probe solve of ``beta``, which a longer
     fixed-step solve from the same state can continue.  ``history`` holds
     one record (probe time, coefficient, sign, probe coefficient or None if
-    the solve escaped) per lane solve, in solve order.  Both are left out of
-    the payload.
+    the solve escaped, escape time or None if it survived) per lane solve,
+    in solve order.  Both are left out of the payload.
     """
 
     beta: float
@@ -573,8 +652,8 @@ class RefineResult:
     dt: float
     trajectory: FullTrajectory | None = field(default=None, repr=False,
                                               compare=False)
-    history: tuple[tuple[float, float, float, float | None], ...] = field(
-        default=(), repr=False)
+    history: tuple[tuple[float, float, float, float | None, float | None],
+                   ...] = field(default=(), repr=False)
 
     def payload(self) -> dict:
         """The fields but the trajectory and history as a plain dict, in
@@ -718,8 +797,9 @@ def refine_correction(workspace: SolutionMapWorkspace, point: ManifoldPoint,
             f"{ceiling:g} there"
         )
     # (sign, value-or-None) of each solve, keyed by (probe time, beta), in
-    # solve order.
+    # solve order, and the escape time of each escaped one.
     solved: dict[tuple[float, float], tuple[float, float | None]] = {}
+    escape_times: dict[tuple[float, float], float] = {}
     best = None  # (|value|, beta, trajectory) of the full-probe solve
     #              closest to zero; no other trajectory is kept
 
@@ -754,6 +834,7 @@ def refine_correction(workspace: SolutionMapWorkspace, point: ManifoldPoint,
         for beta, traj in zip(new, trajectories):
             if traj.escaped:
                 solved[(t, beta)] = float(traj.stats["escape_sign"]), None
+                escape_times[(t, beta)] = float(traj.stats["escape_time"])
                 continue
             state = GridField(traj.u_samples[-1].copy(), grid)
             sigma, w = decompose_state(model, state, point.sigma0)
@@ -917,7 +998,8 @@ def refine_correction(workspace: SolutionMapWorkspace, point: ManifoldPoint,
         probe_time=probe_time,
         dt=float(dt),
         trajectory=trajectory,
-        history=tuple((t, float(beta), sign, value)
+        history=tuple((t, float(beta), sign, value,
+                       escape_times.get((t, beta)))
                       for (t, beta), (sign, value) in solved.items()),
     )
 

@@ -35,6 +35,35 @@ def derivative_strong_norm():
 
 
 @pytest.fixture(scope="session")
+def exact_step():
+    """The split step with the exact escape tests after every step, as an
+    oracle for the step kernel's bounds: ``_SplitStepper.step(uh, dt,
+    count, band=band)`` on a grid, written with ``np.fft``.  Each step tests
+    every denominator against the floor and, with a band, every row's weak
+    norm after the step."""
+    from adiaflow.reference import _DENOM_FLOOR
+
+    def step(grid, uh, dt, count=1, band=None):
+        mult = np.exp(-0.5 * dt * (grid.wavenumbers**2 + 1.0)).astype(complex)
+        weak = grid.parseval_weights()[0]
+        for taken in range(1, count + 1):
+            v = np.fft.irfft(uh * mult, grid.n)
+            denom = 1.0 - v * dt
+            blown = denom.min(axis=1) <= _DENOM_FLOOR
+            if blown.any():
+                v, denom = v[~blown], denom[~blown]
+            uh = np.fft.rfft(v / denom) * mult
+            if blown.any():
+                return uh, blown, taken
+            if band is not None and not all(
+                    band[0] < np.sqrt(row.dot(row * weak)) < band[1]
+                    for row in uh.view(np.float64)):
+                return uh, None, taken
+        return uh, None, count
+    return step
+
+
+@pytest.fixture(scope="session")
 def grid():
     return PeriodicGrid()
 

@@ -227,11 +227,11 @@ def test_the_mid_probe_is_one_solve_that_starts_the_polish_near_the_root(
     assert first == 3
     assert t_mid <= 0.7 * refined.probe_time
     assert t_mid in workspace.times
-    times = [t for t, _, _, _ in refined.history]
+    times = [record[0] for record in refined.history]
     assert times.index(t_mid) == 3 and times.count(t_mid) == 1
     # Its Newton step starts the polish at least a hundred times nearer
     # beta* than the predictor it solved.
-    _, predictor, _, value = refined.history[3]
+    _, predictor, _, value, _ = refined.history[3]
     start = refined.history[4][1]
     assert value is not None
     assert abs(start - refined.beta) * 100.0 < abs(predictor - refined.beta)
@@ -242,16 +242,18 @@ def test_the_history_records_every_lane_solve_in_order(
     point, refined, _ = corrected_run
     assert len(refined.history) == refined.evaluations == len(refine_solves)
     base, mode = point.initial_state.values, workspace.unstable_mode
-    for (t, beta, sign, value), (u0, t_final, _) in zip(refined.history,
-                                                        refine_solves):
+    for (t, beta, sign, value, escape_time), (u0, t_final, _) in zip(
+            refined.history, refine_solves):
         assert t == t_final
         assert np.array_equal(np.frombuffer(u0),
                               base + (beta - point.correction) * mode)
         assert sign in (-1.0, 1.0)
         assert value is None or sign == (1.0 if value > 0.0 else -1.0)
+        assert (escape_time is None) == (value is not None)
     # beta* is the full-probe solve closest to zero, and the bracket reaches
     # the nearest surviving full-probe solve of the other sign.
-    full = [(beta, sign, value) for t, beta, sign, value in refined.history
+    full = [(beta, sign, value) for t, beta, sign, value, _
+            in refined.history
             if t == refined.probe_time and value is not None]
     beta, sign, _ = min(full, key=lambda solve: abs(solve[2]))
     assert beta == refined.beta
@@ -355,8 +357,36 @@ def test_an_escaping_mid_probe_solve_keeps_the_predictor(
     # still brackets the same root.
     assert calls[mid + 1][1] == refined.probe_time
     assert calls[mid + 1][0] == calls[mid][0]
-    assert kept.history[mid][2:] == (1.0, None)
+    assert kept.history[mid][2:] == (1.0, None, calls[mid][1])
     assert abs(kept.beta - refined.beta) <= kept.bracket + refined.bracket
+
+
+def test_the_history_records_each_escaped_solves_escape_time(
+        corrected_run, workspace, monkeypatch):
+    point, refined, _ = corrected_run
+    solves = []
+
+    def low_ceiling_mid(model, starts, **kwargs):
+        # The mid probe runs under a ceiling below the strong norm of its
+        # state, 2.68, so its lane escapes at its first step.
+        if 0.25 * refined.probe_time < kwargs["sample_times"][-1] \
+                < refined.probe_time:
+            kwargs = dict(kwargs, ceiling=2.0)
+        trajectories = evolve_lanes(model, starts, **kwargs)
+        solves.extend(trajectories)
+        return trajectories
+
+    monkeypatch.setattr(reference, "evolve_lanes", low_ceiling_mid)
+    kept = refine_correction(workspace, point, dt=1e-3, probe_time=12.0)
+    assert len(kept.history) == len(solves)
+    assert any(traj.escaped for traj in solves)
+    for (_, _, sign, value, escape_time), traj in zip(kept.history, solves):
+        if traj.escaped:
+            assert value is None and sign == traj.stats["escape_sign"]
+            assert escape_time == traj.stats["escape_time"] > 0.0
+        else:
+            assert value is not None and escape_time is None
+    assert "history" not in kept.payload()
 
 
 def test_the_shooting_counts_are_pinned(refined_bump, corrected_run,
@@ -448,7 +478,7 @@ def test_two_bump_seeds_shoot_in_one_lane_pair_then_lone_iterates(
     assert lanes[0] == 2 and set(lanes[1:]) <= {1} and len(lanes) <= 3
     # beta* has a surviving full-probe neighbour of the other sign within
     # the first pair.
-    full = [(beta, sign) for t, beta, sign, value in refined.history
+    full = [(beta, sign) for t, beta, sign, value, _ in refined.history
             if t == refined.probe_time and value is not None]
     sign = dict(full)[refined.beta]
     assert any(other_sign != sign
@@ -764,6 +794,40 @@ def test_a_sample_time_that_is_not_finite_is_refused_before_any_step(
         evolve_full(model, model.profile, 0.2, sample_times=samples)
 
 
+@pytest.mark.parametrize("ceiling", [0.0, -1.0, math.nan, math.inf])
+def test_a_bad_ceiling_is_refused_before_any_step(model, no_steps, ceiling):
+    samples = np.linspace(0.0, 0.2, 5)
+    with pytest.raises(ValueError, match="ceiling must be a positive finite"):
+        evolve_lanes(model, [model.profile.values], dt=1e-3,
+                     sample_times=samples, ceiling=ceiling)
+    with pytest.raises(ValueError, match="ceiling must be a positive finite"):
+        evolve_full(model, model.profile, 0.2, sample_times=samples,
+                    ceiling=ceiling)
+
+
+@pytest.mark.parametrize("floor", [-1.0, -math.inf, math.nan, math.inf])
+def test_a_bad_collapse_floor_is_refused_before_any_step(model, no_steps,
+                                                         floor):
+    samples = np.linspace(0.0, 0.2, 5)
+    with pytest.raises(ValueError, match="collapse_floor must be a finite"):
+        evolve_lanes(model, [model.profile.values], dt=1e-3,
+                     sample_times=samples, collapse_floor=floor)
+    with pytest.raises(ValueError, match="collapse_floor must be a finite"):
+        evolve_full(model, model.profile, 0.2, sample_times=samples,
+                    collapse_floor=floor)
+
+
+def test_a_collapse_floor_of_zero_is_taken(model):
+    samples = np.linspace(0.0, 0.2, 5)
+    fixed = evolve_lanes(model, [model.profile.values], dt=1e-3,
+                         sample_times=samples, collapse_floor=0.0)[0]
+    adaptive = evolve_full(model, model.profile, 0.2, sample_times=samples,
+                           collapse_floor=0.0)
+    for traj in (fixed, adaptive):
+        assert traj.stats["escape_sign"] == 0
+        assert np.array_equal(traj.times, samples)
+
+
 def test_a_state_past_the_watch_line_that_stays_below_the_ceiling_runs_on(
         model):
     # The pulse's weak norm, 2.45, is past 0.4 of a ceiling of 5, so every
@@ -855,6 +919,111 @@ def test_the_counted_step_kernel_is_bitwise_single_steps(
         if mine.end is not None:
             assert mine.end[0] == theirs.end[0]
             assert np.array_equal(mine.end[1], theirs.end[1])
+
+
+def same_call(mine, theirs):
+    """Whether two step-kernel results are the same: stack bits, blown
+    mask and steps taken."""
+    (uh, blown, taken), (uh_, blown_, taken_) = mine, theirs
+    return (taken == taken_
+            and np.array_equal(uh.view(np.uint64), uh_.view(np.uint64))
+            and (blown is None) == (blown_ is None)
+            and (blown is None or np.array_equal(blown, blown_)))
+
+
+#: An offset along e_u of size 1e-6 to 5e-2, either sign.
+OFFSET = st.tuples(st.sampled_from((-1.0, 1.0)),
+                   st.floats(min_value=-6.0, max_value=math.log10(5e-2)),
+                   ).map(lambda drawn: drawn[0] * 10.0**drawn[1])
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(offsets=st.lists(OFFSET, min_size=1, max_size=3),
+       zero_lane=st.booleans(),
+       dt=st.floats(min_value=2.5e-4, max_value=4e-3),
+       ceiling=st.sampled_from((5.0, 10.0, 1e6)),
+       with_floor=st.booleans(),
+       count=st.integers(min_value=1, max_value=64))
+@example(offsets=[0.0, 3e-2], zero_lane=False, dt=1e-3, ceiling=1e6,
+         with_floor=True, count=20)  # a blow-up beside a survivor
+@example(offsets=[-1e-2], zero_lane=True, dt=1e-3, ceiling=10.0,
+         with_floor=True, count=20)  # a collapse
+@example(offsets=[1e-2, 1e-6], zero_lane=False, dt=1e-3, ceiling=10.0,
+         with_floor=True, count=20)  # through the band's top to the ceiling
+def test_the_step_kernel_stops_where_the_exact_tests_stop(
+        workspace, model, exact_step, offsets, zero_lane, dt, ceiling,
+        with_floor, count):
+    starts = [model.profile.values + offset * workspace.unstable_mode
+              for offset in offsets]
+    if zero_lane:
+        starts.append(np.zeros(model.grid.n))
+    floor = reference.collapse_floor(model) if with_floor else None
+    # Calls of up to count steps to t = 5, in place and with the quiet
+    # band, as a solve makes them; escaped rows leave between calls.
+    stepper = reference._SplitStepper(model.grid)
+    band = reference._quiet_band(ceiling, floor)
+    uh = stepper.spectrum(np.array(starts))
+    steps, calls = round(5.0 / dt), 0
+    while steps and len(uh):
+        theirs = exact_step(model.grid, uh, dt, min(count, steps), band)
+        mine = stepper.step(uh, dt, min(count, steps), out=uh, band=band)
+        assert same_call(mine, theirs), f"call {calls}"
+        uh, steps, calls = mine[0], steps - mine[2], calls + 1
+        signs = stepper.escape_signs(uh, ceiling, floor)
+        if signs is not None:
+            uh = uh[[not sign for sign in signs]]
+
+
+@pytest.mark.parametrize("edge", ["low", "high"])
+def test_the_kernels_bounds_leave_round_off_to_the_exact_tests(
+        grid, exact_step, edge):
+    # A step of 1e-300 damps no mode and moves no value, so a state's sum
+    # of squares gives its weak norm, and that after the step, up to
+    # round-off alone.  With the band's edge at the weak norm after one
+    # step, the exact tests stop there.
+    stepper = reference._SplitStepper(grid)
+    dt = 1e-300
+    for seed in range(16):
+        uh = stepper.spectrum(_nyquist_stack(grid.n, 1, seed=seed))
+        norm = stepper.weak_norm(exact_step(grid, uh, dt)[0][0])
+        band = (norm, 2.0 * norm) if edge == "low" else (-math.inf, norm)
+        theirs = exact_step(grid, uh, dt, 2, band)
+        assert theirs[2] == 1
+        assert same_call(stepper.step(uh, dt, 2, band=band), theirs), seed
+
+
+@pytest.mark.parametrize("reach", [0.35, 0.399, 0.45, 0.5, 0.55])
+def test_the_kernels_bounds_hold_at_a_spike(grid, exact_step, reach):
+    # A state that the half step turns into one spike of height a has
+    # sum(v^2) = a^2, where |v_i| <= sqrt(sum(v^2)) is tight: at dt a = 0.5
+    # its denominator sits on the floor.
+    stepper = reference._SplitStepper(grid)
+    dt = 1e-3
+    spike = np.zeros((1, grid.n))
+    spike[0, grid.n // 2] = reach / dt
+    uh = stepper.spectrum(spike) / np.exp(
+        -0.5 * dt * (grid.wavenumbers**2 + 1.0))
+    band = reference._quiet_band(1e6, None)
+    theirs = exact_step(grid, uh, dt, 2, band)
+    # It blows up in the first step exactly when dt a >= 0.5.
+    assert (theirs[1] is not None and theirs[2] == 1) == (reach >= 0.5)
+    assert same_call(stepper.step(uh, dt, 2, band=band), theirs)
+
+
+@pytest.mark.parametrize("dt", [1e-3, 5e-4, 2.5e-4])
+def test_a_solve_from_the_pulse_drifts_by_the_strang_offset(
+        workspace, model, grid, strang_offset, dt):
+    # The split-step equilibrium sits c dt^2 along e_u from the pulse (see
+    # strang_offset), so the pulse is -c dt^2 e_u off it, and the unstable
+    # mode grows that by exp(growth t) while the equilibrium stays.
+    traj = evolve_lanes(model, [model.profile.values], dt=dt,
+                        sample_times=[0.0, 2.0])[0]
+    assert traj.stats["steps"] == round(2.0 / dt)
+    coefficient = grid.inner_values(traj.u_samples[-1] - model.profile.values,
+                                    workspace.unstable_mode)
+    growth = -workspace.unstable_eigenvalue
+    expected = -strang_offset * dt**2 * math.expm1(growth * 2.0)
+    assert coefficient == pytest.approx(expected, rel=1e-4)
 
 
 @pytest.mark.parametrize("eps", [1e-3, 1e-4])
