@@ -178,9 +178,6 @@ class ExperimentConfig:
             })
         return cls(**sections)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         try:

@@ -540,8 +540,7 @@ def load_trajectory_csv(path: str, grid: PeriodicGrid) -> FullTrajectory:
         f"trajectory file {path!r} has a non-finite value in sample {row}"))
     return FullTrajectory(samples[:, 0].copy(),
                           np.ascontiguousarray(samples[:, 1:]),
-                          {"mode": "loaded", "escape_sign": 0,
-                           "escape_time": None})
+                          {"escape_sign": 0, "escape_time": None})
 
 
 def write_field_csv(path: str, field: GridField) -> None:

@@ -6,21 +6,19 @@ linear part (second derivative minus identity) advanced exactly in Fourier
 space, the pointwise quadratic part advanced exactly by its closed-form
 solution — composed symmetrically for second-order accuracy.  The state
 lives in Fourier space between steps, so a step costs two FFTs (pocketfft
-through scipy's binding, bitwise equal to ``np.fft``), and the error
-estimate and escape checks read its norms by Parseval; it returns to
-physical space only where a sample is recorded.  Within a sample interval
-the step kernel rules escapes out by a bound on one sum of squares per
-state, and runs the exact escape tests only near the escape band's edges.
-There are two entry points, with one step plan (``_whole_steps``):
+through scipy's binding, bitwise equal to ``np.fft``), and the escape
+checks read its norms by Parseval; it returns to physical space only where
+a sample is recorded.  Within a sample interval the step kernel rules
+escapes out by a bound on one sum of squares per state, and runs the exact
+escape tests only near the escape band's edges.
 
-* ``evolve_lanes`` takes fixed steps, so that shooting and comparison runs
-  traverse the identical, bitwise reproducible discrete flow.  Several
-  states run as lanes: the rows of one array, two FFTs per step for all of
-  them, each lane bitwise equal to its own solve and dropped when it
-  escapes.  A solve that did not escape can be continued to a later time,
-  and the continued trajectory equals one solve from t = 0;
-* ``evolve_full`` adapts its step by halving against a Richardson error
-  estimate, the one error-controlled solve.
+The one solver, ``evolve_lanes``, takes fixed steps (``_whole_steps``), so
+that shooting, comparison and witness runs traverse the identical, bitwise
+reproducible discrete flow.  Several states run as lanes: the rows of one
+array, two FFTs per step for all of them, each lane bitwise equal to its
+own solve and dropped when it escapes.  A solve that did not escape can be
+continued to a later time, and the continued trajectory equals one solve
+from t = 0.
 
 On top of the solver:
 
@@ -31,10 +29,12 @@ On top of the solver:
 * ``refine_correction`` shoots for the initial unstable coefficient whose
   discrete trajectory neither blows up nor collapses — the solver-level
   counterpart of the fixed-point correction.  One three-lane solve to a
-  quarter of the probe time gives a quadratic predictor, a safeguarded
-  Newton iteration on lane pairs at the full probe stops at the round-off
-  floor of the root, every solve is cached so none is repeated, and the
-  probe solve of the result is handed on to be continued;
+  quarter of the probe time gives a quadratic predictor, a one-lane solve
+  at 0.7 of the probe time moves it by one Newton step, and at the full
+  probe one lane pair and then lone iterates run a safeguarded Newton
+  iteration to the round-off floor of the root.  Every solve is cached so
+  none is repeated, and the probe solve of the result is handed on to be
+  continued;
 * ``compare_effective`` measures how far the reduced dynamics (fixed-point
   path and chart velocity field) sit from the extracted full solution;
 * ``instability_witnesses`` perturbs the corrected initial state along the
@@ -70,24 +70,19 @@ _DENOM_FLOOR = 0.5
 #: parts in 1e16.
 _SUM_SLACK = 1e-9
 
-#: Hard floor on the adaptive step before the run is declared escaped, and
-#: the smallest fixed step a solve accepts.
+#: The smallest step a solve accepts.
 DT_FLOOR = 1e-12
-
-#: First and largest adaptive step.
-_DT_INIT = 1e-3
-_DT_MAX = 5e-2
 
 
 @dataclass
 class FullTrajectory:
     """Sampled full solve with integrator statistics.
 
-    ``stats`` records steps, rejected steps, the largest accepted per-step
-    error estimate, and — when the run terminated early — the escape time
-    and direction (+1 for blow-up, -1 for collapse toward zero).  ``end``
-    is where a fixed-step solve stopped without escaping: the time and the
-    rfft of the state there, from which ``evolve_lanes`` can continue it.
+    ``stats`` records the steps, the step size and — when the run
+    terminated early — the escape time and direction (+1 for blow-up, -1
+    for collapse toward zero).  ``end`` is where a solve stopped without
+    escaping: the time and the rfft of the state there, from which
+    ``evolve_lanes`` can continue it.
     """
 
     times: np.ndarray
@@ -104,9 +99,9 @@ class FullTrajectory:
         return self.stats.get("escape_sign", 0) != 0
 
     def continues_to(self, sample_times: np.ndarray) -> bool:
-        """Whether a fixed-step solve recorded at ``sample_times`` can
-        continue this one: it stopped without escaping, and its samples are
-        exactly those of the times up to its end."""
+        """Whether a solve recorded at ``sample_times`` can continue this
+        one: it stopped without escaping, and its samples are exactly those
+        of the times up to its end."""
         return self.end is not None and np.array_equal(
             self.times, sample_times[:np.searchsorted(
                 sample_times, self.end[0], side="right")])
@@ -353,7 +348,7 @@ def _checked_escapes(ceiling: float,
     return ceiling, collapse_floor
 
 
-def _checked_samples(sample_times, t_final: float = math.inf) -> np.ndarray:
+def _checked_samples(sample_times) -> np.ndarray:
     sample_times = np.asarray(sample_times, dtype=float)
     if len(sample_times) == 0 or sample_times[0] < 0.0:
         raise ValueError("sample times must be nonnegative and nonempty")
@@ -361,8 +356,6 @@ def _checked_samples(sample_times, t_final: float = math.inf) -> np.ndarray:
         raise ValueError("sample times must be finite")
     if np.any(np.diff(sample_times) <= 0.0):
         raise ValueError("sample times must be strictly increasing")
-    if sample_times[-1] > t_final + 1e-12:
-        raise ValueError("sample times must not exceed the final time")
     return sample_times
 
 
@@ -379,14 +372,13 @@ def _whole_steps(gap: float, dt: float) -> int:
     return max(0, math.ceil(gap / dt - _STEP_SLACK) - 1)
 
 
-def _new_lane(values: np.ndarray, sample_times: np.ndarray, mode: str,
-              tol: float | None, dt: float) -> tuple[list, list, dict]:
+def _new_lane(values: np.ndarray, sample_times: np.ndarray,
+              dt: float) -> tuple[list, list, dict]:
     """Recorded times, recorded states and stats of a solve from values at
     t = 0; a sample at t = 0 is the initial state itself."""
     first = sample_times[0] == 0.0
     return [0.0] if first else [], [values.copy()] if first else [], dict(
-        steps=0, rejected=0, max_error_estimate=0.0, escape_sign=0,
-        escape_time=None, mode=mode, tol=tol, final_dt=dt)
+        steps=0, escape_sign=0, escape_time=None, final_dt=dt)
 
 
 def _end_lane(times: list, states: list, stats: dict, steps: int, sign: int,
@@ -414,18 +406,17 @@ def evolve_lanes(model: PulseModel, starts, *, dt: float,
 
     Each interval up to the next of ``sample_times``, where the states are
     recorded, takes the whole steps of size dt that it holds and then one
-    clamped step that ends on the sample (``_whole_steps``, the step plan
-    of ``evolve_full`` too), so no step has zero length, and none has
-    round-off length unless the interval has.  A lane escapes with
-    direction +1 when its quadratic substep passes through infinity or its
-    strong norm reaches ``ceiling``, and with direction -1 when its weak
-    norm falls to ``collapse_floor`` (when given); it is then dropped from
-    the stack, keeping the samples recorded so far.  A dt that is not a
-    positive finite number of at least ``DT_FLOOR`` (a smaller one plans
-    more steps than a solve can take), sample times that are not finite, a
-    ceiling that is not a positive finite number and a collapse floor that
-    is not a finite number of at least 0 are refused with ``ValueError``
-    before any step.
+    clamped step that ends on the sample (``_whole_steps``), so no step has
+    zero length, and none has round-off length unless the interval has.  A
+    lane escapes with direction +1 when its quadratic substep passes through
+    infinity or its strong norm reaches ``ceiling``, and with direction -1
+    when its weak norm falls to ``collapse_floor`` (when given); it is then
+    dropped from the stack, keeping the samples recorded so far.  A dt that
+    is not a positive finite number of at least ``DT_FLOOR`` (a smaller one
+    plans more steps than a solve can take), sample times that are not
+    finite, a ceiling that is not a positive finite number and a collapse
+    floor that is not a finite number of at least 0 are refused with
+    ``ValueError`` before any step.
     """
     dt = _positive("dt", dt, DT_FLOOR)
     sample_times = _checked_samples(sample_times)
@@ -444,7 +435,7 @@ def evolve_lanes(model: PulseModel, starts, *, dt: float,
         else:
             values = np.asarray(start, dtype=float)
             t0, uh0 = 0.0, stepper.spectrum(values)
-            lanes.append(_new_lane(values, sample_times, "fixed", None, dt))
+            lanes.append(_new_lane(values, sample_times, dt))
         origins.add(t0)
         rows.append(uh0)
     if len(origins) != 1:
@@ -498,91 +489,6 @@ def evolve_lanes(model: PulseModel, starts, *, dt: float,
         lanes[lane] = _end_lane(*lanes[lane], steps, 0, None,
                                 (t, uh[row].copy()))
     return lanes
-
-
-def evolve_full(model: PulseModel, u0: GridField, t_final: float,
-                tol: float = 1e-9, *,
-                sample_times: np.ndarray | None = None,
-                ceiling: float = 10.0,
-                collapse_floor: float | None = None) -> FullTrajectory:
-    """Integrate the gradient flow up to t_final with adaptive steps.
-
-    Each step is taken twice (once whole, twice halved) and accepted when
-    the Richardson estimate of the halved result meets ``tol`` in the weak
-    norm; rejected steps halve the step size and comfortable ones double
-    it, from ``_DT_INIT`` up to ``_DT_MAX``.  Fixed steps, which shooting
-    and comparison runs need so that re-runs traverse the identical discrete
-    flow, are ``evolve_lanes``; a one-state solve is its one-lane call.
-
-    Between steps the state is kept as its rfft (see ``_SplitStepper``):
-    the error estimate and the escape checks read its norms by Parseval,
-    and it returns to physical space only at the recorded samples.
-
-    Samples are recorded exactly at ``sample_times`` (default: 401 uniform
-    times) by the step plan of ``evolve_lanes`` with the current step as dt
-    (see ``_whole_steps``).  A strong norm at or above ``ceiling`` — or a
-    quadratic substep passing through infinity — ends the run with escape
-    direction +1; a weak norm at or below ``collapse_floor`` (when given)
-    ends it with escape direction -1.  The returned trajectory is truncated
-    at the recorded samples in either case.  A tol that is not a positive
-    finite number, sample times that are not finite, and a ceiling or
-    collapse floor that ``evolve_lanes`` refuses are refused with
-    ``ValueError`` before any step.
-    """
-    tol = _positive("tol", tol)
-    if sample_times is None:
-        sample_times = np.linspace(0.0, t_final, 401)
-    sample_times = _checked_samples(sample_times, t_final)
-    ceiling, collapse_floor = _checked_escapes(ceiling, collapse_floor)
-    stepper = _SplitStepper(model.grid)
-    uh = stepper.spectrum(u0.values[None])
-    dt = _DT_INIT
-    times, states, stats = _new_lane(u0.values, sample_times, "adaptive",
-                                     tol, dt)
-    next_sample = len(times)
-    t, steps, sign = 0.0, 0, 0
-    left = None  # time from t to the next sample
-    while next_sample < len(sample_times):
-        target = sample_times[next_sample]
-        left = target - t if left is None else left
-        clamped = _whole_steps(left, dt) == 0
-        dt_step = left if clamped else dt
-
-        uh_big, blown_big = stepper.step(uh, dt_step)[:2]
-        uh_half, blown_half = stepper.step(uh, 0.5 * dt_step)[:2]
-        uh_new, blown_new = (uh_half, blown_half) if blown_half is not None \
-            else stepper.step(uh_half, 0.5 * dt_step)[:2]
-        estimate = np.inf if blown_big is not None or blown_new is not None \
-            else stepper.weak_norm(uh_big[0] - uh_new[0]) / 3.0
-        if not estimate <= tol:
-            stats["rejected"] += 1
-            dt = 0.5 * dt_step
-            if dt < DT_FLOOR:
-                sign = 1
-                break
-            continue
-        stats["max_error_estimate"] = max(stats["max_error_estimate"],
-                                          float(estimate))
-        if estimate < 0.1 * tol and not clamped:
-            dt = min(2.0 * dt, _DT_MAX)
-
-        steps += 1
-        uh = uh_new
-        if clamped:
-            t, left = target, None
-            times.append(t)
-            states.append(stepper.values(uh[0]))
-            next_sample += 1
-        else:
-            t, left = t + dt_step, left - dt_step
-
-        signs = stepper.escape_signs(uh, ceiling, collapse_floor)
-        if signs is not None:
-            sign = signs[0]
-            break
-
-    stats["final_dt"] = dt
-    return _end_lane(times, states, stats, steps, sign, t if sign else None)
 
 
 def extract_modulated(model: PulseModel, traj: FullTrajectory,

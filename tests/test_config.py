@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from adiaflow.config import ExperimentConfig, load_config
 from adiaflow.errors import ConfigError
 from adiaflow.grid import PeriodicGrid
-from adiaflow.harness import build_model
+from adiaflow.harness import build_model, write_json
 from adiaflow.presets import PRESET_NAMES, preset_field
 
 
@@ -89,10 +89,10 @@ def test_values_set_in_code_are_held_to_the_rule_for_files(assignments,
     config = ExperimentConfig()
     for section, key, value in assignments:
         setattr(getattr(config, section), key, value)
-    before = config.to_json()
+    before = config.to_dict()
     with pytest.raises(ConfigError, match=message):
         config.validate()
-    assert config.to_json() == before
+    assert config.to_dict() == before
 
 
 def test_dict_round_trip(cfg):
@@ -100,10 +100,15 @@ def test_dict_round_trip(cfg):
     assert rebuilt == cfg
 
 
-def test_json_round_trip(cfg):
-    text = cfg.to_json()
+def test_json_round_trip(cfg, tmp_path):
+    # The bytes of the pipeline's config.json read back to the same config,
+    # which writes the same bytes again.
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    write_json(str(first), cfg.to_dict())
+    text = first.read_text(encoding="utf-8")
     assert ExperimentConfig.from_json(text) == cfg
-    assert ExperimentConfig.from_json(text).to_json() == text
+    write_json(str(second), ExperimentConfig.from_json(text).to_dict())
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_partial_dicts_fill_in_defaults():
@@ -226,7 +231,7 @@ def test_load_config_defaults_and_overrides():
 
 def test_load_config_from_file(tmp_path, cfg):
     path = tmp_path / "run.json"
-    path.write_text(cfg.to_json(), encoding="utf-8")
+    write_json(str(path), cfg.to_dict())
     assert load_config(str(path)) == cfg
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "missing.json"))

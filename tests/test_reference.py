@@ -20,7 +20,6 @@ from adiaflow.reference import (
     FullTrajectory,
     compare_effective,
     corrected_initial_state,
-    evolve_full,
     evolve_lanes,
     extract_modulated,
     instability_witness,
@@ -61,32 +60,21 @@ def recording_steps(sizes):
 
 
 @pytest.fixture(scope="module")
-def adaptive_steps():
-    """Step sizes, trial steps included, of each adaptive fixture solve."""
-    return {}
-
-
-@pytest.fixture(scope="module")
-def equilibrium_deviation(model, grid, adaptive_steps):
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(reference._SplitStepper, "step", recording_steps(
-            adaptive_steps.setdefault("equilibrium", [])))
-        traj = evolve_full(model, model.profile, 2.0, tol=1e-13,
-                           sample_times=np.linspace(0.0, 2.0, 81))
+def equilibrium_deviation(model, grid):
+    """The weak deviation from the pulse of a solve from the pulse itself,
+    at dt 1e-3 / 16 on 81 samples to t = 2, and that solve."""
+    traj = evolve_lanes(model, [model.profile.values], dt=6.25e-5,
+                        sample_times=np.linspace(0.0, 2.0, 81))[0]
     return grid.weak_norm_values(
         traj.u_samples - model.profile.values[None, :]
-    ), traj.stats
+    ), traj
 
 
 @pytest.fixture(scope="module")
-def uncorrected_run(model, grid, stable_direction, adaptive_steps):
-    u0 = GridField(model.profile.values + 0.01 * stable_direction, grid)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(reference._SplitStepper, "step", recording_steps(
-            adaptive_steps.setdefault("uncorrected", [])))
-        traj = evolve_full(model, u0, 10.0,
-                           sample_times=np.linspace(0.0, 10.0, 51))
-    return traj
+def uncorrected_run(model, stable_direction):
+    u0 = model.profile.values + 0.01 * stable_direction
+    return evolve_lanes(model, [u0], dt=1e-3,
+                        sample_times=np.linspace(0.0, 10.0, 51))[0]
 
 
 def recording_lanes(log, alter=None):
@@ -134,9 +122,10 @@ def corrected_run(workspace, model, grid, stable_direction, refine_solves):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="the split-step flow has its own nearby equilibrium, so the "
-    "deviation floor at machine-tight tolerance sits at ~1.2e-8, above "
-    "this target",
+    reason="at dt 6.25e-5 the deviation floor sits at ~1.2e-8, above this "
+    "target, in two parts: the split-step equilibrium's Strang offset along "
+    "e_u, c dt^2 expm1(2.5) ~ 4.6e-9 at t = 2, and the grid's stationarity "
+    "defect relaxed on the stable range, 1.14e-8 at t = 2",
 )
 def test_equilibrium_persists_at_target_tolerance(equilibrium_deviation):
     dev, _ = equilibrium_deviation
@@ -144,11 +133,31 @@ def test_equilibrium_persists_at_target_tolerance(equilibrium_deviation):
 
 
 def test_equilibrium_persists_at_the_discrete_floor(equilibrium_deviation):
-    dev, stats = equilibrium_deviation
+    dev, traj = equilibrium_deviation
     assert np.max(dev) <= 2.5e-8
     assert dev[20] <= 1e-8  # t = 0.5, before the discrete offset accumulates
-    assert stats["steps"] > 5000
-    assert stats["escape_sign"] == 0
+    assert traj.stats["steps"] > 5000
+    assert traj.stats["escape_sign"] == 0
+
+
+def test_the_equilibrium_floor_is_the_relaxed_stationarity_defect(
+        equilibrium_deviation, model, grid, spectrum):
+    # The grid's pulse is stationary only up to its defect g = E'(phi), and
+    # the flow relaxes g linearly: on the stable range u(t) - phi is
+    # -sum_k (1 - exp(-lambda_k t)) / lambda_k <g, e_k> e_k.  What is left
+    # is the split step's own error, about 4 times smaller per halving of dt.
+    _, traj = equilibrium_deviation
+    lam, basis = spectrum.stable_basis
+    phi = model.profile.values
+    defect = grid.inner_values(model.gradient(model.profile).values, basis.T)
+    t = traj.times[:, None]
+    relaxed = -(1.0 - np.exp(-lam * t)) / lam * defect
+    stable = grid.inner_values((traj.u_samples - phi)[:, None, :], basis.T)
+    # The basis is weak-orthonormal, so the weak norm of a stable field is
+    # the root sum of squares of its coefficients.
+    residual = np.sqrt(np.sum((stable - relaxed)**2, axis=1))
+    assert np.max(residual) <= 5e-10
+    assert np.sqrt(np.sum(relaxed[-1]**2)) == pytest.approx(1.14e-8, rel=0.01)
 
 
 @pytest.mark.xfail(
@@ -539,18 +548,6 @@ def test_corrected_initial_state_formula(corrected_run, workspace):
     assert np.array_equal(shifted.values, expected)
 
 
-def test_step_halving_budget(model, grid, stable_direction):
-    u0 = GridField(model.profile.values + 0.01 * stable_direction, grid)
-    ends = np.array([0.0, 1.0])
-    coarse = evolve_full(model, u0, 1.0, tol=1e-8, sample_times=ends)
-    fine = evolve_full(model, u0, 1.0, tol=5e-9, sample_times=ends)
-    gap = grid.weak_norm_values(coarse.u_samples[-1] - fine.u_samples[-1])
-    est = coarse.stats["max_error_estimate"]
-    assert est <= 1e-8
-    assert gap <= coarse.stats["steps"] * est
-    assert gap <= 1e-6
-
-
 def test_translation_equivariance(model, grid, stable_direction):
     u0 = GridField(model.profile.values + 0.01 * stable_direction, grid)
     shift = 1.3
@@ -774,13 +771,6 @@ def test_the_smallest_fixed_step_is_taken(model):
     assert list(traj.times) == [0.0, 3.5 * floor]
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan])
-def test_a_bad_tolerance_is_refused_before_any_step(model, no_steps, tol):
-    with pytest.raises(ValueError, match="tol must be a positive finite"):
-        evolve_full(model, model.profile, 0.2, tol=tol,
-                    sample_times=np.linspace(0.0, 0.2, 5))
-
-
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 @pytest.mark.parametrize("where", [0, 2, 4])
 def test_a_sample_time_that_is_not_finite_is_refused_before_any_step(
@@ -790,8 +780,6 @@ def test_a_sample_time_that_is_not_finite_is_refused_before_any_step(
     with pytest.raises(ValueError, match="sample times must be finite"):
         evolve_lanes(model, [model.profile.values], dt=1e-3,
                      sample_times=samples)
-    with pytest.raises(ValueError, match="sample times must be finite"):
-        evolve_full(model, model.profile, 0.2, sample_times=samples)
 
 
 @pytest.mark.parametrize("ceiling", [0.0, -1.0, math.nan, math.inf])
@@ -800,9 +788,6 @@ def test_a_bad_ceiling_is_refused_before_any_step(model, no_steps, ceiling):
     with pytest.raises(ValueError, match="ceiling must be a positive finite"):
         evolve_lanes(model, [model.profile.values], dt=1e-3,
                      sample_times=samples, ceiling=ceiling)
-    with pytest.raises(ValueError, match="ceiling must be a positive finite"):
-        evolve_full(model, model.profile, 0.2, sample_times=samples,
-                    ceiling=ceiling)
 
 
 @pytest.mark.parametrize("floor", [-1.0, -math.inf, math.nan, math.inf])
@@ -812,20 +797,14 @@ def test_a_bad_collapse_floor_is_refused_before_any_step(model, no_steps,
     with pytest.raises(ValueError, match="collapse_floor must be a finite"):
         evolve_lanes(model, [model.profile.values], dt=1e-3,
                      sample_times=samples, collapse_floor=floor)
-    with pytest.raises(ValueError, match="collapse_floor must be a finite"):
-        evolve_full(model, model.profile, 0.2, sample_times=samples,
-                    collapse_floor=floor)
 
 
 def test_a_collapse_floor_of_zero_is_taken(model):
     samples = np.linspace(0.0, 0.2, 5)
-    fixed = evolve_lanes(model, [model.profile.values], dt=1e-3,
-                         sample_times=samples, collapse_floor=0.0)[0]
-    adaptive = evolve_full(model, model.profile, 0.2, sample_times=samples,
-                           collapse_floor=0.0)
-    for traj in (fixed, adaptive):
-        assert traj.stats["escape_sign"] == 0
-        assert np.array_equal(traj.times, samples)
+    traj = evolve_lanes(model, [model.profile.values], dt=1e-3,
+                        sample_times=samples, collapse_floor=0.0)[0]
+    assert traj.stats["escape_sign"] == 0
+    assert np.array_equal(traj.times, samples)
 
 
 def test_a_state_past_the_watch_line_that_stays_below_the_ceiling_runs_on(
@@ -833,14 +812,11 @@ def test_a_state_past_the_watch_line_that_stays_below_the_ceiling_runs_on(
     # The pulse's weak norm, 2.45, is past 0.4 of a ceiling of 5, so every
     # step reads its strong norm, 2.68, which stays below the ceiling.
     samples = np.linspace(0.0, 0.2, 5)
-    fixed = evolve_lanes(model, [model.profile.values], dt=1e-3,
-                         sample_times=samples, ceiling=5.0)[0]
-    adaptive = evolve_full(model, model.profile, 0.2, sample_times=samples,
-                           ceiling=5.0)
-    for traj in (fixed, adaptive):
-        assert traj.stats["escape_sign"] == 0
-        assert traj.stats["escape_time"] is None
-        assert np.array_equal(traj.times, samples)
+    traj = evolve_lanes(model, [model.profile.values], dt=1e-3,
+                        sample_times=samples, ceiling=5.0)[0]
+    assert traj.stats["escape_sign"] == 0
+    assert traj.stats["escape_time"] is None
+    assert np.array_equal(traj.times, samples)
 
 
 def test_a_lane_that_blows_up_leaves_the_stack(workspace, model, monkeypatch):
@@ -1330,36 +1306,18 @@ def test_every_interval_takes_its_whole_steps_then_one_clamped_step(
     assert max(sizes) <= dt * (1.0 + 1e-9)
 
 
-def test_adaptive_solves_take_no_step_of_round_off_length(
-        equilibrium_deviation, uncorrected_run, adaptive_steps):
-    # Trial steps included: each is taken whole and as two halves.
-    dev, _ = equilibrium_deviation
-    assert len(dev) == 81 and uncorrected_run.n_samples == 51
-    for sizes in adaptive_steps.values():
-        assert sum(size < 1e-9 for size in sizes) == 0
-
-
 @settings(max_examples=300, deadline=None)
 @given(dt=st.one_of(st.integers(-30, 5).map(lambda k: 1e-3 * 2.0**k),
-                    st.floats(reference.DT_FLOOR, reference._DT_MAX)),
+                    st.floats(reference.DT_FLOOR, 5e-2)),
        steps=st.one_of(
            st.floats(1e-6, 64.0),
            st.floats(1e-200, 1e-9),
-           st.tuples(st.integers(1, 64), st.floats(-1e-7, 1e-7)).map(sum)),
-       factors=st.lists(st.sampled_from((0.5, 1.0, 2.0)), max_size=4))
-@example(dt=1e-3, steps=1.0 + 1.5e-9, factors=[2.0])
-@example(dt=1e-3, steps=5e-10, factors=[])
-def test_the_step_plan_clamps_one_step_onto_each_sample(dt, steps, factors):
+           st.tuples(st.integers(1, 64), st.floats(-1e-7, 1e-7)).map(sum)))
+@example(dt=1e-3, steps=1.0 + 1.5e-9)
+@example(dt=1e-3, steps=5e-10)
+def test_the_step_plan_clamps_one_step_onto_each_sample(dt, steps):
     gap, slack = steps * dt, reference._STEP_SLACK
-    # The adaptive solve takes its current step while the time left holds a
-    # whole one; its controller may halve or double the step after each.
-    left, dt_now, factors = gap, dt, iter(factors)
-    while reference._whole_steps(left, dt_now) != 0:
-        assert left > dt_now
-        left -= dt_now
-        dt_now *= next(factors, 1.0)
-    assert 0.0 < left <= dt_now * (1.0 + 2.0 * slack)
-    # The fixed-step solve counts the whole steps once per interval.
+    # A solve counts the whole steps once per interval.
     rest = gap - reference._whole_steps(gap, dt) * dt
     assert 0.0 < rest <= dt * (1.0 + 2.0 * slack)
 
@@ -1369,12 +1327,11 @@ def test_samples_within_round_off_of_a_step_are_recorded(model):
     # instead of running on.
     values = 1e-3 * model.profile.values
     floor = 0.5 * float(model.grid.weak_norm_values(values))
-    # The first step of 1e-3 leaves 1.5e-12 to the sample, and the
-    # controller then doubles the step.
+    # The whole step of 1e-3 leaves 1.5e-12 to the sample, the clamped step.
     near = 1e-3 * (1.0 + 1.5e-9)
-    traj = evolve_full(model, GridField(values, model.grid), near, tol=1e-6,
-                       sample_times=[0.0, near], collapse_floor=floor)
-    assert traj.stats["final_dt"] == 2e-3
+    traj = evolve_lanes(model, [values], dt=1e-3, sample_times=[0.0, near],
+                        collapse_floor=floor)[0]
+    assert traj.stats["steps"] == 2
     assert not traj.escaped and list(traj.times) == [0.0, near]
     traj = evolve_lanes(model, [values], dt=1e-3, sample_times=[0.0, 5e-13],
                         collapse_floor=floor)[0]
