@@ -8,9 +8,12 @@ solution — composed symmetrically for second-order accuracy.  The state
 lives in Fourier space between steps, so a step costs two FFTs (pocketfft
 through scipy's binding, bitwise equal to ``np.fft``), and the escape
 checks read its norms by Parseval; it returns to physical space only where
-a sample is recorded.  Within a sample interval the step kernel rules
-escapes out by a bound on one sum of squares per state, and runs the exact
-escape tests only near the escape band's edges.
+a sample is recorded.  Inside a sample interval the state is carried
+primed, its rfft times the half-step multiplier and dt, so that the two
+linear half steps between quadratic substeps are one product and the
+substep needs no scaling; the clamped step onto each sample un-primes it.
+The step kernel rules escapes out by a bound on one sum of squares per
+state, and runs the exact escape tests only near the escape band's edges.
 
 The one solver, ``evolve_lanes``, takes fixed steps (``_whole_steps``), so
 that shooting, comparison and witness runs traverse the identical, bitwise
@@ -113,17 +116,30 @@ class FullTrajectory:
 
 
 class _SplitStepper:
-    """Symmetric splitting steps on the rffts of a stack of states.
+    """Strang splitting steps on the rffts of a stack of states.
 
-    The states live in Fourier space between steps, one per row, so a step
-    costs one inverse and one forward FFT for the whole stack: the first
-    linear half step is a product with the half-step multiplier, the
-    quadratic substep runs on the physical values, and the second linear
-    half step is a product again.  Rows never mix, and the FFTs transform
-    each row exactly as they would transform it alone, so every row evolves
-    bitwise as it would in a stack of one.  Norms of a state come from its
-    |rfft|^2 by Parseval, with no FFT.  Half-step multipliers are cached
-    per dt.
+    A Strang step of dt is a linear half step, a product of the rfft with
+    m = exp(-dt (k^2 + 1) / 2); the quadratic substep v / (1 - dt v) on the
+    physical values v; and a second linear half step.  Two adjacent half
+    steps are one exact linear step, the product with m^2.  So inside a
+    sample interval the stack is carried *primed* for its whole-step dt:
+    each row holds z = uh m dt, where uh is the rfft of the state, and
+    irfft(z) is dt times the values after the first half step.  A whole
+    step is then y = irfft(z), y /= 1 - y, z = rfft(y) m^2: one inverse and
+    one forward FFT and three ufuncs for the whole stack.  ``prime`` primes
+    a stack at the start of an interval, and the clamped step onto the
+    sample, a step without a band, un-primes it; samples, ``end`` and the
+    stack between intervals are plain rffts.  So where a step call returns
+    inside an interval changes no bit of z.
+
+    Rows never mix, and the FFTs transform each row exactly as they would
+    transform it alone, so every row evolves bitwise as it would in a stack
+    of one.  Norms of a state come from the interleaved parts of its rfft
+    by Parseval, with no FFT; on a primed stack the weights are divided by
+    (m dt)^2, which reads the norms of uh from z.  The stepper carries one
+    stack at a time: ``prime`` and the clamped step switch the form its
+    norms read.  The multipliers and weights of one whole-step dt are
+    cached; a clamped step computes its own.
 
     ``step`` is the one step kernel: it runs up to a count of steps of one
     dt in one call, with its operands bound once, so a sample interval's
@@ -144,8 +160,8 @@ class _SplitStepper:
     their arguments by position, which is cheaper than by keyword: axes
     ``(-1,)``, for the inverse the output length n, the direction, the
     scale (0 none, 2 by 1/n), the output buffer and one thread; the step's
-    ufuncs take their output buffers by position too.  The half-stepped
-    spectrum, the physical values and the denominators of a step go into
+    ufuncs take their output buffers by position too.  The physical values,
+    the denominators and a clamped step's half-stepped spectrum go into
     buffers kept for the current stack height.
     """
 
@@ -156,16 +172,29 @@ class _SplitStepper:
         self._weak, self._strong = grid.parseval_weights()
         self._spacing = grid.spacing
         self._product = np.empty_like(self._weak)
-        self._cache: dict[float, np.ndarray] = {}
+        self._dt = None
+        # The weights the norms read: plain, or primed for self._dt.
+        self._plain = self._norms = self._weak, self._strong
         self._height = 0
 
-    def _half(self, dt: float) -> np.ndarray:
-        mult = self._cache.get(dt)
-        if mult is None:
-            # Complex, as a product with the rfft would cast it.
-            mult = np.exp(-0.5 * dt * self._rate).astype(complex)
-            self._cache[dt] = mult
-        return mult
+    def _whole(self, dt: float) -> None:
+        """Cache the multipliers and primed weights of whole steps of dt."""
+        if dt == self._dt:
+            return
+        half = np.exp(-0.5 * dt * self._rate)
+        with np.errstate(divide="ignore", over="ignore"):
+            unprime = 1.0 / (half * dt)
+            scale = np.repeat(unprime * unprime, 2)
+        # A mode that a step damps below the floating-point range carries
+        # nothing.
+        unprime[np.isinf(unprime)] = 0.0
+        scale[np.isinf(scale)] = 0.0
+        self._dt = dt
+        # Complex, as a product with the rfft would cast them.
+        self._prime = (half * dt).astype(complex)
+        self._square = np.exp(-dt * self._rate).astype(complex)
+        self._unprime = unprime
+        self._primed = self._weak * scale, self._strong * scale
 
     def _buffers(self, height: int) -> None:
         """Size the step buffers for a stack of ``height`` rows."""
@@ -185,22 +214,37 @@ class _SplitStepper:
         out = np.empty(uh.shape[:-1] + (self.n,))
         return _irfft(uh, (-1,), self.n, False, 2, out, 1)
 
+    def prime(self, uh: np.ndarray, dt: float) -> np.ndarray:
+        """Prime the rfft stack uh in place for whole steps of dt: each row
+        becomes z = uh m dt.  Returns uh."""
+        self._whole(dt)
+        uh *= self._prime
+        self._norms = self._primed
+        return uh
+
     def step(self, uh: np.ndarray, dt: float, count: int = 1,
              out: np.ndarray | None = None,
              band: tuple[float, float] | None = None):
-        """Advance each row of the rfft stack uh by up to ``count`` >= 1
-        steps of dt.
+        """Advance each row of the stack uh by up to ``count`` >= 1 steps
+        of dt.
+
+        With ``band`` = (low, high) the steps are whole steps: uh is primed
+        for dt (``prime``) and stays primed.  Without a band they are
+        clamped steps from the rfft uh, or from uh primed for the cached
+        whole step, which the first of them un-primes, back to an rfft:
+        each is the textbook step, a product with m before the inverse
+        transform and after the forward one.
 
         Returns the advanced rows, the mask of the rows left out because
         their quadratic subflow blows up (None when there are none), and the
         number of steps taken.  The rows are written into ``out`` (uh itself
         to step in place; a new stack when None) unless a row blows up; the
-        steps stop after that step, and, when ``band`` = (low, high) is
-        given, after a step that leaves some row's weak norm, computed as
-        ``weak_norm`` does, outside the open interval.
+        steps stop after that step, and, with a band, after a step that
+        leaves some row's weak norm, computed as ``weak_norm`` does,
+        outside the open interval.
 
         With a band, the exact tests run only near its edges.  Each step
-        reads s = sum(v^2) of each row's half-stepped values v, one dot
+        reads s = sum(y^2) of each row's values y = irfft(z), one dot
         product (see ``_sum_bounds``): s below its upper bound rules out a
         blow-up in this step and an exit past the band's top after it, and
         s above its lower bound shows that the state entering the step is
@@ -213,15 +257,22 @@ class _SplitStepper:
         call returns it.  So the call stops after the step where testing
         every step would, with the same bits.
         """
-        mult = self._half(dt)
         self._buffers(len(uh))
         spectrum, v, denom = self._spectrum, self._values, self._denom
         n = self.n
         if out is None:
             out = np.empty_like(uh)
         exact = True
-        if band is not None:
-            (low, high), weak, product = band, self._weak, self._product
+        if band is None:
+            after = np.exp(-0.5 * dt * self._rate)
+            before = after if self._norms is self._plain else (
+                after * self._unprime)
+            before, after = before.astype(complex), after.astype(complex)
+            self._norms = self._plain
+        else:
+            self._whole(dt)
+            (low, high), weak, product = band, self._primed[0], self._product
+            after = self._square
             rows, physical = list(out.view(np.float64)), list(v)
             s_low, s_high = self._sum_bounds(dt, low, high)
 
@@ -230,8 +281,13 @@ class _SplitStepper:
                     np.multiply(row, weak, product))) < high for row in rows)
         blown = None
         for taken in range(1, count + 1):
-            _irfft(np.multiply(uh, mult, spectrum), (-1,), n, False, 2, v, 1)
-            if band is not None:
+            if band is None:
+                _irfft(np.multiply(uh, before, spectrum), (-1,), n, False, 2,
+                       v, 1)
+                before = after
+                np.subtract(1.0, np.multiply(v, dt, denom), denom)
+            else:
+                _irfft(uh, (-1,), n, False, 2, v, 1)
                 exact = edge = False
                 for row in physical:
                     s = row.dot(row)
@@ -240,14 +296,14 @@ class _SplitStepper:
                 # uh is out from the second step on.
                 if edge and taken > 1 and not inside():
                     return uh, None, taken - 1
-            np.subtract(1.0, np.multiply(v, dt, denom), denom)
+                np.subtract(1.0, v, denom)
             if exact and np.minimum.reduce(denom, None) <= _DENOM_FLOOR:
                 blown = denom.min(axis=1) <= _DENOM_FLOOR
                 v, denom = v[~blown], denom[~blown]
                 out = np.empty((len(v), n // 2 + 1), complex)
             v /= denom
             uh = _rfft(v, (-1,), True, 0, out, 1)
-            uh *= mult
+            uh *= after
             if blown is not None:
                 return uh, blown, taken
             if exact and band is not None and not inside():
@@ -256,43 +312,46 @@ class _SplitStepper:
 
     def _sum_bounds(self, dt: float, low: float,
                     high: float) -> tuple[float, float]:
-        """Bounds (s_low, s_high) on s = sum(v^2), where v are the values of
-        a state u after a linear half step of dt, for a band (low, high)
-        with high > 0.
+        """Bounds (s_low, s_high) on s = sum(y^2), where y = dt v and v are
+        the values of a state u after a linear half step of dt (y = irfft(z)
+        on a stack primed for dt), for a band (low, high) with high > 0.
 
-        The half step damps every mode by exp(-dt (k^2 + 1) / 2) <= 1, so
-        sqrt(h s) <= |u|, the weak norm: s > s_low = low^2 / h shows |u| >
-        low.  Each |v_i| <= sqrt(s), so dt sqrt(s) <= 0.4 keeps every
-        denominator 1 - dt v_i at 0.6 or more, above ``_DENOM_FLOOR``, and
-        the quadratic substep gives |v_i / (1 - dt v_i)| <= |v_i| / (1 - dt
-        sqrt(s)); with the second half step, the state after the step has a
-        weak norm of at most sqrt(h s) / (1 - dt sqrt(s)), which is below
-        high for sqrt(s) < high / (sqrt(h) + high dt).  s < s_high shows
-        both.  Each bound gives up ``_SUM_SLACK`` of itself to round-off.
+        The half step damps every mode by m <= 1, so sqrt(h s) <= dt |u|,
+        with |u| the weak norm: s > s_low = (low dt)^2 / h shows |u| > low.
+        Each |y_i| <= sqrt(s), so sqrt(s) <= 0.4 keeps every denominator
+        1 - y_i at 0.6 or more, above ``_DENOM_FLOOR``, and the quadratic
+        substep gives |y_i / (1 - y_i)| <= |y_i| / (1 - sqrt(s)); with the
+        second half step, the state after the step has a weak norm of at
+        most sqrt(h s) / (dt (1 - sqrt(s))), which is below high for
+        sqrt(s) < high dt / (sqrt(h) + high dt).  s < s_high shows both.
+        Each bound gives up ``_SUM_SLACK`` of itself to round-off.
         """
         h = self._spacing
-        s_low = low * abs(low) / h * (1.0 + _SUM_SLACK)  # -inf: no floor
-        root = min(high / (math.sqrt(h) + high * dt), 0.4 / dt)
+        s_low = low * abs(low) * dt * dt / h * (1.0 + _SUM_SLACK)  # -inf: none
+        root = min(high * dt / (math.sqrt(h) + high * dt), 0.4)
         return s_low, root * root * (1.0 - _SUM_SLACK)
 
     def weak_norm(self, uh: np.ndarray) -> float:
-        """``grid.weak_norm_values`` of the state whose rfft is uh."""
+        """``grid.weak_norm_values`` of the state that the row uh of the
+        stack carried holds: its rfft, or that rfft primed."""
         parts = uh.view(np.float64)
-        return math.sqrt(parts.dot(parts * self._weak))
+        return math.sqrt(parts.dot(parts * self._norms[0]))
 
     def strong_norm(self, uh: np.ndarray) -> float:
-        """``grid.strong_norm_values`` of the state whose rfft is uh."""
+        """``grid.strong_norm_values`` of the state that the row uh of the
+        stack carried holds."""
         parts = uh.view(np.float64)
-        return math.sqrt(parts.dot(parts * self._strong))
+        return math.sqrt(parts.dot(parts * self._norms[1]))
 
     def escape_signs(self, uh: np.ndarray, ceiling: float,
                      collapse_floor: float | None) -> list[int] | None:
-        """For each row of the rfft stack uh: +1 when its state is not
+        """For each row of the stack uh carried: +1 when its state is not
         finite or has reached the ceiling, -1 when its weak norm is at or
         below the collapse floor, else 0; None when every row is 0.
 
-        Each row's weak norm is its own ``weak_norm``; a row's strong norm
-        is read only past the quiet band's top, 0.4 ceiling.
+        Each row's weak norm is its own ``weak_norm``, read on the rfft or,
+        inside a sample interval, on z with the primed weights; a row's
+        strong norm is read only past the quiet band's top, 0.4 ceiling.
         """
         low, watch = _quiet_band(ceiling, collapse_floor)
         signs = None
@@ -452,6 +511,8 @@ def evolve_lanes(model: PulseModel, starts, *, dt: float,
         target = sample_times[next_sample]
         if taken == 0:
             t_begin, whole = t, _whole_steps(target - t, dt)
+            if whole:
+                stepper.prime(uh, dt)
         clamped = taken == whole
         if clamped:
             uh, blown, done = stepper.step(uh, target - t, out=uh)

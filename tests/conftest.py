@@ -36,30 +36,35 @@ def derivative_strong_norm():
 
 @pytest.fixture(scope="session")
 def exact_step():
-    """The split step with the exact escape tests after every step, as an
-    oracle for the step kernel's bounds: ``_SplitStepper.step(uh, dt,
-    count, band=band)`` on a grid, written with ``np.fft``.  Each step tests
-    every denominator against the floor and, with a band, every row's weak
-    norm after the step."""
+    """The whole split step with the exact escape tests after every step,
+    as an oracle for the step kernel's bounds: ``_SplitStepper.step(z, dt,
+    count, band=band)`` on a grid, on a stack z primed for dt (rows uh m
+    dt), written with ``np.fft``.  Each step is y = irfft(z), y / (1 - y),
+    z = rfft(.) m^2; it tests every denominator against the floor and,
+    with a band, every row's weak norm after the step, read on z with the
+    Parseval weights divided by (m dt)^2."""
     from adiaflow.reference import _DENOM_FLOOR
 
-    def step(grid, uh, dt, count=1, band=None):
-        mult = np.exp(-0.5 * dt * (grid.wavenumbers**2 + 1.0)).astype(complex)
-        weak = grid.parseval_weights()[0]
+    def step(grid, z, dt, count=1, band=None):
+        rate = grid.wavenumbers**2 + 1.0
+        half = np.exp(-0.5 * dt * rate)
+        square = np.exp(-dt * rate).astype(complex)
+        weak = grid.parseval_weights()[0] * np.repeat(
+            (1.0 / (half * dt))**2, 2)
         for taken in range(1, count + 1):
-            v = np.fft.irfft(uh * mult, grid.n)
-            denom = 1.0 - v * dt
+            y = np.fft.irfft(z, grid.n)
+            denom = 1.0 - y
             blown = denom.min(axis=1) <= _DENOM_FLOOR
             if blown.any():
-                v, denom = v[~blown], denom[~blown]
-            uh = np.fft.rfft(v / denom) * mult
+                y, denom = y[~blown], denom[~blown]
+            z = np.fft.rfft(y / denom) * square
             if blown.any():
-                return uh, blown, taken
+                return z, blown, taken
             if band is not None and not all(
                     band[0] < np.sqrt(row.dot(row * weak)) < band[1]
-                    for row in uh.view(np.float64)):
-                return uh, None, taken
-        return uh, None, count
+                    for row in z.view(np.float64)):
+                return z, None, taken
+        return z, None, count
     return step
 
 

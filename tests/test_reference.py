@@ -661,6 +661,24 @@ def test_fourier_state_solve_matches_the_physical_split_step(
         assert np.max(gaps / grid.weak_norm_values(states)) <= 1e-11
 
 
+@pytest.mark.parametrize("dt", [0.5, 1.0, 2.0])
+def test_a_step_that_damps_modes_below_the_float_range_reads_them_as_zero(
+        model, grid, dt):
+    # At a step of 0.5 the top modes' (m dt)^2 underflows, at 1 and 2 m dt
+    # itself: the primed weights and the un-priming read them as zero, not
+    # as zero times infinity, and the solve runs on as the textbook one.
+    u0 = GridField(1e-3 * model.profile.values, grid)
+    samples = [0.0, 4.0, 8.0]
+    traj = evolve_lanes(model, [u0.values], dt=dt, sample_times=samples,
+                        collapse_floor=1e-9)[0]
+    times, states, sign, _ = physical_split_solve(model, u0, samples, dt,
+                                                  collapse_floor=1e-9)
+    assert traj.stats["escape_sign"] == sign == 0
+    assert np.array_equal(traj.times, times)
+    gaps = grid.weak_norm_values(traj.u_samples - states)
+    assert np.max(gaps / grid.weak_norm_values(states)) <= 1e-11
+
+
 def _nyquist_stack(n, rows, seed):
     """A (rows, n) stack of smooth states plus Nyquist content."""
     rng = np.random.default_rng(seed)
@@ -684,18 +702,35 @@ def test_the_solver_transforms_are_numpys_fft(n, rows):
     assert np.all(values_hat[:, -1] != 0.0)
     assert np.array_equal(stepper.values(values_hat),
                           np.fft.irfft(values_hat, n))
-    # A step is the split step written with np.fft.
-    dt = 1e-2
-    mult = np.exp(-0.5 * dt * (PeriodicGrid(n).wavenumbers**2 + 1.0))
-    v = np.fft.irfft(values_hat * mult, n)
-    expected = np.fft.rfft(v / (1.0 - dt * v)) * mult
-    stepped, blown, taken = stepper.step(values_hat.copy(), dt)
+    # Priming, a whole step on the primed stack and the clamped step that
+    # un-primes it are the split step written with np.fft.
+    dt, band = 1e-2, reference._quiet_band(10.0, None)
+    rate = PeriodicGrid(n).wavenumbers**2 + 1.0
+    half = np.exp(-0.5 * dt * rate)
+    primed = values_hat * (half * dt).astype(complex)
+    y = np.fft.irfft(primed, n)
+    whole = np.fft.rfft(y / (1.0 - y)) * np.exp(-dt * rate).astype(complex)
+    clamp = 0.5 * dt
+    after = np.exp(-0.5 * clamp * rate)
+    v = np.fft.irfft(whole * (after * (1.0 / (half * dt))).astype(complex), n)
+    clamped = np.fft.rfft(v / (1.0 - clamp * v)) * after.astype(complex)
+
+    def bits(array):
+        return array.view(np.uint64)
+    stack = stepper.prime(values_hat.copy(), dt)
+    assert np.array_equal(bits(stack), bits(primed))
+    stepped, blown, taken = stepper.step(stack, dt, band=band)
     assert blown is None and taken == 1
-    assert np.array_equal(stepped, expected)
+    assert np.array_equal(bits(stepped), bits(whole))
+    stepped, blown, taken = stepper.step(stepped, clamp)
+    assert blown is None and taken == 1
+    assert np.array_equal(bits(stepped), bits(clamped))
     # In place over the stack, as the fixed-step solve steps it.
-    stack = values_hat.copy()
-    stepped, _, _ = stepper.step(stack, dt, out=stack)
-    assert stepped is stack and np.array_equal(stack, expected)
+    stack = stepper.prime(values_hat.copy(), dt)
+    stepped, _, _ = stepper.step(stack, dt, out=stack, band=band)
+    assert stepped is stack and np.array_equal(bits(stack), bits(whole))
+    stepped, _, _ = stepper.step(stack, clamp, out=stack)
+    assert stepped is stack and np.array_equal(bits(stack), bits(clamped))
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3, 4])
@@ -934,11 +969,12 @@ def test_the_step_kernel_stops_where_the_exact_tests_stop(
     if zero_lane:
         starts.append(np.zeros(model.grid.n))
     floor = reference.collapse_floor(model) if with_floor else None
-    # Calls of up to count steps to t = 5, in place and with the quiet
-    # band, as a solve makes them; escaped rows leave between calls.
+    # Calls of up to count steps to t = 5 on the stack primed for dt, in
+    # place and with the quiet band, as a solve makes them; escaped rows
+    # leave between calls.
     stepper = reference._SplitStepper(model.grid)
     band = reference._quiet_band(ceiling, floor)
-    uh = stepper.spectrum(np.array(starts))
+    uh = stepper.prime(stepper.spectrum(np.array(starts)), dt)
     steps, calls = round(5.0 / dt), 0
     while steps and len(uh):
         theirs = exact_step(model.grid, uh, dt, min(count, steps), band)
@@ -953,14 +989,16 @@ def test_the_step_kernel_stops_where_the_exact_tests_stop(
 @pytest.mark.parametrize("edge", ["low", "high"])
 def test_the_kernels_bounds_leave_round_off_to_the_exact_tests(
         grid, exact_step, edge):
-    # A step of 1e-300 damps no mode and moves no value, so a state's sum
-    # of squares gives its weak norm, and that after the step, up to
-    # round-off alone.  With the band's edge at the weak norm after one
-    # step, the exact tests stop there.
+    # A step of 1e-20 damps no mode and moves no value (m and 1 - y round
+    # to 1), so a state's sum of squares gives its weak norm, and that
+    # after the step, up to round-off alone.  With the band's edge at the
+    # weak norm after one step, the exact tests stop there.  A primed sum
+    # of squares scales by dt^2, so a step of 1e-300 would underflow it.
     stepper = reference._SplitStepper(grid)
-    dt = 1e-300
+    dt = 1e-20
     for seed in range(16):
-        uh = stepper.spectrum(_nyquist_stack(grid.n, 1, seed=seed))
+        uh = stepper.prime(
+            stepper.spectrum(_nyquist_stack(grid.n, 1, seed=seed)), dt)
         norm = stepper.weak_norm(exact_step(grid, uh, dt)[0][0])
         band = (norm, 2.0 * norm) if edge == "low" else (-math.inf, norm)
         theirs = exact_step(grid, uh, dt, 2, band)
@@ -970,18 +1008,18 @@ def test_the_kernels_bounds_leave_round_off_to_the_exact_tests(
 
 @pytest.mark.parametrize("reach", [0.35, 0.399, 0.45, 0.5, 0.55])
 def test_the_kernels_bounds_hold_at_a_spike(grid, exact_step, reach):
-    # A state that the half step turns into one spike of height a has
-    # sum(v^2) = a^2, where |v_i| <= sqrt(sum(v^2)) is tight: at dt a = 0.5
-    # its denominator sits on the floor.
+    # A primed state whose values y = irfft(z), dt times the half-stepped
+    # values, are one spike of height reach has sum(y^2) = reach^2, where
+    # |y_i| <= sqrt(sum(y^2)) is tight: at reach 0.5 its denominator sits
+    # on the floor.
     stepper = reference._SplitStepper(grid)
     dt = 1e-3
     spike = np.zeros((1, grid.n))
-    spike[0, grid.n // 2] = reach / dt
-    uh = stepper.spectrum(spike) / np.exp(
-        -0.5 * dt * (grid.wavenumbers**2 + 1.0))
+    spike[0, grid.n // 2] = reach
+    uh = stepper.spectrum(spike)
     band = reference._quiet_band(1e6, None)
     theirs = exact_step(grid, uh, dt, 2, band)
-    # It blows up in the first step exactly when dt a >= 0.5.
+    # It blows up in the first step exactly when reach >= 0.5.
     assert (theirs[1] is not None and theirs[2] == 1) == (reach >= 0.5)
     assert same_call(stepper.step(uh, dt, 2, band=band), theirs)
 

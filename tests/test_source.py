@@ -1,7 +1,8 @@
 """Source hygiene: every name a module imports is used in that module, no
 module imports another module's underscore names, every underscore name
-a module defines at its top level is read in that module, and the command
-line reads no file itself."""
+a module defines at its top level is read in that module, the command
+line reads no file itself, and the solver makes no transform through
+numpy."""
 
 import ast
 from pathlib import Path
@@ -56,6 +57,28 @@ def _unread_private_names(tree: ast.Module) -> list:
                   if name not in read)
 
 
+def _numpy_fft_uses(tree: ast.Module) -> list:
+    """Lines that reach numpy's FFT module: ``np.fft`` or ``numpy.fft`` as
+    an attribute, or an import of it."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            hit = (node.attr == "fft" and isinstance(node.value, ast.Name)
+                   and node.value.id in ("np", "numpy"))
+        elif isinstance(node, ast.ImportFrom):
+            hit = (node.module or "").startswith("numpy.fft") or (
+                node.module == "numpy"
+                and any(alias.name == "fft" for alias in node.names))
+        elif isinstance(node, ast.Import):
+            hit = any(alias.name.startswith("numpy.fft")
+                      for alias in node.names)
+        else:
+            hit = False
+        if hit:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
 def test_the_check_sees_an_unused_import():
     tree = ast.parse("import os\nimport numpy as np\nfrom x import a, b\n"
                      "np.zeros(a)\n")
@@ -77,6 +100,16 @@ def test_the_check_sees_an_unread_private_name():
                      "def public():\n    return _A\n")
     assert _unread_private_names(tree) == [
         (3, "_UNREAD"), (4, "_helper"), (6, "_Box"), (8, "_B")]
+
+
+def test_the_check_sees_a_numpy_fft():
+    tree = ast.parse("import numpy as np\nimport numpy.fft\n"
+                     "from numpy import fft\nfrom numpy.fft import rfft\n"
+                     "from scipy import fft as sfft\n"
+                     "x = np.fft.rfft(np.zeros(4))\n"
+                     "y = sfft.rfft(x)  # np.fft in a comment\n"
+                     "z = 'np.fft.irfft in a string'\n")
+    assert _numpy_fft_uses(tree) == [2, 3, 4, 6]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
@@ -106,3 +139,12 @@ def test_the_command_line_opens_files_only_to_write_them():
              for node in ast.walk(tree) if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Name) and node.func.id == "open"]
     assert modes and set(modes) == {"w"}
+
+
+def test_the_solver_makes_every_transform_through_its_own_binding():
+    """The solver calls no numpy FFT, so patching its ``_rfft`` and
+    ``_irfft`` (as the complex-FFT control in test_grid_convergence.py
+    does) swaps every transform it makes."""
+    path = Path(adiaflow.__file__).parent / "reference.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _numpy_fft_uses(tree) == []
