@@ -370,6 +370,37 @@ def test_an_escaping_mid_probe_solve_keeps_the_predictor(
     assert abs(kept.beta - refined.beta) <= kept.bracket + refined.bracket
 
 
+def test_a_collapsed_short_probe_end_takes_false_position_on_the_survivors(
+        workspace, point_bump, monkeypatch):
+    refined = refine_correction(workspace, point_bump, dt=1e-3,
+                                probe_time=12.0)
+
+    def collapsing_low_end(index, traj):
+        if index == 0:
+            traj.stats["escape_sign"] = -1
+            traj.stats["escape_time"] = float(traj.times[-1])
+
+    calls = []
+    monkeypatch.setattr(reference, "evolve_lanes",
+                        recording_lanes(calls, collapsing_low_end))
+    kept = refine_correction(workspace, point_bump, dt=1e-3, probe_time=12.0)
+    (_, _, sign_lo, value_lo, _), (_, hi, _, value_hi, _), \
+        (t_short, center, _, value_c, _), \
+        (t_mid, predictor, _, value_mid, _) = kept.history[:4]
+    assert (sign_lo, value_lo) == (-1.0, None)
+    # With no quadratic through three solves, the predictor is false
+    # position on the surviving pair of opposite signs, the center and the
+    # high end, and the mid-probe step takes that pair's secant slope,
+    # grown by the unstable mode between the probes.
+    assert predictor == center - value_c * (hi - center) / (value_hi - value_c)
+    slope = (value_hi - value_c) / (hi - center) * np.exp(
+        -workspace.unstable_eigenvalue * (t_mid - t_short))
+    assert kept.history[4][1] == pytest.approx(predictor - value_mid / slope,
+                                               rel=1e-12)
+    assert len(calls) == kept.evaluations == refined.evaluations + 1 == 8
+    assert abs(kept.beta - refined.beta) <= min(kept.bracket, refined.bracket)
+
+
 def test_the_history_records_each_escaped_solves_escape_time(
         corrected_run, workspace, monkeypatch):
     point, refined, _ = corrected_run
@@ -449,6 +480,42 @@ def test_the_zero_seed_shoots_to_the_strang_offset(workspace, spectrum,
     assert point.correction == 0.0
     refined = refine_correction(workspace, point, dt=1e-3)
     assert refined.beta == pytest.approx(strang_offset * 1e-6, rel=1e-4)
+
+
+def test_the_zero_seed_at_a_coarse_step_widens_marches_and_bisects(
+        workspace, spectrum, strang_offset):
+    point = construct_manifold_point(
+        workspace, preset_field("zero", spectrum), delta=0.05, alpha=1.0,
+        fixed_point_tol=1e-10, max_iter=30)
+    refined = refine_correction(workspace, point, dt=2e-2)
+    history = refined.history
+    # beta*(0), c dt^2 = 4.18e-5, lies outside the first short-probe
+    # bracket, +-2e-5, so its ends give one sign and it widens: two more
+    # ends, the center cached.
+    short = [record for record in history if record[0] == history[0][0]]
+    assert len(short) == 5
+    assert short[0][2] == short[1][2]
+    assert short[3][1] == 4.0 * short[0][1] and short[3][2] < 0 < short[4][2]
+    # The first full-probe pair collapses, the march escapes on both sides,
+    # and escape bisection solves between two escaped solves.
+    full = [record for record in history if record[0] == refined.probe_time]
+    assert [record[2:4] for record in full[:2]] == [(-1.0, None)] * 2
+    assert {sign for _, _, sign, value, _ in full if value is None} \
+        == {-1.0, 1.0}
+    assert any(a < beta < b
+               for k, (_, beta, _, _, _) in enumerate(full)
+               for a in [r[1] for r in full[:k] if r[3] is None]
+               for b in [r[1] for r in full[:k] if r[3] is None])
+    # beta* is the surviving full-probe solve closest to zero, and the
+    # bracket reaches the nearest survivor of the other sign.
+    survived = [(beta, sign, value) for _, beta, sign, value, _ in full
+                if value is not None]
+    beta, sign, _ = min(survived, key=lambda solve: abs(solve[2]))
+    assert beta == refined.beta
+    assert refined.bracket == min(abs(other - beta)
+                                  for other, other_sign, _ in survived
+                                  if other_sign != sign)
+    assert refined.beta == pytest.approx(strang_offset * 2e-2**2, rel=1e-2)
 
 
 #: One Gaussian bump of a two-bump seed: sign, centre, width.
