@@ -47,8 +47,8 @@ from .manifold import ManifoldPoint, check_input_field
 from .modulation import decompose_state, solve_modulation
 from .paths import mesh_prefix
 from .presets import PRESET_NAMES, preset_field
-from .reference import compare_effective, corrected_initial_state, \
-    extract_modulated, unstable_coefficient
+from .reference import compare_effective, extract_modulated, \
+    unstable_coefficient
 from .spectral import decompose, verify_operator_lipschitz
 
 
@@ -214,20 +214,17 @@ def _cmd_simulate(args, cfg: ExperimentConfig) -> int:
         runtime = build_runtime(cfg)
         point = _construct(args.init, preset_field(args.init, runtime.spectrum),
                            runtime)
-        initial = point.initial_state if args.no_refine else \
-            corrected_initial_state(runtime.workspace, point, refine_point(
-                cfg, runtime.workspace, point).beta)
-        initial_values, unstable_mode = initial.values, \
-            runtime.workspace.unstable_mode
+        start = point.initial_state.values if args.no_refine else \
+            refine_point(cfg, runtime.workspace, point).trajectory
+        unstable_mode = runtime.workspace.unstable_mode
         sigma0, model = point.sigma0, runtime.model
     else:
-        initial_values, unstable_mode = (
+        start, unstable_mode = (
             point_entry(args.init, payload, key, cfg.model.n_points)
             for key in ("initial_values", "unstable_mode"))
         sigma0 = float(point_entry(args.init, payload, "sigma0"))
         model = build_model(cfg)
-    traj = solve_fixed_step(cfg, model, initial_values,
-                            mesh_prefix(mesh, args.T))
+    traj = solve_fixed_step(cfg, model, start, mesh_prefix(mesh, args.T))
     extracted = extract_modulated(model, traj, sigma_guess=sigma0)
     coefficients = unstable_coefficient(model.grid, unstable_mode, sigma0,
                                         extracted.sigma, extracted.w)

@@ -154,7 +154,10 @@ def solve_fixed_step(cfg: ExperimentConfig, model: PulseModel, start,
     """The configured fixed-step full solve, recorded at the mesh samples
     and ended by the configured ceiling or the witness's collapse floor.
     ``start`` is the initial values, or a configured fixed-step solve (such
-    as the refinement's probe solve) to continue."""
+    as the refinement's probe solve) to continue; one that cannot be
+    continued to the samples is solved again from its t = 0 sample."""
+    if isinstance(start, FullTrajectory) and not start.continues_to(samples):
+        start = start.u_samples[0]
     return evolve_lanes(model, [start], dt=cfg.reference.fixed_dt,
                         sample_times=samples, ceiling=cfg.reference.ceiling,
                         collapse_floor=collapse_floor(model))[0]
@@ -753,10 +756,7 @@ def _pipeline_stages(runtime: Runtime, eta_preset: str, out_dir: str,
     # the same state, step, mesh clamps and escape checks.
     yield "full-solve"
     samples = mesh_prefix(workspace.times, cfg.reference.compare_horizon)
-    probe = refine.trajectory
-    traj = solve_fixed_step(
-        cfg, model, probe if probe is not None and probe.continues_to(samples)
-        else payload["initial_values"], samples)
+    traj = solve_fixed_step(cfg, model, refine.trajectory, samples)
     checks.append(_check(
         "full-solve-complete",
         not traj.escaped and bool(traj.times[-1] == samples[-1]),

@@ -35,8 +35,10 @@ On top of the solver:
   quarter of the probe time gives a quadratic predictor, a one-lane solve
   at 0.7 of the probe time moves it by one Newton step, and at the full
   probe one lane pair and then lone iterates run a safeguarded Newton
-  iteration to the round-off floor of the root.  Every solve is cached so
-  none is repeated, and the probe solve of the result is handed on to be
+  iteration to the round-off floor of the root.  Every lane solve is
+  recorded once, in solve order; that record is the cache that keeps any
+  solve from being repeated, the bracket rule's input and the result's
+  ``history``, and the probe solve of the result is handed on to be
   continued;
 * ``compare_effective`` measures how far the reduced dynamics (fixed-point
   path and chart velocity field) sit from the extracted full solution;
@@ -605,10 +607,12 @@ class RefineResult:
     coefficient opposite signs, so it contains ``beta`` and the root that
     ``beta`` estimates.  ``dt`` is the fixed step of the probe solves.
     ``trajectory`` is the full-probe solve of ``beta``, which a longer
-    fixed-step solve from the same state can continue.  ``history`` holds
-    one record (probe time, coefficient, sign, probe coefficient or None if
-    the solve escaped, escape time or None if it survived) per lane solve,
-    in solve order.  Both are left out of the payload.
+    fixed-step solve from the same state can continue.  ``history`` is
+    shooting's record of its lane solves, one entry (probe time,
+    coefficient, sign, probe coefficient or None if the solve escaped,
+    escape time or None if it survived) per lane solve, in solve order,
+    from which ``beta`` and ``bracket`` are read.  Both are left out of the
+    payload.
     """
 
     beta: float
@@ -617,8 +621,7 @@ class RefineResult:
     bracket: float
     probe_time: float
     dt: float
-    trajectory: FullTrajectory | None = field(default=None, repr=False,
-                                              compare=False)
+    trajectory: FullTrajectory = field(repr=False, compare=False)
     history: tuple[tuple[float, float, float, float | None, float | None],
                    ...] = field(default=(), repr=False)
 
@@ -734,13 +737,16 @@ def refine_correction(workspace: SolutionMapWorkspace, point: ManifoldPoint,
     solved coefficient whose probe coefficient is closest to zero; a probe
     time at which that floor, grown by the unstable mode, reaches the
     ``ceiling`` is refused before any solve, since round-off alone would
-    drive every coefficient there to escape.  Every solve is cached by
-    probe and coefficient, so none is repeated, and every stage draws on
-    the one budget of ``max_evaluations`` lane solves; a solve whose lanes
-    do not all fit in it is not started.  The probe trajectories use the
-    same step size, sample clamping and escape checks as later comparison
-    runs, so the refined value belongs to the exact discrete flow being
-    compared, and such a run can continue the returned ``trajectory``.
+    drive every coefficient there to escape.  Every lane solve is recorded
+    once, by probe and coefficient, in solve order: the record is the cache
+    that keeps any solve from being repeated, the bracket rule reads it,
+    and it is the result's ``history``, from which ``beta`` and ``bracket``
+    are read.  Every stage draws on the one budget of ``max_evaluations``
+    lane solves; a solve whose lanes do not all fit in it is not started.
+    The probe trajectories use the same step size, sample clamping and
+    escape checks as later comparison runs, so the refined value belongs to
+    the exact discrete flow being compared, and such a run can continue the
+    returned ``trajectory``.
     """
     model = workspace.model
     grid = workspace.grid
@@ -753,38 +759,44 @@ def refine_correction(workspace: SolutionMapWorkspace, point: ManifoldPoint,
     short_samples = mesh_prefix(mesh, _SHORT_PROBE_FRACTION * probe_time)
     mid_samples = mesh_prefix(mesh, _MID_PROBE_FRACTION * probe_time)
     floor = collapse_floor(model)
-    base = point.initial_state.values
     mode = workspace.unstable_mode
     growth = -workspace.unstable_eigenvalue
-    xtol = _roundoff_floor(base, growth, dt)
+    xtol = _roundoff_floor(point.initial_state.values, growth, dt)
     if xtol * np.exp(growth * probe_time) >= ceiling:
         raise ConvergenceError(
             f"no coefficient can be refined at the probe time t = "
             f"{probe_time:.6g}: round-off alone grows past the ceiling "
             f"{ceiling:g} there"
         )
-    # (sign, value-or-None) of each solve, keyed by (probe time, beta), in
-    # solve order, and the escape time of each escaped one.
-    solved: dict[tuple[float, float], tuple[float, float | None]] = {}
-    escape_times: dict[tuple[float, float], float] = {}
-    best = None  # (|value|, beta, trajectory) of the full-probe solve
-    #              closest to zero; no other trajectory is kept
+    # Every lane solve, keyed by (probe time, beta), in solve order: its
+    # sign, its probe coefficient (None if it escaped) and its escape time
+    # (None if it survived).
+    solved: dict[tuple[float, float],
+                 tuple[float, float | None, float | None]] = {}
+    best = None  # the probe trajectory of the full-probe solve closest to
+    #              zero; no other trajectory is kept
 
-    def solves_at(samples):
-        return [(beta, end) for (t, beta), end in solved.items()
-                if t == samples[-1]]
+    def ordered(samples):
+        """(beta, sign, value, escape time) of the solves at this probe,
+        by beta."""
+        return sorted((beta, *end) for (t, beta), end in solved.items()
+                      if t == samples[-1])
 
-    def survivors(samples):
-        """(beta, sign) of the solves at this probe that did not escape."""
-        return [(beta, end[0]) for beta, end in solves_at(samples)
-                if end[1] is not None]
+    def closest():
+        """The beta of the surviving full-probe solve closest to zero, and
+        its distances to the surviving full-probe solves of the other
+        sign."""
+        held = [row for row in ordered(full_samples) if row[2] is not None]
+        beta, sign, _, _ = min(held, key=lambda row: (abs(row[2]), row[0]))
+        return beta, [abs(b - beta) for b, s, _, _ in held if s != sign]
 
     def probe(samples, betas, stage):
-        """(sign, value-or-None) of the unstable coefficient at the probe,
-        for each beta; those not solved before are solved as lanes.
+        """(sign, value-or-None, escape time-or-None) of the unstable
+        coefficient at the probe, for each beta; those not solved before
+        are solved as lanes.
 
-        An escaped run gives its escape direction and no value; a zero value
-        counts as negative, so every sign is +1 or -1.
+        An escaped run gives its escape direction and time and no value; a
+        zero value counts as negative, so every sign is +1 or -1.
         """
         nonlocal best
         t = float(samples[-1])
@@ -795,24 +807,25 @@ def refine_correction(workspace: SolutionMapWorkspace, point: ManifoldPoint,
                 f"{max_evaluations} solves during the {stage}"
             )
         trajectories = evolve_lanes(
-            model, [base + (beta - point.correction) * mode for beta in new],
+            model, [corrected_initial_state(workspace, point, beta).values
+                    for beta in new],
             dt=dt, sample_times=samples, ceiling=ceiling, collapse_floor=floor,
         ) if new else []
         for beta, traj in zip(new, trajectories):
             if traj.escaped:
-                solved[(t, beta)] = float(traj.stats["escape_sign"]), None
-                escape_times[(t, beta)] = float(traj.stats["escape_time"])
+                solved[(t, beta)] = (float(traj.stats["escape_sign"]), None,
+                                     float(traj.stats["escape_time"]))
                 continue
             state = GridField(traj.u_samples[-1].copy(), grid)
             sigma, w = decompose_state(model, state, point.sigma0)
             value = float(unstable_coefficient(
                 grid, mode, workspace.sigma0, sigma, w.values
             ))
-            solved[(t, beta)] = (1.0 if value > 0.0 else -1.0), value
-            if t == probe_time and (
-                    best is None or (abs(value), beta) < best[:2]):
-                best = abs(value), beta, traj
-        held = survivors(samples)
+            solved[(t, beta)] = (1.0 if value > 0.0 else -1.0), value, None
+            if t == probe_time and closest()[0] == beta:
+                best = traj
+        held = [(beta, sign) for beta, sign, value, _ in ordered(samples)
+                if value is not None]
         for beta in new:
             if solved[(t, beta)][1] is None and any(
                     b < beta and sign < 0 for b, sign in held) and any(
@@ -829,27 +842,25 @@ def refine_correction(workspace: SolutionMapWorkspace, point: ManifoldPoint,
         it, and that pair as (lo, v_lo, hi, v_hi) once sign bisection has
         narrowed it until both ends survive; the pair is None when the probe
         has none, and then x is returned as it is."""
-        ordered = sorted(solves_at(samples))
-        pairs = [(a, end_a, b, end_b) for (a, end_a), (b, end_b)
-                 in zip(ordered, ordered[1:]) if end_a[0] < 0 < end_b[0]]
-        if not pairs:
-            return x, None
-        lo, end_lo, hi, end_hi = min(pairs, key=lambda pair: pair[2] - pair[0])
-        stage = f"{name} escape bisection"
-        while end_lo[1] is None or end_hi[1] is None:
+        while True:
+            rows = ordered(samples)
+            pairs = [(a, b) for a, b in zip(rows, rows[1:]) if a[1] < 0 < b[1]]
+            if not pairs:
+                return x, None
+            (lo, _, v_lo, _), (hi, _, v_hi, _) = min(
+                pairs, key=lambda pair: pair[1][0] - pair[0][0])
+            if None not in (v_lo, v_hi):
+                break
+            # Its bisected half is the next narrowest pair.
             mid = 0.5 * (lo + hi)
+            stage = f"{name} escape bisection"
             if not lo < mid < hi:
                 raise ConvergenceError(
                     f"no surviving coefficient between {float(lo)!r} and "
                     f"{float(hi)!r} at t = {samples[-1]:.6g}: the {stage} "
                     f"reached adjacent floats"
                 )
-            end_mid, = probe(samples, [mid], stage)
-            if end_mid[0] < 0:
-                lo, end_lo = mid, end_mid
-            else:
-                hi, end_hi = mid, end_mid
-        (_, v_lo), (_, v_hi) = end_lo, end_hi
+            probe(samples, [mid], stage)
         if not lo < x < hi:
             x = lo - v_lo * (hi - lo) / (v_hi - v_lo)
         return x, (lo, v_lo, hi, v_hi)
@@ -892,7 +903,7 @@ def refine_correction(workspace: SolutionMapWorkspace, point: ManifoldPoint,
 
     # Mid probe: one Newton step from the predictor on the grown model.
     start = predictor
-    (_, mid_value), = probe(mid_samples, [predictor], "mid-probe")
+    (_, mid_value, _), = probe(mid_samples, [predictor], "mid-probe")
     if mid_value is not None:
         factor = grown(mid_samples)
         start = predictor + _newton_step(mid_value, slope * factor,
@@ -900,44 +911,35 @@ def refine_correction(workspace: SolutionMapWorkspace, point: ManifoldPoint,
     factor = grown(full_samples)
     full_slope, curvature = slope * factor, curvature * factor
 
-    # Polish: safeguarded Newton at the full probe.
-    def opposite_to_best():
-        """Surviving full-probe solves of the other sign than the one
-        closest to zero."""
-        best_sign = solved[(probe_time, best[1])][0]
-        return [beta for beta, sign in survivors(full_samples)
-                if sign != best_sign]
-
-    # ``stride`` is nonzero while marching from an escaped iterate;
-    # ``measured`` is the last positive finite-difference slope.  On every
-    # seed measured, the roots at shorter probes lay on the fixed-point
-    # value's side of the full-probe root, so the first partner goes the way
-    # the predictor moved from that value.
+    # Polish: safeguarded Newton at the full probe.  ``stride`` is nonzero
+    # while marching from an escaped iterate; ``measured`` is the last
+    # positive finite-difference slope.  On every seed measured, the roots
+    # at shorter probes lay on the fixed-point value's side of the
+    # full-probe root, so the first partner goes the way the predictor
+    # moved from that value.
     x, side, stride = start, (1.0 if predictor >= center else -1.0), 0.0
     measured = math.nan
     for _ in range(max_evaluations):
-        if stride:
-            (sign, value), = probe(full_samples, [x], "full-probe bracketing")
-        elif measured > 0.0 and len(
-                {sign for _, sign in survivors(full_samples)}) == 2:
-            (sign, value), = probe(full_samples, [x], "full-probe polish")
-        else:
-            (sign, value), (_, partner_value) = probe(
-                full_samples, [x, x + side * _FULL_PARTNER],
-                "full-probe polish")
-            if value is not None and partner_value is not None:
-                # On the quadratic model, the secant to the partner is the
-                # slope at x times (1 + curvature * offset).
-                offset = side * _FULL_PARTNER
-                secant = (partner_value - value) / offset \
-                    / (1.0 + curvature * offset)
-                if secant > 0.0:
-                    measured = secant
+        lone = stride or measured > 0.0 and len(
+            {sign for _, sign, value, _ in ordered(full_samples)
+             if value is not None}) == 2
+        (sign, value, _), *partner = probe(
+            full_samples, [x] if lone else [x, x + side * _FULL_PARTNER],
+            "full-probe bracketing" if stride else "full-probe polish")
+        partner_value = partner[0][1] if partner else None
+        if value is not None and partner_value is not None:
+            # On the quadratic model, the secant to the partner is the
+            # slope at x times (1 + curvature * offset).
+            offset = side * _FULL_PARTNER
+            secant = (partner_value - value) / offset \
+                / (1.0 + curvature * offset)
+            if secant > 0.0:
+                measured = secant
         step = math.nan
         if value is not None and not stride:
             step = _newton_step(value, measured if measured > 0.0
                                 else full_slope, curvature)
-            if abs(step) <= xtol and opposite_to_best():
+            if abs(step) <= xtol and closest()[1]:
                 break
         target, _ = bracketed(full_samples, x + step, "full-probe")
         if math.isnan(target):
@@ -954,20 +956,18 @@ def refine_correction(workspace: SolutionMapWorkspace, point: ManifoldPoint,
             f"the full-probe polish did not settle within "
             f"{max_evaluations} rounds"
         )
-    _, beta_star, trajectory = best
-    bracket = min(abs(beta - beta_star) for beta in opposite_to_best())
+    beta_star, widths = closest()
 
     return RefineResult(
         beta=float(beta_star),
         picard_beta=point.correction,
         evaluations=len(solved),
-        bracket=float(bracket),
+        bracket=float(min(widths)),
         probe_time=probe_time,
         dt=float(dt),
-        trajectory=trajectory,
-        history=tuple((t, float(beta), sign, value,
-                       escape_times.get((t, beta)))
-                      for (t, beta), (sign, value) in solved.items()),
+        trajectory=best,
+        history=tuple((t, float(beta), *end)
+                      for (t, beta), end in solved.items()),
     )
 
 
