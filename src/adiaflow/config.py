@@ -15,7 +15,8 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ConfigError
-from .grid import DEFAULT_HALF_LENGTH, DEFAULT_N_POINTS
+from .grid import DEFAULT_HALF_LENGTH, DEFAULT_N_POINTS, PeriodicGrid
+from .model import PulseModel
 from .reference import DT_FLOOR
 
 #: The largest grid a run may ask for.  The runtime holds the dense n x n
@@ -145,6 +146,12 @@ class ExperimentConfig:
         for ok, message in checks:
             if not ok:
                 raise ConfigError(message)
+        try:  # the model refuses a grid too coarse to sample the pulse
+            PulseModel(PeriodicGrid(m.n_points, m.domain_half_length))
+        except ValueError as err:
+            raise ConfigError(
+                f"model.domain_half_length = {m.domain_half_length:g} is too "
+                f"wide for model.n_points = {m.n_points}: {err}") from None
         if mf.delta > mf.delta_max:
             raise ConfigError(
                 f"manifold.delta = {mf.delta:g} exceeds delta_max = "

@@ -49,8 +49,9 @@ class PeriodicGrid:
                  half_length: float = DEFAULT_HALF_LENGTH):
         if n < 16 or n % 2 != 0:
             raise ValueError(f"grid size must be even and >= 16, got {n}")
-        if half_length <= 0:
-            raise ValueError("half_length must be positive")
+        if not 0 < 2.0 * half_length < np.inf:
+            raise ValueError("half_length must be positive, with a finite "
+                             "domain width")
         self.n = int(n)
         self.half_length = float(half_length)
         self.spacing = 2.0 * self.half_length / self.n

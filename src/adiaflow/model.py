@@ -60,13 +60,19 @@ class PulseModel:
         self.delta_ball = float(delta_ball)
 
         x = grid.x
-        sech2 = 1.0 / np.cosh(x / 2.0) ** 2
+        with np.errstate(over="ignore"):  # far tails: sech^2 is 0
+            sech2 = 1.0 / np.cosh(x / 2.0) ** 2
         pulse = 1.5 * sech2
         # phi'(x) = -(3/2) sech^2(x/2) tanh(x/2), evaluated analytically.
         self._pulse_derivative = -1.5 * sech2 * np.tanh(x / 2.0)
 
         # Tangent-frame normalization: unit weak norm for the family tangent.
-        self.xi = 1.0 / float(grid.weak_norm_values(self._pulse_derivative))
+        slope_norm = float(grid.weak_norm_values(self._pulse_derivative))
+        if not slope_norm > 0.0:
+            raise ValueError(f"a grid spacing of {grid.spacing:g} cannot "
+                             f"sample the pulse: its sampled slope has weak "
+                             f"norm {slope_norm:g}")
+        self.xi = 1.0 / slope_norm
         # The frame at sigma = 0: phi, the unit tangent -xi phi', and
         # xi^2 phi'' with phi'' = phi - phi^2 exactly (the profile equation).
         self._frame0 = np.stack([pulse, -self.xi * self._pulse_derivative,

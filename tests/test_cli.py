@@ -547,6 +547,25 @@ def test_a_grid_too_large_for_the_dense_operator_is_refused_before_any_work(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["spectrum"], ["ledger"], ["pipeline"],
+    ["construct", "--eta", "stable-bump"],
+    ["simulate", "--init", "zero", "--no-refine", "--T", "1"],
+], ids=["spectrum", "ledger", "pipeline", "construct", "simulate"])
+def test_a_domain_too_wide_to_sample_the_pulse_is_refused_in_one_line(
+        tmp_path, capsys, argv):
+    # At 512 points the grid spacing is 390.6: every sample of the pulse
+    # slope underflows to zero, so no unit tangent exists.
+    assert main(["--set", "model.domain_half_length=1e5"] + argv
+                + ["--out", str(tmp_path / "out")]) == 2
+    _assert_refused_in_one_line(
+        capsys, "model.domain_half_length = 100000 is too wide for "
+        "model.n_points = 512: a grid spacing of 390.625 cannot sample the "
+        "pulse: its sampled slope has weak norm 0")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["construct", "--eta", "{field}"],
      "seed from '{field}': input strong norm 2.000e-01 exceeds the "
