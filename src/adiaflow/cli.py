@@ -143,10 +143,6 @@ def _cmd_modulate(args, cfg: ExperimentConfig) -> int:
 
 
 def _cmd_construct(args, cfg: ExperimentConfig) -> int:
-    if args.delta is not None:
-        cfg.set_option(f"manifold.delta={args.delta}")
-    if args.alpha is not None:
-        cfg.set_option(f"manifold.alpha={args.alpha}")
     runtime = build_runtime(cfg)
     label, eta = _eta_argument(args.eta, runtime)
     point = _construct(args.eta, eta, runtime)
@@ -339,8 +335,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="fixed point of the solution map")
     p.add_argument("--eta", required=True,
                    help=f"x,value CSV or preset ({', '.join(PRESET_NAMES)})")
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--refine", action="store_true",
                    help="also shoot the correction against the full solver")
     p.add_argument("--out", default="point.json")

@@ -25,15 +25,17 @@ from .reference import DT_FLOOR
 #: peak, 0.94 GB at this size, and eigh's time grows as n^3.
 _MAX_N_POINTS = 4096
 
+#: The largest ball radius delta the contraction certificate covers.
+DELTA_MAX = 0.05
+
 
 @dataclass
 class ModelSection:
-    """Domain geometry and chart/ball radii."""
+    """Domain geometry and chart radius."""
 
     domain_half_length: float = DEFAULT_HALF_LENGTH
     n_points: int = DEFAULT_N_POINTS
     chart_radius: float = 5.0
-    ball_radius: float = 0.5
 
 
 @dataclass
@@ -46,10 +48,10 @@ class SpectralSection:
 
 @dataclass
 class ManifoldSection:
-    """Ball radius, decay weight, Picard controls, and time mesh."""
+    """Ball radius (at most ``DELTA_MAX``), decay weight, Picard controls,
+    and time mesh."""
 
     delta: float = 0.05
-    delta_max: float = 0.05
     alpha: float = 1.0
     fixed_point_tol: float = 1e-10
     max_iterations: int = 30
@@ -62,11 +64,12 @@ class ManifoldSection:
 
 @dataclass
 class ReferenceSection:
-    """Full-solver controls and comparison horizons."""
+    """Full-solver controls, the shooting probe time, and the witness's
+    offset and horizon; the comparison solve is the zero-offset witness
+    solve, so ``witness_horizon`` is its horizon too."""
 
     ceiling: float = 10.0
     fixed_dt: float = 1e-3
-    compare_horizon: float = 20.0
     refine_probe_time: float = 16.0
     witness_offset: float = 1e-3
     witness_horizon: float = 20.0
@@ -120,10 +123,14 @@ class ExperimentConfig:
              f"seven n x n float64 arrays, {56e-9 * m.n_points**2:.3g} GB "
              "at this size"),
             (m.chart_radius > 0, "model.chart_radius must be positive"),
-            (m.ball_radius > 0, "model.ball_radius must be positive"),
             (s.gap_threshold > 0, "spectral.gap_threshold must be positive"),
             (s.zero_tol > 0, "spectral.zero_tol must be positive"),
             (mf.delta > 0, "manifold.delta must be positive"),
+            (mf.delta <= DELTA_MAX,
+             f"manifold.delta = {mf.delta:g} exceeds delta_max = "
+             f"{DELTA_MAX:g}: the contraction certificate only covers balls "
+             "up to delta_max, so larger requests are refused rather than "
+             "run uncertified"),
             (mf.alpha >= 1.0, "manifold.alpha must be at least 1"),
             (mf.fixed_point_tol > 0, "manifold.fixed_point_tol must be positive"),
             (mf.max_iterations >= 1, "manifold.max_iterations must be at least 1"),
@@ -135,13 +142,13 @@ class ExperimentConfig:
             (r.ceiling > 0, "reference.ceiling must be positive"),
             (r.fixed_dt >= DT_FLOOR, "reference.fixed_dt must be at least "
              f"{DT_FLOOR:g}, the solver's smallest step"),
-            (r.witness_offset >= 0, "reference.witness_offset must be nonnegative"),
+            (r.witness_offset > 0, "reference.witness_offset must be positive"),
         ] + [  # a solve horizon below the first mesh step has no sample but 0
             (mf.mesh_dt_fine <= getattr(r, name) <= mf.horizon,
              f"reference.{name} = {getattr(r, name):g} must lie between the "
              f"first mesh step (manifold.mesh_dt_fine = {mf.mesh_dt_fine:g}) "
              f"and the mesh horizon ({mf.horizon:g})")
-            for name in ("compare_horizon", "refine_probe_time", "witness_horizon")
+            for name in ("refine_probe_time", "witness_horizon")
         ]
         for ok, message in checks:
             if not ok:
@@ -152,13 +159,6 @@ class ExperimentConfig:
             raise ConfigError(
                 f"model.domain_half_length = {m.domain_half_length:g} is too "
                 f"wide for model.n_points = {m.n_points}: {err}") from None
-        if mf.delta > mf.delta_max:
-            raise ConfigError(
-                f"manifold.delta = {mf.delta:g} exceeds delta_max = "
-                f"{mf.delta_max:g}: the contraction certificate only covers "
-                "balls up to delta_max, so larger requests are refused "
-                "rather than run uncertified"
-            )
         for name in ("propagator", "operator_probes", "contraction",
                      "lipschitz", "modulation_probes"):
             if getattr(self.seeds, name) < 0:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import functools
 import json
 import os
 from dataclasses import asdict, dataclass, field
@@ -85,7 +84,7 @@ class Runtime:
 def build_model(cfg: ExperimentConfig) -> PulseModel:
     """The configured grid and pulse model (``model.grid`` is the grid)."""
     grid = PeriodicGrid(cfg.model.n_points, cfg.model.domain_half_length)
-    return PulseModel(grid, cfg.model.chart_radius, cfg.model.ball_radius)
+    return PulseModel(grid, cfg.model.chart_radius)
 
 
 def config_mesh(cfg: ExperimentConfig) -> np.ndarray:
@@ -755,7 +754,7 @@ def _pipeline_stages(runtime: Runtime, eta_preset: str, out_dir: str,
     # The comparison solve continues the probe solve of beta*, which has
     # the same state, step, mesh clamps and escape checks.
     yield "full-solve"
-    samples = mesh_prefix(workspace.times, cfg.reference.compare_horizon)
+    samples = mesh_prefix(workspace.times, cfg.reference.witness_horizon)
     traj = solve_fixed_step(cfg, model, refine.trajectory, samples)
     checks.append(_check(
         "full-solve-complete",
@@ -789,43 +788,36 @@ def _pipeline_stages(runtime: Runtime, eta_preset: str, out_dir: str,
     metrics["comparison"] = comparison
     checks.extend(comparison_checks(comparison, degenerate))
 
-    # Instability witness: growth with an offset, quiet without one.
+    # Instability witness: growth with the offset of either sign, quiet
+    # without one.  The comparison solve is the zero-offset witness solve:
+    # same state, step, samples and escape checks.
     yield "witness"
     offset = cfg.reference.witness_offset
     rate_target = -workspace.unstable_eigenvalue
     witness_metrics = {}
-    witnesses = functools.partial(
-        instability_witnesses, workspace, point, refine.beta, delta=delta,
+    reports = instability_witnesses(
+        workspace, point, refine.beta, [offset, -offset], delta=delta,
         alpha=alpha, dt=cfg.reference.fixed_dt,
         t_max=cfg.reference.witness_horizon, ceiling=cfg.reference.ceiling,
     )
-    if offset > 0.0:
-        reports = witnesses([offset, -offset])
-        for sign, label, report in zip((1, -1), ("plus", "minus"), reports):
-            witness_metrics[label] = {
-                "rate": report.rate,
-                "escape_sign": report.escape_sign,
-                "escape_time": report.escape_time,
-                "max_coefficient": report.max_coefficient,
-            }
-            rate_ok = (report.rate is not None
-                       and abs(report.rate - rate_target) <= GROWTH_RATE_TOL)
-            checks.append(_check(
-                f"instability-growth-{label}",
-                rate_ok and report.escape_sign == sign, report.rate,
-                f"rate within {GROWTH_RATE_TOL} of {rate_target:.6f}; "
-                f"escape sign {sign:+d}",
-                **witness_metrics[label],
-            ))
-    if np.array_equal(
-        mesh_prefix(workspace.times, cfg.reference.witness_horizon), samples
-    ):
-        # The comparison solve is the zero-offset witness solve: same state,
-        # step, samples and escape checks.
-        quiet = witness_report(traj, extracted, coefficients, 0.0,
-                               delta=delta, alpha=alpha)
-    else:
-        quiet, = witnesses([0.0])
+    for sign, label, report in zip((1, -1), ("plus", "minus"), reports):
+        witness_metrics[label] = {
+            "rate": report.rate,
+            "escape_sign": report.escape_sign,
+            "escape_time": report.escape_time,
+            "max_coefficient": report.max_coefficient,
+        }
+        rate_ok = (report.rate is not None
+                   and abs(report.rate - rate_target) <= GROWTH_RATE_TOL)
+        checks.append(_check(
+            f"instability-growth-{label}",
+            rate_ok and report.escape_sign == sign, report.rate,
+            f"rate within {GROWTH_RATE_TOL} of {rate_target:.6f}; "
+            f"escape sign {sign:+d}",
+            **witness_metrics[label],
+        ))
+    quiet = witness_report(traj, extracted, coefficients, 0.0,
+                           delta=delta, alpha=alpha)
     witness_metrics["zero"] = {
         "rate": quiet.rate,
         "escape_sign": quiet.escape_sign,

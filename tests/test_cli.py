@@ -31,7 +31,8 @@ def test_malformed_override_is_a_configuration_error(capsys):
 
 
 def test_oversized_delta_aborts_before_any_work(capsys):
-    rc = main(["construct", "--eta", "stable-bump", "--delta", "0.1"])
+    rc = main(["--set", "manifold.delta=0.1",
+               "construct", "--eta", "stable-bump"])
     assert rc == 2
     assert "delta_max" in capsys.readouterr().err
 
@@ -227,11 +228,11 @@ def test_a_typed_error_in_a_stage_is_a_failed_check_of_that_stage(
 
 
 def test_a_horizon_below_the_first_mesh_step_is_refused_in_one_line(capsys):
-    assert main(["--set", "reference.compare_horizon=0.01", "pipeline"]) == 2
+    assert main(["--set", "reference.witness_horizon=0.01", "pipeline"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "configuration error: reference.compare_horizon = 0.01 must lie "
+        "configuration error: reference.witness_horizon = 0.01 must lie "
         "between the first mesh step (manifold.mesh_dt_fine = 0.02) and the "
         "mesh horizon (30)\n")
 
@@ -250,9 +251,7 @@ def test_a_solve_that_stops_short_fails_full_solve_complete(
 
     monkeypatch.setattr(harness, "solve_fixed_step", short)
     run_dir = tmp_path / "run"
-    assert main(["--set", "reference.compare_horizon=2",
-                 "--set", "reference.witness_horizon=2",
-                 "--set", "reference.witness_offset=0",
+    assert main(["--set", "reference.witness_horizon=2",
                  "pipeline", "--out", str(run_dir)]) == 1
     assert ("FAIL full-solve-complete: 1.98 (reaches t = 2)"
             in capsys.readouterr().out)
@@ -421,6 +420,9 @@ def test_a_field_file_with_a_non_finite_value_is_refused_in_one_line(
 @pytest.mark.parametrize("command, key", [
     ("simulate", "initial_values"),
     ("compare", "eta_values"),
+    # a manifold section written while delta_max was a configuration key
+    ("simulate", "delta_max"),
+    ("compare", "delta_max"),
 ])
 def test_a_point_file_with_a_non_finite_entry_is_refused_before_any_work(
         tmp_path, capsys, monkeypatch, cfg, command, key):
@@ -429,11 +431,19 @@ def test_a_point_file_with_a_non_finite_entry_is_refused_before_any_work(
     values = [0.0] * cfg.model.n_points
     values[5] = float("nan")
     point = tmp_path / "point.json"
-    point.write_text(json.dumps({
+    payload = {
         "manifold": cfg.to_dict()["manifold"], "sigma0": 0.0,
         "initial_values": [0.0] * cfg.model.n_points,
-        "unstable_mode": [0.0] * cfg.model.n_points, key: values,
-    }), encoding="utf-8")
+        "unstable_mode": [0.0] * cfg.model.n_points,
+    }
+    if key == "delta_max":
+        payload["manifold"][key] = 0.05
+        message = "section 'manifold' has no key 'delta_max'"
+    else:
+        payload[key] = values
+        message = (f"point file {str(point)!r} entry {key!r} has non-finite "
+                   f"values")
+    point.write_text(json.dumps(payload), encoding="utf-8")
     traj = tmp_path / "traj.csv"
     traj.write_text(_trajectory_text([0.0], cfg.model.n_points),
                     encoding="utf-8")
@@ -445,9 +455,7 @@ def test_a_point_file_with_a_non_finite_entry_is_refused_before_any_work(
             if command == "simulate" else
             ["compare", "--point", str(point), "--traj", str(traj)])
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
-    _assert_refused_in_one_line(
-        capsys, f"point file {str(point)!r} entry {key!r} has non-finite "
-                f"values")
+    _assert_refused_in_one_line(capsys, message)
 
 
 def test_a_point_file_with_a_list_for_sigma0_is_refused_before_any_work(
@@ -505,14 +513,13 @@ def test_a_fixed_step_below_the_solver_floor_is_refused_before_any_work(
     (["--set", "manifold.horizon=inf", "simulate", "--init", "zero",
       "--no-refine", "--T", "1"],
      "manifold.horizon must be a finite number, got inf"),
-    (["--set", "manifold.delta_max=nan", "--set", "manifold.delta=0.5",
-      "construct", "--eta", "stable-bump"],
-     "manifold.delta_max must be a finite number, got nan"),
+    (["--set", "manifold.delta=nan", "construct", "--eta", "stable-bump"],
+     "manifold.delta must be a finite number, got nan"),
     (["--config", "{n_points}", "spectrum"],
      "model.n_points must be an integer, got 1024.7"),
     (["--config", "{ceiling}", "ledger"],
      "reference.ceiling must be a finite number, got inf"),
-], ids=["horizon-inf", "delta-max-nan", "file-n-points", "file-ceiling"])
+], ids=["horizon-inf", "delta-nan", "file-n-points", "file-ceiling"])
 def test_a_non_finite_or_non_integral_entry_is_refused_before_any_work(
         tmp_path, capsys, monkeypatch, argv, message):
     from adiaflow import cli

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from adiaflow.config import ExperimentConfig, load_config
+from adiaflow.config import DELTA_MAX, ExperimentConfig, load_config
 from adiaflow.errors import ConfigError
 from adiaflow.grid import PeriodicGrid
 from adiaflow.harness import build_model, write_json
@@ -20,7 +20,7 @@ def test_defaults_are_complete_and_valid(cfg):
     assert cfg.model.n_points == 512
     assert cfg.model.domain_half_length == 20.0
     assert cfg.manifold.delta == 0.05
-    assert cfg.manifold.delta_max == 0.05
+    assert DELTA_MAX == 0.05
     assert cfg.manifold.alpha == 1.0
     assert cfg.manifold.horizon == 30.0
     assert cfg.reference.fixed_dt == 1e-3
@@ -32,14 +32,14 @@ def test_defaults_are_complete_and_valid(cfg):
     "manifold.alpha=0.5",       # weight exponent below 1
     "model.n_points=17",        # odd grid size
     "manifold.mesh_ratio=1.0",  # geometric mesh must grow
-    "reference.compare_horizon=99.0",  # beyond the mesh horizon
+    "reference.witness_horizon=99.0",  # beyond the mesh horizon
     # below the first mesh step (manifold.mesh_dt_fine = 0.02)
-    "reference.compare_horizon=0.01",
     "reference.witness_horizon=0.01",
     "reference.refine_probe_time=0.01",
     # below the solver's smallest step, 1e-12
     "reference.fixed_dt=1e-320",
     "reference.fixed_dt=5e-13",
+    "reference.witness_offset=0",  # no offset leaves no growth to witness
 ])
 def test_validation_rejects_bad_values(assignment):
     config = ExperimentConfig()
@@ -73,16 +73,16 @@ def test_oversized_ball_names_the_certified_limit():
 
 
 @pytest.mark.parametrize("assignments, message", [
-    # delta > nan is false, so the delta_max check alone would pass these
-    ([("manifold", "delta", 0.5), ("manifold", "delta_max", float("nan"))],
-     "manifold.delta_max must be a finite number"),
+    # nan fails every comparison; the refusal names the finite rule
+    ([("manifold", "delta", float("nan"))],
+     "manifold.delta must be a finite number"),
     ([("seeds", "contraction", float("nan"))],
      "seeds.contraction must be a finite number"),
     ([("reference", "ceiling", float("inf"))],
      "reference.ceiling must be a finite number"),
     ([("reference", "witness_offset", float("inf"))],
      "reference.witness_offset must be a finite number"),
-], ids=["delta_max-nan", "contraction-nan", "ceiling-inf",
+], ids=["delta-nan", "contraction-nan", "ceiling-inf",
         "witness_offset-inf"])
 def test_values_set_in_code_are_held_to_the_rule_for_files(assignments,
                                                             message):
@@ -127,7 +127,7 @@ def test_partial_dicts_fill_in_defaults():
     {"model": {"n_points": 1024.7}},
     {"seeds": {"contraction": 5.9}},
     {"manifold": {"horizon": float("inf")}},
-    {"manifold": {"delta_max": float("nan")}},
+    {"manifold": {"delta": float("nan")}},
     {"reference": {"ceiling": 10**400}},
 ])
 def test_malformed_dicts_are_rejected(data):
@@ -164,7 +164,8 @@ def test_set_option_applies_in_place():
     "model.n_points=1024.7",
     "seeds.contraction=5.9",
     "manifold.horizon=inf",
-    "manifold.delta_max=nan",
+    "manifold.delta=nan",
+    "manifold.delta_max=nan",  # a key no longer in the configuration
     "reference.ceiling=Infinity",
     "model.n_points=True",
 ])
@@ -187,7 +188,7 @@ ENTRIES = [(section.name, item.name)
 @example(entry=("model", "n_points"), value=1e3)
 @example(entry=("seeds", "contraction"), value=5.9)
 @example(entry=("manifold", "horizon"), value=float("inf"))
-@example(entry=("manifold", "delta_max"), value=float("nan"))
+@example(entry=("manifold", "delta"), value=float("nan"))
 @example(entry=("reference", "ceiling"), value=10**400)
 def test_a_file_entry_and_the_same_override_agree(entry, value):
     """A value in a configuration file and the same value given to
