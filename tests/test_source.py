@@ -1,8 +1,8 @@
 """Source hygiene: every name a module imports is used in that module, no
 module imports another module's underscore names, every underscore name
 a module defines at its top level is read in that module, the command
-line reads no file itself, and the solver makes no transform through
-numpy."""
+line reads no file itself, the solver makes no transform through numpy,
+and the CI workflow runs the tier-1 command the ROADMAP names."""
 
 import ast
 from pathlib import Path
@@ -12,6 +12,7 @@ import pytest
 import adiaflow
 
 MODULES = sorted(Path(adiaflow.__file__).parent.glob("*.py"))
+REPO = Path(__file__).resolve().parent.parent
 
 
 def _unused_imports(tree: ast.Module) -> list:
@@ -148,3 +149,16 @@ def test_the_solver_makes_every_transform_through_its_own_binding():
     path = Path(adiaflow.__file__).parent / "reference.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _numpy_fft_uses(tree) == []
+
+
+def test_the_ci_workflow_runs_the_roadmap_tier1_command():
+    """Read as plain text: CI installs no YAML parser."""
+    roadmap = (REPO / "ROADMAP.md").read_text(encoding="utf-8")
+    verify = [line.removeprefix("**Tier-1 verify:** ").strip("`")
+              for line in roadmap.splitlines()
+              if line.startswith("**Tier-1 verify:** ")]
+    workflow = (REPO / ".github" / "workflows" / "tier1.yml").read_text(
+        encoding="utf-8").splitlines()
+    step = workflow.index("      - name: Tier-1 tests")
+    assert len(verify) == 1
+    assert workflow[step + 1] == f"        run: {verify[0]}"
