@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
 #: The default grid, owned here: ``PeriodicGrid()`` and the configuration's
 #: ``model`` section both take it.  The pulse spectrum is down to about
@@ -176,7 +176,10 @@ class PeriodicGrid:
             e0[0] = 1.0
             col = self.second_derivative_values(e0)
             col = 0.5 * (col + col[(self.n - np.arange(self.n)) % self.n])
-            self._dense_cache["d2"] = scipy.linalg.circulant(col)
+            # The circulant as a copy of a strided window view, as
+            # scipy.linalg.circulant builds it: row i is col rolled by i.
+            self._dense_cache["d2"] = sliding_window_view(
+                np.concatenate((col[::-1], col[:0:-1])), self.n)[::-1].copy()
         return self._dense_cache["d2"]
 
 

@@ -613,8 +613,12 @@ def read_point(path: str, cfg: ExperimentConfig) -> dict:
     constructed with replaces the configured one in ``cfg``."""
     with _input_file(path, "point"), open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
-        cfg.manifold = ExperimentConfig.from_dict(
-            {"manifold": payload["manifold"]}).manifold
+        try:
+            cfg.manifold = ExperimentConfig.from_dict(
+                {"manifold": payload["manifold"]}).manifold
+        except ConfigError as err:
+            raise ConfigError(
+                f"point file {path!r} entry 'manifold': {err}") from err
     cfg.validate()
     return payload
 

@@ -28,12 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import BallViolationError, ConvergenceError
 from .grid import GridField, smooth_noise
 from .modulation import frame_coefficient
-from .paths import TrajectoryPath, path_distance, time_mesh, time_weight
+from .paths import (TrajectoryPath, cumulative_trapezoid, path_distance,
+                    time_mesh, time_weight)
 from .spectral import SpectralData, project_stable, propagate_stable_batch
 
 #: Input fields must be orthogonal to the tangent and unstable directions to
@@ -146,7 +146,7 @@ class SolutionMapWorkspace:
                                        second_trial)
         del second_trial
         speed = modulation * self.model.xi
-        sigma_out = self.sigma0 + cumulative_trapezoid(speed, times, initial=0.0)
+        sigma_out = self.sigma0 + cumulative_trapezoid(speed, times)
 
         # Sources: quadratic remainder, chart-velocity term, and the potential
         # difference between the moving frame and the frozen base point.
@@ -413,7 +413,7 @@ def random_admissible_path(workspace: SolutionMapWorkspace, *, delta: float,
     speed = _PATH_MARGIN * speed_constant * delta * envelope * (
         base + wobble * np.cos(omega * times + phase)
     ) / max(abs(base) + wobble, 1.0)
-    sigma = workspace.sigma0 + cumulative_trapezoid(speed, times, initial=0.0)
+    sigma = workspace.sigma0 + cumulative_trapezoid(speed, times)
 
     path = TrajectoryPath(times=times.copy(), sigma=sigma, w=w, grid=grid)
     path.check_admissible(delta, alpha, speed_constant)

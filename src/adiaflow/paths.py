@@ -58,6 +58,17 @@ def time_weight(t: np.ndarray, alpha: float) -> np.ndarray:
     return (1.0 + np.asarray(t, dtype=float) ** 2) ** (alpha / 2.0)
 
 
+def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of y over x, starting at 0.
+
+    The operations are ``scipy.integrate.cumulative_trapezoid(y, x,
+    initial=0)``'s, in its order, so the bits are its bits; the chart
+    positions written to ``point.json`` depend on them.  ``path_distance``
+    keeps its own running integral, which multiplies in another order.
+    """
+    return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
+
+
 @dataclass
 class TrajectoryPath:
     """A sampled path (sigma(t), w(t)) on a shared time mesh.

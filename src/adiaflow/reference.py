@@ -6,9 +6,10 @@ linear part (second derivative minus identity) advanced exactly in Fourier
 space, the pointwise quadratic part advanced exactly by its closed-form
 solution — composed symmetrically for second-order accuracy.  The state
 lives in Fourier space between steps, so a step costs two FFTs (pocketfft
-through scipy's binding, bitwise equal to ``np.fft``), and the escape
-checks read its norms by Parseval; it returns to physical space only where
-a sample is recorded.  Inside a sample interval the state is carried
+through scipy's binding, bitwise equal to ``np.fft``; the binding's
+extension module is loaded from its file, so no ``scipy.fft`` package is
+imported), and the escape checks read its norms by Parseval; it returns to
+physical space only where a sample is recorded.  Inside a sample interval the state is carried
 primed, its rfft times the half-step multiplier and dt, so that the two
 linear half steps between quadratic substeps are one product and the
 substep needs no scaling; the clamped step onto each sample un-primes it.
@@ -50,13 +51,15 @@ On top of the solver:
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from itertools import compress
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.fft._pocketfft.pypocketfft import c2r as _irfft
-from scipy.fft._pocketfft.pypocketfft import r2c as _rfft
+import scipy
 
 from .errors import ConvergenceError
 from .grid import GridField, PeriodicGrid
@@ -64,6 +67,23 @@ from .manifold import ManifoldPoint, SolutionMapWorkspace
 from .model import PulseModel
 from .modulation import decompose_state, decompose_states, frame_coefficient
 from .paths import TrajectoryPath, mesh_prefix, time_weight
+
+
+def _pocketfft_transforms():
+    """``r2c`` and ``c2r`` of scipy's pocketfft extension module, loaded from
+    its file in scipy's directory.  Importing it by its package path would
+    run the ``scipy.fft`` package, which imports ``scipy.special`` and more
+    that the solver never calls."""
+    where = os.path.join(os.path.dirname(scipy.__file__), "fft", "_pocketfft")
+    spec = importlib.machinery.PathFinder.find_spec("pypocketfft", [where])
+    if spec is None:
+        raise ImportError(f"no pocketfft extension module in {where}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.r2c, module.c2r
+
+
+_rfft, _irfft = _pocketfft_transforms()
 
 #: Smallest acceptable nonlinear-substep denominator; below this the step is
 #: considered to have crossed a blow-up.
@@ -156,7 +176,9 @@ class _SplitStepper:
     The transforms call scipy's own binding of pocketfft (``r2c`` and
     ``c2r``), the C++ code that ``np.fft.rfft`` and ``np.fft.irfft`` run
     too, with the scales those apply (none forward, 1/n inverse), so they
-    give the same bits.  At the solver's sizes a numpy FFT call spends a
+    give the same bits.  The binding is loaded from its extension file
+    alone (``_pocketfft_transforms``): the ``scipy.fft`` package around it
+    would add about 27 MB and 190 ms to every process's start.  At the solver's sizes a numpy FFT call spends a
     good part of its time in fixed per-call costs that this binding, with
     its cached plans, does not have; a step makes two calls.  They take
     their arguments by position, which is cheaper than by keyword: axes

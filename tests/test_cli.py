@@ -438,7 +438,8 @@ def test_a_point_file_with_a_non_finite_entry_is_refused_before_any_work(
     }
     if key == "delta_max":
         payload["manifold"][key] = 0.05
-        message = "section 'manifold' has no key 'delta_max'"
+        message = (f"point file {str(point)!r} entry 'manifold': section "
+                   f"'manifold' has no key 'delta_max'")
     else:
         payload[key] = values
         message = (f"point file {str(point)!r} entry {key!r} has non-finite "

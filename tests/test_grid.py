@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -190,6 +191,17 @@ def test_dense_second_derivative_symmetric_cached_consistent(grid):
     assert grid.dense_second_derivative() is matrix
     v = _smooth_noise(grid, 4)
     assert np.max(np.abs(matrix @ v - grid.second_derivative_values(v))) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [16, 512, 1024])
+def test_dense_second_derivative_is_bitwise_scipys_circulant(n):
+    grid = PeriodicGrid(n)
+    e0 = np.zeros(n)
+    e0[0] = 1.0
+    col = grid.second_derivative_values(e0)
+    col = 0.5 * (col + col[(n - np.arange(n)) % n])
+    assert np.array_equal(grid.dense_second_derivative(),
+                          scipy.linalg.circulant(col))
 
 
 def test_grid_validation():

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adiaflow.errors import AdmissibilityError
 from adiaflow.paths import (
     TrajectoryPath,
+    cumulative_trapezoid,
     mesh_prefix,
     path_distance,
     time_mesh,
@@ -71,6 +73,32 @@ def test_time_weight_closed_form():
     assert np.allclose(time_weight(t, 1.0), np.sqrt(1.0 + t**2), rtol=1e-14)
     assert np.allclose(time_weight(t, 2.0), 1.0 + t**2, rtol=1e-14)
     assert np.allclose(time_weight(t, 0.0), 1.0, rtol=1e-14)
+
+
+@pytest.mark.parametrize("dt_fine", [0.02, 0.01], ids=["default", "fine"])
+def test_cumulative_trapezoid_is_bitwise_scipys(dt_fine):
+    """The 276-sample default mesh and criterion 09's 487-sample mesh, with
+    a chart speed like the construction's."""
+    times = time_mesh(dt_fine)
+    speed = 0.04 * time_weight(times, -1.0) * np.cos(0.1 * times + 0.3)
+    ours = cumulative_trapezoid(speed, times)
+    assert np.array_equal(
+        ours, scipy.integrate.cumulative_trapezoid(speed, times, initial=0))
+    assert ours[0] == 0.0
+
+
+@settings(max_examples=50, deadline=None)
+@given(steps=st.lists(st.floats(min_value=1e-4, max_value=3.0),
+                      min_size=1, max_size=300),
+       start=st.floats(min_value=-10.0, max_value=10.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_cumulative_trapezoid_is_bitwise_scipys_on_any_increasing_mesh(
+        steps, start, seed):
+    x = start + np.concatenate(([0.0], np.cumsum(steps)))
+    y = np.random.default_rng(seed).standard_normal(len(x))
+    assert np.array_equal(cumulative_trapezoid(y, x),
+                          scipy.integrate.cumulative_trapezoid(y, x,
+                                                               initial=0))
 
 
 def test_path_shape_validation(grid):

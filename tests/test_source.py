@@ -2,9 +2,13 @@
 module imports another module's underscore names, every underscore name
 a module defines at its top level is read in that module, the command
 line reads no file itself, the solver makes no transform through numpy,
-and the CI workflow runs the tier-1 command the ROADMAP names."""
+the program loads no scipy package beyond the pocketfft binding, and the
+CI workflow runs the tier-1 command the ROADMAP names."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -149,6 +153,35 @@ def test_the_solver_makes_every_transform_through_its_own_binding():
     path = Path(adiaflow.__file__).parent / "reference.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _numpy_fft_uses(tree) == []
+
+
+IMPORT_GRAPH = """
+import sys
+import adiaflow.cli
+print(sorted(name for name in ("scipy.integrate", "scipy.linalg",
+                               "scipy.special", "scipy.fft")
+             if name in sys.modules))
+import numpy as np
+import scipy.fft
+from adiaflow import reference
+x = np.random.default_rng(0).standard_normal((3, 512))
+print(np.array_equal(reference._rfft(x, (-1,), True, 0, None, 1),
+                     np.fft.rfft(x)))
+"""
+
+
+def test_the_command_line_loads_no_scipy_package_beyond_the_binding():
+    """In a fresh interpreter, importing the command line loads none of
+    scipy's integrate, linalg, special or fft packages; importing
+    ``scipy.fft`` afterwards leaves the solver's forward transform bitwise
+    numpy's."""
+    src = str(Path(adiaflow.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_GRAPH],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True"]
 
 
 def test_the_ci_workflow_runs_the_roadmap_tier1_command():
