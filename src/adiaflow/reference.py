@@ -9,12 +9,13 @@ lives in Fourier space between steps, so a step costs two FFTs (pocketfft
 through scipy's binding, bitwise equal to ``np.fft``; the binding's
 extension module is loaded from its file, so no ``scipy.fft`` package is
 imported), and the escape checks read its norms by Parseval; it returns to
-physical space only where a sample is recorded.  Inside a sample interval the state is carried
-primed, its rfft times the half-step multiplier and dt, so that the two
-linear half steps between quadratic substeps are one product and the
-substep needs no scaling; the clamped step onto each sample un-primes it.
-The step kernel rules escapes out by a bound on one sum of squares per
-state, and runs the exact escape tests only near the escape band's edges.
+physical space only where a sample is recorded.  Inside a sample interval
+the state is carried primed, its rfft times the half-step multiplier and
+dt, so that the two linear half steps between quadratic substeps are one
+product and the substep needs no scaling; the clamped step onto each
+sample un-primes it.  The step kernel rules escapes out by a bound on one
+sum of squares per state, and runs the exact escape tests only near the
+escape band's edges.
 
 The one solver, ``evolve_lanes``, takes fixed steps (``_whole_steps``), so
 that shooting, comparison and witness runs traverse the identical, bitwise
@@ -71,9 +72,8 @@ from .paths import TrajectoryPath, mesh_prefix, time_weight
 
 def _pocketfft_transforms():
     """``r2c`` and ``c2r`` of scipy's pocketfft extension module, loaded from
-    its file in scipy's directory.  Importing it by its package path would
-    run the ``scipy.fft`` package, which imports ``scipy.special`` and more
-    that the solver never calls."""
+    its file so that the ``scipy.fft`` package around it is never imported
+    (see ``_SplitStepper``)."""
     where = os.path.join(os.path.dirname(scipy.__file__), "fft", "_pocketfft")
     spec = importlib.machinery.PathFinder.find_spec("pypocketfft", [where])
     if spec is None:
@@ -177,10 +177,12 @@ class _SplitStepper:
     ``c2r``), the C++ code that ``np.fft.rfft`` and ``np.fft.irfft`` run
     too, with the scales those apply (none forward, 1/n inverse), so they
     give the same bits.  The binding is loaded from its extension file
-    alone (``_pocketfft_transforms``): the ``scipy.fft`` package around it
-    would add about 27 MB and 190 ms to every process's start.  At the solver's sizes a numpy FFT call spends a
-    good part of its time in fixed per-call costs that this binding, with
-    its cached plans, does not have; a step makes two calls.  They take
+    alone (``_pocketfft_transforms``), because the ``scipy.fft`` package
+    around it imports ``scipy.special`` and more, which every process
+    would pay for in start-up time and memory (README, Installation).  At
+    the solver's sizes a numpy FFT call spends a good part of its time in
+    fixed per-call costs that this binding, with its cached plans, does not
+    have; a step makes two calls.  They take
     their arguments by position, which is cheaper than by keyword: axes
     ``(-1,)``, for the inverse the output length n, the direction, the
     scale (0 none, 2 by 1/n), the output buffer and one thread; the step's
