@@ -7,7 +7,7 @@ representations are circulants assembled so that D2 is exactly symmetric and
 D exactly antisymmetric entrywise.  Spectral differentiation keeps the
 stationarity and zero-mode residuals of smooth profiles at the level required
 by the acceptance tolerances, which low-order finite differences cannot reach
-at n = 512.
+at n = 256.
 
 Norm conventions: ``weak_norm`` is the discrete L2 norm sqrt(h * sum v^2)
 (the ambient-space norm), ``strong_norm`` is the discrete H1 norm
@@ -26,11 +26,13 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 #: The default grid, owned here: ``PeriodicGrid()`` and the configuration's
-#: ``model`` section both take it.  The pulse spectrum is down to about
-#: e^-125 at the k_max = 40 of 512 points, and between 256, 512 and 1024
-#: points the shooting root moves by no more than the transforms' round-off
-#: (tests/test_grid_convergence.py).
-DEFAULT_N_POINTS = 512
+#: ``model`` section both take it.  At its k_max = 20.1 the pulse spectrum,
+#: which falls as e^(-pi k), is down to about e^-63, and the narrowest
+#: fields the program draws, cutoff-4 ``smooth_noise``, to e^-25; half as
+#: many points leave that noise 1.8e-3 at the Nyquist mode.  Between 256,
+#: 512 and 1024 points the shooting root moves by no more than the
+#: transforms' round-off (tests/test_grid_convergence.py).
+DEFAULT_N_POINTS = 256
 DEFAULT_HALF_LENGTH = 20.0
 
 

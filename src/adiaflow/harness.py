@@ -465,7 +465,8 @@ def _input_file(path: str, kind: str):
     except OSError as err:
         raise ConfigError(f"cannot read {kind} file: {err}") from err
     except KeyError as err:
-        raise ConfigError(f"{kind} file lacks required key: {err}") from err
+        raise ConfigError(f"{kind} file {path!r} lacks required key: "
+                          f"{err}") from err
     except (ValueError, LookupError, TypeError, csv.Error) as err:
         raise ConfigError(f"malformed {kind} file {path!r}: {err}") from err
 
@@ -568,7 +569,8 @@ def load_field_csv(path: str, grid: PeriodicGrid) -> GridField:
         values = np.array([float(row[1]) for row in reader])
     if len(values) != grid.n:
         raise ConfigError(
-            f"field file has {len(values)} rows, the grid has {grid.n} points"
+            f"field file {path!r} has {len(values)} rows, the grid has "
+            f"{grid.n} points"
         )
     return GridField(_finite(values, lambda row: (
         f"field file {path!r} has a non-finite value on line {row + 2}")),
@@ -631,7 +633,7 @@ def point_entry(path: str, payload: dict, key: str,
         values = np.array(payload[key], dtype=float)
     if values.shape != (() if size is None else (size,)):
         raise ConfigError(
-            f"point file has {values.size} {key} entries, " + (
+            f"point file {path!r} has {values.size} {key} entries, " + (
                 "one expected" if size is None else
                 f"the configured grid has {size} points"))
     return _finite(values, lambda row: (

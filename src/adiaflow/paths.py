@@ -73,10 +73,11 @@ def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 class TrajectoryPath:
     """A sampled path (sigma(t), w(t)) on a shared time mesh.
 
-    ``w`` stores one field per row; at n = 512 and a few hundred samples
-    this is about a MB per path, which is accepted rather than
-    compressed.  The chart speed is always the centered difference of the
-    sampled sigma on the (possibly nonuniform) mesh.
+    ``w`` stores one field per row; at n = 256 and the 276 or 487 samples
+    of the default and criterion-9 meshes this is 0.6 or 1.0 MB per path,
+    which is accepted rather than compressed.  The chart speed is always
+    the centered difference of the sampled sigma on the (possibly
+    nonuniform) mesh.
     """
 
     times: np.ndarray

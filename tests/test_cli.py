@@ -473,8 +473,33 @@ def test_a_point_file_with_a_list_for_sigma0_is_refused_before_any_work(
                         lambda cfg: pytest.fail("the work began"))
     assert main(["simulate", "--init", str(point), "--T", "1",
                  "--out", str(tmp_path / "out")]) == 2
-    _assert_refused_in_one_line(capsys,
-                                "point file has 2 sigma0 entries, one expected")
+    _assert_refused_in_one_line(
+        capsys, f"point file {str(point)!r} has 2 sigma0 entries, one "
+                f"expected")
+
+
+@pytest.mark.parametrize("drop, message", [
+    (None, "point file {point!r} has 512 initial_values entries, the "
+           "configured grid has {n} points"),
+    ("manifold", "point file {point!r} lacks required key: 'manifold'"),
+], ids=["512-point-grid", "no-manifold"])
+def test_a_point_file_the_grid_cannot_use_is_refused_naming_the_file(
+        tmp_path, capsys, monkeypatch, cfg, drop, message):
+    from adiaflow import cli
+
+    # As a point file written on a 512-point grid has it.
+    zeros = [0.0] * 512
+    payload = {"manifold": cfg.to_dict()["manifold"], "sigma0": 0.0,
+               "initial_values": zeros, "unstable_mode": zeros}
+    payload.pop(drop, None)
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps(payload), encoding="utf-8")
+    monkeypatch.setattr(cli, "build_model",
+                        lambda cfg: pytest.fail("the work began"))
+    assert main(["simulate", "--init", str(point), "--T", "1",
+                 "--out", str(tmp_path / "out")]) == 2
+    _assert_refused_in_one_line(capsys, message.format(
+        point=str(point), n=cfg.model.n_points))
 
 
 @pytest.mark.parametrize("argv", FIELD_ARGUMENTS[1:],
@@ -562,15 +587,16 @@ def test_a_grid_too_large_for_the_dense_operator_is_refused_before_any_work(
     ["simulate", "--init", "zero", "--no-refine", "--T", "1"],
 ], ids=["spectrum", "ledger", "pipeline", "construct", "simulate"])
 def test_a_domain_too_wide_to_sample_the_pulse_is_refused_in_one_line(
-        tmp_path, capsys, argv):
-    # At 512 points the grid spacing is 390.6: every sample of the pulse
-    # slope underflows to zero, so no unit tangent exists.
+        tmp_path, capsys, cfg, argv):
+    # At the default grid the spacing is hundreds of pulse widths: every
+    # sample of the pulse slope is zero, so no unit tangent exists.
+    n = cfg.model.n_points
     assert main(["--set", "model.domain_half_length=1e5"] + argv
                 + ["--out", str(tmp_path / "out")]) == 2
     _assert_refused_in_one_line(
-        capsys, "model.domain_half_length = 100000 is too wide for "
-        "model.n_points = 512: a grid spacing of 390.625 cannot sample the "
-        "pulse: its sampled slope has weak norm 0")
+        capsys, f"model.domain_half_length = 100000 is too wide for "
+        f"model.n_points = {n}: a grid spacing of {2e5 / n:g} cannot sample "
+        f"the pulse: its sampled slope has weak norm 0")
     assert not (tmp_path / "out").exists()
 
 

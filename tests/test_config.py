@@ -17,7 +17,7 @@ from adiaflow.presets import PRESET_NAMES, preset_field
 
 def test_defaults_are_complete_and_valid(cfg):
     cfg.validate()
-    assert cfg.model.n_points == 512
+    assert cfg.model.n_points == 256
     assert cfg.model.domain_half_length == 20.0
     assert cfg.manifold.delta == 0.05
     assert DELTA_MAX == 0.05

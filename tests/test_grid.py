@@ -17,6 +17,14 @@ def _smooth_noise(grid, seed, width=4.0):
     return np.fft.irfft(np.fft.rfft(raw) * window, grid.n)
 
 
+def _band_limited_noise(grid, seed):
+    """``_smooth_noise`` without its Nyquist coefficient: a field that
+    ``shift_values`` translates exactly."""
+    vhat = np.fft.rfft(_smooth_noise(grid, seed))
+    vhat[-1] = 0.0
+    return np.fft.irfft(vhat, grid.n)
+
+
 def test_points_and_spacing(grid):
     assert grid.spacing == pytest.approx(40.0 / grid.n, rel=1e-15)
     assert grid.x[0] == -20.0
@@ -69,10 +77,31 @@ def test_shift_roundtrip(grid):
        a=st.floats(min_value=-5.0, max_value=5.0),
        b=st.floats(min_value=-5.0, max_value=5.0))
 def test_shifts_compose_by_adding_their_offsets(grid, seed, a, b):
-    v = _smooth_noise(grid, seed)
+    v = _band_limited_noise(grid, seed)
     twice = grid.shift_values(grid.shift_values(v, a), b)
     assert np.max(np.abs(twice - grid.shift_values(v, a + b))) <= 1e-12
     assert np.array_equal(grid.shift_values(v, 0.0), v)
+
+
+def test_shifts_of_nyquist_content_compose_as_the_cosine_convention_says(
+        grid):
+    # Each shift scales the Nyquist coefficient c by cos(k_N s), so two
+    # shifts leave c cos(k_N a) cos(k_N b) where one leaves c cos(k_N (a+b)):
+    # the composition is off by (c / n) sin(k_N a) sin(k_N b) (-1)^j.
+    alternating = np.cos(np.pi * np.arange(grid.n))
+    v = _smooth_noise(grid, 9) + 0.5 * alternating
+    c = np.fft.rfft(v)[-1].real
+    k = grid.wavenumbers[-1]
+    offsets = [(0.37, 0.37), (-1.3, 2.2), (0.0, 1.1),
+               *np.random.default_rng(9).uniform(-5.0, 5.0, (16, 2))]
+    errors = []
+    for a, b in offsets:
+        error = (grid.shift_values(grid.shift_values(v, a), b)
+                 - grid.shift_values(v, a + b))
+        predicted = c / grid.n * np.sin(k * a) * np.sin(k * b) * alternating
+        assert np.max(np.abs(error - predicted)) <= 1e-12
+        errors.append(np.max(np.abs(error)))
+    assert errors[0] > 0.1 and errors[2] == 0.0
 
 
 def test_shift_accepts_a_vector_of_offsets(grid):

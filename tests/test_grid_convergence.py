@@ -1,10 +1,11 @@
 """Grid convergence: the correction, the shooting root and the bound states
 across grid sizes, at the fixed time mesh and step of the default run.
 
-The sizes are those of the study behind the default grid of 512 points:
-192, 256, 384, 512, 768, 1024 and 1536.  The pulse is smooth and
-exponentially localized, so every discretization error in n is far below
-round-off from 192 points on:
+The sizes are those of the grid study: 192, 256, 384, 512, 768, 1024 and
+1536.  The default grid is 256 points, the smallest power of two that also
+resolves the narrowest fields the program draws (tested below).  The pulse
+is smooth and exponentially localized, so every discretization error in n
+is far below round-off from 192 points on:
 
 * the Picard correction beta agrees across all sizes to 4.2e-17 (2.8e-17
   over the powers of two);
@@ -19,7 +20,8 @@ Where the root does move with n, the transforms move it: sizes with a factor
 transforms as complex FFTs, the same transform up to round-off, moves the
 root by 8 to 37 floors at a fixed size (about 14 at 512).  A one-ulp change of
 the initial state moves it by at most 0.23 floors.  So the root's spread
-over n is the transforms' round-off, and 1024 points buy no accuracy.
+over n is the transforms' round-off, and 512 or 1024 points buy no
+accuracy.
 """
 
 import numpy as np
@@ -27,7 +29,8 @@ import pytest
 
 from adiaflow import reference
 from adiaflow.config import ExperimentConfig
-from adiaflow.grid import GridField
+from adiaflow.grid import (DEFAULT_N_POINTS, GridField, PeriodicGrid,
+                           smooth_noise)
 from adiaflow.harness import build_runtime
 from adiaflow.manifold import construct_manifold_point
 from adiaflow.modulation import decompose_state
@@ -81,6 +84,28 @@ def _probe_root(workspace, point, center, probe_time):
     slope, intercept = np.polyfit(offsets, values, 1)
     residual = np.max(np.abs(values - (slope * offsets + intercept)))
     return center - intercept / slope, residual / slope
+
+
+def _nyquist_share(values):
+    """The share of a field's rfft coefficient norm in the Nyquist mode."""
+    vhat = np.abs(np.fft.rfft(values))
+    return vhat[-1] / np.sqrt(np.sum(vhat**2))
+
+
+@pytest.mark.parametrize("n, resolved", [
+    (DEFAULT_N_POINTS, True), (DEFAULT_N_POINTS // 2, False)])
+def test_the_default_grid_resolves_the_narrowest_fields_drawn(n, resolved):
+    # The narrowest fields the program draws are cutoff-4 smooth noise (the
+    # ledger's probes) and, in the benchmark's seeds, a Gaussian of width
+    # 0.5.  The default grid leaves their Nyquist modes below 1e-10 of
+    # their size; half of it does not: there the noise filter
+    # exp(-(k/4)^2) still passes 1.8e-3 at k_N = 10.05.
+    grid = PeriodicGrid(n)
+    rng = np.random.default_rng(3)
+    shares = [_nyquist_share(smooth_noise(grid, rng, 4.0)) for _ in range(8)]
+    shares.append(_nyquist_share(np.exp(-0.5 * (grid.x / 0.5) ** 2)))
+    assert (max(shares) < 1e-10) == resolved
+    assert (min(shares) < 1e-10) == resolved
 
 
 def test_the_correction_is_converged_in_the_grid(points):

@@ -68,15 +68,15 @@ def test_ledger_spot_values(ledger):
     by_name = {check.name: check for check in ledger.checks}
     assert by_name["operator-symmetry"].value == 0.0
     assert by_name["operator-bound"].value == pytest.approx(
-        945.801530381642, rel=1e-9)
+        246.16748282688997, rel=1e-9)
     assert by_name["spectral-classification"].value == pytest.approx(
         0.749999975266288, rel=1e-9)
     assert by_name["propagator-decay"].value == pytest.approx(
-        -0.8583164933043944, abs=1e-9)
+        -0.8399376870463342, abs=1e-9)
     assert by_name["family-regularity"].value == pytest.approx(
         5.187817523750103, rel=1e-9)
     assert by_name["operator-lipschitz"].value == pytest.approx(
-        0.4474471413126912, rel=1e-9)
+        0.45904377387632433, rel=1e-9)
     assert by_name["tangent-annihilation"].value <= 1e-5
 
 
@@ -89,7 +89,7 @@ def test_ledger_constants(ledger):
     assert constants["unstable_eigenvalue"] == pytest.approx(-1.25, abs=1e-10)
     assert abs(constants["zero_eigenvalue"]) <= 1e-10
     assert constants["spectral_gap"] == pytest.approx(0.75, abs=1e-6)
-    assert constants["c2"] == pytest.approx(2.5306180566475134, rel=1e-9)
+    assert constants["c2"] == pytest.approx(2.5243441153774238, rel=1e-9)
 
 
 def test_ledger_eigenvalue_table(ledger):

@@ -28,7 +28,7 @@ def test_profile_solves_the_stationary_equation(grid, model):
 def test_stationarity_defect(model):
     defect = model.gradient(model.profile).weak_norm()
     assert defect <= 1e-6
-    assert defect == pytest.approx(1.2773377278826352e-07, rel=1e-6)
+    assert defect == pytest.approx(9.041317062765391e-08, rel=1e-6)
 
 
 def test_energy_at_the_pulse(model):
@@ -175,3 +175,16 @@ def test_family_bound(model):
 
 def test_max_profile_slope(model):
     assert model.max_profile_slope() == pytest.approx(1.0 / np.sqrt(3.0), abs=1e-4)
+
+
+def test_the_translated_profile_reaches_the_max_slope_between_samples(model):
+    # The samples under-read sup |phi'|; the family's Fourier translates of
+    # the profile, here on 65 shifts across one grid spacing, reach it.
+    grid = model.grid
+    sampled = np.max(np.abs(
+        grid.first_derivative_values(model.profile.values)))
+    shifts = np.linspace(0.0, grid.spacing, 65)
+    reached = max(np.max(np.abs(model.frame(s)[1])) for s in shifts) / model.xi
+    assert sampled < model.max_profile_slope()
+    assert reached == pytest.approx(model.max_profile_slope(), abs=1e-6)
+    assert reached <= model.max_profile_slope() + 1e-12
