@@ -475,7 +475,7 @@ def test_a_point_file_with_a_list_for_sigma0_is_refused_before_any_work(
                  "--out", str(tmp_path / "out")]) == 2
     _assert_refused_in_one_line(
         capsys, f"point file {str(point)!r} has 2 sigma0 entries, one "
-                f"expected")
+                "expected")
 
 
 @pytest.mark.parametrize("drop, message", [
@@ -487,7 +487,7 @@ def test_a_point_file_the_grid_cannot_use_is_refused_naming_the_file(
         tmp_path, capsys, monkeypatch, cfg, drop, message):
     from adiaflow import cli
 
-    # As a point file written on a 512-point grid has it.
+    # The state entries of a point file written on a 512-point grid.
     zeros = [0.0] * 512
     payload = {"manifold": cfg.to_dict()["manifold"], "sigma0": 0.0,
                "initial_values": zeros, "unstable_mode": zeros}
