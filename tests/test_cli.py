@@ -136,6 +136,29 @@ def test_compare_checks_a_simulated_trajectory(tmp_path, capsys):
     }
 
 
+@pytest.mark.parametrize("init", ["preset", "point"])
+def test_the_simulate_summary_is_the_last_row_of_its_file(init, tmp_path,
+                                                          capsys):
+    """The printed final values are the written file's last row bitwise,
+    and ``n_rows`` its row count; the unrefined bump escapes before T."""
+    source = "stable-bump"
+    if init == "point":
+        source = str(tmp_path / "point.json")
+        assert main(["construct", "--eta", "stable-bump",
+                     "--out", source]) == 0
+    out = tmp_path / "traj.csv"
+    capsys.readouterr()
+    assert main(["simulate", "--init", source, "--no-refine",
+                 "--out", str(out)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    with open(out, encoding="utf-8", newline="") as handle:
+        header, *rows = csv.reader(handle)
+    assert payload["escaped"] and payload["n_rows"] == len(rows) > 1
+    for key in ("sigma", "strong_norm_w", "energy"):
+        written = float(rows[-1][header.index(key)])
+        assert payload[f"final_{key}"].hex() == written.hex()
+
+
 def test_speed_prefactor_refuses_the_construction_as_the_pipeline_does(
         tmp_path, capsys):
     setting = ["--set", "manifold.speed_prefactor=5e-4"]
