@@ -10,8 +10,6 @@ input error, including an unreadable input or an unwritable output.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 
 import numpy as np
@@ -27,7 +25,7 @@ from .harness import (
     config_mesh,
     construct_point,
     eigenvalue_table,
-    jsonable,
+    json_text,
     load_field_csv,
     load_trajectory_csv,
     point_entry,
@@ -39,7 +37,7 @@ from .harness import (
     scan_corrections,
     solve_fixed_step,
     spectral_constants,
-    trajectory_rows,
+    write_csv,
     write_json,
     write_trajectory_csv,
 )
@@ -53,7 +51,7 @@ from .spectral import decompose, verify_operator_lipschitz
 
 
 def _print_json(payload: dict) -> None:
-    print(json.dumps(jsonable(payload), indent=2, sort_keys=True))
+    print(json_text(payload))
 
 
 def _chart_argument(flag: str, sigma: float, cfg: ExperimentConfig) -> float:
@@ -104,13 +102,10 @@ def _cmd_spectrum(args, cfg: ExperimentConfig) -> int:
         zero_tol=cfg.spectral.zero_tol,
     )
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["index", "eigenvalue", "kind"])
-            for row in eigenvalue_table(spectrum, len(spectrum.eigenvalues)):
-                writer.writerow(
-                    [row["index"], f"{row['eigenvalue']:.17g}", row["kind"]]
-                )
+        header = ["index", "eigenvalue", "kind"]
+        write_csv(args.out, header, [
+            [row[key] for key in header]
+            for row in eigenvalue_table(spectrum, len(spectrum.eigenvalues))])
     _print_json({
         "sigma": sigma,
         **spectral_constants(spectrum, cfg.seeds.propagator),
@@ -179,11 +174,8 @@ def _cmd_scan_phi(args, cfg: ExperimentConfig) -> int:
     if direction.strong_norm() == 0.0:
         raise ConfigError("scan direction must be a nonzero field")
     scan = scan_corrections(cfg, runtime.workspace, direction, scales)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["scale", "correction", "ratio"])
-        for s, c, r in zip(scan["scales"], scan["corrections"], scan["ratios"]):
-            writer.writerow([f"{s:.17g}", f"{c:.17g}", f"{r:.17g}"])
+    write_csv(args.out, ["scale", "correction", "ratio"], list(zip(
+        scan["scales"], scan["corrections"], scan["ratios"])))
     _print_json({
         "direction": label,
         "loglog_slope": scan["loglog_slope"],
@@ -224,21 +216,20 @@ def _cmd_simulate(args, cfg: ExperimentConfig) -> int:
     extracted = extract_modulated(model, traj, sigma_guess=sigma0)
     coefficients = unstable_coefficient(model.grid, unstable_mode, sigma0,
                                         extracted.sigma, extracted.w)
-    header, rows = trajectory_rows(traj, extracted, traj.energies(model),
-                                   coefficients)
-    write_trajectory_csv(args.out, header, rows)
-    last = rows[-1]
+    energies = traj.energies(model)
+    write_trajectory_csv(args.out, traj, extracted, energies, coefficients)
+    m = extracted.n_samples
     _print_json({
         "init": args.init,
         "t_final": float(traj.times[-1]),
         "n_samples": traj.n_samples,
-        "n_rows": len(rows),
+        "n_rows": m,
         "escaped": traj.escaped,
         "escape_sign": traj.stats["escape_sign"],
         "escape_time": traj.stats["escape_time"],
-        "final_sigma": last[1],
-        "final_strong_norm_w": last[2],
-        "final_energy": last[4],
+        "final_sigma": extracted.sigma[-1],
+        "final_strong_norm_w": extracted.w_strong_norms()[-1],
+        "final_energy": energies[m - 1],
         "out": args.out,
     })
     return 0

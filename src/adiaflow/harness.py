@@ -174,14 +174,7 @@ class CheckResult:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "claim": self.claim,
-            "passed": bool(self.passed),
-            "value": self.value,
-            "bound": self.bound,
-            "details": jsonable(self.details),
-        }
+        return asdict(self)
 
 
 #: The claim of every check the ledger, the pipeline and ``compare`` report.
@@ -253,32 +246,7 @@ class LedgerReport:
         return all(check.passed for check in self.checks)
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checks": [check.to_dict() for check in self.checks],
-            "constants": jsonable(self.constants),
-            "eigenvalue_table": jsonable(self.eigenvalue_table),
-        }
-
-
-def jsonable(obj):
-    """Recursively convert numpy scalars/arrays for JSON serialization."""
-    if isinstance(obj, dict):
-        return {key: jsonable(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(item) for item in obj]
-    if isinstance(obj, np.ndarray):
-        return [jsonable(item) for item in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
-
-
-def write_json(path: str, payload: dict) -> None:
-    """Write JSON with sorted keys and a trailing newline (deterministic)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(jsonable(payload), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        return {**asdict(self), "passed": self.passed}
 
 
 def eigenvalue_table(spectrum: SpectralData, n_rows: int = 8) -> list:
@@ -480,35 +448,60 @@ def _finite(values: np.ndarray, problem) -> np.ndarray:
     return values
 
 
-def trajectory_rows(traj: FullTrajectory, extracted: TrajectoryPath,
-                    energies: np.ndarray,
-                    coefficients: np.ndarray) -> tuple[list, list]:
-    """(header, rows) for the trajectory CSV of traj, its extraction, its
-    sample energies and the extraction's moving-frame unstable coefficients
+def _numpy_value(obj):
+    """``json``'s hook for what it cannot write itself: an array as nested
+    lists, a numpy scalar as its Python value.  ``np.float64`` never gets
+    here: it is a float, written through ``float.__repr__``."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON "
+                    f"serializable")
+
+
+def json_text(payload: dict) -> str:
+    """The JSON of every artifact and printed summary: sorted keys, two-space
+    indent, floats in shortest round-trip form (deterministic)."""
+    return json.dumps(payload, indent=2, sort_keys=True, default=_numpy_value)
+
+
+def write_json(path: str, payload: dict) -> None:
+    """Write ``json_text`` of the payload with a trailing newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(json_text(payload) + "\n")
+
+
+def write_csv(path: str, header: list, rows: list) -> None:
+    """Write a table under its header line, each column formatted as its
+    first row's cell is: text as it is, a number with 17 significant digits.
+    The bytes are those of ``csv.writer`` on the formatted cells, since no
+    header or text cell holds a comma, quote or line break."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(",".join(header) + "\n")
+        if rows:
+            line = ",".join("%s" if isinstance(cell, str) else "%.17g"
+                            for cell in rows[0]) + "\n"
+            for row in rows:
+                handle.write(line % tuple(row))
+
+
+def write_trajectory_csv(path: str, traj: FullTrajectory,
+                         extracted: TrajectoryPath, energies: np.ndarray,
+                         coefficients: np.ndarray) -> None:
+    """Write the trajectory table of traj, its extraction, its sample
+    energies and the extraction's moving-frame unstable coefficients
     (``unstable_coefficient``).
 
     Columns: time, chart coordinate, strong norm of the remainder, unstable
     coefficient, energy, then the full state so any consumer can rebuild the
-    exact discrete trajectory.  Only the extracted prefix is emitted.
+    exact discrete trajectory.  Only the extracted prefix is written.
     """
     m = extracted.n_samples
     header = ["t", "sigma", "strong_norm_w", "unstable_coefficient", "energy"]
     header += [f"u_{k}" for k in range(extracted.grid.n)]
-    rows = np.column_stack([
+    write_csv(path, header, np.column_stack([
         traj.times[:m], extracted.sigma, extracted.w_strong_norms(),
         coefficients, energies[:m], traj.u_samples[:m],
-    ]).tolist()
-    return header, rows
-
-
-def write_trajectory_csv(path: str, header: list, rows: list) -> None:
-    """Write the trajectory table, every value as 17 significant digits;
-    the bytes are those of ``csv.writer`` on the formatted values."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(header) + "\n")
-        line = ",".join(["%.17g"] * len(header)) + "\n"
-        for row in rows:
-            handle.write(line % tuple(row))
+    ]).tolist())
 
 
 def load_trajectory_csv(path: str, grid: PeriodicGrid) -> FullTrajectory:
@@ -548,11 +541,8 @@ def load_trajectory_csv(path: str, grid: PeriodicGrid) -> FullTrajectory:
 
 def write_field_csv(path: str, field: GridField) -> None:
     """Write a grid field as the two-column CSV ``load_field_csv`` reads."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["x", "value"])
-        for x, v in zip(field.grid.x, field.values):
-            writer.writerow([f"{x:.17g}", f"{v:.17g}"])
+    write_csv(path, ["x", "value"],
+              np.column_stack([field.grid.x, field.values]).tolist())
 
 
 def load_field_csv(path: str, grid: PeriodicGrid) -> GridField:
@@ -663,15 +653,8 @@ class PipelineReport:
         return 0 if self.passed else 1
 
     def to_dict(self) -> dict:
-        return {
-            "preset": self.preset,
-            "passed": self.passed,
-            "exit_code": self.exit_code,
-            "ledger_passed": self.ledger_passed,
-            "checks": [check.to_dict() for check in self.checks],
-            "metrics": jsonable(self.metrics),
-            "artifacts": list(self.artifacts),
-        }
+        return {**asdict(self), "passed": self.passed,
+                "exit_code": self.exit_code}
 
 
 def run_full_pipeline(cfg: ExperimentConfig, eta_preset: str = "stable-bump",
@@ -784,8 +767,8 @@ def _pipeline_stages(runtime: Runtime, eta_preset: str, out_dir: str,
     coefficients = unstable_coefficient(workspace.grid,
                                         workspace.unstable_mode, point.sigma0,
                                         extracted.sigma, extracted.w)
-    header, rows = trajectory_rows(traj, extracted, energies, coefficients)
-    write_trajectory_csv(os.path.join(out_dir, "traj.csv"), header, rows)
+    write_trajectory_csv(os.path.join(out_dir, "traj.csv"), traj, extracted,
+                         energies, coefficients)
     artifacts.append("traj.csv")
 
     yield "comparison"

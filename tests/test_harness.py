@@ -11,23 +11,28 @@ from adiaflow.config import ExperimentConfig
 from adiaflow.errors import ClassificationError, ConfigError
 from adiaflow.grid import GridField, PeriodicGrid
 from adiaflow.harness import (
+    build_model,
     build_runtime,
+    eigenvalue_table,
     load_field_csv,
     load_trajectory_csv,
     point_payload,
     run_assumption_ledger,
-    trajectory_rows,
+    scan_corrections,
     write_field_csv,
     write_json,
     write_trajectory_csv,
 )
-from adiaflow.paths import time_mesh
+from adiaflow.paths import TrajectoryPath, time_mesh
+from adiaflow.presets import preset_field
 from adiaflow.reference import (
+    FullTrajectory,
     corrected_initial_state,
     evolve_lanes,
     extract_modulated,
     unstable_coefficient,
 )
+from adiaflow.spectral import decompose
 
 LEDGER_CHECKS = {
     "operator-symmetry",
@@ -159,15 +164,16 @@ def test_trajectory_csv_round_trip(model, grid, spectrum, workspace, tmp_path):
     extracted = extract_modulated(model, traj, sigma_guess=0.0)
     coefficients = unstable_coefficient(grid, workspace.unstable_mode, 0.0,
                                         extracted.sigma, extracted.w)
-    header, rows = trajectory_rows(traj, extracted, traj.energies(model),
-                                   coefficients)
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(str(path), traj, extracted, traj.energies(model),
+                         coefficients)
+    with open(path, encoding="utf-8", newline="") as handle:
+        header, *rows = csv.reader(handle)
     assert header[:5] == ["t", "sigma", "strong_norm_w",
                           "unstable_coefficient", "energy"]
     assert len(header) == 5 + grid.n
     assert len(rows) == 3
 
-    path = tmp_path / "traj.csv"
-    write_trajectory_csv(str(path), header, rows)
     loaded = load_trajectory_csv(str(path), grid)
     assert np.array_equal(loaded.times, traj.times)
     assert np.array_equal(loaded.u_samples, traj.u_samples)
@@ -176,21 +182,110 @@ def test_trajectory_csv_round_trip(model, grid, spectrum, workspace, tmp_path):
         load_trajectory_csv(str(path), PeriodicGrid(2 * grid.n))
 
 
-def test_trajectory_csv_bytes_are_the_csv_writer_bytes(tmp_path):
-    header = ["t", "sigma", "u_0", "u_1"]
-    rows = [[0.0, -0.0, 5e-324, 1e300],
-            [float("inf"), -float("inf"), 0.1, -1.0 / 3.0],
-            [1e-3, 2.5e-17, -123456.78901234567, 7.0]]
-    path = tmp_path / "traj.csv"
-    write_trajectory_csv(str(path), header, rows)
+#: Floats whose 17-digit text is easy to get wrong: signed zeros and
+#: infinities, the smallest subnormal, the largest magnitudes.
+AWKWARD = [0.0, -0.0, 5e-324, 1e300, float("inf"), -float("inf"), 0.1,
+           -1.0 / 3.0, 1e-3, 2.5e-17, -123456.78901234567, 7.0]
+
+
+def _trajectory_table(path):
+    """traj.csv of a made-up three-sample solve that holds AWKWARD."""
+    grid = PeriodicGrid(16)
+    rng = np.random.default_rng(0)
+    times = np.array([0.0, float("inf"), 1e-3])
+    u = rng.standard_normal((3, grid.n))
+    u[:, :4] = np.reshape(AWKWARD, (3, 4))
+    extracted = TrajectoryPath(times, [-0.0, -float("inf"), 2.5e-17],
+                               rng.standard_normal((3, grid.n)), grid)
+    energies = np.array([1e300, -1.0 / 3.0, 7.0])
+    coefficients = np.array([5e-324, 0.1, -123456.78901234567])
+    write_trajectory_csv(str(path), FullTrajectory(times, u), extracted,
+                         energies, coefficients)
+    header = ["t", "sigma", "strong_norm_w", "unstable_coefficient",
+              "energy"] + [f"u_{k}" for k in range(grid.n)]
+    return header, [[*cells, *state] for *cells, state in zip(
+        times, extracted.sigma, extracted.w_strong_norms(), coefficients,
+        energies, u)]
+
+
+def _field_table(path):
+    """A field holds finite values only: the finite ones of AWKWARD."""
+    grid = PeriodicGrid(16)
+    values = [v for v in AWKWARD if np.isfinite(v)]
+    values += [1.5, -2.0, 3e-9, 42.0, -1e-300, 6.0]
+    write_field_csv(str(path), GridField(values, grid))
+    return ["x", "value"], list(zip(grid.x, values))
+
+
+def _spectrum_table(path):
+    """``spectrum --sigma 0.3 --out``: int, float and text columns."""
+    assert main(["spectrum", "--sigma", "0.3", "--out", str(path)]) == 0
+    cfg = ExperimentConfig()
+    spectrum = decompose(build_model(cfg), 0.3,
+                         gap_threshold=cfg.spectral.gap_threshold,
+                         zero_tol=cfg.spectral.zero_tol)
+    header = ["index", "eigenvalue", "kind"]
+    return header, [[row[key] for key in header] for row in
+                    eigenvalue_table(spectrum, len(spectrum.eigenvalues))]
+
+
+def _scan_table(path):
+    assert main(["scan-phi", "--direction", "stable-bump", "--scales",
+                 "0.04,0.02", "--out", str(path)]) == 0
+    cfg = ExperimentConfig()
+    runtime = build_runtime(cfg)
+    scan = scan_corrections(cfg, runtime.workspace,
+                            preset_field("stable-bump", runtime.spectrum),
+                            [0.04, 0.02])
+    return ["scale", "correction", "ratio"], list(zip(
+        scan["scales"], scan["corrections"], scan["ratios"]))
+
+
+@pytest.mark.parametrize("table", [
+    _trajectory_table, _field_table, _spectrum_table, _scan_table,
+], ids=["traj.csv", "field", "spectrum", "scan-phi"])
+def test_csv_bytes_are_the_csv_writer_bytes(table, tmp_path):
+    """Every table the program writes, against ``csv.writer`` on its cells
+    with each float as 17 significant digits; ints and text as they are."""
+    path = tmp_path / "table.csv"
+    header, rows = table(path)
     expected = tmp_path / "expected.csv"
     with open(expected, "w", encoding="utf-8", newline="\n") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([f"{value:.17g}" for value in row])
+            writer.writerow([f"{cell:.17g}" if isinstance(cell, float)
+                             else cell for cell in row])
+    assert rows and path.read_bytes() == expected.read_bytes()
+    if table is _trajectory_table:
+        assert b"inf,-inf" in path.read_bytes()
+
+
+def test_json_bytes_are_the_json_bytes_of_plain_values(tmp_path):
+    """numpy scalars, arrays and tuples are written as ``json.dump`` writes
+    their Python values, with the artifacts' settings."""
+    nan = float("nan")
+    payload = {
+        "float": np.float64(0.1), "int": np.int64(-7), "bool": np.bool_(True),
+        "array": np.array([[1.0, -0.0], [nan, 1e300]]),
+        "tuple": (np.float64(1.0 / 3.0), 2, "x"), "nan": nan, "zero": -0.0,
+        "nested": {"b": [np.float32(0.5), np.bool_(False)], "a": None},
+    }
+    plain = {
+        "float": 0.1, "int": -7, "bool": True,
+        "array": [[1.0, -0.0], [nan, 1e300]],
+        "tuple": [1.0 / 3.0, 2, "x"], "nan": nan, "zero": -0.0,
+        "nested": {"b": [0.5, False], "a": None},
+    }
+    path, expected = tmp_path / "payload.json", tmp_path / "expected.json"
+    write_json(str(path), payload)
+    with open(expected, "w", encoding="utf-8", newline="\n") as handle:
+        json.dump(plain, handle, indent=2, sort_keys=True)
+        handle.write("\n")
     assert path.read_bytes() == expected.read_bytes()
-    assert b"inf,-inf" in path.read_bytes()
+    assert b"NaN" in path.read_bytes() and b"-0.0" in path.read_bytes()
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        write_json(str(path), {"object": object()})
 
 
 def test_field_csv_round_trip(grid, eta_bump, tmp_path):

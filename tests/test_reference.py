@@ -1,5 +1,6 @@
 """Full integrator versus the reduced picture: decay, shooting, witnesses."""
 
+import csv
 import dataclasses
 import math
 
@@ -1294,7 +1295,7 @@ def test_comparison_refuses_a_short_extraction(workspace, point_bump,
 
 def test_readouts_take_the_extraction_and_never_extract(
         workspace, point_bump, traj_bump, extracted_bump, model,
-        monkeypatch):
+        monkeypatch, tmp_path):
     from adiaflow import harness
 
     def refuse(*args, **kwargs):
@@ -1305,8 +1306,11 @@ def test_readouts_take_the_extraction_and_never_extract(
     monkeypatch.setattr(reference, "decompose_state", refuse)
     monkeypatch.setattr(reference, "decompose_states", refuse)
     coefficients = frame_coefficients(workspace, extracted_bump)
-    header, rows = harness.trajectory_rows(
-        traj_bump, extracted_bump, traj_bump.energies(model), coefficients)
+    path = tmp_path / "traj.csv"
+    harness.write_trajectory_csv(str(path), traj_bump, extracted_bump,
+                                 traj_bump.energies(model), coefficients)
+    with open(path, encoding="utf-8", newline="") as handle:
+        header, *rows = csv.reader(handle)
     assert len(rows) == traj_bump.n_samples
     comparison = compare_effective(workspace, point_bump, traj_bump,
                                    extracted_bump, delta=0.05)
@@ -1314,7 +1318,8 @@ def test_readouts_take_the_extraction_and_never_extract(
     quiet = witness_report(traj_bump, extracted_bump, coefficients, 0.0,
                            delta=0.05)
     # The CSV column and the witness read the one coefficient array.
-    assert np.array_equal([row[3] for row in rows], quiet.coefficients)
+    assert header[3] == "unstable_coefficient"
+    assert np.array_equal([float(row[3]) for row in rows], quiet.coefficients)
 
 
 def assert_same_solve(mine, theirs):
