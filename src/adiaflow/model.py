@@ -24,8 +24,10 @@ chart point is a plain float and the distance of two is |sigma - sigma'|; the
 tangent frame is normalized so the family tangent has unit weak norm, with
 scale factor xi = 1 / ||phi'||.  The frame does not turn along the chart, so
 a frame coefficient a moves the chart at the velocity a * xi.
-``PulseModel.frame(sigma)`` alone translates the frame (f, d f, d^2 f):
-all three rows together, from the rfft coefficients ``frame_hat``.
+``PulseModel.frame(sigma)`` translates the frame (f, d f, d^2 f) to grid
+values: all three rows together, from the rfft coefficients ``frame_hat``.
+The chart solve (``modulation.decompose_states``) reads its inner products
+with the translated rows from ``frame_hat`` by Parseval instead.
 """
 
 from __future__ import annotations
@@ -79,6 +81,15 @@ class PulseModel:
                                  (self.xi**2) * (pulse - pulse**2)])
         self.frame_hat = np.fft.rfft(self._frame0, axis=-1)
         self.frame_hat.flags.writeable = False
+        # <f, d f> and <f, d^2 f> by Parseval on those rows.  A translation
+        # multiplies all three by one phase table, of unit modulus at every
+        # mode but the Nyquist one, where the pulse keeps e^-63 of its
+        # size; that leaves them as they are, so the chart solve forms
+        # them once.
+        parts = self.frame_hat.view(np.float64)
+        self.frame_overlaps = parts[1:] @ (grid.parseval_weights()[0]
+                                           * parts[0])
+        self.frame_overlaps.flags.writeable = False
 
     # -- static profile -----------------------------------------------------------
     @property
@@ -108,9 +119,14 @@ class PulseModel:
 
         On a periodic uniform grid the trapezoid rule reduces to h * sum.
         """
-        du = self.grid.first_derivative_values(u.values)
-        density = 0.5 * du**2 + self.potential(u.values)
-        return float(self.grid.spacing * np.sum(density))
+        return float(self.energy_values(u.values))
+
+    def energy_values(self, values: np.ndarray):
+        """``energy`` along the last axis of grid values: one field, or one
+        per row, each bitwise its own."""
+        du = self.grid.first_derivative_values(values)
+        density = 0.5 * du**2 + self.potential(values)
+        return self.grid.spacing * np.sum(density, axis=-1)
 
     def gradient(self, u: GridField) -> GridField:
         """E'(u) = -u_xx + u - u^2; the flow right-hand side is -gradient(u)."""

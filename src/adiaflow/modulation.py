@@ -94,26 +94,6 @@ def solve_modulation(model: PulseModel, sigma: float,
 _DECOMPOSE_TOL = 1e-12
 
 
-def _constraint(model: PulseModel, u_values: np.ndarray,
-                s: float) -> tuple[float, np.ndarray]:
-    """g(s) = <u - f(s), tangent(s)> and the frame ``model.frame(s)``.
-
-    Raises ConvergenceError if s is not finite or leaves the model's chart.
-    """
-    if not abs(s) <= model.chart_radius:
-        raise ConvergenceError(
-            f"chart coordinate {s} leaves the chart of radius "
-            f"{model.chart_radius}"
-        )
-    return _residual(model.grid, u_values, model.frame(s))
-
-
-def _residual(grid: PeriodicGrid, u_values: np.ndarray,
-              frame: np.ndarray) -> tuple[float, np.ndarray]:
-    """g = <u - f, tangent> at the chart point of ``frame``, and the frame."""
-    return float(grid.inner_values(u_values - frame[0], frame[1])), frame
-
-
 def decompose_state(model: PulseModel, u: GridField, sigma_guess: float,
                     max_iter: int = 50) -> tuple[float, GridField]:
     """Split u into f(sigma) + w with w orthogonal to the family tangent.
@@ -121,8 +101,9 @@ def decompose_state(model: PulseModel, u: GridField, sigma_guess: float,
     Finds the chart point by a damped Newton iteration on the scalar
     constraint g(sigma) = <u - f(sigma), tangent(sigma)>; the derivative is
     g'(sigma) = (<w, d^2 f(sigma)> - 1) / xi with w the current remainder.
-    Steps that increase |g| are halved.  The accepted trial's frame serves
-    the next slope and the remainder.  Returns (sigma, w).
+    Steps that increase |g| are halved.  Both inner products are read from
+    the rfft of u by Parseval (see ``_constraint``).  Returns (sigma, w):
+    the one-state case of ``decompose_states``.
 
     Raises
     ------
@@ -132,50 +113,86 @@ def decompose_state(model: PulseModel, u: GridField, sigma_guess: float,
         ``model.chart_radius``; both signal that u left the tubular
         neighborhood of the family.
     """
-    sigma, w, _ = _decompose(model, u, float(sigma_guess), None, max_iter)
-    return sigma, w
+    (sigma, w), = decompose_states(model, u.values[None], sigma_guess,
+                                   max_iter)
+    return sigma, GridField(w, model.grid)
 
 
 def decompose_states(model: PulseModel, states: np.ndarray,
-                     sigma_guess: float) -> Iterator[tuple[float, GridField]]:
+                     sigma_guess: float, max_iter: int = 50
+                     ) -> Iterator[tuple[float, np.ndarray]]:
     """``decompose_state`` of each row of grid values in ``states`` in turn,
-    yielded as (sigma, w).
+    yielded as (sigma, grid values of w).
 
     Each solve starts from the chart point found for the state before (the
     first from sigma_guess), so slow drifts are followed without chart
-    jumps.  It also takes over the frame that the solve before accepted at
-    that point, the frame its remainder was taken from, so its first
-    constraint evaluation builds no frame; the results are bitwise those of
-    calling ``decompose_state`` state by state.  A state that cannot be
-    decomposed raises ConvergenceError and ends the iteration.
+    jumps.  The rffts of all states come from one batched transform, and
+    once the chart points are found, the family points f(sigma) of all
+    remainders from one batched inverse transform; a Newton trial makes
+    none.  A state that cannot be decomposed raises ConvergenceError after
+    the states before it are yielded, and ends the iteration.
     """
-    s, frame = float(sigma_guess), None
-    for values in states:
-        s, w, frame = _decompose(model, GridField(values, model.grid), s,
-                                 frame)
-        yield s, w
+    states = np.asarray(states, dtype=float)
+    if not np.all(np.isfinite(states)):
+        raise ValueError("field contains non-finite samples")
+    weighted = np.fft.rfft(states, axis=-1).view(np.float64)
+    weighted *= model.grid.parseval_weights()[0]
+    sigmas, failure = [], None
+    s = float(sigma_guess)
+    try:
+        for parts in weighted:
+            s = _chart_point(model, parts, s, max_iter)
+            sigmas.append(s)
+    except ConvergenceError as err:
+        failure = err
+    family = model.grid.apply_phases(model.frame_hat[0],
+                                     model.grid.shift_phases(sigmas))
+    # sigma = 0 is the profile itself, as in ``model.frame``.
+    family[np.equal(sigmas, 0.0)] = model.profile.values
+    yield from zip(sigmas, states[:len(sigmas)] - family)
+    if failure is not None:
+        raise failure
 
 
-def _decompose(model: PulseModel, u: GridField, s: float,
-               frame: np.ndarray | None,
-               max_iter: int = 50) -> tuple[float, GridField, np.ndarray]:
-    """``decompose_state`` from the chart point s, plus the frame at the
-    result.  ``frame`` is ``model.frame(s)`` when the caller has it, and
-    None to build it (and check that s lies in the chart)."""
-    grid = model.grid
-    g, frame = _constraint(model, u.values, s) if frame is None \
-        else _residual(grid, u.values, frame)
+def _constraint(model: PulseModel, weighted: np.ndarray,
+                s: float) -> tuple[float, float]:
+    """g(s) = <u - f(s), d f(s)> and <u - f(s), d^2 f(s)>, by Parseval.
+
+    ``weighted`` holds the interleaved parts of the rfft of u times the
+    weak Parseval weights, so an inner product with u is a dot product
+    with the parts of the other field's rfft: those of d f(s) and
+    d^2 f(s) are ``model.frame_hat`` rows times one phase table, and the
+    overlaps of f(s) with them are ``model.frame_overlaps``.
+
+    Raises ConvergenceError if s is not finite or leaves the model's chart.
+    """
+    if not abs(s) <= model.chart_radius:
+        raise ConvergenceError(
+            f"chart coordinate {s} leaves the chart of radius "
+            f"{model.chart_radius}"
+        )
+    translated = model.frame_hat[1:] * model.grid.shift_phases(s)
+    g, overlap = (translated.view(np.float64) @ weighted
+                  - model.frame_overlaps).tolist()
+    return g, overlap
+
+
+def _chart_point(model: PulseModel, weighted: np.ndarray, s: float,
+                 max_iter: int) -> float:
+    """The chart point of the state that ``weighted`` holds (see
+    ``_constraint``), by the damped Newton iteration of ``decompose_state``
+    from s."""
+    g, overlap = _constraint(model, weighted, s)
     for _ in range(max_iter):
         if abs(g) <= _DECOMPOSE_TOL:
             break
-        overlap = grid.inner_values(u.values - frame[0], frame[2])
         slope = (overlap - 1.0) / model.xi
         if slope == 0.0:
             raise ConvergenceError("degenerate constraint slope in decomposition")
         step = -g / slope
         # damping: halve the step while the residual grows
         for _ in range(40):
-            g_new, frame_new = _constraint(model, u.values, s + step)
+            g_new, overlap_new = _constraint(model, weighted, s + step)
             if abs(g_new) < abs(g):
                 break
             step *= 0.5
@@ -184,11 +201,11 @@ def _decompose(model: PulseModel, u: GridField, s: float,
                 "damped Newton stalled while decomposing the state"
             )
         s += step
-        g, frame = g_new, frame_new
+        g, overlap = g_new, overlap_new
     else:
         raise ConvergenceError(
             f"state decomposition did not reach |g| <= {_DECOMPOSE_TOL:.1e} "
             f"in {max_iter} iterations (last residual {abs(g):.3e}); the "
             "state may have left the tubular neighborhood"
         )
-    return float(s), GridField(u.values - frame[0], grid), frame
+    return s

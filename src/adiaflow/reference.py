@@ -132,9 +132,12 @@ class FullTrajectory:
                 sample_times, self.end[0], side="right")])
 
     def energies(self, model: PulseModel) -> np.ndarray:
-        return np.array([
-            model.energy(GridField(u, model.grid)) for u in self.u_samples
-        ])
+        """``model.energy`` of each sample, in one batch.  A sample that
+        is not finite raises ValueError, as it does as a ``GridField``."""
+        samples = self.u_samples.reshape(self.n_samples, model.grid.n)
+        if not np.all(np.isfinite(samples)):
+            raise ValueError("field contains non-finite samples")
+        return model.energy_values(samples)
 
 
 class _SplitStepper:
@@ -161,7 +164,9 @@ class _SplitStepper:
     (m dt)^2, which reads the norms of uh from z.  The stepper carries one
     stack at a time: ``prime`` and the clamped step switch the form its
     norms read.  The multipliers and weights of one whole-step dt are
-    cached; a clamped step computes its own.
+    cached.  A solve hands the stepper the lengths of all its clamped
+    steps at once (``clamp``), so their half-step multipliers come from one
+    exp; a clamped step of another length computes its own.
 
     ``step`` is the one step kernel: it runs up to a count of steps of one
     dt in one call, with its operands bound once, so a sample interval's
@@ -188,7 +193,9 @@ class _SplitStepper:
     scale (0 none, 2 by 1/n), the output buffer and one thread; the step's
     ufuncs take their output buffers by position too.  The physical values,
     the denominators and a clamped step's half-stepped spectrum go into
-    buffers kept for the current stack height.
+    buffers kept for the current stack height, and a call of whole steps
+    takes the row views, bounds and exact band test of the call before
+    while the stack, dt and band stay the same (``_band``).
     """
 
     def __init__(self, grid: PeriodicGrid):
@@ -202,6 +209,14 @@ class _SplitStepper:
         # The weights the norms read: plain, or primed for self._dt.
         self._plain = self._norms = self._weak, self._strong
         self._height = 0
+        # Half-step multipliers of clamped steps by length (``clamp``), and
+        # the complex multipliers a clamped step's products take, with the
+        # zero imaginary parts that casting the real ones would give.
+        self._clamped = {}
+        self._before = np.zeros(grid.n // 2 + 1, complex)
+        self._after = np.zeros(grid.n // 2 + 1, complex)
+        # The operands of the last call of whole steps (``_band``).
+        self._bound = None
 
     def _whole(self, dt: float) -> None:
         """Cache the multipliers and primed weights of whole steps of dt."""
@@ -229,6 +244,37 @@ class _SplitStepper:
             self._spectrum = np.empty((height, self.n // 2 + 1), complex)
             self._values = np.empty((height, self.n))
             self._denom = np.empty((height, self.n))
+
+    def clamp(self, lengths) -> None:
+        """Cache the half-step multipliers exp(-dt (k^2 + 1) / 2) of
+        clamped steps of each of ``lengths``, all from one exp, for a solve
+        to take in turn; a clamped step of another length computes its
+        own.  Each row is bitwise the exp of its own length."""
+        lengths = np.asarray(lengths, dtype=float)
+        table = np.exp(np.multiply.outer(-0.5 * lengths, self._rate))
+        self._clamped = dict(zip(lengths.tolist(), table))
+
+    def _band(self, out: np.ndarray, dt: float,
+              band: tuple[float, float]) -> tuple:
+        """The operands of whole steps of dt into ``out`` with ``band``:
+        the value rows, the bounds of ``_sum_bounds`` and the exact band
+        test on the rows of out, ``inside``.  They are kept while out, the
+        step buffers, dt and the band stay the same, as they do between
+        the calls of a solve until a lane leaves the stack."""
+        bound = self._bound
+        if (bound is not None and bound[0] is out
+                and bound[1] is self._values and bound[2] == (dt, band)):
+            return bound[3]
+        (low, high), weak, product = band, self._primed[0], self._product
+        rows = list(out.view(np.float64))
+
+        # The closure holds no reference to the stepper, which holds it.
+        def inside():
+            return all(low < _norm(row, weak, product) < high for row in rows)
+        operands = (list(self._values), *self._sum_bounds(dt, low, high),
+                    inside)
+        self._bound = out, self._values, (dt, band), operands
+        return operands
 
     def spectrum(self, values: np.ndarray) -> np.ndarray:
         """``np.fft.rfft`` of each row of values."""
@@ -290,21 +336,21 @@ class _SplitStepper:
             out = np.empty_like(uh)
         exact = True
         if band is None:
-            after = np.exp(-0.5 * dt * self._rate)
-            before = after if self._norms is self._plain else (
-                after * self._unprime)
-            before, after = before.astype(complex), after.astype(complex)
+            half = self._clamped.get(dt)
+            if half is None:
+                half = np.exp(-0.5 * dt * self._rate)
+            after = self._after
+            np.copyto(after.real, half)
+            if self._norms is self._plain:
+                before = after
+            else:
+                before = self._before
+                np.multiply(half, self._unprime, before.real)
             self._norms = self._plain
         else:
             self._whole(dt)
-            (low, high), weak, product = band, self._primed[0], self._product
             after = self._square
-            rows, physical = list(out.view(np.float64)), list(v)
-            s_low, s_high = self._sum_bounds(dt, low, high)
-
-            def inside():
-                return all(low < math.sqrt(row.dot(
-                    np.multiply(row, weak, product))) < high for row in rows)
+            physical, s_low, s_high, inside = self._band(out, dt, band)
         blown = None
         for taken in range(1, count + 1):
             if band is None:
@@ -360,14 +406,12 @@ class _SplitStepper:
     def weak_norm(self, uh: np.ndarray) -> float:
         """``grid.weak_norm_values`` of the state that the row uh of the
         stack carried holds: its rfft, or that rfft primed."""
-        parts = uh.view(np.float64)
-        return math.sqrt(parts.dot(parts * self._norms[0]))
+        return _norm(uh.view(np.float64), self._norms[0], self._product)
 
     def strong_norm(self, uh: np.ndarray) -> float:
         """``grid.strong_norm_values`` of the state that the row uh of the
         stack carried holds."""
-        parts = uh.view(np.float64)
-        return math.sqrt(parts.dot(parts * self._norms[1]))
+        return _norm(uh.view(np.float64), self._norms[1], self._product)
 
     def escape_signs(self, uh: np.ndarray, ceiling: float,
                      collapse_floor: float | None) -> list[int] | None:
@@ -377,16 +421,19 @@ class _SplitStepper:
 
         Each row's weak norm is its own ``weak_norm``, read on the rfft or,
         inside a sample interval, on z with the primed weights; a row's
-        strong norm is read only past the quiet band's top, 0.4 ceiling.
+        strong norm, its own ``strong_norm``, is read only past the quiet
+        band's top, 0.4 ceiling.
         """
         low, watch = _quiet_band(ceiling, collapse_floor)
+        (weak_weights, strong_weights), product = self._norms, self._product
         signs = None
-        for row, state in enumerate(uh):
-            weak = self.weak_norm(state)
+        for row, parts in enumerate(uh.view(np.float64)):
+            weak = _norm(parts, weak_weights, product)
             if low < weak < watch:
                 continue
             if not math.isfinite(weak) or weak >= ceiling or (
-                weak >= watch and self.strong_norm(state) >= ceiling
+                weak >= watch and _norm(parts, strong_weights, product)
+                >= ceiling
             ):
                 sign = 1
             elif weak <= low:
@@ -397,6 +444,14 @@ class _SplitStepper:
                 signs = [0] * len(uh)
             signs[row] = sign
         return signs
+
+
+def _norm(parts: np.ndarray, weights: np.ndarray,
+          product: np.ndarray) -> float:
+    """sqrt(parts . (weights parts)) for the interleaved parts of one row
+    of a stack, the weighted parts formed in the buffer ``product``: the
+    one way the stepper reads a norm."""
+    return math.sqrt(parts.dot(np.multiply(parts, weights, product)))
 
 
 def _quiet_band(ceiling: float,
@@ -455,6 +510,19 @@ def _whole_steps(gap: float, dt: float) -> int:
     interval of length gap > 0; that step is then longer than 0, at most
     dt (1 + _STEP_SLACK), and shorter than _STEP_SLACK dt only if gap is."""
     return max(0, math.ceil(gap / dt - _STEP_SLACK) - 1)
+
+
+def _clamp_lengths(sample_times: list[float], t: float,
+                   dt: float) -> list[float]:
+    """The length of the clamped step of each sample interval of a solve
+    at t, as the solve computes it: the sample time less the interval's
+    start plus its whole steps of dt (``_whole_steps``)."""
+    lengths = []
+    for target in sample_times:
+        whole = _whole_steps(target - t, dt)
+        lengths.append(target - (t + whole * dt))
+        t = target
+    return lengths
 
 
 def _new_lane(values: np.ndarray, sample_times: np.ndarray,
@@ -527,6 +595,8 @@ def evolve_lanes(model: PulseModel, starts, *, dt: float,
         raise ValueError("all lanes must start at one time")
     t = origins.pop()
     next_sample = int(np.searchsorted(sample_times, t, side="right"))
+    sample_times = sample_times.tolist()
+    stepper.clamp(_clamp_lengths(sample_times[next_sample:], t, dt))
 
     uh = np.array(rows)
     band = _quiet_band(ceiling, collapse_floor)
@@ -593,7 +663,7 @@ def extract_modulated(model: PulseModel, traj: FullTrajectory,
     try:
         for sigma, w in decompose_states(model, traj.u_samples, sigma_guess):
             sigmas.append(sigma)
-            fields.append(w.values)
+            fields.append(w)
     except ConvergenceError as err:
         if not sigmas:
             raise ConvergenceError(

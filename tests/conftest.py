@@ -1,5 +1,7 @@
 """Shared fixtures: one grid/model/spectrum per session, plus slow builds."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,127 @@ def exact_step():
 
 
 @pytest.fixture(scope="session")
+def exact_solve(exact_step):
+    """A plain fixed-step solve of one state from t = 0, as an oracle for
+    ``evolve_lanes``: ``exact_solve(model, u0, dt, samples, ceiling,
+    collapse_floor)``, a ``FullTrajectory``.
+
+    Each sample interval primes the state's rfft for dt when it holds
+    whole steps, takes them one ``exact_step`` at a time, and ends with
+    the textbook clamped step onto the sample, with its own np.exp: a
+    product with the half-step multiplier (times 1 / (m dt), which
+    un-primes) before the inverse transform and after the forward one.
+    After every step it applies the escape rule, to the weak and strong
+    norms read by Parseval on the state as carried (primed weights inside
+    an interval), and a denominator at or below the floor ends the solve
+    as a blow-up at the time the step started from.  The whole steps of an
+    interval are ceil(gap / dt - 1e-9) - 1, at least 0."""
+    from adiaflow.reference import _DENOM_FLOOR, FullTrajectory
+
+    def solve(model, u0, dt, samples, ceiling=10.0, collapse_floor=None):
+        grid = model.grid
+        rate = grid.wavenumbers**2 + 1.0
+        half = np.exp(-0.5 * dt * rate)
+        unprime = 1.0 / (half * dt)
+        plain = grid.parseval_weights()
+        primed = [weights * np.repeat(unprime**2, 2) for weights in plain]
+        low = -np.inf if collapse_floor is None else collapse_floor
+
+        def escape(uh, weights):
+            parts = uh[0].view(np.float64)
+            weak, strong = (np.sqrt(parts.dot(parts * w)) for w in weights)
+            if not np.isfinite(weak) or weak >= ceiling or (
+                    weak >= 0.4 * ceiling and strong >= ceiling):
+                return 1
+            return -1 if weak <= low else 0
+
+        first = samples[0] == 0.0
+        times, states = ([0.0], [u0.copy()]) if first else ([], [])
+        stats = dict(steps=0, escape_sign=0, escape_time=None, final_dt=dt)
+
+        def ended(sign, t, end=None):
+            stats["escape_sign"], stats["escape_time"] = sign, t
+            return FullTrajectory(np.array(times), np.array(states), stats,
+                                  end)
+
+        uh, t = np.fft.rfft(u0)[None], 0.0
+        for target in samples[1:] if first else samples:
+            start = t
+            whole = max(0, math.ceil((target - start) / dt - 1e-9) - 1)
+            if whole:
+                uh = uh * (half * dt).astype(complex)
+            for j in range(1, whole + 1):
+                uh, blown, _ = exact_step(grid, uh, dt)
+                if blown is not None:
+                    return ended(1, t)
+                stats["steps"] += 1
+                t = start + j * dt
+                sign = escape(uh, primed)
+                if sign:
+                    return ended(sign, t)
+            length = target - t
+            after = np.exp(-0.5 * length * rate)
+            before = after * unprime if whole else after
+            v = np.fft.irfft(uh * before.astype(complex), grid.n)
+            denom = 1.0 - v * length
+            if denom.min() <= _DENOM_FLOOR:
+                return ended(1, t)
+            uh = np.fft.rfft(v / denom) * after.astype(complex)
+            stats["steps"] += 1
+            t = target
+            times.append(t)
+            states.append(np.fft.irfft(uh[0], grid.n))
+            sign = escape(uh, plain)
+            if sign:
+                return ended(sign, t)
+        return ended(0, None, (t, uh[0].copy()))
+    return solve
+
+
+@pytest.fixture(scope="session")
+def grid_space_decompose():
+    """The chart solve in grid space, as an oracle for the Parseval chart
+    solve of ``decompose_states``: ``grid_space_decompose(model, values,
+    sigma_guess)`` is (sigma, w).  The same damped Newton iteration on
+    g(s) = <u - f(s), d f(s)> and the same tolerance, but each constraint
+    evaluation translates the frame (f, d f, d^2 f) with ``model.frame``
+    and forms its inner products on the grid, the slope's from the frame
+    of the accepted trial; w is u minus that frame's f."""
+    from adiaflow.errors import ConvergenceError
+    from adiaflow.modulation import _DECOMPOSE_TOL
+
+    def decompose(model, values, s, max_iter=50):
+        grid = model.grid
+
+        def constraint(s):
+            if not abs(s) <= model.chart_radius:
+                raise ConvergenceError(f"chart coordinate {s} leaves the "
+                                       f"chart")
+            frame = model.frame(s)
+            return grid.inner_values(values - frame[0], frame[1]), frame
+
+        g, frame = constraint(s)
+        for _ in range(max_iter):
+            if abs(g) <= _DECOMPOSE_TOL:
+                break
+            overlap = grid.inner_values(values - frame[0], frame[2])
+            step = -g / ((overlap - 1.0) / model.xi)
+            for _ in range(40):
+                g_new, frame_new = constraint(s + step)
+                if abs(g_new) < abs(g):
+                    break
+                step *= 0.5
+            else:
+                raise ConvergenceError("damped Newton stalled")
+            s += step
+            g, frame = g_new, frame_new
+        else:
+            raise ConvergenceError("no convergence")
+        return float(s), values - frame[0]
+    return decompose
+
+
+@pytest.fixture(scope="session")
 def grid():
     return PeriodicGrid()
 
@@ -119,6 +242,27 @@ def traj_bump(workspace, model, refined_bump):
     return evolve_lanes(model, [refined_bump.trajectory],
                         dt=1e-3, sample_times=samples,
                         collapse_floor=collapse_floor(model))[0]
+
+
+@pytest.fixture(scope="session")
+def witness_solves(workspace, model, point_bump):
+    """Escaping witness solves at offsets +1e-3 and -1e-3 from the bump
+    point's Picard beta, as the witness workload solves them, one lane
+    each, keyed by offset."""
+    from adiaflow.paths import mesh_prefix
+    from adiaflow.reference import (collapse_floor, corrected_initial_state,
+                                    evolve_lanes)
+
+    samples = mesh_prefix(workspace.times, 20.0)
+    solves = {}
+    for offset in (1e-3, -1e-3):
+        u0 = corrected_initial_state(workspace, point_bump,
+                                     point_bump.correction, offset)
+        solves[offset] = evolve_lanes(
+            model, [u0.values], dt=1e-3, sample_times=samples,
+            collapse_floor=collapse_floor(model))[0]
+        assert solves[offset].stats["escape_sign"] == np.sign(offset)
+    return solves
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adiaflow import modulation
@@ -176,34 +176,62 @@ def test_decompose_inverts_a_family_point_plus_an_orthogonal_remainder(
     assert np.max(np.abs(remainder.values - w)) <= 1e-11
 
 
-def test_decompose_translates_the_frame_once_per_constraint_evaluation(
-        model, grid, monkeypatch):
-    rng = np.random.default_rng(12)
-    sm = smooth_noise(grid, rng, 3.0)
-    state = GridField(model.family(0.42).values
-                      + 0.03 * sm / grid.strong_norm_values(sm), grid)
-    expected = decompose_state(model, state, 0.3)
+def assert_the_grid_space_solve(model, grid, states, sigmas, remainders,
+                                guess, oracle):
+    """Each (sigma, w) of a chain of chart solves is the grid-space
+    solve's from the same guess to 1e-14 in sigma, and its remainder is
+    orthogonal to the tangent in grid space to 1e-12."""
+    for values, sigma, w in zip(states, sigmas, remainders):
+        theirs, _ = oracle(model, values, guess)
+        assert abs(sigma - theirs) <= 1e-14
+        assert abs(grid.inner_values(w, model.frame(sigma)[1])) <= 1e-12
+        guess = sigma
 
-    transforms = {"rfft": 0, "irfft": 0}
-    for name in transforms:
-        def counted(*args, _name=name, _fft=getattr(np.fft, name), **kwargs):
-            transforms[_name] += 1
-            return _fft(*args, **kwargs)
-        monkeypatch.setattr(np.fft, name, counted)
-    points = []
-    constraint = modulation._constraint
 
-    def recorded(model, u_values, s):
-        points.append(s)
-        return constraint(model, u_values, s)
+@pytest.mark.parametrize("offset", [1e-3, -1e-3])
+def test_the_chart_solve_is_the_grid_space_solve_on_witness_solves(
+        model, grid, point_bump, witness_solves, grid_space_decompose,
+        offset):
+    from adiaflow.reference import extract_modulated
 
-    monkeypatch.setattr(modulation, "_constraint", recorded)
-    sigma, w = decompose_state(model, state, 0.3)
-    assert sigma == expected[0]
-    assert np.array_equal(w.values, expected[1].values)
-    assert len(points) >= 3
-    assert transforms == {"rfft": 0,
-                          "irfft": sum(s != 0.0 for s in points)}
+    traj = witness_solves[offset]
+    extracted = extract_modulated(model, traj, point_bump.sigma0)
+    assert extracted.n_samples == traj.n_samples
+    assert_the_grid_space_solve(model, grid, traj.u_samples, extracted.sigma,
+                                extracted.w, point_bump.sigma0,
+                                grid_space_decompose)
+
+
+def test_the_chart_solve_is_the_grid_space_solve_on_the_comparison_solve(
+        model, grid, point_bump, traj_bump, extracted_bump,
+        grid_space_decompose):
+    assert extracted_bump.n_samples == traj_bump.n_samples
+    assert_the_grid_space_solve(model, grid, traj_bump.u_samples,
+                                extracted_bump.sigma, extracted_bump.w,
+                                point_bump.sigma0, grid_space_decompose)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(sigma=st.floats(min_value=-4.0, max_value=4.0),
+       guess_offset=st.floats(min_value=-0.3, max_value=0.3),
+       size=st.floats(min_value=0.0, max_value=0.2),
+       cutoff=st.floats(min_value=1.0, max_value=6.0),
+       seed=st.integers(0, 2**32 - 1))
+@example(sigma=0.0, guess_offset=0.0, size=0.0, cutoff=3.0, seed=0)
+def test_the_chart_solve_is_the_grid_space_solve_on_drawn_states(
+        model, grid, grid_space_decompose, sigma, guess_offset, size, cutoff,
+        seed):
+    # A translated pulse plus smooth noise of strong norm up to 0.2, with
+    # no part of it removed along the tangent.  The pulse itself at the
+    # chart origin gives sigma = 0 and w = 0 exactly.
+    noise = smooth_noise(grid, np.random.default_rng(seed), cutoff)
+    values = model.family(sigma).values \
+        + size * noise / grid.strong_norm_values(noise)
+    found, w = decompose_state(model, GridField(values, grid),
+                               sigma + guess_offset)
+    assert_the_grid_space_solve(model, grid, [values], [found], [w.values],
+                                sigma + guess_offset, grid_space_decompose)
+    assert np.array_equal(w.values, values - model.family(found).values)
 
 
 def test_decompose_of_an_even_perturbation_keeps_the_chart_point(model, grid,

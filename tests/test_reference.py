@@ -13,7 +13,6 @@ from adiaflow import modulation, reference
 from adiaflow.errors import AdiaflowError, ConvergenceError
 from adiaflow.grid import GridField, PeriodicGrid
 from adiaflow.manifold import construct_manifold_point
-from adiaflow.model import PulseModel
 from adiaflow.modulation import decompose_state
 from adiaflow.paths import TrajectoryPath, mesh_prefix
 from adiaflow.presets import preset_field
@@ -1233,41 +1232,40 @@ def test_extraction_failing_at_the_first_sample_names_t_0(model, traj_bump,
         extract_modulated(model, traj_bump, sigma_guess=0.0)
 
 
-def test_extraction_carries_each_samples_frame_to_the_next(
-        workspace, model, grid, point_bump, monkeypatch):
-    # An escaping witness trajectory, as the witness workload solves it.
-    u0 = corrected_initial_state(workspace, point_bump,
-                                 point_bump.correction, 1e-3)
-    traj = evolve_lanes(model, [u0.values], dt=1e-3,
-                        sample_times=mesh_prefix(workspace.times, 20.0),
-                        collapse_floor=reference.collapse_floor(model))[0]
-    assert traj.escaped
-    frames = []
-    frame = PulseModel.frame
+def test_an_extraction_transforms_all_samples_at_once(
+        model, grid, point_bump, witness_solves, monkeypatch):
+    traj = witness_solves[1e-3]
+    transforms = {"rfft": 0, "irfft": 0}
+    for name in transforms:
+        def counted(*args, _name=name, _fft=getattr(np.fft, name), **kwargs):
+            transforms[_name] += 1
+            return _fft(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    trials = []
+    constraint = modulation._constraint
 
-    def counted(self, sigma):
-        frames.append(sigma)
-        return frame(self, sigma)
+    def recorded(model, weighted, s):
+        trials.append(s)
+        return constraint(model, weighted, s)
 
-    monkeypatch.setattr(PulseModel, "frame", counted)
+    monkeypatch.setattr(modulation, "_constraint", recorded)
     extracted = extract_modulated(model, traj, point_bump.sigma0)
-    carried = len(frames)
-    frames.clear()
+    assert extracted.n_samples > 100
+    # Hundreds of Newton trials beside each sample's first constraint
+    # evaluation, and none transforms: one batched rfft of the samples,
+    # one batched irfft of the family points.
+    assert len(trials) - extracted.n_samples > 100
+    assert transforms == {"rfft": 1, "irfft": 1}
+    monkeypatch.undo()
+    # decompose_state is the one-state case: chained state by state, it
+    # gives the extraction's bits.
     sigma, sigmas, remainders = point_bump.sigma0, [], []
     for values in traj.u_samples[:extracted.n_samples]:
         sigma, w = decompose_state(model, GridField(values, grid), sigma)
         sigmas.append(sigma)
         remainders.append(w.values)
-    if extracted.n_samples < traj.n_samples:
-        with pytest.raises(ConvergenceError):
-            decompose_state(model, GridField(
-                traj.u_samples[extracted.n_samples], grid), sigma)
-    assert extracted.n_samples > 100
     assert np.array_equal(extracted.sigma, sigmas)
     assert np.array_equal(extracted.w, remainders)
-    # One frame fewer for every sample after the first: its first
-    # constraint evaluation takes the frame the previous sample accepted.
-    assert len(frames) - carried == extracted.n_samples - 1
 
 
 def test_extraction_ends_its_prefix_where_the_chart_is_left(model, grid):
@@ -1497,3 +1495,81 @@ def test_every_lane_is_its_single_solve(workspace, model, offsets):
         single = evolve_lanes(model, [u0], dt=2e-3,
                               sample_times=samples, collapse_floor=floor)[0]
         assert_same_solve(mine, single)
+
+
+@pytest.fixture(scope="module")
+def exact_solves(model, single_solves, exact_solve):
+    """The plain per-step solve of each of the LANE_OFFSETS starts."""
+    starts, samples, floor, _ = single_solves
+    return [exact_solve(model, u0, 1e-3, samples, collapse_floor=floor)
+            for u0 in starts]
+
+
+def assert_same_end(mine, theirs):
+    assert (mine.end is None) == (theirs.end is None)
+    if mine.end is not None:
+        assert mine.end[0] == theirs.end[0]
+        assert np.array_equal(mine.end[1].view(np.uint64),
+                              theirs.end[1].view(np.uint64))
+
+
+@pytest.mark.parametrize("lanes", [1, 4])
+def test_lanes_are_bitwise_the_plain_per_step_solve(model, single_solves,
+                                                     exact_solves, lanes):
+    starts, samples, floor, _ = single_solves
+    if lanes == 1:
+        solved = [evolve_lanes(model, [u0], dt=1e-3, sample_times=samples,
+                               collapse_floor=floor)[0] for u0 in starts]
+    else:
+        solved = evolve_lanes(model, starts, dt=1e-3, sample_times=samples,
+                              collapse_floor=floor)
+    assert [traj.stats["escape_sign"] for traj in exact_solves] \
+        == [0, 1, -1, 1]
+    for mine, theirs in zip(solved, exact_solves):
+        assert_same_solve(mine, theirs)
+        assert mine.stats["escape_time"] == theirs.stats["escape_time"]
+        assert_same_end(mine, theirs)
+
+
+def test_a_continued_solve_is_bitwise_the_plain_per_step_solve(
+        workspace, model, single_solves, exact_solves):
+    starts, samples, floor, _ = single_solves
+    begun = evolve_lanes(model, [starts[0], starts[3]], dt=1e-3,
+                         sample_times=mesh_prefix(workspace.times, 3.0),
+                         collapse_floor=floor)
+    continued = evolve_lanes(model, begun, dt=1e-3, sample_times=samples,
+                             collapse_floor=floor)
+    for mine, theirs in zip(continued, (exact_solves[0], exact_solves[3])):
+        assert_same_solve(mine, theirs)
+        assert list(mine.stats) == list(theirs.stats)
+        assert_same_end(mine, theirs)
+
+
+def test_the_clamped_steps_take_each_intervals_own_multipliers(workspace,
+                                                               grid):
+    # A solve takes every clamped step's half-step multiplier from one exp
+    # over the lengths of all its clamped steps.
+    samples = mesh_prefix(workspace.times, 20.0)
+    lengths = reference._clamp_lengths(samples[1:].tolist(), 0.0, 1e-3)
+    assert len(set(lengths)) > 10
+    stepper = reference._SplitStepper(grid)
+    stepper.clamp(lengths)
+    rate = grid.wavenumbers**2 + 1.0
+    for length in lengths:
+        assert np.array_equal(
+            stepper._clamped[length].view(np.uint64),
+            np.exp(-0.5 * length * rate).view(np.uint64)), length
+
+
+def test_energies_are_bitwise_the_per_sample_energies(model, grid,
+                                                      traj_bump):
+    one = FullTrajectory(traj_bump.times[:1], traj_bump.u_samples[:1])
+    for traj in (traj_bump, one):
+        each = np.array([model.energy(GridField(u, grid))
+                         for u in traj.u_samples])
+        assert np.array_equal(traj.energies(model).view(np.uint64),
+                              each.view(np.uint64))
+    stray = traj_bump.u_samples[:3].copy()
+    stray[1, 5] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        FullTrajectory(traj_bump.times[:3], stray).energies(model)
