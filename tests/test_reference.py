@@ -1573,3 +1573,31 @@ def test_energies_are_bitwise_the_per_sample_energies(model, grid,
     stray[1, 5] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         FullTrajectory(traj_bump.times[:3], stray).energies(model)
+
+
+def test_a_solve_frees_its_stepper_without_the_garbage_collector(
+        model, monkeypatch):
+    # The stepper keeps the operands of its last call of whole steps; a
+    # reference from them back to the stepper would be a cycle that keeps
+    # every solve's stepper and clamp table alive until a full collection.
+    import gc
+    import weakref
+
+    steppers = []
+    init = reference._SplitStepper.__init__
+
+    def recorded(self, grid):
+        init(self, grid)
+        steppers.append(weakref.ref(self))
+
+    monkeypatch.setattr(reference._SplitStepper, "__init__", recorded)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        pulse = model.profile.values
+        evolve_lanes(model, [pulse, 1.01 * pulse], dt=1e-3,
+                     sample_times=np.linspace(0.0, 0.5, 6), collapse_floor=0.1)
+        assert len(steppers) == 1 and steppers[0]() is None
+    finally:
+        if enabled:
+            gc.enable()
