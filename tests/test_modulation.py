@@ -234,6 +234,48 @@ def test_the_chart_solve_is_the_grid_space_solve_on_drawn_states(
     assert np.array_equal(w.values, values - model.family(found).values)
 
 
+def test_decompose_translates_the_frame_once_per_constraint_evaluation(
+        model, grid, monkeypatch):
+    rng = np.random.default_rng(12)
+    sm = smooth_noise(grid, rng, 3.0)
+    state = GridField(model.family(0.42).values
+                      + 0.03 * sm / grid.strong_norm_values(sm), grid)
+    expected = decompose_state(model, state, 0.3)
+
+    transforms = {"rfft": 0, "irfft": 0}
+    for name in transforms:
+        def counted(*args, _name=name, _fft=getattr(np.fft, name), **kwargs):
+            transforms[_name] += 1
+            return _fft(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    points = []
+    constraint = modulation._constraint
+
+    def recorded(model, weighted, s):
+        points.append(s)
+        return constraint(model, weighted, s)
+
+    monkeypatch.setattr(modulation, "_constraint", recorded)
+    shifts = []
+    shift_phases = model.grid.shift_phases
+
+    def translated(s):
+        shifts.append(s)
+        return shift_phases(s)
+
+    monkeypatch.setattr(model.grid, "shift_phases", translated)
+    sigma, w = decompose_state(model, state, 0.3)
+    assert sigma == expected[0]
+    assert np.array_equal(w.values, expected[1].values)
+    assert len(points) >= 3
+    # Each constraint evaluation translates the frame's spectrum by one
+    # phase table, and the accepted chart point's family point takes one
+    # more; the state's rfft and the family point's irfft are the only
+    # transforms.
+    assert shifts == points + [[sigma]]
+    assert transforms == {"rfft": 1, "irfft": 1}
+
+
 def test_decompose_of_an_even_perturbation_keeps_the_chart_point(model, grid,
                                                                  spectrum):
     e_s = spectrum.eigenvectors[:, spectrum.stable_indices[0]]

@@ -1233,7 +1233,7 @@ def test_extraction_failing_at_the_first_sample_names_t_0(model, traj_bump,
 
 
 def test_an_extraction_transforms_all_samples_at_once(
-        model, grid, point_bump, witness_solves, monkeypatch):
+        model, point_bump, witness_solves, monkeypatch):
     traj = witness_solves[1e-3]
     transforms = {"rfft": 0, "irfft": 0}
     for name in transforms:
@@ -1256,14 +1256,27 @@ def test_an_extraction_transforms_all_samples_at_once(
     # one batched irfft of the family points.
     assert len(trials) - extracted.n_samples > 100
     assert transforms == {"rfft": 1, "irfft": 1}
-    monkeypatch.undo()
-    # decompose_state is the one-state case: chained state by state, it
-    # gives the extraction's bits.
+
+
+def test_extraction_carries_each_samples_frame_to_the_next(
+        model, grid, point_bump, witness_solves):
+    # Each sample's chart solve starts from the chart point, and so the
+    # frame, that the sample before accepted: decompose_state chained state
+    # by state from the same guess gives the extraction's bits, and fails
+    # where its prefix ends.
+    traj = witness_solves[1e-3]
+    assert traj.escaped
+    extracted = extract_modulated(model, traj, point_bump.sigma0)
     sigma, sigmas, remainders = point_bump.sigma0, [], []
     for values in traj.u_samples[:extracted.n_samples]:
         sigma, w = decompose_state(model, GridField(values, grid), sigma)
         sigmas.append(sigma)
         remainders.append(w.values)
+    if extracted.n_samples < traj.n_samples:
+        with pytest.raises(ConvergenceError):
+            decompose_state(model, GridField(
+                traj.u_samples[extracted.n_samples], grid), sigma)
+    assert extracted.n_samples > 100
     assert np.array_equal(extracted.sigma, sigmas)
     assert np.array_equal(extracted.w, remainders)
 
