@@ -16,13 +16,28 @@ D the spectral first derivative, which zeroes the Nyquist mode.  The strong
 norm is evaluated by Parseval on one rfft, sum_k w_k |vhat_k|^2 with the
 weights of ``parseval_weights``; no derivative is formed, and the Nyquist
 mode counts in the weak part only, as D's convention says.
+
+Every transform in the program calls scipy's binding of pocketfft, the
+class attributes ``PeriodicGrid.r2c`` and ``c2r``, so patching them swaps
+them all: through ``rfft`` and ``irfft``, or from the solver's step kernel.
+It runs the C++ code of ``np.fft.rfft`` and ``irfft`` with their scales,
+into outputs in their layout (the input's stride order, which sets the
+order of later sums), so it gives their bits without numpy's per-call
+costs.  Its arguments go by position: input, axes, the inverse's length,
+direction, scale (0 none, 2 by 1/n), output, threads.  Its extension module
+is loaded from its file, as the ``scipy.fft`` package around it would
+import ``scipy.special`` and more (README, Installation).
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy
 from numpy.lib.stride_tricks import sliding_window_view
 
 #: The default grid, owned here: ``PeriodicGrid()`` and the configuration's
@@ -36,6 +51,17 @@ DEFAULT_N_POINTS = 256
 DEFAULT_HALF_LENGTH = 20.0
 
 
+def _pocketfft_transforms():
+    """``r2c`` and ``c2r`` of scipy's pocketfft extension, from its file."""
+    where = os.path.join(os.path.dirname(scipy.__file__), "fft", "_pocketfft")
+    spec = importlib.machinery.PathFinder.find_spec("pypocketfft", [where])
+    if spec is None:
+        raise ImportError(f"no pocketfft extension module in {where}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.r2c, module.c2r
+
+
 class PeriodicGrid:
     """Equispaced periodic grid on [-half_length, half_length).
 
@@ -46,6 +72,9 @@ class PeriodicGrid:
     half_length : float
         Half-width of the periodic domain.
     """
+
+    #: The transforms' binding (module docstring), read from the class.
+    r2c, c2r = _pocketfft_transforms()
 
     def __init__(self, n: int = DEFAULT_N_POINTS,
                  half_length: float = DEFAULT_HALF_LENGTH):
@@ -58,8 +87,9 @@ class PeriodicGrid:
         self.half_length = float(half_length)
         self.spacing = 2.0 * self.half_length / self.n
         self.x = -self.half_length + self.spacing * np.arange(self.n)
-        # rfft wavenumbers; the last entry is the Nyquist mode.
-        self.wavenumbers = 2.0 * np.pi * np.fft.rfftfreq(self.n, d=self.spacing)
+        # 2 pi np.fft.rfftfreq(n, spacing); the last is the Nyquist mode.
+        self.wavenumbers = 2.0 * np.pi * (np.arange(self.n // 2 + 1)
+                                          * (1.0 / (self.n * self.spacing)))
         # Parseval weights on the interleaved parts of an rfft (see
         # ``parseval_weights``), built once and shared read-only.
         weak = np.full(self.n // 2 + 1, 2.0 * self.spacing / self.n)
@@ -86,19 +116,33 @@ class PeriodicGrid:
     def __repr__(self):
         return f"PeriodicGrid(n={self.n}, half_length={self.half_length})"
 
+    # -- transforms -----------------------------------------------------------
+    def rfft(self, values) -> np.ndarray:
+        """``np.fft.rfft`` along the last axis, bitwise and in its layout."""
+        values = np.asarray(values, dtype=float)
+        out = np.empty_like(values, complex,
+                            shape=values.shape[:-1] + (self.n // 2 + 1,))
+        return PeriodicGrid.r2c(values, (-1,), True, 0, out, 1)
+
+    def irfft(self, vhat) -> np.ndarray:
+        """``np.fft.irfft`` to n points along the last axis, likewise."""
+        vhat = np.asarray(vhat, dtype=complex)
+        out = np.empty_like(vhat, float, shape=vhat.shape[:-1] + (self.n,))
+        return PeriodicGrid.c2r(vhat, (-1,), self.n, False, 2, out, 1)
+
     # -- spectral operators on raw arrays ------------------------------------
     def first_derivative_values(self, values: np.ndarray) -> np.ndarray:
         """Spectral first derivative; Nyquist mode is zeroed (odd operator)."""
-        vhat = np.fft.rfft(values, axis=-1)
+        vhat = self.rfft(values)
         vhat *= 1j * self.wavenumbers
         vhat[..., -1] = 0.0
-        return np.fft.irfft(vhat, self.n, axis=-1)
+        return self.irfft(vhat)
 
     def second_derivative_values(self, values: np.ndarray) -> np.ndarray:
         """Spectral second derivative."""
-        vhat = np.fft.rfft(values, axis=-1)
+        vhat = self.rfft(values)
         vhat *= -self.wavenumbers**2
-        return np.fft.irfft(vhat, self.n, axis=-1)
+        return self.irfft(vhat)
 
     def shift_values(self, values: np.ndarray, s) -> np.ndarray:
         """Translate by s via Fourier phases, exact for band-limited fields.
@@ -111,8 +155,7 @@ class PeriodicGrid:
         s_arr = np.asarray(s, dtype=float)
         if s_arr.ndim == 0 and s_arr == 0.0:
             return np.array(values, dtype=float, copy=True)
-        return self.apply_phases(np.fft.rfft(values, axis=-1),
-                                 self.shift_phases(s_arr))
+        return self.apply_phases(self.rfft(values), self.shift_phases(s_arr))
 
     def shift_phases(self, s) -> np.ndarray:
         """The rfft phase table of a translation by s: exp(-i k s) per mode.
@@ -133,7 +176,7 @@ class PeriodicGrid:
 
     def apply_phases(self, vhat: np.ndarray, phases: np.ndarray) -> np.ndarray:
         """Grid values of the rfft coefficients ``vhat`` times ``phases``."""
-        return np.fft.irfft(vhat * phases, self.n, axis=-1)
+        return self.irfft(vhat * phases)
 
     # -- norms on raw arrays --------------------------------------------------
     def inner_values(self, u: np.ndarray, v: np.ndarray):
@@ -147,8 +190,7 @@ class PeriodicGrid:
         """Strong norm along the last axis by Parseval on one rfft:
         sqrt(sum_k w_k |vhat_k|^2) with the strong ``parseval_weights``,
         which count the Nyquist mode without its k^2 (D zeroes it)."""
-        parts = np.fft.rfft(np.asarray(values, dtype=float),
-                            axis=-1).view(np.float64)
+        parts = self.rfft(values).view(np.float64)
         return np.sqrt(np.square(parts, out=parts) @ self._parseval[1])
 
     def parseval_weights(self) -> tuple[np.ndarray, np.ndarray]:
@@ -235,6 +277,5 @@ def smooth_noise(grid: PeriodicGrid, rng: np.random.Generator,
     Each call consumes exactly one draw of ``grid.n`` normals from ``rng``.
     """
     raw = rng.standard_normal(grid.n)
-    return np.fft.irfft(
-        np.fft.rfft(raw) * np.exp(-((grid.wavenumbers / cutoff) ** 2)), grid.n
-    )
+    return grid.irfft(
+        grid.rfft(raw) * np.exp(-((grid.wavenumbers / cutoff) ** 2)))

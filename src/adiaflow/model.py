@@ -79,7 +79,7 @@ class PulseModel:
         # xi^2 phi'' with phi'' = phi - phi^2 exactly (the profile equation).
         self._frame0 = np.stack([pulse, -self.xi * slope,
                                  (self.xi**2) * (pulse - pulse**2)])
-        self.frame_hat = np.fft.rfft(self._frame0, axis=-1)
+        self.frame_hat = grid.rfft(self._frame0)
         self.frame_hat.flags.writeable = False
         # <f, d f> and <f, d^2 f> by Parseval on those rows.  A translation
         # multiplies all three by one phase table, of unit modulus at every

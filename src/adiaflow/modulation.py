@@ -135,7 +135,7 @@ def decompose_states(model: PulseModel, states: np.ndarray,
     states = np.asarray(states, dtype=float)
     if not np.all(np.isfinite(states)):
         raise ValueError("field contains non-finite samples")
-    weighted = np.fft.rfft(states, axis=-1).view(np.float64)
+    weighted = model.grid.rfft(states).view(np.float64)
     weighted *= model.grid.parseval_weights()[0]
     sigmas, failure = [], None
     s = float(sigma_guess)
@@ -148,7 +148,7 @@ def decompose_states(model: PulseModel, states: np.ndarray,
     family = model.grid.apply_phases(model.frame_hat[0],
                                      model.grid.shift_phases(sigmas))
     # sigma = 0 is the profile itself, as in ``model.frame``.
-    family[np.equal(sigmas, 0.0)] = model.profile.values
+    family[np.equal(sigmas, 0.0)] = model.frame(0.0)[0]
     yield from zip(sigmas, states[:len(sigmas)] - family)
     if failure is not None:
         raise failure

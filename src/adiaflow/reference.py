@@ -5,17 +5,15 @@ it integrates the flow with a stiff-aware splitting — the constant-coefficient
 linear part (second derivative minus identity) advanced exactly in Fourier
 space, the pointwise quadratic part advanced exactly by its closed-form
 solution — composed symmetrically for second-order accuracy.  The state
-lives in Fourier space between steps, so a step costs two FFTs (pocketfft
-through scipy's binding, bitwise equal to ``np.fft``; the binding's
-extension module is loaded from its file, so no ``scipy.fft`` package is
-imported), and the escape checks read its norms by Parseval; it returns to
-physical space only where a sample is recorded.  Inside a sample interval
-the state is carried primed, its rfft times the half-step multiplier and
-dt, so that the two linear half steps between quadratic substeps are one
-product and the substep needs no scaling; the clamped step onto each
-sample un-primes it.  The step kernel rules escapes out by a bound on one
-sum of squares per state, and runs the exact escape tests only near the
-escape band's edges.
+lives in Fourier space between steps, so a step costs two FFTs (the grid's
+transforms), and the escape checks read its norms by Parseval; it returns
+to physical space only where a sample is recorded.  Inside a sample
+interval the state is carried primed, its rfft times the half-step
+multiplier and dt, so that the two linear half steps between quadratic
+substeps are one product and the substep needs no scaling; the clamped
+step onto each sample un-primes it.  The step kernel rules escapes out by
+a bound on one sum of squares per state, and runs the exact escape tests
+only near the escape band's edges.
 
 The one solver, ``evolve_lanes``, takes fixed steps (``_whole_steps``), so
 that shooting, comparison and witness runs traverse the identical, bitwise
@@ -52,15 +50,11 @@ On top of the solver:
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import math
-import os
 from itertools import compress
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-import scipy
 
 from .errors import ConvergenceError
 from .grid import GridField, PeriodicGrid
@@ -69,21 +63,6 @@ from .model import PulseModel
 from .modulation import decompose_state, decompose_states, frame_coefficient
 from .paths import TrajectoryPath, mesh_prefix, time_weight
 
-
-def _pocketfft_transforms():
-    """``r2c`` and ``c2r`` of scipy's pocketfft extension module, loaded from
-    its file so that the ``scipy.fft`` package around it is never imported
-    (see ``_SplitStepper``)."""
-    where = os.path.join(os.path.dirname(scipy.__file__), "fft", "_pocketfft")
-    spec = importlib.machinery.PathFinder.find_spec("pypocketfft", [where])
-    if spec is None:
-        raise ImportError(f"no pocketfft extension module in {where}")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.r2c, module.c2r
-
-
-_rfft, _irfft = _pocketfft_transforms()
 
 #: Smallest acceptable nonlinear-substep denominator; below this the step is
 #: considered to have crossed a blow-up.
@@ -178,24 +157,13 @@ class _SplitStepper:
     the band's edges, and stop the kernel where they would stop it if they
     ran after every step.
 
-    The transforms call scipy's own binding of pocketfft (``r2c`` and
-    ``c2r``), the C++ code that ``np.fft.rfft`` and ``np.fft.irfft`` run
-    too, with the scales those apply (none forward, 1/n inverse), so they
-    give the same bits.  The binding is loaded from its extension file
-    alone (``_pocketfft_transforms``), because the ``scipy.fft`` package
-    around it imports ``scipy.special`` and more, which every process
-    would pay for in start-up time and memory (README, Installation).  At
-    the solver's sizes a numpy FFT call spends a good part of its time in
-    fixed per-call costs that this binding, with its cached plans, does not
-    have; a step makes two calls.  They take
-    their arguments by position, which is cheaper than by keyword: axes
-    ``(-1,)``, for the inverse the output length n, the direction, the
-    scale (0 none, 2 by 1/n), the output buffer and one thread; the step's
-    ufuncs take their output buffers by position too.  The physical values,
-    the denominators and a clamped step's half-stepped spectrum go into
-    buffers kept for the current stack height, and a call of whole steps
-    takes the row views, bounds and exact band test of the call before
-    while the stack, dt and band stay the same (``_band``).
+    The kernel calls the grid's binding, ``PeriodicGrid.c2r`` and ``r2c``,
+    itself, so its transforms add no Python frame; they and the ufuncs take
+    their arguments by position.  The physical values, the denominators
+    and a clamped step's half-stepped spectrum go into buffers kept for the
+    current stack height, and a call of whole steps takes the row views,
+    bounds and exact band test of the call before while the stack, dt and
+    band stay the same (``_band``).
     """
 
     def __init__(self, grid: PeriodicGrid):
@@ -276,16 +244,6 @@ class _SplitStepper:
         self._bound = out, self._values, (dt, band), operands
         return operands
 
-    def spectrum(self, values: np.ndarray) -> np.ndarray:
-        """``np.fft.rfft`` of each row of values."""
-        out = np.empty(values.shape[:-1] + (self.n // 2 + 1,), complex)
-        return _rfft(values, (-1,), True, 0, out, 1)
-
-    def values(self, uh: np.ndarray) -> np.ndarray:
-        """``np.fft.irfft`` of each row of the rfft stack uh, to n points."""
-        out = np.empty(uh.shape[:-1] + (self.n,))
-        return _irfft(uh, (-1,), self.n, False, 2, out, 1)
-
     def prime(self, uh: np.ndarray, dt: float) -> np.ndarray:
         """Prime the rfft stack uh in place for whole steps of dt: each row
         becomes z = uh m dt.  Returns uh."""
@@ -331,7 +289,7 @@ class _SplitStepper:
         """
         self._buffers(len(uh))
         spectrum, v, denom = self._spectrum, self._values, self._denom
-        n = self.n
+        n, r2c, c2r = self.n, PeriodicGrid.r2c, PeriodicGrid.c2r
         if out is None:
             out = np.empty_like(uh)
         exact = True
@@ -354,12 +312,12 @@ class _SplitStepper:
         blown = None
         for taken in range(1, count + 1):
             if band is None:
-                _irfft(np.multiply(uh, before, spectrum), (-1,), n, False, 2,
-                       v, 1)
+                c2r(np.multiply(uh, before, spectrum), (-1,), n, False, 2,
+                    v, 1)
                 before = after
                 np.subtract(1.0, np.multiply(v, dt, denom), denom)
             else:
-                _irfft(uh, (-1,), n, False, 2, v, 1)
+                c2r(uh, (-1,), n, False, 2, v, 1)
                 exact = edge = False
                 for row in physical:
                     s = row.dot(row)
@@ -374,7 +332,7 @@ class _SplitStepper:
                 v, denom = v[~blown], denom[~blown]
                 out = np.empty((len(v), n // 2 + 1), complex)
             v /= denom
-            uh = _rfft(v, (-1,), True, 0, out, 1)
+            uh = r2c(v, (-1,), True, 0, out, 1)
             uh *= after
             if blown is not None:
                 return uh, blown, taken
@@ -587,7 +545,7 @@ def evolve_lanes(model: PulseModel, starts, *, dt: float,
                           dict(start.stats)))
         else:
             values = np.asarray(start, dtype=float)
-            t0, uh0 = 0.0, stepper.spectrum(values)
+            t0, uh0 = 0.0, model.grid.rfft(values)
             lanes.append(_new_lane(values, sample_times, dt))
         origins.add(t0)
         rows.append(uh0)
@@ -627,7 +585,7 @@ def evolve_lanes(model: PulseModel, starts, *, dt: float,
         steps += done
         if clamped:
             t, taken = target, 0
-            for lane, values in zip(active, stepper.values(uh)):
+            for lane, values in zip(active, model.grid.irfft(uh)):
                 lanes[lane][0].append(t)
                 lanes[lane][1].append(values)
             next_sample += 1

@@ -36,6 +36,23 @@ def derivative_strong_norm():
     return norm
 
 
+@pytest.fixture
+def count_transforms(monkeypatch):
+    """``count_transforms()`` starts counting the calls of the binding that
+    every transform in the program calls, ``PeriodicGrid.r2c`` and ``c2r``
+    (patched on the class), and returns the counts by name."""
+    def start():
+        counts = {"r2c": 0, "c2r": 0}
+        for name in counts:
+            def counted(*args, _name=name,
+                        _binding=getattr(PeriodicGrid, name)):
+                counts[_name] += 1
+                return _binding(*args)
+            monkeypatch.setattr(PeriodicGrid, name, counted)
+        return counts
+    return start
+
+
 @pytest.fixture(scope="session")
 def exact_step():
     """The whole split step with the exact escape tests after every step,

@@ -16,9 +16,10 @@ is far below round-off from 192 points on:
   apart, sits within 4.3 round-off floors at 256, 512 and 1024 points.
 
 Where the root does move with n, the transforms move it: sizes with a factor
-3 sit 48 to 55 floors from the powers of two, and writing the solver's real
+3 sit 48 to 55 floors from the powers of two, and writing the real
 transforms as complex FFTs, the same transform up to round-off, moves the
-root by 8 to 37 floors at a fixed size (about 14 at 512).  A one-ulp change of
+root by 8 to 37 floors at a fixed size (14.8 at 512, whether the solver's
+transforms alone or all of them are swapped).  A one-ulp change of
 the initial state moves it by at most 0.23 floors.  So the root's spread
 over n is the transforms' round-off, and 512 or 1024 points buy no
 accuracy.
@@ -155,13 +156,13 @@ def test_the_shooting_root_agrees_over_the_powers_of_two(roots, floor,
 
 
 def _complex_rfft(values, axes, forward, scale, out, threads):
-    """The solver's forward transform written as a complex FFT."""
+    """The forward transform written as a complex FFT."""
     out[...] = np.fft.fft(values.astype(complex))[..., :out.shape[-1]]
     return out
 
 
 def _complex_irfft(uh, axes, n, forward, scale, out, threads):
-    """The solver's inverse transform written as a complex FFT of the
+    """The inverse transform written as a complex FFT of the
     Hermitian extension; the mean and Nyquist entries count as real."""
     full = np.empty(uh.shape[:-1] + (n,), complex)
     full[..., :n // 2 + 1] = uh
@@ -174,8 +175,8 @@ def _complex_irfft(uh, axes, n, forward, scale, out, threads):
 
 def test_the_transforms_move_the_root_more_than_the_grid_does(
         points, roots, floor, refined_bump, monkeypatch):
-    monkeypatch.setattr(reference, "_rfft", _complex_rfft)
-    monkeypatch.setattr(reference, "_irfft", _complex_irfft)
+    monkeypatch.setattr(PeriodicGrid, "r2c", _complex_rfft)
+    monkeypatch.setattr(PeriodicGrid, "c2r", _complex_irfft)
     swapped, residual = _probe_root(*points[512], refined_bump.beta,
                                     refined_bump.probe_time)
     assert abs(residual) <= 1.5 * floor

@@ -239,15 +239,17 @@ def test_correction_scan_needs_two_distinct_scales(workspace, eta_bump):
             correction_scan(workspace, eta_bump, scales, delta=DELTA)
 
 
-def _count_phase_tables(monkeypatch, workspace):
+def _count_phase_tables(monkeypatch):
+    # Patched on the class: an instance attribute, which undoing a patch of
+    # the session's shared grid would leave behind, shadows later patches.
     built = []
-    shift_phases = workspace.grid.shift_phases
+    shift_phases = PeriodicGrid.shift_phases
 
-    def counting(s):
+    def counting(self, s):
         built.append(s)
-        return shift_phases(s)
+        return shift_phases(self, s)
 
-    monkeypatch.setattr(workspace.grid, "shift_phases", counting)
+    monkeypatch.setattr(PeriodicGrid, "shift_phases", counting)
     return built
 
 
@@ -266,7 +268,7 @@ def test_carried_frame_reproduces_a_fresh_application(spectrum, eta_bump,
     carrying = SolutionMapWorkspace(spectrum)
     point = construct_manifold_point(carrying, eta_bump, delta=DELTA,
                                      initial_path=point_bump.path)
-    built = _count_phase_tables(monkeypatch, carrying)
+    built = _count_phase_tables(monkeypatch)
     hit = carrying.apply_raw(eta_bump.values, point.path.sigma, point.path.w)
     assert len(built) == 1
     missed = SolutionMapWorkspace(spectrum).apply_raw(
@@ -281,7 +283,7 @@ def test_a_path_changed_in_place_does_not_reuse_the_carried_frame(
                                point_bump.path.w)
     sigma, w = first.path.sigma, first.path.w
     sigma += 0.05
-    built = _count_phase_tables(monkeypatch, carrying)
+    built = _count_phase_tables(monkeypatch)
     again = carrying.apply_raw(eta_bump.values, sigma, w)
     assert len(built) == 2
     fresh = SolutionMapWorkspace(spectrum).apply_raw(eta_bump.values, sigma, w)

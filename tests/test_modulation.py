@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from adiaflow import modulation
 from adiaflow.errors import BallViolationError, ConvergenceError
-from adiaflow.grid import GridField, smooth_noise, zero_field
+from adiaflow.grid import GridField, PeriodicGrid, smooth_noise, zero_field
 from adiaflow.model import PulseModel
 from adiaflow.modulation import (
     decompose_state,
@@ -235,19 +235,14 @@ def test_the_chart_solve_is_the_grid_space_solve_on_drawn_states(
 
 
 def test_decompose_translates_the_frame_once_per_constraint_evaluation(
-        model, grid, monkeypatch):
+        model, grid, count_transforms, monkeypatch):
     rng = np.random.default_rng(12)
     sm = smooth_noise(grid, rng, 3.0)
     state = GridField(model.family(0.42).values
                       + 0.03 * sm / grid.strong_norm_values(sm), grid)
     expected = decompose_state(model, state, 0.3)
 
-    transforms = {"rfft": 0, "irfft": 0}
-    for name in transforms:
-        def counted(*args, _name=name, _fft=getattr(np.fft, name), **kwargs):
-            transforms[_name] += 1
-            return _fft(*args, **kwargs)
-        monkeypatch.setattr(np.fft, name, counted)
+    transforms = count_transforms()
     points = []
     constraint = modulation._constraint
 
@@ -257,13 +252,13 @@ def test_decompose_translates_the_frame_once_per_constraint_evaluation(
 
     monkeypatch.setattr(modulation, "_constraint", recorded)
     shifts = []
-    shift_phases = model.grid.shift_phases
+    shift_phases = PeriodicGrid.shift_phases
 
-    def translated(s):
+    def translated(self, s):
         shifts.append(s)
-        return shift_phases(s)
+        return shift_phases(self, s)
 
-    monkeypatch.setattr(model.grid, "shift_phases", translated)
+    monkeypatch.setattr(PeriodicGrid, "shift_phases", translated)
     sigma, w = decompose_state(model, state, 0.3)
     assert sigma == expected[0]
     assert np.array_equal(w.values, expected[1].values)
@@ -273,7 +268,7 @@ def test_decompose_translates_the_frame_once_per_constraint_evaluation(
     # more; the state's rfft and the family point's irfft are the only
     # transforms.
     assert shifts == points + [[sigma]]
-    assert transforms == {"rfft": 1, "irfft": 1}
+    assert transforms == {"r2c": 1, "c2r": 1}
 
 
 def test_decompose_of_an_even_perturbation_keeps_the_chart_point(model, grid,

@@ -762,22 +762,43 @@ def _nyquist_stack(n, rows, seed):
     return 0.3 * smooth + rng.uniform(0.1, 0.4, (rows, 1)) * nyquist
 
 
+def _stride_order(array):
+    return np.argsort(array.strides, kind="stable").tolist()
+
+
 # The study sizes and non-powers of two, where the inverse scale 1/n is not
 # exact, up to eight lanes.
 @pytest.mark.parametrize("n", [16, 192, 256, 512, 768, 1024, 1536])
 @pytest.mark.parametrize("rows", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_the_solver_transforms_are_numpys_fft(n, rows):
-    stepper = reference._SplitStepper(PeriodicGrid(n))
+    grid = PeriodicGrid(n)
+    stepper = reference._SplitStepper(grid)
     values = _nyquist_stack(n, rows, seed=10 * n + rows)
-    values_hat = stepper.spectrum(values)
-    assert np.array_equal(values_hat, np.fft.rfft(values))
+    values_hat = grid.rfft(values)
     assert np.all(values_hat[:, -1] != 0.0)
-    assert np.array_equal(stepper.values(values_hat),
-                          np.fft.irfft(values_hat, n))
+    # The grid's transforms are numpy's in bits and in the layout of their
+    # output, which sets the order of the sums taken over it later (over a
+    # transposed stack of eigenvectors, say): on 1-D, C- and F-ordered and
+    # strided inputs.
+    wide = _nyquist_stack(2 * n, rows, seed=10 * n + rows + 1)
+    for given in (values[0], values, np.asfortranarray(values), wide[:, ::2],
+                  np.asfortranarray(wide)[:, ::2]):
+        mine, theirs = grid.rfft(given), np.fft.rfft(given)
+        assert np.array_equal(mine, theirs)
+        assert _stride_order(mine) == _stride_order(theirs)
+        for spectrum in (theirs, np.asfortranarray(theirs),
+                         theirs[..., ::-1]):
+            mine, back = grid.irfft(spectrum), np.fft.irfft(spectrum, n)
+            assert np.array_equal(mine, back)
+            assert _stride_order(mine) == _stride_order(back)
+    # The wavenumbers are 2 pi np.fft.rfftfreq, bitwise.
+    assert np.array_equal(
+        grid.wavenumbers.view(np.uint64),
+        (2.0 * np.pi * np.fft.rfftfreq(n, d=grid.spacing)).view(np.uint64))
     # Priming, a whole step on the primed stack and the clamped step that
     # un-primes it are the split step written with np.fft.
     dt, band = 1e-2, reference._quiet_band(10.0, None)
-    rate = PeriodicGrid(n).wavenumbers**2 + 1.0
+    rate = grid.wavenumbers**2 + 1.0
     half = np.exp(-0.5 * dt * rate)
     primed = values_hat * (half * dt).astype(complex)
     y = np.fft.irfft(primed, n)
@@ -809,7 +830,7 @@ def test_the_solver_transforms_are_numpys_fft(n, rows):
 def test_escape_checks_read_each_rows_own_weak_norm(grid, rows):
     stepper = reference._SplitStepper(grid)
     for seed in range(8):
-        uh = stepper.spectrum(_nyquist_stack(grid.n, rows, seed=seed))
+        uh = grid.rfft(_nyquist_stack(grid.n, rows, seed=seed))
         norms = [stepper.weak_norm(row) for row in uh]
         assert stepper.escape_signs(uh, 10.0, 0.5 * min(norms)) is None
         for row, norm in enumerate(norms):
@@ -823,19 +844,8 @@ def test_escape_checks_read_each_rows_own_weak_norm(grid, rows):
             assert stepper.escape_signs(uh, norm, None)[row] == 1
 
 
-def test_fixed_step_solve_makes_two_ffts_per_step(model, grid, monkeypatch):
-    calls = {"_rfft": 0, "_irfft": 0}
-
-    def counted(name):
-        transform = getattr(reference, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return transform(*args, **kwargs)
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(reference, name, counted(name))
+def test_fixed_step_solve_makes_two_ffts_per_step(model, count_transforms):
+    calls = count_transforms()
     samples = np.linspace(0.0, 0.2, 5)
     traj = evolve_lanes(model, [model.profile.values], dt=1e-3,
                         sample_times=samples)[0]
@@ -843,7 +853,7 @@ def test_fixed_step_solve_makes_two_ffts_per_step(model, grid, monkeypatch):
     assert steps >= 200 and traj.n_samples == len(samples)
     # One forward transform of the initial state; the sample at t = 0 is
     # the initial state itself.
-    assert calls == {"_rfft": steps + 1, "_irfft": steps + len(samples) - 1}
+    assert calls == {"r2c": steps + 1, "c2r": steps + len(samples) - 1}
 
 
 @pytest.fixture
@@ -857,7 +867,7 @@ def no_steps(monkeypatch):
     def no_transform(*args):
         raise AssertionError("a step's inverse transform was made")
     monkeypatch.setattr(reference._SplitStepper, "step", refused)
-    monkeypatch.setattr(reference, "_irfft", no_transform)
+    monkeypatch.setattr(PeriodicGrid, "c2r", no_transform)
 
 
 # Below the floor, 1e-12, a dt plans more steps than a solve can take
@@ -1046,7 +1056,7 @@ def test_the_step_kernel_stops_where_the_exact_tests_stop(
     # leave between calls.
     stepper = reference._SplitStepper(model.grid)
     band = reference._quiet_band(ceiling, floor)
-    uh = stepper.prime(stepper.spectrum(np.array(starts)), dt)
+    uh = stepper.prime(model.grid.rfft(np.array(starts)), dt)
     steps, calls = round(5.0 / dt), 0
     while steps and len(uh):
         theirs = exact_step(model.grid, uh, dt, min(count, steps), band)
@@ -1070,7 +1080,7 @@ def test_the_kernels_bounds_leave_round_off_to_the_exact_tests(
     dt = 1e-20
     for seed in range(16):
         uh = stepper.prime(
-            stepper.spectrum(_nyquist_stack(grid.n, 1, seed=seed)), dt)
+            grid.rfft(_nyquist_stack(grid.n, 1, seed=seed)), dt)
         norm = stepper.weak_norm(exact_step(grid, uh, dt)[0][0])
         band = (norm, 2.0 * norm) if edge == "low" else (-math.inf, norm)
         theirs = exact_step(grid, uh, dt, 2, band)
@@ -1088,7 +1098,7 @@ def test_the_kernels_bounds_hold_at_a_spike(grid, exact_step, reach):
     dt = 1e-3
     spike = np.zeros((1, grid.n))
     spike[0, grid.n // 2] = reach
-    uh = stepper.spectrum(spike)
+    uh = grid.rfft(spike)
     band = reference._quiet_band(1e6, None)
     theirs = exact_step(grid, uh, dt, 2, band)
     # It blows up in the first step exactly when reach >= 0.5.
@@ -1233,14 +1243,9 @@ def test_extraction_failing_at_the_first_sample_names_t_0(model, traj_bump,
 
 
 def test_an_extraction_transforms_all_samples_at_once(
-        model, point_bump, witness_solves, monkeypatch):
+        model, point_bump, witness_solves, count_transforms, monkeypatch):
     traj = witness_solves[1e-3]
-    transforms = {"rfft": 0, "irfft": 0}
-    for name in transforms:
-        def counted(*args, _name=name, _fft=getattr(np.fft, name), **kwargs):
-            transforms[_name] += 1
-            return _fft(*args, **kwargs)
-        monkeypatch.setattr(np.fft, name, counted)
+    transforms = count_transforms()
     trials = []
     constraint = modulation._constraint
 
@@ -1255,7 +1260,7 @@ def test_an_extraction_transforms_all_samples_at_once(
     # evaluation, and none transforms: one batched rfft of the samples,
     # one batched irfft of the family points.
     assert len(trials) - extracted.n_samples > 100
-    assert transforms == {"rfft": 1, "irfft": 1}
+    assert transforms == {"r2c": 1, "c2r": 1}
 
 
 def test_extraction_carries_each_samples_frame_to_the_next(

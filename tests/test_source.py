@@ -1,9 +1,10 @@
 """Source hygiene: every name a module imports is used in that module, no
 module imports another module's underscore names, every underscore name
 a module defines at its top level is read in that module, the command
-line opens no file itself, the solver makes no transform through numpy,
-the program loads no scipy package beyond the pocketfft binding, and the
-CI workflow runs the tier-1 command the ROADMAP names."""
+line opens no file itself, no module makes a transform through numpy,
+only the grid imports scipy, the program loads no scipy package beyond
+the pocketfft binding, and the CI workflow runs the tier-1 command the
+ROADMAP names."""
 
 import ast
 import os
@@ -84,6 +85,16 @@ def _numpy_fft_uses(tree: ast.Module) -> list:
     return sorted(lines)
 
 
+def _scipy_imports(tree: ast.Module) -> list:
+    """Lines that import scipy or a module of it."""
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        and any(alias.name.split(".")[0] == "scipy" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and node.level == 0
+        and (node.module or "").split(".")[0] == "scipy")
+
+
 def _open_calls(tree: ast.Module) -> list:
     """Lines that call ``open``, by name or as an attribute (``io.open``,
     ``Path.open``, ``os.open``)."""
@@ -135,6 +146,14 @@ def test_the_check_sees_a_numpy_fft():
     assert _numpy_fft_uses(tree) == [2, 3, 4, 6]
 
 
+def test_the_check_sees_a_scipy_import():
+    tree = ast.parse("import scipy\nimport scipy.linalg as la\n"
+                     "from scipy import fft\nfrom scipy.fft import rfft\n"
+                     "import scipyx\nfrom .scipy import x\nimport os, scipy\n"
+                     "s = 'import scipy'  # import scipy\n")
+    assert _scipy_imports(tree) == [1, 2, 3, 4, 7]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_a_module_imports_no_underscore_name(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -161,13 +180,21 @@ def test_the_command_line_opens_no_file():
     assert _open_calls(tree) == []
 
 
-def test_the_solver_makes_every_transform_through_its_own_binding():
-    """The solver calls no numpy FFT, so patching its ``_rfft`` and
-    ``_irfft`` (as the complex-FFT control in test_grid_convergence.py
-    does) swaps every transform it makes."""
-    path = Path(adiaflow.__file__).parent / "reference.py"
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_a_module_makes_no_transform_through_numpy(path):
+    """No module calls a numpy FFT, so patching ``PeriodicGrid.r2c`` and
+    ``c2r`` (as the complex-FFT control in test_grid_convergence.py does)
+    swaps every transform the program makes."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _numpy_fft_uses(tree) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_only_the_grid_imports_scipy(path):
+    """The grid loads the pocketfft binding, the one piece of scipy the
+    program uses."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert bool(_scipy_imports(tree)) == (path.name == "grid.py")
 
 
 IMPORT_GRAPH = """
@@ -178,17 +205,16 @@ print(sorted(name for name in ("scipy.integrate", "scipy.linalg",
              if name in sys.modules))
 import numpy as np
 import scipy.fft
-from adiaflow import reference
+from adiaflow.grid import PeriodicGrid
 x = np.random.default_rng(0).standard_normal((3, 512))
-print(np.array_equal(reference._rfft(x, (-1,), True, 0, None, 1),
-                     np.fft.rfft(x)))
+print(np.array_equal(PeriodicGrid(512).rfft(x), np.fft.rfft(x)))
 """
 
 
 def test_the_command_line_loads_no_scipy_package_beyond_the_binding():
     """In a fresh interpreter, importing the command line loads none of
     scipy's integrate, linalg, special or fft packages; importing
-    ``scipy.fft`` afterwards leaves the solver's forward transform bitwise
+    ``scipy.fft`` afterwards leaves the grid's forward transform bitwise
     numpy's."""
     src = str(Path(adiaflow.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
