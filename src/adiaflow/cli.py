@@ -21,6 +21,7 @@ from .harness import (
     Runtime,
     build_model,
     build_runtime,
+    build_spectrum,
     comparison_checks,
     config_mesh,
     construct_point,
@@ -47,7 +48,7 @@ from .paths import mesh_prefix
 from .presets import PRESET_NAMES, preset_field
 from .reference import compare_effective, extract_modulated, \
     unstable_coefficient
-from .spectral import decompose, verify_operator_lipschitz
+from .spectral import verify_operator_lipschitz
 
 
 def _print_json(payload: dict) -> None:
@@ -96,11 +97,7 @@ def _construct(source: str, eta: GridField, runtime: Runtime) -> ManifoldPoint:
 def _cmd_spectrum(args, cfg: ExperimentConfig) -> int:
     sigma = _chart_argument("--sigma", args.sigma, cfg)
     model = build_model(cfg)
-    spectrum = decompose(
-        model, sigma,
-        gap_threshold=cfg.spectral.gap_threshold,
-        zero_tol=cfg.spectral.zero_tol,
-    )
+    spectrum = build_spectrum(cfg, model, sigma)
     if args.out:
         header = ["index", "eigenvalue", "kind"]
         write_csv(args.out, header, [
@@ -123,13 +120,12 @@ def _cmd_modulate(args, cfg: ExperimentConfig) -> int:
     model = build_model(cfg)
     state = load_field_csv(args.state, model.grid)
     sigma, remainder = decompose_state(model, state, guess)
-    coeffs = solve_modulation(model, sigma, remainder)
+    a = solve_modulation(model, sigma, remainder)
     tangent = model.frame(sigma)[1]
     _print_json({
         "sigma": sigma,
-        "a": coeffs.a,
-        "abs_a": abs(coeffs.a),
-        "modulation_residual": coeffs.residual,
+        "a": a,
+        "abs_a": abs(a),
         "orthogonality_residual": abs(remainder.inner(tangent)),
         "w_weak_norm": remainder.weak_norm(),
         "w_strong_norm": remainder.strong_norm(),

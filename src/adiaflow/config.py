@@ -2,8 +2,8 @@
 
 One configuration object feeds every entry point: the model/grid sizes, the
 spectral classification thresholds, the ball and mesh used by the fixed-point
-construction, the full-solver controls, and the seeds for every randomized
-diagnostic.  All defaults are embedded, so a run with no configuration file
+construction, the full-solver controls, and the seeds for the randomized
+diagnostics.  All defaults are embedded, so a run with no configuration file
 is fully specified; a file (or ``section.key=value`` overrides) replaces
 individual entries, each made and checked by the one function ``_entry``.
 """
@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ConfigError
 from .grid import DEFAULT_HALF_LENGTH, DEFAULT_N_POINTS, PeriodicGrid
+from .manifold import DEFAULT_MAX_ITERATIONS
 from .model import PulseModel
 from .reference import DT_FLOOR
 
@@ -54,7 +55,7 @@ class ManifoldSection:
     delta: float = 0.05
     alpha: float = 1.0
     fixed_point_tol: float = 1e-10
-    max_iterations: int = 30
+    max_iterations: int = DEFAULT_MAX_ITERATIONS
     horizon: float = 30.0
     mesh_dt_fine: float = 0.02
     mesh_t_uniform: float = 4.0
@@ -77,7 +78,9 @@ class ReferenceSection:
 
 @dataclass
 class SeedSection:
-    """Seeds for every randomized probe, one per diagnostic."""
+    """Seeds for the randomized probes of the ledger and the pipeline.  No
+    code reads ``lipschitz`` (``measure_correction_lipschitz`` takes its own
+    seed, 17); it stays so that configurations which set it still load."""
 
     propagator: int = 11
     operator_probes: int = 7

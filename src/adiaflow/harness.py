@@ -94,15 +94,18 @@ def config_mesh(cfg: ExperimentConfig) -> np.ndarray:
                      mf.horizon)
 
 
+def build_spectrum(cfg: ExperimentConfig, model: PulseModel,
+                   sigma: float) -> SpectralData:
+    """The configured spectral decomposition of the model at sigma."""
+    return decompose(model, sigma, gap_threshold=cfg.spectral.gap_threshold,
+                     zero_tol=cfg.spectral.zero_tol)
+
+
 def build_runtime(cfg: ExperimentConfig) -> Runtime:
     """Assemble every long-lived object a run needs from the configuration."""
     cfg.validate()
     model = build_model(cfg)
-    spectrum = decompose(
-        model, 0.0,
-        gap_threshold=cfg.spectral.gap_threshold,
-        zero_tol=cfg.spectral.zero_tol,
-    )
+    spectrum = build_spectrum(cfg, model, 0.0)
     workspace = SolutionMapWorkspace(spectrum, times=config_mesh(cfg))
     return Runtime(
         config=cfg, grid=model.grid, model=model, spectrum=spectrum,

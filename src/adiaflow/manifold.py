@@ -40,6 +40,10 @@ from .spectral import SpectralData, project_stable, propagate_stable_batch
 #: this weak-inner-product tolerance (scaled by the field size).
 ORTHOGONALITY_TOL = 1e-10
 
+#: The Picard round cap of the library and of ``manifold.max_iterations``;
+#: the constructions the program runs converge in 3-5 rounds.
+DEFAULT_MAX_ITERATIONS = 30
+
 #: ``random_admissible_path`` fills this fraction of the weighted decay set.
 _PATH_MARGIN = 0.9
 
@@ -250,7 +254,7 @@ def construct_manifold_point(workspace: SolutionMapWorkspace, eta: GridField, *,
                              delta: float, alpha: float = 1.0,
                              speed_constant: float | None = None,
                              fixed_point_tol: float = 1e-10,
-                             max_iter: int = 50,
+                             max_iter: int = DEFAULT_MAX_ITERATIONS,
                              initial_path: TrajectoryPath | None = None
                              ) -> ManifoldPoint:
     """Iterate the solution map to its fixed point and package the result.
@@ -345,7 +349,7 @@ def correction_scan(workspace: SolutionMapWorkspace, direction: GridField,
                     scales, *, delta: float, alpha: float = 1.0,
                     speed_constant: float | None = None,
                     fixed_point_tol: float = 1e-10,
-                    max_iter: int = 50) -> dict:
+                    max_iter: int = DEFAULT_MAX_ITERATIONS) -> dict:
     """Corrections along a ray of seed fields, with the quadratic diagnostics.
 
     The direction is normalized to unit strong norm, so ``scales`` are the

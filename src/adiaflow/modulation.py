@@ -19,30 +19,12 @@ needed to *find* sigma when decomposing an arbitrary state.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError
 from .grid import GridField, PeriodicGrid
 from .model import PulseModel
-
-
-@dataclass
-class ModulationCoefficients:
-    """The frame coefficient at one (sigma, w).
-
-    ``residual`` is the defect |(1 - <w, d^2 f>) a - <w^2, d f>| of the
-    scalar equation the coefficient solves.
-    """
-
-    a: float
-    residual: float
-
-
-def _overlaps(grid: PeriodicGrid, w, tangent, second):
-    """(coupling, drive) = (<w, d^2 f>, <w^2, d f>) along the last axis."""
-    return grid.inner_values(w, second), grid.inner_values(w**2, tangent)
 
 
 def frame_coefficient(grid: PeriodicGrid, w, tangent, second):
@@ -58,19 +40,17 @@ def frame_coefficient(grid: PeriodicGrid, w, tangent, second):
         If |1 - <w, d^2 f>| < 0.1 for any field, which signals that the
         remainder left the perturbative regime.
     """
-    coupling, drive = _overlaps(grid, w, tangent, second)
-    denom = 1.0 - coupling
+    denom = 1.0 - grid.inner_values(w, second)
     if np.min(np.abs(denom)) < 0.1:
         raise ConvergenceError(
             "modulation system is near-singular: the remainder has left the "
             "perturbative regime"
         )
-    return drive / denom
+    return grid.inner_values(w**2, tangent) / denom
 
 
-def solve_modulation(model: PulseModel, sigma: float,
-                     w: GridField) -> ModulationCoefficients:
-    """The frame coefficient at (sigma, w), with the defect of its equation.
+def solve_modulation(model: PulseModel, sigma: float, w: GridField) -> float:
+    """The frame coefficient a at (sigma, w), for a remainder in the ball.
 
     Raises
     ------
@@ -81,21 +61,18 @@ def solve_modulation(model: PulseModel, sigma: float,
         ``frame_coefficient``).
     """
     model.check_ball(w)
-    grid = model.grid
     _, tangent, second = model.frame(sigma)
-    a = float(frame_coefficient(grid, w.values, tangent, second))
-    coupling, drive = _overlaps(grid, w.values, tangent, second)
-    return ModulationCoefficients(
-        a=a, residual=float(abs((1.0 - coupling) * a - drive))
-    )
+    return float(frame_coefficient(model.grid, w.values, tangent, second))
 
 
-#: The decomposition stops once the constraint residual |g| is this small.
+#: The decomposition stops once the constraint residual |g| is this small,
+#: and fails after this many Newton iterations without getting there.
 _DECOMPOSE_TOL = 1e-12
+_DECOMPOSE_MAX_ITER = 50
 
 
-def decompose_state(model: PulseModel, u: GridField, sigma_guess: float,
-                    max_iter: int = 50) -> tuple[float, GridField]:
+def decompose_state(model: PulseModel, u: GridField,
+                    sigma_guess: float) -> tuple[float, GridField]:
     """Split u into f(sigma) + w with w orthogonal to the family tangent.
 
     Finds the chart point by a damped Newton iteration on the scalar
@@ -108,19 +85,17 @@ def decompose_state(model: PulseModel, u: GridField, sigma_guess: float,
     Raises
     ------
     ConvergenceError
-        After max_iter iterations without reaching |g| <= 1e-12, or when the
-        guess or a trial step leaves the chart of radius
-        ``model.chart_radius``; both signal that u left the tubular
-        neighborhood of the family.
+        After ``_DECOMPOSE_MAX_ITER`` iterations without reaching
+        |g| <= ``_DECOMPOSE_TOL``, or when the guess or a trial step leaves
+        the chart of radius ``model.chart_radius``; both signal that u left
+        the tubular neighborhood of the family.
     """
-    (sigma, w), = decompose_states(model, u.values[None], sigma_guess,
-                                   max_iter)
+    (sigma, w), = decompose_states(model, u.values[None], sigma_guess)
     return sigma, GridField(w, model.grid)
 
 
 def decompose_states(model: PulseModel, states: np.ndarray,
-                     sigma_guess: float, max_iter: int = 50
-                     ) -> Iterator[tuple[float, np.ndarray]]:
+                     sigma_guess: float) -> Iterator[tuple[float, np.ndarray]]:
     """``decompose_state`` of each row of grid values in ``states`` in turn,
     yielded as (sigma, grid values of w).
 
@@ -141,7 +116,7 @@ def decompose_states(model: PulseModel, states: np.ndarray,
     s = float(sigma_guess)
     try:
         for parts in weighted:
-            s = _chart_point(model, parts, s, max_iter)
+            s = _chart_point(model, parts, s)
             sigmas.append(s)
     except ConvergenceError as err:
         failure = err
@@ -177,13 +152,12 @@ def _constraint(model: PulseModel, weighted: np.ndarray,
     return g, overlap
 
 
-def _chart_point(model: PulseModel, weighted: np.ndarray, s: float,
-                 max_iter: int) -> float:
+def _chart_point(model: PulseModel, weighted: np.ndarray, s: float) -> float:
     """The chart point of the state that ``weighted`` holds (see
     ``_constraint``), by the damped Newton iteration of ``decompose_state``
     from s."""
     g, overlap = _constraint(model, weighted, s)
-    for _ in range(max_iter):
+    for _ in range(_DECOMPOSE_MAX_ITER):
         if abs(g) <= _DECOMPOSE_TOL:
             break
         slope = (overlap - 1.0) / model.xi
@@ -205,7 +179,7 @@ def _chart_point(model: PulseModel, weighted: np.ndarray, s: float,
     else:
         raise ConvergenceError(
             f"state decomposition did not reach |g| <= {_DECOMPOSE_TOL:.1e} "
-            f"in {max_iter} iterations (last residual {abs(g):.3e}); the "
-            "state may have left the tubular neighborhood"
+            f"in {_DECOMPOSE_MAX_ITER} iterations (last residual {abs(g):.3e}); "
+            "the state may have left the tubular neighborhood"
         )
     return s

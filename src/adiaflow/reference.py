@@ -60,7 +60,7 @@ from .errors import ConvergenceError
 from .grid import GridField, PeriodicGrid
 from .manifold import ManifoldPoint, SolutionMapWorkspace
 from .model import PulseModel
-from .modulation import decompose_state, decompose_states, frame_coefficient
+from .modulation import decompose_states, frame_coefficient
 from .paths import TrajectoryPath, mesh_prefix, time_weight
 
 
@@ -608,14 +608,10 @@ def evolve_lanes(model: PulseModel, starts, *, dt: float,
 
 def extract_modulated(model: PulseModel, traj: FullTrajectory,
                       sigma_guess: float) -> TrajectoryPath:
-    """Decompose the samples into chart point plus orthogonal remainder.
-
-    The chart solves (``decompose_states``) start each from the previous
-    sample's chart point (the first from sigma_guess), so slow drifts are
-    followed without chart jumps.  The result is the decomposable prefix,
-    which ends before the first sample that left the tubular neighborhood;
-    a first sample that cannot be decomposed raises ConvergenceError.
-    """
+    """The samples decomposed into chart point plus orthogonal remainder by
+    ``decompose_states`` from sigma_guess, up to the first sample that left
+    the tubular neighborhood; a first sample that cannot be decomposed
+    raises ConvergenceError."""
     sigmas: list[float] = []
     fields: list[np.ndarray] = []
     try:
@@ -868,11 +864,10 @@ def refine_correction(workspace: SolutionMapWorkspace, point: ManifoldPoint,
                 solved[(t, beta)] = (float(traj.stats["escape_sign"]), None,
                                      float(traj.stats["escape_time"]))
                 continue
-            state = GridField(traj.u_samples[-1].copy(), grid)
-            sigma, w = decompose_state(model, state, point.sigma0)
-            value = float(unstable_coefficient(
-                grid, mode, workspace.sigma0, sigma, w.values
-            ))
+            (sigma, w), = decompose_states(model, traj.u_samples[-1:],
+                                           point.sigma0)
+            value = float(unstable_coefficient(grid, mode, workspace.sigma0,
+                                               sigma, w))
             solved[(t, beta)] = (1.0 if value > 0.0 else -1.0), value, None
             if t == probe_time and closest()[0] == beta:
                 best = traj

@@ -107,7 +107,8 @@ def test_modulate_reports_the_chart_decomposition(tmp_path, capsys, model,
     assert abs(payload["sigma"]) <= 1e-9
     assert payload["w_weak_norm"] == pytest.approx(0.01, rel=1e-9)
     assert payload["orthogonality_residual"] <= 1e-10
-    assert payload["modulation_residual"] <= 1e-12
+    assert set(payload) == {"sigma", "a", "abs_a", "orthogonality_residual",
+                            "w_weak_norm", "w_strong_norm"}
     assert isinstance(payload["a"], float)
     assert payload["abs_a"] == abs(payload["a"])
 
@@ -278,6 +279,58 @@ def test_a_solve_that_stops_short_fails_full_solve_complete(
                  "pipeline", "--out", str(run_dir)]) == 1
     assert ("FAIL full-solve-complete: 1.98 (reaches t = 2)"
             in capsys.readouterr().out)
+
+
+def test_a_comparison_solve_that_escapes_ends_the_pipeline_after_it(
+        tmp_path, capsys):
+    """A probe at t = 3 leaves beta* too rough to hold the unstable mode, so
+    the comparison solve, which continues beta*'s probe solve, escapes
+    after the last sample at 15.30: the pipeline stops there, with no
+    trajectory to extract, compare or read a witness from."""
+    run_dir = tmp_path / "run"
+    assert main(["--set", "reference.refine_probe_time=3", "pipeline",
+                 "--out", str(run_dir)]) == 1
+    printed = capsys.readouterr().out
+    assert "FAIL full-solve-complete: 15.3023 (reaches t = 19.2446)" in printed
+    report = json.loads((run_dir / "report.json").read_text(encoding="utf-8"))
+    assert not report["passed"] and report["exit_code"] == 1
+    assert [check["name"] for check in report["checks"]] == [
+        "fixed-point-convergence", "contraction-factor", "full-solve-complete",
+    ]
+    full = report["checks"][-1]
+    assert not full["passed"]
+    assert full["value"] == pytest.approx(15.3023, abs=1e-4)
+    stats = full["details"]["stats"]
+    assert stats["escape_sign"] == 1
+    assert stats["escape_time"] == pytest.approx(15.949, abs=1e-3)
+    assert report["artifacts"] == ["config.json", "ledger.json", "point.json"]
+    assert not (run_dir / "traj.csv").exists()
+
+
+def test_simulate_from_a_preset_continues_the_shooting_probe_solve(
+        tmp_path, capsys, monkeypatch):
+    """``simulate --init stable-bump`` shoots, then continues beta*'s probe
+    solve as the pipeline's comparison solve does, so to the witness
+    horizon it writes the pipeline's trajectory file byte for byte."""
+    from adiaflow import cli
+    from adiaflow.reference import FullTrajectory
+
+    run_dir = tmp_path / "run"
+    assert main(["pipeline", "--out", str(run_dir)]) == 0
+    solve = cli.solve_fixed_step
+    starts = []
+
+    def recording(cfg, model, start, samples):
+        starts.append(isinstance(start, FullTrajectory)
+                      and start.continues_to(samples))
+        return solve(cfg, model, start, samples)
+
+    monkeypatch.setattr(cli, "solve_fixed_step", recording)
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", "--init", "stable-bump", "--T", "20",
+                 "--out", str(out)]) == 0
+    assert starts == [True]
+    assert out.read_bytes() == (run_dir / "traj.csv").read_bytes()
 
 
 def test_a_negative_horizon_is_a_configuration_error(capsys):

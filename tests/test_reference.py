@@ -1319,7 +1319,6 @@ def test_readouts_take_the_extraction_and_never_extract(
 
     monkeypatch.setattr(reference, "extract_modulated", refuse)
     monkeypatch.setattr(harness, "extract_modulated", refuse)
-    monkeypatch.setattr(reference, "decompose_state", refuse)
     monkeypatch.setattr(reference, "decompose_states", refuse)
     coefficients = frame_coefficients(workspace, extracted_bump)
     path = tmp_path / "traj.csv"
