@@ -16,9 +16,10 @@ from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ConfigError
 from .grid import DEFAULT_HALF_LENGTH, DEFAULT_N_POINTS, PeriodicGrid
-from .manifold import DEFAULT_MAX_ITERATIONS
+from .manifold import DEFAULT_FIXED_POINT_TOL, DEFAULT_MAX_ITERATIONS
 from .model import PulseModel
 from .reference import DT_FLOOR
+from .spectral import DEFAULT_GAP_THRESHOLD, DEFAULT_ZERO_TOL
 
 #: The largest grid a run may ask for.  The runtime holds the dense n x n
 #: operator, its eigenvectors and their weak-normalized copies, and eigh
@@ -43,8 +44,8 @@ class ModelSection:
 class SpectralSection:
     """Eigenvalue classification thresholds."""
 
-    gap_threshold: float = 0.1
-    zero_tol: float = 5e-3
+    gap_threshold: float = DEFAULT_GAP_THRESHOLD
+    zero_tol: float = DEFAULT_ZERO_TOL
 
 
 @dataclass
@@ -54,7 +55,7 @@ class ManifoldSection:
 
     delta: float = 0.05
     alpha: float = 1.0
-    fixed_point_tol: float = 1e-10
+    fixed_point_tol: float = DEFAULT_FIXED_POINT_TOL
     max_iterations: int = DEFAULT_MAX_ITERATIONS
     horizon: float = 30.0
     mesh_dt_fine: float = 0.02

@@ -157,7 +157,7 @@ class PeriodicGrid:
             return np.array(values, dtype=float, copy=True)
         return self.apply_phases(self.rfft(values), self.shift_phases(s_arr))
 
-    def shift_phases(self, s) -> np.ndarray:
+    def shift_phases(self, s, out: tuple | None = None) -> np.ndarray:
         """The rfft phase table of a translation by s: exp(-i k s) per mode.
 
         A scalar s gives one row, an array of shifts one row per shift; the
@@ -166,13 +166,28 @@ class PeriodicGrid:
         filled as cos(k s) - i sin(k s), the value np.exp(-1j * k * s) gives
         without evaluating exp of the zero real parts; subtracting from 0.0
         keeps the zero imaginary parts positive, as np.exp leaves them.
+        With ``out``, buffers from ``phase_buffers``, the table of a scalar
+        s is formed in them, and the returned table is theirs.
         """
-        ks = self.wavenumbers * np.asarray(s, dtype=float)[..., None]
-        phase = np.empty(ks.shape, complex)
-        np.cos(ks, out=phase.real)
-        np.subtract(0.0, np.sin(ks, out=phase.imag), out=phase.imag)
-        phase.imag[..., -1] = 0.0
+        if out is None:
+            ks = self.wavenumbers * np.asarray(s, dtype=float)[..., None]
+            phase = np.empty(ks.shape, complex)
+            real, imag = phase.real, phase.imag
+        else:
+            ks, phase, real, imag = out
+            np.multiply(self.wavenumbers, s, ks)
+        np.cos(ks, real)
+        np.subtract(0.0, np.sin(ks, imag), imag)
+        imag[..., -1] = 0.0
         return phase
+
+    def phase_buffers(self) -> tuple:
+        """Buffers for the ``shift_phases`` table of one scalar shift at a
+        time, which a caller making many keeps: k s, and the table with
+        views of its real and imaginary parts."""
+        ks = np.empty(self.n // 2 + 1)
+        phase = np.empty(self.n // 2 + 1, complex)
+        return ks, phase, phase.real, phase.imag
 
     def apply_phases(self, vhat: np.ndarray, phases: np.ndarray) -> np.ndarray:
         """Grid values of the rfft coefficients ``vhat`` times ``phases``."""

@@ -7,12 +7,14 @@ and frame regularity, operator and nonlinearity smallness — and reports the
 measured constants.  ``run_full_pipeline`` chains ledger, fixed-point
 construction, shooting refinement, full solve, reduced-versus-full
 comparison, and the instability witness, writing every artifact into one
-run directory.  The config-bound stages below turn the configuration into
-the arguments of those calls, for the pipeline and the command line alike.
+run directory, and beside them a trace of where the run's time went.
+The config-bound stages below turn the configuration into the arguments of
+those calls, for the pipeline and the command line alike.
 
 Artifacts are deterministic by construction: seeded randomness, sorted JSON
 keys, shortest round-trip float formatting, and no timestamps — identical
-configuration must produce bit-identical bytes.
+configuration must produce bit-identical bytes.  The trace holds the wall
+times, so it is no artifact: only its timings change between runs.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import contextlib
 import csv
 import json
 import os
+import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -668,8 +671,14 @@ def run_full_pipeline(cfg: ExperimentConfig, eta_preset: str = "stable-bump",
     ``point.json``, ``traj.csv``, and ``report.json``.  Any criterion
     failure — including a failed assumption ledger, or a typed error inside
     a stage, recorded under the stage's name — is a failed check and aborts
-    the remaining stages cleanly; the report is always written.
+    the remaining stages cleanly; the report is always written.  So is
+    ``trace.json`` beside it, which is not listed among the artifacts: the
+    wall time of each stage that ran (the first, ``runtime-and-ledger``,
+    writes ``config.json`` and ``ledger.json``) and of the whole run, and
+    shooting's record once it ran (``_pipeline_stages``).  Every timing is
+    under a key ending in ``_s``.
     """
+    begun = time.perf_counter()
     cfg.validate()
     os.makedirs(out_dir, exist_ok=True)
     artifacts = ["config.json", "ledger.json"]
@@ -680,31 +689,42 @@ def run_full_pipeline(cfg: ExperimentConfig, eta_preset: str = "stable-bump",
 
     checks: list[CheckResult] = []
     metrics: dict = {"constants": ledger.constants}
+    trace: dict = {}
+    # Each stage's name and start; a stage ends where the next starts.
+    starts = [("runtime-and-ledger", begun)]
     if runtime is not None and ledger.passed:
         stage = None
         try:
             for stage in _pipeline_stages(runtime, eta_preset, out_dir,
-                                          checks, metrics, artifacts):
-                pass
+                                          checks, metrics, artifacts, trace):
+                starts.append((stage, time.perf_counter()))
         except AdiaflowError as err:
             checks.append(CheckResult(
                 name=stage, claim=f"the {stage} stage runs to completion",
                 passed=False, value=None, bound="completes without error",
                 details={"error": str(err)},
             ))
+    ends = [start for _, start in starts[1:]] + [time.perf_counter()]
 
     report = PipelineReport(preset=eta_preset, checks=checks, metrics=metrics,
                             artifacts=artifacts, ledger_passed=ledger.passed)
     write_json(os.path.join(out_dir, "report.json"), report.to_dict())
+    trace["stages"] = [{"stage": name, "wall_s": end - start}
+                       for (name, start), end in zip(starts, ends)]
+    trace["total_s"] = time.perf_counter() - begun
+    write_json(os.path.join(out_dir, "trace.json"), trace)
     return report
 
 
 def _pipeline_stages(runtime: Runtime, eta_preset: str, out_dir: str,
-                     checks: list, metrics: dict, artifacts: list):
+                     checks: list, metrics: dict, artifacts: list,
+                     trace: dict):
     """The pipeline after the ledger: each stage appends its checks, metrics
-    and artifacts.  Yields a stage's name before running it, so the caller
-    can name the stage a typed error came from; returns early where a
-    failed check leaves the later stages nothing to check."""
+    and artifacts, and shooting its record to ``trace`` (its lane solves in
+    solve order, the round-off floor of its root and its bracket).  Yields
+    a stage's name before running it, so the caller can name the stage a
+    typed error came from and time it; returns early where a failed check
+    leaves the later stages nothing to check."""
     cfg = runtime.config
     model, workspace = runtime.model, runtime.workspace
     delta, alpha = cfg.manifold.delta, cfg.manifold.alpha
@@ -742,6 +762,13 @@ def _pipeline_stages(runtime: Runtime, eta_preset: str, out_dir: str,
     metrics["beta"] = point.correction
     metrics["beta_star"] = refine.beta
     metrics["refine_evaluations"] = refine.evaluations
+    trace["shooting"] = {
+        "solves": [dict(zip(("probe_time", "beta", "sign", "coefficient",
+                             "escape_time"), solve))
+                   for solve in refine.history],
+        "roundoff_floor": refine.roundoff_floor,
+        "bracket": refine.bracket,
+    }
 
     # The comparison solve continues the probe solve of beta*, which has
     # the same state, step, mesh clamps and escape checks.

@@ -44,6 +44,10 @@ ORTHOGONALITY_TOL = 1e-10
 #: the constructions the program runs converge in 3-5 rounds.
 DEFAULT_MAX_ITERATIONS = 30
 
+#: The Picard stopping distance, in the weighted path norm, of the library
+#: and of ``manifold.fixed_point_tol``.
+DEFAULT_FIXED_POINT_TOL = 1e-10
+
 #: ``random_admissible_path`` fills this fraction of the weighted decay set.
 _PATH_MARGIN = 0.9
 
@@ -253,7 +257,7 @@ def seed_path(workspace: SolutionMapWorkspace, eta: GridField) -> TrajectoryPath
 def construct_manifold_point(workspace: SolutionMapWorkspace, eta: GridField, *,
                              delta: float, alpha: float = 1.0,
                              speed_constant: float | None = None,
-                             fixed_point_tol: float = 1e-10,
+                             fixed_point_tol: float = DEFAULT_FIXED_POINT_TOL,
                              max_iter: int = DEFAULT_MAX_ITERATIONS,
                              initial_path: TrajectoryPath | None = None
                              ) -> ManifoldPoint:
@@ -348,7 +352,7 @@ def forward_unstable_coefficient(workspace: SolutionMapWorkspace,
 def correction_scan(workspace: SolutionMapWorkspace, direction: GridField,
                     scales, *, delta: float, alpha: float = 1.0,
                     speed_constant: float | None = None,
-                    fixed_point_tol: float = 1e-10,
+                    fixed_point_tol: float = DEFAULT_FIXED_POINT_TOL,
                     max_iter: int = DEFAULT_MAX_ITERATIONS) -> dict:
     """Corrections along a ray of seed fields, with the quadratic diagnostics.
 
@@ -459,10 +463,10 @@ def measure_contraction(workspace: SolutionMapWorkspace, *, delta: float,
     }
 
 
-def measure_correction_lipschitz(workspace: SolutionMapWorkspace, *,
-                                 delta: float, alpha: float = 1.0,
-                                 n_pairs: int = 5, seed: int = 17,
-                                 fixed_point_tol: float = 1e-10) -> dict:
+def measure_correction_lipschitz(
+        workspace: SolutionMapWorkspace, *, delta: float, alpha: float = 1.0,
+        n_pairs: int = 5, seed: int = 17,
+        fixed_point_tol: float = DEFAULT_FIXED_POINT_TOL) -> dict:
     """Measured Lipschitz quotients of the correction map on the seed ball.
 
     Draws random smooth stable seed fields of strong norm up to 0.9 delta,

@@ -114,9 +114,10 @@ def decompose_states(model: PulseModel, states: np.ndarray,
     weighted *= model.grid.parseval_weights()[0]
     sigmas, failure = [], None
     s = float(sigma_guess)
+    trials = _trial_buffers(model)
     try:
         for parts in weighted:
-            s = _chart_point(model, parts, s)
+            s = _chart_point(model, parts, s, trials)
             sigmas.append(s)
     except ConvergenceError as err:
         failure = err
@@ -129,15 +130,26 @@ def decompose_states(model: PulseModel, states: np.ndarray,
         raise failure
 
 
-def _constraint(model: PulseModel, weighted: np.ndarray,
-                s: float) -> tuple[float, float]:
+def _trial_buffers(model: PulseModel) -> tuple:
+    """What the chart solves of one ``decompose_states`` call reuse: the
+    phase-table buffers of ``grid.phase_buffers``, the rows of
+    ``model.frame_hat`` that a trial translates, and the buffer the
+    translated rows go into, with its interleaved parts."""
+    translated = np.empty((2, model.grid.n // 2 + 1), complex)
+    return (model.grid.phase_buffers(), model.frame_hat[1:], translated,
+            translated.view(np.float64))
+
+
+def _constraint(model: PulseModel, weighted: np.ndarray, s: float,
+                trials: tuple) -> tuple[float, float]:
     """g(s) = <u - f(s), d f(s)> and <u - f(s), d^2 f(s)>, by Parseval.
 
     ``weighted`` holds the interleaved parts of the rfft of u times the
     weak Parseval weights, so an inner product with u is a dot product
     with the parts of the other field's rfft: those of d f(s) and
-    d^2 f(s) are ``model.frame_hat`` rows times one phase table, and the
-    overlaps of f(s) with them are ``model.frame_overlaps``.
+    d^2 f(s) are ``model.frame_hat`` rows times one phase table, formed in
+    the buffers ``trials`` of ``_trial_buffers``, and the overlaps of f(s)
+    with them are ``model.frame_overlaps``.
 
     Raises ConvergenceError if s is not finite or leaves the model's chart.
     """
@@ -146,17 +158,18 @@ def _constraint(model: PulseModel, weighted: np.ndarray,
             f"chart coordinate {s} leaves the chart of radius "
             f"{model.chart_radius}"
         )
-    translated = model.frame_hat[1:] * model.grid.shift_phases(s)
-    g, overlap = (translated.view(np.float64) @ weighted
-                  - model.frame_overlaps).tolist()
+    phases, frame, translated, parts = trials
+    np.multiply(frame, model.grid.shift_phases(s, phases), translated)
+    g, overlap = (parts @ weighted - model.frame_overlaps).tolist()
     return g, overlap
 
 
-def _chart_point(model: PulseModel, weighted: np.ndarray, s: float) -> float:
+def _chart_point(model: PulseModel, weighted: np.ndarray, s: float,
+                 trials: tuple) -> float:
     """The chart point of the state that ``weighted`` holds (see
     ``_constraint``), by the damped Newton iteration of ``decompose_state``
-    from s."""
-    g, overlap = _constraint(model, weighted, s)
+    from s, its trials formed in the buffers ``trials``."""
+    g, overlap = _constraint(model, weighted, s, trials)
     for _ in range(_DECOMPOSE_MAX_ITER):
         if abs(g) <= _DECOMPOSE_TOL:
             break
@@ -166,7 +179,8 @@ def _chart_point(model: PulseModel, weighted: np.ndarray, s: float) -> float:
         step = -g / slope
         # damping: halve the step while the residual grows
         for _ in range(40):
-            g_new, overlap_new = _constraint(model, weighted, s + step)
+            g_new, overlap_new = _constraint(model, weighted, s + step,
+                                             trials)
             if abs(g_new) < abs(g):
                 break
             step *= 0.5

@@ -11,9 +11,12 @@ to physical space only where a sample is recorded.  Inside a sample
 interval the state is carried primed, its rfft times the half-step
 multiplier and dt, so that the two linear half steps between quadratic
 substeps are one product and the substep needs no scaling; the clamped
-step onto each sample un-primes it.  The step kernel rules escapes out by
-a bound on one sum of squares per state, and runs the exact escape tests
-only near the escape band's edges.
+step onto each sample un-primes it.  One call of the step kernel runs a
+whole sample interval: its whole steps, the clamped step and the sample,
+with the escape rule after every step.  It rules escapes out by a bound on
+one sum of squares per state, reads the norms the rule needs only near the
+quiet band's edges and past its top, and returns early only where a state
+escapes or blows up.
 
 The one solver, ``evolve_lanes``, takes fixed steps (``_whole_steps``), so
 that shooting, comparison and witness runs traverse the identical, bitwise
@@ -132,9 +135,9 @@ class _SplitStepper:
     step is then y = irfft(z), y /= 1 - y, z = rfft(y) m^2: one inverse and
     one forward FFT and three ufuncs for the whole stack.  ``prime`` primes
     a stack at the start of an interval, and the clamped step onto the
-    sample, a step without a band, un-primes it; samples, ``end`` and the
-    stack between intervals are plain rffts.  So where a step call returns
-    inside an interval changes no bit of z.
+    sample un-primes it; samples, ``end`` and the stack between intervals
+    are plain rffts.  So where a step call returns inside an interval
+    changes no bit of z.
 
     Rows never mix, and the FFTs transform each row exactly as they would
     transform it alone, so every row evolves bitwise as it would in a stack
@@ -147,23 +150,25 @@ class _SplitStepper:
     steps at once (``clamp``), so their half-step multipliers come from one
     exp; a clamped step of another length computes its own.
 
-    ``step`` is the one step kernel: it runs up to a count of steps of one
-    dt in one call, with its operands bound once, so a sample interval's
-    whole steps cost one Python call; each step is the same operations on
-    the same operands, so a count of k gives the bits of k counts of 1.  It
-    stops early where ``escape_signs`` has to decide (see ``_quiet_band``).
-    A bound on one sum of squares per row (``_sum_bounds``) rules those
-    escapes out; the exact tests run only in steps where it cannot, near
-    the band's edges, and stop the kernel where they would stop it if they
-    ran after every step.
+    ``step`` is the one step kernel: one call runs a sample interval, its
+    whole steps of dt and the clamped step onto the sample, with its
+    operands bound once, and writes the sample.  It applies the escape rule
+    of ``escape_signs`` after every step and returns at the first step
+    after which a row escapes or blows up, so a solve makes one call per
+    interval plus one per such event.  Each step is the same operations on
+    the same operands wherever a call returns.  A bound on one sum of
+    squares per row (``_sum_bounds``) rules escapes out; the rule's norms
+    are read only in steps where the bound cannot, near the quiet band's
+    edges (see ``_quiet_band``) and past its top, where a state on its way
+    to the ceiling runs on.
 
     The kernel calls the grid's binding, ``PeriodicGrid.c2r`` and ``r2c``,
     itself, so its transforms add no Python frame; they and the ufuncs take
     their arguments by position.  The physical values, the denominators
     and a clamped step's half-stepped spectrum go into buffers kept for the
-    current stack height, and a call of whole steps takes the row views,
-    bounds and exact band test of the call before while the stack, dt and
-    band stay the same (``_band``).
+    current stack height, and a call takes the row views, bounds and
+    escape rule of the call before while the stack, dt and rule stay the
+    same (``_operands``).
     """
 
     def __init__(self, grid: PeriodicGrid):
@@ -183,7 +188,8 @@ class _SplitStepper:
         self._clamped = {}
         self._before = np.zeros(grid.n // 2 + 1, complex)
         self._after = np.zeros(grid.n // 2 + 1, complex)
-        # The operands of the last call of whole steps (``_band``).
+        self._real_parts = self._before.real, self._after.real
+        # The operands of the last call (``_operands``).
         self._bound = None
 
     def _whole(self, dt: float) -> None:
@@ -207,11 +213,10 @@ class _SplitStepper:
 
     def _buffers(self, height: int) -> None:
         """Size the step buffers for a stack of ``height`` rows."""
-        if height != self._height:
-            self._height = height
-            self._spectrum = np.empty((height, self.n // 2 + 1), complex)
-            self._values = np.empty((height, self.n))
-            self._denom = np.empty((height, self.n))
+        self._height = height
+        self._spectrum = np.empty((height, self.n // 2 + 1), complex)
+        self._values = np.empty((height, self.n))
+        self._denom = np.empty((height, self.n))
 
     def clamp(self, lengths) -> None:
         """Cache the half-step multipliers exp(-dt (k^2 + 1) / 2) of
@@ -222,26 +227,25 @@ class _SplitStepper:
         table = np.exp(np.multiply.outer(-0.5 * lengths, self._rate))
         self._clamped = dict(zip(lengths.tolist(), table))
 
-    def _band(self, out: np.ndarray, dt: float,
-              band: tuple[float, float]) -> tuple:
-        """The operands of whole steps of dt into ``out`` with ``band``:
-        the value rows, the bounds of ``_sum_bounds`` and the exact band
-        test on the rows of out, ``inside``.  They are kept while out, the
-        step buffers, dt and the band stay the same, as they do between
-        the calls of a solve until a lane leaves the stack."""
+    def _operands(self, out: np.ndarray, dt: float, escape: tuple) -> tuple:
+        """The operands of a call into ``out`` with whole steps of dt and
+        the escape rule of ``escape`` = (ceiling, collapse floor): the
+        value rows, the whole steps' bounds of ``_sum_bounds``, the clamped
+        step's bound on the band's bottom, the parts of the rows of out and
+        the rule (ceiling, low, watch).  They are kept while out, the step
+        buffers, dt and the rule stay the same, as they do between the
+        calls of a solve until a lane leaves the stack; none refers to the
+        stepper, which holds them."""
         bound = self._bound
         if (bound is not None and bound[0] is out
-                and bound[1] is self._values and bound[2] == (dt, band)):
+                and bound[1] is self._values and bound[2] == (dt, escape)):
             return bound[3]
-        (low, high), weak, product = band, self._primed[0], self._product
-        rows = list(out.view(np.float64))
-
-        # The closure holds no reference to the stepper, which holds it.
-        def inside():
-            return all(low < _norm(row, weak, product) < high for row in rows)
-        operands = (list(self._values), *self._sum_bounds(dt, low, high),
-                    inside)
-        self._bound = out, self._values, (dt, band), operands
+        ceiling = escape[0]
+        low, watch = _quiet_band(*escape)
+        operands = (list(self._values), *self._sum_bounds(dt, low, watch),
+                    self._sum_bounds(1.0, low, watch)[0],
+                    list(out.view(np.float64)), (ceiling, low, watch))
+        self._bound = out, self._values, (dt, escape), operands
         return operands
 
     def prime(self, uh: np.ndarray, dt: float) -> np.ndarray:
@@ -252,71 +256,59 @@ class _SplitStepper:
         self._norms = self._primed
         return uh
 
-    def step(self, uh: np.ndarray, dt: float, count: int = 1,
-             out: np.ndarray | None = None,
-             band: tuple[float, float] | None = None):
-        """Advance each row of the stack uh by up to ``count`` >= 1 steps
-        of dt.
+    def step(self, uh: np.ndarray, dt: float, count: int,
+             escape: tuple[float, float | None], clamp: float | None = None,
+             out: np.ndarray | None = None, sample: np.ndarray | None = None):
+        """Advance each row of the stack uh by ``count`` >= 0 whole steps
+        of dt and then, given its length ``clamp``, one clamped step.
 
-        With ``band`` = (low, high) the steps are whole steps: uh is primed
-        for dt (``prime``) and stays primed.  Without a band they are
-        clamped steps from the rfft uh, or from uh primed for the cached
-        whole step, which the first of them un-primes, back to an rfft:
-        each is the textbook step, a product with m before the inverse
-        transform and after the forward one.
+        The whole steps take uh primed for dt (``prime``) and leave it
+        primed.  The clamped step takes the rfft uh, or uh primed for the
+        cached whole step, which it un-primes, back to an rfft: it is the
+        textbook step, a product with m before the inverse transform and
+        after the forward one.  After it, ``PeriodicGrid.c2r`` writes the
+        grid values of each row into the rows of ``sample`` when given.
 
-        Returns the advanced rows, the mask of the rows left out because
-        their quadratic subflow blows up (None when there are none), and the
-        number of steps taken.  The rows are written into ``out`` (uh itself
-        to step in place; a new stack when None) unless a row blows up; the
-        steps stop after that step, and, with a band, after a step that
-        leaves some row's weak norm, computed as ``weak_norm`` does,
-        outside the open interval.
+        After every step the escape rule of ``escape_signs`` with
+        ``escape`` = (ceiling, collapse floor) reads the rows, and a row
+        whose quadratic subflow blows up (a denominator at or below
+        ``_DENOM_FLOOR``) leaves the stack; the call stops after the first
+        step where either happens.  Returns the advanced rows, written into
+        ``out`` (uh itself to step in place; a new stack when None) unless
+        a row blew up; the mask of the rows that blew up in the last step
+        taken (None when none did); the escape signs of the returned rows
+        after that step, +1, -1 or 0 each (None when every one is 0); and
+        the number of steps taken, the clamped one included.
 
-        With a band, the exact tests run only near its edges.  Each step
-        reads s = sum(y^2) of each row's values y = irfft(z), one dot
-        product (see ``_sum_bounds``): s below its upper bound rules out a
-        blow-up in this step and an exit past the band's top after it, and
-        s above its lower bound shows that the state entering the step is
-        above the band's bottom.  Where the first fails, the step runs the
-        denominator test and then the weak-norm test on its result; where
-        the second fails, the state entering the step, the result of the
-        step before, gets the weak-norm test before anything is written,
-        and the call returns that state with one step fewer.  The result of
-        the last step is not tested against the band, as either way the
-        call returns it.  So the call stops after the step where testing
-        every step would, with the same bits.
+        The rule's norms are read only where a bound cannot rule an escape
+        out.  Each whole step reads s = sum(y^2) of each row's values
+        y = irfft(z), one dot product (see ``_sum_bounds``): s below its
+        upper bound rules out a blow-up in this step and an exit past the
+        quiet band's top after it, and s above its lower bound shows that
+        the state entering the step is above the band's bottom.  Where the
+        first fails, the step runs the denominator test and then the rule
+        on its result; where the second fails and the entering state, the
+        result of a step before in this call, was not read, the rule reads
+        it before anything is written, and the call returns that state with
+        one step fewer.  The clamped step bounds its entering state the
+        same way, on its unscaled half-stepped values, and always runs the
+        denominator test and the rule.  A call of whole steps alone reads
+        its last result if no bound did.  So the call stops after the step
+        where reading every step would, with the same bits.
         """
-        self._buffers(len(uh))
-        spectrum, v, denom = self._spectrum, self._values, self._denom
+        if len(uh) != self._height:
+            self._buffers(len(uh))
+        v, denom, product = self._values, self._denom, self._product
         n, r2c, c2r = self.n, PeriodicGrid.r2c, PeriodicGrid.c2r
         if out is None:
             out = np.empty_like(uh)
-        exact = True
-        if band is None:
-            half = self._clamped.get(dt)
-            if half is None:
-                half = np.exp(-0.5 * dt * self._rate)
-            after = self._after
-            np.copyto(after.real, half)
-            if self._norms is self._plain:
-                before = after
-            else:
-                before = self._before
-                np.multiply(half, self._unprime, before.real)
-            self._norms = self._plain
-        else:
+        physical, s_low, s_high, s_edge, rows, rule = self._operands(
+            out, dt, escape)
+        taken, checked = 0, True  # checked: the rule has read uh
+        if count:
             self._whole(dt)
-            after = self._square
-            physical, s_low, s_high, inside = self._band(out, dt, band)
-        blown = None
-        for taken in range(1, count + 1):
-            if band is None:
-                c2r(np.multiply(uh, before, spectrum), (-1,), n, False, 2,
-                    v, 1)
-                before = after
-                np.subtract(1.0, np.multiply(v, dt, denom), denom)
-            else:
+            weights, square = self._primed, self._square
+            for taken in range(1, count + 1):
                 c2r(uh, (-1,), n, False, 2, v, 1)
                 exact = edge = False
                 for row in physical:
@@ -324,21 +316,58 @@ class _SplitStepper:
                     exact = exact or not s < s_high
                     edge = edge or not s > s_low
                 # uh is out from the second step on.
-                if edge and taken > 1 and not inside():
-                    return uh, None, taken - 1
+                if edge and not checked:
+                    signs = _signs(rows, weights, product, rule)
+                    if signs is not None:
+                        return uh, None, signs, taken - 1
                 np.subtract(1.0, v, denom)
-            if exact and np.minimum.reduce(denom, None) <= _DENOM_FLOOR:
-                blown = denom.min(axis=1) <= _DENOM_FLOOR
-                v, denom = v[~blown], denom[~blown]
-                out = np.empty((len(v), n // 2 + 1), complex)
-            v /= denom
-            uh = r2c(v, (-1,), True, 0, out, 1)
-            uh *= after
-            if blown is not None:
-                return uh, blown, taken
-            if exact and band is not None and not inside():
-                return uh, None, taken
-        return uh, None, count
+                if exact and np.minimum.reduce(denom, None) <= _DENOM_FLOOR:
+                    return (*_blown(v, denom, square, weights, product, rule),
+                            taken)
+                v /= denom
+                uh = r2c(v, (-1,), True, 0, out, 1)
+                uh *= square
+                checked = exact
+                if exact:
+                    signs = _signs(rows, weights, product, rule)
+                    if signs is not None:
+                        return uh, None, signs, taken
+        if clamp is None:
+            signs = None if checked else _signs(rows, self._primed, product,
+                                                rule)
+            return uh, None, signs, taken
+        half = self._clamped.get(clamp)
+        if half is None:
+            half = np.exp(-0.5 * clamp * self._rate)
+        after, (before_real, after_real) = self._after, self._real_parts
+        np.copyto(after_real, half)
+        if self._norms is self._plain:
+            before = after
+        else:
+            before = self._before
+            np.multiply(half, self._unprime, before_real)
+        c2r(np.multiply(uh, before, self._spectrum), (-1,), n, False, 2, v, 1)
+        if not checked:
+            for row in physical:
+                if not row.dot(row) > s_edge:
+                    signs = _signs(rows, self._norms, product, rule)
+                    if signs is not None:
+                        return uh, None, signs, taken
+                    break
+        self._norms = self._plain
+        np.subtract(1.0, np.multiply(v, clamp, denom), denom)
+        if np.minimum.reduce(denom, None) <= _DENOM_FLOOR:
+            uh, blown, signs = _blown(v, denom, after, self._plain, product,
+                                      rule)
+            if sample is not None:
+                sample[~blown] = c2r(uh, (-1,), n, False, 2, None, 1)
+            return uh, blown, signs, taken + 1
+        v /= denom
+        uh = r2c(v, (-1,), True, 0, out, 1)
+        uh *= after
+        if sample is not None:
+            c2r(uh, (-1,), n, False, 2, sample, 1)
+        return uh, None, _signs(rows, self._plain, product, rule), taken + 1
 
     def _sum_bounds(self, dt: float, low: float,
                     high: float) -> tuple[float, float]:
@@ -354,7 +383,9 @@ class _SplitStepper:
         second half step, the state after the step has a weak norm of at
         most sqrt(h s) / (dt (1 - sqrt(s))), which is below high for
         sqrt(s) < high dt / (sqrt(h) + high dt).  s < s_high shows both.
-        Each bound gives up ``_SUM_SLACK`` of itself to round-off.
+        Each bound gives up ``_SUM_SLACK`` of itself to round-off.  With
+        dt = 1, s_low bounds the unscaled values v of a half step of any
+        length, as the clamped step forms them.
         """
         h = self._spacing
         s_low = low * abs(low) * dt * dt / h * (1.0 + _SUM_SLACK)  # -inf: none
@@ -380,28 +411,10 @@ class _SplitStepper:
         Each row's weak norm is its own ``weak_norm``, read on the rfft or,
         inside a sample interval, on z with the primed weights; a row's
         strong norm, its own ``strong_norm``, is read only past the quiet
-        band's top, 0.4 ceiling.
+        band's top, 0.4 ceiling.  The step kernel applies this rule.
         """
-        low, watch = _quiet_band(ceiling, collapse_floor)
-        (weak_weights, strong_weights), product = self._norms, self._product
-        signs = None
-        for row, parts in enumerate(uh.view(np.float64)):
-            weak = _norm(parts, weak_weights, product)
-            if low < weak < watch:
-                continue
-            if not math.isfinite(weak) or weak >= ceiling or (
-                weak >= watch and _norm(parts, strong_weights, product)
-                >= ceiling
-            ):
-                sign = 1
-            elif weak <= low:
-                sign = -1
-            else:
-                continue
-            if signs is None:
-                signs = [0] * len(uh)
-            signs[row] = sign
-        return signs
+        return _signs(list(uh.view(np.float64)), self._norms, self._product,
+                      (ceiling, *_quiet_band(ceiling, collapse_floor)))
 
 
 def _norm(parts: np.ndarray, weights: np.ndarray,
@@ -410,6 +423,50 @@ def _norm(parts: np.ndarray, weights: np.ndarray,
     of a stack, the weighted parts formed in the buffer ``product``: the
     one way the stepper reads a norm."""
     return math.sqrt(parts.dot(np.multiply(parts, weights, product)))
+
+
+def _signs(rows: list, weights: tuple, product: np.ndarray,
+           rule: tuple[float, float, float]) -> list[int] | None:
+    """The escape signs of ``escape_signs`` for the interleaved parts of
+    each of ``rows``, with the (weak, strong) ``weights`` their form takes
+    and ``rule`` = (ceiling, low, watch), the quiet band (low, watch) of
+    ``_quiet_band``; None when every sign is 0."""
+    ceiling, low, watch = rule
+    weak_weights, strong_weights = weights
+    signs = None
+    for index, parts in enumerate(rows):
+        weak = _norm(parts, weak_weights, product)
+        if low < weak < watch:
+            continue
+        if not math.isfinite(weak) or weak >= ceiling or (
+            weak >= watch and _norm(parts, strong_weights, product)
+            >= ceiling
+        ):
+            sign = 1
+        elif weak <= low:
+            sign = -1
+        else:
+            continue
+        if signs is None:
+            signs = [0] * len(rows)
+        signs[index] = sign
+    return signs
+
+
+def _blown(v: np.ndarray, denom: np.ndarray, after: np.ndarray,
+           weights: tuple, product: np.ndarray, rule: tuple) -> tuple:
+    """The end of a step in which some row's denominator reached
+    ``_DENOM_FLOOR``: the other rows finish it into a new stack, times the
+    multiplier ``after``, and the rule reads them with ``weights``.  Returns
+    that stack, the mask of the rows that blew up and the rule's signs."""
+    blown = denom.min(axis=1) <= _DENOM_FLOOR
+    v, denom = v[~blown], denom[~blown]
+    v /= denom
+    uh = PeriodicGrid.r2c(v, (-1,), True, 0,
+                          np.empty((len(v), after.shape[-1]), complex), 1)
+    uh *= after
+    return uh, blown, _signs(list(uh.view(np.float64)), weights, product,
+                             rule)
 
 
 def _quiet_band(ceiling: float,
@@ -484,21 +541,20 @@ def _clamp_lengths(sample_times: list[float], t: float,
 
 
 def _new_lane(values: np.ndarray, sample_times: np.ndarray,
-              dt: float) -> tuple[list, list, dict]:
+              dt: float) -> tuple[list, np.ndarray, dict]:
     """Recorded times, recorded states and stats of a solve from values at
     t = 0; a sample at t = 0 is the initial state itself."""
-    first = sample_times[0] == 0.0
-    return [0.0] if first else [], [values.copy()] if first else [], dict(
+    first = int(sample_times[0] == 0.0)
+    return [0.0][:first], values[None][:first], dict(
         steps=0, escape_sign=0, escape_time=None, final_dt=dt)
 
 
-def _end_lane(times: list, states: list, stats: dict, steps: int, sign: int,
-              t, end=None) -> FullTrajectory:
-    """The trajectory of a lane (recorded times and states, stats) that ends
-    after ``steps`` steps of its solve, with escape sign and time."""
-    stats["steps"] += steps
-    stats["escape_sign"], stats["escape_time"] = sign, t
-    return FullTrajectory(np.array(times), np.array(states), stats, end)
+def _kept(record: np.ndarray, keep, recorded: int) -> np.ndarray:
+    """The rows of ``record`` that ``keep`` marks, with their first
+    ``recorded`` samples; the rest is left to be written."""
+    kept = np.empty((np.count_nonzero(keep), *record.shape[1:]))
+    kept[:, :recorded] = record[keep, :recorded]
+    return kept
 
 
 def evolve_lanes(model: PulseModel, starts, *, dt: float,
@@ -518,16 +574,19 @@ def evolve_lanes(model: PulseModel, starts, *, dt: float,
     Each interval up to the next of ``sample_times``, where the states are
     recorded, takes the whole steps of size dt that it holds and then one
     clamped step that ends on the sample (``_whole_steps``), so no step has
-    zero length, and none has round-off length unless the interval has.  A
-    lane escapes with direction +1 when its quadratic substep passes through
-    infinity or its strong norm reaches ``ceiling``, and with direction -1
-    when its weak norm falls to ``collapse_floor`` (when given); it is then
-    dropped from the stack, keeping the samples recorded so far.  A dt that
-    is not a positive finite number of at least ``DT_FLOOR`` (a smaller one
-    plans more steps than a solve can take), sample times that are not
-    finite, a ceiling that is not a positive finite number and a collapse
-    floor that is not a finite number of at least 0 are refused with
-    ``ValueError`` before any step.
+    zero length, and none has round-off length unless the interval has.
+    One step-kernel call runs an interval and writes its sample into each
+    lane's row of one array allocated for all samples; a lane that escapes
+    ends the call, and the other lanes finish the interval in the next.  A
+    lane escapes with direction +1 when its quadratic substep passes
+    through infinity or its strong norm reaches ``ceiling``, and with
+    direction -1 when its weak norm falls to ``collapse_floor`` (when
+    given); it is then dropped from the stack, keeping the samples recorded
+    so far.  A dt that is not a positive finite number of at least
+    ``DT_FLOOR`` (a smaller one plans more steps than a solve can take),
+    sample times that are not finite, a ceiling that is not a positive
+    finite number and a collapse floor that is not a finite number of at
+    least 0 are refused with ``ValueError`` before any step.
     """
     dt = _positive("dt", dt, DT_FLOOR)
     sample_times = _checked_samples(sample_times)
@@ -541,7 +600,7 @@ def evolve_lanes(model: PulseModel, starts, *, dt: float,
                 raise ValueError("only a surviving fixed-step solve with the "
                                  "same step and samples can be continued")
             t0, uh0 = start.end
-            lanes.append((list(start.times), list(start.u_samples),
+            lanes.append((list(start.times), start.u_samples,
                           dict(start.stats)))
         else:
             values = np.asarray(start, dtype=float)
@@ -555,54 +614,59 @@ def evolve_lanes(model: PulseModel, starts, *, dt: float,
     next_sample = int(np.searchsorted(sample_times, t, side="right"))
     sample_times = sample_times.tolist()
     stepper.clamp(_clamp_lengths(sample_times[next_sample:], t, dt))
+    # Row r of the stack records its samples into row r of ``record``.
+    record = np.empty((len(lanes), len(sample_times), model.grid.n))
+    for row, (_, states, _) in enumerate(lanes):
+        record[row, :next_sample] = states
+
+    def end(lane, row, recorded, steps, sign, t, last=None):
+        """Lane ``lane``, in row ``row`` of the stack, ends after ``steps``
+        steps of this solve with ``recorded`` samples."""
+        times, _, stats = lanes[lane]
+        stats["steps"] += steps
+        stats["escape_sign"], stats["escape_time"] = sign, t
+        lanes[lane] = FullTrajectory(
+            np.array(times + sample_times[len(times):recorded]),
+            record[row, :recorded], stats, last)
 
     uh = np.array(rows)
-    band = _quiet_band(ceiling, collapse_floor)
+    escape = ceiling, collapse_floor
     active = list(range(len(lanes)))
     steps = 0
-    taken = 0  # whole steps taken in the current sample interval
     while active and next_sample < len(sample_times):
         target = sample_times[next_sample]
-        if taken == 0:
-            t_begin, whole = t, _whole_steps(target - t, dt)
-            if whole:
-                stepper.prime(uh, dt)
-        clamped = taken == whole
-        if clamped:
-            uh, blown, done = stepper.step(uh, target - t, out=uh)
-        else:
-            uh, blown, done = stepper.step(uh, dt, whole - taken, out=uh,
-                                           band=band)
-        if blown is not None:
-            # The rows blew up in the last of the steps taken.
-            before = t if clamped else t_begin + (taken + done - 1) * dt
-            for lane in compress(active, blown):
-                lanes[lane] = _end_lane(*lanes[lane], steps + done - 1, 1,
-                                        before)
-            active = list(compress(active, ~blown))
-            if not active:
-                break
-        steps += done
-        if clamped:
-            t, taken = target, 0
-            for lane, values in zip(active, model.grid.irfft(uh)):
-                lanes[lane][0].append(t)
-                lanes[lane][1].append(values)
-            next_sample += 1
-        else:
+        whole = _whole_steps(target - t, dt)
+        clamp = target - (t + whole * dt)
+        begin, taken = t, 0
+        if whole:
+            stepper.prime(uh, dt)
+        while active and taken <= whole:
+            uh, blown, signs, done = stepper.step(
+                uh, dt, whole - taken, escape, clamp, uh,
+                record[:, next_sample])
             taken += done
-            t = t_begin + taken * dt
-        signs = stepper.escape_signs(uh, ceiling, collapse_floor)
-        if signs is not None:
-            for lane, sign in zip(active, signs):
-                if sign:
-                    lanes[lane] = _end_lane(*lanes[lane], steps, sign, t)
-            keep = [not sign for sign in signs]
-            uh, active = uh[keep], list(compress(active, keep))
+            steps += done
+            recorded = next_sample + (taken > whole)
+            t = target if taken > whole else begin + taken * dt
+            if blown is not None:
+                # The rows blew up in the last step taken, from the time
+                # that step started at.
+                for row in np.flatnonzero(blown):
+                    end(active[row], row, next_sample, steps - 1, 1,
+                        begin + (taken - 1) * dt)
+                active = list(compress(active, ~blown))
+                record = _kept(record, ~blown, recorded)
+            if signs is not None:
+                for row, sign in enumerate(signs):
+                    if sign:
+                        end(active[row], row, recorded, steps, sign, t)
+                keep = [not sign for sign in signs]
+                uh, active = uh[keep], list(compress(active, keep))
+                record = _kept(record, keep, recorded)
+        next_sample += 1
 
     for row, lane in enumerate(active):
-        lanes[lane] = _end_lane(*lanes[lane], steps, 0, None,
-                                (t, uh[row].copy()))
+        end(lane, row, next_sample, steps, 0, None, (t, uh[row].copy()))
     return lanes
 
 
@@ -659,8 +723,9 @@ class RefineResult:
     shooting's record of its lane solves, one entry (probe time,
     coefficient, sign, probe coefficient or None if the solve escaped,
     escape time or None if it survived) per lane solve, in solve order,
-    from which ``beta`` and ``bracket`` are read.  Both are left out of the
-    payload.
+    from which ``beta`` and ``bracket`` are read.  ``roundoff_floor`` is the
+    round-off floor of the root (``_roundoff_floor``), below which a Newton
+    step ends the polish.  These three are left out of the payload.
     """
 
     beta: float
@@ -672,12 +737,14 @@ class RefineResult:
     trajectory: FullTrajectory = field(repr=False, compare=False)
     history: tuple[tuple[float, float, float, float | None, float | None],
                    ...] = field(default=(), repr=False)
+    roundoff_floor: float = field(default=math.nan, repr=False)
 
     def payload(self) -> dict:
-        """The fields but the trajectory and history as a plain dict, in
-        declaration order, for artifacts."""
+        """The fields but the trajectory, history and round-off floor as a
+        plain dict, in declaration order, for artifacts."""
         return {item.name: getattr(self, item.name) for item in fields(self)
-                if item.name not in ("trajectory", "history")}
+                if item.name not in ("trajectory", "history",
+                                     "roundoff_floor")}
 
 
 #: The short probe sits at the mesh time at or below this fraction of the
@@ -1015,6 +1082,7 @@ def refine_correction(workspace: SolutionMapWorkspace, point: ManifoldPoint,
         trajectory=best,
         history=tuple((t, float(beta), *end)
                       for (t, beta), end in solved.items()),
+        roundoff_floor=xtol,
     )
 
 

@@ -25,6 +25,12 @@ from .errors import ClassificationError
 from .grid import GridField, smooth_noise
 from .model import PulseModel
 
+#: The classification thresholds of ``decompose`` and of the configuration's
+#: ``spectral`` section: eigenvalues below -DEFAULT_GAP_THRESHOLD are
+#: unstable, those within DEFAULT_ZERO_TOL of 0 are zero modes.
+DEFAULT_GAP_THRESHOLD = 0.1
+DEFAULT_ZERO_TOL = 5e-3
+
 
 @dataclass
 class SpectralData:
@@ -103,7 +109,8 @@ def operator_norm_diagnostic(spectrum: "SpectralData") -> float:
 
 
 def decompose(model: PulseModel, sigma: float,
-              gap_threshold: float = 0.1, zero_tol: float = 5e-3) -> SpectralData:
+              gap_threshold: float = DEFAULT_GAP_THRESHOLD,
+              zero_tol: float = DEFAULT_ZERO_TOL) -> SpectralData:
     """Symmetric eigendecomposition of L(sigma) with mode classification.
 
     Eigenvectors are weak-orthonormalized and deterministically oriented

@@ -53,23 +53,39 @@ def count_transforms(monkeypatch):
     return start
 
 
+def _escape_sign(parts, weights, ceiling, collapse_floor):
+    """The escape rule on the interleaved parts of one state's rfft, its
+    weak and strong norms read by Parseval with ``weights`` (weak, strong):
+    +1 when the weak norm is not finite or reaches the ceiling, or is past
+    0.4 of it with the strong norm at the ceiling; -1 when the weak norm is
+    at or below the collapse floor (when given); else 0."""
+    weak, strong = (np.sqrt(parts.dot(parts * w)) for w in weights)
+    if not np.isfinite(weak) or weak >= ceiling or (
+            weak >= 0.4 * ceiling and strong >= ceiling):
+        return 1
+    return -1 if collapse_floor is not None and weak <= collapse_floor else 0
+
+
 @pytest.fixture(scope="session")
 def exact_step():
     """The whole split step with the exact escape tests after every step,
     as an oracle for the step kernel's bounds: ``_SplitStepper.step(z, dt,
-    count, band=band)`` on a grid, on a stack z primed for dt (rows uh m
-    dt), written with ``np.fft``.  Each step is y = irfft(z), y / (1 - y),
-    z = rfft(.) m^2; it tests every denominator against the floor and,
-    with a band, every row's weak norm after the step, read on z with the
-    Parseval weights divided by (m dt)^2."""
+    count, (ceiling, collapse_floor))`` on a grid, on a stack z primed for
+    dt (rows uh m dt), written with ``np.fft``.  Each step is y = irfft(z),
+    y / (1 - y), z = rfft(.) m^2; it tests every denominator against the
+    floor and, with a ceiling, applies the escape rule to every row after
+    the step, its norms read on z with the Parseval weights divided by
+    (m dt)^2.  It stops after the first step where a row blows up or the
+    rule gives a row a nonzero sign, and returns (z, blown mask or None,
+    the signs of the rows of z or None when all are 0, steps taken)."""
     from adiaflow.reference import _DENOM_FLOOR
 
-    def step(grid, z, dt, count=1, band=None):
+    def step(grid, z, dt, count=1, ceiling=None, collapse_floor=None):
         rate = grid.wavenumbers**2 + 1.0
         half = np.exp(-0.5 * dt * rate)
         square = np.exp(-dt * rate).astype(complex)
-        weak = grid.parseval_weights()[0] * np.repeat(
-            (1.0 / (half * dt))**2, 2)
+        scale = np.repeat((1.0 / (half * dt))**2, 2)
+        weights = [w * scale for w in grid.parseval_weights()]
         for taken in range(1, count + 1):
             y = np.fft.irfft(z, grid.n)
             denom = 1.0 - y
@@ -77,13 +93,17 @@ def exact_step():
             if blown.any():
                 y, denom = y[~blown], denom[~blown]
             z = np.fft.rfft(y / denom) * square
+            signs = None
+            if ceiling is not None:
+                signs = [_escape_sign(row, weights, ceiling, collapse_floor)
+                         for row in z.view(np.float64)]
+                if not any(signs):
+                    signs = None
             if blown.any():
-                return z, blown, taken
-            if band is not None and not all(
-                    band[0] < np.sqrt(row.dot(row * weak)) < band[1]
-                    for row in z.view(np.float64)):
-                return z, None, taken
-        return z, None, count
+                return z, blown, signs, taken
+            if signs is not None:
+                return z, None, signs, taken
+        return z, None, None, count
     return step
 
 
@@ -112,15 +132,10 @@ def exact_solve(exact_step):
         unprime = 1.0 / (half * dt)
         plain = grid.parseval_weights()
         primed = [weights * np.repeat(unprime**2, 2) for weights in plain]
-        low = -np.inf if collapse_floor is None else collapse_floor
 
         def escape(uh, weights):
-            parts = uh[0].view(np.float64)
-            weak, strong = (np.sqrt(parts.dot(parts * w)) for w in weights)
-            if not np.isfinite(weak) or weak >= ceiling or (
-                    weak >= 0.4 * ceiling and strong >= ceiling):
-                return 1
-            return -1 if weak <= low else 0
+            return _escape_sign(uh[0].view(np.float64), weights, ceiling,
+                                collapse_floor)
 
         first = samples[0] == 0.0
         times, states = ([0.0], [u0.copy()]) if first else ([], [])
@@ -138,7 +153,7 @@ def exact_solve(exact_step):
             if whole:
                 uh = uh * (half * dt).astype(complex)
             for j in range(1, whole + 1):
-                uh, blown, _ = exact_step(grid, uh, dt)
+                uh, blown, _, _ = exact_step(grid, uh, dt)
                 if blown is not None:
                     return ended(1, t)
                 stats["steps"] += 1

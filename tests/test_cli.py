@@ -453,7 +453,7 @@ def test_a_failed_classification_stops_the_pipeline_after_the_ledger(
                  "--out", str(run_dir)]) == 1
     assert "FAIL assumption-ledger" in capsys.readouterr().out
     assert sorted(p.name for p in run_dir.iterdir()) == [
-        "config.json", "ledger.json", "report.json",
+        "config.json", "ledger.json", "report.json", "trace.json",
     ]
     report = json.loads((run_dir / "report.json").read_text(encoding="utf-8"))
     assert report["ledger_passed"] is False

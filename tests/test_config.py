@@ -65,6 +65,30 @@ def test_the_grid_and_the_configuration_share_one_default():
     assert build_model(ExperimentConfig()).grid == PeriodicGrid()
 
 
+def test_the_library_and_the_configuration_share_each_default():
+    # The configuration's defaults are the library's constants, and every
+    # library signature that takes one defaults to the same constant.
+    import inspect
+
+    from adiaflow import manifold, spectral
+
+    def default(function, name):
+        return inspect.signature(function).parameters[name].default
+
+    cfg = ExperimentConfig()
+    assert cfg.manifold.fixed_point_tol == manifold.DEFAULT_FIXED_POINT_TOL
+    assert cfg.manifold.max_iterations == manifold.DEFAULT_MAX_ITERATIONS
+    for function in (manifold.construct_manifold_point,
+                     manifold.correction_scan,
+                     manifold.measure_correction_lipschitz):
+        assert default(function, "fixed_point_tol") \
+            == manifold.DEFAULT_FIXED_POINT_TOL
+    assert cfg.spectral.gap_threshold == spectral.DEFAULT_GAP_THRESHOLD \
+        == default(spectral.decompose, "gap_threshold")
+    assert cfg.spectral.zero_tol == spectral.DEFAULT_ZERO_TOL \
+        == default(spectral.decompose, "zero_tol")
+
+
 def test_oversized_ball_names_the_certified_limit():
     config = ExperimentConfig()
     config.manifold.delta = 0.1

@@ -196,6 +196,20 @@ def test_phase_table_is_bitwise_the_complex_exponential(grid):
                               _exp_phases(grid, s).view(np.uint64))
 
 
+def test_a_phase_table_formed_in_buffers_is_bitwise_the_table(grid):
+    # One set of buffers serves shift after shift, as the chart solve uses
+    # it; each table it returns is the allocated table of its shift.
+    radius = ModelSection().chart_radius
+    buffers = grid.phase_buffers()
+    shifts = (0.0, -0.0, 0.37, -1.3, 1e-3, 5e-324, radius, -radius,
+              *np.random.default_rng(12).uniform(-radius, radius, 20))
+    for s in shifts:
+        table = grid.shift_phases(s, buffers)
+        assert table is buffers[1]
+        assert np.array_equal(table.view(np.uint64),
+                              grid.shift_phases(s).view(np.uint64))
+
+
 def test_distinct_modes_are_orthogonal(grid):
     k1 = 2.0 * np.pi * 3.0 / 40.0
     k2 = 2.0 * np.pi * 7.0 / 40.0

@@ -18,6 +18,7 @@ from adiaflow.harness import (
     load_trajectory_csv,
     point_payload,
     run_assumption_ledger,
+    run_full_pipeline,
     scan_corrections,
     write_field_csv,
     write_json,
@@ -329,3 +330,42 @@ def test_point_payload_fields(cfg, point_bump, refined_bump):
     assert set(payload["margins"]) == {
         "w_margin", "sigma_dot_margin", "w_worst_time", "sigma_worst_time",
     }
+
+
+def _untimed(node):
+    """A trace with every timing, a value under a key ending in ``_s``,
+    replaced by None."""
+    if isinstance(node, dict):
+        return {key: None if key.endswith("_s") else _untimed(value)
+                for key, value in node.items()}
+    if isinstance(node, list):
+        return [_untimed(item) for item in node]
+    return node
+
+
+def test_two_pipeline_runs_write_traces_that_differ_only_in_their_timings(
+        tmp_path):
+    traces, points = [], []
+    for name in ("a", "b"):
+        run_dir = tmp_path / name
+        report = run_full_pipeline(ExperimentConfig(), "stable-bump",
+                                   str(run_dir))
+        assert report.passed and "trace.json" not in report.artifacts
+        traces.append(json.loads((run_dir / "trace.json").read_text()))
+        points.append(json.loads((run_dir / "point.json").read_text()))
+    assert _untimed(traces[0]) == _untimed(traces[1])
+    trace, point = traces[0], points[0]
+    assert [stage["stage"] for stage in trace["stages"]] == [
+        "runtime-and-ledger", "construction", "contraction", "shooting",
+        "full-solve", "extraction", "comparison", "witness"]
+    walls = [stage["wall_s"] for stage in trace["stages"]]
+    assert min(walls) > 0.0 and sum(walls) <= trace["total_s"]
+    # Shooting's record: every lane solve in solve order, the last full-probe
+    # one beta*, and its bracket as point.json records it.
+    shooting = trace["shooting"]
+    solves = shooting["solves"]
+    assert len(solves) == point["refine"]["evaluations"]
+    assert solves[-1]["beta"] == point["beta_star"]
+    assert solves[-1]["probe_time"] == point["refine"]["probe_time"]
+    assert shooting["bracket"] == point["refine"]["bracket"]
+    assert 0.0 < shooting["roundoff_floor"] < shooting["bracket"]

@@ -243,17 +243,17 @@ def test_decompose_translates_the_frame_once_per_constraint_evaluation(
     points = []
     constraint = modulation._constraint
 
-    def recorded(model, weighted, s):
+    def recorded(model, weighted, s, trials):
         points.append(s)
-        return constraint(model, weighted, s)
+        return constraint(model, weighted, s, trials)
 
     monkeypatch.setattr(modulation, "_constraint", recorded)
     shifts = []
     shift_phases = PeriodicGrid.shift_phases
 
-    def translated(self, s):
+    def translated(self, s, *out):
         shifts.append(s)
-        return shift_phases(self, s)
+        return shift_phases(self, s, *out)
 
     monkeypatch.setattr(PeriodicGrid, "shift_phases", translated)
     sigma, w = decompose_state(model, state, 0.3)

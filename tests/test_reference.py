@@ -49,12 +49,14 @@ def stable_direction(spectrum):
 
 def recording_steps(sizes):
     """A ``_SplitStepper.step`` that logs the size of each step it takes,
-    one entry per step of a counted call."""
+    one entry per whole step of a call and one for its clamped step."""
     step = reference._SplitStepper.step
 
-    def recording(self, uh, dt, count=1, out=None, band=None):
-        stepped = step(self, uh, dt, count, out, band)
-        sizes.extend([dt] * stepped[2])
+    def recording(self, uh, dt, count, escape, clamp=None, *args):
+        stepped = step(self, uh, dt, count, escape, clamp, *args)
+        sizes.extend([dt] * min(stepped[3], count))
+        if stepped[3] > count:
+            sizes.append(clamp)
         return stepped
     return recording
 
@@ -797,7 +799,7 @@ def test_the_solver_transforms_are_numpys_fft(n, rows):
         (2.0 * np.pi * np.fft.rfftfreq(n, d=grid.spacing)).view(np.uint64))
     # Priming, a whole step on the primed stack and the clamped step that
     # un-primes it are the split step written with np.fft.
-    dt, band = 1e-2, reference._quiet_band(10.0, None)
+    dt, escape = 1e-2, (10.0, None)
     rate = grid.wavenumbers**2 + 1.0
     half = np.exp(-0.5 * dt * rate)
     primed = values_hat * (half * dt).astype(complex)
@@ -812,18 +814,21 @@ def test_the_solver_transforms_are_numpys_fft(n, rows):
         return array.view(np.uint64)
     stack = stepper.prime(values_hat.copy(), dt)
     assert np.array_equal(bits(stack), bits(primed))
-    stepped, blown, taken = stepper.step(stack, dt, band=band)
-    assert blown is None and taken == 1
+    stepped, blown, signs, taken = stepper.step(stack, dt, 1, escape)
+    assert blown is None and signs is None and taken == 1
     assert np.array_equal(bits(stepped), bits(whole))
-    stepped, blown, taken = stepper.step(stepped, clamp)
-    assert blown is None and taken == 1
+    stepped, blown, signs, taken = stepper.step(stepped, dt, 0, escape, clamp)
+    assert blown is None and signs is None and taken == 1
     assert np.array_equal(bits(stepped), bits(clamped))
-    # In place over the stack, as the fixed-step solve steps it.
+    # In place over the stack, as the fixed-step solve steps it, in one
+    # call that writes the sample.
     stack = stepper.prime(values_hat.copy(), dt)
-    stepped, _, _ = stepper.step(stack, dt, out=stack, band=band)
-    assert stepped is stack and np.array_equal(bits(stack), bits(whole))
-    stepped, _, _ = stepper.step(stack, clamp, out=stack)
-    assert stepped is stack and np.array_equal(bits(stack), bits(clamped))
+    sample = np.empty((rows, 2, n))[:, 1]
+    stepped, _, _, taken = stepper.step(stack, dt, 1, escape, clamp, stack,
+                                        sample)
+    assert stepped is stack and taken == 2
+    assert np.array_equal(bits(stack), bits(clamped))
+    assert np.array_equal(bits(sample), bits(np.fft.irfft(clamped, n)))
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3, 4])
@@ -861,7 +866,7 @@ def no_steps(monkeypatch):
     """Fails a test that reaches ``_SplitStepper.step``, the one step
     kernel, with any count, or that makes the inverse transform every step
     makes."""
-    def refused(self, uh, dt, count=1, out=None, band=None):
+    def refused(self, uh, dt, count, *args):
         raise AssertionError(f"{count} step(s) of {dt} were taken")
 
     def no_transform(*args):
@@ -916,6 +921,17 @@ def test_a_bad_collapse_floor_is_refused_before_any_step(model, no_steps,
                      sample_times=samples, collapse_floor=floor)
 
 
+def test_a_solve_whose_samples_start_after_zero_records_only_them(
+        workspace, model, exact_solve):
+    samples = np.array([0.1, 0.15, 0.2])
+    starts = [model.profile.values,
+              model.profile.values + 1e-2 * workspace.unstable_mode]
+    for mine, u0 in zip(evolve_lanes(model, starts, dt=1e-3,
+                                     sample_times=samples), starts):
+        assert np.array_equal(mine.times, samples)
+        assert_same_solve(mine, exact_solve(model, u0, 1e-3, samples))
+
+
 def test_a_collapse_floor_of_zero_is_taken(model):
     samples = np.linspace(0.0, 0.2, 5)
     traj = evolve_lanes(model, [model.profile.values], dt=1e-3,
@@ -924,16 +940,63 @@ def test_a_collapse_floor_of_zero_is_taken(model):
     assert np.array_equal(traj.times, samples)
 
 
+def counted_calls(monkeypatch):
+    """Patches the step kernel to log, for each call, whether it took its
+    clamped step and whether it returned an escape or blow-up."""
+    calls = []
+    step = reference._SplitStepper.step
+
+    def counted(self, uh, dt, count, *args):
+        stepped = step(self, uh, dt, count, *args)
+        calls.append((stepped[3] > count,
+                      stepped[1] is not None or stepped[2] is not None))
+        return stepped
+
+    monkeypatch.setattr(reference._SplitStepper, "step", counted)
+    return calls
+
+
 def test_a_state_past_the_watch_line_that_stays_below_the_ceiling_runs_on(
-        model):
+        model, monkeypatch):
     # The pulse's weak norm, 2.45, is past 0.4 of a ceiling of 5, so every
-    # step reads its strong norm, 2.68, which stays below the ceiling.
+    # step reads its strong norm, 2.68, which stays below the ceiling, and
+    # the kernel runs each interval in one call.
     samples = np.linspace(0.0, 0.2, 5)
+    calls = counted_calls(monkeypatch)
     traj = evolve_lanes(model, [model.profile.values], dt=1e-3,
                         sample_times=samples, ceiling=5.0)[0]
     assert traj.stats["escape_sign"] == 0
     assert traj.stats["escape_time"] is None
     assert np.array_equal(traj.times, samples)
+    assert calls == [(True, False)] * (len(samples) - 1)
+
+
+@pytest.mark.parametrize("offsets", [[1e-2], [1e-3, -1e-3]])
+def test_a_solve_makes_one_kernel_call_per_interval_plus_one_per_escape(
+        workspace, model, point_bump, monkeypatch, offsets):
+    # A blow-up witness, and a witness pair whose first escape leaves the
+    # other lane to finish its interval in a second call.
+    samples = mesh_prefix(workspace.times, 20.0)
+    starts = [corrected_initial_state(workspace, point_bump,
+                                      point_bump.correction, offset).values
+              for offset in offsets]
+    calls = counted_calls(monkeypatch)
+    solved = evolve_lanes(model, starts, dt=1e-3, sample_times=samples,
+                          collapse_floor=reference.collapse_floor(model))
+    assert [traj.stats["escape_sign"] for traj in solved] \
+        == list(np.sign(offsets))
+    ends = sorted(traj.stats["escape_time"] for traj in solved)
+    # An escape after a step at t lies in the interval that ends at the
+    # first sample at or after t; the stack enters intervals up to the one
+    # its last lane escapes in, and a lane that escapes before it between
+    # samples leaves the others one more call.
+    entered = int(np.searchsorted(samples, ends[-1]))
+    between = sum(t not in samples for t in ends[:-1])
+    assert len(calls) == entered + between
+    assert between == len(offsets) - 1
+    # Every call takes its interval's clamped step or returns an escape.
+    assert all(clamped or event for clamped, event in calls)
+    assert sum(event for _, event in calls) == len(offsets)
 
 
 def test_a_lane_that_blows_up_leaves_the_stack(workspace, model, monkeypatch):
@@ -945,11 +1008,11 @@ def test_a_lane_that_blows_up_leaves_the_stack(workspace, model, monkeypatch):
     blown = []
     step = reference._SplitStepper.step
 
-    def spied(self, uh, dt, count=1, out=None, band=None):
-        uh_new, mask, taken = step(self, uh, dt, count, out, band)
-        if mask is not None:
-            blown.append(mask.tolist())
-        return uh_new, mask, taken
+    def spied(self, *args):
+        stepped = step(self, *args)
+        if stepped[1] is not None:
+            blown.append(stepped[1].tolist())
+        return stepped
 
     monkeypatch.setattr(reference._SplitStepper, "step", spied)
     solved = evolve_lanes(model, starts, dt=1e-3,
@@ -963,6 +1026,26 @@ def test_a_lane_that_blows_up_leaves_the_stack(workspace, model, monkeypatch):
     assert 3.0 < solved[1].stats["escape_time"] < 4.0
     for mine, theirs in zip(solved, singles):
         assert_same_solve(mine, theirs)
+
+
+def test_a_lane_that_blows_up_in_a_clamped_step_leaves_the_sample_to_the_rest(
+        workspace, model, exact_solve):
+    # Samples closer than a step apart: every step is the clamped step onto
+    # a sample, so the second lane blows up in one, and the first records
+    # that step's sample without it.
+    samples = np.arange(0.0, 5.0, 5e-3)
+    starts = [model.profile.values,
+              model.profile.values + 3e-2 * workspace.unstable_mode]
+    assert reference._whole_steps(samples[1], 1e-2) == 0
+    solved = evolve_lanes(model, starts, dt=1e-2, sample_times=samples,
+                          ceiling=1e6)
+    assert [traj.stats["escape_sign"] for traj in solved] == [0, 1]
+    assert solved[0].n_samples == len(samples) > solved[1].n_samples
+    for mine, u0 in zip(solved, starts):
+        assert_same_solve(mine, evolve_lanes(model, [u0], dt=1e-2,
+                                             sample_times=samples,
+                                             ceiling=1e6)[0])
+        assert_same_solve(mine, exact_solve(model, u0, 1e-2, samples, 1e6))
 
 
 #: Lanes for the counted step kernel: offsets along the unstable mode and
@@ -993,12 +1076,15 @@ def test_the_counted_step_kernel_is_bitwise_single_steps(
                             ceiling=ceiling,
                             collapse_floor=reference.collapse_floor(model))
 
-    def counted(self, uh, dt, count=1, out=None, band=None):
+    def counted(self, uh, dt, count, *args):
         counts.append(count)
-        return step(self, uh, dt, count, out, band)
+        return step(self, uh, dt, count, *args)
 
-    def single(self, uh, dt, count=1, out=None, band=None):
-        return step(self, uh, dt, 1, out, band)
+    def single(self, uh, dt, count, escape, clamp, out, sample):
+        # One step a call: a whole step alone, or the clamped step.
+        if count:
+            return step(self, uh, dt, 1, escape, None, out)
+        return step(self, uh, dt, 0, escape, clamp, out, sample)
 
     monkeypatch.setattr(reference._SplitStepper, "step", counted)
     kernel = solve()
@@ -1016,12 +1102,13 @@ def test_the_counted_step_kernel_is_bitwise_single_steps(
 
 def same_call(mine, theirs):
     """Whether two step-kernel results are the same: stack bits, blown
-    mask and steps taken."""
-    (uh, blown, taken), (uh_, blown_, taken_) = mine, theirs
+    mask, escape signs and steps taken."""
+    (uh, blown, signs, taken), (uh_, blown_, signs_, taken_) = mine, theirs
     return (taken == taken_
             and np.array_equal(uh.view(np.uint64), uh_.view(np.uint64))
             and (blown is None) == (blown_ is None)
-            and (blown is None or np.array_equal(blown, blown_)))
+            and (blown is None or np.array_equal(blown, blown_))
+            and signs == signs_)
 
 
 #: An offset along e_u of size 1e-6 to 5e-2, either sign.
@@ -1043,6 +1130,8 @@ OFFSET = st.tuples(st.sampled_from((-1.0, 1.0)),
          with_floor=True, count=20)  # a collapse
 @example(offsets=[1e-2, 1e-6], zero_lane=False, dt=1e-3, ceiling=10.0,
          with_floor=True, count=20)  # through the band's top to the ceiling
+@example(offsets=[-1e-2], zero_lane=True, dt=1e-3, ceiling=10.0,
+         with_floor=True, count=1)  # each call reads its last step itself
 def test_the_step_kernel_stops_where_the_exact_tests_stop(
         workspace, model, exact_step, offsets, zero_lane, dt, ceiling,
         with_floor, count):
@@ -1051,19 +1140,20 @@ def test_the_step_kernel_stops_where_the_exact_tests_stop(
     if zero_lane:
         starts.append(np.zeros(model.grid.n))
     floor = reference.collapse_floor(model) if with_floor else None
-    # Calls of up to count steps to t = 5 on the stack primed for dt, in
-    # place and with the quiet band, as a solve makes them; escaped rows
-    # leave between calls.
+    # Calls of up to count whole steps to t = 5 on the stack primed for
+    # dt, in place and with the escape rule, as a solve makes them; escaped
+    # rows leave between calls.
     stepper = reference._SplitStepper(model.grid)
-    band = reference._quiet_band(ceiling, floor)
     uh = stepper.prime(model.grid.rfft(np.array(starts)), dt)
     steps, calls = round(5.0 / dt), 0
     while steps and len(uh):
-        theirs = exact_step(model.grid, uh, dt, min(count, steps), band)
-        mine = stepper.step(uh, dt, min(count, steps), out=uh, band=band)
+        theirs = exact_step(model.grid, uh, dt, min(count, steps), ceiling,
+                            floor)
+        mine = stepper.step(uh, dt, min(count, steps), (ceiling, floor),
+                            out=uh)
         assert same_call(mine, theirs), f"call {calls}"
-        uh, steps, calls = mine[0], steps - mine[2], calls + 1
-        signs = stepper.escape_signs(uh, ceiling, floor)
+        uh, signs = mine[0], mine[2]
+        steps, calls = steps - mine[3], calls + 1
         if signs is not None:
             uh = uh[[not sign for sign in signs]]
 
@@ -1073,19 +1163,56 @@ def test_the_kernels_bounds_leave_round_off_to_the_exact_tests(
         grid, exact_step, edge):
     # A step of 1e-20 damps no mode and moves no value (m and 1 - y round
     # to 1), so a state's sum of squares gives its weak norm, and that
-    # after the step, up to round-off alone.  With the band's edge at the
-    # weak norm after one step, the exact tests stop there.  A primed sum
-    # of squares scales by dt^2, so a step of 1e-300 would underflow it.
+    # after the step, up to round-off alone.  With the quiet band's edge at
+    # the weak norm after one step, the exact tests stop there: at the
+    # bottom the collapse floor is that norm; at the top the watch line,
+    # 0.4 of the ceiling, is the largest at or below it, and a ripple of
+    # 32 to 63 periods has a strong norm past the ceiling.  A primed sum of
+    # squares scales by dt^2, so a step of 1e-300 would underflow it.
+    stepper = reference._SplitStepper(grid)
+    dt = 1e-20
+    x = np.arange(grid.n) / grid.n
+    for seed in range(16):
+        if edge == "low":
+            state = _nyquist_stack(grid.n, 1, seed=seed)
+        else:
+            rng = np.random.default_rng(seed)
+            state = 0.3 * np.sin(2.0 * np.pi * rng.integers(
+                grid.n // 8, grid.n // 4) * x + rng.uniform(0.0, 6.0))[None]
+        uh = stepper.prime(grid.rfft(state), dt)
+        after = exact_step(grid, uh, dt)[0][0]
+        norm = stepper.weak_norm(after)
+        if edge == "low":
+            ceiling, floor = 5.0 * norm, norm
+        else:
+            ceiling, floor = norm / 0.4, None
+            while 0.4 * ceiling > norm:
+                ceiling = np.nextafter(ceiling, 0.0)
+            assert stepper.strong_norm(after) >= ceiling
+        theirs = exact_step(grid, uh, dt, 2, ceiling, floor)
+        assert theirs[2] == [-1 if edge == "low" else 1] and theirs[3] == 1
+        assert same_call(stepper.step(uh, dt, 2, (ceiling, floor)),
+                         theirs), seed
+
+
+def test_the_clamped_step_reads_a_state_its_whole_steps_left_unread(
+        grid, exact_step):
+    # As above at the band's bottom, but the one whole step's bound leaves
+    # its result unread, and the clamped step's bound on its unscaled
+    # half-stepped values has to stop the call at the collapse before it.
     stepper = reference._SplitStepper(grid)
     dt = 1e-20
     for seed in range(16):
         uh = stepper.prime(
             grid.rfft(_nyquist_stack(grid.n, 1, seed=seed)), dt)
         norm = stepper.weak_norm(exact_step(grid, uh, dt)[0][0])
-        band = (norm, 2.0 * norm) if edge == "low" else (-math.inf, norm)
-        theirs = exact_step(grid, uh, dt, 2, band)
-        assert theirs[2] == 1
-        assert same_call(stepper.step(uh, dt, 2, band=band), theirs), seed
+        theirs = exact_step(grid, uh, dt, 1, 5.0 * norm, norm)
+        assert theirs[2] == [-1] and theirs[3] == 1
+        sample = np.full((1, grid.n), np.nan)
+        mine = stepper.step(uh, dt, 1, (5.0 * norm, norm), 0.5 * dt,
+                            sample=sample)
+        assert same_call(mine, theirs), seed
+        assert np.isnan(sample).all()
 
 
 @pytest.mark.parametrize("reach", [0.35, 0.399, 0.45, 0.5, 0.55])
@@ -1099,11 +1226,10 @@ def test_the_kernels_bounds_hold_at_a_spike(grid, exact_step, reach):
     spike = np.zeros((1, grid.n))
     spike[0, grid.n // 2] = reach
     uh = grid.rfft(spike)
-    band = reference._quiet_band(1e6, None)
-    theirs = exact_step(grid, uh, dt, 2, band)
+    theirs = exact_step(grid, uh, dt, 2, 1e6)
     # It blows up in the first step exactly when reach >= 0.5.
-    assert (theirs[1] is not None and theirs[2] == 1) == (reach >= 0.5)
-    assert same_call(stepper.step(uh, dt, 2, band=band), theirs)
+    assert (theirs[1] is not None and theirs[3] == 1) == (reach >= 0.5)
+    assert same_call(stepper.step(uh, dt, 2, (1e6, None)), theirs)
 
 
 @pytest.mark.parametrize("dt", [1e-3, 5e-4, 2.5e-4])
@@ -1249,9 +1375,9 @@ def test_an_extraction_transforms_all_samples_at_once(
     trials = []
     constraint = modulation._constraint
 
-    def recorded(model, weighted, s):
+    def recorded(model, weighted, s, buffers):
         trials.append(s)
-        return constraint(model, weighted, s)
+        return constraint(model, weighted, s, buffers)
 
     monkeypatch.setattr(modulation, "_constraint", recorded)
     extracted = extract_modulated(model, traj, point_bump.sigma0)
