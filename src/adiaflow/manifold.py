@@ -137,7 +137,16 @@ class SolutionMapWorkspace:
     # -- one application of the map --------------------------------------------
     def apply_raw(self, eta_values: np.ndarray, sigma_trial: np.ndarray,
                   w_trial: np.ndarray) -> SolutionMapResult:
-        """Push (sigma_trial, w_trial) through the map; no admissibility checks."""
+        """Push (sigma_trial, w_trial) through the map; no admissibility checks.
+
+        The trial frame (tangent, second derivative and pulse at every
+        sample's chart point) comes from one phase table: the carried one
+        when sigma_trial is the last application's output, else a new one.
+        A frozen chart, every sample at one point as on the seed path,
+        takes a one-row table whose frame rows broadcast over the mesh;
+        each row of an m-row table is bitwise that row, and every product
+        and sum keeps its operands and order, so no bit changes.
+        """
         grid, h = self.grid, self.grid.spacing
         times, dt = self.times, self._dt
         m = self.n_samples
@@ -145,7 +154,9 @@ class SolutionMapWorkspace:
 
         carried_sigma, phases, tangent_trial = self._carried
         if not np.array_equal(sigma_trial, carried_sigma):
-            phases = grid.shift_phases(sigma_trial)
+            frozen = np.all(sigma_trial == sigma_trial[0])
+            phases = grid.shift_phases(sigma_trial[:1] if frozen
+                                       else sigma_trial)
             tangent_trial = grid.apply_phases(tangent_hat, phases)
         second_trial = grid.apply_phases(second_hat, phases)
 

@@ -101,11 +101,14 @@ def decompose_states(model: PulseModel, states: np.ndarray,
 
     Each solve starts from the chart point found for the state before (the
     first from sigma_guess), so slow drifts are followed without chart
-    jumps.  The rffts of all states come from one batched transform, and
-    once the chart points are found, the family points f(sigma) of all
-    remainders from one batched inverse transform; a Newton trial makes
-    none.  A state that cannot be decomposed raises ConvergenceError after
-    the states before it are yielded, and ends the iteration.
+    jumps, and its first constraint evaluation reuses the phase table that
+    the solve before ended on (see ``_trial_buffers``).  The rffts of all
+    states come from one batched transform, and once the chart points are
+    found, the family points f(sigma) of all remainders from one batched
+    inverse transform of ``model.frame_hat[0]`` times those tables, kept
+    one row per state; a Newton trial makes none.  A state that cannot be
+    decomposed raises ConvergenceError after the states before it are
+    yielded, and ends the iteration.
     """
     states = np.asarray(states, dtype=float)
     if not np.all(np.isfinite(states)):
@@ -115,14 +118,17 @@ def decompose_states(model: PulseModel, states: np.ndarray,
     sigmas, failure = [], None
     s = float(sigma_guess)
     trials = _trial_buffers(model)
+    phase = trials[0][1]
+    tables = np.empty((len(states), len(phase)), complex)
     try:
         for parts in weighted:
             s = _chart_point(model, parts, s, trials)
+            tables[len(sigmas)] = phase
             sigmas.append(s)
     except ConvergenceError as err:
         failure = err
     family = model.grid.apply_phases(model.frame_hat[0],
-                                     model.grid.shift_phases(sigmas))
+                                     tables[:len(sigmas)])
     # sigma = 0 is the profile itself, as in ``model.frame``.
     family[np.equal(sigmas, 0.0)] = model.frame(0.0)[0]
     yield from zip(sigmas, states[:len(sigmas)] - family)
@@ -130,26 +136,32 @@ def decompose_states(model: PulseModel, states: np.ndarray,
         raise failure
 
 
-def _trial_buffers(model: PulseModel) -> tuple:
+def _trial_buffers(model: PulseModel) -> list:
     """What the chart solves of one ``decompose_states`` call reuse: the
     phase-table buffers of ``grid.phase_buffers``, the rows of
-    ``model.frame_hat`` that a trial translates, and the buffer the
-    translated rows go into, with its interleaved parts."""
+    ``model.frame_hat`` that a trial translates, the buffer the translated
+    rows go into, with its interleaved parts, and the chart point whose
+    table and translated rows the buffers hold (None before the first
+    trial).  ``_constraint`` at that point forms neither again: every
+    solve's chart point is its last trial's, and the next solve starts
+    there.  Tables of +0.0 and -0.0 are bitwise equal, so the held point
+    is compared by value."""
     translated = np.empty((2, model.grid.n // 2 + 1), complex)
-    return (model.grid.phase_buffers(), model.frame_hat[1:], translated,
-            translated.view(np.float64))
+    return [model.grid.phase_buffers(), model.frame_hat[1:], translated,
+            translated.view(np.float64), None]
 
 
 def _constraint(model: PulseModel, weighted: np.ndarray, s: float,
-                trials: tuple) -> tuple[float, float]:
+                trials: list) -> tuple[float, float]:
     """g(s) = <u - f(s), d f(s)> and <u - f(s), d^2 f(s)>, by Parseval.
 
     ``weighted`` holds the interleaved parts of the rfft of u times the
     weak Parseval weights, so an inner product with u is a dot product
     with the parts of the other field's rfft: those of d f(s) and
     d^2 f(s) are ``model.frame_hat`` rows times one phase table, formed in
-    the buffers ``trials`` of ``_trial_buffers``, and the overlaps of f(s)
-    with them are ``model.frame_overlaps``.
+    the buffers ``trials`` of ``_trial_buffers`` unless they hold s
+    already, and the overlaps of f(s) with them are
+    ``model.frame_overlaps``.
 
     Raises ConvergenceError if s is not finite or leaves the model's chart.
     """
@@ -158,14 +170,16 @@ def _constraint(model: PulseModel, weighted: np.ndarray, s: float,
             f"chart coordinate {s} leaves the chart of radius "
             f"{model.chart_radius}"
         )
-    phases, frame, translated, parts = trials
-    np.multiply(frame, model.grid.shift_phases(s, phases), translated)
+    phases, frame, translated, parts, held = trials
+    if s != held:
+        np.multiply(frame, model.grid.shift_phases(s, phases), translated)
+        trials[-1] = s
     g, overlap = (parts @ weighted - model.frame_overlaps).tolist()
     return g, overlap
 
 
 def _chart_point(model: PulseModel, weighted: np.ndarray, s: float,
-                 trials: tuple) -> float:
+                 trials: list) -> float:
     """The chart point of the state that ``weighted`` holds (see
     ``_constraint``), by the damped Newton iteration of ``decompose_state``
     from s, its trials formed in the buffers ``trials``."""

@@ -153,7 +153,7 @@ class _SplitStepper:
     ``step`` is the one step kernel: one call runs a sample interval, its
     whole steps of dt and the clamped step onto the sample, with its
     operands bound once, and writes the sample.  It applies the escape rule
-    of ``escape_signs`` after every step and returns at the first step
+    of ``_signs`` after every step and returns at the first step
     after which a row escapes or blows up, so a solve makes one call per
     interval plus one per such event.  Each step is the same operations on
     the same operands wherever a call returns.  A bound on one sum of
@@ -269,7 +269,7 @@ class _SplitStepper:
         after the forward one.  After it, ``PeriodicGrid.c2r`` writes the
         grid values of each row into the rows of ``sample`` when given.
 
-        After every step the escape rule of ``escape_signs`` with
+        After every step the escape rule of ``_signs`` with
         ``escape`` = (ceiling, collapse floor) reads the rows, and a row
         whose quadratic subflow blows up (a denominator at or below
         ``_DENOM_FLOOR``) leaves the stack; the call stops after the first
@@ -392,30 +392,6 @@ class _SplitStepper:
         root = min(high * dt / (math.sqrt(h) + high * dt), 0.4)
         return s_low, root * root * (1.0 - _SUM_SLACK)
 
-    def weak_norm(self, uh: np.ndarray) -> float:
-        """``grid.weak_norm_values`` of the state that the row uh of the
-        stack carried holds: its rfft, or that rfft primed."""
-        return _norm(uh.view(np.float64), self._norms[0], self._product)
-
-    def strong_norm(self, uh: np.ndarray) -> float:
-        """``grid.strong_norm_values`` of the state that the row uh of the
-        stack carried holds."""
-        return _norm(uh.view(np.float64), self._norms[1], self._product)
-
-    def escape_signs(self, uh: np.ndarray, ceiling: float,
-                     collapse_floor: float | None) -> list[int] | None:
-        """For each row of the stack uh carried: +1 when its state is not
-        finite or has reached the ceiling, -1 when its weak norm is at or
-        below the collapse floor, else 0; None when every row is 0.
-
-        Each row's weak norm is its own ``weak_norm``, read on the rfft or,
-        inside a sample interval, on z with the primed weights; a row's
-        strong norm, its own ``strong_norm``, is read only past the quiet
-        band's top, 0.4 ceiling.  The step kernel applies this rule.
-        """
-        return _signs(list(uh.view(np.float64)), self._norms, self._product,
-                      (ceiling, *_quiet_band(ceiling, collapse_floor)))
-
 
 def _norm(parts: np.ndarray, weights: np.ndarray,
           product: np.ndarray) -> float:
@@ -427,10 +403,13 @@ def _norm(parts: np.ndarray, weights: np.ndarray,
 
 def _signs(rows: list, weights: tuple, product: np.ndarray,
            rule: tuple[float, float, float]) -> list[int] | None:
-    """The escape signs of ``escape_signs`` for the interleaved parts of
-    each of ``rows``, with the (weak, strong) ``weights`` their form takes
-    and ``rule`` = (ceiling, low, watch), the quiet band (low, watch) of
-    ``_quiet_band``; None when every sign is 0."""
+    """The escape rule, for the interleaved parts of each of ``rows``, with
+    the (weak, strong) ``weights`` their form takes (plain on an rfft,
+    primed inside a sample interval) and ``rule`` = (ceiling, low, watch),
+    the quiet band (low, watch) of ``_quiet_band``: +1 when a row's state
+    is not finite or has reached the ceiling, -1 when its weak norm is at
+    or below the collapse floor low, else 0; None when every sign is 0.
+    A row's strong norm is read only past the band's top, watch."""
     ceiling, low, watch = rule
     weak_weights, strong_weights = weights
     signs = None

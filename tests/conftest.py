@@ -1,6 +1,7 @@
 """Shared fixtures: one grid/model/spectrum per session, plus slow builds."""
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -51,6 +52,38 @@ def count_transforms(monkeypatch):
             monkeypatch.setattr(PeriodicGrid, name, counted)
         return counts
     return start
+
+
+@pytest.fixture(scope="session")
+def stepper_norms():
+    """What a ``_SplitStepper`` carries, read as its step kernel reads it:
+    the norms through ``reference._norm`` and the escape rule through
+    ``reference._signs``, with the Parseval weights of the form the stack
+    is in (plain on an rfft, primed inside a sample interval).
+    ``weak(stepper, uh)`` and ``strong(stepper, uh)`` are
+    ``grid.weak_norm_values`` and ``strong_norm_values`` of the state that
+    the row uh holds; ``escape_signs(stepper, uh, ceiling,
+    collapse_floor)`` gives each row of the stack uh +1 (not finite or at
+    the ceiling), -1 (weak norm at or below the collapse floor) or 0, or
+    None when every row is 0, reading a strong norm only past the quiet
+    band's top of ``reference._quiet_band``, 0.4 ceiling."""
+    from adiaflow import reference
+
+    def weak(stepper, uh):
+        return reference._norm(uh.view(np.float64), stepper._norms[0],
+                               stepper._product)
+
+    def strong(stepper, uh):
+        return reference._norm(uh.view(np.float64), stepper._norms[1],
+                               stepper._product)
+
+    def escape_signs(stepper, uh, ceiling, collapse_floor):
+        return reference._signs(
+            list(uh.view(np.float64)), stepper._norms, stepper._product,
+            (ceiling, *reference._quiet_band(ceiling, collapse_floor)))
+
+    return types.SimpleNamespace(weak=weak, strong=strong,
+                                 escape_signs=escape_signs)
 
 
 def _escape_sign(parts, weights, ceiling, collapse_floor):

@@ -157,6 +157,23 @@ def test_a_failed_classification_is_one_failed_ledger_check(ledger, tmp_path,
     assert table[0]["eigenvalue"] == pytest.approx(-1.25, abs=1e-9)
 
 
+def test_a_pipeline_whose_classification_fails_times_only_its_runtime(
+        tmp_path):
+    # The runtime stage builds the spectrum; when it cannot be classified
+    # the failure is the ledger's one failed check, and no ledger stage
+    # runs.
+    cfg = ExperimentConfig()
+    cfg.spectral.zero_tol = 1e-16
+    report = run_full_pipeline(cfg, "stable-bump", str(tmp_path))
+    assert not report.passed and report.checks == []
+    ledger = json.loads((tmp_path / "ledger.json").read_text())
+    check, = ledger["checks"]
+    assert check["name"] == "spectral-classification"
+    assert not check["passed"]
+    trace = json.loads((tmp_path / "trace.json").read_text())
+    assert [stage["stage"] for stage in trace["stages"]] == ["runtime"]
+
+
 def test_trajectory_csv_round_trip(model, grid, spectrum, workspace, tmp_path):
     e_s = spectrum.eigenvectors[:, spectrum.stable_indices[0]]
     u0 = GridField(model.profile.values + 0.005 * e_s, grid)
@@ -356,7 +373,7 @@ def test_two_pipeline_runs_write_traces_that_differ_only_in_their_timings(
     assert _untimed(traces[0]) == _untimed(traces[1])
     trace, point = traces[0], points[0]
     assert [stage["stage"] for stage in trace["stages"]] == [
-        "runtime-and-ledger", "construction", "contraction", "shooting",
+        "runtime", "ledger", "construction", "contraction", "shooting",
         "full-solve", "extraction", "comparison", "witness"]
     walls = [stage["wall_s"] for stage in trace["stages"]]
     assert min(walls) > 0.0 and sum(walls) <= trace["total_s"]

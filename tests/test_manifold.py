@@ -290,6 +290,47 @@ def test_a_path_changed_in_place_does_not_reuse_the_carried_frame(
     _assert_same_application(again, fresh)
 
 
+def test_a_frozen_chart_translates_one_row_for_the_whole_mesh(
+        spectrum, eta_bump, monkeypatch):
+    # Picard's first round: the seed path holds the chart at the base
+    # point, so its frame comes from one one-row table, which broadcasts
+    # over the mesh; the output frame still takes one row per sample.
+    seed = seed_path(SolutionMapWorkspace(spectrum), eta_bump)
+    m = len(seed.sigma)
+    built = _count_phase_tables(monkeypatch)
+    one_row = SolutionMapWorkspace(spectrum).apply_raw(
+        eta_bump.values, seed.sigma, seed.w)
+    assert [np.shape(s) for s in built] == [(1,), (m,)]
+    # A chart of +0.0 and -0.0 is frozen too: both tables are the same
+    # bits.
+    signed = np.where(np.arange(m) % 2 == 0, 0.0, -0.0)
+    assert np.array_equal(seed.sigma, signed)
+    built.clear()
+    mixed = SolutionMapWorkspace(spectrum).apply_raw(eta_bump.values,
+                                                     signed, seed.w)
+    assert [np.shape(s) for s in built] == [(1,), (m,)]
+    _assert_same_application(mixed, one_row)
+    # A chart that starts at the base point and then moves is not frozen.
+    moving = random_admissible_path(
+        SolutionMapWorkspace(spectrum), delta=DELTA,
+        speed_constant=default_speed_constant(spectrum.model))
+    assert moving.sigma[0] == seed.sigma[0] != moving.sigma[1]
+    built.clear()
+    SolutionMapWorkspace(spectrum).apply_raw(eta_bump.values, moving.sigma,
+                                             moving.w)
+    assert [np.shape(s) for s in built] == [(m,), (m,)]
+    # The same application from the full m-row table of the seed's chart,
+    # m copies of that row.
+    widen = PeriodicGrid.shift_phases
+    monkeypatch.setattr(PeriodicGrid, "shift_phases", lambda self, s: widen(
+        self, np.full(m, s[0]) if np.shape(s) == (1,) else s))
+    built.clear()
+    full = SolutionMapWorkspace(spectrum).apply_raw(
+        eta_bump.values, seed.sigma, seed.w)
+    assert [np.shape(s) for s in built] == [(m,), (m,)]
+    _assert_same_application(one_row, full)
+
+
 def test_forward_replay_reproduces_the_bounded_branch(workspace, point_bump):
     branch = workspace.grid.inner_values(point_bump.path.w,
                                          workspace.unstable_mode)

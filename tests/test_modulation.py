@@ -11,6 +11,7 @@ from adiaflow.grid import GridField, PeriodicGrid, smooth_noise, zero_field
 from adiaflow.model import PulseModel
 from adiaflow.modulation import (
     decompose_state,
+    decompose_states,
     frame_coefficient,
     solve_modulation,
 )
@@ -261,11 +262,67 @@ def test_decompose_translates_the_frame_once_per_constraint_evaluation(
     assert np.array_equal(w.values, expected[1].values)
     assert len(points) >= 3
     # Each constraint evaluation translates the frame's spectrum by one
-    # phase table, and the accepted chart point's family point takes one
-    # more; the state's rfft and the family point's irfft are the only
-    # transforms.
-    assert shifts == points + [[sigma]]
+    # phase table, and the family point takes the table of the last, the
+    # accepted chart point's; the state's rfft and the family point's
+    # irfft are the only transforms.
+    assert shifts == points
     assert transforms == {"r2c": 1, "c2r": 1}
+
+
+def test_a_table_held_at_plus_zero_serves_a_trial_at_minus_zero(model, grid):
+    # k (-0.0) is -0.0 on every mode, and cos and 0.0 - sin of it give
+    # the table of +0.0 bit for bit, so a trial at -0.0 may reuse it.
+    assert np.array_equal(grid.shift_phases(-0.0).view(np.uint64),
+                          grid.shift_phases(0.0).view(np.uint64))
+    noise = smooth_noise(grid, np.random.default_rng(3), 3.0)
+    weighted = grid.rfft(model.family(0.2).values + 0.01 * noise).view(
+        np.float64) * grid.parseval_weights()[0]
+    held = modulation._trial_buffers(model)
+    modulation._constraint(model, weighted, 0.0, held)
+    table = held[0][1].copy()
+    reused = modulation._constraint(model, weighted, -0.0, held)
+    assert np.copysign(1.0, held[-1]) == 1.0
+    fresh = modulation._trial_buffers(model)
+    assert reused == modulation._constraint(model, weighted, -0.0, fresh)
+    assert np.array_equal(held[0][1].view(np.uint64), table.view(np.uint64))
+    assert np.array_equal(held[2].view(np.uint64), fresh[2].view(np.uint64))
+    # Chained from a root at +0.0, a state from a guess of -0.0 gives the
+    # bits of a solve that formed its own first table.
+    even = model.profile.values + 1e-3 * np.cos(grid.x) * model.profile.values
+    later = model.family(0.3).values + 0.01 * noise
+    (zero, _), (from_zero, w) = decompose_states(model, [even, later], 0.0)
+    assert zero == 0.0
+    alone, w_alone = decompose_state(model, GridField(later, grid), -0.0)
+    assert from_zero == alone and np.array_equal(w, w_alone.values)
+
+
+def test_an_extraction_forms_one_table_per_new_chart_point(
+        model, point_bump, witness_solves, monkeypatch):
+    # E constraint evaluations over m samples: every sample's warm start
+    # after the first reuses the table its predecessor ended on, and the
+    # family points take those tables, so E - (m - 1) one-point tables and
+    # no m-row table.
+    states = witness_solves[1e-3].u_samples
+    points = []
+    constraint = modulation._constraint
+
+    def recorded(model, weighted, s, trials):
+        points.append(s)
+        return constraint(model, weighted, s, trials)
+
+    monkeypatch.setattr(modulation, "_constraint", recorded)
+    shapes = []
+    shift_phases = PeriodicGrid.shift_phases
+
+    def translated(self, s, *out):
+        shapes.append(np.shape(s))
+        return shift_phases(self, s, *out)
+
+    monkeypatch.setattr(PeriodicGrid, "shift_phases", translated)
+    m = len(list(decompose_states(model, states, point_bump.sigma0)))
+    assert m == len(states) > 100
+    assert len(points) > m
+    assert shapes == [()] * (len(points) - (m - 1))
 
 
 def test_decompose_of_an_even_perturbation_keeps_the_chart_point(model, grid,

@@ -691,7 +691,7 @@ def physical_split_solve(model, u0, samples, dt, collapse_floor=None,
     return solved(0, None)
 
 
-def test_parseval_norms_match_the_grid_norms(grid):
+def test_parseval_norms_match_the_grid_norms(grid, stepper_norms):
     rng = np.random.default_rng(7)
     stepper = reference._SplitStepper(grid)
     # The grid owns the weights; the stepper reads them, it keeps no copy.
@@ -705,9 +705,9 @@ def test_parseval_norms_match_the_grid_norms(grid):
         values = np.fft.irfft(vhat, grid.n) + rng.uniform(0.1, 1.0) * nyquist
         values_hat = np.fft.rfft(values)
         assert values_hat[-1] != 0.0
-        assert stepper.weak_norm(values_hat) == pytest.approx(
+        assert stepper_norms.weak(stepper, values_hat) == pytest.approx(
             float(grid.weak_norm_values(values)), rel=1e-13)
-        assert stepper.strong_norm(values_hat) == pytest.approx(
+        assert stepper_norms.strong(stepper, values_hat) == pytest.approx(
             float(grid.strong_norm_values(values)), rel=1e-13)
 
 
@@ -832,21 +832,23 @@ def test_the_solver_transforms_are_numpys_fft(n, rows):
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3, 4])
-def test_escape_checks_read_each_rows_own_weak_norm(grid, rows):
+def test_escape_checks_read_each_rows_own_weak_norm(grid, stepper_norms,
+                                                    rows):
     stepper = reference._SplitStepper(grid)
+    escape_signs = stepper_norms.escape_signs
     for seed in range(8):
         uh = grid.rfft(_nyquist_stack(grid.n, rows, seed=seed))
-        norms = [stepper.weak_norm(row) for row in uh]
-        assert stepper.escape_signs(uh, 10.0, 0.5 * min(norms)) is None
+        norms = [stepper_norms.weak(stepper, row) for row in uh]
+        assert escape_signs(stepper, uh, 10.0, 0.5 * min(norms)) is None
         for row, norm in enumerate(norms):
             # At the row's own norm it collapses, one float below it does
             # not.
-            signs = stepper.escape_signs(uh, 10.0, norm)
+            signs = escape_signs(stepper, uh, 10.0, norm)
             assert signs[row] == -1
             assert signs.count(-1) == sum(other <= norm for other in norms)
-            below = stepper.escape_signs(uh, 10.0, np.nextafter(norm, 0.0))
+            below = escape_signs(stepper, uh, 10.0, np.nextafter(norm, 0.0))
             assert below is None or below[row] == 0
-            assert stepper.escape_signs(uh, norm, None)[row] == 1
+            assert escape_signs(stepper, uh, norm, None)[row] == 1
 
 
 def test_fixed_step_solve_makes_two_ffts_per_step(model, count_transforms):
@@ -1160,7 +1162,7 @@ def test_the_step_kernel_stops_where_the_exact_tests_stop(
 
 @pytest.mark.parametrize("edge", ["low", "high"])
 def test_the_kernels_bounds_leave_round_off_to_the_exact_tests(
-        grid, exact_step, edge):
+        grid, exact_step, stepper_norms, edge):
     # A step of 1e-20 damps no mode and moves no value (m and 1 - y round
     # to 1), so a state's sum of squares gives its weak norm, and that
     # after the step, up to round-off alone.  With the quiet band's edge at
@@ -1181,14 +1183,14 @@ def test_the_kernels_bounds_leave_round_off_to_the_exact_tests(
                 grid.n // 8, grid.n // 4) * x + rng.uniform(0.0, 6.0))[None]
         uh = stepper.prime(grid.rfft(state), dt)
         after = exact_step(grid, uh, dt)[0][0]
-        norm = stepper.weak_norm(after)
+        norm = stepper_norms.weak(stepper, after)
         if edge == "low":
             ceiling, floor = 5.0 * norm, norm
         else:
             ceiling, floor = norm / 0.4, None
             while 0.4 * ceiling > norm:
                 ceiling = np.nextafter(ceiling, 0.0)
-            assert stepper.strong_norm(after) >= ceiling
+            assert stepper_norms.strong(stepper, after) >= ceiling
         theirs = exact_step(grid, uh, dt, 2, ceiling, floor)
         assert theirs[2] == [-1 if edge == "low" else 1] and theirs[3] == 1
         assert same_call(stepper.step(uh, dt, 2, (ceiling, floor)),
@@ -1196,7 +1198,7 @@ def test_the_kernels_bounds_leave_round_off_to_the_exact_tests(
 
 
 def test_the_clamped_step_reads_a_state_its_whole_steps_left_unread(
-        grid, exact_step):
+        grid, exact_step, stepper_norms):
     # As above at the band's bottom, but the one whole step's bound leaves
     # its result unread, and the clamped step's bound on its unscaled
     # half-stepped values has to stop the call at the collapse before it.
@@ -1205,7 +1207,7 @@ def test_the_clamped_step_reads_a_state_its_whole_steps_left_unread(
     for seed in range(16):
         uh = stepper.prime(
             grid.rfft(_nyquist_stack(grid.n, 1, seed=seed)), dt)
-        norm = stepper.weak_norm(exact_step(grid, uh, dt)[0][0])
+        norm = stepper_norms.weak(stepper, exact_step(grid, uh, dt)[0][0])
         theirs = exact_step(grid, uh, dt, 1, 5.0 * norm, norm)
         assert theirs[2] == [-1] and theirs[3] == 1
         sample = np.full((1, grid.n), np.nan)
