@@ -142,10 +142,11 @@ class SolutionMapWorkspace:
         The trial frame (tangent, second derivative and pulse at every
         sample's chart point) comes from one phase table: the carried one
         when sigma_trial is the last application's output, else a new one.
-        A frozen chart, every sample at one point as on the seed path,
-        takes a one-row table whose frame rows broadcast over the mesh;
-        each row of an m-row table is bitwise that row, and every product
-        and sum keeps its operands and order, so no bit changes.
+        A frozen chart, trial or output, every sample at one point as on
+        the seed path and on its output from a zero seed, takes a one-row
+        table whose frame rows broadcast over the mesh; each row of an
+        m-row table is bitwise that row, and every product and sum keeps
+        its operands and order, so no bit changes.
         """
         grid, h = self.grid, self.grid.spacing
         times, dt = self.times, self._dt
@@ -217,8 +218,10 @@ class SolutionMapWorkspace:
         )
 
         # Tangent channel: slaved to the orthogonality constraint at the
-        # output chart positions, making the constraint hold exactly.
-        phases_out = grid.shift_phases(sigma_out)
+        # output chart positions, making the constraint hold exactly.  A
+        # frozen output chart takes one row, as the trial chart does.
+        frozen = np.all(sigma_out == sigma_out[0])
+        phases_out = grid.shift_phases(sigma_out[:1] if frozen else sigma_out)
         tangent_out = grid.apply_phases(tangent_hat, phases_out)
         self._carried = (sigma_out.copy(), phases_out, tangent_out)
         w_main = coeff @ self.stable_modes.T + branch[:, None] * self.unstable_mode

@@ -202,15 +202,51 @@ def propagate_stable_batch(spectrum: SpectralData, v: GridField,
     Each row is the eigenexpansion sum over stable modes of
     exp(-lam_k t_j) <v, e_k> e_k, exact up to the eigendecomposition itself,
     so propagator measurements are not polluted by time-integration error.
+    Times must be finite and nonnegative.
+
+    The weights exp(-lam_k t_j) c_k, with c_k = <v, e_k>, enter the product
+    with the basis with no subnormal among them (``_stable_weights``):
+    subnormal operands put numpy's exp and the BLAS product on slow paths.
+    Where -t_j lam_k < ln(tiny / |c_k|) - 1, tiny the smallest normal
+    double, the weight is below tiny / e, so its exp is skipped and the
+    weight left +0.0; after the product with c every weight below tiny is
+    flushed to +0.0.  Every kept weight is the plain formula's, including
+    a subnormal exp that a large |c_k| lifts back into the normal range.
+    A flushed term is below tiny, under half an ulp of any sum above about
+    2^53 tiny (2e-292), so it moves no bit of a row whose sums stay above
+    that: on the program's fields and horizons (t <= 30) the rows are
+    bitwise those of (exp(-t lam) * c) @ basis.T.  Only rows within about
+    n * tiny of zero can differ, such as rows whose weights all underflow
+    (t > 944 at the gap 3/4).
     """
     times = np.asarray(times, dtype=float)
-    if np.any(times < 0):
-        raise ValueError("propagation time must be nonnegative")
+    refused = ~((times >= 0) & (times < np.inf))
+    if np.any(refused):
+        raise ValueError("propagation times must be finite and nonnegative, "
+                         f"got {times[refused]}")
     grid = spectrum.grid
     lam, basis = spectrum.stable_basis
     coeff = grid.spacing * (basis.T @ v.values)
-    weights = np.exp(-times[:, None] * lam[None, :]) * coeff[None, :]
-    return weights @ basis.T
+    return _stable_weights(lam, coeff, times) @ basis.T
+
+
+def _stable_weights(lam: np.ndarray, coeff: np.ndarray,
+                    times: np.ndarray) -> np.ndarray:
+    """The weights exp(-t_j lam_k) c_k of ``propagate_stable_batch``, with
+    every weight below the smallest normal double set to +0.0; a zero c_k
+    skips its whole column and a NaN one keeps it."""
+    tiny = np.finfo(float).tiny
+    # A kept weight is at most |c_k|; only a skipped entry, still holding
+    # its exponent, can overflow in the product with c, and it is zeroed.
+    with np.errstate(divide="ignore", over="ignore"):
+        floor = np.log(tiny) - 1.0 - np.log(np.abs(coeff))
+        weights = np.multiply.outer(-times, lam)
+        skip = weights < floor
+        np.exp(weights, out=weights, where=~skip)
+        weights *= coeff
+    skip |= np.abs(weights) < tiny
+    weights[skip] = 0.0
+    return weights
 
 
 def verify_operator_lipschitz(model: PulseModel, sigma: float,
@@ -253,12 +289,13 @@ def measure_propagator_constant(spectrum: SpectralData,
     c2 = 0.0
     rates = []
     fit_mask = times >= 1.0
+    envelope = np.exp(-0.7 * times)
     for _ in range(20):
         raw = smooth_noise(grid, rng, 4.0)
         weak0 = grid.weak_norm_values(raw)
         fields = propagate_stable_batch(spectrum, GridField(raw, grid), times)
         strongs = grid.strong_norm_values(fields)
-        c2 = max(c2, float(np.max(strongs / (np.exp(-0.7 * times) * weak0))))
+        c2 = max(c2, float(np.max(strongs / (envelope * weak0))))
         slope = np.polyfit(times[fit_mask], np.log(strongs[fit_mask]), 1)[0]
         rates.append(float(slope))
     return c2, float(np.mean(rates))

@@ -19,6 +19,7 @@ from adiaflow.manifold import (
     seed_path,
 )
 from adiaflow.paths import TrajectoryPath, path_distance
+from adiaflow.presets import preset_field
 from adiaflow.spectral import propagate_stable_batch
 
 DELTA = 0.05
@@ -329,6 +330,40 @@ def test_a_frozen_chart_translates_one_row_for_the_whole_mesh(
         eta_bump.values, seed.sigma, seed.w)
     assert [np.shape(s) for s in built] == [(m,), (m,)]
     _assert_same_application(one_row, full)
+
+
+def test_a_frozen_output_chart_translates_one_row_too(spectrum,
+                                                      monkeypatch):
+    # From the zero seed the frame coefficient vanishes, so the output
+    # chart stays at the base point: the one Picard round forms a one-row
+    # table for its trial frame and another for its output frame.
+    eta = preset_field("zero", spectrum)
+    built = _count_phase_tables(monkeypatch)
+    point = construct_manifold_point(SolutionMapWorkspace(spectrum), eta,
+                                     delta=DELTA, alpha=ALPHA)
+    assert point.iterations == 1
+    assert [np.shape(s) for s in built] == [(1,), (1,)]
+    assert np.all(point.path.sigma == spectrum.base_point)
+    # The carried one-row output frame serves the next application.
+    seed = seed_path(SolutionMapWorkspace(spectrum), eta)
+    m = len(seed.sigma)
+    carrying = SolutionMapWorkspace(spectrum)
+    built.clear()
+    one_row = carrying.apply_raw(eta.values, seed.sigma, seed.w)
+    again = carrying.apply_raw(eta.values, one_row.path.sigma,
+                               one_row.path.w)
+    assert [np.shape(s) for s in built] == [(1,), (1,), (1,)]
+    # The same applications from full m-row tables of the same chart.
+    widen = PeriodicGrid.shift_phases
+    monkeypatch.setattr(PeriodicGrid, "shift_phases", lambda self, s: widen(
+        self, np.full(m, s[0]) if np.shape(s) == (1,) else s))
+    built.clear()
+    full = SolutionMapWorkspace(spectrum)
+    _assert_same_application(one_row, full.apply_raw(eta.values, seed.sigma,
+                                                     seed.w))
+    _assert_same_application(again, full.apply_raw(
+        eta.values, one_row.path.sigma, one_row.path.w))
+    assert [np.shape(s) for s in built] == [(m,), (m,), (m,)]
 
 
 def test_forward_replay_reproduces_the_bounded_branch(workspace, point_bump):

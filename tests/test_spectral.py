@@ -1,10 +1,17 @@
 """Linearized operator: classification, closed-form eigenvalues, semigroup."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from adiaflow import spectral
 from adiaflow.errors import ClassificationError
-from adiaflow.grid import GridField, smooth_noise
+from adiaflow.grid import GridField, smooth_noise, zero_field
+from adiaflow.paths import time_mesh
+from adiaflow.presets import preset_field
 from adiaflow.spectral import (
     assemble_operator,
     decompose,
@@ -153,6 +160,113 @@ def test_propagate_stable_identity_decay_and_domain(spectrum, grid):
         assert grid.weak_norm_values(row) <= np.exp(-0.745 * t) * v.weak_norm()
     with pytest.raises(ValueError):
         propagate_stable_batch(spectrum, v, np.array([0.0, -0.5]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5])
+def test_propagation_refuses_times_that_are_not_finite_and_nonnegative(
+        spectrum, eta_bump, monkeypatch, bad):
+    monkeypatch.setattr(spectral.np, "exp",
+                        lambda *args, **kwargs: pytest.fail("exp ran"))
+    with pytest.raises(ValueError, match=rf"got \[{bad}\]"):
+        propagate_stable_batch(spectrum, eta_bump, np.array([0.0, bad, 1.0]))
+
+
+#: The meshes the program propagates on: Picard's default mesh, the mesh
+#: of criterion 9 and the ledger's propagator probe times.
+MESHES = (time_mesh(), time_mesh(0.01, 4.0, 1.06, 30.0),
+          np.linspace(0.0, 10.0, 101))
+TINY = np.finfo(float).tiny
+
+
+def _plain_weights(spectrum, v, times):
+    lam, basis = spectrum.stable_basis
+    coeff = spectrum.grid.spacing * (basis.T @ v.values)
+    return np.exp(-times[:, None] * lam[None, :]) * coeff[None, :]
+
+
+def _bumps_and_noise(spectrum, grid, rng, strength):
+    """A seed made as the benchmark's constructions make theirs: smooth
+    noise plus one to three Gaussian bumps, projected onto the stable range
+    and scaled to the given strong norm."""
+    modes = np.arange(1, 25)
+    noise_hat = np.zeros(grid.n // 2 + 1, dtype=complex)
+    noise_hat[modes] = (rng.standard_normal(len(modes))
+                        + 1j * rng.standard_normal(len(modes))) / np.sqrt(modes)
+    noise = grid.irfft(noise_hat)
+    raw = rng.uniform(0.0, 1.0) * noise / np.max(np.abs(noise))
+    for _ in range(rng.integers(1, 4)):
+        centre, width = rng.uniform(-10.0, 10.0), rng.uniform(0.5, 3.0)
+        raw += rng.choice((-1.0, 1.0)) * np.exp(
+            -0.5 * ((grid.x - centre) / width) ** 2)
+    stable = project_stable(spectrum, GridField(raw, grid))
+    return GridField(strength / stable.strong_norm() * stable.values, grid)
+
+
+SEED_KINDS = ("bump", "construct", "probe", "zero", "mode")
+
+
+def _every_kind_on_every_mesh(test):
+    for k, kind in enumerate(SEED_KINDS):
+        for mesh in range(len(MESHES)):
+            test = example(kind=kind, mesh=mesh, seed=k, strength=0.9,
+                           mode=(0, 100, 253)[mesh],
+                           decade=(-100, 100, 306)[mesh])(test)
+    return test
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(SEED_KINDS),
+       mesh=st.sampled_from(range(len(MESHES))),
+       seed=st.integers(0, 2**32 - 1),
+       strength=st.floats(0.2, 0.9),
+       mode=st.integers(0, 253),
+       decade=st.integers(-100, 306))
+@_every_kind_on_every_mesh
+def test_the_propagator_keeps_every_bit_of_the_plain_formula(
+        spectrum, grid, eta_bump, kind, mesh, seed, strength, mode, decade):
+    # Fields as the program propagates them (the preset bump, construction
+    # seeds at 0.2-0.9 delta, the ledger's probes, the zero field) and one
+    # stable eigenvector scaled by 10^decade.
+    rng = np.random.default_rng(seed)
+    v = {"bump": lambda: eta_bump,
+         "construct": lambda: _bumps_and_noise(spectrum, grid, rng,
+                                               0.05 * strength),
+         "probe": lambda: GridField(smooth_noise(grid, rng, 4.0), grid),
+         "zero": lambda: zero_field(grid),
+         "mode": lambda: GridField(
+             10.0**decade * spectrum.stable_basis[1][:, mode], grid)}[kind]()
+    times = MESHES[mesh]
+    lam, basis = spectrum.stable_basis
+    plain = _plain_weights(spectrum, v, times)
+    # The operand is the plain weights with those below the smallest normal
+    # double flushed to +0.0, and the rows are the plain product's bits.
+    flushed = np.where(np.abs(plain) < TINY, 0.0, plain)
+    coeff = grid.spacing * (basis.T @ v.values)
+    assert np.array_equal(spectral._stable_weights(lam, coeff, times)
+                          .view(np.uint64), flushed.view(np.uint64))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = propagate_stable_batch(spectrum, v, times)
+    assert np.array_equal(rows.view(np.uint64),
+                          (plain @ basis.T).view(np.uint64))
+
+
+def test_the_propagator_hands_the_product_no_subnormal(spectrum, grid,
+                                                       eta_bump, monkeypatch):
+    operands = []
+    weights = spectral._stable_weights
+    monkeypatch.setattr(spectral, "_stable_weights",
+                        lambda *args: operands.append(weights(*args))
+                        or operands[-1])
+    probe = GridField(smooth_noise(grid, np.random.default_rng(11), 4.0), grid)
+    for v in (eta_bump, probe):
+        for times in MESHES:
+            propagate_stable_batch(spectrum, v, times)
+            # The plain formula's weights hold subnormals here.
+            plain = np.abs(_plain_weights(spectrum, v, times))
+            assert np.any((plain > 0.0) & (plain < TINY))
+            held = np.abs(operands.pop())
+            assert not np.any((held > 0.0) & (held < TINY))
 
 
 def test_propagate_batch_matches_single_steps(spectrum, grid):
