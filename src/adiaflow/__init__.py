@@ -10,6 +10,12 @@ cross-checks every reduced object.
 
 The package root exports nothing but ``__version__``: import names from
 the submodules (``adiaflow.manifold``, ``adiaflow.reference``, ...).
+Importing it imports ``adiaflow.grid``, which sets the OpenBLAS that numpy
+loaded to one thread for the whole process (README, BLAS threads).
 """
 
+import importlib
+
 __version__ = "0.1.0"
+
+importlib.import_module(".grid", __name__)

@@ -27,10 +27,21 @@ costs.  Its arguments go by position: input, axes, the inverse's length,
 direction, scale (0 none, 2 by 1/n), output, threads.  Its extension module
 is loaded from its file, as the ``scipy.fft`` package around it would
 import ``scipy.special`` and more (README, Installation).
+
+The grid also owns the other native binding: importing it sets the OpenBLAS
+that numpy loaded to one thread, through that library's own
+``*_set_num_threads*`` symbol, for the whole process and before the
+package's first BLAS call (the package root imports this module).  One
+thread gives ``eigh`` and the dense products the same bits on every host,
+whatever its cores, and spares a fresh process the cold start of the
+thread pool.  A numpy without those symbols (another BLAS build) runs
+unpinned; ``blas_info`` reads back what the process runs with.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import importlib.machinery
 import importlib.util
 import os
@@ -60,6 +71,46 @@ def _pocketfft_transforms():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.r2c, module.c2r
+
+
+def _pin_openblas():
+    """Set the OpenBLAS that numpy loaded to one thread; (its build string,
+    its thread-count getter), or None where no library in numpy's wheel
+    directory has the OpenBLAS symbols."""
+    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir,
+                           "numpy.libs", "*openblas*")
+    for path in sorted(glob.glob(pattern)):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                try:
+                    config, get, set_threads = (
+                        getattr(lib, f"{prefix}_{name}{suffix}") for name in
+                        ("get_config", "get_num_threads", "set_num_threads"))
+                except AttributeError:
+                    continue
+                config.argtypes, config.restype = [], ctypes.c_char_p
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_threads.argtypes = [ctypes.c_int]
+                set_threads.restype = None
+                set_threads(1)
+                return config().decode(), get
+    return None
+
+
+_OPENBLAS = _pin_openblas()
+
+
+def blas_info() -> dict:
+    """The build string and thread count of the OpenBLAS numpy loaded, the
+    count read back from the library; both None without its symbols."""
+    if _OPENBLAS is None:
+        return {"config": None, "threads": None}
+    config, threads = _OPENBLAS
+    return {"config": config, "threads": threads()}
 
 
 class PeriodicGrid:

@@ -11,6 +11,18 @@ run directory, and beside them a trace of where the run's time went.
 The config-bound stages below turn the configuration into the arguments of
 those calls, for the pipeline and the command line alike.
 
+Two pipeline checks read only what earlier stages built, so each runs in
+one forked worker process beside the stages after it (``_Worker``): the
+contraction check beside shooting, and the +-offset witnesses, which need
+beta*, beside the full solve, extraction and comparison.  The parent
+collects each where a serial run would report it, so checks, metrics and
+artifacts keep their order and bits.  The shooting solver spends each step
+in short Python-level calls that hold the interpreter lock, so threads
+could not overlap it.  A child runs only numpy and this package's code,
+and OpenBLAS shuts its idle thread pool down across a fork.  A process
+that cannot fork, or whose BLAS runs on more than one thread
+(``grid.blas_info``), makes the plain serial calls.
+
 Artifacts are deterministic by construction: seeded randomness, sorted JSON
 keys, shortest round-trip float formatting, and no timestamps — identical
 configuration must produce bit-identical bytes.  The trace holds the wall
@@ -23,6 +35,8 @@ import contextlib
 import csv
 import json
 import os
+import pickle
+import signal
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -30,7 +44,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .errors import AdiaflowError, ClassificationError, ConfigError
-from .grid import GridField, PeriodicGrid, smooth_noise
+from .grid import GridField, PeriodicGrid, blas_info, smooth_noise
 from .manifold import (
     ManifoldPoint,
     SolutionMapWorkspace,
@@ -668,6 +682,109 @@ class PipelineReport:
                 "exit_code": self.exit_code}
 
 
+class _WorkerError(AdiaflowError):
+    """A typed error of an overlapped stage, raised where the parent
+    collects its worker; ``stage`` names the stage it belongs to."""
+
+    def __init__(self, stage: str, error: AdiaflowError):
+        super().__init__(str(error))
+        self.stage = stage
+
+
+class _Worker:
+    """``fn(*args, **kwargs)`` for the pipeline stage ``stage``, run in one
+    forked child process that sends back its pickled result or exception
+    and its own wall time through a pipe.
+
+    Without ``os.fork``, where it fails, or where BLAS does not run on
+    exactly one thread, ``result`` makes the plain call instead: a child's
+    BLAS threads would
+    contend with the parent's, and a one-thread child beside a multi-thread
+    parent would give other product bits.  ``result`` also appends the
+    stage's entry to ``record``: whether it overlapped, the worker's wall
+    time and the parent's wait for it (the whole call when inline).  As a
+    context manager, leaving kills and reaps an uncollected child.
+    """
+
+    def __init__(self, record: list, stage: str, fn, *args, **kwargs):
+        self.record, self.stage = record, stage
+        self._call = (fn, args, kwargs)
+        self._pid = None
+        self.overlapped = hasattr(os, "fork") and blas_info()["threads"] == 1
+        if self.overlapped:
+            read, write = os.pipe()
+            try:
+                self._pid = os.fork()
+            except OSError:
+                # No process to spare: the call runs inline after all.
+                os.close(read)
+                os.close(write)
+                self.overlapped = False
+                return
+            if self._pid == 0:
+                self._child(read, write)
+            os.close(write)
+            self._pipe = os.fdopen(read, "rb")
+
+    def _child(self, read: int, write: int) -> None:
+        """Run the call, send its outcome, and leave without returning into
+        the parent's code; a child that cannot send exits with status 1."""
+        status = 1
+        try:
+            begun = time.perf_counter()
+            os.close(read)
+            fn, args, kwargs = self._call
+            try:
+                outcome = (fn(*args, **kwargs), None)
+            except Exception as err:
+                outcome = (None, err)
+            payload = pickle.dumps((outcome, time.perf_counter() - begun))
+            with os.fdopen(write, "wb") as pipe:
+                pipe.write(payload)
+            status = 0
+        finally:
+            os._exit(status)
+
+    def result(self):
+        """The call's result; its typed error raises ``_WorkerError``."""
+        begun = time.perf_counter()
+        if not self.overlapped:
+            fn, args, kwargs = self._call
+            try:
+                value, error = fn(*args, **kwargs), None
+            except AdiaflowError as err:
+                value, error = None, err
+            worker_s = time.perf_counter() - begun
+        else:
+            with self._pipe:
+                payload = self._pipe.read()
+            _, status = os.waitpid(self._pid, 0)
+            self._pid = None
+            if not payload:
+                raise RuntimeError(f"the {self.stage} worker exited with "
+                                   f"status {status} before its result")
+            # Bytes this program's own child wrote.
+            (value, error), worker_s = pickle.loads(payload)
+        self.record.append({
+            "stage": self.stage, "overlapped": self.overlapped,
+            "worker_s": worker_s, "wait_s": time.perf_counter() - begun})
+        if isinstance(error, AdiaflowError):
+            raise _WorkerError(self.stage, error) from error
+        if error is not None:
+            raise error
+        return value
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._pid is not None:
+            os.kill(self._pid, signal.SIGKILL)
+            os.waitpid(self._pid, 0)
+            self._pipe.close()
+            self._pid = None
+
+
 def run_full_pipeline(cfg: ExperimentConfig, eta_preset: str = "stable-bump",
                       out_dir: str = "runs/stable-bump") -> PipelineReport:
     """Ledger, construct, refine, solve, compare, witness; write artifacts.
@@ -681,9 +798,11 @@ def run_full_pipeline(cfg: ExperimentConfig, eta_preset: str = "stable-bump",
     wall time of each stage that ran (the first, ``runtime``, writes
     ``config.json`` and builds the runtime, whose dense ``eigh`` is the
     cold cost of a fresh process; the second, ``ledger``, runs the
-    assumption checks and writes ``ledger.json``) and of the whole run, and
-    shooting's record once it ran (``_pipeline_stages``).  Every timing is
-    under a key ending in ``_s``.
+    assumption checks and writes ``ledger.json``) and of the whole run, the
+    BLAS build and thread count the run used (``grid.blas_info``), each
+    worker's entry (``_Worker``), and shooting's record once it ran
+    (``_pipeline_stages``).  Every timing is under a key ending in ``_s``.
+    No worker outlives the call.
     """
     begun = time.perf_counter()
     cfg.validate()
@@ -701,14 +820,18 @@ def run_full_pipeline(cfg: ExperimentConfig, eta_preset: str = "stable-bump",
 
     checks: list[CheckResult] = []
     metrics: dict = {"constants": ledger.constants}
-    trace: dict = {}
+    trace: dict = {"blas": blas_info(), "workers": []}
     if runtime is not None and ledger.passed:
         stage = None
         try:
-            for stage in _pipeline_stages(runtime, eta_preset, out_dir,
-                                          checks, metrics, artifacts, trace):
-                starts.append((stage, time.perf_counter()))
+            with contextlib.ExitStack() as workers:
+                for stage in _pipeline_stages(runtime, eta_preset, out_dir,
+                                              checks, metrics, artifacts,
+                                              trace, workers):
+                    starts.append((stage, time.perf_counter()))
         except AdiaflowError as err:
+            if isinstance(err, _WorkerError):
+                stage = err.stage
             checks.append(CheckResult(
                 name=stage, claim=f"the {stage} stage runs to completion",
                 passed=False, value=None, bound="completes without error",
@@ -728,16 +851,22 @@ def run_full_pipeline(cfg: ExperimentConfig, eta_preset: str = "stable-bump",
 
 def _pipeline_stages(runtime: Runtime, eta_preset: str, out_dir: str,
                      checks: list, metrics: dict, artifacts: list,
-                     trace: dict):
+                     trace: dict, workers: contextlib.ExitStack):
     """The pipeline after the ledger: each stage appends its checks, metrics
     and artifacts, and shooting its record to ``trace`` (its lane solves in
     solve order, the round-off floor of its root and its bracket).  Yields
     a stage's name before running it, so the caller can name the stage a
     typed error came from and time it; returns early where a failed check
-    leaves the later stages nothing to check."""
+    leaves the later stages nothing to check.  The contraction check and
+    the +-offset witnesses run in workers (``_Worker``), collected where a
+    serial run reports them; ``workers`` discards any left uncollected."""
     cfg = runtime.config
     model, workspace = runtime.model, runtime.workspace
     delta, alpha = cfg.manifold.delta, cfg.manifold.alpha
+
+    def worker(stage, fn, *args, **kwargs) -> _Worker:
+        return workers.enter_context(
+            _Worker(trace["workers"], stage, fn, *args, **kwargs))
 
     yield "construction"
     eta = preset_field(eta_preset, runtime.spectrum)
@@ -752,20 +881,31 @@ def _pipeline_stages(runtime: Runtime, eta_preset: str, out_dir: str,
     ))
 
     yield "contraction"
-    contraction = measure_contraction(
-        workspace, delta=delta, alpha=alpha,
-        speed_constant=speed_constant(cfg, model),
-        n_pairs=10, seed=cfg.seeds.contraction,
-    )
-    checks.append(_check(
-        "contraction-factor", contraction["max"] <= CONTRACTION_BOUND,
-        contraction["max"], f"<= {CONTRACTION_BOUND}",
-        mean=contraction["mean"],
-    ))
+    contraction = worker(
+        "contraction", measure_contraction, workspace, delta=delta,
+        alpha=alpha, speed_constant=speed_constant(cfg, model), n_pairs=10,
+        seed=cfg.seeds.contraction)
 
-    # Shooting refinement against the discrete full solver.
+    # Shooting refinement against the discrete full solver, beside the
+    # contraction check, whose check comes first whether shooting returns
+    # or raises.
     yield "shooting"
-    refine = refine_point(cfg, workspace, point)
+    try:
+        refine = refine_point(cfg, workspace, point)
+    finally:
+        factors = contraction.result()
+        checks.append(_check(
+            "contraction-factor", factors["max"] <= CONTRACTION_BOUND,
+            factors["max"], f"<= {CONTRACTION_BOUND}", mean=factors["mean"],
+        ))
+    # The +-offset witnesses need only beta*, so they run beside the full
+    # solve, extraction and comparison.
+    offset = cfg.reference.witness_offset
+    witnesses = worker(
+        "witness", instability_witnesses, workspace, point, refine.beta,
+        [offset, -offset], delta=delta, alpha=alpha,
+        dt=cfg.reference.fixed_dt, t_max=cfg.reference.witness_horizon,
+        ceiling=cfg.reference.ceiling)
     payload = point_payload(runtime, eta_preset, point, refine)
     write_json(os.path.join(out_dir, "point.json"), payload)
     artifacts.append("point.json")
@@ -821,14 +961,9 @@ def _pipeline_stages(runtime: Runtime, eta_preset: str, out_dir: str,
     # without one.  The comparison solve is the zero-offset witness solve:
     # same state, step, samples and escape checks.
     yield "witness"
-    offset = cfg.reference.witness_offset
     rate_target = -workspace.unstable_eigenvalue
     witness_metrics = {}
-    reports = instability_witnesses(
-        workspace, point, refine.beta, [offset, -offset], delta=delta,
-        alpha=alpha, dt=cfg.reference.fixed_dt,
-        t_max=cfg.reference.witness_horizon, ceiling=cfg.reference.ceiling,
-    )
+    reports = witnesses.result()
     for sign, label, report in zip((1, -1), ("plus", "minus"), reports):
         witness_metrics[label] = {
             "rate": report.rate,

@@ -1,6 +1,7 @@
 """Shared fixtures: one grid/model/spectrum per session, plus slow builds."""
 
 import math
+import os
 import types
 
 import numpy as np
@@ -52,6 +53,17 @@ def count_transforms(monkeypatch):
             monkeypatch.setattr(PeriodicGrid, name, counted)
         return counts
     return start
+
+
+@pytest.fixture(scope="session")
+def no_child_process():
+    """``no_child_process()`` asserts that this process has no child,
+    running or unreaped, as after every pipeline run, whose workers are
+    reaped before it returns."""
+    def check():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    return check
 
 
 @pytest.fixture(scope="session")

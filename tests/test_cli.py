@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import os
 
 import pytest
 
@@ -228,7 +229,7 @@ def test_compare_rebuilds_the_point_with_its_own_manifold_section(
 
 
 def test_a_typed_error_in_a_stage_is_a_failed_check_of_that_stage(
-        tmp_path, capsys, monkeypatch):
+        tmp_path, capsys, monkeypatch, no_child_process):
     from adiaflow import harness
 
     def failing(*args, **kwargs):
@@ -237,6 +238,8 @@ def test_a_typed_error_in_a_stage_is_a_failed_check_of_that_stage(
     monkeypatch.setattr(harness, "refine_correction", failing)
     run_dir = tmp_path / "run"
     assert main(["pipeline", "--out", str(run_dir)]) == 1
+    # The contraction worker was collected, its check first.
+    no_child_process()
     printed = capsys.readouterr().out
     assert ("FAIL shooting: n/a (completes without error): no surviving "
             "coefficient") in printed
@@ -249,6 +252,56 @@ def test_a_typed_error_in_a_stage_is_a_failed_check_of_that_stage(
     assert not shooting["passed"]
     assert shooting["details"]["error"] == "no surviving coefficient"
     assert report["artifacts"] == ["config.json", "ledger.json"]
+
+
+#: The checks a serial run reports before a worker's failed stage.
+_CHECKS_BEFORE = {
+    "contraction": ["fixed-point-convergence"],
+    "witness": ["fixed-point-convergence", "contraction-factor",
+                "full-solve-complete", "energy-dissipation",
+                "reduced-agreement", "remainder-envelope", "envelope-rate"],
+}
+
+
+@pytest.mark.parametrize("stage, name", [
+    ("contraction", "measure_contraction"),
+    ("witness", "instability_witnesses"),
+])
+def test_a_typed_error_in_a_worker_is_the_failed_check_of_its_stage(
+        stage, name, tmp_path, capsys, monkeypatch, no_child_process):
+    """The error is raised in the forked worker, patched in before the
+    fork, and reported as the serial run (no ``os.fork``) reports it: the
+    same report.json, and no artifact the serial run would not write."""
+    from adiaflow import harness
+
+    def failing(*args, **kwargs):
+        raise ConvergenceError(f"no {stage} result")
+
+    monkeypatch.setattr(harness, name, failing)
+    written = {}
+    for path in ("overlapped", "serial"):
+        if path == "serial":
+            monkeypatch.delattr(os, "fork")
+        run_dir = tmp_path / path
+        assert main(["pipeline", "--out", str(run_dir)]) == 1
+        no_child_process()
+        written[path] = {file.name: file.read_bytes()
+                         for file in run_dir.iterdir()}
+        trace = json.loads(written[path].pop("trace.json"))
+        assert trace["workers"][-1]["stage"] == stage
+        assert trace["workers"][-1]["overlapped"] == (
+            path == "overlapped" and trace["blas"]["threads"] == 1)
+    assert written["overlapped"] == written["serial"]
+    report = json.loads(written["serial"]["report.json"])
+    assert [check["name"] for check in report["checks"]] == \
+        _CHECKS_BEFORE[stage] + [stage]
+    assert report["checks"][-1]["details"]["error"] == f"no {stage} result"
+    assert f"FAIL {stage}: n/a (completes without error)" in \
+        capsys.readouterr().out
+    assert report["artifacts"] == ["config.json", "ledger.json"] + (
+        ["point.json", "traj.csv"] if stage == "witness" else [])
+    assert sorted(written["serial"]) == sorted(report["artifacts"]
+                                               + ["report.json"])
 
 
 def test_a_horizon_below_the_first_mesh_step_is_refused_in_one_line(capsys):
@@ -282,7 +335,7 @@ def test_a_solve_that_stops_short_fails_full_solve_complete(
 
 
 def test_a_comparison_solve_that_escapes_ends_the_pipeline_after_it(
-        tmp_path, capsys):
+        tmp_path, capsys, no_child_process):
     """A probe at t = 3 leaves beta* too rough to hold the unstable mode, so
     the comparison solve, which continues beta*'s probe solve, escapes
     after the last sample at 15.30: the pipeline stops there, with no
@@ -290,6 +343,8 @@ def test_a_comparison_solve_that_escapes_ends_the_pipeline_after_it(
     run_dir = tmp_path / "run"
     assert main(["--set", "reference.refine_probe_time=3", "pipeline",
                  "--out", str(run_dir)]) == 1
+    # The witness worker, started when shooting returned, was discarded.
+    no_child_process()
     printed = capsys.readouterr().out
     assert "FAIL full-solve-complete: 15.3023 (reaches t = 19.2446)" in printed
     report = json.loads((run_dir / "report.json").read_text(encoding="utf-8"))

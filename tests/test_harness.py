@@ -2,14 +2,20 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from adiaflow import harness
 from adiaflow.cli import main
 from adiaflow.config import ExperimentConfig
-from adiaflow.errors import ClassificationError, ConfigError
-from adiaflow.grid import GridField, PeriodicGrid
+from adiaflow.errors import ClassificationError, ConfigError, ConvergenceError
+from adiaflow.grid import GridField, PeriodicGrid, blas_info
 from adiaflow.harness import (
     build_model,
     build_runtime,
@@ -361,7 +367,7 @@ def _untimed(node):
 
 
 def test_two_pipeline_runs_write_traces_that_differ_only_in_their_timings(
-        tmp_path):
+        tmp_path, no_child_process):
     traces, points = [], []
     for name in ("a", "b"):
         run_dir = tmp_path / name
@@ -377,6 +383,17 @@ def test_two_pipeline_runs_write_traces_that_differ_only_in_their_timings(
         "full-solve", "extraction", "comparison", "witness"]
     walls = [stage["wall_s"] for stage in trace["stages"]]
     assert min(walls) > 0.0 and sum(walls) <= trace["total_s"]
+    # The BLAS the run used, and its two workers, reaped by its end.
+    assert trace["blas"] == blas_info()
+    overlapped = hasattr(os, "fork") and blas_info()["threads"] == 1
+    assert trace["workers"] == [
+        {"stage": stage, "overlapped": overlapped,
+         "worker_s": worker["worker_s"], "wait_s": worker["wait_s"]}
+        for stage, worker in zip(("contraction", "witness"),
+                                 trace["workers"])]
+    assert all(worker["worker_s"] > 0.0 and worker["wait_s"] >= 0.0
+               for worker in trace["workers"])
+    no_child_process()
     # Shooting's record: every lane solve in solve order, the last full-probe
     # one beta*, and its bracket as point.json records it.
     shooting = trace["shooting"]
@@ -386,3 +403,123 @@ def test_two_pipeline_runs_write_traces_that_differ_only_in_their_timings(
     assert solves[-1]["probe_time"] == point["refine"]["probe_time"]
     assert shooting["bracket"] == point["refine"]["bracket"]
     assert 0.0 < shooting["roundoff_floor"] < shooting["bracket"]
+
+
+def _raising(error):
+    raise error
+
+
+def test_a_worker_runs_its_call_in_a_child_and_reports_it(no_child_process):
+    record = []
+    worker = harness._Worker(record, "stage", os.getpid)
+    with worker:
+        child = worker.result()
+    assert (child != os.getpid()) == worker.overlapped
+    assert record == [{"stage": "stage", "overlapped": worker.overlapped,
+                       "worker_s": record[0]["worker_s"],
+                       "wait_s": record[0]["wait_s"]}]
+    # A typed error names the worker's stage; any other is raised as it is.
+    with harness._Worker(record, "contraction", _raising,
+                         ConvergenceError("no factor")) as worker:
+        with pytest.raises(harness._WorkerError, match="no factor") as raised:
+            worker.result()
+    assert raised.value.stage == "contraction"
+    with harness._Worker(record, "stage", _raising,
+                         ValueError("not a typed error")) as worker:
+        with pytest.raises(ValueError, match="not a typed error"):
+            worker.result()
+    no_child_process()
+
+
+def test_a_worker_left_uncollected_is_killed_and_reaped(no_child_process):
+    begun = time.perf_counter()
+    with harness._Worker([], "stage", time.sleep, 60.0):
+        pass
+    assert time.perf_counter() - begun < 30.0
+    no_child_process()
+
+
+@pytest.mark.parametrize("fork", ["missing", "failing"])
+def test_a_worker_that_cannot_fork_makes_the_plain_call(fork, monkeypatch,
+                                                       no_child_process):
+    def failing():
+        raise OSError("no process to spare")
+
+    if fork == "missing":
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "fork", failing)
+    with harness._Worker([], "stage", os.getpid) as worker:
+        assert not worker.overlapped
+        assert worker.result() == os.getpid()
+    no_child_process()
+
+
+PIPELINE_ARTIFACTS = ("config.json", "ledger.json", "point.json", "traj.csv",
+                      "report.json")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_the_serial_path_writes_the_overlapped_runs_artifacts(
+        tmp_path, monkeypatch, no_child_process):
+    """Without ``os.fork`` the contraction check and the witnesses are plain
+    calls at their collection points, with the same bits."""
+    written = {}
+    for path in ("overlapped", "serial"):
+        if path == "serial":
+            monkeypatch.delattr(os, "fork")
+        run_dir = tmp_path / path
+        assert run_full_pipeline(ExperimentConfig(), "stable-bump",
+                                 str(run_dir)).passed
+        no_child_process()
+        written[path] = [(run_dir / name).read_bytes()
+                         for name in PIPELINE_ARTIFACTS]
+        trace = json.loads((run_dir / "trace.json").read_text())
+        assert [worker["overlapped"] for worker in trace["workers"]] == [
+            path == "overlapped" and blas_info()["threads"] == 1] * 2
+    assert written["overlapped"] == written["serial"]
+
+
+def _fresh_interpreter(args, threads):
+    """``python args`` in a fresh interpreter on this checkout's sources,
+    with ``OPENBLAS_NUM_THREADS`` unset or set to ``threads``."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {key: value for key, value in os.environ.items()
+           if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+needs_openblas = pytest.mark.skipif(
+    blas_info()["config"] is None,
+    reason="numpy's BLAS has no OpenBLAS thread-count symbols")
+
+
+@needs_openblas
+def test_importing_the_package_sets_openblas_to_one_thread():
+    """Before any other import of the program, and so before any eigh."""
+    proc = _fresh_interpreter(
+        ["-c", "import adiaflow, sys; "
+               "print(sys.modules['adiaflow.grid'].blas_info()['threads'])"],
+        "2")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1\n"
+
+
+@needs_openblas
+def test_the_pipeline_artifacts_do_not_depend_on_the_blas_threads(tmp_path):
+    """One BLAS thread and two give eigh and the dense products other bits,
+    so before the pin these runs differed in four of the five artifacts."""
+    runs = {}
+    for threads in (None, "1", "2"):
+        run_dir = tmp_path / f"threads-{threads}"
+        proc = _fresh_interpreter(
+            ["-m", "adiaflow", "pipeline", "--out", str(run_dir)], threads)
+        assert proc.returncode == 0, proc.stderr
+        runs[threads] = [(run_dir / name).read_bytes()
+                         for name in PIPELINE_ARTIFACTS]
+    assert runs[None] == runs["1"] == runs["2"]
