@@ -7,24 +7,20 @@ space, the pointwise quadratic part advanced exactly by its closed-form
 solution — composed symmetrically for second-order accuracy.  The state
 lives in Fourier space between steps, so a step costs two FFTs (the grid's
 transforms), and the escape checks read its norms by Parseval; it returns
-to physical space only where a sample is recorded.  Inside a sample
-interval the state is carried primed, its rfft times the half-step
-multiplier and dt, so that the two linear half steps between quadratic
-substeps are one product and the substep needs no scaling; the clamped
-step onto each sample un-primes it.  One call of the step kernel runs a
-whole sample interval: its whole steps, the clamped step and the sample,
-with the escape rule after every step.  It rules escapes out by a bound on
-one sum of squares per state, reads the norms the rule needs only near the
-quiet band's edges and past its top, and returns early only where a state
-escapes or blows up.
+to physical space only where a sample is recorded.
 
-The one solver, ``evolve_lanes``, takes fixed steps (``_whole_steps``), so
-that shooting, comparison and witness runs traverse the identical, bitwise
-reproducible discrete flow.  Several states run as lanes: the rows of one
+The one solver, ``evolve_lanes``, takes fixed steps, so that shooting,
+comparison and witness runs traverse the identical, bitwise reproducible
+discrete flow.  Each solve builds one step kernel, ``_SplitStepper``, from
+what the solve never changes: its step, its escape rule and the plan of its
+sample intervals, each interval's whole steps and the clamped step that
+ends on its sample (``_whole_steps``).  One kernel call runs an interval,
+with the escape rule after every step, and returns early only where a
+state escapes or blows up.  Several states run as lanes: the rows of one
 array, two FFTs per step for all of them, each lane bitwise equal to its
-own solve and dropped when it escapes.  A solve that did not escape can be
-continued to a later time, and the continued trajectory equals one solve
-from t = 0.
+own solve; a lane that escapes leaves the stack, and the kernel binds the
+rest (``bind``).  A solve that did not escape can be continued to a later
+time, and the continued trajectory equals one solve from t = 0.
 
 On top of the solver:
 
@@ -72,7 +68,7 @@ from .paths import TrajectoryPath, mesh_prefix, time_weight
 _DENOM_FLOOR = 0.5
 
 #: Relative slack that the step kernel's bounds on a sum of squares give
-#: up to round-off (see ``_SplitStepper._sum_bounds``): the weak norm read
+#: up to round-off (see ``_sum_bounds``): the weak norm read
 #: by Parseval and the transforms differ from the exact sums by a few
 #: parts in 1e16.
 _SUM_SLACK = 1e-9
@@ -123,7 +119,8 @@ class FullTrajectory:
 
 
 class _SplitStepper:
-    """Strang splitting steps on the rffts of a stack of states.
+    """Strang splitting steps on the rffts of a stack of states, for one
+    solve.
 
     A Strang step of dt is a linear half step, a product of the rfft with
     m = exp(-dt (k^2 + 1) / 2); the quadratic substep v / (1 - dt v) on the
@@ -134,69 +131,48 @@ class _SplitStepper:
     irfft(z) is dt times the values after the first half step.  A whole
     step is then y = irfft(z), y /= 1 - y, z = rfft(y) m^2: one inverse and
     one forward FFT and three ufuncs for the whole stack.  ``prime`` primes
-    a stack at the start of an interval, and the clamped step onto the
-    sample un-primes it; samples, ``end`` and the stack between intervals
-    are plain rffts.  So where a step call returns inside an interval
-    changes no bit of z.
+    a stack at the start of an interval that holds whole steps, and the
+    clamped step onto the sample un-primes it; samples, ``end`` and the
+    stack between intervals are plain rffts.  So where a step call returns
+    inside an interval changes no bit of z.
 
     Rows never mix, and the FFTs transform each row exactly as they would
     transform it alone, so every row evolves bitwise as it would in a stack
     of one.  Norms of a state come from the interleaved parts of its rfft
     by Parseval, with no FFT; on a primed stack the weights are divided by
-    (m dt)^2, which reads the norms of uh from z.  The stepper carries one
-    stack at a time: ``prime`` and the clamped step switch the form its
-    norms read.  The multipliers and weights of one whole-step dt are
-    cached.  A solve hands the stepper the lengths of all its clamped
-    steps at once (``clamp``), so their half-step multipliers come from one
-    exp; a clamped step of another length computes its own.
+    (m dt)^2, which reads the norms of uh from z.
 
-    ``step`` is the one step kernel: one call runs a sample interval, its
-    whole steps of dt and the clamped step onto the sample, with its
-    operands bound once, and writes the sample.  It applies the escape rule
-    of ``_signs`` after every step and returns at the first step
-    after which a row escapes or blows up, so a solve makes one call per
-    interval plus one per such event.  Each step is the same operations on
-    the same operands wherever a call returns.  A bound on one sum of
-    squares per row (``_sum_bounds``) rules escapes out; the rule's norms
-    are read only in steps where the bound cannot, near the quiet band's
-    edges (see ``_quiet_band``) and past its top, where a state on its way
-    to the ceiling runs on.
+    A stepper is built once per solve from what the solve never changes:
+    its whole-step dt, its escape rule (ceiling, collapse floor) and the
+    plan of its sample intervals from its start time to each of
+    ``targets``.  The plan gives each interval its whole steps, ``whole``
+    (see ``_whole_steps``), and the length of its clamped step, the sample
+    time less the interval's start plus those whole steps; the half-step
+    multipliers of all the clamped steps come from one exp, one row per
+    interval.  ``bind`` sizes the step buffers and row views for the stack
+    that the kernel steps in place, at the start of a solve and after each
+    lane drop.
 
-    The kernel calls the grid's binding, ``PeriodicGrid.c2r`` and ``r2c``,
-    itself, so its transforms add no Python frame; they and the ufuncs take
-    their arguments by position.  The physical values, the denominators
-    and a clamped step's half-stepped spectrum go into buffers kept for the
-    current stack height, and a call takes the row views, bounds and
-    escape rule of the call before while the stack, dt and rule stay the
-    same (``_operands``).
+    ``step`` is the one step kernel: one call runs what is left of a sample
+    interval, its whole steps and the clamped step onto the sample, and
+    writes the sample.  It returns early only after a step in which a row
+    escapes or blows up, so a solve makes one call per interval plus one
+    per such event, and each step is the same operations on the same
+    operands wherever a call returns.  The kernel calls the grid's binding,
+    ``PeriodicGrid.c2r`` and ``r2c``, itself, so its transforms add no
+    Python frame; they and the ufuncs take their arguments by position.
     """
 
-    def __init__(self, grid: PeriodicGrid):
+    def __init__(self, grid: PeriodicGrid, dt: float,
+                 escape: tuple[float, float | None], start: float,
+                 targets: list[float]):
         self.n = grid.n
-        self._rate = grid.wavenumbers**2 + 1.0
-        # Weights on the interleaved real and imaginary parts of a state.
-        self._weak, self._strong = grid.parseval_weights()
-        self._spacing = grid.spacing
-        self._product = np.empty_like(self._weak)
-        self._dt = None
-        # The weights the norms read: plain, or primed for self._dt.
-        self._plain = self._norms = self._weak, self._strong
-        self._height = 0
-        # Half-step multipliers of clamped steps by length (``clamp``), and
-        # the complex multipliers a clamped step's products take, with the
-        # zero imaginary parts that casting the real ones would give.
-        self._clamped = {}
-        self._before = np.zeros(grid.n // 2 + 1, complex)
-        self._after = np.zeros(grid.n // 2 + 1, complex)
-        self._real_parts = self._before.real, self._after.real
-        # The operands of the last call (``_operands``).
-        self._bound = None
-
-    def _whole(self, dt: float) -> None:
-        """Cache the multipliers and primed weights of whole steps of dt."""
-        if dt == self._dt:
-            return
-        half = np.exp(-0.5 * dt * self._rate)
+        rate = grid.wavenumbers**2 + 1.0
+        # Weights on the interleaved real and imaginary parts of a state:
+        # plain on an rfft, primed for dt inside a sample interval.
+        self._plain = weak, strong = grid.parseval_weights()
+        self._product = np.empty_like(weak)
+        half = np.exp(-0.5 * dt * rate)
         with np.errstate(divide="ignore", over="ignore"):
             unprime = 1.0 / (half * dt)
             scale = np.repeat(unprime * unprime, 2)
@@ -204,81 +180,73 @@ class _SplitStepper:
         # nothing.
         unprime[np.isinf(unprime)] = 0.0
         scale[np.isinf(scale)] = 0.0
-        self._dt = dt
         # Complex, as a product with the rfft would cast them.
         self._prime = (half * dt).astype(complex)
-        self._square = np.exp(-dt * self._rate).astype(complex)
+        self._square = np.exp(-dt * rate).astype(complex)
         self._unprime = unprime
-        self._primed = self._weak * scale, self._strong * scale
+        self._primed = weak * scale, strong * scale
+        self.whole, self._lengths = [], []
+        for target in targets:
+            whole = _whole_steps(target - start, dt)
+            self.whole.append(whole)
+            self._lengths.append(target - (start + whole * dt))
+            start = target
+        self._halves = np.exp(np.multiply.outer(
+            -0.5 * np.array(self._lengths, dtype=float), rate))
+        # The complex multipliers a clamped step's products take, with the
+        # zero imaginary parts that casting the real ones would give.
+        self._before = np.zeros(grid.n // 2 + 1, complex)
+        self._after = np.zeros(grid.n // 2 + 1, complex)
+        self._real_parts = self._before.real, self._after.real
+        # The rule (ceiling, low, watch), the whole steps' bounds of
+        # ``_sum_bounds`` and the clamped step's bound on the band's bottom.
+        low, watch = _quiet_band(*escape)
+        self._rule = escape[0], low, watch
+        self._bounds = _sum_bounds(grid.spacing, dt, low, watch)
+        self._edge = _sum_bounds(grid.spacing, 1.0, low, watch)[0]
 
-    def _buffers(self, height: int) -> None:
-        """Size the step buffers for a stack of ``height`` rows."""
-        self._height = height
+    def bind(self, uh: np.ndarray) -> np.ndarray:
+        """Size the step buffers for the rfft stack uh, which the kernel
+        then steps in place, and take the row views of its values, the
+        buffer of physical values, and its interleaved parts, the rule's
+        reading.  Returns uh."""
+        height = len(uh)
         self._spectrum = np.empty((height, self.n // 2 + 1), complex)
         self._values = np.empty((height, self.n))
         self._denom = np.empty((height, self.n))
-
-    def clamp(self, lengths) -> None:
-        """Cache the half-step multipliers exp(-dt (k^2 + 1) / 2) of
-        clamped steps of each of ``lengths``, all from one exp, for a solve
-        to take in turn; a clamped step of another length computes its
-        own.  Each row is bitwise the exp of its own length."""
-        lengths = np.asarray(lengths, dtype=float)
-        table = np.exp(np.multiply.outer(-0.5 * lengths, self._rate))
-        self._clamped = dict(zip(lengths.tolist(), table))
-
-    def _operands(self, out: np.ndarray, dt: float, escape: tuple) -> tuple:
-        """The operands of a call into ``out`` with whole steps of dt and
-        the escape rule of ``escape`` = (ceiling, collapse floor): the
-        value rows, the whole steps' bounds of ``_sum_bounds``, the clamped
-        step's bound on the band's bottom, the parts of the rows of out and
-        the rule (ceiling, low, watch).  They are kept while out, the step
-        buffers, dt and the rule stay the same, as they do between the
-        calls of a solve until a lane leaves the stack; none refers to the
-        stepper, which holds them."""
-        bound = self._bound
-        if (bound is not None and bound[0] is out
-                and bound[1] is self._values and bound[2] == (dt, escape)):
-            return bound[3]
-        ceiling = escape[0]
-        low, watch = _quiet_band(*escape)
-        operands = (list(self._values), *self._sum_bounds(dt, low, watch),
-                    self._sum_bounds(1.0, low, watch)[0],
-                    list(out.view(np.float64)), (ceiling, low, watch))
-        self._bound = out, self._values, (dt, escape), operands
-        return operands
-
-    def prime(self, uh: np.ndarray, dt: float) -> np.ndarray:
-        """Prime the rfft stack uh in place for whole steps of dt: each row
-        becomes z = uh m dt.  Returns uh."""
-        self._whole(dt)
-        uh *= self._prime
-        self._norms = self._primed
+        self._physical = list(self._values)
+        self._rows = list(uh.view(np.float64))
         return uh
 
-    def step(self, uh: np.ndarray, dt: float, count: int,
-             escape: tuple[float, float | None], clamp: float | None = None,
-             out: np.ndarray | None = None, sample: np.ndarray | None = None):
-        """Advance each row of the stack uh by ``count`` >= 0 whole steps
-        of dt and then, given its length ``clamp``, one clamped step.
+    def prime(self, uh: np.ndarray) -> np.ndarray:
+        """Prime the rfft stack uh in place for whole steps of dt: each row
+        becomes z = uh m dt.  Returns uh."""
+        uh *= self._prime
+        return uh
+
+    def step(self, uh: np.ndarray, count: int, interval: int,
+             sample: np.ndarray):
+        """Advance each row of the stack uh, the one ``bind`` took, by
+        ``count`` >= 0 whole steps of dt and then the clamped step that
+        ends sample interval ``interval`` of the plan, in place.
 
         The whole steps take uh primed for dt (``prime``) and leave it
-        primed.  The clamped step takes the rfft uh, or uh primed for the
-        cached whole step, which it un-primes, back to an rfft: it is the
-        textbook step, a product with m before the inverse transform and
-        after the forward one.  After it, ``PeriodicGrid.c2r`` writes the
-        grid values of each row into the rows of ``sample`` when given.
+        primed.  The clamped step takes uh, primed when the interval holds
+        whole steps and an rfft when it does not, back to an rfft: it is
+        the textbook step, a product with m before the inverse transform
+        and after the forward one, the first times 1 / (m dt) on a primed
+        stack.  After it, ``PeriodicGrid.c2r`` writes the grid values of
+        each row into the rows of ``sample``.
 
-        After every step the escape rule of ``_signs`` with
-        ``escape`` = (ceiling, collapse floor) reads the rows, and a row
-        whose quadratic subflow blows up (a denominator at or below
+        After every step the escape rule of ``_signs`` reads the rows, and
+        a row whose quadratic subflow blows up (a denominator at or below
         ``_DENOM_FLOOR``) leaves the stack; the call stops after the first
-        step where either happens.  Returns the advanced rows, written into
-        ``out`` (uh itself to step in place; a new stack when None) unless
-        a row blew up; the mask of the rows that blew up in the last step
-        taken (None when none did); the escape signs of the returned rows
-        after that step, +1, -1 or 0 each (None when every one is 0); and
-        the number of steps taken, the clamped one included.
+        step where either happens.  Returns the advanced rows, uh itself
+        unless a row blew up, when the other rows are a new stack; the mask
+        of the rows that blew up in the last step taken (None when none
+        did); the escape signs of the returned rows after that step, +1, -1
+        or 0 each (None when every one is 0); and the number of steps
+        taken, the clamped one included.
 
         The rule's norms are read only where a bound cannot rule an escape
         out.  Each whole step reads s = sum(y^2) of each row's values
@@ -292,105 +260,89 @@ class _SplitStepper:
         it before anything is written, and the call returns that state with
         one step fewer.  The clamped step bounds its entering state the
         same way, on its unscaled half-stepped values, and always runs the
-        denominator test and the rule.  A call of whole steps alone reads
-        its last result if no bound did.  So the call stops after the step
+        denominator test and the rule.  So the call stops after the step
         where reading every step would, with the same bits.
         """
-        if len(uh) != self._height:
-            self._buffers(len(uh))
         v, denom, product = self._values, self._denom, self._product
         n, r2c, c2r = self.n, PeriodicGrid.r2c, PeriodicGrid.c2r
-        if out is None:
-            out = np.empty_like(uh)
-        physical, s_low, s_high, s_edge, rows, rule = self._operands(
-            out, dt, escape)
+        physical, rows, rule = self._physical, self._rows, self._rule
+        weights, square = self._primed, self._square
+        s_low, s_high = self._bounds
         taken, checked = 0, True  # checked: the rule has read uh
-        if count:
-            self._whole(dt)
-            weights, square = self._primed, self._square
-            for taken in range(1, count + 1):
-                c2r(uh, (-1,), n, False, 2, v, 1)
-                exact = edge = False
-                for row in physical:
-                    s = row.dot(row)
-                    exact = exact or not s < s_high
-                    edge = edge or not s > s_low
-                # uh is out from the second step on.
-                if edge and not checked:
-                    signs = _signs(rows, weights, product, rule)
-                    if signs is not None:
-                        return uh, None, signs, taken - 1
-                np.subtract(1.0, v, denom)
-                if exact and np.minimum.reduce(denom, None) <= _DENOM_FLOOR:
-                    return (*_blown(v, denom, square, weights, product, rule),
-                            taken)
-                v /= denom
-                uh = r2c(v, (-1,), True, 0, out, 1)
-                uh *= square
-                checked = exact
-                if exact:
-                    signs = _signs(rows, weights, product, rule)
-                    if signs is not None:
-                        return uh, None, signs, taken
-        if clamp is None:
-            signs = None if checked else _signs(rows, self._primed, product,
-                                                rule)
-            return uh, None, signs, taken
-        half = self._clamped.get(clamp)
-        if half is None:
-            half = np.exp(-0.5 * clamp * self._rate)
+        for taken in range(1, count + 1):
+            c2r(uh, (-1,), n, False, 2, v, 1)
+            exact = edge = False
+            for row in physical:
+                s = row.dot(row)
+                exact = exact or not s < s_high
+                edge = edge or not s > s_low
+            if edge and not checked:
+                signs = _signs(rows, weights, product, rule)
+                if signs is not None:
+                    return uh, None, signs, taken - 1
+            np.subtract(1.0, v, denom)
+            if exact and np.minimum.reduce(denom, None) <= _DENOM_FLOOR:
+                return (*_blown(v, denom, square, weights, product, rule),
+                        taken)
+            v /= denom
+            r2c(v, (-1,), True, 0, uh, 1)
+            uh *= square
+            checked = exact
+            if exact:
+                signs = _signs(rows, weights, product, rule)
+                if signs is not None:
+                    return uh, None, signs, taken
+        clamp, half = self._lengths[interval], self._halves[interval]
         after, (before_real, after_real) = self._after, self._real_parts
         np.copyto(after_real, half)
-        if self._norms is self._plain:
-            before = after
-        else:
+        if self.whole[interval]:
             before = self._before
             np.multiply(half, self._unprime, before_real)
+        else:
+            before = after
         c2r(np.multiply(uh, before, self._spectrum), (-1,), n, False, 2, v, 1)
         if not checked:
             for row in physical:
-                if not row.dot(row) > s_edge:
-                    signs = _signs(rows, self._norms, product, rule)
+                if not row.dot(row) > self._edge:
+                    signs = _signs(rows, weights, product, rule)
                     if signs is not None:
                         return uh, None, signs, taken
                     break
-        self._norms = self._plain
         np.subtract(1.0, np.multiply(v, clamp, denom), denom)
         if np.minimum.reduce(denom, None) <= _DENOM_FLOOR:
             uh, blown, signs = _blown(v, denom, after, self._plain, product,
                                       rule)
-            if sample is not None:
-                sample[~blown] = c2r(uh, (-1,), n, False, 2, None, 1)
+            sample[~blown] = c2r(uh, (-1,), n, False, 2, None, 1)
             return uh, blown, signs, taken + 1
         v /= denom
-        uh = r2c(v, (-1,), True, 0, out, 1)
+        r2c(v, (-1,), True, 0, uh, 1)
         uh *= after
-        if sample is not None:
-            c2r(uh, (-1,), n, False, 2, sample, 1)
+        c2r(uh, (-1,), n, False, 2, sample, 1)
         return uh, None, _signs(rows, self._plain, product, rule), taken + 1
 
-    def _sum_bounds(self, dt: float, low: float,
-                    high: float) -> tuple[float, float]:
-        """Bounds (s_low, s_high) on s = sum(y^2), where y = dt v and v are
-        the values of a state u after a linear half step of dt (y = irfft(z)
-        on a stack primed for dt), for a band (low, high) with high > 0.
 
-        The half step damps every mode by m <= 1, so sqrt(h s) <= dt |u|,
-        with |u| the weak norm: s > s_low = (low dt)^2 / h shows |u| > low.
-        Each |y_i| <= sqrt(s), so sqrt(s) <= 0.4 keeps every denominator
-        1 - y_i at 0.6 or more, above ``_DENOM_FLOOR``, and the quadratic
-        substep gives |y_i / (1 - y_i)| <= |y_i| / (1 - sqrt(s)); with the
-        second half step, the state after the step has a weak norm of at
-        most sqrt(h s) / (dt (1 - sqrt(s))), which is below high for
-        sqrt(s) < high dt / (sqrt(h) + high dt).  s < s_high shows both.
-        Each bound gives up ``_SUM_SLACK`` of itself to round-off.  With
-        dt = 1, s_low bounds the unscaled values v of a half step of any
-        length, as the clamped step forms them.
-        """
-        h = self._spacing
-        s_low = low * abs(low) * dt * dt / h * (1.0 + _SUM_SLACK)  # -inf: none
-        root = min(high * dt / (math.sqrt(h) + high * dt), 0.4)
-        return s_low, root * root * (1.0 - _SUM_SLACK)
+def _sum_bounds(h: float, dt: float, low: float,
+                high: float) -> tuple[float, float]:
+    """Bounds (s_low, s_high) on s = sum(y^2), where y = dt v and v are
+    the values of a state u after a linear half step of dt (y = irfft(z)
+    on a stack primed for dt) on a grid of spacing h, for a band
+    (low, high) with high > 0.
+
+    The half step damps every mode by m <= 1, so sqrt(h s) <= dt |u|,
+    with |u| the weak norm: s > s_low = (low dt)^2 / h shows |u| > low.
+    Each |y_i| <= sqrt(s), so sqrt(s) <= 0.4 keeps every denominator
+    1 - y_i at 0.6 or more, above ``_DENOM_FLOOR``, and the quadratic
+    substep gives |y_i / (1 - y_i)| <= |y_i| / (1 - sqrt(s)); with the
+    second half step, the state after the step has a weak norm of at
+    most sqrt(h s) / (dt (1 - sqrt(s))), which is below high for
+    sqrt(s) < high dt / (sqrt(h) + high dt).  s < s_high shows both.
+    Each bound gives up ``_SUM_SLACK`` of itself to round-off.  With
+    dt = 1, s_low bounds the unscaled values v of a half step of any
+    length, as the clamped step forms them.
+    """
+    s_low = low * abs(low) * dt * dt / h * (1.0 + _SUM_SLACK)  # -inf: none
+    root = min(high * dt / (math.sqrt(h) + high * dt), 0.4)
+    return s_low, root * root * (1.0 - _SUM_SLACK)
 
 
 def _norm(parts: np.ndarray, weights: np.ndarray,
@@ -506,19 +458,6 @@ def _whole_steps(gap: float, dt: float) -> int:
     return max(0, math.ceil(gap / dt - _STEP_SLACK) - 1)
 
 
-def _clamp_lengths(sample_times: list[float], t: float,
-                   dt: float) -> list[float]:
-    """The length of the clamped step of each sample interval of a solve
-    at t, as the solve computes it: the sample time less the interval's
-    start plus its whole steps of dt (``_whole_steps``)."""
-    lengths = []
-    for target in sample_times:
-        whole = _whole_steps(target - t, dt)
-        lengths.append(target - (t + whole * dt))
-        t = target
-    return lengths
-
-
 def _new_lane(values: np.ndarray, sample_times: np.ndarray,
               dt: float) -> tuple[list, np.ndarray, dict]:
     """Recorded times, recorded states and stats of a solve from values at
@@ -542,37 +481,40 @@ def evolve_lanes(model: PulseModel, starts, *, dt: float,
     """Fixed-step solves of several states stepped together as lanes.
 
     ``starts`` holds one entry per lane: the initial values at t = 0, or a
-    ``FullTrajectory`` to continue from its ``end``.  All lanes must start
-    at one time.  Their rffts are stepped as one ``(K, n // 2 + 1)`` stack,
-    one inverse and one forward FFT per step for all of them, and each lane
-    comes out bitwise equal to solving it alone: same samples, same escape,
-    same ``stats``.  A continued lane's trajectory and ``stats`` equal
-    those of one solve from t = 0 with the same step, samples and escape
-    checks.
+    ``FullTrajectory`` to continue from its ``end``; no entry gives no
+    solve.  All lanes must start at one time.  Their rffts are stepped as
+    one ``(K, n // 2 + 1)`` stack, one inverse and one forward FFT per step
+    for all of them, and each lane comes out bitwise equal to solving it
+    alone: same samples, same escape, same ``stats``.  A continued lane's
+    trajectory and ``stats`` equal those of one solve from t = 0 with the
+    same step, samples and escape checks.
 
     Each interval up to the next of ``sample_times``, where the states are
     recorded, takes the whole steps of size dt that it holds and then one
     clamped step that ends on the sample (``_whole_steps``), so no step has
     zero length, and none has round-off length unless the interval has.
-    One step-kernel call runs an interval and writes its sample into each
-    lane's row of one array allocated for all samples; a lane that escapes
-    ends the call, and the other lanes finish the interval in the next.  A
-    lane escapes with direction +1 when its quadratic substep passes
-    through infinity or its strong norm reaches ``ceiling``, and with
-    direction -1 when its weak norm falls to ``collapse_floor`` (when
-    given); it is then dropped from the stack, keeping the samples recorded
-    so far.  A dt that is not a positive finite number of at least
+    The solve's one ``_SplitStepper`` plans every interval once from the
+    start time, and one step-kernel call runs an interval and writes its
+    sample into each lane's row of one array allocated for all samples; a
+    lane that escapes ends the call, and the other lanes finish the
+    interval in the next.  A lane escapes with direction +1 when its
+    quadratic substep passes through infinity or its strong norm reaches
+    ``ceiling``, and with direction -1 when its weak norm falls to
+    ``collapse_floor`` (when given); it is then dropped from the stack,
+    keeping the samples recorded so far, and the stepper binds the stack
+    that is left.  A dt that is not a positive finite number of at least
     ``DT_FLOOR`` (a smaller one plans more steps than a solve can take),
     sample times that are not finite, a ceiling that is not a positive
-    finite number and a collapse floor that is not a finite number of at
-    least 0 are refused with ``ValueError`` before any step.
+    finite number, a collapse floor that is not a finite number of at least
+    0 and initial values that are not one value per grid point are refused
+    with ``ValueError`` before any step.
     """
     dt = _positive("dt", dt, DT_FLOOR)
     sample_times = _checked_samples(sample_times)
     ceiling, collapse_floor = _checked_escapes(ceiling, collapse_floor)
-    stepper = _SplitStepper(model.grid)
+    n = model.grid.n
     lanes, rows, origins = [], [], set()
-    for start in starts:
+    for index, start in enumerate(starts):
         if isinstance(start, FullTrajectory):
             if not (start.continues_to(sample_times)
                     and start.stats.get("final_dt") == dt):
@@ -583,18 +525,25 @@ def evolve_lanes(model: PulseModel, starts, *, dt: float,
                           dict(start.stats)))
         else:
             values = np.asarray(start, dtype=float)
+            if values.shape != (n,):
+                raise ValueError(f"lane {index} starts from values of shape "
+                                 f"{values.shape}, not one per grid point "
+                                 f"(n = {n})")
             t0, uh0 = 0.0, model.grid.rfft(values)
             lanes.append(_new_lane(values, sample_times, dt))
         origins.add(t0)
         rows.append(uh0)
+    if not lanes:
+        return []
     if len(origins) != 1:
         raise ValueError("all lanes must start at one time")
     t = origins.pop()
     next_sample = int(np.searchsorted(sample_times, t, side="right"))
     sample_times = sample_times.tolist()
-    stepper.clamp(_clamp_lengths(sample_times[next_sample:], t, dt))
+    stepper = _SplitStepper(model.grid, dt, (ceiling, collapse_floor), t,
+                            sample_times[next_sample:])
     # Row r of the stack records its samples into row r of ``record``.
-    record = np.empty((len(lanes), len(sample_times), model.grid.n))
+    record = np.empty((len(lanes), len(sample_times), n))
     for row, (_, states, _) in enumerate(lanes):
         record[row, :next_sample] = states
 
@@ -608,25 +557,25 @@ def evolve_lanes(model: PulseModel, starts, *, dt: float,
             np.array(times + sample_times[len(times):recorded]),
             record[row, :recorded], stats, last)
 
-    uh = np.array(rows)
-    escape = ceiling, collapse_floor
+    uh = stepper.bind(np.array(rows))
     active = list(range(len(lanes)))
     steps = 0
-    while active and next_sample < len(sample_times):
+    for interval, whole in enumerate(stepper.whole):
+        if not active:
+            break
         target = sample_times[next_sample]
-        whole = _whole_steps(target - t, dt)
-        clamp = target - (t + whole * dt)
         begin, taken = t, 0
         if whole:
-            stepper.prime(uh, dt)
+            stepper.prime(uh)
         while active and taken <= whole:
             uh, blown, signs, done = stepper.step(
-                uh, dt, whole - taken, escape, clamp, uh,
-                record[:, next_sample])
+                uh, whole - taken, interval, record[:, next_sample])
             taken += done
             steps += done
             recorded = next_sample + (taken > whole)
             t = target if taken > whole else begin + taken * dt
+            if blown is None and signs is None:
+                continue
             if blown is not None:
                 # The rows blew up in the last step taken, from the time
                 # that step started at.
@@ -642,6 +591,7 @@ def evolve_lanes(model: PulseModel, starts, *, dt: float,
                 keep = [not sign for sign in signs]
                 uh, active = uh[keep], list(compress(active, keep))
                 record = _kept(record, keep, recorded)
+            stepper.bind(uh)
         next_sample += 1
 
     for row, lane in enumerate(active):

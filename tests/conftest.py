@@ -68,30 +68,31 @@ def no_child_process():
 
 @pytest.fixture(scope="session")
 def stepper_norms():
-    """What a ``_SplitStepper`` carries, read as its step kernel reads it:
-    the norms through ``reference._norm`` and the escape rule through
-    ``reference._signs``, with the Parseval weights of the form the stack
-    is in (plain on an rfft, primed inside a sample interval).
-    ``weak(stepper, uh)`` and ``strong(stepper, uh)`` are
-    ``grid.weak_norm_values`` and ``strong_norm_values`` of the state that
-    the row uh holds; ``escape_signs(stepper, uh, ceiling,
-    collapse_floor)`` gives each row of the stack uh +1 (not finite or at
-    the ceiling), -1 (weak norm at or below the collapse floor) or 0, or
-    None when every row is 0, reading a strong norm only past the quiet
-    band's top of ``reference._quiet_band``, 0.4 ceiling."""
+    """Norms and the escape rule read as the step kernel reads them: the
+    norms through ``reference._norm`` and the rule through
+    ``reference._signs``, with the Parseval ``weights`` (weak, strong) of
+    the form the stack is in, a stepper's ``_plain`` weights on an rfft or
+    its ``_primed`` ones inside a sample interval.  ``weak(weights, uh)``
+    and ``strong(weights, uh)`` are ``grid.weak_norm_values`` and
+    ``strong_norm_values`` of the state that the row uh holds;
+    ``escape_signs(weights, uh, ceiling, collapse_floor)`` gives each row
+    of the stack uh +1 (not finite or at the ceiling), -1 (weak norm at or
+    below the collapse floor) or 0, or None when every row is 0, reading a
+    strong norm only past the quiet band's top of
+    ``reference._quiet_band``, 0.4 ceiling."""
     from adiaflow import reference
 
-    def weak(stepper, uh):
-        return reference._norm(uh.view(np.float64), stepper._norms[0],
-                               stepper._product)
+    def weak(weights, uh):
+        return reference._norm(uh.view(np.float64), weights[0],
+                               np.empty_like(weights[0]))
 
-    def strong(stepper, uh):
-        return reference._norm(uh.view(np.float64), stepper._norms[1],
-                               stepper._product)
+    def strong(weights, uh):
+        return reference._norm(uh.view(np.float64), weights[1],
+                               np.empty_like(weights[1]))
 
-    def escape_signs(stepper, uh, ceiling, collapse_floor):
+    def escape_signs(weights, uh, ceiling, collapse_floor):
         return reference._signs(
-            list(uh.view(np.float64)), stepper._norms, stepper._product,
+            list(uh.view(np.float64)), weights, np.empty_like(weights[0]),
             (ceiling, *reference._quiet_band(ceiling, collapse_floor)))
 
     return types.SimpleNamespace(weak=weak, strong=strong,
@@ -113,42 +114,61 @@ def _escape_sign(parts, weights, ceiling, collapse_floor):
 
 @pytest.fixture(scope="session")
 def exact_step():
-    """The whole split step with the exact escape tests after every step,
-    as an oracle for the step kernel's bounds: ``_SplitStepper.step(z, dt,
-    count, (ceiling, collapse_floor))`` on a grid, on a stack z primed for
-    dt (rows uh m dt), written with ``np.fft``.  Each step is y = irfft(z),
-    y / (1 - y), z = rfft(.) m^2; it tests every denominator against the
-    floor and, with a ceiling, applies the escape rule to every row after
-    the step, its norms read on z with the Parseval weights divided by
-    (m dt)^2.  It stops after the first step where a row blows up or the
-    rule gives a row a nonzero sign, and returns (z, blown mask or None,
-    the signs of the rows of z or None when all are 0, steps taken)."""
+    """The split steps of one step-kernel call with the exact escape tests
+    after every step, as an oracle for the kernel's bounds, written with
+    ``np.fft``: ``exact_step(grid, z, dt, count, ceiling, collapse_floor,
+    clamp, primed)`` takes ``count`` whole steps of dt on a stack z primed
+    for dt (rows uh m dt) and then, given its length ``clamp``, the clamped
+    step onto a sample.  Each whole step is y = irfft(z), y / (1 - y),
+    z = rfft(.) m^2.  The clamped step is the textbook one, a product with
+    its own half-step multiplier before the inverse transform (times
+    1 / (m dt), which un-primes, when ``primed``) and after the forward
+    one, and leaves the rfft.  Every step tests every denominator against
+    the floor and, with a ceiling, applies the escape rule to every row
+    after the step, its norms read by Parseval on the stack as carried
+    (the weights divided by (m dt)^2 while primed).  It stops after the
+    first step where a row blows up or the rule gives a row a nonzero sign,
+    and returns (z, blown mask or None, the signs of the rows of z or None
+    when all are 0, steps taken)."""
     from adiaflow.reference import _DENOM_FLOOR
 
-    def step(grid, z, dt, count=1, ceiling=None, collapse_floor=None):
+    def step(grid, z, dt, count=1, ceiling=None, collapse_floor=None,
+             clamp=None, primed=True):
         rate = grid.wavenumbers**2 + 1.0
         half = np.exp(-0.5 * dt * rate)
         square = np.exp(-dt * rate).astype(complex)
-        scale = np.repeat((1.0 / (half * dt))**2, 2)
-        weights = [w * scale for w in grid.parseval_weights()]
-        for taken in range(1, count + 1):
-            y = np.fft.irfft(z, grid.n)
-            denom = 1.0 - y
-            blown = denom.min(axis=1) <= _DENOM_FLOOR
-            if blown.any():
-                y, denom = y[~blown], denom[~blown]
-            z = np.fft.rfft(y / denom) * square
+        unprime = 1.0 / (half * dt)
+        plain = grid.parseval_weights()
+        weights = [w * np.repeat(unprime**2, 2) for w in plain]
+
+        def ended(z, blown, weights, taken):
             signs = None
             if ceiling is not None:
                 signs = [_escape_sign(row, weights, ceiling, collapse_floor)
                          for row in z.view(np.float64)]
                 if not any(signs):
                     signs = None
-            if blown.any():
-                return z, blown, signs, taken
-            if signs is not None:
-                return z, None, signs, taken
-        return z, None, None, count
+            if blown.any() or signs is not None or taken > count:
+                return z, blown if blown.any() else None, signs, taken
+            return None
+
+        for taken in range(1, count + 1):
+            y = np.fft.irfft(z, grid.n)
+            denom = 1.0 - y
+            blown = denom.min(axis=1) <= _DENOM_FLOOR
+            z = np.fft.rfft(y[~blown] / denom[~blown]) * square
+            stopped = ended(z, blown, weights, taken)
+            if stopped is not None:
+                return stopped
+        if clamp is None:
+            return z, None, None, count
+        after = np.exp(-0.5 * clamp * rate)
+        before = after * unprime if primed else after
+        v = np.fft.irfft(z * before.astype(complex), grid.n)
+        denom = 1.0 - v * clamp
+        blown = denom.min(axis=1) <= _DENOM_FLOOR
+        z = np.fft.rfft(v[~blown] / denom[~blown]) * after.astype(complex)
+        return ended(z, blown, plain, count + 1)
     return step
 
 

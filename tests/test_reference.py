@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -47,18 +48,25 @@ def stable_direction(spectrum):
     return spectrum.eigenvectors[:, spectrum.stable_indices[0]]
 
 
-def recording_steps(sizes):
-    """A ``_SplitStepper.step`` that logs the size of each step it takes,
-    one entry per whole step of a call and one for its clamped step."""
+def recording_steps(sizes, dt):
+    """A ``_SplitStepper.step`` of a solve with whole steps of dt that logs
+    the size of each step it takes, one entry per whole step of a call and
+    one for its clamped step, the length its interval's plan gives."""
     step = reference._SplitStepper.step
 
-    def recording(self, uh, dt, count, escape, clamp=None, *args):
-        stepped = step(self, uh, dt, count, escape, clamp, *args)
+    def recording(self, uh, count, interval, sample):
+        stepped = step(self, uh, count, interval, sample)
         sizes.extend([dt] * min(stepped[3], count))
         if stepped[3] > count:
-            sizes.append(clamp)
+            sizes.append(self._lengths[interval])
         return stepped
     return recording
+
+
+def new_stepper(grid, dt=1e-3, escape=(10.0, None), targets=()):
+    """The stepper of a solve from t = 0 to the sample times ``targets``
+    with whole steps of dt and the escape rule (ceiling, collapse floor)."""
+    return reference._SplitStepper(grid, dt, escape, 0.0, list(targets))
 
 
 @pytest.fixture(scope="module")
@@ -704,10 +712,9 @@ def physical_split_solve(model, u0, samples, dt, collapse_floor=None,
 
 def test_parseval_norms_match_the_grid_norms(grid, stepper_norms):
     rng = np.random.default_rng(7)
-    stepper = reference._SplitStepper(grid)
     # The grid owns the weights; the stepper reads them, it keeps no copy.
-    weak, strong = grid.parseval_weights()
-    assert stepper._weak is weak and stepper._strong is strong
+    plain = new_stepper(grid)._plain
+    assert plain is grid.parseval_weights()
     nyquist = np.cos(np.pi * np.arange(grid.n))
     for _ in range(5):
         vhat = np.zeros(grid.n // 2 + 1, dtype=complex)
@@ -716,9 +723,9 @@ def test_parseval_norms_match_the_grid_norms(grid, stepper_norms):
         values = np.fft.irfft(vhat, grid.n) + rng.uniform(0.1, 1.0) * nyquist
         values_hat = np.fft.rfft(values)
         assert values_hat[-1] != 0.0
-        assert stepper_norms.weak(stepper, values_hat) == pytest.approx(
+        assert stepper_norms.weak(plain, values_hat) == pytest.approx(
             float(grid.weak_norm_values(values)), rel=1e-13)
-        assert stepper_norms.strong(stepper, values_hat) == pytest.approx(
+        assert stepper_norms.strong(plain, values_hat) == pytest.approx(
             float(grid.strong_norm_values(values)), rel=1e-13)
 
 
@@ -785,7 +792,6 @@ def _stride_order(array):
 @pytest.mark.parametrize("rows", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_the_solver_transforms_are_numpys_fft(n, rows):
     grid = PeriodicGrid(n)
-    stepper = reference._SplitStepper(grid)
     values = _nyquist_stack(n, rows, seed=10 * n + rows)
     values_hat = grid.rfft(values)
     assert np.all(values_hat[:, -1] != 0.0)
@@ -809,57 +815,61 @@ def test_the_solver_transforms_are_numpys_fft(n, rows):
         grid.wavenumbers.view(np.uint64),
         (2.0 * np.pi * np.fft.rfftfreq(n, d=grid.spacing)).view(np.uint64))
     # Priming, a whole step on the primed stack and the clamped step that
-    # un-primes it are the split step written with np.fft.
-    dt, escape = 1e-2, (10.0, None)
+    # un-primes it, then the clamped step of an interval with no whole step
+    # on the rfft, are the split step written with np.fft.
+    dt, targets = 1e-2, [1.5e-2, 1.75e-2]
     rate = grid.wavenumbers**2 + 1.0
     half = np.exp(-0.5 * dt * rate)
     primed = values_hat * (half * dt).astype(complex)
     y = np.fft.irfft(primed, n)
     whole = np.fft.rfft(y / (1.0 - y)) * np.exp(-dt * rate).astype(complex)
-    clamp = 0.5 * dt
+    clamp = targets[0] - (0.0 + dt)
     after = np.exp(-0.5 * clamp * rate)
     v = np.fft.irfft(whole * (after * (1.0 / (half * dt))).astype(complex), n)
     clamped = np.fft.rfft(v / (1.0 - clamp * v)) * after.astype(complex)
+    clamp = targets[1] - targets[0]
+    after = np.exp(-0.5 * clamp * rate).astype(complex)
+    v = np.fft.irfft(clamped * after, n)
+    plain = np.fft.rfft(v / (1.0 - clamp * v)) * after
 
     def bits(array):
         return array.view(np.uint64)
-    stack = stepper.prime(values_hat.copy(), dt)
+    # In place over the stack, as the fixed-step solve steps it, one call
+    # an interval, each writing its sample.
+    kernel = new_stepper(grid, dt, targets=targets)
+    assert kernel.whole == [1, 0]
+    stack = kernel.bind(kernel.prime(values_hat.copy()))
     assert np.array_equal(bits(stack), bits(primed))
-    stepped, blown, signs, taken = stepper.step(stack, dt, 1, escape)
-    assert blown is None and signs is None and taken == 1
-    assert np.array_equal(bits(stepped), bits(whole))
-    stepped, blown, signs, taken = stepper.step(stepped, dt, 0, escape, clamp)
-    assert blown is None and signs is None and taken == 1
-    assert np.array_equal(bits(stepped), bits(clamped))
-    # In place over the stack, as the fixed-step solve steps it, in one
-    # call that writes the sample.
-    stack = stepper.prime(values_hat.copy(), dt)
-    sample = np.empty((rows, 2, n))[:, 1]
-    stepped, _, _, taken = stepper.step(stack, dt, 1, escape, clamp, stack,
-                                        sample)
-    assert stepped is stack and taken == 2
-    assert np.array_equal(bits(stack), bits(clamped))
-    assert np.array_equal(bits(sample), bits(np.fft.irfft(clamped, n)))
+    for interval, expected in enumerate([clamped, plain]):
+        sample = np.empty((rows, 2, n))[:, 1]
+        stepped, blown, signs, taken = kernel.step(
+            stack, kernel.whole[interval], interval, sample)
+        assert blown is None and signs is None
+        assert stepped is stack and taken == kernel.whole[interval] + 1
+        assert np.array_equal(bits(stack), bits(expected))
+        assert np.array_equal(bits(sample), bits(np.fft.irfft(expected, n)))
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3, 4])
 def test_escape_checks_read_each_rows_own_weak_norm(grid, stepper_norms,
                                                     rows):
-    stepper = reference._SplitStepper(grid)
-    escape_signs = stepper_norms.escape_signs
+    plain = new_stepper(grid)._plain
+
+    def escape_signs(*args):
+        return stepper_norms.escape_signs(plain, *args)
     for seed in range(8):
         uh = grid.rfft(_nyquist_stack(grid.n, rows, seed=seed))
-        norms = [stepper_norms.weak(stepper, row) for row in uh]
-        assert escape_signs(stepper, uh, 10.0, 0.5 * min(norms)) is None
+        norms = [stepper_norms.weak(plain, row) for row in uh]
+        assert escape_signs(uh, 10.0, 0.5 * min(norms)) is None
         for row, norm in enumerate(norms):
             # At the row's own norm it collapses, one float below it does
             # not.
-            signs = escape_signs(stepper, uh, 10.0, norm)
+            signs = escape_signs(uh, 10.0, norm)
             assert signs[row] == -1
             assert signs.count(-1) == sum(other <= norm for other in norms)
-            below = escape_signs(stepper, uh, 10.0, np.nextafter(norm, 0.0))
+            below = escape_signs(uh, 10.0, np.nextafter(norm, 0.0))
             assert below is None or below[row] == 0
-            assert escape_signs(stepper, uh, norm, None)[row] == 1
+            assert escape_signs(uh, norm, None)[row] == 1
 
 
 def test_fixed_step_solve_makes_two_ffts_per_step(model, count_transforms):
@@ -879,8 +889,8 @@ def no_steps(monkeypatch):
     """Fails a test that reaches ``_SplitStepper.step``, the one step
     kernel, with any count, or that makes the inverse transform every step
     makes."""
-    def refused(self, uh, dt, count, *args):
-        raise AssertionError(f"{count} step(s) of {dt} were taken")
+    def refused(self, uh, count, *args):
+        raise AssertionError(f"a call of {count} whole step(s) was made")
 
     def no_transform(*args):
         raise AssertionError("a step's inverse transform was made")
@@ -934,6 +944,24 @@ def test_a_bad_collapse_floor_is_refused_before_any_step(model, no_steps,
                      sample_times=samples, collapse_floor=floor)
 
 
+def test_no_lanes_give_no_solves(workspace, model, point_bump, no_steps):
+    assert evolve_lanes(model, [], dt=1e-3,
+                        sample_times=np.linspace(0.0, 0.2, 5)) == []
+    assert instability_witnesses(workspace, point_bump,
+                                 point_bump.correction, [], delta=0.05) == []
+
+
+@pytest.mark.parametrize("shape", [(100,), (1, 256), (257,), ()])
+def test_a_start_that_is_not_one_value_per_grid_point_is_refused(
+        model, no_steps, shape):
+    starts = [model.profile.values, np.zeros(shape)]
+    with pytest.raises(ValueError, match=rf"lane 1 starts from values of "
+                       rf"shape {re.escape(str(shape))}, not one per grid "
+                       rf"point \(n = 256\)"):
+        evolve_lanes(model, starts, dt=1e-3,
+                     sample_times=np.linspace(0.0, 0.2, 5))
+
+
 def test_a_solve_whose_samples_start_after_zero_records_only_them(
         workspace, model, exact_solve):
     samples = np.array([0.1, 0.15, 0.2])
@@ -959,8 +987,8 @@ def counted_calls(monkeypatch):
     calls = []
     step = reference._SplitStepper.step
 
-    def counted(self, uh, dt, count, *args):
-        stepped = step(self, uh, dt, count, *args)
+    def counted(self, uh, count, *args):
+        stepped = step(self, uh, count, *args)
         calls.append((stepped[3] > count,
                       stepped[1] is not None or stepped[2] is not None))
         return stepped
@@ -1076,37 +1104,30 @@ KERNEL_CASES = {
 
 @pytest.mark.parametrize("case", KERNEL_CASES)
 def test_the_counted_step_kernel_is_bitwise_single_steps(
-        workspace, model, monkeypatch, case):
+        workspace, model, monkeypatch, exact_solve, case):
+    # Kernel calls of many steps, against the plain solve that takes one
+    # step at a time and applies the escape rule after each.
     offsets, ceiling, signs = KERNEL_CASES[case]
     samples = mesh_prefix(workspace.times, 5.0)
+    floor = reference.collapse_floor(model)
     starts = [model.profile.values + offset * workspace.unstable_mode
               for offset in offsets]
     step = reference._SplitStepper.step
     counts = []
 
-    def solve():
-        return evolve_lanes(model, starts, dt=1e-3, sample_times=samples,
-                            ceiling=ceiling,
-                            collapse_floor=reference.collapse_floor(model))
-
-    def counted(self, uh, dt, count, *args):
+    def counted(self, uh, count, *args):
         counts.append(count)
-        return step(self, uh, dt, count, *args)
-
-    def single(self, uh, dt, count, escape, clamp, out, sample):
-        # One step a call: a whole step alone, or the clamped step.
-        if count:
-            return step(self, uh, dt, 1, escape, None, out)
-        return step(self, uh, dt, 0, escape, clamp, out, sample)
+        return step(self, uh, count, *args)
 
     monkeypatch.setattr(reference._SplitStepper, "step", counted)
-    kernel = solve()
-    monkeypatch.setattr(reference._SplitStepper, "step", single)
-    singles = solve()
+    kernel = evolve_lanes(model, starts, dt=1e-3, sample_times=samples,
+                          ceiling=ceiling, collapse_floor=floor)
     assert max(counts) > 1
     assert [traj.stats["escape_sign"] for traj in kernel] == signs
-    for mine, theirs in zip(kernel, singles):
+    for mine, u0 in zip(kernel, starts):
+        theirs = exact_solve(model, u0, 1e-3, samples, ceiling, floor)
         assert_same_solve(mine, theirs)
+        assert mine.stats["escape_time"] == theirs.stats["escape_time"]
         assert (mine.end is None) == (theirs.end is None)
         if mine.end is not None:
             assert mine.end[0] == theirs.end[0]
@@ -1130,6 +1151,23 @@ OFFSET = st.tuples(st.sampled_from((-1.0, 1.0)),
                    ).map(lambda drawn: drawn[0] * 10.0**drawn[1])
 
 
+def kernel_call(exact_step, grid, dt, escape, kernel, uh, count, interval):
+    """One call of the step kernel, the stepper of a solve with whole steps
+    of dt and the escape rule ``escape``, on its bound stack uh, with
+    ``count`` whole steps left in sample interval ``interval``, checked
+    against the exact tests; its result and its sample, NaN where the call
+    wrote none."""
+    theirs = exact_step(grid, uh, dt, count, *escape,
+                        kernel._lengths[interval], kernel.whole[interval] > 0)
+    sample = np.full((len(uh), grid.n), np.nan)
+    mine = kernel.step(uh, count, interval, sample)
+    assert same_call(mine, theirs)
+    if mine[3] > count:
+        kept = slice(None) if mine[1] is None else ~mine[1]
+        assert np.array_equal(sample[kept], np.fft.irfft(mine[0], grid.n))
+    return mine, sample
+
+
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(offsets=st.lists(OFFSET, min_size=1, max_size=3),
        zero_lane=st.booleans(),
@@ -1144,7 +1182,7 @@ OFFSET = st.tuples(st.sampled_from((-1.0, 1.0)),
 @example(offsets=[1e-2, 1e-6], zero_lane=False, dt=1e-3, ceiling=10.0,
          with_floor=True, count=20)  # through the band's top to the ceiling
 @example(offsets=[-1e-2], zero_lane=True, dt=1e-3, ceiling=10.0,
-         with_floor=True, count=1)  # each call reads its last step itself
+         with_floor=True, count=1)  # each clamped step reads its entry
 def test_the_step_kernel_stops_where_the_exact_tests_stop(
         workspace, model, exact_step, offsets, zero_lane, dt, ceiling,
         with_floor, count):
@@ -1153,22 +1191,30 @@ def test_the_step_kernel_stops_where_the_exact_tests_stop(
     if zero_lane:
         starts.append(np.zeros(model.grid.n))
     floor = reference.collapse_floor(model) if with_floor else None
-    # Calls of up to count whole steps to t = 5 on the stack primed for
-    # dt, in place and with the escape rule, as a solve makes them; escaped
-    # rows leave between calls.
-    stepper = reference._SplitStepper(model.grid)
-    uh = stepper.prime(model.grid.rfft(np.array(starts)), dt)
-    steps, calls = round(5.0 / dt), 0
-    while steps and len(uh):
-        theirs = exact_step(model.grid, uh, dt, min(count, steps), ceiling,
-                            floor)
-        mine = stepper.step(uh, dt, min(count, steps), (ceiling, floor),
-                            out=uh)
-        assert same_call(mine, theirs), f"call {calls}"
-        uh, signs = mine[0], mine[2]
-        steps, calls = steps - mine[3], calls + 1
-        if signs is not None:
-            uh = uh[[not sign for sign in signs]]
+    # Sample intervals of count whole steps and a clamped step of about
+    # half a step to t = 5, stepped in place as a solve steps them: one
+    # call an interval, and one more after each escape, when the escaped
+    # rows leave and the stepper binds the rest.
+    gap = (count + 0.5) * dt
+    targets = gap * np.arange(1, math.ceil(5.0 / gap) + 1)
+    escape = ceiling, floor
+    kernel = new_stepper(model.grid, dt, escape, targets)
+    assert set(kernel.whole) == {count}
+    uh = kernel.bind(model.grid.rfft(np.array(starts)))
+    for interval in range(len(targets)):
+        kernel.prime(uh)
+        taken = 0
+        while len(uh) and taken <= count:
+            (uh, blown, signs, done), _ = kernel_call(
+                exact_step, model.grid, dt, escape, kernel, uh,
+                count - taken, interval)
+            taken += done
+            if signs is not None:
+                uh = uh[[not sign for sign in signs]]
+            if blown is not None or signs is not None:
+                kernel.bind(uh)
+        if not len(uh):
+            break
 
 
 @pytest.mark.parametrize("edge", ["low", "high"])
@@ -1182,8 +1228,8 @@ def test_the_kernels_bounds_leave_round_off_to_the_exact_tests(
     # 0.4 of the ceiling, is the largest at or below it, and a ripple of
     # 32 to 63 periods has a strong norm past the ceiling.  A primed sum of
     # squares scales by dt^2, so a step of 1e-300 would underflow it.
-    stepper = reference._SplitStepper(grid)
     dt = 1e-20
+    probe = new_stepper(grid, dt)
     x = np.arange(grid.n) / grid.n
     for seed in range(16):
         if edge == "low":
@@ -1192,20 +1238,23 @@ def test_the_kernels_bounds_leave_round_off_to_the_exact_tests(
             rng = np.random.default_rng(seed)
             state = 0.3 * np.sin(2.0 * np.pi * rng.integers(
                 grid.n // 8, grid.n // 4) * x + rng.uniform(0.0, 6.0))[None]
-        uh = stepper.prime(grid.rfft(state), dt)
+        uh = probe.prime(grid.rfft(state))
         after = exact_step(grid, uh, dt)[0][0]
-        norm = stepper_norms.weak(stepper, after)
+        norm = stepper_norms.weak(probe._primed, after)
         if edge == "low":
             ceiling, floor = 5.0 * norm, norm
         else:
             ceiling, floor = norm / 0.4, None
             while 0.4 * ceiling > norm:
                 ceiling = np.nextafter(ceiling, 0.0)
-            assert stepper_norms.strong(stepper, after) >= ceiling
-        theirs = exact_step(grid, uh, dt, 2, ceiling, floor)
-        assert theirs[2] == [-1 if edge == "low" else 1] and theirs[3] == 1
-        assert same_call(stepper.step(uh, dt, 2, (ceiling, floor)),
-                         theirs), seed
+            assert stepper_norms.strong(probe._primed, after) >= ceiling
+        # An interval of two whole steps and a clamped half step.
+        kernel = new_stepper(grid, dt, (ceiling, floor), [2.5 * dt])
+        (_, _, signs, taken), sample = kernel_call(
+            exact_step, grid, dt, (ceiling, floor), kernel, kernel.bind(uh),
+            2, 0)
+        assert signs == [-1 if edge == "low" else 1] and taken == 1, seed
+        assert np.isnan(sample).all()
 
 
 def test_the_clamped_step_reads_a_state_its_whole_steps_left_unread(
@@ -1213,18 +1262,18 @@ def test_the_clamped_step_reads_a_state_its_whole_steps_left_unread(
     # As above at the band's bottom, but the one whole step's bound leaves
     # its result unread, and the clamped step's bound on its unscaled
     # half-stepped values has to stop the call at the collapse before it.
-    stepper = reference._SplitStepper(grid)
     dt = 1e-20
+    probe = new_stepper(grid, dt)
     for seed in range(16):
-        uh = stepper.prime(
-            grid.rfft(_nyquist_stack(grid.n, 1, seed=seed)), dt)
-        norm = stepper_norms.weak(stepper, exact_step(grid, uh, dt)[0][0])
-        theirs = exact_step(grid, uh, dt, 1, 5.0 * norm, norm)
-        assert theirs[2] == [-1] and theirs[3] == 1
-        sample = np.full((1, grid.n), np.nan)
-        mine = stepper.step(uh, dt, 1, (5.0 * norm, norm), 0.5 * dt,
-                            sample=sample)
-        assert same_call(mine, theirs), seed
+        uh = probe.prime(grid.rfft(_nyquist_stack(grid.n, 1, seed=seed)))
+        norm = stepper_norms.weak(probe._primed,
+                                  exact_step(grid, uh, dt)[0][0])
+        escape = 5.0 * norm, norm
+        kernel = new_stepper(grid, dt, escape, [1.5 * dt])
+        assert kernel.whole == [1]
+        (_, _, signs, taken), sample = kernel_call(
+            exact_step, grid, dt, escape, kernel, kernel.bind(uh), 1, 0)
+        assert signs == [-1] and taken == 1, seed
         assert np.isnan(sample).all()
 
 
@@ -1233,16 +1282,19 @@ def test_the_kernels_bounds_hold_at_a_spike(grid, exact_step, reach):
     # A primed state whose values y = irfft(z), dt times the half-stepped
     # values, are one spike of height reach has sum(y^2) = reach^2, where
     # |y_i| <= sqrt(sum(y^2)) is tight: at reach 0.5 its denominator sits
-    # on the floor.
-    stepper = reference._SplitStepper(grid)
+    # on the floor.  An interval of two whole steps and a clamped half
+    # step.
     dt = 1e-3
     spike = np.zeros((1, grid.n))
     spike[0, grid.n // 2] = reach
-    uh = grid.rfft(spike)
-    theirs = exact_step(grid, uh, dt, 2, 1e6)
-    # It blows up in the first step exactly when reach >= 0.5.
-    assert (theirs[1] is not None and theirs[3] == 1) == (reach >= 0.5)
-    assert same_call(stepper.step(uh, dt, 2, (1e6, None)), theirs)
+    kernel = new_stepper(grid, dt, (1e6, None), [2.5 * dt])
+    (_, blown, _, taken), sample = kernel_call(
+        exact_step, grid, dt, (1e6, None), kernel,
+        kernel.bind(grid.rfft(spike)), 2, 0)
+    # It blows up in the first step exactly when reach >= 0.5; the sample
+    # is written when the call takes the clamped step.
+    assert (blown is not None and taken == 1) == (reach >= 0.5)
+    assert (taken == 3) == (not np.isnan(sample).any())
 
 
 @pytest.mark.parametrize("dt", [1e-3, 5e-4, 2.5e-4])
@@ -1566,7 +1618,7 @@ def test_every_interval_takes_its_whole_steps_then_one_clamped_step(
     samples = mesh_prefix(workspace.times, 6.0)
     sizes = []
     monkeypatch.setattr(reference._SplitStepper, "step",
-                        recording_steps(sizes))
+                        recording_steps(sizes, dt))
     evolve_lanes(model, [model.profile.values], dt=dt, sample_times=samples)
     gaps = np.diff(samples) / dt
     assert np.any(gaps % 1.0 > 0.01)  # the mesh has partial steps past 4
@@ -1703,18 +1755,23 @@ def test_a_continued_solve_is_bitwise_the_plain_per_step_solve(
 
 def test_the_clamped_steps_take_each_intervals_own_multipliers(workspace,
                                                                grid):
-    # A solve takes every clamped step's half-step multiplier from one exp
-    # over the lengths of all its clamped steps.
-    samples = mesh_prefix(workspace.times, 20.0)
-    lengths = reference._clamp_lengths(samples[1:].tolist(), 0.0, 1e-3)
+    # A solve plans every interval once: its whole steps, the length of
+    # its clamped step, the sample time less the interval's start plus
+    # those whole steps, and that step's half-step multiplier, each row of
+    # one exp over all the lengths bitwise the exp of its own.
+    dt, targets = 1e-3, mesh_prefix(workspace.times, 20.0)[1:].tolist()
+    kernel = new_stepper(grid, dt, targets=targets)
+    lengths = kernel._lengths
+    assert len(lengths) == len(kernel.whole) == len(kernel._halves) \
+        == len(targets)
     assert len(set(lengths)) > 10
-    stepper = reference._SplitStepper(grid)
-    stepper.clamp(lengths)
     rate = grid.wavenumbers**2 + 1.0
-    for length in lengths:
-        assert np.array_equal(
-            stepper._clamped[length].view(np.uint64),
-            np.exp(-0.5 * length * rate).view(np.uint64)), length
+    for begin, target, whole, length, half in zip(
+            [0.0] + targets, targets, kernel.whole, lengths, kernel._halves):
+        assert whole == reference._whole_steps(target - begin, dt)
+        assert length == target - (begin + whole * dt)
+        assert np.array_equal(half.view(np.uint64),
+                              np.exp(-0.5 * length * rate).view(np.uint64))
 
 
 def test_energies_are_bitwise_the_per_sample_energies(model, grid,
@@ -1733,17 +1790,18 @@ def test_energies_are_bitwise_the_per_sample_energies(model, grid,
 
 def test_a_solve_frees_its_stepper_without_the_garbage_collector(
         model, monkeypatch):
-    # The stepper keeps the operands of its last call of whole steps; a
-    # reference from them back to the stepper would be a cycle that keeps
-    # every solve's stepper and clamp table alive until a full collection.
+    # The stepper keeps the row views of the stack it binds and its plan's
+    # multiplier table; a reference from them back to the stepper would be
+    # a cycle that keeps every solve's stepper alive until a full
+    # collection.
     import gc
     import weakref
 
     steppers = []
     init = reference._SplitStepper.__init__
 
-    def recorded(self, grid):
-        init(self, grid)
+    def recorded(self, *args):
+        init(self, *args)
         steppers.append(weakref.ref(self))
 
     monkeypatch.setattr(reference._SplitStepper, "__init__", recorded)

@@ -236,3 +236,41 @@ def test_the_ci_workflow_runs_the_roadmap_tier1_command():
     step = workflow.index("      - name: Tier-1 tests")
     assert len(verify) == 1
     assert workflow[step + 1] == f"        run: {verify[0]}"
+
+
+def _workflow_step(name: str) -> list:
+    """The lines of the CI workflow's step ``name``, read as plain text, up
+    to the next step."""
+    lines = (REPO / ".github" / "workflows" / "tier1.yml").read_text(
+        encoding="utf-8").splitlines()
+    start = lines.index(f"      - name: {name}") + 1
+    end = next((index for index in range(start, len(lines))
+                if lines[index].startswith("      - ")), len(lines))
+    return lines[start:end]
+
+
+def test_the_ci_smoke_runs_name_perfbench_workloads():
+    """Each workload that the benchmark smoke step runs is a key of
+    perfbench's ``WORKLOADS``, read from its source."""
+    loops = [line.split(" in ", 1)[1].removesuffix("; do").split()
+             for line in _workflow_step("Benchmark smoke runs")
+             if line.strip().startswith("for workload in ")]
+    tree = ast.parse((REPO / "perfbench" / "workloads.py").read_text(
+        encoding="utf-8"))
+    keys, = [[ast.literal_eval(key) for key in node.value.keys]
+             for node in tree.body if isinstance(node, ast.Assign)
+             and [target.id for target in node.targets] == ["WORKLOADS"]]
+    assert len(loops) == 1 and loops[0]
+    assert set(loops[0]) <= set(keys), loops[0]
+
+
+def test_the_ci_openblas_step_runs_python_that_compiles():
+    """Both ``python -c`` programs of the numpy/OpenBLAS step compile."""
+    programs = [line.split(' -c "', 1)[1].removesuffix('"')
+                for line in _workflow_step(
+                    "Show the numpy build and the OpenBLAS threads adiaflow "
+                    "runs with")
+                if ' -c "' in line]
+    assert len(programs) == 2
+    for program in programs:
+        compile(program, "tier1.yml", "exec")
