@@ -1,6 +1,7 @@
 """Uniform periodic grid, spectral derivative operators, and grid fields.
 
-The computational domain is [-L, L) sampled at n equispaced points.  All
+The computational domain is [-L, L) sampled at n equispaced points, x_j =
+h (j - n/2) for j = 0, ..., n - 1, so that x_{-j} = -x_j exactly.  All
 derivatives are Fourier-spectral: the first- and second-derivative operators
 are diagonal in the discrete Fourier basis, and their dense matrix
 representations are circulants assembled so that D2 is exactly symmetric and
@@ -137,7 +138,11 @@ class PeriodicGrid:
         self.n = int(n)
         self.half_length = float(half_length)
         self.spacing = 2.0 * self.half_length / self.n
-        self.x = -self.half_length + self.spacing * np.arange(self.n)
+        # Centred on index n/2, so that x[-j] = -x[j] bitwise: the reflection
+        # x -> -x is j -> -j mod n, and ``spectral.decompose`` splits an
+        # operator that commutes with it.  On the default grid these are
+        # bitwise the points -L + h j.
+        self.x = self.spacing * (np.arange(self.n) - self.n // 2)
         # 2 pi np.fft.rfftfreq(n, spacing); the last is the Nyquist mode.
         self.wavenumbers = 2.0 * np.pi * (np.arange(self.n // 2 + 1)
                                           * (1.0 / (self.n * self.spacing)))

@@ -796,7 +796,7 @@ def run_full_pipeline(cfg: ExperimentConfig, eta_preset: str = "stable-bump",
     the remaining stages cleanly; the report is always written.  So is
     ``trace.json`` beside it, which is not listed among the artifacts: the
     wall time of each stage that ran (the first, ``runtime``, writes
-    ``config.json`` and builds the runtime, whose dense ``eigh`` is the
+    ``config.json`` and builds the runtime, whose first ``eigh`` is the
     cold cost of a fresh process; the second, ``ledger``, runs the
     assumption checks and writes ``ledger.json``) and of the whole run, the
     BLAS build and thread count the run used (``grid.blas_info``), each

@@ -210,7 +210,7 @@ class _SplitStepper:
         then steps in place, and take the row views of its values, the
         buffer of physical values, and its interleaved parts, the rule's
         reading.  Returns uh."""
-        height = len(uh)
+        self._height = height = len(uh)
         self._spectrum = np.empty((height, self.n // 2 + 1), complex)
         self._values = np.empty((height, self.n))
         self._denom = np.empty((height, self.n))
@@ -262,7 +262,14 @@ class _SplitStepper:
         same way, on its unscaled half-stepped values, and always runs the
         denominator test and the rule.  So the call stops after the step
         where reading every step would, with the same bits.
+
+        A stack of another height than the one ``bind`` sized the buffers
+        for is refused with a ValueError before any step: the transforms
+        would write past those buffers.
         """
+        if len(uh) != self._height:
+            raise ValueError(f"a stack of {len(uh)} rows cannot be stepped "
+                             f"in buffers bound for {self._height}")
         v, denom, product = self._values, self._denom, self._product
         n, r2c, c2r = self.n, PeriodicGrid.r2c, PeriodicGrid.c2r
         physical, rows, rule = self._physical, self._rows, self._rule

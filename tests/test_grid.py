@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adiaflow.config import ModelSection
 from adiaflow.grid import GridField, PeriodicGrid, zero_field
+from adiaflow.model import PulseModel
+from adiaflow.spectral import assemble_operator
 
 
 def _smooth_noise(grid, seed, width=4.0):
@@ -30,6 +32,43 @@ def test_points_and_spacing(grid):
     assert grid.x[0] == -20.0
     assert grid.x[-1] == pytest.approx(20.0 - grid.spacing, rel=1e-15)
     assert np.all(np.diff(grid.x) > 0)
+
+
+def test_the_default_points_are_minus_l_plus_h_j(grid):
+    assert np.array_equal(grid.x.view(np.uint64),
+                          (-20.0 + 0.15625 * np.arange(256)).view(np.uint64))
+
+
+EVEN_SIZES = st.integers(8, 2048).map(lambda half: 2 * half)
+HALF_LENGTHS = st.sampled_from([1.0, 5.0, 12.5, 20.0, 31.7, 64.0])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=EVEN_SIZES, half_length=HALF_LENGTHS)
+def test_the_points_are_centred_on_the_origin(n, half_length):
+    # The reflection x -> -x is the index map j -> -j mod n.  Bitwise but
+    # for x_0 = -L, which x_L would mirror, and the origin, whose negation
+    # is -0.0.
+    x = PeriodicGrid(n, half_length).x
+    mirror = -np.arange(n) % n
+    off = np.arange(n) % (n // 2) != 0
+    assert np.array_equal(x[mirror][off].view(np.uint64),
+                          (-x[off]).view(np.uint64))
+    assert x[n // 2].view(np.uint64) == 0
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(n=EVEN_SIZES, half_length=HALF_LENGTHS)
+@example(n=4096, half_length=20.0)
+@example(n=192, half_length=20.0)
+@example(n=240, half_length=20.0)
+def test_the_operator_at_the_origin_is_even(n, half_length):
+    # The pulse at sigma = 0 is even on the centred grid, so the operator
+    # equals its reflection R A R, bitwise: A flipped in both axes and
+    # rolled by one point, as j -> -j mod n is n - 1 - j shifted by one.
+    matrix = assemble_operator(PulseModel(PeriodicGrid(n, half_length)), 0.0)
+    mirrored = np.roll(matrix[::-1, ::-1], 1, (0, 1))
+    assert np.array_equal(mirrored.view(np.uint64), matrix.view(np.uint64))
 
 
 def test_wavenumbers_match_half_spectrum_layout(grid):

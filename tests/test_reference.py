@@ -411,14 +411,15 @@ def test_a_collapsed_short_probe_end_takes_false_position_on_the_survivors(
                                                rel=1e-12)
     # The collapsed end moved the mid-probe step to 1,500 round-off floors
     # above beta*, so it and its partner 1e-11 above it hold one sign, and
-    # a second full-probe pair round runs.  That
-    # round's iterate lands 1.17 floors from beta*, just outside the
-    # one-floor stop, so a lone round follows: 9 lane solves in 5 calls.
-    # Whether that lone round runs is round-off: under two BLAS threads,
-    # whose eigenvector bits differ, the iterate landed on beta* and 8 ran.
+    # a second full-probe pair round runs.  That round's Newton step is
+    # 0.94 floors, just inside the one-floor stop, and its partner has the
+    # other sign, so the polish stops there: 8 lane solves in 4 calls.
+    # Whether a lone round follows is round-off: with the eigenvectors of
+    # one dense eigh of the whole operator, rather than of its even and odd
+    # blocks, the step was 1.17 floors and 9 ran; under two BLAS threads 8.
     assert refined.evaluations == 7
-    assert len(calls) == kept.evaluations == 9
-    assert len({first for _, _, first in calls}) == 5
+    assert len(calls) == kept.evaluations == 8
+    assert len({first for _, _, first in calls}) == 4
     assert abs(kept.beta - refined.beta) <= min(kept.bracket, refined.bracket)
 
 
@@ -1295,6 +1296,20 @@ def test_the_kernels_bounds_hold_at_a_spike(grid, exact_step, reach):
     # is written when the call takes the clamped step.
     assert (blown is not None and taken == 1) == (reach >= 0.5)
     assert (taken == 3) == (not np.isnan(sample).any())
+
+
+def test_a_stack_of_another_height_than_the_bound_one_is_refused(grid):
+    # The transforms would write a taller stack past the bound buffers,
+    # corrupting the heap or aborting the interpreter, so the call refuses
+    # it before any step.
+    kernel = new_stepper(grid, targets=[2.5e-3])
+    kernel.bind(kernel.prime(grid.rfft(np.zeros((1, grid.n)))))
+    stack = kernel.prime(grid.rfft(_nyquist_stack(grid.n, 2, seed=5)))
+    before = stack.copy()
+    with pytest.raises(ValueError,
+                       match="a stack of 2 rows .* bound for 1$"):
+        kernel.step(stack, 2, 0, np.empty((2, grid.n)))
+    assert np.array_equal(stack, before)
 
 
 @pytest.mark.parametrize("dt", [1e-3, 5e-4, 2.5e-4])

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from adiaflow import spectral
 from adiaflow.errors import ClassificationError
-from adiaflow.grid import GridField, smooth_noise, zero_field
+from adiaflow.grid import GridField, PeriodicGrid, smooth_noise, zero_field
+from adiaflow.model import PulseModel
 from adiaflow.paths import time_mesh
 from adiaflow.presets import preset_field
 from adiaflow.spectral import (
@@ -122,6 +123,70 @@ def test_decomposition_is_deterministic(spectrum, model):
     again = decompose(model, 0.0)
     assert np.array_equal(again.eigenvalues, spectrum.eigenvalues)
     assert np.array_equal(again.eigenvectors, spectrum.eigenvectors)
+
+
+@pytest.fixture(scope="module", params=[192, 256, 1024])
+def split_case(request):
+    """At n points on [-20, 20): the model, the operator at sigma = 0, its
+    decomposition and LAPACK's backward-error scale n eps max|lambda|."""
+    model = PulseModel(PeriodicGrid(request.param))
+    matrix = assemble_operator(model, 0.0)
+    split = decompose(model, 0.0)
+    scale = (request.param * np.finfo(float).eps
+             * np.max(np.abs(split.eigenvalues)))
+    return model, matrix, split, scale
+
+
+def test_the_block_spectra_are_the_dense_spectrum(split_case):
+    # Each of the two solves is backward stable for its block, and the
+    # dense solve for the whole matrix, so they agree on the scale.
+    _, matrix, split, scale = split_case
+    dense = np.linalg.eigvalsh(matrix)
+    assert np.max(np.abs(split.eigenvalues - dense)) <= scale
+    assert np.all(np.diff(split.eigenvalues) >= 0.0)
+
+
+def test_every_block_eigenpair_has_a_residual_on_the_scale(split_case):
+    model, matrix, split, scale = split_case
+    # The columns are weak-normalized: sqrt(h) makes them Euclidean units.
+    unit = split.eigenvectors * np.sqrt(model.grid.spacing)
+    residual = matrix @ unit - unit * split.eigenvalues
+    assert np.max(np.linalg.norm(residual, axis=0)) <= scale
+    gram = unit.T @ unit
+    assert np.max(np.abs(gram - np.eye(len(gram)))) <= 1e-13
+
+
+def test_the_unstable_mode_is_even_and_the_zero_mode_odd(split_case):
+    model, _, split, _ = split_case
+    mirror = -np.arange(model.grid.n) % model.grid.n
+    mode = split.unstable_mode
+    zero = split.eigenvectors[:, split.zero_indices[0]]
+    assert np.array_equal(mode[mirror].view(np.uint64), mode.view(np.uint64))
+    # Exactly, which is bitwise but for the sign of the zeros at the two
+    # points the reflection fixes.
+    assert np.array_equal(-zero[mirror], zero)
+    assert np.all(zero[[0, model.grid.n // 2]] == 0.0)
+
+
+def test_an_even_operator_takes_two_half_size_solves(split_case,
+                                                      monkeypatch):
+    model, _, split, _ = split_case
+    n = model.grid.n
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def spy(matrix, *args, **kwargs):
+        shapes.append(matrix.shape)
+        return eigh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    again = decompose(model, 0.0)
+    assert shapes == [(n // 2 + 1,) * 2, (n // 2 - 1,) * 2]
+    assert np.array_equal(again.eigenvectors, split.eigenvectors)
+    # Away from sigma = 0 the potential is not even: one dense solve.
+    shapes.clear()
+    decompose(model, 0.3)
+    assert shapes == [(n, n)]
 
 
 def test_classification_rejects_misconfigured_bands(model, spectrum):
